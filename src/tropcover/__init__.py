@@ -29,7 +29,7 @@ from .intlinalg import (cokernel_tf, gram_isometries, kernel_basis, snf,
 from .tori import (IntegralTorus, Polarization, TorusHom, classify_hom,
                    cokernel_torus, dual_polarization, dual_type,
                    factor_isogeny, induced_polarization, kernel_torus,
-                   polarization_type, polarized_isomorphic, pp_rescale)
+                   polarized_isomorphic, pp_rescale)
 from .jacprym import (CheckResult, PrymData, SymmetricBasis, check_bigonal_duality,
                       check_trigonal_prym, cycle_pairing, h1_basis, jacobian,
                       norm_hom, pairing_table, prym, symmetric_basis,

@@ -29,6 +29,13 @@ def _format_matrix(m) -> str:
     return "\n".join("  [ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
 
+def _report(issues) -> bool:
+    """Print validation issues one a line; True if there are any."""
+    for issue in issues:
+        print(issue)
+    return bool(issues)
+
+
 def cmd_validate(args) -> int:
     loaded = load(args.path)
     issues = list(validate_graph(loaded.base)) + list(validate_metric(loaded.base_metric))
@@ -38,9 +45,7 @@ def cmd_validate(args) -> int:
     metric = loaded.base_metric
     for i, level in enumerate(loaded.levels):
         metric = induce_metric(level, metric)
-    if issues:
-        for issue in issues:
-            print(issue)
+    if _report(issues):
         return 1
     print(f"OK: base tree={is_tree(loaded.base)}, levels={len(loaded.levels)}, "
           f"degrees={[f.global_degree() for f in loaded.levels]}")
@@ -114,6 +119,8 @@ def cmd_jacobian(args) -> int:
 
 def cmd_prym(args) -> int:
     loaded = load(args.path)
+    if _report(validate_metric(loaded.base_metric)):
+        return 1
     tower = loaded.tower()
     mid, top = tower_metrics(tower, loaded.base_metric)
     data = prym(tower.pi, top, mid)
@@ -127,6 +134,8 @@ def cmd_prym(args) -> int:
 
 def cmd_check(args) -> int:
     loaded = load(args.path)
+    if _report(validate_metric(loaded.base_metric)):
+        return 1
     tower = loaded.tower()
     if args.theorem == "bigonal":
         result = check_bigonal_duality(tower, loaded.base_metric)

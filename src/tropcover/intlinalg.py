@@ -1,15 +1,17 @@
 """Exact integer and rational matrix routines.
 
-Matrices are tuples of tuples (rows).  Everything is arbitrary
-precision: ints for lattice maps, fractions for pairings.  No floating
-point anywhere.
+Matrices are tuples of tuples (rows): ints for lattice maps, fractions
+for pairings.  Internally a rational matrix is (D, integer rows) with D
+the lcm of its denominators; products, determinant, rank, inverse and
+the definiteness test run on integers only.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, lcm
+from operator import mul
 
 
 def mat(rows) -> tuple:
@@ -29,17 +31,32 @@ def zeros(n: int, m: int) -> tuple:
 
 
 def transpose(m) -> tuple:
-    rows, cols = shape(m)
-    return tuple(tuple(m[i][j] for i in range(rows)) for j in range(cols))
+    return tuple(zip(*m))
+
+
+def _scaled(m):
+    """(D, integer rows) with m == rows / D, D the lcm of the denominators;
+    an all-int matrix comes back as the same object, with D = 1."""
+    if all(type(x) is int for row in m for x in row):
+        return 1, m
+    d = lcm(*{x.denominator for row in m for x in row})
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
 def matmul(a, b) -> tuple:
+    """Exact product; int x int stays int, anything else gives fractions."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"matmul shape mismatch: {shape(a)} x {shape(b)}")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    da, ia = _scaled(a)
+    db, ib = _scaled(b)
+    cols = tuple(zip(*ib))
+    prod = [[sum(map(mul, row, col)) for col in cols] for row in ia]
+    if ia is a and ib is b:
+        return mat(prod)
+    d = da * db
+    return tuple(tuple(Fraction(x, d) for x in row) for row in prod)
 
 
 def matvec(a, v) -> tuple:
@@ -55,18 +72,15 @@ def mat_scale(c, a) -> tuple:
 
 
 def mat_equal(a, b) -> bool:
-    ra, ca = shape(a)
-    if (ra, ca) != shape(b):
-        return False
-    return all(a[i][j] == b[i][j] for i in range(ra) for j in range(ca))
+    return mat(a) == mat(b)
 
 
 def to_fractions(m) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in m)
 
 
 def is_integral(m) -> bool:
-    return all(Fraction(x).denominator == 1 for row in m for x in row)
+    return all(x.denominator == 1 for row in m for x in row)
 
 
 def to_int(m) -> tuple:
@@ -75,71 +89,84 @@ def to_int(m) -> tuple:
     return tuple(tuple(int(x) for x in row) for row in m)
 
 
+def _bareiss(m, pivoting=True):
+    """Fraction-free row echelon form of D * m (Bareiss 1968; Cohen, 2.2).
+
+    Returns (D, rows, pivot columns, signed last pivot).  The pivot of row
+    i, at column cols[i], is the minor of the row-permuted D * m on rows
+    0..i and columns cols[:i+1], so every division is exact.  Without
+    pivoting no rows are exchanged and elimination stops at the first zero
+    diagonal entry: the pivots are the leading principal minors.
+    """
+    d, rows = _scaled(m)
+    a = [list(row) for row in rows]
+    n, width = shape(a)
+    cols, sign, prev, r = [], 1, 1, 0
+    for c in range(width):
+        if r == n:
+            break
+        if not a[r][c]:
+            if not pivoting:
+                break
+            p = next((i for i in range(r + 1, n) if a[i][c]), None)
+            if p is None:
+                continue
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        piv = a[r][c]
+        tail = a[r][c + 1:]
+        for row in a[r + 1:]:
+            x = row[c]
+            if x:
+                row[c + 1:] = [(piv * y - x * z) // prev for y, z in zip(row[c + 1:], tail)]
+                row[c] = 0
+            elif piv != prev:
+                row[c + 1:] = [piv * y // prev for y in row[c + 1:]]
+        cols.append(c)
+        prev = piv
+        r += 1
+    return d, a, cols, sign * prev
+
+
 def det(m):
-    """Exact determinant by fraction Gaussian elimination."""
+    """Exact determinant: the signed last Bareiss pivot over D^n."""
     n, c = shape(m)
     if n != c:
         raise ValueError("determinant of a non-square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
-    for i in range(n):
-        pivot = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if pivot is None:
-            return Fraction(0) * result
-        if pivot != i:
-            a[i], a[pivot] = a[pivot], a[i]
-            result = -result
-        result *= a[i][i]
-        inv = 1 / a[i][i]
-        for r in range(i + 1, n):
-            if a[r][i]:
-                factor = a[r][i] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[i])]
-    return result
+    d, _, cols, minor = _bareiss(m)
+    return Fraction(minor, d ** n) if len(cols) == n else Fraction(0)
 
 
 def inverse(m) -> tuple:
-    """Exact inverse over the rationals."""
+    """Exact inverse over the rationals: Bareiss on D * [M | I] = [D M | D I],
+    then fraction-free back substitution for det(D M) * M^-1."""
     n, c = shape(m)
     if n != c:
         raise ValueError("inverse of a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for i in range(n):
-        pivot = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[i], a[pivot] = a[pivot], a[i]
-        inv = 1 / a[i][i]
-        a[i] = [x * inv for x in a[i]]
-        for r in range(n):
-            if r != i and a[r][i]:
-                factor = a[r][i]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[i])]
-    return tuple(tuple(row[n:]) for row in a)
+    _, a, cols, delta = _bareiss([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(m)])
+    if cols[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = [delta * y for y in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [s - row[j] * t for s, t in zip(acc, x[j])]
+        x[i] = [s // row[i] for s in acc]
+    return tuple(tuple(Fraction(v, delta) for v in xi) for xi in x)
 
 
 def rank(m) -> int:
-    rows, cols = shape(m)
-    if rows == 0 or cols == 0:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    r = 0
-    for j in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][j] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][j]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][j]:
-                factor = a[i][j]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_bareiss(m)[2])
+
+
+def is_positive_definite(q) -> bool:
+    """Sylvester's test for a symmetric form: every leading Bareiss pivot,
+    a leading principal minor times a positive scale, is > 0."""
+    _, a, cols, _ = _bareiss(q, pivoting=False)
+    return len(cols) == len(a) and all(a[i][i] > 0 for i in range(len(a)))
 
 
 def is_unimodular(m) -> bool:
@@ -298,8 +325,7 @@ def kernel_basis(matrix) -> tuple:
         return tuple()
     res = snf(matrix)
     r = res.rank
-    cols = [tuple(res.V[i][j] for i in range(m)) for j in range(r, m)]
-    return _columns_to_matrix(cols, m)
+    return tuple(row[r:] for row in res.V)
 
 
 def _columns_to_matrix(cols, nrows) -> tuple:
@@ -324,7 +350,7 @@ def cokernel_tf(matrix) -> Cokernel:
     r = res.rank
     proj = tuple(res.U[i] for i in range(r, n))
     uinv = to_int(inverse(res.U)) if n else tuple()
-    reps = tuple(tuple(uinv[i][j] for j in range(r, n)) for i in range(n))
+    reps = tuple(row[r:] for row in uinv)
     cok = Cokernel(n - r, mat(proj) if proj else zeros(0, n), reps if n else zeros(0, 0))
     if cok.rank:
         if not mat_equal(matmul(cok.projection, cok.representatives), identity(cok.rank)):
@@ -334,27 +360,11 @@ def cokernel_tf(matrix) -> Cokernel:
     return cok
 
 
-def lcm_denominator(*matrices) -> int:
-    """Single scalar clearing all denominators of all given matrices."""
-    scale = 1
-    for m in matrices:
-        for row in m:
-            for x in row:
-                d = Fraction(x).denominator
-                scale = scale * d // _gcd(scale, d)
-    return scale
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def clear_denominators(*matrices):
     """(scalar, scaled integer matrices); the same scalar for every matrix."""
-    scale = lcm_denominator(*matrices)
-    return scale, tuple(to_int(mat_scale(scale, to_fractions(m))) for m in matrices)
+    scaled = [_scaled(m) for m in matrices]
+    scale = lcm(*(d for d, _ in scaled))
+    return scale, tuple(mat_scale(scale // d, rows) for d, rows in scaled)
 
 
 def _floor_sqrt(x: Fraction) -> int:
@@ -433,12 +443,12 @@ def gram_isometries(q1, q2):
     n2, _ = shape(q2)
     if n != n2:
         raise ValueError("rank mismatch")
-    q1 = mat(q1)
-    q2 = mat(q2)
+    q1, q2 = mat(q1), mat(q2)
     for q in (q1, q2):
         if not mat_equal(q, transpose(q)):
             raise ValueError("forms must be symmetric")
-        _cholesky(q)  # positive-definiteness check
+        if not is_positive_definite(q):
+            raise ValueError("form is not positive definite")
     if n == 0:
         yield tuple()
         return

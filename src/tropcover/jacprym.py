@@ -167,18 +167,14 @@ class TransferMaps:
     target_basis: CycleBasis
 
 
-def _cols_to_matrix(cols, nrows):
-    return tuple(tuple(col[i] for col in cols) for i in range(nrows))
-
-
 def transfer_maps(cover: DoubleCover, source_basis=None, target_basis=None) -> TransferMaps:
     if not is_connected(cover.source) or not is_connected(cover.target):
         raise PreconditionError("connected", "transfer maps require connected source and target")
     sb = source_basis or h1_basis(cover.source)
     tb = target_basis or h1_basis(cover.target)
-    push = _cols_to_matrix([tb.coordinates(push_chain(cover, c)) for c in sb.cycles], tb.rank)
-    pull = _cols_to_matrix([sb.coordinates(pull_chain(cover, c)) for c in tb.cycles], sb.rank)
-    invol = _cols_to_matrix([sb.coordinates(invol_chain(cover, c)) for c in sb.cycles], sb.rank)
+    push = la._columns_to_matrix([tb.coordinates(push_chain(cover, c)) for c in sb.cycles], tb.rank)
+    pull = la._columns_to_matrix([sb.coordinates(pull_chain(cover, c)) for c in tb.cycles], sb.rank)
+    invol = la._columns_to_matrix([sb.coordinates(invol_chain(cover, c)) for c in sb.cycles], sb.rank)
     composite = la.matmul(pull, push) if tb.rank else la.zeros(sb.rank, sb.rank)
     if not la.mat_equal(composite, la.mat_add(la.identity(sb.rank), invol)):
         raise AssertionError("transfer maps violate pullback @ pushforward = I + involution")

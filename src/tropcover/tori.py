@@ -8,7 +8,7 @@ by a complete finite search through Gram-form isometries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import intlinalg as la
@@ -59,9 +59,8 @@ class TorusHom:
         if len(self.push) != g2 or any(len(r) != g1 for r in self.push):
             raise TorusError(f"push must be {g2} x {g1}")
         if g1 and g2:
-            lhs = la.matmul(la.transpose(la.to_fractions(self.pull)), self.source.pairing)
-            rhs = la.matmul(self.target.pairing, la.to_fractions(self.push))
-            if not la.mat_equal(lhs, rhs):
+            if not la.mat_equal(la.matmul(la.transpose(self.pull), self.source.pairing),
+                                la.matmul(self.target.pairing, self.push)):
                 raise TorusError("pull/push are not adjoint for the pairings")
             if la.rank(self.pull) != la.rank(self.push):
                 raise TorusError("pull and push have different ranks")
@@ -106,8 +105,6 @@ def classify_hom(h: TorusHom) -> HomFlags:
     isogeny = surjective and finite
     free = isogeny and la.is_unimodular(h.pull) if g1 else isogeny
     dil = isogeny and la.is_unimodular(h.push) if g1 else isogeny
-    if g1 == 0:
-        free = dil = isogeny
     return HomFlags(surjective, finite, injective, isogeny, free, dil, free and dil)
 
 
@@ -132,7 +129,7 @@ def factor_isogeny(h: TorusHom) -> IsogenyFactorization:
     res = la.snf(h.push)
     diag = res.diagonal()
     # second lattice of the middle torus in the adapted basis given by U^-1
-    pairing_cols = la.matmul(h.source.pairing, la.to_fractions(res.V))
+    pairing_cols = la.matmul(h.source.pairing, res.V)
     middle_pairing = tuple(tuple(pairing_cols[i][j] / diag[j] for j in range(g)) for i in range(g))
     middle = IntegralTorus(middle_pairing)
     free_part = TorusHom(h.source, middle, la.identity(g), la.matmul(res.U, h.push))
@@ -168,8 +165,7 @@ def kernel_torus(h: TorusHom) -> KernelTorus:
     if (len(ker[0]) if ker else 0) != k:
         raise AssertionError("kernel_torus: coker(pull) and ker(push) ranks differ")
     if k:
-        reps = la.to_fractions(cok.representatives)
-        pairing = la.matmul(la.matmul(la.transpose(reps), h.source.pairing), la.to_fractions(ker))
+        pairing = la.matmul(la.matmul(la.transpose(cok.representatives), h.source.pairing), ker)
     else:
         pairing = tuple()
     torus = IntegralTorus(pairing)
@@ -196,8 +192,7 @@ def cokernel_torus(h: TorusHom) -> CokernelTorus:
     if (len(ker[0]) if ker else 0) != k:
         raise AssertionError("cokernel_torus: ker(pull) and coker(push) ranks differ")
     if k:
-        reps = la.to_fractions(cok.representatives)
-        pairing = la.matmul(la.matmul(la.transpose(la.to_fractions(ker)), h.target.pairing), reps)
+        pairing = la.matmul(la.matmul(la.transpose(ker), h.target.pairing), cok.representatives)
     else:
         pairing = tuple()
     torus = IntegralTorus(pairing)
@@ -212,6 +207,7 @@ class Polarization:
 
     torus: IntegralTorus
     matrix: tuple
+    _gram: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", la.mat(self.matrix))
@@ -220,26 +216,19 @@ class Polarization:
             raise TorusError("polarization matrix has wrong shape")
         if not la.is_integral(self.matrix):
             raise TorusError("polarization matrix must be integral")
-        gram = self.gram()
+        gram = self.torus.pairing if self.matrix == la.identity(g) else \
+            la.matmul(la.transpose(self.matrix), self.torus.pairing)
+        object.__setattr__(self, "_gram", gram)
         if not la.mat_equal(gram, la.transpose(gram)):
             raise TorusError("polarization form is not symmetric")
-        try:
-            la._cholesky(gram)
-        except ValueError:
-            raise TorusError("polarization form is not positive definite") from None
+        if not la.is_positive_definite(gram):
+            raise TorusError("polarization form is not positive definite")
 
     def gram(self) -> tuple:
-        return la.matmul(la.transpose(la.to_fractions(self.matrix)), self.torus.pairing)
+        return self._gram
 
     def type(self) -> tuple:
         return la.snf(self.matrix).invariant_factors()
-
-    def is_principal(self) -> bool:
-        return all(a == 1 for a in self.type())
-
-
-def polarization_type(pol: Polarization) -> tuple:
-    return pol.type()
 
 
 def induced_polarization(h: TorusHom, pol: Polarization) -> Polarization:
@@ -277,8 +266,7 @@ def pp_rescale(pol: Polarization) -> PrincipalModel:
     big = diag[-1]
     uinv = la.to_int(la.inverse(res.U))
     # P in the adapted bases, then each row i scaled by a_i / a_g
-    p_ad = la.matmul(la.matmul(la.transpose(la.to_fractions(uinv)), pol.torus.pairing),
-                     la.to_fractions(res.V))
+    p_ad = la.matmul(la.matmul(la.transpose(uinv), pol.torus.pairing), res.V)
     p_pp = tuple(tuple(Fraction(diag[i], big) * p_ad[i][j] for j in range(g)) for i in range(g))
     pp_torus = IntegralTorus(p_pp)
     zeta = Polarization(pp_torus, la.identity(g))
@@ -329,8 +317,7 @@ def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
     if any(multiplier % a for a in diag):
         raise TorusError("dual multiplier must be divisible by every invariant factor")
     uinv = la.to_int(la.inverse(res.U))
-    p_ad = la.matmul(la.matmul(la.transpose(la.to_fractions(uinv)), pol.torus.pairing),
-                     la.to_fractions(res.V))
+    p_ad = la.matmul(la.matmul(la.transpose(uinv), pol.torus.pairing), res.V)
     dual_t = IntegralTorus(la.transpose(p_ad))
     xdual = tuple(tuple(multiplier // diag[i] if i == j else 0 for j in range(g)) for i in range(g))
     dual_pol = Polarization(dual_t, xdual)
@@ -358,12 +345,10 @@ def polarized_isomorphic(pol1: Polarization, pol2: Polarization):
     p1_inv_t = la.inverse(la.transpose(t1.pairing))
     p2_t = la.transpose(t2.pairing)
     for b in la.gram_isometries(q1, q2):
-        a = la.matmul(la.matmul(p1_inv_t, la.transpose(la.to_fractions(b))), p2_t)
-        if not la.is_integral(a):
+        a = la.matmul(la.matmul(p1_inv_t, la.transpose(b)), p2_t)
+        if not la.is_unimodular(a):
             continue
         a = la.to_int(a)
-        if abs(la.det(a)) != 1:
-            continue
         hom = TorusHom(t1, t2, a, b)  # adjointness re-verified in the constructor
         if not la.mat_equal(la.matmul(la.matmul(a, pol2.matrix), b), pol1.matrix):
             raise AssertionError("polarized_isomorphic: witness does not transport the polarization")

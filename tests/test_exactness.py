@@ -1,0 +1,41 @@
+"""Static guard for the no-floats rule: the package source may hold no
+float literal, no use of the name `float` and no floating-point math call."""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tropcover")
+FLOAT_MATH = {"sqrt", "log", "exp"}
+
+
+def float_uses(tree):
+    """(line, description) of each floating-point construct in the tree."""
+    math_names = {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "math"
+                  for alias in node.names if alias.name in FLOAT_MATH}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, f"float literal {node.value!r}"
+        elif isinstance(node, ast.Name) and (node.id == "float" or node.id in math_names):
+            yield node.lineno, f"name {node.id}"
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            yield node.lineno, f"math.{node.attr}"
+
+
+def test_guard_catches_each_construct():
+    source = ("import math\nfrom math import exp as e\n"
+              "x = 0.5\ny = float(1)\nz = math.sqrt(2) + math.log(3)\nw = e(1)\n")
+    found = [what for _, what in float_uses(ast.parse(source))]
+    assert sorted(found) == sorted(["float literal 0.5", "name float", "math.sqrt",
+                                    "math.log", "name e"])
+
+
+def test_package_source_has_no_floats():
+    offenders = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            offenders += [f"{name}:{line}: {what}" for line, what in float_uses(tree)]
+    assert offenders == []

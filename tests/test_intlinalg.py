@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
-from tropcover.intlinalg import (clear_denominators, cokernel_tf, det,
-                                 gram_isometries, identity, inverse,
-                                 is_unimodular, kernel_basis, mat, mat_equal,
-                                 matmul, rank, snf, to_fractions, transpose,
+import pytest
+
+from tropcover.intlinalg import (_cholesky, clear_denominators, cokernel_tf,
+                                 det, gram_isometries, identity, inverse,
+                                 is_positive_definite, is_unimodular,
+                                 kernel_basis, mat, mat_equal, matmul, rank,
+                                 snf, to_fractions, transpose,
                                  vectors_with_norm)
 
 
@@ -129,3 +132,187 @@ def test_det_and_inverse_exact():
     m = [[Fraction(1, 2), 1], [0, Fraction(3)]]
     assert det(m) == Fraction(3, 2)
     assert mat_equal(matmul(m, inverse(m)), to_fractions(identity(2)))
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the Bareiss kernel against the Fraction
+# Gauss-Jordan routines it replaced, kept here as reference oracles.
+
+
+def oracle_det(m):
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    result = Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            result = -result
+        result *= a[i][i]
+        inv = 1 / a[i][i]
+        for r in range(i + 1, n):
+            if a[r][i]:
+                factor = a[r][i] * inv
+                a[r] = [x - factor * y for x, y in zip(a[r], a[i])]
+    return result
+
+
+def oracle_inverse(m):
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
+         for i, row in enumerate(m)]
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        a[i], a[pivot] = a[pivot], a[i]
+        inv = 1 / a[i][i]
+        a[i] = [x * inv for x in a[i]]
+        for r in range(n):
+            if r != i and a[r][i]:
+                factor = a[r][i]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[i])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def oracle_rank(m):
+    rows, cols = len(m), len(m[0]) if m else 0
+    a = [[Fraction(x) for x in row] for row in m]
+    r = 0
+    for j in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][j] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][j]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][j]:
+                factor = a[i][j]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def oracle_is_positive_definite(q):
+    try:
+        _cholesky(q)
+    except ValueError:
+        return False
+    return True
+
+
+def oracle_matmul(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+                       for j in range(len(b[0]) if b else 0)) for i in range(len(a)))
+
+
+def random_entry(rng, rational):
+    if rational:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-5, 5)
+
+
+def random_matrix(rng, n, m, rational=False, rank_at_most=None):
+    """n x m matrix; with rank_at_most, a product through that many columns."""
+    if rank_at_most is None:
+        return mat([[random_entry(rng, rational) for _ in range(m)] for _ in range(n)])
+    left = random_matrix(rng, n, rank_at_most, rational)
+    right = random_matrix(rng, rank_at_most, m, rational)
+    return mat([[sum(left[i][k] * right[k][j] for k in range(rank_at_most)) for j in range(m)]
+                for i in range(n)])
+
+
+def random_cases(seed, count, square=True):
+    """Integer and rational matrices of size 0-12, a third of them rank deficient."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(0, 12)
+        m = n if square else rng.randint(0, 12)
+        if n == 0:
+            m = 0
+        deficient = m and i % 3 == 2
+        yield random_matrix(rng, n, m, rational=i % 2 == 1,
+                            rank_at_most=rng.randint(0, max(0, min(n, m) - 1)) if deficient else None)
+
+
+def random_symmetric(rng, n, rational):
+    """Symmetric forms: B^T B (PD, or PSD when B is rank deficient), B^T B
+    shifted down by a multiple of I, and plain symmetric matrices."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        rows = [[random_entry(rng, rational) for _ in range(n)] for _ in range(n)]
+        return mat([[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    b = random_matrix(rng, n, n, rational,
+                      rank_at_most=rng.randint(0, max(0, n - 1)) if n and rng.random() < 0.3 else None)
+    q = oracle_matmul(transpose(b), b)
+    shift = rng.randint(0, 4) if kind == 1 else 0
+    return mat([[q[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)])
+
+
+class TestBareissAgainstOracles:
+    def test_det(self):
+        for m in random_cases(10, 200):
+            assert det(m) == oracle_det(m)
+
+    def test_rank(self):
+        for m in random_cases(11, 200, square=False):
+            assert rank(m) == oracle_rank(m)
+
+    def test_inverse(self):
+        singular = 0
+        for m in random_cases(12, 200):
+            try:
+                expected = oracle_inverse(m)
+            except ValueError:
+                singular += 1
+                with pytest.raises(ValueError):
+                    inverse(m)
+                continue
+            assert inverse(m) == expected
+        assert 30 < singular < 170
+
+    def test_is_positive_definite(self):
+        rng = random.Random(13)
+        verdicts = set()
+        for i in range(200):
+            q = random_symmetric(rng, rng.randint(0, 12), rational=i % 2 == 1)
+            verdict = is_positive_definite(q)
+            assert verdict == oracle_is_positive_definite(q)
+            verdicts.add((verdict, len(q)))
+        assert {v for v, n in verdicts if n} == {True, False}
+
+    def test_unimodular_det(self):
+        rng = random.Random(14)
+        for n in range(1, 13):
+            u = random_unimodular(rng, n)
+            assert abs(det(u)) == 1 and is_unimodular(u)
+            assert mat_equal(matmul(u, inverse(u)), identity(n))
+
+
+class TestMatmulAgainstTripleLoop:
+    def test_values(self):
+        rng = random.Random(15)
+        for i in range(200):
+            n, k, m = rng.randint(0, 12), rng.randint(0, 12), rng.randint(0, 12)
+            if n == 0:
+                k = 0
+            a = random_matrix(rng, n, k, rational=i % 3 == 1)
+            b = random_matrix(rng, k, m, rational=i % 3 == 2) if k else ()
+            assert matmul(a, b) == oracle_matmul(a, b)
+
+    def test_entry_types(self):
+        rng = random.Random(16)
+        a, b = random_matrix(rng, 4, 5), random_matrix(rng, 5, 3)
+        assert all(type(x) is int for row in matmul(a, b) for x in row)
+        for left, right in ((to_fractions(a), b), (a, to_fractions(b)),
+                            (random_matrix(rng, 4, 5, rational=True), b)):
+            assert all(type(x) is Fraction for row in matmul(left, right) for x in row)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            matmul(identity(2), identity(3))

@@ -74,6 +74,18 @@ class TestCLI:
         assert main(["validate", str(bad)]) == 1
         assert "local-harmonicity" in capsys.readouterr().out
 
+    def test_invalid_metric_fails_prym_and_check(self, tmp_path, capsys):
+        path = os.path.join(DATA, "bigonal_tower.json")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["base"]["lengths"]["2"] = "-1"
+        bad = tmp_path / "negative.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (["prym", str(bad)], ["check", str(bad), "--theorem", "bigonal"]):
+            assert main(argv) == 1
+            out = capsys.readouterr().out
+            assert "length-positive" in out and "PASS" not in out
+
     def test_check_trigonal_passes(self, capsys):
         assert main(["check", os.path.join(DATA, "trigonal_tower.json"),
                      "--theorem", "trigonal"]) == 0

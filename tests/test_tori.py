@@ -7,7 +7,7 @@ from tropcover.tori import (IntegralTorus, Polarization, TorusError, TorusHom,
                             classify_hom, cokernel_torus, compose_homs,
                             dual_polarization, dual_type, factor_isogeny,
                             identity_hom, induced_polarization, kernel_torus,
-                            polarization_type, polarized_isomorphic, pp_rescale)
+                            polarized_isomorphic, pp_rescale)
 
 
 def self_paired(gram):
@@ -97,9 +97,9 @@ class TestKernelCokernelTori:
 
 class TestPolarizations:
     def test_type_examples(self):
-        assert polarization_type(Polarization(T2, identity(2))) == (1, 1)
-        assert polarization_type(Polarization(self_paired([[1, 0], [0, 1]]),
-                                              mat_scale(2, identity(2)))) == (2, 2)
+        assert Polarization(T2, identity(2)).type() == (1, 1)
+        assert Polarization(self_paired([[1, 0], [0, 1]]),
+                            mat_scale(2, identity(2))).type() == (2, 2)
 
     def test_induced_by_identity(self):
         pol = Polarization(T2, identity(2))

@@ -19,7 +19,7 @@ from .metrics import (INF, MetricGraph, augment_smooth, augment_smooth_tower,
                       induce_metric, is_inf, validate_metric,
                       validate_metric_harmonic)
 from .ngonal import (FiberDatum, FiberPart, Refinement, bigonal,
-                     classify_point, induce_multisection, involution_quotient,
+                     induce_multisection, involution_quotient,
                      is_generic_bigonal, is_generic_tetragonal,
                      multisection_degree, multisection_sign, multisections,
                      ngonal_construct, recillas, tetragonal_split,

@@ -119,7 +119,7 @@ def cmd_jacobian(args) -> int:
 
 def cmd_prym(args) -> int:
     loaded = load(args.path)
-    if _report(validate_metric(loaded.base_metric)):
+    if _report(validate_graph(loaded.base) + validate_metric(loaded.base_metric)):
         return 1
     tower = loaded.tower()
     mid, top = tower_metrics(tower, loaded.base_metric)
@@ -134,7 +134,7 @@ def cmd_prym(args) -> int:
 
 def cmd_check(args) -> int:
     loaded = load(args.path)
-    if _report(validate_metric(loaded.base_metric)):
+    if _report(validate_graph(loaded.base) + validate_metric(loaded.base_metric)):
         return 1
     tower = loaded.tower()
     if args.theorem == "bigonal":

@@ -67,13 +67,15 @@ class Graph:
     vertices: tuple
     root: dict
     partner: dict
+    _half_edges: tuple = field(init=False, compare=False, repr=False, default=None)
     _tangent: dict = field(init=False, compare=False, repr=False, default=None)
     _edge_keys: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
+        object.__setattr__(self, "_half_edges", tuple(sorted(self.root)))
         tangent = {v: [] for v in self.vertices}
-        for h in sorted(self.root):
+        for h in self._half_edges:
             r = self.root[h]
             if r in tangent:
                 tangent[r].append(h)
@@ -83,7 +85,7 @@ class Graph:
 
     @property
     def half_edges(self) -> tuple:
-        return tuple(sorted(self.root))
+        return self._half_edges
 
     def edge_keys(self) -> tuple:
         """Canonical edge ids: the smaller half-edge of each pair."""
@@ -147,32 +149,48 @@ def validate_graph(g: Graph) -> list:
     return issues
 
 
+def _bfs(g: Graph, start, vertices=None, keys=None) -> tuple:
+    """Breadth-first search from start, in tangent order.
+
+    Only vertices in `vertices` and edges with key in `keys` are used (None:
+    all).  Returns (visit order, parent) where parent maps each visited
+    vertex but start to the half-edge rooted at it that leads back toward
+    start.
+    """
+    order, parent = [start], {}
+    for v in order:
+        for h in g.tangent(v):
+            w = g.root[g.partner[h]]
+            if w == start or w in parent or (keys is not None and g.edge_key(h) not in keys) \
+                    or (vertices is not None and w not in vertices):
+                continue
+            parent[w] = g.partner[h]
+            order.append(w)
+    return order, parent
+
+
+def _bfs_components(g: Graph, vertices=None, keys=None) -> list:
+    """Visit orders of the components of the subgraph _bfs walks, by minimum vertex."""
+    comps, seen = [], set()
+    for start in (g.vertices if vertices is None else sorted(vertices)):
+        if start not in seen:
+            comps.append(_bfs(g, start, vertices, keys)[0])
+            seen.update(comps[-1])
+    return comps
+
+
 def connected_components(g: Graph) -> tuple:
     """Vertex partition into connected components, sorted by minimum vertex."""
-    seen = {}
-    comps = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            for h in g.tangent(v):
-                w = g.root[g.partner[h]]
-                if w not in comp:
-                    stack.append(w)
-        for v in comp:
-            seen[v] = True
-        comps.append(frozenset(comp))
-    return tuple(sorted(comps, key=min))
+    return tuple(frozenset(c) for c in _bfs_components(g))
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(_bfs_components(g)) == 1
+
+
+def betti_number(g: Graph) -> int:
+    """|E| - |V| + number of components: the genus summed over components."""
+    return len(g.edge_keys()) - len(g.vertices) + len(_bfs_components(g))
 
 
 def genus(g: Graph) -> int:
@@ -209,8 +227,9 @@ class GraphMorphism:
 def validate_morphism(m: GraphMorphism) -> list:
     issues = []
     s, t = m.source, m.target
+    t_vertices = set(t.vertices)
     for v in s.vertices:
-        if m.vmap.get(v) not in set(t.vertices):
+        if m.vmap.get(v) not in t_vertices:
             issues.append(ValidationIssue("vmap", vpoint(v), "vertex image missing"))
     for h in s.half_edges:
         img = m.hmap.get(h)
@@ -224,6 +243,14 @@ def validate_morphism(m: GraphMorphism) -> list:
     return issues
 
 
+def _preimages(image: dict, ids) -> dict:
+    """ids grouped by their image (None if missing), each group in the order of ids."""
+    groups = {}
+    for x in ids:
+        groups.setdefault(image.get(x), []).append(x)
+    return {y: tuple(xs) for y, xs in groups.items()}
+
+
 @dataclass(frozen=True)
 class HarmonicMorphism:
     """Graph morphism with positive integer local degrees.
@@ -235,6 +262,15 @@ class HarmonicMorphism:
     morphism: GraphMorphism
     vertex_degree: dict
     half_edge_degree: dict
+    # fiber index, built once: target id -> ascending source ids over it, for
+    # vertices, half-edges and edge keys (an edge by the image of its key half)
+    _fibers: tuple = field(init=False, compare=False, repr=False, default=None)
+
+    def __post_init__(self):
+        m, s = self.morphism, self.morphism.source
+        object.__setattr__(self, "_fibers", tuple(
+            _preimages(image, ids) for image, ids in
+            ((m.vmap, s.vertices), (m.hmap, s.half_edges), (m.hmap, s.edge_keys()))))
 
     @property
     def source(self) -> Graph:
@@ -264,19 +300,20 @@ class HarmonicMorphism:
         return self.vertex_degree[i] if kind == "v" else self.half_edge_degree[i]
 
     def fiber_vertices(self, v) -> tuple:
-        return tuple(x for x in self.source.vertices if self.morphism.vmap[x] == v)
+        return self._fibers[0].get(v, ())
 
     def fiber_half_edges(self, h) -> tuple:
-        return tuple(x for x in self.source.half_edges if self.morphism.hmap[x] == h)
+        return self._fibers[1].get(h, ())
 
     def fiber_edges(self, key) -> tuple:
         """Source edge keys over a target edge key."""
-        pair = {key, self.target.partner[key]}
-        return tuple(k for k in self.source.edge_keys() if self.morphism.hmap[k] in pair)
+        by_half = self._fibers[2]
+        return tuple(sorted(k for h in {key, self.target.partner[key]} for k in by_half.get(h, ())))
 
     def global_degree(self) -> int:
-        v0 = self.target.vertices[0]
-        return sum(self.vertex_degree[x] for x in self.fiber_vertices(v0))
+        if not self.target.vertices:
+            raise GraphError("global degree of a morphism onto the empty graph")
+        return sum(self.vertex_degree[x] for x in self.fiber_vertices(self.target.vertices[0]))
 
     def fiber_profile(self, p) -> tuple:
         """Sorted (descending) local degrees over a target point."""
@@ -366,16 +403,6 @@ class DoubleCover:
     def is_free(self) -> bool:
         return not self.dilated_vertices and not self.dilated_edge_keys
 
-    def is_point_dilated(self, p) -> bool:
-        kind, i = p
-        if kind == "v":
-            return i in self.dilated_vertices
-        return self.target.edge_key(i) in self.dilated_edge_keys
-
-    def invol_point(self, p):
-        kind, i = p
-        return (kind, self.vertex_invol[i] if kind == "v" else self.half_edge_invol[i])
-
     @classmethod
     def from_harmonic(cls, f: HarmonicMorphism) -> "DoubleCover":
         issues = validate_harmonic(f)
@@ -445,13 +472,6 @@ class Tower:
         return self.f.global_degree()
 
 
-def validate_tower(t: Tower, require_tree_base=False) -> list:
-    issues = validate_harmonic(t.pi.cover) + validate_harmonic(t.f)
-    if require_tree_base and not is_tree(t.base):
-        issues.append(ValidationIssue("tree-base", (), "base graph is not a tree"))
-    return issues
-
-
 @dataclass(frozen=True)
 class DilationData:
     """Dilation subgraph of a double cover's target and its lattice invariants."""
@@ -483,20 +503,7 @@ def dilation_data(c: DoubleCover) -> DilationData:
     if not dil_v and not dil_e:
         return DilationData(frozenset(), frozenset(), 0, 0, 0, g_t - 1, 0, 0)
     m_d, n_d = len(dil_e), len(dil_v)
-    parent = {v: v for v in dil_v}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in sorted(dil_e):
-        u, v = t.edge_ends(k)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    d = len({find(v) for v in dil_v})
+    d = len(_bfs_components(t, dil_v, dil_e))
     A = g_t - m_d + n_d - d
     B = d - 1
     C = m_d - n_d + d
@@ -537,26 +544,10 @@ def contract_edge(f: HarmonicMorphism, key: int) -> Contraction:
         fiber_halves.add(k)
         fiber_halves.add(s.partner[k])
     # components of the preimage of {u, v, e}
-    end_vertices = sorted(x for x in s.vertices if f.v(x) in (u, v))
-    parent = {x: x for x in end_vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in sorted(fiber_keys):
-        a, b = s.edge_ends(k)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups = {}
-    for x in end_vertices:
-        groups.setdefault(find(x), []).append(x)
+    end_vertices = set(f.fiber_vertices(u) + f.fiber_vertices(v))
     s_vmap = {x: x for x in s.vertices}
     new_vd = dict(f.vertex_degree)
-    for members in groups.values():
+    for members in _bfs_components(s, end_vertices, fiber_keys):
         rep = min(members)
         over_u = [x for x in members if f.v(x) == u]
         deg = sum(f.vertex_degree[x] for x in over_u)
@@ -597,24 +588,19 @@ def spanning_tree(g: Graph) -> SpanningTree:
     """
     if not g.vertices:
         raise PreconditionError("connected", "spanning tree of the empty graph")
-    if not is_connected(g):
+    tree = _bfs_tree(g)
+    if len(tree.up_half) + 1 != len(g.vertices):
         raise PreconditionError("connected", "spanning tree requires connected graph")
+    return tree
+
+
+def _bfs_tree(g: Graph, keys=None) -> SpanningTree:
+    """BFS tree from the smallest vertex through the edges in keys (None: all);
+    it spans only the component of that vertex."""
     start = g.vertices[0]
-    visited = {start}
-    up_half = {}
-    tree = set()
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for h in g.tangent(v):
-            w = g.root[g.partner[h]]
-            if w not in visited:
-                visited.add(w)
-                tree.add(g.edge_key(h))
-                up_half[w] = g.partner[h]
-                queue.append(w)
-    comp = tuple(k for k in g.edge_keys() if k not in tree)
-    return SpanningTree(start, frozenset(tree), comp, up_half)
+    up_half = _bfs(g, start, keys=keys)[1]
+    tree = frozenset(g.edge_key(h) for h in up_half.values())
+    return SpanningTree(start, tree, tuple(k for k in g.edge_keys() if k not in tree), up_half)
 
 
 def path_from_root(g: Graph, tree: SpanningTree, v: int) -> dict:
@@ -635,16 +621,18 @@ def fundamental_cycles(g: Graph, tree: SpanningTree) -> tuple:
     Each cycle traverses its complementary edge once in the canonical
     orientation and returns through the tree.
     """
-    cycles = []
-    for k in tree.complement_keys:
-        tail, head = g.edge_ends(k)
-        chain = {k: 1}
-        for kk, c in path_from_root(g, tree, tail).items():
-            chain[kk] = chain.get(kk, 0) + c
-        for kk, c in path_from_root(g, tree, head).items():
-            chain[kk] = chain.get(kk, 0) - c
-        cycles.append({kk: c for kk, c in sorted(chain.items()) if c})
-    return tuple(cycles)
+    return tuple(fundamental_cycle(g, tree, k) for k in tree.complement_keys)
+
+
+def fundamental_cycle(g: Graph, tree: SpanningTree, k) -> dict:
+    """Edge k in its canonical orientation, closed up through the tree."""
+    tail, head = g.edge_ends(k)
+    chain = {k: 1}
+    for kk, c in path_from_root(g, tree, tail).items():
+        chain[kk] = chain.get(kk, 0) + c
+    for kk, c in path_from_root(g, tree, head).items():
+        chain[kk] = chain.get(kk, 0) - c
+    return {kk: c for kk, c in sorted(chain.items()) if c}
 
 
 def chain_boundary(g: Graph, chain: dict) -> dict:
@@ -669,7 +657,9 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism):
     """All degree-preserving isomorphisms phi with f2 . phi = f1.
 
     Fiberwise backtracking over half-edges; fibers are tiny so the naive
-    search is ample.  Yields (vmap, hmap) pairs.
+    search is ample.  The search keeps an explicit stack of candidate
+    iterators, one per placed half-edge, so its depth is not bounded by
+    the recursion limit.  Yields (vmap, hmap) pairs.
     """
     if f1.target != f2.target:
         raise GraphError("cover isomorphism requires identical target graphs")
@@ -677,18 +667,12 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism):
         return
     s1, s2 = f1.source, f2.source
     halves1 = sorted(s1.half_edges, key=lambda h: (f1.h(h), h))
-    fibers2 = {}
-    for h in s2.half_edges:
-        fibers2.setdefault(f2.h(h), []).append(h)
+    vmap, hmap, used_v, used_h = {}, {}, set(), set()
 
-    def backtrack(i, vmap, hmap, used_v, used_h):
-        if i == len(halves1):
-            yield from finish(vmap, hmap)
-            return
-        h1 = halves1[i]
-        r1 = s1.root[h1]
-        p1 = s1.partner[h1]
-        for h2 in fibers2.get(f1.h(h1), ()):
+    def candidates(h1):
+        """Images of h1 consistent with the partial map at the time each is drawn."""
+        r1, p1 = s1.root[h1], s1.partner[h1]
+        for h2 in f2.fiber_half_edges(f1.h(h1)):
             if h2 in used_h or f2.deg_h(h2) != f1.deg_h(h1):
                 continue
             r2 = s2.root[h2]
@@ -702,17 +686,7 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism):
                 new_v = (r1, r2)
             if p1 in hmap and s2.partner[h2] != hmap[p1]:
                 continue
-            hmap[h1] = h2
-            used_h.add(h2)
-            if new_v:
-                vmap[r1] = r2
-                used_v.add(r2)
-            yield from backtrack(i + 1, vmap, hmap, used_v, used_h)
-            del hmap[h1]
-            used_h.discard(h2)
-            if new_v:
-                del vmap[r1]
-                used_v.discard(r2)
+            yield h1, h2, new_v
 
     def finish(vmap, hmap):
         # isolated vertices: match within (target vertex, degree) classes
@@ -726,7 +700,7 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism):
             classes.setdefault((f1.v(v), f1.deg_v(v)), []).append(v)
         pools = []
         for key, vs in sorted(classes.items()):
-            tgt = [x for x in s2.vertices if (f2.v(x), f2.deg_v(x)) == key and x not in used]
+            tgt = [x for x in f2.fiber_vertices(key[0]) if f2.deg_v(x) == key[1] and x not in used]
             if len(tgt) != len(vs):
                 return
             pools.append((vs, tgt))
@@ -737,7 +711,33 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism):
                     full[v] = x
             yield full, dict(hmap)
 
-    yield from backtrack(0, {}, {}, set(), set())
+    if not halves1:
+        yield from finish(vmap, hmap)
+        return
+    stack, placed = [candidates(halves1[0])], []
+    while stack:
+        if len(placed) == len(stack):  # undo the choice made at this depth
+            h1, h2, new_v = placed.pop()
+            del hmap[h1]
+            used_h.discard(h2)
+            if new_v:
+                del vmap[new_v[0]]
+                used_v.discard(new_v[1])
+        choice = next(stack[-1], None)
+        if choice is None:
+            stack.pop()
+            continue
+        h1, h2, new_v = choice
+        hmap[h1] = h2
+        used_h.add(h2)
+        if new_v:
+            vmap[new_v[0]] = new_v[1]
+            used_v.add(new_v[1])
+        placed.append(choice)
+        if len(placed) == len(halves1):
+            yield from finish(vmap, hmap)
+        else:
+            stack.append(candidates(halves1[len(placed)]))
 
 
 def covers_isomorphic_over_base(f1: HarmonicMorphism, f2: HarmonicMorphism):
@@ -750,13 +750,18 @@ def covers_isomorphic_over_base(f1: HarmonicMorphism, f2: HarmonicMorphism):
 
 def _check_cover_iso(f1, f2, vmap, hmap):
     s1 = f1.source
-    assert sorted(vmap) == list(s1.vertices) and sorted(vmap.values()) == list(f2.source.vertices)
+    if sorted(vmap) != list(s1.vertices) or sorted(vmap.values()) != list(f2.source.vertices):
+        raise AssertionError("cover isomorphism is not a vertex bijection")
     for v in s1.vertices:
-        assert f2.v(vmap[v]) == f1.v(v) and f2.deg_v(vmap[v]) == f1.deg_v(v)
+        if f2.v(vmap[v]) != f1.v(v) or f2.deg_v(vmap[v]) != f1.deg_v(v):
+            raise AssertionError(f"cover isomorphism moves vertex {v} off its image or degree")
     for h in s1.half_edges:
-        assert f2.h(hmap[h]) == f1.h(h) and f2.deg_h(hmap[h]) == f1.deg_h(h)
-        assert hmap[s1.partner[h]] == f2.source.partner[hmap[h]]
-        assert vmap[s1.root[h]] == f2.source.root[hmap[h]]
+        if f2.h(hmap[h]) != f1.h(h) or f2.deg_h(hmap[h]) != f1.deg_h(h):
+            raise AssertionError(f"cover isomorphism moves half-edge {h} off its image or degree")
+        if hmap[s1.partner[h]] != f2.source.partner[hmap[h]]:
+            raise AssertionError(f"cover isomorphism does not commute with partner at {h}")
+        if vmap[s1.root[h]] != f2.source.root[hmap[h]]:
+            raise AssertionError(f"cover isomorphism does not commute with root at {h}")
 
 
 def transport_cover(pi: HarmonicMorphism, vmap: dict, hmap: dict, new_target: Graph) -> HarmonicMorphism:

@@ -15,8 +15,9 @@ from fractions import Fraction
 from . import intlinalg as la
 from .graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
                      HarmonicMorphism, PreconditionError, SpanningTree, Tower,
-                     chain_boundary, dilation_data, fundamental_cycles, genus,
-                     is_connected, is_tree, path_from_root, spanning_tree)
+                     _bfs, _bfs_components, _bfs_tree, chain_boundary,
+                     dilation_data, fundamental_cycle, fundamental_cycles, genus,
+                     is_connected, is_tree, spanning_tree)
 from .metrics import MetricGraph, induce_metric, is_inf, validate_metric_harmonic
 from .ngonal import bigonal, classify_bigonal_point, trigonal
 from .tori import (IntegralTorus, Polarization, PrincipalModel, TorusHom,
@@ -116,12 +117,9 @@ def pull_chain(cover: DoubleCover, chain: dict) -> dict:
     """Pullback of 1-forms: a free edge lifts to both preimages, a dilated
     edge to twice its single preimage."""
     f = cover.cover
-    pre = {}
-    for k in f.source.edge_keys():
-        pre.setdefault(f.target.edge_key(f.h(k)), []).append(k)
     out = {}
     for k, c in chain.items():
-        for up in pre.get(k, ()):
+        for up in f.fiber_edges(k):
             sign = 1 if f.h(up) == k else -1
             out[up] = out.get(up, 0) + sign * c * f.deg_edge(up)
     return {k: v for k, v in sorted(out.items()) if v}
@@ -338,29 +336,43 @@ class SymmetricBasis:
         cov = self.cover
         free = cov.is_free()
         for ap, am, a in zip(self.alpha_plus, self.alpha_minus, self.alpha):
-            assert invol_chain(cov, ap) == am and invol_chain(cov, am) == ap
-            assert push_chain(cov, ap) == a and push_chain(cov, am) == a
-            assert pull_chain(cov, a) == chain_sum(ap, am)
+            if invol_chain(cov, ap) != am or invol_chain(cov, am) != ap:
+                raise AssertionError("involution does not swap an alpha pair")
+            if push_chain(cov, ap) != a or push_chain(cov, am) != a:
+                raise AssertionError("an alpha pair does not push to its alpha")
+            if pull_chain(cov, a) != chain_sum(ap, am):
+                raise AssertionError("an alpha does not pull back to its pair")
         for b in self.beta:
-            assert invol_chain(cov, b) == chain_scale(-1, b)
-            assert push_chain(cov, b) == {}
+            if invol_chain(cov, b) != chain_scale(-1, b):
+                raise AssertionError("a beta is not anti-invariant")
+            if push_chain(cov, b) != {}:
+                raise AssertionError("a beta has nonzero pushforward")
         for gt, g in zip(self.gamma_top, self.gamma):
-            assert invol_chain(cov, gt) == gt
+            if invol_chain(cov, gt) != gt:
+                raise AssertionError("a gamma lift is not invariant")
             if free:
-                assert push_chain(cov, gt) == chain_scale(2, g)
-                assert pull_chain(cov, g) == gt
+                if push_chain(cov, gt) != chain_scale(2, g):
+                    raise AssertionError("a free gamma lift does not push to 2 gamma")
+                if pull_chain(cov, g) != gt:
+                    raise AssertionError("a free gamma does not pull back to its lift")
             else:
-                assert push_chain(cov, gt) == g
-                assert pull_chain(cov, g) == chain_scale(2, gt)
+                if push_chain(cov, gt) != g:
+                    raise AssertionError("a dilated gamma lift does not push to gamma")
+                if pull_chain(cov, g) != chain_scale(2, gt):
+                    raise AssertionError("a dilated gamma does not pull back to 2 lifts")
         top_basis = h1_basis(cov.source)
         mid_basis = h1_basis(cov.target)
         top = [top_basis.coordinates(c) for c in
                self.alpha_plus + self.alpha_minus + self.beta + self.gamma_top]
         mid = [mid_basis.coordinates(c) for c in self.alpha + self.gamma]
-        assert len(top) == top_basis.rank
-        assert top_basis.rank == 0 or abs(la.det(la.mat(top))) == 1
-        assert len(mid) == mid_basis.rank
-        assert mid_basis.rank == 0 or abs(la.det(la.mat(mid))) == 1
+        if len(top) != top_basis.rank:
+            raise AssertionError("top basis has the wrong size")
+        if top_basis.rank and abs(la.det(la.mat(top))) != 1:
+            raise AssertionError("top basis is not unimodular")
+        if len(mid) != mid_basis.rank:
+            raise AssertionError("mid basis has the wrong size")
+        if mid_basis.rank and abs(la.det(la.mat(mid))) != 1:
+            raise AssertionError("mid basis is not unimodular")
         return True
 
 
@@ -379,73 +391,34 @@ def symmetric_basis(cover: DoubleCover) -> SymmetricBasis:
     return basis
 
 
-def _tree_from_keys(g: Graph, keys) -> SpanningTree:
-    keys = set(keys)
-    start = g.vertices[0]
-    up = {}
-    visited = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for h in g.tangent(v):
-            if g.edge_key(h) not in keys:
-                continue
-            w = g.root[g.partner[h]]
-            if w not in visited:
-                visited.add(w)
-                up[w] = g.partner[h]
-                queue.append(w)
-    if len(visited) != len(g.vertices):
-        raise AssertionError("edge set does not span the graph")
-    comp = tuple(k for k in g.edge_keys() if k not in keys)
-    return SpanningTree(start, frozenset(keys), comp, up)
-
-
-def _fundamental_cycle(g: Graph, tree: SpanningTree, k) -> dict:
-    tail, head = g.edge_ends(k)
-    chain = {k: 1}
-    for kk, c in path_from_root(g, tree, tail).items():
-        chain[kk] = chain.get(kk, 0) + c
-    for kk, c in path_from_root(g, tree, head).items():
-        chain[kk] = chain.get(kk, 0) - c
-    return {kk: c for kk, c in sorted(chain.items()) if c}
-
-
-def _edge_lifts(cover: DoubleCover) -> dict:
-    f = cover.cover
-    lifts = {k: [] for k in f.target.edge_keys()}
-    for kk in f.source.edge_keys():
-        lifts[f.target.edge_key(f.h(kk))].append(kk)
-    return {k: sorted(v) for k, v in lifts.items()}
-
-
 def _symmetric_basis_free(cover: DoubleCover) -> SymmetricBasis:
     if not is_connected(cover.source):
         raise PreconditionError("connected", "symmetric basis of a free cover requires a connected source")
     tgt, src = cover.target, cover.source
     tree = spanning_tree(tgt)
-    lifts = _edge_lifts(cover)
-    tree_lift_keys = set()
-    for k in tree.tree_keys:
-        tree_lift_keys.update(lifts[k])
+    lifts = cover.cover.fiber_edges
+    tree_lift_keys = {kk for k in tree.tree_keys for kk in lifts(k)}
     # the tree preimage is two disjoint trees; a crossing lift joins them
-    sheets = _key_components(src, tree_lift_keys)
+    comps = _bfs_components(src, keys=tree_lift_keys)
+    sheets = {v: i for i, comp in enumerate(comps) for v in comp}
     crossing = None
     for k in tree.complement_keys:
-        a, b = (sheets[v] for v in src.edge_ends(lifts[k][0]))
+        a, b = (sheets[v] for v in src.edge_ends(lifts(k)[0]))
         if a != b:
             crossing = k
             break
     if crossing is None:
         raise AssertionError("connected free cover has no crossing edge")
-    src_tree = _tree_from_keys(src, tree_lift_keys | {lifts[crossing][0]})
-    gamma_top = _fundamental_cycle(src, src_tree, lifts[crossing][1])
+    src_tree = _bfs_tree(src, tree_lift_keys | {lifts(crossing)[0]})
+    if len(src_tree.up_half) + 1 != len(src.vertices):
+        raise AssertionError("lifted tree does not span the source")
+    gamma_top = fundamental_cycle(src, src_tree, lifts(crossing)[1])
     gamma = chain_halve(push_chain(cover, gamma_top))
     alpha_plus, alpha_minus, alpha = [], [], []
     for k in tree.complement_keys:
         if k == crossing:
             continue
-        plus = _fundamental_cycle(src, src_tree, lifts[k][0])
+        plus = fundamental_cycle(src, src_tree, lifts(k)[0])
         minus = invol_chain(cover, plus)
         alpha_plus.append(plus)
         alpha_minus.append(minus)
@@ -454,54 +427,10 @@ def _symmetric_basis_free(cover: DoubleCover) -> SymmetricBasis:
                           (gamma_top,), tuple(alpha), (gamma,))
 
 
-def _key_components(g: Graph, keys) -> dict:
-    keys = set(keys)
-    label = {}
-    nxt = 0
-    for start in g.vertices:
-        if start in label:
-            continue
-        label[start] = nxt
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for h in g.tangent(v):
-                if g.edge_key(h) not in keys:
-                    continue
-                w = g.root[g.partner[h]]
-                if w not in label:
-                    label[w] = nxt
-                    queue.append(w)
-        nxt += 1
-    return label
-
-
 def _dilation_blocks(cover: DoubleCover):
     """Connected components of the target dilation subgraph, rep = min vertex."""
-    tgt = cover.target
-    dil_v = sorted(cover.dilated_vertices)
-    parent = {v: v for v in dil_v}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in sorted(cover.dilated_edge_keys):
-        a, b = tgt.edge_ends(k)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups = {}
-    for v in dil_v:
-        groups.setdefault(find(v), []).append(v)
-    blocks = {}
-    for members in groups.values():
-        rep = min(members)
-        for v in members:
-            blocks[v] = rep
-    return blocks
+    comps = _bfs_components(cover.target, cover.dilated_vertices, cover.dilated_edge_keys)
+    return {v: comp[0] for comp in comps for v in comp}
 
 
 def _symmetric_basis_dilated(cover: DoubleCover) -> SymmetricBasis:
@@ -528,7 +457,6 @@ def _symmetric_basis_dilated(cover: DoubleCover) -> SymmetricBasis:
     target_m = Graph(tuple(sorted(set(t_map.values()))), root_m, partner_m)
 
     # collapsed source: the dilated preimage splits into two artificial sheets
-    src_dil_vertices = sorted(x for x in src.vertices if f.v(x) in blocks)
     plus_id, minus_id = {}, {}
     next_v = max(src.vertices, default=-1) + 1
     for rep in reps:
@@ -581,14 +509,14 @@ def _symmetric_basis_dilated(cover: DoubleCover) -> SymmetricBasis:
     # (loops are never BFS tree edges, so all of them are complementary)
     loop_keys_sorted = sorted(loop_key[rep] for rep in reps)
     tree_m = spanning_tree(target_m)
-    lifts = _edge_lifts(model)
-    tree_lift_keys = set()
-    for k in tree_m.tree_keys:
-        tree_lift_keys.update(lifts[k])
+    lifts = model.cover.fiber_edges
     crossing = loop_keys_sorted[0]
-    src_tree = _tree_from_keys(source_m, tree_lift_keys | {lifts[crossing][0]})
+    src_tree = _bfs_tree(source_m, {kk for k in tree_m.tree_keys for kk in lifts(k)}
+                         | {lifts(crossing)[0]})
+    if len(src_tree.up_half) + 1 != len(source_m.vertices):
+        raise AssertionError("lifted tree does not span the collapsed source")
 
-    artificial = {kk for rep in reps for kk in lifts[loop_key[rep]]}
+    artificial = {kk for rep in reps for kk in lifts(loop_key[rep])}
 
     def drop(chain):
         return {k: c for k, c in chain.items() if k not in artificial}
@@ -597,7 +525,7 @@ def _symmetric_basis_dilated(cover: DoubleCover) -> SymmetricBasis:
     for k in tree_m.complement_keys:
         if k == crossing:
             continue
-        raw = drop(_fundamental_cycle(source_m, src_tree, lifts[k][0]))
+        raw = drop(fundamental_cycle(source_m, src_tree, lifts(k)[0]))
         if k in loop_keys_sorted:
             if chain_boundary(src, raw):
                 raise AssertionError("anti-invariant chain is not closed")
@@ -624,39 +552,22 @@ def _close_in_dilated(cover: DoubleCover, chain: dict) -> dict:
     bd = chain_boundary(src, chain)
     if not bd:
         return dict(sorted(chain.items()))
-    allowed = set()
-    for h in src.half_edges:
-        if cover.target.edge_key(cover.cover.h(h)) in cover.dilated_edge_keys:
-            allowed.add(src.edge_key(h))
+    allowed = {kk for k in cover.dilated_edge_keys for kk in cover.cover.fiber_edges(k)}
     work = dict(chain)
     bd = dict(bd)
     while any(c > 0 for c in bd.values()):
         start = min(v for v, c in bd.items() if c > 0)
-        targets = {v for v, c in bd.items() if c < 0}
-        prev = {start: None}
-        queue = [start]
-        goal = None
-        while queue:
-            v = queue.pop(0)
-            if v in targets:
-                goal = v
-                break
-            for h in src.tangent(v):
-                if src.edge_key(h) not in allowed:
-                    continue
-                w = src.root[src.partner[h]]
-                if w not in prev:
-                    prev[w] = h
-                    queue.append(w)
+        order, parent = _bfs(src, start, keys=allowed)
+        goal = next((v for v in order if bd.get(v, 0) < 0), None)
         if goal is None:
             raise AssertionError("cannot close chain inside the dilation subgraph")
         v = goal
-        while prev[v] is not None:
-            h = prev[v]  # half-edge rooted at the previous vertex, leading to v
+        while v != start:
+            h = parent[v]  # half-edge rooted at v, leading back toward start
             kk = src.edge_key(h)
-            sign = 1 if h == kk else -1  # traversal root(h) -> other end
+            sign = -1 if h == kk else 1  # traversal from the other end to v
             work[kk] = work.get(kk, 0) + sign
-            v = src.root[h]
+            v = src.root[src.partner[h]]
         bd[start] -= 1
         bd[goal] = bd.get(goal, 0) + 1
         bd = {x: c for x, c in bd.items() if c}
@@ -685,10 +596,9 @@ def _dilation_subgraphs(cover: DoubleCover):
 
 def _lift_dilated_cycle(cover: DoubleCover, cyc: dict) -> dict:
     f = cover.cover
-    lifts = _edge_lifts(cover)
     out = {}
     for k, c in cyc.items():
-        ups = lifts[k]
+        ups = f.fiber_edges(k)
         if len(ups) != 1:
             raise AssertionError("dilated edge must have a unique preimage")
         kk = ups[0]

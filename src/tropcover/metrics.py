@@ -30,6 +30,8 @@ def is_inf(x) -> bool:
 
 
 def parse_length(text: str):
+    if not isinstance(text, str):
+        raise ValueError(f"length {text!r} is not a string")
     if text == "inf":
         return INF
     return Fraction(text)
@@ -52,12 +54,6 @@ class MetricGraph:
     graph: Graph
     length: dict  # edge key -> Fraction or INF
     smooth_model: bool = False
-
-    def len_edge(self, key):
-        return self.length[key]
-
-    def finite_part(self) -> dict:
-        return {k: v for k, v in self.length.items() if not is_inf(v)}
 
 
 def validate_metric(m: MetricGraph) -> list:

@@ -156,15 +156,6 @@ def tower_fiber(t: Tower, point) -> FiberDatum:
         FiberPart(x, t.f.deg_h(x), len(t.pi.cover.fiber_half_edges(x)) == 1) for x in mids))
 
 
-def _lift_pair(t: Tower, kind, mid_id):
-    """The two top-level preimages of a free mid point, sorted (plus first)."""
-    if kind == "v":
-        fib = sorted(t.pi.cover.fiber_vertices(mid_id))
-    else:
-        fib = sorted(t.pi.cover.fiber_half_edges(mid_id))
-    return fib
-
-
 def _root_refinement(t: Tower, h) -> Refinement:
     """Refinement from the fiber over a base half-edge into the fiber over
     its root vertex, with plus/minus alignment from the top level."""
@@ -176,8 +167,9 @@ def _root_refinement(t: Tower, h) -> Refinement:
         mid_root = t.mid.root[p.part_id]
         part_map[p.part_id] = mid_root
         if not p.dilated and not coarse.part(mid_root).dilated:
-            top_halves = _lift_pair(t, "h", p.part_id)
-            top_roots = _lift_pair(t, "v", mid_root)
+            # the two top-level preimages of a free mid point, plus first
+            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
+            top_roots = t.pi.cover.fiber_vertices(mid_root)
             flip[p.part_id] = t.top.root[top_halves[0]] == top_roots[1]
     return Refinement(fine, coarse, part_map, flip)
 
@@ -192,8 +184,8 @@ def _partner_transport(t: Tower, h):
         mate = t.mid.partner[p.part_id]
         part_map[p.part_id] = mate
         if not p.dilated:
-            top_halves = _lift_pair(t, "h", p.part_id)
-            mate_halves = _lift_pair(t, "h", mate)
+            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
+            mate_halves = t.pi.cover.fiber_half_edges(mate)
             flip[p.part_id] = t.top.partner[top_halves[0]] == mate_halves[1]
     return other, part_map, flip
 
@@ -495,15 +487,6 @@ def classify_tetragonal_point(p: HarmonicMorphism, point) -> str:
         raise NonGenericError(point, profile) from None
 
 
-def classify_point(kind: str, obj, point) -> str:
-    """Deterministic fiber classification; kind is 'bigonal' or 'tetragonal'."""
-    if kind == "bigonal":
-        return classify_bigonal_point(obj, point)
-    if kind == "tetragonal":
-        return classify_tetragonal_point(obj, point)
-    raise GraphError(f"unknown classification kind {kind!r}")
-
-
 def is_generic_bigonal(t: Tower) -> bool:
     return all(classify_bigonal_point(t, p) != "V" for p in t.base.points())
 
@@ -657,7 +640,7 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
     offsets = {}  # base point -> fiber point id -> first slot
     for point in base.points():
         kind, i = point
-        fib = sorted(p.fiber_vertices(i) if kind == "v" else p.fiber_half_edges(i))
+        fib = p.fiber_vertices(i) if kind == "v" else p.fiber_half_edges(i)
         assign, offs, pos = {}, {}, 0
         for x in fib:
             offs[x] = pos

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism, Tower,
-                     build_double_cover, harmonic_from_edges, is_connected)
+                     betti_number, build_double_cover, harmonic_from_edges,
+                     is_connected)
 from .metrics import MetricGraph
 from .ngonal import is_generic_bigonal, is_generic_tetragonal
 
@@ -138,24 +139,15 @@ def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fr
         if generic and n == 4 and not is_generic_tetragonal(f):
             failing = "generic"
             continue
-        if max_genus is not None and _genus_of(tower.top) > max_genus:
+        if max_genus is not None and betti_number(tower.top) > max_genus:
             failing = "max-genus"
             continue
         if max_prym_rank is not None and \
-                _genus_of(tower.top) - _genus_of(tower.mid) > max_prym_rank:
+                betti_number(tower.top) - betti_number(tower.mid) > max_prym_rank:
             failing = "max-prym-rank"
             continue
         return GeneratedTower(tower, metric, seed)
     raise GenerationError(failing, max_tries)
-
-
-def _genus_of(g: Graph) -> int:
-    return len(g.edge_keys()) - len(g.vertices) + len({min(c) for c in _components(g)})
-
-
-def _components(g: Graph):
-    from .graphs import connected_components
-    return connected_components(g)
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ def random_tetragonal_curve(seed: int, *, tree_size=(2, 5), length_range=(1, 6),
         if connected and not is_connected(f.source):
             failing = "connected"
             continue
-        if max_genus is not None and _genus_of(f.source) > max_genus:
+        if max_genus is not None and betti_number(f.source) > max_genus:
             failing = "max-genus"
             continue
         return GeneratedCover(f, metric, seed)

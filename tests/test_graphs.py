@@ -10,7 +10,7 @@ from tropcover.graphs import (Graph, GraphError, GraphMorphism,
                               fundamental_cycles, genus, harmonic_from_edges,
                               identity_harmonic, spanning_tree,
                               towers_isomorphic, validate_graph,
-                              validate_harmonic)
+                              validate_harmonic, vpoint)
 from tropcover.randgen import random_tower
 
 
@@ -110,6 +110,12 @@ class TestValidateHarmonic:
         issues = validate_harmonic(f)
         assert any(i.code == "local-harmonicity" and i.where == (("v", 0), ("h", 0))
                    for i in issues)
+
+    def test_global_degree_onto_empty_graph_is_an_error(self):
+        empty = Graph((), {}, {})
+        f = HarmonicMorphism(GraphMorphism(empty, empty, {}, {}), {}, {})
+        with pytest.raises(GraphError, match="empty"):
+            f.global_degree()
 
     def test_fiber_sum_constancy_on_random_towers(self):
         for seed in range(10):
@@ -242,3 +248,87 @@ class TestCoverIsomorphism:
     def test_towers_isomorphic_reflexive(self):
         t = random_tower(4, n=2).tower
         assert towers_isomorphic(t, t) is not None
+
+
+# ---------------------------------------------------------------------------
+# the algorithms the fiber index and the keyed BFS replaced, kept as oracles
+
+
+def scan_fiber_vertices(f, v):
+    return tuple(x for x in f.source.vertices if f.morphism.vmap[x] == v)
+
+
+def scan_fiber_half_edges(f, h):
+    return tuple(x for x in f.source.half_edges if f.morphism.hmap[x] == h)
+
+
+def scan_fiber_edges(f, key):
+    pair = {key, f.target.partner[key]}
+    return tuple(k for k in f.source.edge_keys() if f.morphism.hmap[k] in pair)
+
+
+def union_find_groups(vertices, edges):
+    """Classes of `vertices` joined by the (a, b) pairs, each sorted, sorted by minimum."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for v in sorted(vertices):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(tuple(members) for members in groups.values())
+
+
+def oracle_towers():
+    for n in (2, 3, 4):
+        for seed in range(6):
+            yield random_tower(seed, n=n, tree_size=(2, 8)).tower
+
+
+class TestAgainstReplacedAlgorithms:
+    def test_fiber_lookups_match_linear_scans(self):
+        for tower in oracle_towers():
+            for f in (tower.pi.cover, tower.f, tower.composed()):
+                for v in f.target.vertices:
+                    fib = scan_fiber_vertices(f, v)
+                    assert f.fiber_vertices(v) == fib
+                    assert f.fiber_profile(vpoint(v)) == \
+                        tuple(sorted((f.deg_v(x) for x in fib), reverse=True))
+                for h in f.target.half_edges:
+                    assert f.fiber_half_edges(h) == scan_fiber_half_edges(f, h)
+                    assert f.fiber_edges(h) == scan_fiber_edges(f, h)
+                v0 = f.target.vertices[0]
+                assert f.global_degree() == sum(f.deg_v(x) for x in scan_fiber_vertices(f, v0))
+
+    def test_components_match_union_find(self):
+        for tower in oracle_towers():
+            for g in (tower.top, tower.mid, tower.base):
+                expected = union_find_groups(g.vertices, [g.edge_ends(k) for k in g.edge_keys()])
+                assert [tuple(sorted(c)) for c in connected_components(g)] == expected
+
+    def test_dilation_components_match_union_find(self):
+        for tower in oracle_towers():
+            cover = tower.pi
+            expected = union_find_groups(
+                cover.dilated_vertices, [cover.target.edge_ends(k) for k in cover.dilated_edge_keys])
+            assert dilation_data(cover).components == len(expected)
+
+    def test_contract_edge_groups_match_union_find(self):
+        for tower in oracle_towers():
+            for f in (tower.pi.cover, tower.f):
+                for key in f.target.edge_keys():
+                    ends = f.target.edge_ends(key)
+                    groups = union_find_groups(
+                        [x for x in f.source.vertices if f.morphism.vmap[x] in ends],
+                        [f.source.edge_ends(k) for k in scan_fiber_edges(f, key)])
+                    expected = {x: x for x in f.source.vertices}
+                    expected.update({x: members[0] for members in groups for x in members})
+                    assert contract_edge(f, key).source_vertex_map == expected

@@ -86,6 +86,31 @@ class TestCLI:
             out = capsys.readouterr().out
             assert "length-positive" in out and "PASS" not in out
 
+    def test_float_length_is_rejected(self, tmp_path, capsys):
+        path = os.path.join(DATA, "bigonal_tower.json")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["base"]["lengths"]["2"] = 1.5
+        bad = tmp_path / "float.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (["validate", str(bad)], ["prym", str(bad)],
+                     ["check", str(bad), "--theorem", "bigonal"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert "1.5" in captured.err and "PASS" not in captured.out
+
+    def test_empty_base_vertex_list_fails_prym_and_check(self, tmp_path, capsys):
+        path = os.path.join(DATA, "bigonal_tower.json")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["base"]["vertices"] = []
+        bad = tmp_path / "empty.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (["prym", str(bad)], ["check", str(bad), "--theorem", "bigonal"]):
+            assert main(argv) == 1  # an uncaught exception would fail the test here
+            out = capsys.readouterr().out
+            assert "root-missing" in out and "PASS" not in out
+
     def test_check_trigonal_passes(self, capsys):
         assert main(["check", os.path.join(DATA, "trigonal_tower.json"),
                      "--theorem", "trigonal"]) == 0

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -162,6 +165,26 @@ class TestSymmetricBasis:
         for seed in range(25):
             tower = random_tower(seed, n=2, dilation_probability=Fraction(1, 2)).tower
             symmetric_basis(tower.pi)
+
+    def test_spoiled_basis_fails_verify_under_python_O(self):
+        # python -O strips `assert` statements; verify() must still raise
+        script = (
+            "import dataclasses, sys\n"
+            "from tropcover.gallery import trigonal_reference\n"
+            "from tropcover.jacprym import symmetric_basis\n"
+            "sb = symmetric_basis(trigonal_reference().tower.pi)\n"
+            "spoiled = dataclasses.replace(sb, alpha_minus=sb.alpha_plus)\n"
+            "try:\n"
+            "    spoiled.verify()\n"
+            "except AssertionError:\n"
+            "    sys.exit(0 if sb.alpha_plus else 2)\n"
+            "sys.exit(1)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPrym:

@@ -6,7 +6,7 @@ from tropcover.graphs import (Graph, NonGenericError, PreconditionError, Tower,
                               harmonic_from_edges, is_connected,
                               towers_isomorphic)
 from tropcover.ngonal import (FiberDatum, FiberPart, Refinement, bigonal,
-                              classify_bigonal_point, classify_point,
+                              classify_bigonal_point,
                               classify_tetragonal_point, induce_multisection,
                               involution_quotient, multisection_degree,
                               multisection_sign, multisections,
@@ -336,6 +336,13 @@ class TestRecillas:
             back = trigonal(recillas(gen.cover).tower)
             assert covers_isomorphic_over_base(back.quartic, gen.cover) is not None
 
+    def test_round_trip_compares_over_a_hundred_vertex_tree(self):
+        # the isomorphism search places one source half-edge per step, far
+        # more steps than Python's recursion limit
+        gen = random_tower(1, n=3, pi_free=True, tree_size=(100, 100))
+        back = recillas(trigonal(gen.tower).quartic).tower
+        assert towers_isomorphic(gen.tower, back) is not None
+
     def test_non_generic_rejected_with_point(self):
         base, keys = Graph.from_edges(2, [(0, 1)])
         f = harmonic_from_edges(4, [(0, 2, keys[0], 2), (1, 3, keys[0], 2)],
@@ -359,8 +366,8 @@ class TestTetragonalSplit:
             for tower in split.towers:
                 assert tower.pi.is_free()
                 for p in gen.tower.base.points():
-                    assert classify_point("tetragonal", tower.f, p) == \
-                        classify_point("tetragonal", gen.tower.f, p)
+                    assert classify_tetragonal_point(tower.f, p) == \
+                        classify_tetragonal_point(gen.tower.f, p)
 
     def test_non_generic_rejected(self):
         base, keys = Graph.from_edges(2, [(0, 1)])

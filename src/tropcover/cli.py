@@ -36,17 +36,23 @@ def _report(issues) -> bool:
     return bool(issues)
 
 
-def cmd_validate(args) -> int:
-    loaded = load(args.path)
+def _input_issues(loaded) -> list:
+    """The base graph and metric issues, then each level's graph and
+    harmonicity issues prefixed with the level."""
     issues = list(validate_graph(loaded.base)) + list(validate_metric(loaded.base_metric))
     for i, level in enumerate(loaded.levels):
         issues += [f"level{i}: {x}" for x in validate_graph(level.source)]
         issues += [f"level{i}: {x}" for x in validate_harmonic(level)]
-    metric = loaded.base_metric
-    for i, level in enumerate(loaded.levels):
-        metric = induce_metric(level, metric)
-    if _report(issues):
+    return issues
+
+
+def cmd_validate(args) -> int:
+    loaded = load(args.path)
+    if _report(_input_issues(loaded)):
         return 1
+    metric = loaded.base_metric
+    for level in loaded.levels:
+        metric = induce_metric(level, metric)
     print(f"OK: base tree={is_tree(loaded.base)}, levels={len(loaded.levels)}, "
           f"degrees={[f.global_degree() for f in loaded.levels]}")
     return 0
@@ -119,7 +125,7 @@ def cmd_jacobian(args) -> int:
 
 def cmd_prym(args) -> int:
     loaded = load(args.path)
-    if _report(validate_graph(loaded.base) + validate_metric(loaded.base_metric)):
+    if _report(_input_issues(loaded)):
         return 1
     tower = loaded.tower()
     mid, top = tower_metrics(tower, loaded.base_metric)
@@ -134,7 +140,7 @@ def cmd_prym(args) -> int:
 
 def cmd_check(args) -> int:
     loaded = load(args.path)
-    if _report(validate_graph(loaded.base) + validate_metric(loaded.base_metric)):
+    if _report(_input_issues(loaded)):
         return 1
     tower = loaded.tower()
     if args.theorem == "bigonal":

@@ -2,15 +2,16 @@
 
 Matrices are tuples of tuples (rows): ints for lattice maps, fractions
 for pairings.  Internally a rational matrix is (D, integer rows) with D
-the lcm of its denominators; products, determinant, rank, inverse and
-the definiteness test run on integers only.  No floating point anywhere.
+the lcm of its denominators; products, determinant, rank, inverse, the
+definiteness test, LLL reduction and the short-vector search run on
+integers only.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 
@@ -367,15 +368,12 @@ def clear_denominators(*matrices):
     return scale, tuple(mat_scale(scale // d, rows) for d, rows in scaled)
 
 
-def _floor_sqrt(x: Fraction) -> int:
-    """Largest integer b with b*b <= x, for x >= 0."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 def _cholesky(q) -> tuple:
-    """Q = L^T D L with L unit upper triangular; raises on non-positive-definite."""
+    """Q = L^T D L with L unit upper triangular; raises on non-positive-definite.
+
+    Nothing in the package calls it: it is the Fraction reference that the
+    tests compare the definiteness test and the short-vector search with.
+    """
     n, _ = shape(q)
     a = [[Fraction(x) for x in row] for row in q]
     d = [Fraction(0)] * n
@@ -397,46 +395,121 @@ def _cholesky(q) -> tuple:
 def vectors_with_norm(q, target, _cache={}):
     """All integer vectors x with x^T Q x == target, Q positive definite.
 
-    Depth-first with exact rational bounds from the Cholesky splitting
-    sum_i d_i (x_i + sum_{j>i} L_ij x_j)^2.
+    Fincke--Pohst depth-first search in integers.  With p_i the leading
+    Bareiss pivots of D * Q (p_-1 = 1) and a_ij the entries of its Bareiss
+    rows, D * x^T Q x = sum_i (p_i x_i + S_i)^2 / (p_i p_{i-1}) with
+    S_i = sum_{j>i} a_ij x_j; scaled by the lcm of the p_i p_{i-1}, every
+    bound is the isqrt of an integer, and the last coordinate is solved.
     """
     key = (mat(q), target)
     if key in _cache:
         return _cache[key]
     n, _ = shape(q)
-    if n == 0:
-        return (tuple(),) if target == 0 else tuple()
-    d, lmat = _cholesky(q)
+    d, a, cols, _ = _bareiss(q, pivoting=False)
+    if len(cols) < n or any(a[i][i] <= 0 for i in range(n)):
+        raise ValueError("form is not positive definite")
+    t = Fraction(target) * d
+    if n == 0 or t < 0 or t.denominator != 1:
+        result = (tuple(),) if n == 0 and t == 0 else tuple()
+        _cache[key] = result
+        return result
+    p = [a[i][i] for i in range(n)]
+    m = lcm(*(pi * prev for pi, prev in zip(p, [1] + p)))
+    w = [m // (pi * prev) for pi, prev in zip(p, [1] + p)]
+    tails = [a[i][i + 1:] for i in range(n)]
     out = []
     x = [0] * n
 
     def descend(i, remaining):
-        s = sum(lmat[i][j] * x[j] for j in range(i + 1, n))
-        bound = _floor_sqrt(remaining / d[i]) + 1
-        lo = ceil(-s - bound)
-        hi = floor(-s + bound)
-        for xi in range(lo, hi + 1):
-            used = d[i] * (xi + s) ** 2
-            if used > remaining:
-                continue
+        s = sum(map(mul, tails[i], x[i + 1:]))
+        if i == 0:
+            y2, r = divmod(remaining, w[0])
+            y = isqrt(y2)
+            if r or y * y != y2:
+                return
+            for yy in ((y, -y) if y else (0,)):
+                x0, r = divmod(yy - s, p[0])
+                if not r:
+                    out.append((x0, *x[1:]))
+            return
+        b = isqrt(remaining // w[i])
+        for xi in range(-((b + s) // p[i]), (b - s) // p[i] + 1):
+            y = p[i] * xi + s
             x[i] = xi
-            if i == 0:
-                if used == remaining:
-                    out.append(tuple(x))
-            else:
-                descend(i - 1, remaining - used)
+            descend(i - 1, remaining - w[i] * y * y)
         x[i] = 0
 
-    descend(n - 1, Fraction(target))
+    descend(n - 1, t.numerator * m)
     result = tuple(sorted(out))
     _cache[key] = result
     return result
 
 
+def _lll_gram(q) -> tuple:
+    """Integral LLL (delta = 3/4) of a positive definite integer Gram matrix.
+
+    Cohen, Alg. 2.6.7 (de Weger's integral variant) on the Gram entries:
+    d[i] is the Gram determinant of the first i basis vectors and
+    lam[k][j] = d[j+1] * mu_kj is an integer.  Returns the unimodular H
+    whose columns are the reduced basis, so H^T Q H is LLL-reduced.
+    """
+    n = len(q)
+    h = [[int(i == j) for j in range(n)] for i in range(n)]  # h[k]: basis vector k
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            c = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            h[k] = [x - c * y for x, y in zip(h[k], h[l])]
+            lam[k][l] -= c * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= c * lam[l][i]
+
+    def swap(k, kmax):
+        h[k], h[k - 1] = h[k - 1], h[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 1, 0
+    if n:
+        d[1] = q[0][0]
+    while k < n:
+        if k > kmax:  # basis vector k is still e_k: extend Gram--Schmidt
+            kmax = k
+            for j in range(k + 1):
+                u = sum(map(mul, q[k], h[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return transpose(h)
+
+
 def gram_isometries(q1, q2):
     """Unimodular B with B^T Q2 B = Q1, yielded exactly once each.
 
-    Plesken--Souvignier-style column-by-column backtracking; the
+    Both forms are LLL-reduced first, Q_i -> R_i = H_i^T Q_i H_i, with
+    R1's basis ordered by norm.  Column-by-column backtracking over the
+    short vectors of R2 finds each C with C^T R2 C = R1, and C -> H2 C H1^-1
+    is a bijection onto the isometries of the original forms.  The
     determinant is used as a fast rejector.
     """
     n, _ = shape(q1)
@@ -454,26 +527,35 @@ def gram_isometries(q1, q2):
         return
     if det(q1) != det(q2):
         return
+    h1, h2 = (_lll_gram(_scaled(q)[1]) for q in (q1, q2))
+    if not (is_unimodular(h1) and is_unimodular(h2)):
+        raise AssertionError("LLL transform is not unimodular")
+    r1 = matmul(transpose(h1), matmul(q1, h1))
+    order = sorted(range(n), key=lambda k: r1[k][k])
+    h1 = tuple(tuple(row[k] for k in order) for row in h1)
+    r1 = tuple(tuple(r1[i][j] for j in order) for i in order)
+    r2 = matmul(transpose(h2), matmul(q2, h2))
+    h1_inv = to_int(inverse(h1))
     cols = [None] * n
-    q2_cols = [None] * n  # cached Q2 @ b_k
+    r2_cols = [None] * n  # cached R2 @ c_k
 
     def place(j):
         if j == n:
-            b = _columns_to_matrix(cols, n)
+            b = matmul(matmul(h2, _columns_to_matrix(cols, n)), h1_inv)
             if is_unimodular(b):
                 if not mat_equal(matmul(transpose(b), matmul(q2, b)), q1):
                     raise AssertionError("isometry candidate failed the congruence re-check")
                 yield b
             return
-        for v in vectors_with_norm(q2, q1[j][j]):
+        for v in vectors_with_norm(r2, r1[j][j]):
             ok = True
             for k in range(j):
-                if sum(a * b for a, b in zip(v, q2_cols[k])) != q1[j][k]:
+                if sum(a * b for a, b in zip(v, r2_cols[k])) != r1[j][k]:
                     ok = False
                     break
             if ok:
                 cols[j] = v
-                q2_cols[j] = matvec(q2, v)
+                r2_cols[j] = matvec(r2, v)
                 yield from place(j + 1)
         cols[j] = None
 

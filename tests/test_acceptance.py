@@ -14,7 +14,7 @@ import pytest
 from tropcover.gallery import (bigonal_expected_tables, bigonal_output_reference,
                                bigonal_reference, trigonal_expected_table,
                                trigonal_reference)
-from tropcover.graphs import (Graph, NonGenericError, genus,
+from tropcover.graphs import (Graph, NonGenericError, betti_number, genus,
                               harmonic_from_edges, is_connected,
                               towers_isomorphic, covers_isomorphic_over_base,
                               validate_harmonic)
@@ -210,6 +210,38 @@ def test_criterion_07_trigonal_theorem_at_scale():
           f"isomorphism check (worst {worst:.3f}s)")
 
 
+def _high_rank_tier(check, gens):
+    """Run `check` on each tower of Prym rank 8-11 among `gens`, each under
+    2 s; returns their ranks and the slowest time."""
+    ranks, worst = [], 0.0
+    for gen in gens:
+        rank = betti_number(gen.tower.top) - betti_number(gen.tower.mid)
+        if not 8 <= rank <= 11:
+            continue
+        t1 = time.perf_counter()
+        assert check(gen.tower, gen.base_metric).passed, (gen.seed, rank)
+        elapsed = time.perf_counter() - t1
+        assert elapsed < 2.0, (gen.seed, rank, elapsed)
+        worst = max(worst, elapsed)
+        ranks.append(rank)
+    return ranks, worst
+
+
+def _seeded_towers(**kwargs):
+    return [random_tower(seed, tree_size=(9, 16), **kwargs) for seed in range(60)]
+
+
+def test_criterion_07_trigonal_theorem_at_high_rank():
+    # a rank-11 tower on which the search without basis reduction runs for
+    # over a minute
+    hard = random_tower(3, n=3, pi_free=True, tree_size=(13, 16))
+    ranks, worst = _high_rank_tier(check_trigonal_prym,
+                                   [hard] + _seeded_towers(n=3, pi_free=True))
+    assert ranks[0] == 11 and len(ranks) >= 15 and set(ranks) == {8, 9, 10, 11}
+    print(f"\nPASS criterion 7 (high rank): {len(ranks)} instances of kernel rank "
+          f"8-11 pass the isomorphism check (worst {worst:.3f}s)")
+
+
 def test_criterion_08_bigonal_theorem_at_scale():
     t0 = time.perf_counter()
     worst = 0.0
@@ -221,6 +253,14 @@ def test_criterion_08_bigonal_theorem_at_scale():
     assert worst < 10.0
     print(f"\nPASS criterion 8: 50 generic dilated towers pass the duality "
           f"check (worst {worst:.3f}s)")
+
+
+def test_criterion_08_bigonal_theorem_at_high_rank():
+    ranks, worst = _high_rank_tier(check_bigonal_duality,
+                                   _seeded_towers(n=2, generic=True, pi_free=False))
+    assert len(ranks) >= 15 and set(ranks) == {8, 9, 10, 11}
+    print(f"\nPASS criterion 8 (high rank): {len(ranks)} generic dilated towers of "
+          f"Prym rank 8-11 pass the duality check (worst {worst:.3f}s)")
 
 
 def test_criterion_09_construction_soundness():

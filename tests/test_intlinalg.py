@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import ceil, floor, isqrt
 
 import pytest
 
-from tropcover.intlinalg import (_cholesky, clear_denominators, cokernel_tf,
+from tropcover.intlinalg import (_cholesky, _lll_gram, clear_denominators, cokernel_tf,
                                  det, gram_isometries, identity, inverse,
                                  is_positive_definite, is_unimodular,
                                  kernel_basis, mat, mat_equal, matmul, rank,
@@ -316,3 +317,153 @@ class TestMatmulAgainstTripleLoop:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matmul(identity(2), identity(3))
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the integer short-vector search and the reduced
+# isometry search against the Fraction Cholesky search and the unreduced
+# backtracking they replaced, kept here as reference oracles.
+
+
+def oracle_vectors_with_norm(q, target):
+    n = len(q)
+    if n == 0:
+        return (tuple(),) if target == 0 else tuple()
+    d, lmat = _cholesky(q)
+    out = []
+    x = [0] * n
+
+    def descend(i, remaining):
+        s = sum(lmat[i][j] * x[j] for j in range(i + 1, n))
+        r = remaining / d[i]
+        bound = isqrt(r.numerator * r.denominator) // r.denominator + 1
+        for xi in range(ceil(-s - bound), floor(-s + bound) + 1):
+            used = d[i] * (xi + s) ** 2
+            if used > remaining:
+                continue
+            x[i] = xi
+            if i == 0:
+                if used == remaining:
+                    out.append(tuple(x))
+            else:
+                descend(i - 1, remaining - used)
+        x[i] = 0
+
+    descend(n - 1, Fraction(target))
+    return tuple(sorted(out))
+
+
+def oracle_gram_isometries(q1, q2):
+    n = len(q1)
+    q1, q2 = mat(q1), mat(q2)
+    if n == 0:
+        yield tuple()
+        return
+    if det(q1) != det(q2):
+        return
+    cols = [None] * n
+    q2_cols = [None] * n
+
+    def place(j):
+        if j == n:
+            b = transpose(cols)
+            if is_unimodular(b):
+                yield b
+            return
+        for v in oracle_vectors_with_norm(q2, q1[j][j]):
+            if all(sum(a * b for a, b in zip(v, q2_cols[k])) == q1[j][k] for k in range(j)):
+                cols[j] = v
+                q2_cols[j] = tuple(sum(a * b for a, b in zip(row, v)) for row in q2)
+                yield from place(j + 1)
+        cols[j] = None
+
+    yield from place(0)
+
+
+def random_pd_form(rng, n, rational=False, skew=0):
+    """B^T B + I with B in {-1, 0, 1}, optionally congruent by a random unimodular
+    matrix (`skew` elementary steps) and divided by 2-4."""
+    b = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+    q = [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)]
+         for i in range(n)]
+    if skew and n > 1:
+        u = [list(row) for row in identity(n)]
+        for _ in range(skew):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            for row in u:
+                row[j] += c * row[i]
+        q = matmul(transpose(u), matmul(mat(q), mat(u)))
+    if rational:
+        den = rng.randint(2, 4)
+        return mat([[Fraction(x, den) for x in row] for row in q])
+    return mat(q)
+
+
+class TestIntegerSearchAgainstOracles:
+    def test_vectors_with_norm(self):
+        rng = random.Random(17)
+        sizes = set()
+        for i in range(200):
+            n = rng.randint(0, 8)
+            q = random_pd_form(rng, n, rational=i % 2 == 1)
+            k = rng.randrange(n) if n else None
+            attained = q[k][k] if n else 0  # the norm of a basis vector
+            for target in (attained, attained + 1, attained + Fraction(1, 2)):
+                found = vectors_with_norm(q, target)
+                assert found == oracle_vectors_with_norm(q, target), (q, target)
+                sizes.add((bool(found), type(target) is int or Fraction(target).denominator == 1))
+        assert sizes == {(True, True), (False, True), (True, False), (False, False)}
+
+    def test_negative_target_has_no_vectors(self):
+        assert vectors_with_norm(mat([[2, 1], [1, 2]]), -2) == ()
+
+    def test_gram_isometries(self):
+        rng = random.Random(18)
+        counts = set()
+        for i in range(60):
+            n = rng.randint(0, 4)
+            q1 = random_pd_form(rng, n, rational=i % 4 == 3)
+            q2 = random_pd_form(rng, n) if i % 5 == 4 else q1
+            u = random_unimodular(rng, n) if n else ()
+            q2 = matmul(transpose(u), matmul(q2, u)) if n else q2
+            found = list(gram_isometries(q1, q2))
+            assert len(set(found)) == len(found)
+            assert set(found) == set(oracle_gram_isometries(q1, q2)), (q1, q2)
+            counts.add(bool(found))
+        assert counts == {True, False}
+
+
+def gram_schmidt(r):
+    """(mu, squared norms B) of the basis with Gram matrix r, in fractions."""
+    n, r = len(r), to_fractions(r)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (r[i][j] - sum(mu[j][k] * mu[i][k] * b[k] for k in range(j))) / b[j]
+        b[i] = r[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i))
+    return mu, b
+
+
+class TestLLLGram:
+    def test_reduced_and_unimodular(self):
+        rng = random.Random(19)
+        swapped = 0
+        for i in range(200):
+            n = rng.randint(0, 8)
+            q = random_pd_form(rng, n, skew=rng.randint(0, 4 * n))
+            h = _lll_gram(q)
+            assert len(h) == n
+            if not n:
+                continue
+            assert is_unimodular(h)
+            r = matmul(transpose(h), matmul(q, h))
+            mu, b = gram_schmidt(r)
+            for k in range(n):
+                for l in range(k):
+                    assert 2 * abs(mu[k][l]) <= 1  # |2 lambda_kl| <= d_l
+                if k:
+                    assert b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
+            swapped += h != identity(n)
+        assert swapped > 50

@@ -111,6 +111,33 @@ class TestCLI:
             out = capsys.readouterr().out
             assert "root-missing" in out and "PASS" not in out
 
+    def test_broken_cover_level_fails_prym_and_check(self, tmp_path, capsys):
+        path = os.path.join(DATA, "bigonal_tower.json")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["levels"][0]["vmap"]["3"]
+        bad = tmp_path / "no_vmap.json"
+        bad.write_text(json.dumps(doc))
+        reports = []
+        for argv in (["validate", str(bad)], ["prym", str(bad)],
+                     ["check", str(bad), "--theorem", "bigonal"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert "level0: [vmap]" in captured.out and "rank" not in captured.out
+            reports.append(captured.out)
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_validate_reports_missing_base_lengths(self, tmp_path, capsys):
+        path = os.path.join(DATA, "bigonal_tower.json")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["base"]["lengths"]
+        bad = tmp_path / "no_lengths.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "[length-domain]" in captured.out and captured.err == ""
+
     def test_check_trigonal_passes(self, capsys):
         assert main(["check", os.path.join(DATA, "trigonal_tower.json"),
                      "--theorem", "trigonal"]) == 0

@@ -96,6 +96,8 @@ def cmd_construct(args) -> int:
 
 def cmd_classify(args) -> int:
     loaded = load(args.path)
+    if _report(_input_issues(loaded)):
+        return 1
     if len(loaded.levels) == 2 and loaded.levels[0].global_degree() == 2:
         tower = loaded.tower()
         print("point\ttype (hyperelliptic tower: I-V)")
@@ -114,6 +116,8 @@ def cmd_classify(args) -> int:
 
 def cmd_jacobian(args) -> int:
     loaded = load(args.path)
+    if _report(_input_issues(loaded)):
+        return 1
     metric = loaded.base_metric
     for level in loaded.levels:
         metric = induce_metric(level, metric)
@@ -183,6 +187,8 @@ def cmd_random(args) -> int:
 
 def cmd_export_dot(args) -> int:
     loaded = load(args.path)
+    if _report(_input_issues(loaded)):
+        return 1
     lines = ["digraph tower {", "  edge [dir=none];"]
     lines.append("  subgraph cluster_base {")
     lines.append('    label="base";')

@@ -94,18 +94,12 @@ class Graph:
     def edge_key(self, h: int) -> int:
         return min(h, self.partner[h])
 
-    def edges(self) -> tuple:
-        return tuple((k, self.partner[k]) for k in self._edge_keys)
-
     def tangent(self, v: int) -> tuple:
         """Half-edges rooted at v (a loop contributes both of its halves)."""
         return self._tangent[v]
 
     def valence(self, v: int) -> int:
         return len(self._tangent[v])
-
-    def is_loop(self, key: int) -> bool:
-        return self.root[key] == self.root[self.partner[key]]
 
     def edge_ends(self, key: int) -> tuple:
         """(tail, head) with the edge oriented out of its smaller half-edge."""
@@ -218,10 +212,6 @@ class GraphMorphism:
 
     def h(self, x):
         return self.hmap[x]
-
-    def point(self, p):
-        kind, i = p
-        return (kind, self.vmap[i] if kind == "v" else self.hmap[i])
 
 
 def validate_morphism(m: GraphMorphism) -> list:
@@ -467,9 +457,6 @@ class Tower:
 
     def composed(self) -> HarmonicMorphism:
         return compose_harmonic(self.pi.cover, self.f)
-
-    def degree(self) -> int:
-        return self.f.global_degree()
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,13 @@
 The fiber of a tower over a point of the base is a list of parts (one
 per mid-level preimage) carrying a local degree and a free/dilated
 status.  A multisection splits each part's degree into a nonnegative
-(plus, minus) pair; the constructed cover has one point per
-multisection, with local degrees counting the sections inducing it.
+(plus, minus) pair; the section cover has one point per multisection,
+with local degrees counting the sections inducing it.  Its points are
+rooted and glued by one transport, `induce_multisection` along a
+`Refinement`: into the fiber over the root vertex, and bijectively onto
+the fiber over the partner half-edge.  The orientation double cover is
+the sign quotient of the section cover, its image under the multisection
+sign bit (0 over dilated points).
 
 Specializations: the degree-2 construction (involutive on generic
 towers), the degree-3 construction and its inverse (from 2-element
@@ -156,12 +161,10 @@ def tower_fiber(t: Tower, point) -> FiberDatum:
         FiberPart(x, t.f.deg_h(x), len(t.pi.cover.fiber_half_edges(x)) == 1) for x in mids))
 
 
-def _root_refinement(t: Tower, h) -> Refinement:
+def _root_refinement(t: Tower, fibers: dict, h) -> Refinement:
     """Refinement from the fiber over a base half-edge into the fiber over
     its root vertex, with plus/minus alignment from the top level."""
-    v = t.base.root[h]
-    fine = tower_fiber(t, hpoint(h))
-    coarse = tower_fiber(t, vpoint(v))
+    fine, coarse = fibers[hpoint(h)], fibers[vpoint(t.base.root[h])]
     part_map, flip = {}, {}
     for p in fine.parts:
         mid_root = t.mid.root[p.part_id]
@@ -174,11 +177,10 @@ def _root_refinement(t: Tower, h) -> Refinement:
     return Refinement(fine, coarse, part_map, flip)
 
 
-def _partner_transport(t: Tower, h):
-    """Part map and flips carrying multisections over h to its partner."""
-    hbar = t.base.partner[h]
-    fine = tower_fiber(t, hpoint(h))
-    other = tower_fiber(t, hpoint(hbar))
+def _partner_transport(t: Tower, fibers: dict, h) -> Refinement:
+    """Bijective refinement from the fiber over h onto the fiber over its
+    partner, with plus/minus alignment from the top level."""
+    fine, coarse = fibers[hpoint(h)], fibers[hpoint(t.base.partner[h])]
     part_map, flip = {}, {}
     for p in fine.parts:
         mate = t.mid.partner[p.part_id]
@@ -187,22 +189,24 @@ def _partner_transport(t: Tower, h):
             top_halves = t.pi.cover.fiber_half_edges(p.part_id)
             mate_halves = t.pi.cover.fiber_half_edges(mate)
             flip[p.part_id] = t.top.partner[top_halves[0]] == mate_halves[1]
-    return other, part_map, flip
+    return Refinement(fine, coarse, part_map, flip)
 
 
-def _transport_multisection(other: FiberDatum, part_map, flip, ms: Multisection) -> Multisection:
-    coeffs = {}
-    for (pid, plus, minus) in ms:
-        if flip.get(pid, False):
-            plus, minus = minus, plus
-        coeffs[part_map[pid]] = (plus, minus)
-    return _canonical(other, coeffs)
+def _dense_ids(pairs) -> tuple:
+    """Number the distinct (base point, label) pairs densely in first-seen
+    order; returns (pair -> id, id -> pair)."""
+    ids = {}
+    for pair in pairs:
+        ids.setdefault(pair, len(ids))
+    return ids, {i: pair for pair, i in ids.items()}
 
 
-def _sign_flip_parity(fd: FiberDatum, flip: dict) -> int:
-    """Multisection sign changes by (-1)^(sum of flipped degrees); constant
-    over the fiber, hence well-defined on the orientation cover."""
-    return sum(fd.part(pid).degree for pid, fl in flip.items() if fl) % 2
+def _check_harmonic(f: HarmonicMorphism, what: str) -> HarmonicMorphism:
+    """Self-check of a morphism built here; raise if it is not harmonic."""
+    issues = validate_harmonic(f)
+    if issues:
+        raise AssertionError(f"{what} is not harmonic: {issues[0]}")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +237,8 @@ class NgonalConstruction:
 
 
 def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
-    """One point per multisection per base point, rooted by induction and
-    glued by transport through the top level."""
+    """One point per multisection per base point, rooted and glued by
+    inducing multisections along refinements through the top level."""
     if n not in (2, 3, 4):
         raise PreconditionError("degree", "only degrees 2, 3, 4 are exposed")
     if t.f.global_degree() != n:
@@ -243,48 +247,28 @@ def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
         raise PreconditionError("connected", "base must be connected")
     base = t.base
 
-    fibers = {}
-    for p in base.points():
-        fibers[p] = tower_fiber(t, p)
+    fibers = {p: tower_fiber(t, p) for p in base.points()}
+    v_ids, v_info = _dense_ids((v, ms) for v in base.vertices
+                               for ms in multisections(fibers[vpoint(v)]))
+    h_ids, h_info = _dense_ids((h, ms) for h in base.half_edges
+                               for ms in multisections(fibers[hpoint(h)]))
 
-    v_ids, v_info = {}, {}
-    for v in base.vertices:
-        for ms in multisections(fibers[vpoint(v)]):
-            idx = len(v_ids)
-            v_ids[(v, ms)] = idx
-            v_info[idx] = (v, ms)
-    h_ids, h_info = {}, {}
-    for h in base.half_edges:
-        for ms in multisections(fibers[hpoint(h)]):
-            idx = len(h_ids)
-            h_ids[(h, ms)] = idx
-            h_info[idx] = (h, ms)
-
+    refinements = {h: (_root_refinement(t, fibers, h), _partner_transport(t, fibers, h))
+                   for h in base.half_edges}
     root, partner = {}, {}
-    transports = {}
-    for h in base.half_edges:
-        refinement = _root_refinement(t, h)
-        transports[h] = _partner_transport(t, h)
-        v = base.root[h]
-        for ms in multisections(fibers[hpoint(h)]):
-            root[h_ids[(h, ms)]] = v_ids[(v, induce_multisection(refinement, ms))]
-    for h in base.half_edges:
-        other, part_map, flip = transports[h]
-        hbar = base.partner[h]
-        for ms in multisections(fibers[hpoint(h)]):
-            partner[h_ids[(h, ms)]] = h_ids[(hbar, _transport_multisection(other, part_map, flip, ms))]
+    for i, (h, ms) in h_info.items():
+        to_root, to_partner = refinements[h]
+        root[i] = v_ids[(base.root[h], induce_multisection(to_root, ms))]
+        partner[i] = h_ids[(base.partner[h], induce_multisection(to_partner, ms))]
 
     total = Graph(tuple(range(len(v_ids))), root, partner)
     vdeg = {i: multisection_degree(fibers[vpoint(v)], ms) for i, (v, ms) in v_info.items()}
     hdeg = {i: multisection_degree(fibers[hpoint(h)], ms) for i, (h, ms) in h_info.items()}
-    cover = HarmonicMorphism(
+    cover = _check_harmonic(HarmonicMorphism(
         GraphMorphism(total, base,
                       {i: v for i, (v, ms) in v_info.items()},
                       {i: h for i, (h, ms) in h_info.items()}),
-        vdeg, hdeg)
-    issues = validate_harmonic(cover)
-    if issues:
-        raise AssertionError(f"constructed cover is not harmonic: {issues[0]}")
+        vdeg, hdeg), "constructed cover")
     if cover.global_degree() != 2 ** n:
         raise AssertionError("constructed cover has the wrong degree")
 
@@ -299,92 +283,48 @@ def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
         if hdeg[hperm[i]] != hdeg[i]:
             raise AssertionError("sign involution does not preserve degrees")
 
-    orientation, ov_info, oh_info, ov_ids, oh_ids = _orientation_cover(t, fibers, transports)
-    to_orient = _sign_quotient(t, n, fibers, cover, v_info, h_info, ov_ids, oh_ids, orientation)
+    orientation, to_orient, ov_info, oh_info = _sign_quotient(n, fibers, cover, v_info, h_info)
     return NgonalConstruction(t, n, cover, (vperm, hperm), orientation, to_orient,
                               v_info, h_info, ov_info, oh_info)
 
 
-def _point_is_dilated(fd: FiberDatum) -> bool:
-    return not fd.is_free()
+def _sign_quotient(n, fibers, cover, v_info, h_info):
+    """The orientation cover and the quotient map onto it, as the image of
+    the section cover under the multisection sign bit (0 over dilated
+    points): one point of degree 2 over each dilated base point, two
+    sign-labeled points of degree 1 over each free one.  Every member of a
+    class must glue the class to the same root and partner."""
+    src = cover.source
 
+    def sign_bit(point, ms):
+        return sum(plus for (_pid, plus, _minus) in ms) % 2 if fibers[point].is_free() else 0
 
-def _orientation_cover(t: Tower, fibers, transports):
-    """Degree-2 cover of the base recording multisection signs: one point
-    over each dilated base point, two sign-labeled points over each free one."""
-    base = t.base
-    ov_ids, ov_info = {}, {}
-    for v in base.vertices:
-        signs = (0,) if _point_is_dilated(fibers[vpoint(v)]) else (0, 1)
-        for s in signs:
-            idx = len(ov_ids)
-            ov_ids[(v, s)] = idx
-            ov_info[idx] = (v, s)
-    oh_ids, oh_info = {}, {}
-    for h in base.half_edges:
-        signs = (0,) if _point_is_dilated(fibers[hpoint(h)]) else (0, 1)
-        for s in signs:
-            idx = len(oh_ids)
-            oh_ids[(h, s)] = idx
-            oh_info[idx] = (h, s)
+    vlabel = {i: (v, sign_bit(vpoint(v), ms)) for i, (v, ms) in v_info.items()}
+    hlabel = {i: (h, sign_bit(hpoint(h), ms)) for i, (h, ms) in h_info.items()}
+    ov_ids, ov_info = _dense_ids(sorted(set(vlabel.values())))
+    oh_ids, oh_info = _dense_ids(sorted(set(hlabel.values())))
+    vmap = {i: ov_ids[label] for i, label in vlabel.items()}
+    hmap = {i: oh_ids[label] for i, label in hlabel.items()}
     root, partner = {}, {}
-    for h in base.half_edges:
-        v = base.root[h]
-        h_dil = _point_is_dilated(fibers[hpoint(h)])
-        v_dil = _point_is_dilated(fibers[vpoint(v)])
-        refinement = _root_refinement(t, h)
-        root_parity = _sign_flip_parity(fibers[hpoint(h)], refinement.flip)
-        other, part_map, flip = transports[h]
-        partner_parity = _sign_flip_parity(fibers[hpoint(h)], flip)
-        hbar = base.partner[h]
-        hbar_dil = _point_is_dilated(fibers[hpoint(hbar)])
-        for s in ((0,) if h_dil else (0, 1)):
-            hid = oh_ids[(h, s)]
-            root[hid] = ov_ids[(v, 0 if v_dil else (s + root_parity) % 2)]
-            partner[hid] = oh_ids[(hbar, 0 if hbar_dil else (s + partner_parity) % 2)]
+    for i in src.half_edges:
+        for glue, image in ((root, vmap[src.root[i]]), (partner, hmap[src.partner[i]])):
+            if glue.setdefault(hmap[i], image) != image:
+                raise AssertionError(f"sign class {oh_info[hmap[i]]} is glued differently by its members")
     graph = Graph(tuple(range(len(ov_ids))), root, partner)
-    cover = HarmonicMorphism(
-        GraphMorphism(graph, base,
-                      {i: v for i, (v, s) in ov_info.items()},
-                      {i: h for i, (h, s) in oh_info.items()}),
-        {i: 2 if _point_is_dilated(fibers[vpoint(v)]) else 1 for i, (v, s) in ov_info.items()},
-        {i: 2 if _point_is_dilated(fibers[hpoint(h)]) else 1 for i, (h, s) in oh_info.items()})
-    issues = validate_harmonic(cover)
-    if issues:
-        raise AssertionError(f"orientation cover is not harmonic: {issues[0]}")
-    return cover, ov_info, oh_info, ov_ids, oh_ids
-
-
-def _ms_sign_bit(fd: FiberDatum, ms: Multisection) -> int:
-    return sum(plus for (_pid, plus, _minus) in ms) % 2
-
-
-def _sign_quotient(t, n, fibers, cover, v_info, h_info, ov_ids, oh_ids, orientation):
-    """Quotient map from the constructed cover to the orientation cover."""
-    vmap, hmap, vdeg, hdeg = {}, {}, {}, {}
-    for i, (v, ms) in v_info.items():
-        fd = fibers[vpoint(v)]
-        if _point_is_dilated(fd):
-            vmap[i] = ov_ids[(v, 0)]
-            vdeg[i] = cover.vertex_degree[i] // 2
-        else:
-            vmap[i] = ov_ids[(v, _ms_sign_bit(fd, ms))]
-            vdeg[i] = cover.vertex_degree[i]
-    for i, (h, ms) in h_info.items():
-        fd = fibers[hpoint(h)]
-        if _point_is_dilated(fd):
-            hmap[i] = oh_ids[(h, 0)]
-            hdeg[i] = cover.half_edge_degree[i] // 2
-        else:
-            hmap[i] = oh_ids[(h, _ms_sign_bit(fd, ms))]
-            hdeg[i] = cover.half_edge_degree[i]
-    q = HarmonicMorphism(GraphMorphism(cover.source, orientation.source, vmap, hmap), vdeg, hdeg)
-    issues = validate_harmonic(q)
-    if issues:
-        raise AssertionError(f"sign quotient is not harmonic: {issues[0]}")
+    odeg_v = {c: 1 if fibers[vpoint(v)].is_free() else 2 for c, (v, _s) in ov_info.items()}
+    odeg_h = {c: 1 if fibers[hpoint(h)].is_free() else 2 for c, (h, _s) in oh_info.items()}
+    orientation = _check_harmonic(HarmonicMorphism(
+        GraphMorphism(graph, cover.target,
+                      {c: v for c, (v, _s) in ov_info.items()},
+                      {c: h for c, (h, _s) in oh_info.items()}),
+        odeg_v, odeg_h), "orientation cover")
+    q = _check_harmonic(HarmonicMorphism(
+        GraphMorphism(src, graph, vmap, hmap),
+        {i: cover.vertex_degree[i] // odeg_v[c] for i, c in vmap.items()},
+        {i: cover.half_edge_degree[i] // odeg_h[c] for i, c in hmap.items()}), "sign quotient")
     if q.global_degree() != 2 ** (n - 1):
         raise AssertionError("sign quotient has the wrong degree")
-    return q
+    return orientation, q, ov_info, oh_info
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +366,11 @@ def involution_quotient(cover: HarmonicMorphism, vperm: dict, hperm: dict) -> In
         if fixed and d % 2:
             raise GraphError("fixed half-edge has odd degree; quotient undefined")
         hdeg[i] = d // 2 if fixed else d
-    quotient = HarmonicMorphism(
+    quotient = _check_harmonic(HarmonicMorphism(
         GraphMorphism(quotient_graph, cover.target,
                       {v_new[rep]: cover.v(rep) for rep in v_new},
                       {h_new[rep]: cover.h(rep) for rep in h_new}),
-        vdeg, hdeg)
-    issues = validate_harmonic(quotient)
-    if issues:
-        raise AssertionError(f"involution quotient is not harmonic: {issues[0]}")
+        vdeg, hdeg), "involution quotient")
     proj = HarmonicMorphism(
         GraphMorphism(src, quotient_graph,
                       {v: v_new[vrep[v]] for v in src.vertices},
@@ -575,7 +512,7 @@ def trigonal(t: Tower) -> TrigonalResult:
     vperm, hperm = cons.sign_involution
     if {vperm[v] for v in vertices} != other:
         raise AssertionError("sign involution does not exchange the two components")
-    quartic = _restrict_cover(cons.cover_to_base, vertices)
+    quartic = _restrict_cover(cons.cover_to_base, vertices)[0]
     if quartic.global_degree() != 4:
         raise AssertionError("even component does not have degree 4")
     for point in t.base.points():
@@ -587,8 +524,9 @@ def trigonal(t: Tower) -> TrigonalResult:
     return TrigonalResult(quartic, cons, vertices, other)
 
 
-def _restrict_cover(cover: HarmonicMorphism, vertices: frozenset) -> HarmonicMorphism:
-    """Restrict to a union of connected components, relabeling densely."""
+def _restrict_cover(cover: HarmonicMorphism, vertices: frozenset) -> tuple:
+    """Restrict to a union of connected components, relabeling densely;
+    returns the restriction and the vertex and half-edge relabelings."""
     src = cover.source
     halves = [h for h in src.half_edges if src.root[h] in vertices]
     v_new = {v: i for i, v in enumerate(sorted(vertices))}
@@ -596,16 +534,13 @@ def _restrict_cover(cover: HarmonicMorphism, vertices: frozenset) -> HarmonicMor
     graph = Graph(tuple(range(len(v_new))),
                   {h_new[h]: v_new[src.root[h]] for h in halves},
                   {h_new[h]: h_new[src.partner[h]] for h in halves})
-    out = HarmonicMorphism(
+    out = _check_harmonic(HarmonicMorphism(
         GraphMorphism(graph, cover.target,
                       {v_new[v]: cover.v(v) for v in vertices},
                       {h_new[h]: cover.h(h) for h in halves}),
         {v_new[v]: cover.vertex_degree[v] for v in vertices},
-        {h_new[h]: cover.half_edge_degree[h] for h in halves})
-    issues = validate_harmonic(out)
-    if issues:
-        raise AssertionError(f"component restriction is not harmonic: {issues[0]}")
-    return out
+        {h_new[h]: cover.half_edge_degree[h] for h in halves}), "component restriction")
+    return out, v_new, h_new
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +552,9 @@ class RecillasResult:
     tower: Tower
     vertex_info: dict
     half_edge_info: dict
+
+
+_SLOT_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 def recillas(p: HarmonicMorphism) -> RecillasResult:
@@ -636,8 +574,10 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
     for point in base.points():
         classify_tetragonal_point(p, point)  # raises NonGenericError with the point
 
-    slots = {}   # base point -> slot index -> fiber point id
-    offsets = {}  # base point -> fiber point id -> first slot
+    slots = {}         # base point -> slot index -> fiber point id
+    offsets = {}       # base point -> fiber point id -> first slot
+    pair_class = {}    # base point -> slot pair -> class key
+    members = {}       # base point -> class key -> slot pairs, keys sorted
     for point in base.points():
         kind, i = point
         fib = p.fiber_vertices(i) if kind == "v" else p.fiber_half_edges(i)
@@ -649,23 +589,11 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
                 pos += 1
         slots[point] = assign
         offsets[point] = offs
-
-    def class_key(point, pair):
-        a, b = sorted(pair)
-        return tuple(sorted((slots[point][a], slots[point][b])))
-
-    def classes(point):
-        return sorted({class_key(point, pair) for pair in itertools.combinations(range(4), 2)})
-
-    def class_size(point, key):
-        return sum(1 for pair in itertools.combinations(range(4), 2)
-                   if class_key(point, pair) == key)
-
-    def complement_key(point, key):
-        member = next(pair for pair in itertools.combinations(range(4), 2)
-                      if class_key(point, pair) == key)
-        rest = tuple(x for x in range(4) if x not in member)
-        return class_key(point, rest)
+        keys = {(a, b): tuple(sorted((assign[a], assign[b]))) for a, b in _SLOT_PAIRS}
+        groups = {}
+        for pair, key in keys.items():
+            groups.setdefault(key, []).append(pair)
+        pair_class[point], members[point] = keys, dict(sorted(groups.items()))
 
     def slot_map_to(point_from, point_to, fiber_map):
         """Slot bijection induced by a part-respecting map of fiber points."""
@@ -677,51 +605,39 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
             used[target_pt] += 1
         return out
 
-    v_ids, v_info = {}, {}
-    for v in base.vertices:
-        for key in classes(vpoint(v)):
-            idx = len(v_ids)
-            v_ids[(v, key)] = idx
-            v_info[idx] = (v, key)
-    h_ids, h_info = {}, {}
-    for h in base.half_edges:
-        for key in classes(hpoint(h)):
-            idx = len(h_ids)
-            h_ids[(h, key)] = idx
-            h_info[idx] = (h, key)
+    def carried_class(point, pair, slot_map):
+        return pair_class[point][tuple(sorted(slot_map[s] for s in pair))]
+
+    v_ids, v_info = _dense_ids((v, key) for v in base.vertices for key in members[vpoint(v)])
+    h_ids, h_info = _dense_ids((h, key) for h in base.half_edges for key in members[hpoint(h)])
 
     root, partner = {}, {}
     for h in base.half_edges:
-        v = base.root[h]
-        root_map = slot_map_to(hpoint(h), vpoint(v),
-                               {x: p.source.root[x] for x in offsets[hpoint(h)]})
-        mate = base.partner[h]
-        partner_map = slot_map_to(hpoint(h), hpoint(mate),
-                                  {x: p.source.partner[x] for x in offsets[hpoint(h)]})
-        for key in classes(hpoint(h)):
-            members = [pair for pair in itertools.combinations(range(4), 2)
-                       if class_key(hpoint(h), pair) == key]
-            rooted = {class_key(vpoint(v), tuple(sorted(root_map[s] for s in m)))
-                      for m in members}
-            carried = {class_key(hpoint(mate), tuple(sorted(partner_map[s] for s in m)))
-                       for m in members}
+        v, mate, here = base.root[h], base.partner[h], hpoint(h)
+        root_map = slot_map_to(here, vpoint(v), {x: p.source.root[x] for x in offsets[here]})
+        partner_map = slot_map_to(here, hpoint(mate),
+                                  {x: p.source.partner[x] for x in offsets[here]})
+        for key, pairs in members[here].items():
+            rooted = {carried_class(vpoint(v), m, root_map) for m in pairs}
+            carried = {carried_class(hpoint(mate), m, partner_map) for m in pairs}
             if len(rooted) != 1 or len(carried) != 1:
                 raise AssertionError("slot transport is not constant on a class")
             root[h_ids[(h, key)]] = v_ids[(v, rooted.pop())]
             partner[h_ids[(h, key)]] = h_ids[(mate, carried.pop())]
 
     total = Graph(tuple(range(len(v_ids))), root, partner)
-    sextic = HarmonicMorphism(
+    sextic = _check_harmonic(HarmonicMorphism(
         GraphMorphism(total, base,
                       {i: v for i, (v, key) in v_info.items()},
                       {i: h for i, (h, key) in h_info.items()}),
-        {i: class_size(vpoint(v), key) for i, (v, key) in v_info.items()},
-        {i: class_size(hpoint(h), key) for i, (h, key) in h_info.items()})
-    issues = validate_harmonic(sextic)
-    if issues:
-        raise AssertionError(f"Recillas cover is not harmonic: {issues[0]}")
+        {i: len(members[vpoint(v)][key]) for i, (v, key) in v_info.items()},
+        {i: len(members[hpoint(h)][key]) for i, (h, key) in h_info.items()}), "Recillas cover")
     if sextic.global_degree() != 6:
         raise AssertionError("Recillas cover must have degree 6")
+
+    def complement_key(point, key):
+        first = members[point][key][0]
+        return pair_class[point][tuple(x for x in range(4) if x not in first)]
 
     vperm = {i: v_ids[(v, complement_key(vpoint(v), key))] for i, (v, key) in v_info.items()}
     hperm = {i: h_ids[(h, complement_key(hpoint(h), key))] for i, (h, key) in h_info.items()}
@@ -767,16 +683,9 @@ def tetragonal_split(t: Tower) -> TetragonalSplit:
     for comp in comps:
         vertices = frozenset(v for v in cons.cover_to_base.source.vertices
                              if cons.to_orientation.v(v) in comp)
-        part = _restrict_cover(cons.cover_to_base, vertices)
-        order = sorted(vertices)
-        back = {i: order[i] for i in range(len(order))}
-        halves = sorted(h for h in cons.cover_to_base.source.half_edges
-                        if cons.cover_to_base.source.root[h] in vertices)
-        hback = {i: halves[i] for i in range(len(halves))}
-        hforward = {h: i for i, h in hback.items()}
-        vforward = {v: i for i, v in back.items()}
-        sub_vperm = {i: vforward[vperm[back[i]]] for i in range(len(order))}
-        sub_hperm = {i: hforward[hperm[hback[i]]] for i in range(len(halves))}
+        part, v_new, h_new = _restrict_cover(cons.cover_to_base, vertices)
+        sub_vperm = {i: v_new[vperm[v]] for v, i in v_new.items()}
+        sub_hperm = {i: h_new[hperm[h]] for h, i in h_new.items()}
         if any(sub_vperm[i] == i for i in sub_vperm):
             raise AssertionError("sign involution has fixed points on a generic fiber")
         quot = involution_quotient(part, sub_vperm, sub_hperm)

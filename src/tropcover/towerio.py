@@ -95,14 +95,24 @@ def file_to_doc(base_metric: MetricGraph, levels, meta=None) -> dict:
     return doc
 
 
+def _expect(value, kind: type, what: str):
+    """The value, if it has the JSON type the format puts there; else ValueError."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"tower file: {what} must be {name}, not {type(value).__name__}")
+    return value
+
+
 def doc_to_file(doc: dict) -> LoadedFile:
-    base = graph_from_doc(doc["base"])
-    lengths = {int(k): parse_length(v) for k, v in doc["base"].get("lengths", {}).items()}
+    base_doc = _expect(_expect(doc, dict, "the document")["base"], dict, "base")
+    base = graph_from_doc(base_doc)
+    lengths = {int(k): parse_length(v)
+               for k, v in _expect(base_doc.get("lengths", {}), dict, "base lengths").items()}
     metric = MetricGraph(base, lengths)
     levels = []
     target = base
-    for level_doc in doc.get("levels", []):
-        f = level_from_doc(level_doc, target)
+    for i, level_doc in enumerate(_expect(doc.get("levels", []), list, "levels")):
+        f = level_from_doc(_expect(level_doc, dict, f"level{i}"), target)
         levels.append(f)
         target = f.source
     return LoadedFile(metric, tuple(levels), doc.get("meta", {}))

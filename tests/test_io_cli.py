@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from tropcover.cli import main
 from tropcover.gallery import bigonal_reference, trigonal_reference
 from tropcover.graphs import towers_isomorphic, validate_harmonic
@@ -209,3 +211,58 @@ class TestCLI:
         save(src, tower_to_doc(gen.tower, gen.base_metric))
         assert main(["check", str(src), "--theorem", "bigonal"]) == 1
         assert "output-connected" in capsys.readouterr().err
+
+
+def _trigonal_doc():
+    with open(os.path.join(DATA, "trigonal_tower.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _without_level0_vmap_entry(doc):
+    del doc["levels"][0]["vmap"]["3"]
+    return doc
+
+
+def _with_level0_vertex_degree_seven(doc):
+    doc["levels"][0]["vertex_degree"]["0"] = 7
+    return doc
+
+
+class TestInputShapes:
+    # a document part of the wrong JSON type is a format error naming the
+    # part, not a TypeError traceback
+    SHAPES = {
+        "the document": lambda doc: [doc],
+        "base": lambda doc: {"base": 5},
+        "levels": lambda doc: dict(doc, levels=doc["levels"][0]),
+        "level1": lambda doc: dict(doc, levels=[doc["levels"][0], 5]),
+        "base lengths": lambda doc: dict(doc, base=dict(doc["base"], lengths=["1"])),
+    }
+
+    @pytest.mark.parametrize("part", sorted(SHAPES))
+    @pytest.mark.parametrize("command", [["validate"], ["prym"], ["check", "--theorem", "trigonal"]],
+                             ids=lambda c: c[0])
+    def test_wrong_json_type_is_an_error(self, tmp_path, capsys, part, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(self.SHAPES[part](_trigonal_doc())))
+        assert main([command[0], str(bad), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: tower file: {part} must be ")
+        assert captured.out == ""
+
+
+class TestInputCheckOnEveryReader:
+    # jacobian, classify and export-dot print the same issue report as
+    # validate and exit 1 on a broken cover level
+    @pytest.mark.parametrize("mutate", [_without_level0_vmap_entry,
+                                        _with_level0_vertex_degree_seven])
+    @pytest.mark.parametrize("command", ["jacobian", "classify", "export-dot"])
+    def test_broken_level_is_reported(self, tmp_path, capsys, mutate, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(_trigonal_doc())))
+        assert main(["validate", str(bad)]) == 1
+        report = capsys.readouterr().out
+        assert report.startswith("level0: [")
+        assert main([command, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == report and captured.err == ""

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tropcover.gallery import bigonal_output_reference, bigonal_reference, trigonal_reference
@@ -14,6 +16,10 @@ from tropcover.ngonal import (FiberDatum, FiberPart, Refinement, bigonal,
                               tetragonal_split, tower_fiber, trigonal,
                               hpoint, vpoint)
 from tropcover.randgen import random_tetragonal_curve, random_tower
+from tropcover.ngonal import (_canonical, _partner_transport, _root_refinement,
+                              _sign_quotient, swap_multisection)
+from tropcover.graphs import (DoubleCover, GraphMorphism, HarmonicMorphism,
+                              validate_harmonic)
 
 
 def fd(*parts):
@@ -376,3 +382,190 @@ class TestTetragonalSplit:
         built = build_double_cover(f.source)
         with pytest.raises(NonGenericError):
             tetragonal_split(Tower(built.cover, f))
+
+
+# ---------------------------------------------------------------------------
+# The orientation cover glued by a parity formula, the sign quotient onto it
+# and the separate partner transport, as they were before the orientation
+# cover became the sign quotient of the section cover; kept as test oracles.
+
+
+def _old_point_is_dilated(fd):
+    return not fd.is_free()
+
+
+def _old_sign_flip_parity(fd, flip):
+    return sum(fd.part(pid).degree for pid, fl in flip.items() if fl) % 2
+
+
+def _old_ms_sign_bit(fd, ms):
+    return sum(plus for (_pid, plus, _minus) in ms) % 2
+
+
+def _old_partner_transport(t, h):
+    hbar = t.base.partner[h]
+    fine = tower_fiber(t, hpoint(h))
+    other = tower_fiber(t, hpoint(hbar))
+    part_map, flip = {}, {}
+    for p in fine.parts:
+        mate = t.mid.partner[p.part_id]
+        part_map[p.part_id] = mate
+        if not p.dilated:
+            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
+            mate_halves = t.pi.cover.fiber_half_edges(mate)
+            flip[p.part_id] = t.top.partner[top_halves[0]] == mate_halves[1]
+    return other, part_map, flip
+
+
+def _old_transport_multisection(other, part_map, flip, ms):
+    coeffs = {}
+    for (pid, plus, minus) in ms:
+        if flip.get(pid, False):
+            plus, minus = minus, plus
+        coeffs[part_map[pid]] = (plus, minus)
+    return _canonical(other, coeffs)
+
+
+def _old_orientation_cover(t, fibers, transports):
+    base = t.base
+    ov_ids, ov_info = {}, {}
+    for v in base.vertices:
+        signs = (0,) if _old_point_is_dilated(fibers[vpoint(v)]) else (0, 1)
+        for s in signs:
+            idx = len(ov_ids)
+            ov_ids[(v, s)] = idx
+            ov_info[idx] = (v, s)
+    oh_ids, oh_info = {}, {}
+    for h in base.half_edges:
+        signs = (0,) if _old_point_is_dilated(fibers[hpoint(h)]) else (0, 1)
+        for s in signs:
+            idx = len(oh_ids)
+            oh_ids[(h, s)] = idx
+            oh_info[idx] = (h, s)
+    root, partner = {}, {}
+    for h in base.half_edges:
+        v = base.root[h]
+        h_dil = _old_point_is_dilated(fibers[hpoint(h)])
+        v_dil = _old_point_is_dilated(fibers[vpoint(v)])
+        refinement = _root_refinement(t, fibers, h)
+        root_parity = _old_sign_flip_parity(fibers[hpoint(h)], refinement.flip)
+        other, part_map, flip = transports[h]
+        partner_parity = _old_sign_flip_parity(fibers[hpoint(h)], flip)
+        hbar = base.partner[h]
+        hbar_dil = _old_point_is_dilated(fibers[hpoint(hbar)])
+        for s in ((0,) if h_dil else (0, 1)):
+            hid = oh_ids[(h, s)]
+            root[hid] = ov_ids[(v, 0 if v_dil else (s + root_parity) % 2)]
+            partner[hid] = oh_ids[(hbar, 0 if hbar_dil else (s + partner_parity) % 2)]
+    graph = Graph(tuple(range(len(ov_ids))), root, partner)
+    cover = HarmonicMorphism(
+        GraphMorphism(graph, base,
+                      {i: v for i, (v, s) in ov_info.items()},
+                      {i: h for i, (h, s) in oh_info.items()}),
+        {i: 2 if _old_point_is_dilated(fibers[vpoint(v)]) else 1 for i, (v, s) in ov_info.items()},
+        {i: 2 if _old_point_is_dilated(fibers[hpoint(h)]) else 1 for i, (h, s) in oh_info.items()})
+    assert not validate_harmonic(cover)
+    return cover, ov_info, oh_info, ov_ids, oh_ids
+
+
+def _old_sign_quotient(t, n, fibers, cover, v_info, h_info, ov_ids, oh_ids, orientation):
+    vmap, hmap, vdeg, hdeg = {}, {}, {}, {}
+    for i, (v, ms) in v_info.items():
+        fd = fibers[vpoint(v)]
+        if _old_point_is_dilated(fd):
+            vmap[i] = ov_ids[(v, 0)]
+            vdeg[i] = cover.vertex_degree[i] // 2
+        else:
+            vmap[i] = ov_ids[(v, _old_ms_sign_bit(fd, ms))]
+            vdeg[i] = cover.vertex_degree[i]
+    for i, (h, ms) in h_info.items():
+        fd = fibers[hpoint(h)]
+        if _old_point_is_dilated(fd):
+            hmap[i] = oh_ids[(h, 0)]
+            hdeg[i] = cover.half_edge_degree[i] // 2
+        else:
+            hmap[i] = oh_ids[(h, _old_ms_sign_bit(fd, ms))]
+            hdeg[i] = cover.half_edge_degree[i]
+    q = HarmonicMorphism(GraphMorphism(cover.source, orientation.source, vmap, hmap), vdeg, hdeg)
+    assert not validate_harmonic(q)
+    assert q.global_degree() == 2 ** (n - 1)
+    return q
+
+
+def _relabel_top(t, seed):
+    """The same tower with the top graph's ids shuffled, so that the lifts
+    of a mid point come in either order and partner transport flips."""
+    rng = random.Random(seed)
+    top, cover = t.top, t.pi.cover
+    vs, hs = list(top.vertices), list(top.half_edges)
+    rng.shuffle(vs)
+    rng.shuffle(hs)
+    vnew, hnew = dict(zip(top.vertices, vs)), dict(zip(top.half_edges, hs))
+    graph = Graph(tuple(vs), {hnew[h]: vnew[top.root[h]] for h in top.half_edges},
+                  {hnew[h]: hnew[top.partner[h]] for h in top.half_edges})
+    shuffled = HarmonicMorphism(
+        GraphMorphism(graph, t.mid, {vnew[v]: cover.v(v) for v in top.vertices},
+                      {hnew[h]: cover.h(h) for h in top.half_edges}),
+        {vnew[v]: cover.vertex_degree[v] for v in top.vertices},
+        {hnew[h]: cover.half_edge_degree[h] for h in top.half_edges})
+    return Tower(DoubleCover.from_harmonic(shuffled), t.f)
+
+
+def _oracle_towers():
+    """random_tower seeds 0-29: n=2 generic, n=3 with a free double cover,
+    n=4 free and generic; each also with its top level relabeled."""
+    for seed in range(30):
+        for n, t in ((2, random_tower(seed, n=2, generic=True).tower),
+                     (3, random_tower(seed, n=3, pi_free=True).tower),
+                     (4, random_tower(seed, n=4, pi_free=True, generic=True).tower)):
+            yield n, t
+            yield n, _relabel_top(t, seed)
+
+
+class TestAgainstReplacedTransport:
+    def test_orientation_cover_matches_parity_gluing(self):
+        kinds = set()
+        for n, t in _oracle_towers():
+            cons = ngonal_construct(t, n)
+            fibers = {p: tower_fiber(t, p) for p in t.base.points()}
+            transports = {h: _old_partner_transport(t, h) for h in t.base.half_edges}
+            orientation, ov_info, oh_info, ov_ids, oh_ids = \
+                _old_orientation_cover(t, fibers, transports)
+            assert cons.orientation == orientation  # graph, maps and degrees
+            assert cons.orientation_vertex_info == ov_info
+            assert cons.orientation_half_edge_info == oh_info
+            assert cons.to_orientation == _old_sign_quotient(
+                t, n, fibers, cons.cover_to_base, cons.vertex_info, cons.half_edge_info,
+                ov_ids, oh_ids, orientation)
+            kinds.add((n, any(not fd.is_free() for fd in fibers.values())))
+        assert kinds == {(2, False), (2, True), (3, False), (4, False)}
+
+    def test_partner_transport_matches_old_transport(self):
+        count = flips = 0
+        for n, t in _oracle_towers():
+            fibers = {p: tower_fiber(t, p) for p in t.base.points()}
+            for h in t.base.half_edges:
+                refinement = _partner_transport(t, fibers, h)
+                old = _old_partner_transport(t, h)
+                assert refinement.coarse == old[0]
+                for ms in multisections(fibers[hpoint(h)]):
+                    assert induce_multisection(refinement, ms) == \
+                        _old_transport_multisection(*old, ms)
+                    count += 1
+                flips += sum(refinement.flip.values())
+        assert count > 1000 and flips > 100
+
+    def test_inconsistent_sign_labelling_is_caught(self):
+        # a degree-3 free tower; swapping every sign of one half-edge's
+        # multisection flips its sign bit (3 is odd) but not its root
+        t = random_tower(0, n=3, pi_free=True).tower
+        cons = ngonal_construct(t, 3)
+        fibers = {p: tower_fiber(t, p) for p in t.base.points()}
+        h_info = dict(cons.half_edge_info)
+        h, ms = h_info[0]
+        h_info[0] = (h, swap_multisection(fibers[hpoint(h)], ms))
+        with pytest.raises(AssertionError, match="glued differently"):
+            _sign_quotient(3, fibers, cons.cover_to_base, cons.vertex_info, h_info)
+        # the untouched labelling passes the same check
+        assert _sign_quotient(3, fibers, cons.cover_to_base, cons.vertex_info,
+                              cons.half_edge_info)[1] == cons.to_orientation

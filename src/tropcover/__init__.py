@@ -24,12 +24,10 @@ from .ngonal import (FiberDatum, FiberPart, Refinement, bigonal,
                      multisection_degree, multisection_sign, multisections,
                      ngonal_construct, recillas, tetragonal_split,
                      tower_fiber, trigonal)
-from .intlinalg import (cokernel_tf, gram_isometries, kernel_basis, snf,
-                        vectors_with_norm)
+from .intlinalg import gram_isometries, snf, vectors_with_norm
 from .tori import (IntegralTorus, Polarization, TorusHom, classify_hom,
-                   cokernel_torus, dual_polarization, dual_type,
-                   factor_isogeny, induced_polarization, kernel_torus,
-                   polarized_isomorphic, pp_rescale)
+                   dual_polarization, dual_type, factor_isogeny,
+                   induced_polarization, polarized_isomorphic)
 from .jacprym import (CheckResult, PrymData, SymmetricBasis, check_bigonal_duality,
                       check_trigonal_prym, cycle_pairing, h1_basis, jacobian,
                       norm_hom, pairing_table, prym, symmetric_basis,

@@ -135,7 +135,7 @@ def cmd_prym(args) -> int:
     mid, top = tower_metrics(tower, loaded.base_metric)
     data = prym(tower.pi, top, mid)
     print(f"rank {data.rank}; polarization type {data.type}")
-    print("pairing [coker basis x kernel basis]:")
+    print("pairing [(beta, alpha+) x (beta, alpha+ - alpha-)]:")
     print(_format_matrix(data.torus.pairing))
     print("principal model Gram:")
     print(_format_matrix(data.principal.polarized.gram()))

@@ -319,46 +319,8 @@ def _check_snf(matrix, res: SNF):
             raise AssertionError("snf: zero before nonzero on the diagonal")
 
 
-def kernel_basis(matrix) -> tuple:
-    """Columns form a saturated basis of the integer kernel {x : Mx = 0}."""
-    n, m = shape(matrix)
-    if m == 0:
-        return tuple()
-    res = snf(matrix)
-    r = res.rank
-    return tuple(row[r:] for row in res.V)
-
-
 def _columns_to_matrix(cols, nrows) -> tuple:
     return tuple(tuple(col[i] for col in cols) for i in range(nrows))
-
-
-@dataclass(frozen=True)
-class Cokernel:
-    """Torsion-free cokernel data: projection (t x n) and representatives (n x t).
-
-    projection @ representatives = I, and projection @ M = 0.
-    """
-
-    rank: int
-    projection: tuple
-    representatives: tuple
-
-
-def cokernel_tf(matrix) -> Cokernel:
-    n, m = shape(matrix)
-    res = snf(matrix)
-    r = res.rank
-    proj = tuple(res.U[i] for i in range(r, n))
-    uinv = to_int(inverse(res.U)) if n else tuple()
-    reps = tuple(row[r:] for row in uinv)
-    cok = Cokernel(n - r, mat(proj) if proj else zeros(0, n), reps if n else zeros(0, 0))
-    if cok.rank:
-        if not mat_equal(matmul(cok.projection, cok.representatives), identity(cok.rank)):
-            raise AssertionError("cokernel: projection @ representatives != I")
-        if m and any(x for row in matmul(cok.projection, mat(matrix)) for x in row):
-            raise AssertionError("cokernel: projection does not kill the image")
-    return cok
 
 
 def clear_denominators(*matrices):
@@ -366,30 +328,6 @@ def clear_denominators(*matrices):
     scaled = [_scaled(m) for m in matrices]
     scale = lcm(*(d for d, _ in scaled))
     return scale, tuple(mat_scale(scale // d, rows) for d, rows in scaled)
-
-
-def _cholesky(q) -> tuple:
-    """Q = L^T D L with L unit upper triangular; raises on non-positive-definite.
-
-    Nothing in the package calls it: it is the Fraction reference that the
-    tests compare the definiteness test and the short-vector search with.
-    """
-    n, _ = shape(q)
-    a = [[Fraction(x) for x in row] for row in q]
-    d = [Fraction(0)] * n
-    lmat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("form is not positive definite")
-        lmat[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            lmat[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= d[i] * lmat[i][j] * lmat[i][k]
-                a[k][j] = a[j][k]
-    return d, lmat
 
 
 def vectors_with_norm(q, target, _cache={}):

@@ -20,9 +20,8 @@ from .graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
                      is_connected, is_tree, spanning_tree)
 from .metrics import MetricGraph, induce_metric, is_inf, validate_metric_harmonic
 from .ngonal import bigonal, classify_bigonal_point, trigonal
-from .tori import (IntegralTorus, Polarization, PrincipalModel, TorusHom,
-                   dual_polarization, dual_type, induced_polarization,
-                   kernel_torus, polarized_isomorphic, pp_rescale)
+from .tori import (IntegralTorus, KernelTorus, Polarization, PrincipalModel,
+                   TorusHom, dual_polarization, dual_type, polarized_isomorphic)
 
 
 class NonGenericTower(PreconditionError):
@@ -213,22 +212,67 @@ class PrymData:
         return self.torus.rank
 
 
+def _diag(entries) -> tuple:
+    return tuple(tuple(a if i == j else 0 for j in range(len(entries)))
+                 for i, a in enumerate(entries))
+
+
+def _minus(u, v) -> tuple:
+    return tuple(a - b for a, b in zip(u, v))
+
+
 def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGraph) -> PrymData:
-    """Identity component of the norm kernel; polarization type (1^B, 2^A)."""
+    """Identity component of the norm kernel; polarization type (1^B, 2^A).
+
+    Built in the involution-adapted bases.  T holds the coordinates of
+    (beta, alpha+, alpha-, gamma_top) in the top cycle basis and must have
+    an integral inverse.  The second lattice is spanned by (beta, alpha+ -
+    alpha-); the first is H1 modulo the saturated image of the pullback,
+    projected by the beta rows of T^-1 and the alpha+ minus alpha- rows,
+    with section (beta, alpha+).  The induced polarization is then exactly
+    diag(1^B, 2^A), and scaling pairing row i by a_i / a_max gives the
+    principal model.
+    """
     if not is_connected(cover.source):
         raise PreconditionError("connected", "prym requires a connected source")
     maps = transfer_maps(cover)
     nm = norm_hom(cover, source_metric, target_metric, maps)
-    ker = kernel_torus(nm)
-    pol = induced_polarization(ker.inclusion, Polarization(nm.source, la.identity(nm.source.rank)))
-    ptype = pol.type()
+    basis = symmetric_basis(cover)
     dil = dilation_data(cover)
-    expected = (1,) * dil.B + (2,) * dil.A
-    if ptype != expected:
-        raise AssertionError(f"Prym polarization type {ptype} != (1^{dil.B}, 2^{dil.A})")
-    if ker.torus.rank != genus(cover.source) - genus(cover.target):
+    g, nb, na = nm.source.rank, len(basis.beta), len(basis.alpha_plus)
+    cols = [maps.source_basis.coordinates(c) for c in
+            basis.beta + basis.alpha_plus + basis.alpha_minus + basis.gamma_top]
+    try:
+        t_inv = la.to_int(la.inverse(la._columns_to_matrix(cols, g)))
+    except ValueError as exc:
+        raise AssertionError(f"adapted basis has no integral inverse: {exc}") from None
+    beta, plus, minus = cols[:nb], cols[nb:nb + na], cols[nb + na:nb + 2 * na]
+    kernel = la._columns_to_matrix(beta + [_minus(u, v) for u, v in zip(plus, minus)], g)
+    reps = la._columns_to_matrix(beta + plus, g)
+    proj = t_inv[:nb] + tuple(_minus(t_inv[nb + i], t_inv[nb + na + i]) for i in range(na))
+    ptype = (1,) * dil.B + (2,) * dil.A
+    k = nb + na
+    if k:
+        pairing = la.matmul(la.matmul(la.transpose(reps), nm.source.pairing), kernel)
+        x = la.matmul(proj, kernel)
+    else:
+        pairing = x = ()
+    if x != _diag(ptype):
+        raise AssertionError(f"adapted Prym polarization != diag(1^{dil.B}, 2^{dil.A})")
+    if k != genus(cover.source) - genus(cover.target):
         raise AssertionError("Prym rank differs from the genus difference")
-    return PrymData(cover, ker.torus, pol, ptype, pp_rescale(pol), ker, nm, maps, dil)
+    torus = IntegralTorus(pairing)
+    ker = KernelTorus(torus, TorusHom(torus, nm.source, proj, kernel), proj, reps, kernel)
+    pol = Polarization(torus, x)
+    big = max(ptype, default=1)
+    pp_torus = IntegralTorus(tuple(tuple(Fraction(a, big) * v for v in row)
+                                   for a, row in zip(ptype, pairing)))
+    zeta = Polarization(pp_torus, la.identity(k))
+    to_original = TorusHom(pp_torus, torus, _diag([big // a for a in ptype]), la.identity(k))
+    if la.matmul(la.matmul(to_original.pull, x), to_original.push) != la.mat_scale(big, zeta.matrix):
+        raise AssertionError("principal model: pulled-back polarization != multiplier * I")
+    return PrymData(cover, torus, pol, ptype, PrincipalModel(zeta, to_original, big),
+                    ker, nm, maps, dil)
 
 
 def tower_metrics(tower: Tower, base_metric: MetricGraph):

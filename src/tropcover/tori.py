@@ -9,7 +9,6 @@ by a complete finite search through Gram-form isometries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import intlinalg as la
 
@@ -151,55 +150,6 @@ class KernelTorus:
     kernel_columns: tuple     # columns span ker(push) in the source second lattice
 
 
-def kernel_torus(h: TorusHom) -> KernelTorus:
-    """Connected component of the identity of the kernel, as an integral torus."""
-    g1 = h.source.rank
-    cok = la.cokernel_tf(h.pull) if g1 else la.Cokernel(0, tuple(), tuple())
-    if not g1:
-        ker = tuple()
-    elif not h.target.rank:  # the zero map: everything is in the kernel
-        ker = la.identity(g1)
-    else:
-        ker = la.kernel_basis(h.push)
-    k = cok.rank
-    if (len(ker[0]) if ker else 0) != k:
-        raise AssertionError("kernel_torus: coker(pull) and ker(push) ranks differ")
-    if k:
-        pairing = la.matmul(la.matmul(la.transpose(cok.representatives), h.source.pairing), ker)
-    else:
-        pairing = tuple()
-    torus = IntegralTorus(pairing)
-    inclusion = TorusHom(torus, h.source, cok.projection, ker)
-    return KernelTorus(torus, inclusion, cok.projection, cok.representatives, ker)
-
-
-@dataclass(frozen=True)
-class CokernelTorus:
-    torus: IntegralTorus
-    quotient: TorusHom  # target -> cokernel
-
-
-def cokernel_torus(h: TorusHom) -> CokernelTorus:
-    g2 = h.target.rank
-    if not g2:
-        ker = tuple()
-    elif not h.source.rank:
-        ker = la.identity(g2)
-    else:
-        ker = la.kernel_basis(h.pull)
-    cok = la.cokernel_tf(h.push) if g2 else la.Cokernel(0, tuple(), tuple())
-    k = cok.rank
-    if (len(ker[0]) if ker else 0) != k:
-        raise AssertionError("cokernel_torus: ker(pull) and coker(push) ranks differ")
-    if k:
-        pairing = la.matmul(la.matmul(la.transpose(ker), h.target.pairing), cok.representatives)
-    else:
-        pairing = tuple()
-    torus = IntegralTorus(pairing)
-    quotient = TorusHom(h.target, torus, ker, cok.projection)
-    return CokernelTorus(torus, quotient)
-
-
 @dataclass(frozen=True)
 class Polarization:
     """Integer map from the second lattice to the first whose associated
@@ -254,30 +204,6 @@ class PrincipalModel:
     polarized: Polarization   # principal, on the rescaled torus (adapted basis)
     to_original: TorusHom
     multiplier: int
-
-
-def pp_rescale(pol: Polarization) -> PrincipalModel:
-    g = pol.torus.rank
-    if g == 0:
-        return PrincipalModel(Polarization(pol.torus, la.identity(0)),
-                              identity_hom(pol.torus), 1)
-    res = la.snf(pol.matrix)
-    diag = res.diagonal()
-    big = diag[-1]
-    uinv = la.to_int(la.inverse(res.U))
-    # P in the adapted bases, then each row i scaled by a_i / a_g
-    p_ad = la.matmul(la.matmul(la.transpose(uinv), pol.torus.pairing), res.V)
-    p_pp = tuple(tuple(Fraction(diag[i], big) * p_ad[i][j] for j in range(g)) for i in range(g))
-    pp_torus = IntegralTorus(p_pp)
-    zeta = Polarization(pp_torus, la.identity(g))
-    scale = tuple(tuple(big // diag[i] if i == j else 0 for j in range(g)) for i in range(g))
-    to_original = TorusHom(pp_torus, pol.torus, la.matmul(scale, res.U), res.V)
-    if not classify_hom(to_original).dilation:
-        raise AssertionError("pp_rescale: rescaling map is not a dilation")
-    pulled = induced_polarization(to_original, pol)
-    if not la.mat_equal(pulled.matrix, la.mat_scale(big, zeta.matrix)):
-        raise AssertionError("pp_rescale: induced polarization is not multiplier * principal")
-    return PrincipalModel(zeta, to_original, big)
 
 
 def dual_type(t: tuple, multiplier=None) -> tuple:

@@ -16,12 +16,37 @@ from .graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
 from .metrics import MetricGraph, format_length, parse_length
 
 
+def _expect(value, kind: type, what: str):
+    """The value, if it has the JSON type the format puts there; else ValueError."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"tower file: {what} must be {name}, not {type(value).__name__}")
+    return value
+
+
+def _ints(values, what: str):
+    """The values, if every one is a JSON integer (a bool is not); else ValueError."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"tower file: {what} must hold integers, not {type(bad).__name__}")
+    return values
+
+
+def _int_list(value, what: str) -> list:
+    return _ints(_expect(value, list, what), what)
+
+
 def _int_key_map(d: dict) -> dict:
     return {str(k): v for k, v in sorted(d.items())}
 
 
-def _parse_int_map(d: dict) -> dict:
-    return {int(k): v for k, v in d.items()}
+def _parse_int_map(d: dict, what: str) -> dict:
+    """{int(key): value} of a JSON object whose keys and values are integers."""
+    _ints(_expect(d, dict, what).values(), what)
+    try:
+        return {int(k): v for k, v in d.items()}
+    except ValueError:
+        raise ValueError(f"tower file: {what} keys must be integers") from None
 
 
 def graph_to_doc(g: Graph) -> dict:
@@ -33,11 +58,14 @@ def graph_to_doc(g: Graph) -> dict:
 
 
 def graph_from_doc(doc: dict) -> Graph:
-    root = _parse_int_map(doc["root"])
+    root = _parse_int_map(doc["root"], "graph root")
     partner = {}
-    for a, b in doc["edges"]:
+    for edge in _expect(doc["edges"], list, "graph edges"):
+        if type(edge) is not list or len(edge) != 2:
+            raise ValueError("tower file: graph edges must be [h, hbar] pairs")
+        a, b = _ints(edge, "graph edges")
         partner[a], partner[b] = b, a
-    return Graph(tuple(doc["vertices"]), root, partner)
+    return Graph(tuple(_int_list(doc["vertices"], "graph vertices")), root, partner)
 
 
 def level_to_doc(f: HarmonicMorphism, label: str) -> dict:
@@ -56,11 +84,12 @@ def level_to_doc(f: HarmonicMorphism, label: str) -> dict:
 
 
 def level_from_doc(doc: dict, target: Graph) -> HarmonicMorphism:
-    g = Graph(tuple(doc["vertices"]), _parse_int_map(doc["root"]), _parse_int_map(doc["partner"]))
-    return HarmonicMorphism(
-        GraphMorphism(g, target, _parse_int_map(doc["vmap"]), _parse_int_map(doc["hmap"])),
-        _parse_int_map(doc["vertex_degree"]),
-        _parse_int_map(doc["half_edge_degree"]))
+    _int_list(doc.get("half_edges", []), "level half_edges")
+    m = {key: _parse_int_map(doc[key], f"level {key}") for key in
+         ("root", "partner", "vmap", "hmap", "vertex_degree", "half_edge_degree")}
+    g = Graph(tuple(_int_list(doc["vertices"], "level vertices")), m["root"], m["partner"])
+    return HarmonicMorphism(GraphMorphism(g, target, m["vmap"], m["hmap"]),
+                            m["vertex_degree"], m["half_edge_degree"])
 
 
 @dataclass(frozen=True)
@@ -93,14 +122,6 @@ def file_to_doc(base_metric: MetricGraph, levels, meta=None) -> dict:
         "meta": meta or {},
     }
     return doc
-
-
-def _expect(value, kind: type, what: str):
-    """The value, if it has the JSON type the format puts there; else ValueError."""
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "a list"
-        raise ValueError(f"tower file: {what} must be {name}, not {type(value).__name__}")
-    return value
 
 
 def doc_to_file(doc: dict) -> LoadedFile:

@@ -266,3 +266,51 @@ class TestInputCheckOnEveryReader:
         assert main([command, str(bad)]) == 1
         captured = capsys.readouterr()
         assert captured.out == report and captured.err == ""
+
+
+def _set(path, value):
+    """Mutation setting doc[path[0]][path[1]]... to value."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return mutate
+
+
+class TestInnerTypes:
+    # a graph or level entry of the wrong JSON type is a format error
+    # under every command that reads a tower file, not a traceback
+    MUTATIONS = {
+        "base edges 5": (_set(("base", "edges"), 5), "graph edges must be a list"),
+        "level0 vmap list": (_set(("levels", 0, "vmap"), [1, 2]), "level vmap must be an object"),
+        "level0 degree string": (_set(("levels", 0, "vertex_degree"), {"0": "x"}),
+                                 "level vertex_degree must hold integers"),
+        "level0 degree bool": (_set(("levels", 0, "vertex_degree", "0"), True),
+                               "level vertex_degree must hold integers"),
+        "base edge not a pair": (_set(("base", "edges", 0), [0]), "graph edges must be [h, hbar] pairs"),
+        "base vertex string": (_set(("base", "vertices", 0), "a"), "graph vertices must hold integers"),
+        "level1 root key": (_set(("levels", 1, "root", "x"), 0), "level root keys must be integers"),
+        "level0 half_edges 3": (_set(("levels", 0, "half_edges"), 3), "level half_edges must be a list"),
+    }
+    COMMANDS = {
+        "validate": lambda bad, tmp: ["validate", bad],
+        "prym": lambda bad, tmp: ["prym", bad],
+        "check": lambda bad, tmp: ["check", bad, "--theorem", "trigonal"],
+        "construct": lambda bad, tmp: ["construct", bad, "--op", "trigonal",
+                                       "--out", str(tmp / "out.json")],
+        "compare": lambda bad, tmp: ["compare", bad, os.path.join(DATA, "trigonal_tower.json")],
+    }
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_wrong_inner_type_is_an_error(self, tmp_path, capsys, mutation, command):
+        mutate, message = self.MUTATIONS[mutation]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(_trigonal_doc())))
+        assert main(self.COMMANDS[command](str(bad), tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: tower file: {message}")
+        assert captured.out == ""
+        assert not (tmp_path / "out.json").exists()

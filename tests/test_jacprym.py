@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -224,7 +225,7 @@ class TestPrym:
                     assert cycle_pairing(top, pulled, lam) == 0
 
     def test_gram_positive_definite(self):
-        from tropcover.intlinalg import _cholesky
+        from oracles import _cholesky
         for seed in range(10):
             gen = random_tower(seed, n=2)
             mid, top = tower_metrics(gen.tower, gen.base_metric)
@@ -261,3 +262,118 @@ class TestChecks:
         assert mat_equal(r2.details["jacobian_gram"],
                          mat_scale(Fraction(3), r1.details["jacobian_gram"]))
         assert r1.witness == r2.witness
+
+
+def _prym_of(gen):
+    mid, top = tower_metrics(gen.tower, gen.base_metric)
+    return prym(gen.tower.pi, top, mid)
+
+
+def _loaded_prym(name):
+    from tropcover.towerio import load
+    loaded = load(os.path.join(os.path.dirname(__file__), os.pardir, "data", name))
+    mid, top = tower_metrics(loaded.tower(), loaded.base_metric)
+    return prym(loaded.tower().pi, top, mid)
+
+
+class TestAgainstSnfRoute:
+    # `prym` builds the Prym torus from the involution-adapted bases; the
+    # Smith-form route it replaced (tests/oracles.py) must give the same
+    # rank and type, and polarized tori and principal models that are
+    # isomorphic; the bases, and so the printed matrices, may differ
+    CASES = ([("n2-dilated", seed, dict(n=2, pi_free=False)) for seed in range(30)]
+             + [("n2-any", seed, dict(n=2)) for seed in range(30)]
+             + [("n3-free", seed, dict(n=3, pi_free=True)) for seed in range(30)]
+             + [("n2-dilated-rank23", 1, dict(n=2, pi_free=False, tree_size=(25, 25)))])
+
+    @staticmethod
+    def _agree(data):
+        from oracles import snf_route_prym
+        ker, pol, model = snf_route_prym(data.norm)
+        assert data.rank == ker.torus.rank
+        assert data.type == pol.type()
+        assert data.principal.multiplier == model.multiplier
+        assert polarized_isomorphic(data.polarization, pol) is not None
+        assert polarized_isomorphic(data.principal.polarized, model.polarized) is not None
+
+    @pytest.mark.parametrize("name, seed, kw", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES])
+    def test_random_tower(self, name, seed, kw):
+        data = _prym_of(random_tower(seed, **kw))
+        if name.endswith("rank23"):
+            assert data.rank == 23 and 1 in data.type and 2 in data.type
+        self._agree(data)
+
+    def test_rank_zero(self):
+        cover = loop_cover()
+        tgt_metric = MetricGraph(cover.target, {0: Fraction(3)})
+        data = prym(cover, induce_metric(cover.cover, tgt_metric), tgt_metric)
+        assert data.rank == 0 and data.type == ()
+        self._agree(data)
+
+    def test_shipped_files(self):
+        for name in ("bigonal_tower.json", "trigonal_tower.json"):
+            self._agree(_loaded_prym(name))
+
+    def test_no_smith_form_on_the_prym_path(self, monkeypatch):
+        from tropcover import intlinalg
+
+        def no_snf(matrix):
+            raise AssertionError("snf called on the prym path")
+        monkeypatch.setattr(intlinalg, "snf", no_snf)
+        assert _loaded_prym("bigonal_tower.json").type == (1, 2)
+        data = _prym_of(random_tower(1, n=3, pi_free=True, tree_size=(25, 25)))
+        assert data.rank == 15 and data.type == (2,) * 15
+
+    def test_fewer_eliminations_than_the_snf_route(self, monkeypatch):
+        # the Smith-form route ran 39 Bareiss eliminations on each tower
+        from tropcover import intlinalg
+        calls = []
+        bareiss = intlinalg._bareiss
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return bareiss(*args, **kw)
+        monkeypatch.setattr(intlinalg, "_bareiss", counted)
+        for kw in (dict(n=3, pi_free=True), dict(n=2, pi_free=False)):
+            gen = random_tower(1, tree_size=(25, 25), **kw)
+            calls.clear()
+            _prym_of(gen)
+            assert len(calls) < 39
+
+    SPOILS = {
+        # alpha- replaced by alpha+: T is singular
+        "alpha": lambda sb: dataclasses.replace(sb, alpha_minus=sb.alpha_plus),
+        # the first beta doubled: T is nonsingular, but T^-1 is not integral
+        "beta": lambda sb: dataclasses.replace(sb, beta=(chain_scale(2, sb.beta[0]),) + sb.beta[1:]),
+    }
+
+    @pytest.mark.parametrize("checked", [True, False], ids=["verify", "inverse"])
+    @pytest.mark.parametrize("name, spoil, verify_message", [
+        ("trigonal_tower.json", "alpha", "alpha pair"),
+        ("bigonal_tower.json", "alpha", "alpha pair"),
+        ("bigonal_tower.json", "beta", "not unimodular")])
+    def test_spoiled_basis_is_rejected(self, monkeypatch, name, spoil, verify_message, checked):
+        # SymmetricBasis.verify rejects a spoiled basis, and so does the
+        # integral-inverse check of prym when verify is skipped
+        from tropcover import jacprym
+
+        def spoiled(build):
+            return lambda cover: self.SPOILS[spoil](build(cover))
+        if checked:
+            for builder in ("_symmetric_basis_free", "_symmetric_basis_dilated"):
+                monkeypatch.setattr(jacprym, builder, spoiled(getattr(jacprym, builder)))
+        else:
+            monkeypatch.setattr(jacprym, "symmetric_basis", spoiled(jacprym.symmetric_basis))
+        with pytest.raises(AssertionError, match=verify_message if checked else "integral inverse"):
+            _loaded_prym(name)
+
+    def test_type_law_is_checked(self, monkeypatch):
+        # dilation counts that disagree with the adapted basis trip the
+        # entry-by-entry comparison of the polarization with diag(1^B, 2^A)
+        from tropcover import jacprym
+        count = jacprym.dilation_data
+        monkeypatch.setattr(jacprym, "dilation_data",
+                            lambda cover: dataclasses.replace(count(cover), A=count(cover).A + 1,
+                                                              B=count(cover).B - 1))
+        with pytest.raises(AssertionError, match="!= diag"):
+            _loaded_prym("bigonal_tower.json")

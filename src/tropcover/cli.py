@@ -1,7 +1,17 @@
 """Command line interface.
 
 Subcommands: validate, construct, classify, jacobian, prym, check,
-random, export-dot, compare.  Exit codes: 0 pass, 1 fail, 2 usage.
+random, export-dot, compare.  Every command reads tower files through one
+checking loader, ``towerio.load``, so a file that one command rejects is
+rejected by all of them, the same way.  Exit codes:
+
+- 0: pass.
+- 1, issue report on stdout: the file breaks the graph, metric or
+  harmonicity axioms; one line per issue, as ``validate`` prints it.
+- 1, ``error: tower file: ...`` on stderr: the file is malformed (a
+  missing field, a wrong JSON type, a non-integer key).  Other errors,
+  failed checks and violated preconditions also exit 1.
+- 2: usage error, including ``random`` arguments out of range.
 """
 
 from __future__ import annotations
@@ -10,15 +20,15 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .graphs import (PreconditionError, is_tree, towers_isomorphic,
-                     validate_graph, validate_harmonic)
+from .graphs import PreconditionError, is_tree, towers_isomorphic
 from .jacprym import (check_bigonal_duality, check_trigonal_prym, jacobian,
                       prym, tower_metrics)
-from .metrics import format_length, induce_metric, validate_metric
+from .metrics import format_length, induce_metric
 from .ngonal import (bigonal, classify_bigonal_point, classify_tetragonal_point,
                      ngonal_construct, recillas, tetragonal_split, trigonal)
 from .randgen import random_tower
-from .towerio import file_to_doc, load, provenance_meta, save, tower_to_doc
+from .towerio import (InvalidTowerFile, file_to_doc, load, provenance_meta, save,
+                      tower_to_doc)
 
 
 def _format_matrix(m) -> str:
@@ -29,30 +39,8 @@ def _format_matrix(m) -> str:
     return "\n".join("  [ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
 
-def _report(issues) -> bool:
-    """Print validation issues one a line; True if there are any."""
-    for issue in issues:
-        print(issue)
-    return bool(issues)
-
-
-def _input_issues(loaded) -> list:
-    """The base graph and metric issues, then each level's graph and
-    harmonicity issues prefixed with the level."""
-    issues = list(validate_graph(loaded.base)) + list(validate_metric(loaded.base_metric))
-    for i, level in enumerate(loaded.levels):
-        issues += [f"level{i}: {x}" for x in validate_graph(level.source)]
-        issues += [f"level{i}: {x}" for x in validate_harmonic(level)]
-    return issues
-
-
 def cmd_validate(args) -> int:
     loaded = load(args.path)
-    if _report(_input_issues(loaded)):
-        return 1
-    metric = loaded.base_metric
-    for level in loaded.levels:
-        metric = induce_metric(level, metric)
     print(f"OK: base tree={is_tree(loaded.base)}, levels={len(loaded.levels)}, "
           f"degrees={[f.global_degree() for f in loaded.levels]}")
     return 0
@@ -96,8 +84,6 @@ def cmd_construct(args) -> int:
 
 def cmd_classify(args) -> int:
     loaded = load(args.path)
-    if _report(_input_issues(loaded)):
-        return 1
     if len(loaded.levels) == 2 and loaded.levels[0].global_degree() == 2:
         tower = loaded.tower()
         print("point\ttype (hyperelliptic tower: I-V)")
@@ -116,8 +102,6 @@ def cmd_classify(args) -> int:
 
 def cmd_jacobian(args) -> int:
     loaded = load(args.path)
-    if _report(_input_issues(loaded)):
-        return 1
     metric = loaded.base_metric
     for level in loaded.levels:
         metric = induce_metric(level, metric)
@@ -129,8 +113,6 @@ def cmd_jacobian(args) -> int:
 
 def cmd_prym(args) -> int:
     loaded = load(args.path)
-    if _report(_input_issues(loaded)):
-        return 1
     tower = loaded.tower()
     mid, top = tower_metrics(tower, loaded.base_metric)
     data = prym(tower.pi, top, mid)
@@ -144,8 +126,6 @@ def cmd_prym(args) -> int:
 
 def cmd_check(args) -> int:
     loaded = load(args.path)
-    if _report(_input_issues(loaded)):
-        return 1
     tower = loaded.tower()
     if args.theorem == "bigonal":
         result = check_bigonal_duality(tower, loaded.base_metric)
@@ -172,12 +152,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_random(args) -> int:
-    lo, hi = (int(x) for x in args.tree_size.split(","))
-    llo, lhi = (int(x) for x in args.length_range.split(","))
     pi_free = True if args.pi_free else (False if args.pi_dilated else None)
-    gen = random_tower(args.seed, n=args.n, tree_size=(lo, hi),
-                       dilation_probability=Fraction(args.dilation),
-                       length_range=(llo, lhi), pi_free=pi_free,
+    gen = random_tower(args.seed, n=args.n, tree_size=args.tree_size,
+                       dilation_probability=args.dilation,
+                       length_range=args.length_range, pi_free=pi_free,
                        generic=args.generic, connected=not args.allow_disconnected)
     save(args.out, tower_to_doc(gen.tower, gen.base_metric,
                                 meta={"seed": args.seed, "n": args.n}))
@@ -187,8 +165,6 @@ def cmd_random(args) -> int:
 
 def cmd_export_dot(args) -> int:
     loaded = load(args.path)
-    if _report(_input_issues(loaded)):
-        return 1
     lines = ["digraph tower {", "  edge [dir=none];"]
     lines.append("  subgraph cluster_base {")
     lines.append('    label="base";')
@@ -245,6 +221,30 @@ def cmd_compare(args) -> int:
     return 1
 
 
+def _int_range(least: int):
+    """argparse type of "lo,hi": integers with least <= lo <= hi."""
+    def parse(text: str) -> tuple:
+        try:
+            lo, hi = (int(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not lo,hi") from None
+        if not least <= lo <= hi:
+            raise argparse.ArgumentTypeError(f"{text!r} needs {least} <= lo <= hi")
+        return lo, hi
+    return parse
+
+
+def _probability(text: str) -> Fraction:
+    """argparse type of a fraction p with 0 <= p <= 1."""
+    try:
+        p = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from None
+    if not 0 <= p <= 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropcover",
@@ -286,11 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True, choices=[2, 3, 4])
     p.add_argument("--out", required=True)
-    p.add_argument("--tree-size", default="2,5")
-    p.add_argument("--dilation", default="1/3")
-    p.add_argument("--length-range", default="1,6")
-    p.add_argument("--pi-free", action="store_true")
-    p.add_argument("--pi-dilated", action="store_true")
+    # a one-vertex base has no edge to carry a cover's degrees
+    p.add_argument("--tree-size", type=_int_range(2), default="2,5", help="lo,hi base vertices")
+    p.add_argument("--dilation", type=_probability, default="1/3")
+    p.add_argument("--length-range", type=_int_range(1), default="1,6", help="lo,hi edge lengths")
+    pi = p.add_mutually_exclusive_group()
+    pi.add_argument("--pi-free", action="store_true")
+    pi.add_argument("--pi-dilated", action="store_true")
     p.add_argument("--generic", action="store_true")
     p.add_argument("--allow-disconnected", action="store_true")
     p.set_defaults(func=cmd_random)
@@ -312,6 +314,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidTowerFile as exc:
+        print("\n".join(exc.issues))
+        return 1
     except PreconditionError as exc:
         print(f"precondition violated [{exc.condition}]: {exc}", file=sys.stderr)
         return 1

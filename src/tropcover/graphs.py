@@ -228,7 +228,7 @@ def validate_morphism(m: GraphMorphism) -> list:
             continue
         if m.vmap.get(s.root[h]) != t.root[img]:
             issues.append(ValidationIssue("root-commute", hpoint(h), "does not commute with root"))
-        if m.hmap.get(s.partner[h]) != t.partner[img]:
+        if m.hmap.get(s.partner.get(h)) != t.partner.get(img):
             issues.append(ValidationIssue("partner-commute", hpoint(h), "does not commute with involution"))
     return issues
 
@@ -326,14 +326,15 @@ def validate_harmonic(f: HarmonicMorphism) -> list:
     for h in s.half_edges:
         if f.half_edge_degree.get(h, 0) < 1:
             issues.append(ValidationIssue("degree-positive", hpoint(h), "half-edge degree must be >= 1"))
-        elif f.half_edge_degree[h] != f.half_edge_degree.get(s.partner[h], 0):
+        elif f.half_edge_degree[h] != f.half_edge_degree.get(s.partner.get(h), 0):
             issues.append(ValidationIssue("edge-degree", hpoint(h), "degrees differ on the two halves"))
     if issues:
         return issues
     for v in s.vertices:
-        fv = f.v(v)
-        for hprime in t.tangent(fv):
-            total = sum(f.half_edge_degree[h] for h in s.tangent(v) if f.h(h) == hprime)
+        over = dict.fromkeys(t.tangent(f.v(v)), 0)
+        for h in s.tangent(v):
+            over[f.h(h)] += f.half_edge_degree[h]
+        for hprime, total in over.items():
             if total != f.vertex_degree[v]:
                 issues.append(ValidationIssue(
                     "local-harmonicity", (vpoint(v), hpoint(hprime)),

@@ -34,7 +34,10 @@ def parse_length(text: str):
         raise ValueError(f"length {text!r} is not a string")
     if text == "inf":
         return INF
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"length {text!r} is not a rational p/q or inf") from None
 
 
 def format_length(x) -> str:

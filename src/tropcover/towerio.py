@@ -12,8 +12,17 @@ import json
 from dataclasses import dataclass
 
 from .graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
-                     HarmonicMorphism, Tower)
-from .metrics import MetricGraph, format_length, parse_length
+                     HarmonicMorphism, Tower, validate_graph, validate_harmonic)
+from .metrics import MetricGraph, format_length, parse_length, validate_metric
+
+
+class InvalidTowerFile(ValueError):
+    """A tower file that breaks the graph, metric or harmonicity axioms;
+    `issues` holds one line per violation, each level's prefixed `level{i}: `."""
+
+    def __init__(self, issues):
+        self.issues = tuple(issues)
+        super().__init__("\n".join(self.issues))
 
 
 def _expect(value, kind: type, what: str):
@@ -24,6 +33,13 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _field(doc: dict, key: str, kind: type, what: str):
+    """doc[key], if it is there with the JSON type the format puts there; else ValueError."""
+    if key not in doc:
+        raise ValueError(f"tower file: {what} is missing")
+    return _expect(doc[key], kind, what)
+
+
 def _ints(values, what: str):
     """The values, if every one is a JSON integer (a bool is not); else ValueError."""
     if not set(map(type, values)) <= {int}:
@@ -32,21 +48,28 @@ def _ints(values, what: str):
     return values
 
 
-def _int_list(value, what: str) -> list:
-    return _ints(_expect(value, list, what), what)
+def _int_list(doc: dict, key: str, what: str) -> list:
+    return _ints(_field(doc, key, list, what), what)
 
 
 def _int_key_map(d: dict) -> dict:
     return {str(k): v for k, v in sorted(d.items())}
 
 
-def _parse_int_map(d: dict, what: str) -> dict:
-    """{int(key): value} of a JSON object whose keys and values are integers."""
-    _ints(_expect(d, dict, what).values(), what)
+def _int_keys(d: dict, what: str) -> dict:
+    """{int(key): value} of a JSON object whose keys are integers."""
+    items = _expect(d, dict, what).items()
     try:
-        return {int(k): v for k, v in d.items()}
+        return {int(k): v for k, v in items}
     except ValueError:
         raise ValueError(f"tower file: {what} keys must be integers") from None
+
+
+def _parse_int_map(doc: dict, key: str, what: str) -> dict:
+    """{int(k): v} of the JSON object doc[key], whose keys and values are integers."""
+    d = _field(doc, key, dict, what)
+    _ints(d.values(), what)
+    return _int_keys(d, what)
 
 
 def graph_to_doc(g: Graph) -> dict:
@@ -58,14 +81,14 @@ def graph_to_doc(g: Graph) -> dict:
 
 
 def graph_from_doc(doc: dict) -> Graph:
-    root = _parse_int_map(doc["root"], "graph root")
+    root = _parse_int_map(doc, "root", "graph root")
     partner = {}
-    for edge in _expect(doc["edges"], list, "graph edges"):
+    for edge in _field(doc, "edges", list, "graph edges"):
         if type(edge) is not list or len(edge) != 2:
             raise ValueError("tower file: graph edges must be [h, hbar] pairs")
         a, b = _ints(edge, "graph edges")
         partner[a], partner[b] = b, a
-    return Graph(tuple(_int_list(doc["vertices"], "graph vertices")), root, partner)
+    return Graph(tuple(_int_list(doc, "vertices", "graph vertices")), root, partner)
 
 
 def level_to_doc(f: HarmonicMorphism, label: str) -> dict:
@@ -84,10 +107,10 @@ def level_to_doc(f: HarmonicMorphism, label: str) -> dict:
 
 
 def level_from_doc(doc: dict, target: Graph) -> HarmonicMorphism:
-    _int_list(doc.get("half_edges", []), "level half_edges")
-    m = {key: _parse_int_map(doc[key], f"level {key}") for key in
+    _ints(_expect(doc.get("half_edges", []), list, "level half_edges"), "level half_edges")
+    m = {key: _parse_int_map(doc, key, f"level {key}") for key in
          ("root", "partner", "vmap", "hmap", "vertex_degree", "half_edge_degree")}
-    g = Graph(tuple(_int_list(doc["vertices"], "level vertices")), m["root"], m["partner"])
+    g = Graph(tuple(_int_list(doc, "vertices", "level vertices")), m["root"], m["partner"])
     return HarmonicMorphism(GraphMorphism(g, target, m["vmap"], m["hmap"]),
                             m["vertex_degree"], m["half_edge_degree"])
 
@@ -125,17 +148,27 @@ def file_to_doc(base_metric: MetricGraph, levels, meta=None) -> dict:
 
 
 def doc_to_file(doc: dict) -> LoadedFile:
-    base_doc = _expect(_expect(doc, dict, "the document")["base"], dict, "base")
+    """The checked file of a parsed document: the one place a file is checked.
+    A malformed document raises ValueError (`tower file: ...`), one that breaks
+    the graph, metric or harmonicity axioms InvalidTowerFile."""
+    base_doc = _field(_expect(doc, dict, "the document"), "base", dict, "base")
     base = graph_from_doc(base_doc)
-    lengths = {int(k): parse_length(v)
-               for k, v in _expect(base_doc.get("lengths", {}), dict, "base lengths").items()}
-    metric = MetricGraph(base, lengths)
+    lengths = _int_keys(base_doc.get("lengths", {}), "base lengths")
+    try:
+        metric = MetricGraph(base, {k: parse_length(v) for k, v in lengths.items()})
+    except ValueError as exc:
+        raise ValueError(f"tower file: base lengths: {exc}") from None
     levels = []
     target = base
     for i, level_doc in enumerate(_expect(doc.get("levels", []), list, "levels")):
         f = level_from_doc(_expect(level_doc, dict, f"level{i}"), target)
         levels.append(f)
         target = f.source
+    issues = validate_graph(base) + validate_metric(metric)
+    for i, f in enumerate(levels):
+        issues += [f"level{i}: {x}" for x in validate_graph(f.source) + validate_harmonic(f)]
+    if issues:
+        raise InvalidTowerFile(map(str, issues))
     return LoadedFile(metric, tuple(levels), doc.get("meta", {}))
 
 

@@ -6,7 +6,8 @@ normal forms: a saturated kernel basis of the pushforward, a torsion-free
 cokernel of the pullback, the induced polarization, and a principal
 rescaling in Smith-adapted bases.  It lives here, unchanged, so the tests
 can compare the two routes; so does the Fraction Cholesky reference of
-the definiteness test and the short-vector search.
+the definiteness test and the short-vector search, and the harmonicity
+check that rescanned a vertex's tangent space once per target half-edge.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tropcover import intlinalg as la
+from tropcover.graphs import (HarmonicMorphism, ValidationIssue, hpoint,
+                              is_connected, validate_morphism, vpoint)
 from tropcover.tori import (IntegralTorus, KernelTorus, Polarization,
                             PrincipalModel, TorusHom, classify_hom,
                             identity_hom, induced_polarization)
@@ -157,3 +160,40 @@ def snf_route_prym(norm: TorusHom):
     ker = kernel_torus(norm)
     pol = induced_polarization(ker.inclusion, Polarization(norm.source, la.identity(norm.source.rank)))
     return ker, pol, pp_rescale(pol)
+
+
+def validate_harmonic_by_rescan(f: HarmonicMorphism) -> list:
+    """graphs.validate_harmonic with the local-harmonicity loop it replaced:
+    for each vertex v and each target half-edge at f(v), a sum over the
+    whole tangent space of v."""
+    issues = list(validate_morphism(f.morphism))
+    s, t = f.source, f.target
+    for v in s.vertices:
+        if f.vertex_degree.get(v, 0) < 1:
+            issues.append(ValidationIssue("degree-positive", vpoint(v), "vertex degree must be >= 1"))
+    for h in s.half_edges:
+        if f.half_edge_degree.get(h, 0) < 1:
+            issues.append(ValidationIssue("degree-positive", hpoint(h), "half-edge degree must be >= 1"))
+        elif f.half_edge_degree[h] != f.half_edge_degree.get(s.partner[h], 0):
+            issues.append(ValidationIssue("edge-degree", hpoint(h), "degrees differ on the two halves"))
+    if issues:
+        return issues
+    for v in s.vertices:
+        fv = f.v(v)
+        for hprime in t.tangent(fv):
+            total = sum(f.half_edge_degree[h] for h in s.tangent(v) if f.h(h) == hprime)
+            if total != f.vertex_degree[v]:
+                issues.append(ValidationIssue(
+                    "local-harmonicity", (vpoint(v), hpoint(hprime)),
+                    f"deg(v)={f.vertex_degree[v]} but half-edge degrees over it sum to {total}"))
+    if not issues and is_connected(t):
+        sums = {}
+        for v in t.vertices:
+            sums[vpoint(v)] = sum(f.vertex_degree[x] for x in f.fiber_vertices(v))
+        for h in t.half_edges:
+            sums[hpoint(h)] = sum(f.half_edge_degree[x] for x in f.fiber_half_edges(h))
+        values = set(sums.values())
+        if len(values) > 1:
+            for p, d in sorted(sums.items()):
+                issues.append(ValidationIssue("global-degree", p, f"fiber degree sum {d} not constant"))
+    return issues

@@ -13,6 +13,8 @@ from tropcover.graphs import (Graph, GraphError, GraphMorphism,
                               validate_harmonic, vpoint)
 from tropcover.randgen import random_tower
 
+from oracles import validate_harmonic_by_rescan
+
 
 def loop_graph():
     return Graph((0,), {0: 0, 1: 0}, {0: 1, 1: 0})
@@ -332,3 +334,37 @@ class TestAgainstReplacedAlgorithms:
                     expected = {x: x for x in f.source.vertices}
                     expected.update({x: members[0] for members in groups for x in members})
                     assert contract_edge(f, key).source_vertex_map == expected
+
+
+def harmonicity_mutants(f, rng):
+    """f, then f with one vertex degree changed, one half-edge degree changed,
+    one edge's degree changed on both halves, and one hmap entry redirected."""
+    s = f.source
+    v, h = rng.choice(s.vertices), rng.choice(s.half_edges)
+    hd_edge = dict(f.half_edge_degree)
+    hd_edge[h] = hd_edge[s.partner[h]] = hd_edge[h] + 1
+    hmap = dict(f.morphism.hmap)
+    hmap[h] = rng.choice(f.target.half_edges)
+    yield f
+    yield HarmonicMorphism(f.morphism, {**f.vertex_degree, v: f.vertex_degree[v] + 1},
+                           f.half_edge_degree)
+    yield HarmonicMorphism(f.morphism, f.vertex_degree,
+                           {**f.half_edge_degree, h: f.half_edge_degree[h] + 1})
+    yield HarmonicMorphism(f.morphism, f.vertex_degree, hd_edge)
+    yield HarmonicMorphism(GraphMorphism(s, f.target, f.morphism.vmap, hmap),
+                           f.vertex_degree, f.half_edge_degree)
+
+
+class TestValidateHarmonicAgainstRescan:
+    def test_issue_lists_match_the_rescan_loop(self):
+        codes = set()
+        for n in (2, 3, 4):
+            for seed in range(20):
+                rng = random.Random(seed)
+                tower = random_tower(seed, n=n).tower
+                for level in (tower.f, tower.pi.cover):
+                    for f in harmonicity_mutants(level, rng):
+                        issues = validate_harmonic(f)
+                        assert issues == validate_harmonic_by_rescan(f)
+                        codes.update(i.code for i in issues)
+        assert {"local-harmonicity", "edge-degree"} <= codes

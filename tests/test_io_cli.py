@@ -252,20 +252,41 @@ class TestInputShapes:
 
 
 class TestInputCheckOnEveryReader:
-    # jacobian, classify and export-dot print the same issue report as
-    # validate and exit 1 on a broken cover level
+    # every other reader prints the same issue report as validate and exits 1
+    # on a broken cover level; construct writes no file
+    EXTRA_ARGS = {
+        "construct": lambda tmp: ["--op", "trigonal", "--out", str(tmp / "out.json")],
+        "compare": lambda tmp: [os.path.join(DATA, "trigonal_tower.json")],
+    }
+
     @pytest.mark.parametrize("mutate", [_without_level0_vmap_entry,
                                         _with_level0_vertex_degree_seven])
-    @pytest.mark.parametrize("command", ["jacobian", "classify", "export-dot"])
+    @pytest.mark.parametrize("command", ["jacobian", "classify", "export-dot",
+                                         "construct", "compare"])
     def test_broken_level_is_reported(self, tmp_path, capsys, mutate, command):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(mutate(_trigonal_doc())))
         assert main(["validate", str(bad)]) == 1
         report = capsys.readouterr().out
         assert report.startswith("level0: [")
-        assert main([command, str(bad)]) == 1
+        extra = self.EXTRA_ARGS.get(command, lambda tmp: [])(tmp_path)
+        assert main([command, str(bad), *extra]) == 1
         captured = capsys.readouterr()
         assert captured.out == report and captured.err == ""
+        assert not (tmp_path / "out.json").exists()
+
+    def test_recillas_rejects_a_broken_quartic(self, tmp_path, capsys):
+        quartic, back = tmp_path / "q.json", tmp_path / "back.json"
+        assert main(["construct", os.path.join(DATA, "trigonal_tower.json"),
+                     "--op", "trigonal", "--out", str(quartic)]) == 0
+        doc = json.loads(quartic.read_text())
+        doc["base"]["lengths"][min(doc["base"]["lengths"])] = "0"
+        quartic.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["construct", str(quartic), "--op", "recillas", "--out", str(back)]) == 1
+        captured = capsys.readouterr()
+        assert "[length-positive]" in captured.out and captured.err == ""
+        assert not back.exists()
 
 
 def _set(path, value):
@@ -275,6 +296,17 @@ def _set(path, value):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
+        return doc
+    return mutate
+
+
+def _del(path):
+    """Mutation deleting doc[path[0]][path[1]]..."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
         return doc
     return mutate
 
@@ -293,6 +325,11 @@ class TestInnerTypes:
         "base vertex string": (_set(("base", "vertices", 0), "a"), "graph vertices must hold integers"),
         "level1 root key": (_set(("levels", 1, "root", "x"), 0), "level root keys must be integers"),
         "level0 half_edges 3": (_set(("levels", 0, "half_edges"), 3), "level half_edges must be a list"),
+        "base root missing": (_del(("base", "root")), "graph root is missing"),
+        "base vertices missing": (_del(("base", "vertices")), "graph vertices is missing"),
+        "level0 vmap missing": (_del(("levels", 0, "vmap")), "level vmap is missing"),
+        "base length key x": (_set(("base", "lengths"), {"x": "1"}),
+                              "base lengths keys must be integers"),
     }
     COMMANDS = {
         "validate": lambda bad, tmp: ["validate", bad],
@@ -314,3 +351,24 @@ class TestInnerTypes:
         assert captured.err.startswith(f"error: tower file: {message}")
         assert captured.out == ""
         assert not (tmp_path / "out.json").exists()
+
+
+class TestRandomArguments:
+    # out-of-range or unparsable generator arguments are usage errors (exit 2)
+    # and write nothing
+    BAD = {
+        "length range 0,0": ["--length-range", "0,0"],
+        "tree size 5": ["--tree-size", "5"],
+        "tree size 5,2": ["--tree-size", "5,2"],
+        "dilation x": ["--dilation", "x"],
+        "pi free and dilated": ["--pi-free", "--pi-dilated"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_argument_is_a_usage_error(self, tmp_path, capsys, case):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["random", "--seed", "1", "--n", "2", "--out", str(out), *self.BAD[case]])
+        assert exit_.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()

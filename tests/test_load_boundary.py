@@ -1,0 +1,137 @@
+"""The single load boundary: `towerio.load` is the only place a tower file is
+checked.  A static guard keeps the checks out of `cli`, and a seeded fuzz
+runs every file-reading command on mutants of the shipped files."""
+
+import ast
+import contextlib
+import functools
+import io
+import json
+import os
+import random
+
+import pytest
+
+from tropcover import cli
+from tropcover.cli import main
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tropcover")
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+CHECKS = {"validate_graph", "validate_harmonic", "validate_metric"}
+
+
+def check_calls(tree):
+    """(function, check) for each call of an input check inside a top-level
+    function: a cmd_* function, or a helper one could call."""
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in CHECKS:
+                        yield fn.name, name
+
+
+def test_guard_catches_a_check_call():
+    source = ("def cmd_a(args):\n    return validate_graph(g)\n"
+              "def cmd_b(args):\n    return graphs.validate_harmonic(f)\n"
+              "def helper():\n    return validate_metric(m)\n")
+    assert sorted(check_calls(ast.parse(source))) == [
+        ("cmd_a", "validate_graph"), ("cmd_b", "validate_harmonic"), ("helper", "validate_metric")]
+
+
+def test_commands_leave_checks_to_the_loader():
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert list(check_calls(tree)) == []
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node below the document root."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+RETYPED = [None, True, 0, -1, 2, "x", "1", "1/0", 1.5, [], [1], {}, {"0": 1}]
+
+
+def mutate(doc, rng):
+    """Apply one seeded mutation in place; return its description."""
+    kind = rng.choice(["delete key", "retype value", "change integer", "drop entry"])
+    nodes = list(_nodes(doc))
+    if kind in ("delete key", "drop entry"):
+        # an object's entries are reached by a str key, a list's by an int index
+        nodes = [(p, v) for p, v in nodes if type(p[-1]) is (str if kind == "delete key" else int)]
+    elif kind == "change integer":
+        nodes = [(p, v) for p, v in nodes if type(v) is int]
+    path, value = rng.choice(nodes)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind in ("delete key", "drop entry"):
+        del parent[path[-1]]
+    elif kind == "retype value":
+        parent[path[-1]] = rng.choice([x for x in RETYPED if type(x) is not type(value)])
+    else:
+        parent[path[-1]] = value + rng.choice([-value - 1, -1, 1, 5])
+    return f"{kind} at {path}"
+
+
+def run(argv, what):
+    """(exit code, stdout, stderr) of main(argv); fails the test if an
+    exception escapes main."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:
+        pytest.fail(f"{argv[0]} on a mutant ({what}) raised {exc!r}")
+    return code, out.getvalue(), err.getvalue()
+
+
+def fuzz(workdir, seed: int, trials: int):
+    """Run every file-reading command on `trials` seeded mutants of data/*.json.
+
+    validate passes, prints an issue report, or names a malformed tower
+    file; when it rejects a mutant, no other command passes, writes or
+    reports an isomorphism.
+    """
+    rng = random.Random(seed)
+    sources = {}
+    for name, theorem in (("trigonal_tower.json", "trigonal"), ("bigonal_tower.json", "bigonal")):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            sources[name] = (json.load(fh), theorem)
+    out = os.path.join(workdir, "out.json")
+    for trial in range(trials):
+        name = rng.choice(sorted(sources))
+        doc, theorem = json.loads(json.dumps(sources[name][0])), sources[name][1]
+        what = mutate(doc, rng)
+        bad = os.path.join(workdir, f"m{trial}.json")
+        with open(bad, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, text, err = run(["validate", bad], what)
+        assert (code, err) == (0, "") and text.startswith("OK: ") \
+            or (code, err) == (1, "") and text \
+            or code == 1 and text == "" and err.startswith("error: tower file: "), (name, what)
+        for argv in (["construct", bad, "--op", theorem, "--out", out],
+                     ["classify", bad], ["jacobian", bad], ["prym", bad],
+                     ["check", bad, "--theorem", theorem], ["export-dot", bad],
+                     ["compare", bad, os.path.join(DATA, name)]):
+            code2, text, _ = run(argv, what)
+            if code != 0:
+                lines = text.splitlines()
+                assert code2 != 0 and "PASS" not in lines and "isomorphic" not in lines \
+                    and not any(x.startswith("wrote") for x in lines), (name, what, argv)
+        if os.path.exists(out):
+            os.remove(out)
+
+
+def test_mutated_files_never_escape_main_or_pass(tmp_path, monkeypatch):
+    # one parser for all 1600 calls: building it is most of the cost of a
+    # call on a rejected file
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(maxsize=None)(cli.build_parser))
+    fuzz(str(tmp_path), 20221018, 200)

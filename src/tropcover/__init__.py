@@ -24,10 +24,9 @@ from .ngonal import (FiberDatum, FiberPart, Refinement, bigonal,
                      multisection_degree, multisection_sign, multisections,
                      ngonal_construct, recillas, tetragonal_split,
                      tower_fiber, trigonal)
-from .intlinalg import gram_isometries, snf, vectors_with_norm
-from .tori import (IntegralTorus, Polarization, TorusHom, classify_hom,
-                   dual_polarization, dual_type, factor_isogeny,
-                   induced_polarization, polarized_isomorphic)
+from .intlinalg import gram_isometries, vectors_with_norm
+from .tori import (IntegralTorus, Polarization, TorusHom, dual_polarization,
+                   dual_type, polarized_isomorphic)
 from .jacprym import (CheckResult, PrymData, SymmetricBasis, check_bigonal_duality,
                       check_trigonal_prym, cycle_pairing, h1_basis, jacobian,
                       norm_hom, pairing_table, prym, symmetric_basis,

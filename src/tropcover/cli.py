@@ -17,6 +17,7 @@ rejected by all of them, the same way.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -245,7 +246,9 @@ def _probability(text: str) -> Fraction:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tropcover",
         description="Exact constructions on harmonic covers of metric graphs: "

@@ -255,6 +255,8 @@ class HarmonicMorphism:
     # fiber index, built once: target id -> ascending source ids over it, for
     # vertices, half-edges and edge keys (an edge by the image of its key half)
     _fibers: tuple = field(init=False, compare=False, repr=False, default=None)
+    # validate_harmonic's issues, found on its first call
+    _issues: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         m, s = self.morphism, self.morphism.source
@@ -316,8 +318,15 @@ def validate_harmonic(f: HarmonicMorphism) -> list:
     """Check edge-degree consistency and the local balancing equation.
 
     For a connected target additionally checks that fiber degree sums
-    agree over all points (the global degree).
+    agree over all points (the global degree).  A morphism is scanned once;
+    each call returns a fresh list of its issues.
     """
+    if f._issues is None:
+        object.__setattr__(f, "_issues", tuple(_harmonic_issues(f)))
+    return list(f._issues)
+
+
+def _harmonic_issues(f: HarmonicMorphism) -> list:
     issues = list(validate_morphism(f.morphism))
     s, t = f.source, f.target
     for v in s.vertices:

@@ -9,7 +9,6 @@ integers only.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -25,6 +24,11 @@ def shape(m) -> tuple:
 
 def identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def diag(entries) -> tuple:
+    return tuple(tuple(a if i == j else 0 for j in range(len(entries)))
+                 for i, a in enumerate(entries))
 
 
 def zeros(n: int, m: int) -> tuple:
@@ -173,150 +177,6 @@ def is_positive_definite(q) -> bool:
 def is_unimodular(m) -> bool:
     rows, cols = shape(m)
     return rows == cols and is_integral(m) and abs(det(m)) == 1
-
-
-@dataclass(frozen=True)
-class SNF:
-    """U @ M @ V = S with S diagonal, d1 | d2 | ... >= 0, U, V unimodular."""
-
-    S: tuple
-    U: tuple
-    V: tuple
-
-    def diagonal(self) -> tuple:
-        n, m = shape(self.S)
-        return tuple(self.S[i][i] for i in range(min(n, m)))
-
-    def invariant_factors(self) -> tuple:
-        return tuple(d for d in self.diagonal() if d != 0)
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors())
-
-
-def _exgcd(a, b):
-    """(g, x, y) with x*a + y*b = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-def snf(matrix) -> SNF:
-    """Smith normal form with transformation matrices, re-verified exactly.
-
-    Pivoting clears rows and columns by 2x2 unimodular (extended gcd)
-    blocks, which keeps the transform entries near the matrix scale.
-    """
-    a = [[int(x) for x in row] for row in matrix]
-    n, m = len(a), len(a[0]) if a else 0
-    u = [list(row) for row in identity(n)]
-    v = [list(row) for row in identity(m)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_gcd_step(t, i):
-        """Unimodular rows (t, i) update making a[t][t] = gcd, a[i][t] = 0."""
-        p, q = a[t][t], a[i][t]
-        if q == 0:
-            return
-        if p and q % p == 0:
-            c = -(q // p)
-            a[i] = [x + c * y for x, y in zip(a[i], a[t])]
-            u[i] = [x + c * y for x, y in zip(u[i], u[t])]
-            return
-        g, x, y = _exgcd(p, q)
-        pg, qg = p // g, q // g
-        a[t], a[i] = [x * rt + y * ri for rt, ri in zip(a[t], a[i])], \
-                     [-qg * rt + pg * ri for rt, ri in zip(a[t], a[i])]
-        u[t], u[i] = [x * rt + y * ri for rt, ri in zip(u[t], u[i])], \
-                     [-qg * rt + pg * ri for rt, ri in zip(u[t], u[i])]
-
-    def col_gcd_step(t, j):
-        p, q = a[t][t], a[t][j]
-        if q == 0:
-            return
-        if p and q % p == 0:
-            c = -(q // p)
-            for row in a:
-                row[j] += c * row[t]
-            for row in v:
-                row[j] += c * row[t]
-            return
-        g, x, y = _exgcd(p, q)
-        pg, qg = p // g, q // g
-        for row in a:
-            row[t], row[j] = x * row[t] + y * row[j], -qg * row[t] + pg * row[j]
-        for row in v:
-            row[t], row[j] = x * row[t] + y * row[j], -qg * row[t] + pg * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(n, m):
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best, pivot = x, (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            for i in range(t + 1, n):
-                row_gcd_step(t, i)
-            for j in range(t + 1, m):
-                col_gcd_step(t, j)
-            if all(a[i][t] == 0 for i in range(t + 1, n)) \
-                    and all(a[t][j] == 0 for j in range(t + 1, m)):
-                break
-        p = a[t][t]
-        offender = next(((i, j) for i in range(t + 1, n) for j in range(t + 1, m)
-                         if a[i][j] % p), None)
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender[0]])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender[0]])]
-            continue
-        if p < 0:
-            negate_row(t)
-        t += 1
-    result = SNF(mat(a), mat(u), mat(v))
-    _check_snf(matrix, result)
-    return result
-
-
-def _check_snf(matrix, res: SNF):
-    if not mat_equal(matmul(matmul(res.U, mat(matrix)), res.V), res.S):
-        raise AssertionError("snf: U @ M @ V != S")
-    if abs(det(res.U)) != 1 or abs(det(res.V)) != 1:
-        raise AssertionError("snf: transforms are not unimodular")
-    diag = res.diagonal()
-    for d1, d2 in zip(diag, diag[1:]):
-        if d1 < 0 or (d2 and d1 and d2 % d1):
-            raise AssertionError("snf: diagonal is not a divisibility chain")
-        if d1 == 0 and d2 != 0:
-            raise AssertionError("snf: zero before nonzero on the diagonal")
 
 
 def _columns_to_matrix(cols, nrows) -> tuple:

@@ -164,11 +164,11 @@ class TransferMaps:
     target_basis: CycleBasis
 
 
-def transfer_maps(cover: DoubleCover, source_basis=None, target_basis=None) -> TransferMaps:
+def transfer_maps(cover: DoubleCover) -> TransferMaps:
     if not is_connected(cover.source) or not is_connected(cover.target):
         raise PreconditionError("connected", "transfer maps require connected source and target")
-    sb = source_basis or h1_basis(cover.source)
-    tb = target_basis or h1_basis(cover.target)
+    sb = h1_basis(cover.source)
+    tb = h1_basis(cover.target)
     push = la._columns_to_matrix([tb.coordinates(push_chain(cover, c)) for c in sb.cycles], tb.rank)
     pull = la._columns_to_matrix([sb.coordinates(pull_chain(cover, c)) for c in tb.cycles], sb.rank)
     invol = la._columns_to_matrix([sb.coordinates(invol_chain(cover, c)) for c in sb.cycles], sb.rank)
@@ -212,11 +212,6 @@ class PrymData:
         return self.torus.rank
 
 
-def _diag(entries) -> tuple:
-    return tuple(tuple(a if i == j else 0 for j in range(len(entries)))
-                 for i, a in enumerate(entries))
-
-
 def _minus(u, v) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -257,7 +252,7 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
         x = la.matmul(proj, kernel)
     else:
         pairing = x = ()
-    if x != _diag(ptype):
+    if x != la.diag(ptype):
         raise AssertionError(f"adapted Prym polarization != diag(1^{dil.B}, 2^{dil.A})")
     if k != genus(cover.source) - genus(cover.target):
         raise AssertionError("Prym rank differs from the genus difference")
@@ -268,7 +263,7 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
     pp_torus = IntegralTorus(tuple(tuple(Fraction(a, big) * v for v in row)
                                    for a, row in zip(ptype, pairing)))
     zeta = Polarization(pp_torus, la.identity(k))
-    to_original = TorusHom(pp_torus, torus, _diag([big // a for a in ptype]), la.identity(k))
+    to_original = TorusHom(pp_torus, torus, la.diag([big // a for a in ptype]), la.identity(k))
     if la.matmul(la.matmul(to_original.pull, x), to_original.push) != la.mat_scale(big, zeta.matrix):
         raise AssertionError("principal model: pulled-back polarization != multiplier * I")
     return PrymData(cover, torus, pol, ptype, PrincipalModel(zeta, to_original, big),

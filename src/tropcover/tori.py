@@ -2,8 +2,10 @@
 
 An integral torus is a pair of equal-rank lattices with a nondegenerate
 rational pairing; a homomorphism is a (pull, push) pair of integer
-matrices compatible with the pairings.  Polarized isomorphism is decided
-by a complete finite search through Gram-form isometries.
+matrices compatible with the pairings.  A polarization is dualized in
+adapted form, diag(d_1 | d_2 | ...), the form in which the package builds
+every polarization.  Polarized isomorphism is decided by a complete finite
+search through Gram-form isometries.
 """
 
 from __future__ import annotations
@@ -61,84 +63,11 @@ class TorusHom:
             if not la.mat_equal(la.matmul(la.transpose(self.pull), self.source.pairing),
                                 la.matmul(self.target.pairing, self.push)):
                 raise TorusError("pull/push are not adjoint for the pairings")
-            if la.rank(self.pull) != la.rank(self.push):
-                raise TorusError("pull and push have different ranks")
-
-    @property
-    def rank(self) -> int:
-        return la.rank(self.pull) if self.pull else 0
+            # both pairings are nondegenerate, so adjointness forces
+            # rank(pull) == rank(push)
 
     def dual(self) -> "TorusHom":
         return TorusHom(self.target.dual(), self.source.dual(), self.push, self.pull)
-
-
-def identity_hom(t: IntegralTorus) -> TorusHom:
-    return TorusHom(t, t, la.identity(t.rank), la.identity(t.rank))
-
-
-def compose_homs(g: TorusHom, f: TorusHom) -> TorusHom:
-    """g after f."""
-    if f.target != g.source:
-        raise TorusError("homs are not composable")
-    return TorusHom(f.source, g.target, la.matmul(f.pull, g.pull), la.matmul(g.push, f.push))
-
-
-@dataclass(frozen=True)
-class HomFlags:
-    surjective: bool
-    finite: bool
-    injective: bool
-    isogeny: bool
-    free_isogeny: bool
-    dilation: bool
-    isomorphism: bool
-
-
-def classify_hom(h: TorusHom) -> HomFlags:
-    g1, g2 = h.source.rank, h.target.rank
-    r = h.rank
-    surjective = r == g2
-    finite = r == g1
-    saturated = finite and all(d == 1 for d in la.snf(h.push).invariant_factors()) if g1 else finite
-    injective = finite and saturated
-    isogeny = surjective and finite
-    free = isogeny and la.is_unimodular(h.pull) if g1 else isogeny
-    dil = isogeny and la.is_unimodular(h.push) if g1 else isogeny
-    return HomFlags(surjective, finite, injective, isogeny, free, dil, free and dil)
-
-
-@dataclass(frozen=True)
-class IsogenyFactorization:
-    middle: IntegralTorus
-    free_part: TorusHom      # source -> middle, pull unimodular
-    dilation_part: TorusHom  # middle -> target, push unimodular
-
-
-def factor_isogeny(h: TorusHom) -> IsogenyFactorization:
-    """Split an isogeny as a free isogeny followed by a dilation.
-
-    The middle torus keeps the source's first lattice and the target's
-    second lattice, with the pairing divided by the invariant factors of
-    the push map in adapted bases.
-    """
-    flags = classify_hom(h)
-    if not flags.isogeny:
-        raise TorusError("factor_isogeny requires an isogeny")
-    g = h.source.rank
-    res = la.snf(h.push)
-    diag = res.diagonal()
-    # second lattice of the middle torus in the adapted basis given by U^-1
-    pairing_cols = la.matmul(h.source.pairing, res.V)
-    middle_pairing = tuple(tuple(pairing_cols[i][j] / diag[j] for j in range(g)) for i in range(g))
-    middle = IntegralTorus(middle_pairing)
-    free_part = TorusHom(h.source, middle, la.identity(g), la.matmul(res.U, h.push))
-    dilation_part = TorusHom(middle, h.target, h.pull, la.to_int(la.inverse(res.U)))
-    composed = compose_homs(dilation_part, free_part)
-    if not (la.mat_equal(composed.pull, h.pull) and la.mat_equal(composed.push, h.push)):
-        raise AssertionError("factor_isogeny: composition does not reproduce the input")
-    if not classify_hom(free_part).free_isogeny or not classify_hom(dilation_part).dilation:
-        raise AssertionError("factor_isogeny: parts have the wrong classification")
-    return IsogenyFactorization(middle, free_part, dilation_part)
 
 
 @dataclass(frozen=True)
@@ -177,21 +106,6 @@ class Polarization:
     def gram(self) -> tuple:
         return self._gram
 
-    def type(self) -> tuple:
-        return la.snf(self.matrix).invariant_factors()
-
-
-def induced_polarization(h: TorusHom, pol: Polarization) -> Polarization:
-    """Pull a polarization on the target back along a finite homomorphism."""
-    if pol.torus != h.target:
-        raise TorusError("polarization is not on the hom's target")
-    if not classify_hom(h).finite:
-        raise TorusError("induced polarization requires a finite homomorphism")
-    if h.source.rank == 0:
-        return Polarization(h.source, tuple())
-    x = la.matmul(la.matmul(h.pull, pol.matrix), h.push)
-    return Polarization(h.source, x)
-
 
 @dataclass(frozen=True)
 class PrincipalModel:
@@ -216,40 +130,50 @@ def dual_type(t: tuple, multiplier=None) -> tuple:
 
 @dataclass(frozen=True)
 class DualPolarization:
-    """Dual polarization on the dual torus, in Smith-adapted bases."""
+    """Dual polarization on the dual torus, in the adapted bases of the input."""
 
     polarized: Polarization
     dual_torus: IntegralTorus
     multiplier: int
 
 
-def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
-    """xi_dual(e_i) = (multiplier / a_i) e'_i in Smith-adapted bases.
+def _is_chain(d) -> bool:
+    """d_1 | d_2 | ... with every d_i > 0."""
+    return all(a > 0 for a in d) and all(b % a == 0 for a, b in zip(d, d[1:]))
 
-    The default multiplier a_1 * a_g makes the composition with xi the
-    multiplication by a_1 * a_g and is principal iff xi is principal.
-    Any common multiple of the invariant factors is allowed; theorem
-    checks for double covers use the fixed multiplier 2, which agrees
-    with the default exactly when the type mixes 1s and 2s.
+
+def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
+    """xi_dual(e_i) = (multiplier / d_i) e'_i for xi = diag(d_1, ..., d_g).
+
+    The polarization must be in adapted form, diagonal with d_1 | d_2 | ...,
+    as every polarization the package builds is; then the dual torus is the
+    transposed pairing in the same bases, and the type of xi is (d_i).
+    The default multiplier d_1 * d_g makes the composition with xi the
+    multiplication by d_1 * d_g and is principal iff xi is principal.
+    Any common multiple of the d_i is allowed; theorem checks for double
+    covers use the fixed multiplier 2, which agrees with the default exactly
+    when the type mixes 1s and 2s.
     """
     g = pol.torus.rank
     if g == 0:
         return DualPolarization(Polarization(pol.torus.dual(), la.identity(0)),
                                 pol.torus.dual(), multiplier or 1)
-    res = la.snf(pol.matrix)
-    diag = res.diagonal()
+    x = pol.matrix
+    d = tuple(x[i][i] for i in range(g))
+    if x != la.diag(d) or not _is_chain(d):
+        raise TorusError("dual polarization needs an adapted polarization diag(d_1 | d_2 | ...)")
     if multiplier is None:
-        multiplier = diag[0] * diag[-1]
-    if any(multiplier % a for a in diag):
+        multiplier = d[0] * d[-1]
+    if any(multiplier % a for a in d):
         raise TorusError("dual multiplier must be divisible by every invariant factor")
-    uinv = la.to_int(la.inverse(res.U))
-    p_ad = la.matmul(la.matmul(la.transpose(uinv), pol.torus.pairing), res.V)
-    dual_t = IntegralTorus(la.transpose(p_ad))
-    xdual = tuple(tuple(multiplier // diag[i] if i == j else 0 for j in range(g)) for i in range(g))
+    dual_t = pol.torus.dual()
+    xdual = la.diag([multiplier // a for a in d])
     dual_pol = Polarization(dual_t, xdual)
-    if dual_pol.type() != dual_type(pol.type(), multiplier):
+    # multiplier / d_g | ... | multiplier / d_1: the reversed diagonal is the type
+    dual_diag = tuple(xdual[i][i] for i in reversed(range(g)))
+    if not _is_chain(dual_diag) or dual_diag != dual_type(d, multiplier):
         raise AssertionError("dual polarization has the wrong type")
-    if not la.mat_equal(la.matmul(res.S, xdual), la.mat_scale(multiplier, la.identity(g))):
+    if not la.mat_equal(la.matmul(x, xdual), la.mat_scale(multiplier, la.identity(g))):
         raise AssertionError("xi . xi_dual is not multiplication by the multiplier")
     return DualPolarization(dual_pol, dual_t, multiplier)
 
@@ -275,10 +199,8 @@ def polarized_isomorphic(pol1: Polarization, pol2: Polarization):
         if not la.is_unimodular(a):
             continue
         a = la.to_int(a)
-        hom = TorusHom(t1, t2, a, b)  # adjointness re-verified in the constructor
+        TorusHom(t1, t2, a, b)  # adjointness re-verified in the constructor
         if not la.mat_equal(la.matmul(la.matmul(a, pol2.matrix), b), pol1.matrix):
             raise AssertionError("polarized_isomorphic: witness does not transport the polarization")
-        if not classify_hom(hom).isomorphism:
-            continue
         return a, b
     return None

@@ -1,13 +1,16 @@
 """Replaced algorithms, kept as differential oracles for the tests.
 
 The package builds the norm-kernel (Prym) torus from involution-adapted
-homology bases.  The route it replaced finds the same lattices by Smith
-normal forms: a saturated kernel basis of the pushforward, a torsion-free
-cokernel of the pullback, the induced polarization, and a principal
-rescaling in Smith-adapted bases.  It lives here, unchanged, so the tests
-can compare the two routes; so does the Fraction Cholesky reference of
-the definiteness test and the short-vector search, and the harmonicity
-check that rescanned a vertex's tangent space once per target half-edge.
+homology bases, and dualizes its polarization in that adapted form.  The
+route it replaced finds the same lattices by Smith normal forms: a
+saturated kernel basis of the pushforward, a torsion-free cokernel of the
+pullback, the induced polarization, a principal rescaling and the dual
+polarization in Smith-adapted bases.  It lives here, with the Smith
+normal form itself and the homomorphism classification it uses, so the
+tests can compare the two routes; so does the Fraction Cholesky reference
+of the definiteness test and the short-vector search, and the
+harmonicity check that rescanned a vertex's tangent space once per
+target half-edge.
 """
 
 from __future__ import annotations
@@ -18,9 +21,198 @@ from fractions import Fraction
 from tropcover import intlinalg as la
 from tropcover.graphs import (HarmonicMorphism, ValidationIssue, hpoint,
                               is_connected, validate_morphism, vpoint)
-from tropcover.tori import (IntegralTorus, KernelTorus, Polarization,
-                            PrincipalModel, TorusHom, classify_hom,
-                            identity_hom, induced_polarization)
+from tropcover.tori import (DualPolarization, IntegralTorus, KernelTorus,
+                            Polarization, PrincipalModel, TorusError, TorusHom,
+                            dual_type)
+
+
+@dataclass(frozen=True)
+class SNF:
+    """U @ M @ V = S with S diagonal, d1 | d2 | ... >= 0, U, V unimodular."""
+
+    S: tuple
+    U: tuple
+    V: tuple
+
+    def diagonal(self) -> tuple:
+        n, m = la.shape(self.S)
+        return tuple(self.S[i][i] for i in range(min(n, m)))
+
+    def invariant_factors(self) -> tuple:
+        return tuple(d for d in self.diagonal() if d != 0)
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors())
+
+
+def _exgcd(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), g >= 0."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def snf(matrix) -> SNF:
+    """Smith normal form with transformation matrices, re-verified exactly.
+
+    Pivoting clears rows and columns by 2x2 unimodular (extended gcd)
+    blocks, which keeps the transform entries near the matrix scale.
+    """
+    a = [[int(x) for x in row] for row in matrix]
+    n, m = len(a), len(a[0]) if a else 0
+    u = [list(row) for row in la.identity(n)]
+    v = [list(row) for row in la.identity(m)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def row_gcd_step(t, i):
+        """Unimodular rows (t, i) update making a[t][t] = gcd, a[i][t] = 0."""
+        p, q = a[t][t], a[i][t]
+        if q == 0:
+            return
+        if p and q % p == 0:
+            c = -(q // p)
+            a[i] = [x + c * y for x, y in zip(a[i], a[t])]
+            u[i] = [x + c * y for x, y in zip(u[i], u[t])]
+            return
+        g, x, y = _exgcd(p, q)
+        pg, qg = p // g, q // g
+        a[t], a[i] = [x * rt + y * ri for rt, ri in zip(a[t], a[i])], \
+                     [-qg * rt + pg * ri for rt, ri in zip(a[t], a[i])]
+        u[t], u[i] = [x * rt + y * ri for rt, ri in zip(u[t], u[i])], \
+                     [-qg * rt + pg * ri for rt, ri in zip(u[t], u[i])]
+
+    def col_gcd_step(t, j):
+        p, q = a[t][t], a[t][j]
+        if q == 0:
+            return
+        if p and q % p == 0:
+            c = -(q // p)
+            for row in a:
+                row[j] += c * row[t]
+            for row in v:
+                row[j] += c * row[t]
+            return
+        g, x, y = _exgcd(p, q)
+        pg, qg = p // g, q // g
+        for row in a:
+            row[t], row[j] = x * row[t] + y * row[j], -qg * row[t] + pg * row[j]
+        for row in v:
+            row[t], row[j] = x * row[t] + y * row[j], -qg * row[t] + pg * row[j]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(n, m):
+        pivot = None
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    best, pivot = x, (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            for i in range(t + 1, n):
+                row_gcd_step(t, i)
+            for j in range(t + 1, m):
+                col_gcd_step(t, j)
+            if all(a[i][t] == 0 for i in range(t + 1, n)) \
+                    and all(a[t][j] == 0 for j in range(t + 1, m)):
+                break
+        p = a[t][t]
+        offender = next(((i, j) for i in range(t + 1, n) for j in range(t + 1, m)
+                         if a[i][j] % p), None)
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender[0]])]
+            u[t] = [x + y for x, y in zip(u[t], u[offender[0]])]
+            continue
+        if p < 0:
+            negate_row(t)
+        t += 1
+    result = SNF(la.mat(a), la.mat(u), la.mat(v))
+    _check_snf(matrix, result)
+    return result
+
+
+def _check_snf(matrix, res: SNF):
+    if not la.mat_equal(la.matmul(la.matmul(res.U, la.mat(matrix)), res.V), res.S):
+        raise AssertionError("snf: U @ M @ V != S")
+    if abs(la.det(res.U)) != 1 or abs(la.det(res.V)) != 1:
+        raise AssertionError("snf: transforms are not unimodular")
+    diag = res.diagonal()
+    for d1, d2 in zip(diag, diag[1:]):
+        if d1 < 0 or (d2 and d1 and d2 % d1):
+            raise AssertionError("snf: diagonal is not a divisibility chain")
+        if d1 == 0 and d2 != 0:
+            raise AssertionError("snf: zero before nonzero on the diagonal")
+
+
+def polarization_type(pol: Polarization) -> tuple:
+    """Invariant factors of the polarization matrix."""
+    return snf(pol.matrix).invariant_factors()
+
+
+def identity_hom(t: IntegralTorus) -> TorusHom:
+    return TorusHom(t, t, la.identity(t.rank), la.identity(t.rank))
+
+
+@dataclass(frozen=True)
+class HomFlags:
+    surjective: bool
+    finite: bool
+    injective: bool
+    isogeny: bool
+    free_isogeny: bool
+    dilation: bool
+    isomorphism: bool
+
+
+def classify_hom(h: TorusHom) -> HomFlags:
+    g1, g2 = h.source.rank, h.target.rank
+    r = la.rank(h.pull) if h.pull else 0
+    surjective = r == g2
+    finite = r == g1
+    saturated = finite and all(d == 1 for d in snf(h.push).invariant_factors()) if g1 else finite
+    injective = finite and saturated
+    isogeny = surjective and finite
+    free = isogeny and la.is_unimodular(h.pull) if g1 else isogeny
+    dil = isogeny and la.is_unimodular(h.push) if g1 else isogeny
+    return HomFlags(surjective, finite, injective, isogeny, free, dil, free and dil)
+
+
+def induced_polarization(h: TorusHom, pol: Polarization) -> Polarization:
+    """Pull a polarization on the target back along a finite homomorphism."""
+    if pol.torus != h.target:
+        raise TorusError("polarization is not on the hom's target")
+    if not classify_hom(h).finite:
+        raise TorusError("induced polarization requires a finite homomorphism")
+    if h.source.rank == 0:
+        return Polarization(h.source, tuple())
+    x = la.matmul(la.matmul(h.pull, pol.matrix), h.push)
+    return Polarization(h.source, x)
 
 
 def _cholesky(q) -> tuple:
@@ -48,7 +240,7 @@ def kernel_basis(matrix) -> tuple:
     n, m = la.shape(matrix)
     if m == 0:
         return tuple()
-    res = la.snf(matrix)
+    res = snf(matrix)
     r = res.rank
     return tuple(row[r:] for row in res.V)
 
@@ -67,7 +259,7 @@ class Cokernel:
 
 def cokernel_tf(matrix) -> Cokernel:
     n, m = la.shape(matrix)
-    res = la.snf(matrix)
+    res = snf(matrix)
     r = res.rank
     proj = tuple(res.U[i] for i in range(r, n))
     uinv = la.to_int(la.inverse(res.U)) if n else tuple()
@@ -135,7 +327,7 @@ def pp_rescale(pol: Polarization) -> PrincipalModel:
     if g == 0:
         return PrincipalModel(Polarization(pol.torus, la.identity(0)),
                               identity_hom(pol.torus), 1)
-    res = la.snf(pol.matrix)
+    res = snf(pol.matrix)
     diag = res.diagonal()
     big = diag[-1]
     uinv = la.to_int(la.inverse(res.U))
@@ -160,6 +352,37 @@ def snf_route_prym(norm: TorusHom):
     ker = kernel_torus(norm)
     pol = induced_polarization(ker.inclusion, Polarization(norm.source, la.identity(norm.source.rank)))
     return ker, pol, pp_rescale(pol)
+
+
+def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> DualPolarization:
+    """xi_dual(e_i) = (multiplier / a_i) e'_i in Smith-adapted bases.
+
+    The default multiplier a_1 * a_g makes the composition with xi the
+    multiplication by a_1 * a_g and is principal iff xi is principal.
+    Any common multiple of the invariant factors is allowed; theorem
+    checks for double covers use the fixed multiplier 2, which agrees
+    with the default exactly when the type mixes 1s and 2s.
+    """
+    g = pol.torus.rank
+    if g == 0:
+        return DualPolarization(Polarization(pol.torus.dual(), la.identity(0)),
+                                pol.torus.dual(), multiplier or 1)
+    res = snf(pol.matrix)
+    diag = res.diagonal()
+    if multiplier is None:
+        multiplier = diag[0] * diag[-1]
+    if any(multiplier % a for a in diag):
+        raise TorusError("dual multiplier must be divisible by every invariant factor")
+    uinv = la.to_int(la.inverse(res.U))
+    p_ad = la.matmul(la.matmul(la.transpose(uinv), pol.torus.pairing), res.V)
+    dual_t = IntegralTorus(la.transpose(p_ad))
+    xdual = tuple(tuple(multiplier // diag[i] if i == j else 0 for j in range(g)) for i in range(g))
+    dual_pol = Polarization(dual_t, xdual)
+    if polarization_type(dual_pol) != dual_type(polarization_type(pol), multiplier):
+        raise AssertionError("dual polarization has the wrong type")
+    if not la.mat_equal(la.matmul(res.S, xdual), la.mat_scale(multiplier, la.identity(g))):
+        raise AssertionError("xi . xi_dual is not multiplication by the multiplier")
+    return DualPolarization(dual_pol, dual_t, multiplier)
 
 
 def validate_harmonic_by_rescan(f: HarmonicMorphism) -> list:

@@ -1,6 +1,8 @@
 """Static guards on the package source: the no-floats rule (no float
-literal, no use of the name `float`, no floating-point math call), and no
-bare `assert`, which `python -O` strips, so that every self-check stays on."""
+literal, no use of the name `float`, no floating-point math call), no
+bare `assert`, which `python -O` strips, so that every self-check stays on,
+and no Smith normal form (`snf`, `SNF`): every polarization the package
+builds is in adapted form, and the Smith form lives in tests/oracles.py."""
 
 import ast
 import os
@@ -26,6 +28,30 @@ def forbidden_uses(tree):
             yield node.lineno, "bare assert"
 
 
+SMITH = {"snf", "SNF"}
+
+
+def smith_form_uses(tree):
+    """(line, description) of each definition of or reference to snf or SNF."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name in SMITH:
+            yield node.lineno, f"defines {node.name}"
+        elif isinstance(node, ast.Name) and node.id in SMITH:
+            yield node.lineno, f"name {node.id}"
+        elif isinstance(node, ast.Attribute) and node.attr in SMITH:
+            yield node.lineno, f"attribute {node.attr}"
+        elif isinstance(node, ast.alias) and (node.name in SMITH or node.asname in SMITH):
+            yield node.lineno, f"imports {node.name}"
+
+
+def package_trees():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
 def test_guard_catches_each_construct():
     source = ("import math\nfrom math import exp as e\n"
               "x = 0.5\ny = float(1)\nz = math.sqrt(2) + math.log(3)\nw = e(1)\n")
@@ -39,11 +65,22 @@ def test_guard_catches_bare_assert():
     assert list(forbidden_uses(ast.parse(source))) == [(2, "bare assert")]
 
 
+def test_guard_catches_smith_form():
+    source = ("from .intlinalg import snf as smith\nfrom . import intlinalg as la\n"
+              "class SNF:\n    pass\ndef snf(m):\n    return la.snf(m)\n"
+              "def f(m):\n    return snf(m)\n")
+    assert sorted(smith_form_uses(ast.parse(source))) == [
+        (1, "imports snf"), (3, "defines SNF"), (5, "defines snf"),
+        (6, "attribute snf"), (8, "name snf")]
+
+
 def test_package_source_has_no_floats():
-    offenders = []
-    for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py"):
-            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=name)
-            offenders += [f"{name}:{line}: {what}" for line, what in forbidden_uses(tree)]
+    offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
+                 for line, what in forbidden_uses(tree)]
+    assert offenders == []
+
+
+def test_package_source_has_no_smith_form():
+    offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
+                 for line, what in smith_form_uses(tree)]
     assert offenders == []

@@ -368,3 +368,26 @@ class TestValidateHarmonicAgainstRescan:
                         assert issues == validate_harmonic_by_rescan(f)
                         codes.update(i.code for i in issues)
         assert {"local-harmonicity", "edge-degree"} <= codes
+
+    def test_each_morphism_is_scanned_once(self, monkeypatch):
+        from tropcover import graphs
+        scans = []
+        scan = graphs._harmonic_issues
+
+        def counted(f):
+            scans.append(f)
+            return scan(f)
+        level = random_tower(7, n=3).tower.f
+        mutants = list(harmonicity_mutants(level, random.Random(7)))
+        monkeypatch.setattr(graphs, "_harmonic_issues", counted)
+        for f in mutants:
+            first = validate_harmonic(f)
+            again = validate_harmonic(f)
+            assert again == first and again is not first
+            first.append("caller's edit")
+            assert validate_harmonic(f) == again
+            # every mutant is its own object, with its own issues
+            assert again == validate_harmonic_by_rescan(f)
+        # the generator checked the unmutated level already
+        assert len(scans) == len(mutants) - 1 and all(a is b for a, b in zip(scans, mutants[1:]))
+        assert validate_harmonic(mutants[0]) == [] and any(validate_harmonic(f) for f in mutants[1:])

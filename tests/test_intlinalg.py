@@ -7,10 +7,10 @@ import pytest
 from tropcover.intlinalg import (_lll_gram, clear_denominators, det,
                                  gram_isometries, identity, inverse,
                                  is_positive_definite, is_unimodular, mat,
-                                 mat_equal, matmul, rank, snf, to_fractions,
+                                 mat_equal, matmul, rank, to_fractions,
                                  transpose, vectors_with_norm)
 
-from oracles import _cholesky, cokernel_tf, kernel_basis
+from oracles import _cholesky, cokernel_tf, kernel_basis, snf
 
 
 class TestSNF:

@@ -7,8 +7,8 @@ from tropcover.cli import main
 from tropcover.gallery import bigonal_reference, trigonal_reference
 from tropcover.graphs import towers_isomorphic, validate_harmonic
 from tropcover.randgen import random_tower
-from tropcover.towerio import (doc_to_file, dumps_canonical, load, save,
-                               tower_to_doc)
+from tropcover.towerio import (doc_to_file, dumps_canonical, file_to_doc, load,
+                               save, tower_to_doc)
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -22,6 +22,19 @@ class TestSerialization:
         again = dumps_canonical(tower_to_doc(reparsed.tower(), reparsed.base_metric,
                                              reparsed.meta))
         assert again == text
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_files_round_trip_byte_identical(self, tmp_path, n):
+        # dumps_canonical(parse(text)) == text on canonical files, without
+        # rebuilding the tower: the loaded levels as they are
+        for seed in range(20):
+            gen = random_tower(seed, n=n)
+            text = dumps_canonical(tower_to_doc(gen.tower, gen.base_metric,
+                                                meta={"seed": seed, "n": n}))
+            path = tmp_path / f"n{n}-{seed}.json"
+            path.write_text(text, encoding="utf-8")
+            f = load(path)
+            assert dumps_canonical(file_to_doc(f.base_metric, f.levels, f.meta)) == text
 
     def test_reload_preserves_tower(self, tmp_path):
         gen = random_tower(3, n=2)

@@ -1,14 +1,12 @@
-from fractions import Fraction
-
 import pytest
 
 from tropcover.intlinalg import identity, mat, mat_equal, mat_scale, matmul, transpose
 from tropcover.tori import (IntegralTorus, Polarization, TorusError, TorusHom,
-                            classify_hom, compose_homs, dual_polarization,
-                            dual_type, factor_isogeny, identity_hom,
-                            induced_polarization, polarized_isomorphic)
+                            dual_polarization, dual_type, polarized_isomorphic)
 
-from oracles import cokernel_torus, kernel_torus, pp_rescale
+from oracles import (classify_hom, cokernel_torus, identity_hom,
+                     induced_polarization, kernel_torus, polarization_type,
+                     pp_rescale)
 
 
 def self_paired(gram):
@@ -41,35 +39,6 @@ class TestClassify:
         assert flags.finite and flags.injective and not flags.surjective
 
 
-class TestFactorIsogeny:
-    def test_already_free(self):
-        h = TorusHom(T2, self_paired([[4, 0], [0, 4]]), mat_scale(2, identity(2)), identity(2))
-        fac = factor_isogeny(h)
-        assert mat_equal(fac.dilation_part.pull, h.pull)
-        assert classify_hom(fac.free_part).isomorphism
-
-    def test_already_dilation(self):
-        h = TorusHom(self_paired([[4, 0], [0, 4]]), T2, identity(2), mat_scale(2, identity(2)))
-        fac = factor_isogeny(h)
-        assert classify_hom(fac.free_part).free_isogeny
-        assert classify_hom(fac.dilation_part).dilation
-
-    def test_mixed_invariant_factors(self):
-        src = self_paired([[1, 0], [0, 1]])
-        tgt = self_paired([[1, 0], [0, 2]])
-        h = TorusHom(src, tgt, [[1, 0], [0, 2]], [[1, 0], [0, 1]])
-        fac = factor_isogeny(h)
-        composed = compose_homs(fac.dilation_part, fac.free_part)
-        assert mat_equal(composed.pull, h.pull) and mat_equal(composed.push, h.push)
-
-    def test_push_with_factors_one_two_halves_one_pairing_row(self):
-        src = self_paired([[1, 0], [0, 1]])
-        tgt = self_paired([[1, 0], [0, Fraction(1, 2)]])
-        h = TorusHom(src, tgt, identity(2), [[1, 0], [0, 2]])
-        fac = factor_isogeny(h)
-        assert fac.middle.pairing == ((1, 0), (0, Fraction(1, 2)))
-
-
 class TestKernelCokernelTori:
     def test_kernel_of_isomorphism_trivial(self):
         assert kernel_torus(identity_hom(T2)).torus.rank == 0
@@ -98,9 +67,9 @@ class TestKernelCokernelTori:
 
 class TestPolarizations:
     def test_type_examples(self):
-        assert Polarization(T2, identity(2)).type() == (1, 1)
-        assert Polarization(self_paired([[1, 0], [0, 1]]),
-                            mat_scale(2, identity(2))).type() == (2, 2)
+        assert polarization_type(Polarization(T2, identity(2))) == (1, 1)
+        assert polarization_type(Polarization(self_paired([[1, 0], [0, 1]]),
+                                              mat_scale(2, identity(2)))) == (2, 2)
 
     def test_induced_by_identity(self):
         pol = Polarization(T2, identity(2))
@@ -125,7 +94,7 @@ class TestPPRescale:
         pol = Polarization(self_paired([[1, 0], [0, 4]]), [[1, 0], [0, 2]])
         model = pp_rescale(pol)
         assert model.multiplier == 2
-        assert model.polarized.type() == (1, 1)
+        assert polarization_type(model.polarized) == (1, 1)
         diag = sorted(model.to_original.pull[i][i] for i in range(2))
         assert diag == [1, 2]  # scales exactly the type-1 direction
 
@@ -139,18 +108,18 @@ class TestPPRescale:
         pol = Polarization(self_paired([[1, 0], [0, 2]]), [[2, 0], [0, 4]])
         model = pp_rescale(pol)
         assert model.multiplier == 4
-        assert model.polarized.type() == (1, 1)
+        assert polarization_type(model.polarized) == (1, 1)
 
 
 class TestDualPolarization:
     def test_principal_stays_principal(self):
         dual = dual_polarization(Polarization(T2, identity(2)))
-        assert dual.polarized.type() == (1, 1)
+        assert polarization_type(dual.polarized) == (1, 1)
 
     def test_type_two_four_self_dual(self):
         pol = Polarization(self_paired([[1, 0], [0, 2]]), [[2, 0], [0, 4]])
         dual = dual_polarization(pol)
-        assert dual.polarized.type() == (2, 4)
+        assert polarization_type(dual.polarized) == (2, 4)
         assert dual.multiplier == 8
 
     def test_dual_type_formula(self):
@@ -158,6 +127,17 @@ class TestDualPolarization:
         assert dual_type((2, 4)) == (2, 4)
         assert dual_type((1, 2), multiplier=2) == (1, 2)
         assert dual_type((2, 2), multiplier=2) == (1, 1)
+
+    @pytest.mark.parametrize("pairing, matrix", [
+        ([[1, 0], [0, 1]], [[2, 1], [1, 2]]),   # not diagonal
+        ([[1, 0], [0, 1]], [[2, 0], [0, 1]]),   # 2 does not divide 1
+        ([[1, 0], [0, 1]], [[2, 0], [0, 3]]),   # 2 does not divide 3
+        ([[-1, 0], [0, -1]], [[-1, 0], [0, -1]]),  # negative diagonal
+    ], ids=["non-diagonal", "descending", "non-chain", "negative"])
+    def test_non_adapted_polarization_rejected(self, pairing, matrix):
+        pol = Polarization(self_paired(pairing), matrix)
+        with pytest.raises(TorusError):
+            dual_polarization(pol)
 
     def test_multiplier_must_clear_factors(self):
         pol = Polarization(self_paired([[1, 0], [0, 3]]), [[1, 0], [0, 3]])

@@ -48,16 +48,47 @@ def _scaled(m):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
+def _zeros(m) -> int:
+    return sum(row.count(0) for row in m)
+
+
+def _int_product(a, b) -> list:
+    """a @ b on integer rows.  A row of a that is mostly zeros is the
+    combination of the rows of b it selects; the other rows take dot
+    products with the columns of b."""
+    cols = None
+    out = []
+    for row in a:
+        if 3 * row.count(0) > 2 * len(row):
+            acc = [0] * len(b[0])
+            for j, x in enumerate(row):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, b[j])]
+            out.append(acc)
+        else:
+            if cols is None:
+                cols = tuple(zip(*b))
+            out.append([sum(map(mul, row, col)) for col in cols])
+    return out
+
+
 def matmul(a, b) -> tuple:
-    """Exact product; int x int stays int, anything else gives fractions."""
+    """Exact product; int x int stays int, anything else gives fractions.
+
+    Sparse factors, such as cycle coordinates, are walked by their
+    nonzeros: when b has the larger share of zeros, a @ b is computed as
+    (b^T a^T)^T.
+    """
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"matmul shape mismatch: {shape(a)} x {shape(b)}")
     da, ia = _scaled(a)
     db, ib = _scaled(b)
-    cols = tuple(zip(*ib))
-    prod = [[sum(map(mul, row, col)) for col in cols] for row in ia]
+    if ra and ca and cb and _zeros(ib) * ra > _zeros(ia) * cb:
+        prod = transpose(_int_product(transpose(ib), transpose(ia)))
+    else:
+        prod = _int_product(ia, ib)
     if ia is a and ib is b:
         return mat(prod)
     d = da * db
@@ -167,11 +198,31 @@ def rank(m) -> int:
     return len(_bareiss(m)[2])
 
 
+def _leading_pivots(m):
+    """The leading Bareiss pivots of a square m, each a leading principal
+    minor times a positive scale, or None when one of those minors is 0."""
+    _, a, cols, _ = _bareiss(m, pivoting=False)
+    return [a[i][i] for i in range(len(a))] if len(cols) == len(a) else None
+
+
 def is_positive_definite(q) -> bool:
-    """Sylvester's test for a symmetric form: every leading Bareiss pivot,
-    a leading principal minor times a positive scale, is > 0."""
-    _, a, cols, _ = _bareiss(q, pivoting=False)
-    return len(cols) == len(a) and all(a[i][i] > 0 for i in range(len(a)))
+    """Sylvester's test for a symmetric form: every leading Bareiss pivot is > 0."""
+    pivots = _leading_pivots(q)
+    return pivots is not None and all(p > 0 for p in pivots)
+
+
+def leading_minor_verdict(m) -> tuple:
+    """(det(m) != 0, every leading principal minor of m is > 0).
+
+    One non-pivoting Bareiss pass decides both when no leading minor
+    vanishes; a nonsingular matrix with a zero leading minor, such as
+    [[0, 1], [1, 0]], costs a second, pivoting pass for the determinant.
+    For a symmetric m the second verdict is positive definiteness.
+    """
+    pivots = _leading_pivots(m)
+    if pivots is None:
+        return det(m) != 0, False
+    return True, all(p > 0 for p in pivots)
 
 
 def is_unimodular(m) -> bool:

@@ -9,8 +9,9 @@ polarization and its canonical principal rescaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import intlinalg as la
 from .graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
@@ -86,13 +87,57 @@ class Jacobian:
     metric: MetricGraph
 
 
+def _certified_gram(metric: MetricGraph, basis: CycleBasis) -> tuple:
+    """(D, integer rows) of the Gram B^T diag(len) B / D of the cycle basis.
+
+    B is the edge-by-cycle incidence.  Its certificate of positive
+    definiteness is checked on the way, in O(nnz): every cycle has
+    coefficient 1 on its own complement edge and 0 on the other complement
+    edges, so B restricted to those edges is the identity, and every edge
+    a cycle runs through has a finite positive length.  Then x^T G x =
+    sum_e len(e) (B x)_e^2 > 0 for every x != 0.
+    """
+    keys = basis.tree.complement_keys
+    if len(keys) != len(basis.cycles):
+        raise AssertionError("cycle basis does not have one cycle per complement edge")
+    complement = set(keys)
+    incidence = {}  # edge key -> [(cycle index, coefficient)]
+    for i, (own, cyc) in enumerate(zip(keys, basis.cycles)):
+        if cyc.get(own) != 1 or any(c and k in complement and k != own for k, c in cyc.items()):
+            raise AssertionError("fundamental cycle is not a unit vector on the complement edges")
+        for k, c in cyc.items():
+            if c:
+                incidence.setdefault(k, []).append((i, c))
+    lengths = {}
+    for k in incidence:
+        length = metric.length[k]
+        if is_inf(length):
+            raise GraphError("cycle pairing across an infinite edge")
+        if not length > 0:
+            raise GraphError(f"jacobian: edge {k} of a cycle has length {length}, not > 0")
+        lengths[k] = Fraction(length)
+    d = lcm(*(x.denominator for x in lengths.values()))
+    gram = [[0] * len(keys) for _ in keys]
+    for k, entries in incidence.items():
+        scaled = lengths[k].numerator * (d // lengths[k].denominator)
+        for i, a in entries:
+            row, w = gram[i], a * scaled
+            for j, b in entries:
+                row[j] += w * b
+    return d, la.mat(gram)
+
+
 def jacobian(metric: MetricGraph) -> Jacobian:
-    """Principally polarized torus on H1 with the edge-length pairing."""
+    """Principally polarized torus on H1 with the edge-length pairing.
+
+    The Gram is built in integers and certified positive definite by the
+    fundamental-cycle structure (`_certified_gram`), so no elimination runs.
+    """
     if not is_connected(metric.graph):
         raise PreconditionError("connected", "jacobian requires a connected graph")
     basis = h1_basis(metric.graph)
-    gram = pairing_table(metric, basis.cycles, basis.cycles)
-    torus = IntegralTorus(gram)
+    d, gram = _certified_gram(metric, basis)
+    torus = IntegralTorus._from_int_form(d, gram, positive=True)
     return Jacobian(torus, Polarization(torus, la.identity(basis.rank)), basis, metric)
 
 
@@ -212,6 +257,14 @@ class PrymData:
         return self.torus.rank
 
 
+def _integral_inverse(t):
+    """T^-1 as integers, or None when T is singular or T^-1 is not integral."""
+    try:
+        return la.to_int(la.inverse(t))
+    except ValueError:
+        return None
+
+
 def _minus(u, v) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -237,18 +290,20 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
     g, nb, na = nm.source.rank, len(basis.beta), len(basis.alpha_plus)
     cols = [maps.source_basis.coordinates(c) for c in
             basis.beta + basis.alpha_plus + basis.alpha_minus + basis.gamma_top]
-    try:
-        t_inv = la.to_int(la.inverse(la._columns_to_matrix(cols, g)))
-    except ValueError as exc:
-        raise AssertionError(f"adapted basis has no integral inverse: {exc}") from None
+    t = la._columns_to_matrix(cols, g)
+    t_inv = basis._top_inverse[1] if basis._top_inverse and basis._top_inverse[0] == t \
+        else _integral_inverse(t)
+    if t_inv is None:
+        raise AssertionError("adapted basis has no integral inverse")
     beta, plus, minus = cols[:nb], cols[nb:nb + na], cols[nb + na:nb + 2 * na]
     kernel = la._columns_to_matrix(beta + [_minus(u, v) for u, v in zip(plus, minus)], g)
     reps = la._columns_to_matrix(beta + plus, g)
     proj = t_inv[:nb] + tuple(_minus(t_inv[nb + i], t_inv[nb + na + i]) for i in range(na))
     ptype = (1,) * dil.B + (2,) * dil.A
     k = nb + na
+    d, top_gram = nm.source._int_form
     if k:
-        pairing = la.matmul(la.matmul(la.transpose(reps), nm.source.pairing), kernel)
+        pairing = la.matmul(la.matmul(la.transpose(reps), top_gram), kernel)
         x = la.matmul(proj, kernel)
     else:
         pairing = x = ()
@@ -256,12 +311,14 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
         raise AssertionError(f"adapted Prym polarization != diag(1^{dil.B}, 2^{dil.A})")
     if k != genus(cover.source) - genus(cover.target):
         raise AssertionError("Prym rank differs from the genus difference")
-    torus = IntegralTorus(pairing)
+    torus = IntegralTorus._from_int_form(d, pairing)
     ker = KernelTorus(torus, TorusHom(torus, nm.source, proj, kernel), proj, reps, kernel)
     pol = Polarization(torus, x)
     big = max(ptype, default=1)
-    pp_torus = IntegralTorus(tuple(tuple(Fraction(a, big) * v for v in row)
-                                   for a, row in zip(ptype, pairing)))
+    # the pairing with row i scaled by a_i / big: its leading minors are
+    # positive multiples of the Prym pairing's
+    pp_torus = IntegralTorus._from_int_form(
+        d * big, tuple(tuple(a * v for v in row) for a, row in zip(ptype, pairing)), torus._positive)
     zeta = Polarization(pp_torus, la.identity(k))
     to_original = TorusHom(pp_torus, torus, la.diag([big // a for a in ptype]), la.identity(k))
     if la.matmul(la.matmul(to_original.pull, x), to_original.push) != la.mat_scale(big, zeta.matrix):
@@ -370,6 +427,9 @@ class SymmetricBasis:
     gamma_top: tuple
     alpha: tuple
     gamma: tuple
+    # (T, T^-1) once verify() has run, T the matrix whose columns are the
+    # coordinates of (beta, alpha_plus, alpha_minus, gamma_top) in h1_basis
+    _top_inverse: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def verify(self):
         cov = self.cover
@@ -401,13 +461,17 @@ class SymmetricBasis:
                     raise AssertionError("a dilated gamma does not pull back to 2 lifts")
         top_basis = h1_basis(cov.source)
         mid_basis = h1_basis(cov.target)
-        top = [top_basis.coordinates(c) for c in
-               self.alpha_plus + self.alpha_minus + self.beta + self.gamma_top]
-        mid = [mid_basis.coordinates(c) for c in self.alpha + self.gamma]
-        if len(top) != top_basis.rank:
+        chains = self.beta + self.alpha_plus + self.alpha_minus + self.gamma_top
+        if len(chains) != top_basis.rank:
             raise AssertionError("top basis has the wrong size")
-        if top_basis.rank and abs(la.det(la.mat(top))) != 1:
+        top = la._columns_to_matrix([top_basis.coordinates(c) for c in chains], top_basis.rank)
+        mid = [mid_basis.coordinates(c) for c in self.alpha + self.gamma]
+        # an integer matrix with an integral inverse has determinant +-1;
+        # prym reuses the inverse
+        top_inverse = _integral_inverse(top)
+        if top_inverse is None:
             raise AssertionError("top basis is not unimodular")
+        object.__setattr__(self, "_top_inverse", (top, top_inverse))
         if len(mid) != mid_basis.rank:
             raise AssertionError("mid basis has the wrong size")
         if mid_basis.rank and abs(la.det(la.mat(mid))) != 1:

@@ -11,6 +11,7 @@ search through Gram-form isometries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import intlinalg as la
 
@@ -21,24 +22,56 @@ class TorusError(ValueError):
 
 @dataclass(frozen=True)
 class IntegralTorus:
-    """Lattice pair of equal rank g with pairing[i][j] = [e_i, e'_j]."""
+    """Lattice pair of equal rank g with pairing[i][j] = [e_i, e'_j].
+
+    The pairing is also kept as (D, integer rows) with pairing == rows / D,
+    together with the verdict of one non-pivoting elimination: whether every
+    leading principal minor is positive, which for a symmetric pairing is
+    positive definiteness.  The checks of `TorusHom` and `Polarization` read
+    both instead of building fractions or eliminating again.
+    """
 
     pairing: tuple
+    _int_form: tuple = field(init=False, compare=False, repr=False, default=None)
+    _positive: bool = field(init=False, compare=False, repr=False, default=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pairing", la.to_fractions(self.pairing))
         n, m = la.shape(self.pairing)
         if n != m:
             raise TorusError("pairing matrix must be square")
-        if n and la.det(self.pairing) == 0:
-            raise TorusError("pairing must be nondegenerate")
+        d, rows = la._scaled(self.pairing)
+        self._keep_int_form(d, la.mat(rows), None)
+
+    def _keep_int_form(self, d, rows, positive):
+        if positive is None:
+            nonsingular, positive = la.leading_minor_verdict(rows)
+            if not nonsingular:
+                raise TorusError("pairing must be nondegenerate")
+        object.__setattr__(self, "_int_form", (d, rows))
+        object.__setattr__(self, "_positive", positive)
+
+    @classmethod
+    def _from_int_form(cls, d, rows, positive=None) -> "IntegralTorus":
+        """Torus on the square pairing rows / D, from that integer form.
+
+        With `positive` None the pairing is checked as in the constructor.
+        Otherwise the caller has proved it nondegenerate, with that
+        leading-minor verdict, and nothing is eliminated.
+        """
+        torus = object.__new__(cls)
+        object.__setattr__(torus, "pairing", tuple(tuple(Fraction(x, d) for x in row) for row in rows))
+        torus._keep_int_form(d, rows, positive)
+        return torus
 
     @property
     def rank(self) -> int:
         return len(self.pairing)
 
     def dual(self) -> "IntegralTorus":
-        return IntegralTorus(la.transpose(self.pairing))
+        # the transpose has the same leading principal minors
+        d, rows = self._int_form
+        return IntegralTorus._from_int_form(d, la.transpose(rows), self._positive)
 
 
 @dataclass(frozen=True)
@@ -60,8 +93,11 @@ class TorusHom:
         if len(self.push) != g2 or any(len(r) != g1 for r in self.push):
             raise TorusError(f"push must be {g2} x {g1}")
         if g1 and g2:
-            if not la.mat_equal(la.matmul(la.transpose(self.pull), self.source.pairing),
-                                la.matmul(self.target.pairing, self.push)):
+            # pull^T (S / d_s) == (T / d_t) push, on the integer rows S and T
+            d_s, s = self.source._int_form
+            d_t, t = self.target._int_form
+            if la.mat_scale(d_t, la.matmul(la.transpose(self.pull), s)) != \
+                    la.mat_scale(d_s, la.matmul(t, self.push)):
                 raise TorusError("pull/push are not adjoint for the pairings")
             # both pairings are nondegenerate, so adjointness forces
             # rank(pull) == rank(push)
@@ -95,12 +131,22 @@ class Polarization:
             raise TorusError("polarization matrix has wrong shape")
         if not la.is_integral(self.matrix):
             raise TorusError("polarization matrix must be integral")
-        gram = self.torus.pairing if self.matrix == la.identity(g) else \
-            la.matmul(la.transpose(self.matrix), self.torus.pairing)
-        object.__setattr__(self, "_gram", gram)
-        if not la.mat_equal(gram, la.transpose(gram)):
+        d, rows = self.torus._int_form
+        scale = tuple(int(self.matrix[i][i]) for i in range(g))
+        if self.matrix == la.diag(scale) and all(s > 0 for s in scale):
+            # the leading minors of diag(s) P are s_1 ... s_k times those of
+            # P, so the torus's verdict decides definiteness
+            form = rows if all(s == 1 for s in scale) else \
+                tuple(tuple(s * x for x in row) for s, row in zip(scale, rows))
+            positive = self.torus._positive
+        else:
+            form = la.matmul(la.transpose(la.to_int(self.matrix)), rows)
+            positive = None
+        object.__setattr__(self, "_gram", self.torus.pairing if form is rows else
+                           tuple(tuple(Fraction(x, d) for x in row) for row in form))
+        if form != la.transpose(form):
             raise TorusError("polarization form is not symmetric")
-        if not la.is_positive_definite(gram):
+        if not (la.is_positive_definite(form) if positive is None else positive):
             raise TorusError("polarization form is not positive definite")
 
     def gram(self) -> tuple:

@@ -10,7 +10,10 @@ normal form itself and the homomorphism classification it uses, so the
 tests can compare the two routes; so does the Fraction Cholesky reference
 of the definiteness test and the short-vector search, and the
 harmonicity check that rescanned a vertex's tangent space once per
-target half-edge.
+target half-edge.  So do the Fraction forms of the torus self-checks
+that now run on integers: the Jacobian Gram as a table of cycle
+pairings, adjointness of a homomorphism, the polarization form, and a
+determinant per leading minor for the one-elimination torus verdict.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from fractions import Fraction
 from tropcover import intlinalg as la
 from tropcover.graphs import (HarmonicMorphism, ValidationIssue, hpoint,
                               is_connected, validate_morphism, vpoint)
+from tropcover.jacprym import h1_basis, pairing_table
 from tropcover.tori import (DualPolarization, IntegralTorus, KernelTorus,
                             Polarization, PrincipalModel, TorusError, TorusHom,
                             dual_type)
@@ -420,3 +424,39 @@ def validate_harmonic_by_rescan(f: HarmonicMorphism) -> list:
             for p, d in sorted(sums.items()):
                 issues.append(ValidationIssue("global-degree", p, f"fiber degree sum {d} not constant"))
     return issues
+
+
+def jacobian_gram_by_pairing_table(metric) -> tuple:
+    """The Fraction Gram of the fundamental cycles, one cycle pairing per entry."""
+    cycles = h1_basis(metric.graph).cycles
+    return pairing_table(metric, cycles, cycles)
+
+
+def torus_verdict_by_minors(m) -> tuple:
+    """(det != 0, every leading principal minor > 0), a pivoting determinant each."""
+    return la.det(m) != 0, all(la.det([row[:k] for row in m[:k]]) > 0
+                               for k in range(1, len(m) + 1))
+
+
+def _fraction_product(a, b) -> tuple:
+    """a @ b by the triple loop, in fractions."""
+    return tuple(tuple(sum((Fraction(row[k]) * b[k][j] for k in range(len(b))), Fraction(0))
+                       for j in range(len(b[0]) if b else 0)) for row in a)
+
+
+def adjoint_by_fractions(source: IntegralTorus, target: IntegralTorus, pull, push) -> bool:
+    """pull^T P_source == P_target push on the Fraction pairings."""
+    return (_fraction_product(la.transpose(pull), source.pairing)
+            == _fraction_product(target.pairing, push))
+
+
+def polarization_by_fractions(torus: IntegralTorus, matrix) -> bool:
+    """X^T P symmetric and positive definite, on fractions, by Cholesky."""
+    gram = _fraction_product(la.transpose(matrix), torus.pairing)
+    if gram != la.transpose(gram):
+        return False
+    try:
+        _cholesky(gram)
+    except ValueError:
+        return False
+    return True

@@ -1,8 +1,10 @@
 """Static guards on the package source: the no-floats rule (no float
 literal, no use of the name `float`, no floating-point math call), no
 bare `assert`, which `python -O` strips, so that every self-check stays on,
-and no Smith normal form (`snf`, `SNF`): every polarization the package
-builds is in adapted form, and the Smith form lives in tests/oracles.py."""
+a floor on the number of those self-checks (`raise AssertionError`), so
+that making them cheaper never removes one, and no Smith normal form
+(`snf`, `SNF`): every polarization the package builds is in adapted form,
+and the Smith form lives in tests/oracles.py."""
 
 import ast
 import os
@@ -45,6 +47,20 @@ def smith_form_uses(tree):
             yield node.lineno, f"imports {node.name}"
 
 
+# `raise AssertionError` statements in the package source when the floor
+# was set; it may rise, but a self-check is made cheaper, never removed
+SELF_CHECK_FLOOR = 59
+
+
+def self_checks(tree):
+    """Line of each `raise AssertionError` statement, with or without a message."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield node.lineno
+
+
 def package_trees():
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
@@ -72,6 +88,20 @@ def test_guard_catches_smith_form():
     assert sorted(smith_form_uses(ast.parse(source))) == [
         (1, "imports snf"), (3, "defines SNF"), (5, "defines snf"),
         (6, "attribute snf"), (8, "name snf")]
+
+
+def test_self_check_counter_on_synthetic_source():
+    source = ("def f(x):\n    if x:\n        raise AssertionError\n"
+              "    raise AssertionError('message') from None\n"
+              "def g(x):\n    assert x\n    raise ValueError('other')\n"
+              "def h():\n    try:\n        pass\n    except AssertionError:\n        raise\n"
+              "    error = AssertionError('built, not raised')\n    raise error\n")
+    assert sorted(self_checks(ast.parse(source))) == [3, 4]
+
+
+def test_package_keeps_its_self_checks():
+    count = sum(1 for _, tree in package_trees() for _ in self_checks(tree))
+    assert count >= SELF_CHECK_FLOOR
 
 
 def test_package_source_has_no_floats():

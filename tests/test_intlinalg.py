@@ -307,6 +307,23 @@ class TestMatmulAgainstTripleLoop:
             b = random_matrix(rng, k, m, rational=i % 3 == 2) if k else ()
             assert matmul(a, b) == oracle_matmul(a, b)
 
+    def test_sparse_factors(self):
+        # mostly-zero rows are combined row by row, and a sparser right
+        # factor is multiplied through the transposes
+        rng = random.Random(17)
+
+        def sparse(n, m, zero_share, rational):
+            zero = Fraction(0) if rational else 0
+            return mat([[zero if rng.random() < zero_share else random_entry(rng, rational)
+                         for _ in range(m)] for _ in range(n)])
+        for i in range(200):
+            n, k, m = rng.randint(1, 14), rng.randint(1, 14), rng.randint(1, 14)
+            a = sparse(n, k, rng.choice((0, 0.5, 0.8, 0.95, 1)), rational=i % 3 == 1)
+            b = sparse(k, m, rng.choice((0, 0.5, 0.8, 0.95, 1)), rational=i % 3 == 2)
+            product = matmul(a, b)
+            assert product == oracle_matmul(a, b)
+            assert all(type(x) is (Fraction if i % 3 else int) for row in product for x in row)
+
     def test_entry_types(self):
         rng = random.Random(16)
         a, b = random_matrix(rng, 4, 5), random_matrix(rng, 5, 3)

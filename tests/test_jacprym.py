@@ -8,8 +8,8 @@ import pytest
 
 from tropcover.gallery import (bigonal_output_reference, bigonal_reference,
                                trigonal_expected_table, trigonal_reference)
-from tropcover.graphs import (Graph, PreconditionError, build_double_cover,
-                              genus)
+from tropcover.graphs import (Graph, GraphError, PreconditionError,
+                              build_double_cover, genus, is_connected)
 from tropcover.intlinalg import (identity, mat, mat_equal, mat_scale, matmul,
                                  to_fractions, transpose)
 from tropcover.jacprym import (chain_scale, check_bigonal_duality,
@@ -408,3 +408,127 @@ class TestDualAgainstSnfRoute:
             ranks.add(data.rank)
             self._agree(data)
         assert len(ranks) > 3
+
+
+def _loaded_metrics(name):
+    from tropcover.towerio import load
+    loaded = load(os.path.join(os.path.dirname(__file__), os.pardir, "data", name))
+    tower = loaded.tower()
+    mid, top = tower_metrics(tower, loaded.base_metric)
+    return tower, mid, top
+
+
+def _counting_bareiss(monkeypatch):
+    from tropcover import intlinalg
+    calls = []
+    bareiss = intlinalg._bareiss
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return bareiss(*args, **kw)
+    monkeypatch.setattr(intlinalg, "_bareiss", counted)
+    return calls
+
+
+class TestCertifiedJacobian:
+    # `jacobian` builds B^T diag(len) B in integers and proves it positive
+    # definite from the fundamental-cycle structure; the old route paired
+    # every two cycles in fractions, then eliminated the Gram twice
+    @staticmethod
+    def _metrics():
+        from tropcover.metrics import augment_smooth
+        from tropcover.ngonal import trigonal
+        for n in (2, 3):
+            for seed in range(8):
+                gen = random_tower(seed, n=n, pi_free=True if n == 3 else None,
+                                   tree_size=(4, 12))
+                mid, top = tower_metrics(gen.tower, gen.base_metric)
+                metrics = [top, mid]
+                if n == 3:
+                    metrics.append(induce_metric(trigonal(gen.tower).quartic, gen.base_metric))
+                for metric in metrics:
+                    yield metric
+                    yield augment_smooth(metric)
+
+    def test_integer_gram_equals_the_pairing_table(self):
+        from oracles import jacobian_gram_by_pairing_table
+        from tropcover.metrics import is_inf
+        halved = infinite = checked = 0
+        for metric in self._metrics():
+            if not is_connected(metric.graph):
+                continue
+            checked += 1
+            jac = jacobian(metric)
+            assert jac.torus.pairing == jacobian_gram_by_pairing_table(metric)
+            assert jac.polarization.gram() == jac.torus.pairing
+            lengths = metric.length.values()
+            halved += any(not is_inf(x) and Fraction(x).denominator == 2 for x in lengths)
+            infinite += any(is_inf(x) for x in lengths)
+        assert checked > 60 and halved and infinite
+
+    def test_no_elimination_in_jacobian_and_few_in_prym(self, monkeypatch):
+        # prym eliminates the top basis matrix once (its integral inverse
+        # proves it unimodular and serves as T^-1), the mid basis once
+        # (det), and the Prym pairing once; the shared and carried
+        # verdicts cover the rest
+        calls = _counting_bareiss(monkeypatch)
+        for name in ("trigonal_tower.json", "bigonal_tower.json"):
+            tower, mid, top = _loaded_metrics(name)
+            calls.clear()
+            jacobian(top)
+            jacobian(mid)
+            assert calls == []
+            prym(tower.pi, top, mid)
+            assert len(calls) <= 3
+
+    def _spoiled(self, monkeypatch, spoil):
+        from tropcover import jacprym
+        build = jacprym.h1_basis
+
+        def spoiled(graph):
+            basis = build(graph)
+            return dataclasses.replace(basis, cycles=spoil(basis.cycles))
+        monkeypatch.setattr(jacprym, "h1_basis", spoiled)
+        return _loaded_metrics("trigonal_tower.json")[2]
+
+    def test_doubled_own_coefficient_is_refused(self, monkeypatch):
+        top = self._spoiled(monkeypatch, lambda cycles: (chain_scale(2, cycles[0]),) + cycles[1:])
+        with pytest.raises(AssertionError, match="unit vector"):
+            jacobian(top)
+
+    def test_stray_complement_entry_is_refused(self, monkeypatch):
+        from tropcover.jacprym import chain_sum
+        top = self._spoiled(monkeypatch,
+                            lambda cycles: (chain_sum(cycles[0], cycles[1]),) + cycles[1:])
+        with pytest.raises(AssertionError, match="unit vector"):
+            jacobian(top)
+
+    def test_missing_cycle_is_refused(self, monkeypatch):
+        top = self._spoiled(monkeypatch, lambda cycles: cycles[1:])
+        with pytest.raises(AssertionError, match="one cycle per complement edge"):
+            jacobian(top)
+
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1)], ids=["zero", "negative"])
+    def test_non_positive_cycle_length_is_refused(self, bad):
+        g, keys = Graph.from_edges(2, [(0, 1), (0, 1), (0, 1)])
+        metric = MetricGraph(g, {keys[0]: bad, keys[1]: Fraction(2), keys[2]: Fraction(3)})
+        with pytest.raises(GraphError, match="not > 0"):
+            jacobian(metric)
+        loop = Graph((0,), {0: 0, 1: 0}, {0: 1, 1: 0})
+        with pytest.raises(GraphError, match="not > 0"):
+            jacobian(MetricGraph(loop, {0: bad}))
+
+    def test_norm_hom_with_one_push_entry_off_by_one_is_rejected(self):
+        from oracles import adjoint_by_fractions
+        from tropcover.tori import TorusError, TorusHom
+        for name in ("trigonal_tower.json", "bigonal_tower.json"):
+            tower, mid, top = _loaded_metrics(name)
+            nm = norm_hom(tower.pi, top, mid)
+            assert adjoint_by_fractions(nm.source, nm.target, nm.pull, nm.push)
+            for i, row in enumerate(nm.push):
+                for j in range(len(row)):
+                    bad = [list(r) for r in nm.push]
+                    bad[i][j] += 1
+                    assert not adjoint_by_fractions(nm.source, nm.target, nm.pull, bad)
+                    with pytest.raises(TorusError, match="adjoint"):
+                        TorusHom(nm.source, nm.target, nm.pull, bad)

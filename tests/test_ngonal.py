@@ -213,6 +213,12 @@ class TestBigonal:
             twice = bigonal(once.tower)
             assert towers_isomorphic(twice.tower, gen.tower) is not None
 
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_involutive_over_a_hundred_vertex_tree(self, seed):
+        gen = random_tower(seed, n=2, pi_free=False, generic=True, tree_size=(100, 100))
+        twice = bigonal(bigonal(gen.tower).tower).tower
+        assert towers_isomorphic(twice, gen.tower) is not None
+
     def test_type_v_collapses_to_type_i(self):
         # two dilated mid points over a base point: output has type I there
         base, keys = Graph.from_edges(2, [(0, 1)])
@@ -348,6 +354,12 @@ class TestRecillas:
         gen = random_tower(1, n=3, pi_free=True, tree_size=(100, 100))
         back = recillas(trigonal(gen.tower).quartic).tower
         assert towers_isomorphic(gen.tower, back) is not None
+
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_recillas_inverts_trigonal_over_a_hundred_vertex_tree(self, seed):
+        gen = random_tower(seed, n=3, pi_free=True, tree_size=(100, 100))
+        back = recillas(trigonal(gen.tower).quartic).tower
+        assert towers_isomorphic(back, gen.tower) is not None
 
     def test_non_generic_rejected_with_point(self):
         base, keys = Graph.from_edges(2, [(0, 1)])

@@ -1,12 +1,21 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from tropcover.intlinalg import identity, mat, mat_equal, mat_scale, matmul, transpose
+from tropcover import intlinalg
+from tropcover.intlinalg import (det, diag, identity, is_positive_definite,
+                                 leading_minor_verdict, mat, mat_equal,
+                                 mat_scale, matmul, transpose)
 from tropcover.tori import (IntegralTorus, Polarization, TorusError, TorusHom,
                             dual_polarization, dual_type, polarized_isomorphic)
 
-from oracles import (classify_hom, cokernel_torus, identity_hom,
-                     induced_polarization, kernel_torus, polarization_type,
-                     pp_rescale)
+from oracles import (adjoint_by_fractions, classify_hom,
+                     cokernel_torus, identity_hom, induced_polarization,
+                     kernel_torus, polarization_by_fractions,
+                     polarization_type, pp_rescale, torus_verdict_by_minors)
+from test_intlinalg import (oracle_is_positive_definite, random_matrix,
+                            random_symmetric, random_unimodular)
 
 
 def self_paired(gram):
@@ -173,3 +182,148 @@ class TestPolarizedIsomorphic:
         with pytest.raises(TorusError):
             polarized_isomorphic(Polarization(T2, identity(2)),
                                  Polarization(self_paired([[1]]), identity(1)))
+
+
+def _definite(rng, n, rational):
+    while True:
+        q = random_symmetric(rng, n, rational)
+        if oracle_is_positive_definite(q):
+            return q
+
+
+SPECIAL = {
+    "swap": [[0, 1], [1, 0]],                 # nonsingular, zero leading minor
+    "singular": [[1, 2], [2, 4]],
+    "zero-corner-singular": [[0, 0], [0, 1]],
+    "indefinite": [[1, 0], [0, -1]],
+    "negative-definite": [[-2, 1], [1, -2]],
+    "rational-definite": [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]],
+    "non-symmetric": [[2, 5], [-1, 1]],
+}
+
+
+def verdict_cases():
+    rng = random.Random(21)
+    yield from SPECIAL.values()
+    for i in range(160):
+        n, rational = rng.randint(1, 7), i % 2 == 1
+        m = random_matrix(rng, n, n, rational) if i % 3 == 0 else random_symmetric(rng, n, rational)
+        yield mat_scale(-1, m) if i % 5 == 4 else m
+
+
+class TestOneEliminationVerdict:
+    # `IntegralTorus` decides nondegeneracy and leading-minor positivity in
+    # one non-pivoting elimination; the old route ran `det`, then
+    # `is_positive_definite` on the polarization form
+    def test_verdict_agrees_with_det_and_definiteness(self):
+        seen = set()
+        for m in verdict_cases():
+            verdict = leading_minor_verdict(m)
+            assert verdict == torus_verdict_by_minors(m)
+            assert verdict[0] == (det(m) != 0)
+            if m == transpose(m):
+                assert verdict[1] == is_positive_definite(m)
+                assert verdict[1] == oracle_is_positive_definite(m)
+            seen.add(verdict)
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_torus_and_identity_polarization_follow_the_verdict(self):
+        for m in verdict_cases():
+            nonsingular, positive = torus_verdict_by_minors(m)
+            if not nonsingular:
+                with pytest.raises(TorusError, match="nondegenerate"):
+                    IntegralTorus(m)
+                continue
+            torus = IntegralTorus(m)
+            assert torus._positive == positive
+            assert torus.dual()._positive == positive
+            accepted = polarization_by_fractions(torus, identity(len(m)))
+            try:
+                Polarization(torus, identity(len(m)))
+            except TorusError:
+                assert not accepted
+            else:
+                assert accepted
+
+    def test_polarizations_agree_with_the_fraction_check(self):
+        # self-paired tori P = rows / D with an identity, a diagonal or a
+        # general integer matrix X; X = (S U^-1)^T makes X^T U = S
+        # symmetric, definite or not
+        rng = random.Random(22)
+        verdicts = set()
+        for i in range(150):
+            n = rng.randint(1, 5)
+            kind = i % 5
+            if kind < 3:
+                pairing = random_symmetric(rng, n, i % 2 == 1) if kind else \
+                    _definite(rng, n, i % 2 == 1)
+                if not det(pairing):
+                    continue
+                torus = IntegralTorus(pairing)
+                if kind == 0:
+                    x = identity(n)
+                elif kind == 1:
+                    x = diag([rng.choice((1, 2, 3, -1)) for _ in range(n)])
+                else:
+                    x = mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            else:
+                u = random_unimodular(rng, n)
+                s = random_symmetric(rng, n, False)
+                torus = IntegralTorus(u)
+                x = transpose(matmul(s, intlinalg.to_int(intlinalg.inverse(u))))
+            accepted = polarization_by_fractions(torus, x)
+            verdicts.add(accepted)
+            try:
+                pol = Polarization(torus, x)
+            except TorusError:
+                assert not accepted
+            else:
+                assert accepted
+                assert pol.gram() == matmul(transpose(x), torus.pairing)
+        assert verdicts == {True, False}
+
+    def test_eliminations_are_shared(self, monkeypatch):
+        calls = []
+        bareiss = intlinalg._bareiss
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return bareiss(*args, **kw)
+        monkeypatch.setattr(intlinalg, "_bareiss", counted)
+        torus = IntegralTorus([[2, 1], [2, 5]])
+        assert len(calls) == 1
+        Polarization(torus, diag((2, 1)))
+        dual = torus.dual()
+        Polarization(dual, diag((1, 2)))
+        Polarization(IntegralTorus([[2, 1], [1, 3]]), identity(2))
+        assert len(calls) == 2
+        Polarization(torus, [[5, -2], [-1, 2]])  # a general matrix: one elimination
+        assert len(calls) == 3
+        IntegralTorus([[0, 1], [1, 0]])  # a zero leading minor: a pivoting pass too
+        assert len(calls) == 5
+
+
+class TestIntegerAdjointness:
+    def test_agrees_with_the_fraction_check(self):
+        rng = random.Random(23)
+        verdicts = set()
+        for i in range(120):
+            g1, g2 = rng.randint(1, 4), rng.randint(1, 4)
+            src = IntegralTorus(_definite(rng, g1, i % 2 == 1) if i % 3 else diag([1] * g1))
+            tgt = IntegralTorus(_definite(rng, g2, i % 3 == 1))
+            push = mat([[rng.randint(-2, 2) for _ in range(g1)] for _ in range(g2)])
+            # pull^T = P_t push P_s^-1 when that is integral; otherwise a random pull
+            pull_t = matmul(matmul(tgt.pairing, push), intlinalg.inverse(src.pairing))
+            if intlinalg.is_integral(pull_t) and i % 4:
+                pull = transpose(intlinalg.to_int(pull_t))
+            else:
+                pull = mat([[rng.randint(-2, 2) for _ in range(g2)] for _ in range(g1)])
+            expected = adjoint_by_fractions(src, tgt, pull, push)
+            verdicts.add(expected)
+            try:
+                TorusHom(src, tgt, pull, push)
+            except TorusError:
+                assert not expected
+            else:
+                assert expected
+        assert verdicts == {True, False}

@@ -48,36 +48,12 @@ def _scaled(m):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
-def _zeros(m) -> int:
-    return sum(row.count(0) for row in m)
-
-
-def _int_product(a, b) -> list:
-    """a @ b on integer rows.  A row of a that is mostly zeros is the
-    combination of the rows of b it selects; the other rows take dot
-    products with the columns of b."""
-    cols = None
-    out = []
-    for row in a:
-        if 3 * row.count(0) > 2 * len(row):
-            acc = [0] * len(b[0])
-            for j, x in enumerate(row):
-                if x:
-                    acc = [s + x * y for s, y in zip(acc, b[j])]
-            out.append(acc)
-        else:
-            if cols is None:
-                cols = tuple(zip(*b))
-            out.append([sum(map(mul, row, col)) for col in cols])
-    return out
-
-
 def matmul(a, b) -> tuple:
     """Exact product; int x int stays int, anything else gives fractions.
 
-    Sparse factors, such as cycle coordinates, are walked by their
-    nonzeros: when b has the larger share of zeros, a @ b is computed as
-    (b^T a^T)^T.
+    Row i of a @ b is built as the combination of the rows of b that the
+    nonzeros of row i of a select, so a sparse left factor, such as cycle
+    coordinates, costs one row operation per nonzero.
     """
     ra, ca = shape(a)
     rb, cb = shape(b)
@@ -85,10 +61,13 @@ def matmul(a, b) -> tuple:
         raise ValueError(f"matmul shape mismatch: {shape(a)} x {shape(b)}")
     da, ia = _scaled(a)
     db, ib = _scaled(b)
-    if ra and ca and cb and _zeros(ib) * ra > _zeros(ia) * cb:
-        prod = transpose(_int_product(transpose(ib), transpose(ia)))
-    else:
-        prod = _int_product(ia, ib)
+    prod = []
+    for row in ia:
+        acc = [0] * cb
+        for x, brow in zip(row, ib):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        prod.append(acc)
     if ia is a and ib is b:
         return mat(prod)
     d = da * db

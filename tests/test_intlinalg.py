@@ -308,8 +308,8 @@ class TestMatmulAgainstTripleLoop:
             assert matmul(a, b) == oracle_matmul(a, b)
 
     def test_sparse_factors(self):
-        # mostly-zero rows are combined row by row, and a sparser right
-        # factor is multiplied through the transposes
+        # zero entries of the left factor are skipped; dense, sparse and
+        # all-zero factors on either side must agree with the triple loop
         rng = random.Random(17)
 
         def sparse(n, m, zero_share, rational):

@@ -213,6 +213,9 @@ class TestBigonal:
             twice = bigonal(once.tower)
             assert towers_isomorphic(twice.tower, gen.tower) is not None
 
+    # Seeds 3 and 5 are left out, not passed: on them towers_isomorphic runs
+    # for minutes (a known defect, recorded in CHANGES.md).  Add them back
+    # when that search is mended.
     @pytest.mark.parametrize("seed", [2, 4])
     def test_involutive_over_a_hundred_vertex_tree(self, seed):
         gen = random_tower(seed, n=2, pi_free=False, generic=True, tree_size=(100, 100))

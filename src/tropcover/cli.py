@@ -20,7 +20,9 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from math import gcd
 
+from . import intlinalg as la
 from .graphs import PreconditionError, is_tree, towers_isomorphic
 from .jacprym import (check_bigonal_duality, check_trigonal_prym, jacobian,
                       prym, tower_metrics)
@@ -32,10 +34,17 @@ from .towerio import (InvalidTowerFile, file_to_doc, load, provenance_meta, save
                       tower_to_doc)
 
 
-def _format_matrix(m) -> str:
+def _format_matrix(m, d=1) -> str:
+    """The matrix m / d, each entry in lowest terms; m may hold fractions."""
     if not m:
         return "  (empty)"
-    cells = [[str(Fraction(x)) for x in row] for row in m]
+    e, rows = la._scaled(m)
+    d *= e
+
+    def cell(x):
+        g = gcd(x, d)
+        return str(x // g) if g == d else f"{x // g}/{d // g}"
+    cells = [[cell(x) for x in row] for row in rows]
     width = max(len(c) for row in cells for c in row)
     return "\n".join("  [ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
@@ -68,7 +77,9 @@ def cmd_construct(args) -> int:
     elif args.op == "tetragonal-split":
         result = tetragonal_split(loaded.tower())
         for i, tower in enumerate(result.towers, start=1):
-            path = out.replace(".json", f".{i}.json") if out.endswith(".json") else f"{out}.{i}"
+            # number the .json suffix only, not a .json elsewhere in the path
+            path = out.removesuffix(".json") + f".{i}.json" if out.endswith(".json") \
+                else f"{out}.{i}"
             save(path, tower_to_doc(tower, loaded.base_metric,
                                     meta={"construction": f"tetragonal-split {i}"}))
             print(f"wrote {path}")
@@ -108,7 +119,8 @@ def cmd_jacobian(args) -> int:
         metric = induce_metric(level, metric)
     jac = jacobian(metric)
     print(f"genus {jac.basis.rank}; Gram matrix of the top curve's Jacobian:")
-    print(_format_matrix(jac.torus.pairing))
+    d, gram = jac.torus._int_form
+    print(_format_matrix(gram, d))
     return 0
 
 
@@ -119,9 +131,11 @@ def cmd_prym(args) -> int:
     data = prym(tower.pi, top, mid)
     print(f"rank {data.rank}; polarization type {data.type}")
     print("pairing [(beta, alpha+) x (beta, alpha+ - alpha-)]:")
-    print(_format_matrix(data.torus.pairing))
+    d, pairing = data.torus._int_form
+    print(_format_matrix(pairing, d))
     print("principal model Gram:")
-    print(_format_matrix(data.principal.polarized.gram()))
+    d, gram = data.principal.polarized._int_gram
+    print(_format_matrix(gram, d))
     return 0
 
 

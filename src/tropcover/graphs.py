@@ -70,6 +70,8 @@ class Graph:
     _half_edges: tuple = field(init=False, compare=False, repr=False, default=None)
     _tangent: dict = field(init=False, compare=False, repr=False, default=None)
     _edge_keys: tuple = field(init=False, compare=False, repr=False, default=None)
+    # the fundamental-cycle basis of `jacprym.h1_basis`, kept on first use
+    _cycle_basis: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))

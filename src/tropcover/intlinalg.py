@@ -10,7 +10,8 @@ integers only.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import chain
+from math import gcd, isqrt, lcm
 from operator import mul
 
 
@@ -39,13 +40,38 @@ def transpose(m) -> tuple:
     return tuple(zip(*m))
 
 
+_INT = {int}
+
+
 def _scaled(m):
     """(D, integer rows) with m == rows / D, D the lcm of the denominators;
     an all-int matrix comes back as the same object, with D = 1."""
-    if all(type(x) is int for row in m for x in row):
+    if set(map(type, chain.from_iterable(m))) <= _INT:
         return 1, m
     d = lcm(*{x.denominator for row in m for x in row})
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
+
+
+def lowest_terms(d, rows) -> tuple:
+    """(D, rows) divided by the gcd of D > 0 and every entry: then D is the
+    lcm of the denominators of rows / D, and (D, rows) is determined by
+    the rational matrix rows / D."""
+    g = gcd(d, *chain.from_iterable(rows))
+    if g == 1:
+        return d, rows
+    return d // g, tuple(tuple(x // g for x in row) for row in rows)
+
+
+def unscaled(d, rows) -> tuple:
+    """The Fraction matrix rows / D."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+
+
+def exact_quotient(rows, q):
+    """rows / q as integer rows, or None when q does not divide every entry."""
+    if any(x % q for row in rows for x in row):
+        return None
+    return tuple(tuple(x // q for x in row) for row in rows)
 
 
 def matmul(a, b) -> tuple:
@@ -95,7 +121,8 @@ def to_fractions(m) -> tuple:
 
 
 def is_integral(m) -> bool:
-    return all(x.denominator == 1 for row in m for x in row)
+    return set(map(type, chain.from_iterable(m))) <= _INT or \
+        all(x.denominator == 1 for row in m for x in row)
 
 
 def to_int(m) -> tuple:
@@ -152,9 +179,13 @@ def det(m):
     return Fraction(minor, d ** n) if len(cols) == n else Fraction(0)
 
 
-def inverse(m) -> tuple:
-    """Exact inverse over the rationals: Bareiss on D * [M | I] = [D M | D I],
-    then fraction-free back substitution for det(D M) * M^-1."""
+def scaled_inverse(m) -> tuple:
+    """(delta, X) with integer rows X and M^-1 = X / delta.
+
+    Bareiss on D * [M | I] = [D M | D I], then fraction-free back
+    substitution for X = delta * M^-1, delta = +-det(D M); every division
+    is exact.  A singular M raises ValueError.
+    """
     n, c = shape(m)
     if n != c:
         raise ValueError("inverse of a non-square matrix")
@@ -170,7 +201,24 @@ def inverse(m) -> tuple:
             if row[j]:
                 acc = [s - row[j] * t for s, t in zip(acc, x[j])]
         x[i] = [s // row[i] for s in acc]
-    return tuple(tuple(Fraction(v, delta) for v in xi) for xi in x)
+    return delta, x
+
+
+def inverse(m) -> tuple:
+    """Exact inverse over the rationals, in fractions."""
+    delta, x = scaled_inverse(m)
+    return unscaled(delta, x)
+
+
+def integral_inverse(m) -> tuple:
+    """M^-1 as integer rows: back substitution in integers, then one exact
+    division by delta.  ValueError when M is singular or M^-1 is not
+    integral; an integer M passes iff it is unimodular."""
+    delta, x = scaled_inverse(m)
+    inv = exact_quotient(x, delta)
+    if inv is None:
+        raise ValueError("inverse is not integral")
+    return inv
 
 
 def rank(m) -> int:
@@ -273,16 +321,19 @@ def vectors_with_norm(q, target, _cache={}):
     return result
 
 
-def _lll_gram(q) -> tuple:
+def _lll_reduce(q) -> tuple:
     """Integral LLL (delta = 3/4) of a positive definite integer Gram matrix.
 
     Cohen, Alg. 2.6.7 (de Weger's integral variant) on the Gram entries:
     d[i] is the Gram determinant of the first i basis vectors and
-    lam[k][j] = d[j+1] * mu_kj is an integer.  Returns the unimodular H
-    whose columns are the reduced basis, so H^T Q H is LLL-reduced.
+    lam[k][j] = d[j+1] * mu_kj is an integer.  Returns (H, H^-1, det Q):
+    the columns of the unimodular H are the reduced basis, so H^T Q H is
+    LLL-reduced; H^-1 follows every column operation on H by the inverse
+    row operation, and det Q is the last Gram determinant d[n].
     """
     n = len(q)
     h = [[int(i == j) for j in range(n)] for i in range(n)]  # h[k]: basis vector k
+    g = [[int(i == j) for j in range(n)] for i in range(n)]  # g[i]: row i of H^-1
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
 
@@ -290,12 +341,14 @@ def _lll_gram(q) -> tuple:
         if 2 * abs(lam[k][l]) > d[l + 1]:
             c = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
             h[k] = [x - c * y for x, y in zip(h[k], h[l])]
+            g[l] = [x + c * y for x, y in zip(g[l], g[k])]
             lam[k][l] -= c * d[l + 1]
             for i in range(l):
                 lam[k][i] -= c * lam[l][i]
 
     def swap(k, kmax):
         h[k], h[k - 1] = h[k - 1], h[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
         for j in range(k - 1):
             lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
         lk = lam[k][k - 1]
@@ -328,17 +381,19 @@ def _lll_gram(q) -> tuple:
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    return transpose(h)
+    return transpose(h), mat(g), d[n]
+
+
+def _lll_gram(q) -> tuple:
+    """The LLL transform H of `_lll_reduce` alone."""
+    return _lll_reduce(q)[0]
 
 
 def gram_isometries(q1, q2):
     """Unimodular B with B^T Q2 B = Q1, yielded exactly once each.
 
-    Both forms are LLL-reduced first, Q_i -> R_i = H_i^T Q_i H_i, with
-    R1's basis ordered by norm.  Column-by-column backtracking over the
-    short vectors of R2 finds each C with C^T R2 C = R1, and C -> H2 C H1^-1
-    is a bijection onto the isometries of the original forms.  The
-    determinant is used as a fast rejector.
+    Both forms must be symmetric positive definite; `definite_isometries`
+    runs the search.
     """
     n, _ = shape(q1)
     n2, _ = shape(q2)
@@ -350,20 +405,38 @@ def gram_isometries(q1, q2):
             raise ValueError("forms must be symmetric")
         if not is_positive_definite(q):
             raise ValueError("form is not positive definite")
+    yield from definite_isometries(q1, q2)
+
+
+def definite_isometries(q1, q2):
+    """`gram_isometries` of two forms the caller has proved symmetric
+    positive definite and of equal rank, without proving it again.
+
+    Both forms are LLL-reduced first, Q_i -> R_i = H_i^T Q_i H_i, with
+    R1's basis ordered by norm.  Column-by-column backtracking over the
+    short vectors of R2 finds each C with C^T R2 C = R1, and C -> H2 C H1^-1
+    is a bijection onto the isometries of the original forms.  Unequal
+    determinants, read off the reductions, end the search at once.
+    """
+    n = len(q1)
     if n == 0:
         yield tuple()
         return
-    if det(q1) != det(q2):
-        return
-    h1, h2 = (_lll_gram(_scaled(q)[1]) for q in (q1, q2))
-    if not (is_unimodular(h1) and is_unimodular(h2)):
+    q1, q2 = mat(q1), mat(q2)
+    (d1, s1), (d2, s2) = _scaled(q1), _scaled(q2)
+    h1, h1_inv, det1 = _lll_reduce(s1)
+    h2, h2_inv, det2 = _lll_reduce(s2)
+    # H H^-1 = I in integers: both transforms are unimodular, so d[n] of
+    # each reduction is det S_i, and det Q_i = det S_i / D_i^n
+    if matmul(h1, h1_inv) != identity(n) or matmul(h2, h2_inv) != identity(n):
         raise AssertionError("LLL transform is not unimodular")
+    if det1 * d2 ** n != det2 * d1 ** n:
+        return
     r1 = matmul(transpose(h1), matmul(q1, h1))
     order = sorted(range(n), key=lambda k: r1[k][k])
-    h1 = tuple(tuple(row[k] for k in order) for row in h1)
+    h1_inv = tuple(h1_inv[k] for k in order)
     r1 = tuple(tuple(r1[i][j] for j in order) for i in order)
     r2 = matmul(transpose(h2), matmul(q2, h2))
-    h1_inv = to_int(inverse(h1))
     cols = [None] * n
     r2_cols = [None] * n  # cached R2 @ c_k
 

@@ -58,8 +58,14 @@ class CycleBasis:
 
 
 def h1_basis(graph: Graph) -> CycleBasis:
-    tree = spanning_tree(graph)
-    return CycleBasis(graph, tree, fundamental_cycles(graph, tree))
+    """The fundamental cycles of `spanning_tree(graph)`, built once per
+    graph object and kept on it; callers share it and must not change its
+    cycle dicts."""
+    if graph._cycle_basis is None:
+        tree = spanning_tree(graph)
+        basis = CycleBasis(graph, tree, fundamental_cycles(graph, tree))
+        object.__setattr__(graph, "_cycle_basis", basis)
+    return graph._cycle_basis
 
 
 def cycle_pairing(metric: MetricGraph, a: dict, b: dict) -> Fraction:
@@ -260,7 +266,7 @@ class PrymData:
 def _integral_inverse(t):
     """T^-1 as integers, or None when T is singular or T^-1 is not integral."""
     try:
-        return la.to_int(la.inverse(t))
+        return la.integral_inverse(t)
     except ValueError:
         return None
 
@@ -288,13 +294,14 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
     basis = symmetric_basis(cover)
     dil = dilation_data(cover)
     g, nb, na = nm.source.rank, len(basis.beta), len(basis.alpha_plus)
-    cols = [maps.source_basis.coordinates(c) for c in
-            basis.beta + basis.alpha_plus + basis.alpha_minus + basis.gamma_top]
-    t = la._columns_to_matrix(cols, g)
-    t_inv = basis._top_inverse[1] if basis._top_inverse and basis._top_inverse[0] == t \
-        else _integral_inverse(t)
-    if t_inv is None:
-        raise AssertionError("adapted basis has no integral inverse")
+    if basis._top_coordinates and basis._top_coordinates[0] is maps.source_basis:
+        _, cols, t_inv = basis._top_coordinates
+    else:  # a basis that verify() has not seen
+        cols = [maps.source_basis.coordinates(c) for c in
+                basis.beta + basis.alpha_plus + basis.alpha_minus + basis.gamma_top]
+        t_inv = _integral_inverse(la._columns_to_matrix(cols, g))
+        if t_inv is None:
+            raise AssertionError("adapted basis has no integral inverse")
     beta, plus, minus = cols[:nb], cols[nb:nb + na], cols[nb + na:nb + 2 * na]
     kernel = la._columns_to_matrix(beta + [_minus(u, v) for u, v in zip(plus, minus)], g)
     reps = la._columns_to_matrix(beta + plus, g)
@@ -427,9 +434,10 @@ class SymmetricBasis:
     gamma_top: tuple
     alpha: tuple
     gamma: tuple
-    # (T, T^-1) once verify() has run, T the matrix whose columns are the
-    # coordinates of (beta, alpha_plus, alpha_minus, gamma_top) in h1_basis
-    _top_inverse: tuple = field(init=False, compare=False, repr=False, default=None)
+    # (h1_basis of the top graph, columns of T, T^-1) once verify() has run,
+    # T the matrix whose columns are the coordinates of (beta, alpha_plus,
+    # alpha_minus, gamma_top) in that basis
+    _top_coordinates: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def verify(self):
         cov = self.cover
@@ -464,14 +472,14 @@ class SymmetricBasis:
         chains = self.beta + self.alpha_plus + self.alpha_minus + self.gamma_top
         if len(chains) != top_basis.rank:
             raise AssertionError("top basis has the wrong size")
-        top = la._columns_to_matrix([top_basis.coordinates(c) for c in chains], top_basis.rank)
+        cols = [top_basis.coordinates(c) for c in chains]
         mid = [mid_basis.coordinates(c) for c in self.alpha + self.gamma]
         # an integer matrix with an integral inverse has determinant +-1;
-        # prym reuses the inverse
-        top_inverse = _integral_inverse(top)
+        # prym reuses the columns and the inverse
+        top_inverse = _integral_inverse(la._columns_to_matrix(cols, top_basis.rank))
         if top_inverse is None:
             raise AssertionError("top basis is not unimodular")
-        object.__setattr__(self, "_top_inverse", (top, top_inverse))
+        object.__setattr__(self, "_top_coordinates", (top_basis, cols, top_inverse))
         if len(mid) != mid_basis.rank:
             raise AssertionError("mid basis has the wrong size")
         if mid_basis.rank and abs(la.det(la.mat(mid))) != 1:
@@ -498,7 +506,7 @@ def _symmetric_basis_free(cover: DoubleCover) -> SymmetricBasis:
     if not is_connected(cover.source):
         raise PreconditionError("connected", "symmetric basis of a free cover requires a connected source")
     tgt, src = cover.target, cover.source
-    tree = spanning_tree(tgt)
+    tree = h1_basis(tgt).tree
     lifts = cover.cover.fiber_edges
     tree_lift_keys = {kk for k in tree.tree_keys for kk in lifts(k)}
     # the tree preimage is two disjoint trees; a crossing lift joins them

@@ -11,7 +11,8 @@ search through Gram-form isometries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import intlinalg as la
 
@@ -20,27 +21,31 @@ class TorusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntegralTorus:
     """Lattice pair of equal rank g with pairing[i][j] = [e_i, e'_j].
 
-    The pairing is also kept as (D, integer rows) with pairing == rows / D,
-    together with the verdict of one non-pivoting elimination: whether every
-    leading principal minor is positive, which for a symmetric pairing is
-    positive definiteness.  The checks of `TorusHom` and `Polarization` read
-    both instead of building fractions or eliminating again.
+    The pairing is kept as (D, integer rows) in lowest terms, pairing ==
+    rows / D, so two tori are equal iff their pairings are; with it the
+    verdict of one non-pivoting elimination: whether every leading
+    principal minor is positive, which for a symmetric pairing is positive
+    definiteness.  The checks of `TorusHom` and `Polarization` read both;
+    the Fraction matrix `pairing` is built only when it is read.
     """
 
-    pairing: tuple
-    _int_form: tuple = field(init=False, compare=False, repr=False, default=None)
-    _positive: bool = field(init=False, compare=False, repr=False, default=False)
+    _int_form: tuple
+    _positive: bool = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairing", la.to_fractions(self.pairing))
-        n, m = la.shape(self.pairing)
+    def __init__(self, pairing):
+        # what a dataclass with an init-only `pairing` would run; the name
+        # `pairing` stays free for the Fraction matrix built on first read
+        self.__post_init__(pairing)
+
+    def __post_init__(self, pairing):
+        n, m = la.shape(pairing)
         if n != m:
             raise TorusError("pairing matrix must be square")
-        d, rows = la._scaled(self.pairing)
+        d, rows = la._scaled(pairing)
         self._keep_int_form(d, la.mat(rows), None)
 
     def _keep_int_form(self, d, rows, positive):
@@ -48,7 +53,7 @@ class IntegralTorus:
             nonsingular, positive = la.leading_minor_verdict(rows)
             if not nonsingular:
                 raise TorusError("pairing must be nondegenerate")
-        object.__setattr__(self, "_int_form", (d, rows))
+        object.__setattr__(self, "_int_form", la.lowest_terms(d, rows))
         object.__setattr__(self, "_positive", positive)
 
     @classmethod
@@ -60,13 +65,16 @@ class IntegralTorus:
         leading-minor verdict, and nothing is eliminated.
         """
         torus = object.__new__(cls)
-        object.__setattr__(torus, "pairing", tuple(tuple(Fraction(x, d) for x in row) for row in rows))
         torus._keep_int_form(d, rows, positive)
         return torus
 
+    @cached_property
+    def pairing(self) -> tuple:
+        return la.unscaled(*self._int_form)
+
     @property
     def rank(self) -> int:
-        return len(self.pairing)
+        return len(self._int_form[1])
 
     def dual(self) -> "IntegralTorus":
         # the transpose has the same leading principal minors
@@ -118,10 +126,15 @@ class KernelTorus:
 @dataclass(frozen=True)
 class Polarization:
     """Integer map from the second lattice to the first whose associated
-    bilinear form gram = X^T P is symmetric positive definite."""
+    bilinear form gram = X^T P is symmetric positive definite.
+
+    The form is kept as (D, integer rows) on the scale of the torus; the
+    Fraction matrix `gram()` is built only when it is read.
+    """
 
     torus: IntegralTorus
     matrix: tuple
+    _int_gram: tuple = field(init=False, compare=False, repr=False, default=None)
     _gram: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -142,14 +155,17 @@ class Polarization:
         else:
             form = la.matmul(la.transpose(la.to_int(self.matrix)), rows)
             positive = None
-        object.__setattr__(self, "_gram", self.torus.pairing if form is rows else
-                           tuple(tuple(Fraction(x, d) for x in row) for row in form))
+        object.__setattr__(self, "_int_gram", (d, form))
         if form != la.transpose(form):
             raise TorusError("polarization form is not symmetric")
         if not (la.is_positive_definite(form) if positive is None else positive):
             raise TorusError("polarization form is not positive definite")
 
     def gram(self) -> tuple:
+        if self._gram is None:
+            d, form = self._int_gram
+            object.__setattr__(self, "_gram", self.torus.pairing if form is self.torus._int_form[1]
+                               else la.unscaled(d, form))
         return self._gram
 
 
@@ -237,14 +253,21 @@ def polarized_isomorphic(pol1: Polarization, pol2: Polarization):
         raise TorusError("rank mismatch")
     if t1.rank == 0:
         return la.identity(0), la.identity(0)
-    _, (q1, q2) = la.clear_denominators(pol1.gram(), pol2.gram())
-    p1_inv_t = la.inverse(la.transpose(t1.pairing))
-    p2_t = la.transpose(t2.pairing)
-    for b in la.gram_isometries(q1, q2):
-        a = la.matmul(la.matmul(p1_inv_t, la.transpose(b)), p2_t)
-        if not la.is_unimodular(a):
+    (e1, g1), (e2, g2) = (la.lowest_terms(*pol._int_gram) for pol in (pol1, pol2))
+    e = lcm(e1, e2)
+    q1, q2 = la.mat_scale(e // e1, g1), la.mat_scale(e // e2, g2)
+    # with P_i = S_i / d_i, A = P1^-T B^T P2^T = d1 X B^T S2^T / (delta d2)
+    # for S1^-T = X / delta
+    d1, s1 = t1._int_form
+    d2, s2 = t2._int_form
+    delta, x = la.scaled_inverse(la.transpose(s1))
+    s2_t = la.transpose(s2)
+    # each Polarization has proved its form symmetric positive definite
+    for b in la.definite_isometries(q1, q2):
+        a = la.exact_quotient(la.mat_scale(d1, la.matmul(la.matmul(x, la.transpose(b)), s2_t)),
+                              delta * d2)
+        if a is None or not la.is_unimodular(a):
             continue
-        a = la.to_int(a)
         TorusHom(t1, t2, a, b)  # adjointness re-verified in the constructor
         if not la.mat_equal(la.matmul(la.matmul(a, pol2.matrix), b), pol1.matrix):
             raise AssertionError("polarized_isomorphic: witness does not transport the polarization")

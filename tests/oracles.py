@@ -14,6 +14,8 @@ target half-edge.  So do the Fraction forms of the torus self-checks
 that now run on integers: the Jacobian Gram as a table of cycle
 pairings, adjointness of a homomorphism, the polarization form, and a
 determinant per leading minor for the one-elimination torus verdict.
+So are the Fraction forms of the Prym pairings, which `prym` built
+eagerly before it kept integer forms only.
 """
 
 from __future__ import annotations
@@ -448,6 +450,21 @@ def adjoint_by_fractions(source: IntegralTorus, target: IntegralTorus, pull, pus
     """pull^T P_source == P_target push on the Fraction pairings."""
     return (_fraction_product(la.transpose(pull), source.pairing)
             == _fraction_product(target.pairing, push))
+
+
+def eager_prym_forms(data, top_metric) -> dict:
+    """The Fraction matrices of a `PrymData`, each from the Fraction
+    Jacobian table of the top curve by the triple loop."""
+    top = jacobian_gram_by_pairing_table(top_metric)
+    ker = data.kernel
+    pairing = _fraction_product(_fraction_product(la.transpose(ker.representatives), top),
+                                ker.kernel_columns)
+    big = data.principal.multiplier
+    return {"top": top,
+            "pairing": pairing,
+            "gram": _fraction_product(la.transpose(data.polarization.matrix), pairing),
+            "principal": tuple(tuple(Fraction(a, big) * x for x in row)
+                               for a, row in zip(data.type, pairing))}
 
 
 def polarization_by_fractions(torus: IntegralTorus, matrix) -> bool:

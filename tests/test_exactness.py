@@ -4,7 +4,9 @@ bare `assert`, which `python -O` strips, so that every self-check stays on,
 a floor on the number of those self-checks (`raise AssertionError`), so
 that making them cheaper never removes one, and no Smith normal form
 (`snf`, `SNF`): every polarization the package builds is in adapted form,
-and the Smith form lives in tests/oracles.py."""
+and the Smith form lives in tests/oracles.py.  The Prym and torus modules
+also take no Fraction route: `jacprym.py` and `tori.py` call neither
+`inverse` nor `to_fractions`, and carry (D, integer rows) instead."""
 
 import ast
 import os
@@ -44,6 +46,21 @@ def smith_form_uses(tree):
         elif isinstance(node, ast.Attribute) and node.attr in SMITH:
             yield node.lineno, f"attribute {node.attr}"
         elif isinstance(node, ast.alias) and (node.name in SMITH or node.asname in SMITH):
+            yield node.lineno, f"imports {node.name}"
+
+
+FRACTION_ROUTE = {"inverse", "to_fractions"}
+INTEGER_FORM_MODULES = ("jacprym.py", "tori.py")
+
+
+def fraction_route_uses(tree):
+    """(line, description) of each reference to `inverse` or `to_fractions`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in FRACTION_ROUTE:
+            yield node.lineno, f"name {node.id}"
+        elif isinstance(node, ast.Attribute) and node.attr in FRACTION_ROUTE:
+            yield node.lineno, f"attribute {node.attr}"
+        elif isinstance(node, ast.alias) and node.name in FRACTION_ROUTE:
             yield node.lineno, f"imports {node.name}"
 
 
@@ -115,4 +132,21 @@ def test_package_source_has_no_floats():
 def test_package_source_has_no_smith_form():
     offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
                  for line, what in smith_form_uses(tree)]
+    assert offenders == []
+
+
+def test_guard_catches_the_fraction_route():
+    source = ("from .intlinalg import inverse as inv, integral_inverse\n"
+              "from . import intlinalg as la\n"
+              "def f(m):\n    return la.to_fractions(la.inverse(m)), la.integral_inverse(m)\n"
+              "def g(m):\n    return inverse(m), la.scaled_inverse(m)\n")
+    assert sorted(fraction_route_uses(ast.parse(source))) == [
+        (1, "imports inverse"), (4, "attribute inverse"), (4, "attribute to_fractions"),
+        (6, "name inverse")]
+
+
+def test_prym_and_tori_take_no_fraction_route():
+    trees = dict(package_trees())
+    offenders = [f"{name}:{line}: {what}" for name in INTEGER_FORM_MODULES
+                 for line, what in fraction_route_uses(trees[name])]
     assert offenders == []

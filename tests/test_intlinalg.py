@@ -4,11 +4,13 @@ from math import ceil, floor, isqrt
 
 import pytest
 
-from tropcover.intlinalg import (_lll_gram, clear_denominators, det,
-                                 gram_isometries, identity, inverse,
+from tropcover.intlinalg import (_lll_gram, _lll_reduce, clear_denominators,
+                                 definite_isometries, det, gram_isometries,
+                                 identity, integral_inverse, inverse,
                                  is_positive_definite, is_unimodular, mat,
-                                 mat_equal, matmul, rank, to_fractions,
-                                 transpose, vectors_with_norm)
+                                 mat_equal, matmul, rank, scaled_inverse,
+                                 to_fractions, to_int, transpose,
+                                 vectors_with_norm)
 
 from oracles import _cholesky, cokernel_tf, kernel_basis, snf
 
@@ -485,3 +487,80 @@ class TestLLLGram:
                     assert b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
             swapped += h != identity(n)
         assert swapped > 50
+
+
+class TestIntegralInverse:
+    # `integral_inverse` back-substitutes in integers and divides once,
+    # exactly; the route it replaced took the Fraction `inverse` and
+    # converted it with `to_int`
+    def test_unimodular_matches_the_fraction_inverse(self):
+        rng = random.Random(31)
+        for i in range(120):
+            n = rng.randint(0, 12)
+            u = random_unimodular(rng, n) if n else ()
+            inv = integral_inverse(u)
+            assert inv == to_int(inverse(u))
+            assert all(type(x) is int for row in inv for x in row)
+            if n:
+                assert matmul(u, inv) == identity(n)
+
+    def test_non_unimodular_and_singular_raise(self):
+        rng = random.Random(32)
+        seen = {"singular": 0, "not integral": 0, "integral": 0}
+        for i in range(200):
+            n = rng.randint(1, 9)
+            deficient = i % 3 == 0
+            m = random_matrix(rng, n, n, rational=i % 4 == 1,
+                              rank_at_most=rng.randint(0, n - 1) if deficient else None)
+            try:
+                expected = inverse(m)
+            except ValueError:
+                seen["singular"] += 1
+                with pytest.raises(ValueError, match="singular"):
+                    integral_inverse(m)
+                continue
+            if all(x.denominator == 1 for row in expected for x in row):
+                seen["integral"] += 1
+                assert integral_inverse(m) == to_int(expected)
+            else:
+                seen["not integral"] += 1
+                with pytest.raises(ValueError, match="not integral"):
+                    integral_inverse(m)
+        assert seen["singular"] > 40 and seen["not integral"] > 40 and seen["integral"]
+
+    def test_scaled_inverse_is_the_inverse_times_delta(self):
+        for m in random_cases(33, 120):
+            try:
+                expected = inverse(m)
+            except ValueError:
+                continue
+            delta, x = scaled_inverse(m)
+            assert all(type(v) is int for row in x for v in row)
+            assert tuple(tuple(Fraction(v, delta) for v in row) for row in x) == expected
+
+
+class TestLLLCarriesItsInverse:
+    # the reduction returns H^-1 and det Q next to H; the search checks
+    # H H^-1 = I by one integer product instead of two determinants, and
+    # compares determinants without eliminating
+    def test_inverse_and_determinant(self):
+        rng = random.Random(34)
+        for i in range(150):
+            n = rng.randint(0, 8)
+            q = random_pd_form(rng, n, skew=rng.randint(0, 4 * n))
+            h, h_inv, d = _lll_reduce(q)
+            assert h == _lll_gram(q)
+            assert d == det(q)
+            if n:
+                assert matmul(h, h_inv) == identity(n)
+                assert h_inv == to_int(inverse(h))
+
+    def test_definite_search_matches_the_checked_one(self):
+        rng = random.Random(35)
+        for i in range(40):
+            n = rng.randint(0, 4)
+            q1 = random_pd_form(rng, n, rational=i % 4 == 3)
+            q2 = random_pd_form(rng, n) if i % 5 == 4 else q1
+            u = random_unimodular(rng, n) if n else ()
+            q2 = matmul(transpose(u), matmul(q2, u)) if n else q2
+            assert list(definite_isometries(q1, q2)) == list(gram_isometries(q1, q2))

@@ -218,6 +218,20 @@ class TestCLI:
         assert (tmp_path / "split.1.json").exists() and (tmp_path / "split.2.json").exists()
         assert main(["validate", str(tmp_path / "split.1.json")]) == 0
 
+    def test_tetragonal_split_keeps_json_inside_directory_names(self, tmp_path, capsys):
+        # only the .json suffix of --out is numbered, not a .json elsewhere in the path
+        gen = random_tower(1, n=4, pi_free=True, generic=True)
+        src = tmp_path / "t4.json"
+        save(src, tower_to_doc(gen.tower, gen.base_metric))
+        outdir = tmp_path / "a.json.d"
+        outdir.mkdir()
+        assert main(["construct", str(src), "--op", "tetragonal-split",
+                     "--out", str(outdir / "out.json")]) == 0
+        written = sorted(p.name for p in outdir.iterdir())
+        assert written == ["out.1.json", "out.2.json"]
+        assert str(outdir / "out.1.json") in capsys.readouterr().out
+        assert main(["validate", str(outdir / "out.2.json")]) == 0
+
     def test_precondition_violation_exit_one(self, tmp_path, capsys):
         gen = random_tower(0, n=2, generic=True, pi_free=True)
         src = tmp_path / "free.json"

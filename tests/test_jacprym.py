@@ -532,3 +532,81 @@ class TestCertifiedJacobian:
                     assert not adjoint_by_fractions(nm.source, nm.target, nm.pull, bad)
                     with pytest.raises(TorusError, match="adjoint"):
                         TorusHom(nm.source, nm.target, nm.pull, bad)
+
+
+class TestOneCycleBasisPerGraph:
+    # `h1_basis` is kept on the graph object: transfer_maps, both Jacobians
+    # of norm_hom and SymmetricBasis.verify share it, and prym takes the
+    # coordinates and T^-1 that verify computed
+    @staticmethod
+    def _towers():
+        for name in ("trigonal_tower.json", "bigonal_tower.json"):
+            yield _loaded_metrics(name)
+        for n in (2, 3):
+            for seed in range(4):
+                gen = random_tower(seed, n=n, pi_free=True if n == 3 else None)
+                if is_connected(gen.tower.top):
+                    yield (gen.tower, *tower_metrics(gen.tower, gen.base_metric))
+
+    def test_one_spanning_tree_per_graph(self, monkeypatch):
+        from tropcover import jacprym
+        trees = []
+        build = jacprym.spanning_tree
+
+        def spied(graph):
+            trees.append(graph)
+            return build(graph)
+        monkeypatch.setattr(jacprym, "spanning_tree", spied)
+        free = dilated = 0
+        for tower, mid, top in self._towers():
+            trees.clear()
+            prym(tower.pi, top, mid)
+            ids = [id(g) for g in trees]
+            assert len(ids) == len(set(ids))
+            assert sum(g is tower.pi.source for g in trees) == 1
+            assert sum(g is tower.pi.target for g in trees) == 1
+            if tower.pi.is_free():
+                free += 1
+                assert len(trees) == 2
+            else:
+                dilated += 1
+        assert free and dilated
+
+    def test_prym_reuses_the_coordinates_of_verify(self, monkeypatch):
+        # once symmetric_basis (and so verify) has returned, prym computes
+        # no cycle coordinates and inverts nothing: T and T^-1 are verify's
+        from tropcover import jacprym
+        calls = []
+        coordinates, invert, build = (jacprym.CycleBasis.coordinates, jacprym._integral_inverse,
+                                      jacprym.symmetric_basis)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                result = fn(*args)
+                calls.append(name)  # on return
+                return result
+            return wrapper
+        monkeypatch.setattr(jacprym.CycleBasis, "coordinates", counted("coordinates", coordinates))
+        monkeypatch.setattr(jacprym, "_integral_inverse", counted("inverse", invert))
+        monkeypatch.setattr(jacprym, "symmetric_basis", counted("basis", build))
+        for tower, mid, top in self._towers():
+            calls.clear()
+            prym(tower.pi, top, mid)
+            assert calls.count("basis") == calls.count("inverse") == 1
+            assert calls[-1] == "basis" and calls[-2] == "inverse"
+
+
+class TestTheoremCheckEliminations:
+    # polarized_isomorphic enters the isometry search with the definiteness
+    # its Polarizations proved; the search reads det Q off the LLL
+    # reduction, and certifies each LLL transform by H H^-1 = I.  Before,
+    # the checks ran 15 and 18 eliminations
+    @pytest.mark.parametrize("name, check, bound", [
+        ("trigonal_tower.json", check_trigonal_prym, 8),
+        ("bigonal_tower.json", check_bigonal_duality, 11)])
+    def test_bareiss_calls(self, monkeypatch, name, check, bound):
+        from tropcover.towerio import load
+        loaded = load(os.path.join(os.path.dirname(__file__), os.pardir, "data", name))
+        calls = _counting_bareiss(monkeypatch)
+        assert check(loaded.tower(), loaded.base_metric).passed
+        assert len(calls) <= bound

@@ -11,7 +11,8 @@ from tropcover.tori import (IntegralTorus, Polarization, TorusError, TorusHom,
                             dual_polarization, dual_type, polarized_isomorphic)
 
 from oracles import (adjoint_by_fractions, classify_hom,
-                     cokernel_torus, identity_hom, induced_polarization,
+                     cokernel_torus, eager_prym_forms, identity_hom,
+                     induced_polarization, jacobian_gram_by_pairing_table,
                      kernel_torus, polarization_by_fractions,
                      polarization_type, pp_rescale, torus_verdict_by_minors)
 from test_intlinalg import (oracle_is_positive_definite, random_matrix,
@@ -327,3 +328,82 @@ class TestIntegerAdjointness:
             else:
                 assert expected
         assert verdicts == {True, False}
+
+
+class TestTorusEquality:
+    # a torus keeps (D, integer rows) in lowest terms, so two tori are equal
+    # (and hash alike) iff their Fraction pairings are, however they were built
+    def test_equal_iff_the_pairings_are(self):
+        rng = random.Random(41)
+        cases = []
+        for i in range(60):
+            n = rng.randint(1, 4)
+            m = random_matrix(rng, n, n, rational=i % 2 == 1)
+            if det(m):
+                cases.append(m)
+        cases += [[[2]], [[Fraction(2)]], [[Fraction(4, 2)]], [[Fraction(1, 2)]]]
+        verdicts = set()
+        for a in cases:
+            for b in cases:
+                same = intlinalg.to_fractions(a) == intlinalg.to_fractions(b)
+                assert (IntegralTorus(a) == IntegralTorus(b)) == same
+                if same:
+                    assert hash(IntegralTorus(a)) == hash(IntegralTorus(b))
+                verdicts.add(same)
+        assert verdicts == {True, False}
+
+    def test_integer_form_with_a_common_factor(self):
+        rng = random.Random(42)
+        for i in range(40):
+            n = rng.randint(1, 4)
+            m = _definite(rng, n, i % 2 == 1)
+            d, rows = intlinalg._scaled(m)
+            k = rng.randint(2, 6)
+            built = IntegralTorus._from_int_form(k * d, mat_scale(k, rows))
+            assert built == IntegralTorus(m) and hash(built) == hash(IntegralTorus(m))
+            assert built.pairing == intlinalg.to_fractions(m)
+            assert built._int_form == (d, mat(rows))
+
+
+def _seeded_pryms():
+    from tropcover.graphs import is_connected
+    from tropcover.jacprym import prym, tower_metrics
+    from tropcover.randgen import random_tower
+    for n in (2, 3):
+        for seed in range(8):
+            gen = random_tower(seed, n=n, pi_free=True if n == 3 else None, tree_size=(4, 12))
+            if not is_connected(gen.tower.top):
+                continue
+            mid, top = tower_metrics(gen.tower, gen.base_metric)
+            yield prym(gen.tower.pi, top, mid), mid, top
+
+
+class TestLazyFractionForms:
+    # `IntegralTorus.pairing` and `Polarization.gram()` are built on first
+    # read from the integer forms; before, every torus and polarization
+    # built them eagerly
+    def test_lazy_forms_equal_the_eager_ones(self):
+        count = ranks = 0
+        for data, mid, top in _seeded_pryms():
+            count += 1
+            ranks += data.rank > 0
+            eager = eager_prym_forms(data, top)
+            assert data.norm.source.pairing == eager["top"]
+            assert data.norm.target.pairing == jacobian_gram_by_pairing_table(mid)
+            assert data.torus.pairing == eager["pairing"]
+            assert data.polarization.gram() == eager["gram"]
+            assert data.principal.polarized.gram() == eager["principal"]
+            assert data.principal.polarized.torus.pairing == eager["principal"]
+            dual = dual_polarization(data.polarization)
+            assert dual.dual_torus.pairing == transpose(eager["pairing"])
+        assert count == 16 and ranks > 10
+
+    def test_prym_builds_no_fraction_matrix(self):
+        for data, _, _ in _seeded_pryms():
+            for torus in (data.torus, data.norm.source, data.norm.target,
+                          data.principal.polarized.torus):
+                assert "pairing" not in vars(torus)
+            for pol in (data.polarization, data.principal.polarized):
+                assert pol._gram is None
+            gram = data.polarization.gram()
+            assert data.polarization.gram() is gram  # built once

@@ -652,9 +652,12 @@ def _fiber_signature(f: HarmonicMorphism):
     return sig
 
 
-def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism):
+def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism, involutions=()):
     """All degree-preserving isomorphisms phi with f2 . phi = f1.
 
+    phi also intertwines each pair (i1, i2) of half-edge involutions of the
+    two sources, after the partner pair: a fixed point of i1 goes to a fixed
+    point of i2, and once i1(h1) is placed, h1 -> h2 forces i1(h1) -> i2(h2).
     Fiberwise backtracking over half-edges; fibers are tiny so the naive
     search is ample.  The search keeps an explicit stack of candidate
     iterators, one per placed half-edge, so its depth is not bounded by
@@ -665,12 +668,20 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism):
     if _fiber_signature(f1) != _fiber_signature(f2):
         return
     s1, s2 = f1.source, f2.source
+    pairs = ((s1.partner, s2.partner),) + tuple(involutions)
     halves1 = sorted(s1.half_edges, key=lambda h: (f1.h(h), h))
     vmap, hmap, used_v, used_h = {}, {}, set(), set()
 
+    def intertwines(h1, h2):
+        for i1, i2 in pairs:
+            p1, p2 = i1[h1], i2[h2]
+            if (p1 == h1) != (p2 == h2) or (p1 in hmap and hmap[p1] != p2):
+                return False
+        return True
+
     def candidates(h1):
         """Images of h1 consistent with the partial map at the time each is drawn."""
-        r1, p1 = s1.root[h1], s1.partner[h1]
+        r1 = s1.root[h1]
         for h2 in f2.fiber_half_edges(f1.h(h1)):
             if h2 in used_h or f2.deg_h(h2) != f1.deg_h(h1):
                 continue
@@ -683,9 +694,8 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism):
                 if r2 in used_v or f2.deg_v(r2) != f1.deg_v(r1):
                     continue
                 new_v = (r1, r2)
-            if p1 in hmap and s2.partner[h2] != hmap[p1]:
-                continue
-            yield h1, h2, new_v
+            if intertwines(h1, h2):
+                yield h1, h2, new_v
 
     def finish(vmap, hmap):
         # isolated vertices: match within (target vertex, degree) classes
@@ -763,24 +773,31 @@ def _check_cover_iso(f1, f2, vmap, hmap):
             raise AssertionError(f"cover isomorphism does not commute with root at {h}")
 
 
-def transport_cover(pi: HarmonicMorphism, vmap: dict, hmap: dict, new_target: Graph) -> HarmonicMorphism:
-    """Relabel the target of pi through an isomorphism onto new_target."""
-    return HarmonicMorphism(
-        GraphMorphism(pi.source, new_target,
-                      {x: vmap[pi.v(x)] for x in pi.source.vertices},
-                      {h: hmap[pi.h(h)] for h in pi.source.half_edges}),
-        dict(pi.vertex_degree), dict(pi.half_edge_degree))
-
-
 def towers_isomorphic(t1: Tower, t2: Tower):
-    """Simultaneous isomorphism at both levels commuting with the maps, or None."""
+    """Simultaneous isomorphism at both levels commuting with the maps, or None.
+
+    One search: the top map is an isomorphism of the composed covers over
+    the base that commutes with the deck involutions, and the mid map is
+    read off through pi, phi_mid(pi1(x)) = pi2(phi_top(x)).  On half-edges
+    that is well defined by the involution; on vertices a conflict can
+    only come from isolated vertices, and skips that candidate.  Returns
+    ((vmid, hmid), (vtop, htop)).
+    """
     if t1.base != t2.base:
         raise GraphError("tower isomorphism requires identical base graphs")
-    for vmap, hmap in iter_cover_isomorphisms(t1.f, t2.f):
-        moved = transport_cover(t1.pi.cover, vmap, hmap, t2.mid)
-        found = covers_isomorphic_over_base(moved, t2.pi.cover)
-        if found is not None:
-            return (vmap, hmap), found
+    c1, c2 = t1.composed(), t2.composed()
+    p1, p2 = t1.pi.cover, t2.pi.cover
+    for vtop, htop in iter_cover_isomorphisms(
+            c1, c2, [(t1.pi.half_edge_invol, t2.pi.half_edge_invol)]):
+        hpairs = {(p1.h(h), p2.h(x)) for h, x in htop.items()}
+        vpairs = {(p1.v(v), p2.v(x)) for v, x in vtop.items()}
+        hmid, vmid = dict(hpairs), dict(vpairs)
+        if len(hmid) != len(hpairs):
+            raise AssertionError("top map sends a mid half-edge to two places")
+        if len(vmid) == len(vpairs) == len(set(vmid.values())):
+            _check_cover_iso(c1, c2, vtop, htop)
+            _check_cover_iso(t1.f, t2.f, vmid, hmid)
+            return (vmid, hmid), (vtop, htop)
     return None
 
 

@@ -2,7 +2,7 @@
 
 Matrices are tuples of tuples (rows): ints for lattice maps, fractions
 for pairings.  Internally a rational matrix is (D, integer rows) with D
-the lcm of its denominators; products, determinant, rank, inverse, the
+the lcm of its denominators; products, determinant, inverses, the
 definiteness test, LLL reduction and the short-vector search run on
 integers only.  No floating point anywhere.
 """
@@ -116,10 +116,6 @@ def mat_equal(a, b) -> bool:
     return mat(a) == mat(b)
 
 
-def to_fractions(m) -> tuple:
-    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in m)
-
-
 def is_integral(m) -> bool:
     return set(map(type, chain.from_iterable(m))) <= _INT or \
         all(x.denominator == 1 for row in m for x in row)
@@ -204,12 +200,6 @@ def scaled_inverse(m) -> tuple:
     return delta, x
 
 
-def inverse(m) -> tuple:
-    """Exact inverse over the rationals, in fractions."""
-    delta, x = scaled_inverse(m)
-    return unscaled(delta, x)
-
-
 def integral_inverse(m) -> tuple:
     """M^-1 as integer rows: back substitution in integers, then one exact
     division by delta.  ValueError when M is singular or M^-1 is not
@@ -219,10 +209,6 @@ def integral_inverse(m) -> tuple:
     if inv is None:
         raise ValueError("inverse is not integral")
     return inv
-
-
-def rank(m) -> int:
-    return len(_bareiss(m)[2])
 
 
 def _leading_pivots(m):
@@ -259,13 +245,6 @@ def is_unimodular(m) -> bool:
 
 def _columns_to_matrix(cols, nrows) -> tuple:
     return tuple(tuple(col[i] for col in cols) for i in range(nrows))
-
-
-def clear_denominators(*matrices):
-    """(scalar, scaled integer matrices); the same scalar for every matrix."""
-    scaled = [_scaled(m) for m in matrices]
-    scale = lcm(*(d for d, _ in scaled))
-    return scale, tuple(mat_scale(scale // d, rows) for d, rows in scaled)
 
 
 def vectors_with_norm(q, target, _cache={}):
@@ -382,11 +361,6 @@ def _lll_reduce(q) -> tuple:
                 red(k, l)
             k += 1
     return transpose(h), mat(g), d[n]
-
-
-def _lll_gram(q) -> tuple:
-    """The LLL transform H of `_lll_reduce` alone."""
-    return _lll_reduce(q)[0]
 
 
 def gram_isometries(q1, q2):

@@ -263,14 +263,6 @@ class PrymData:
         return self.torus.rank
 
 
-def _integral_inverse(t):
-    """T^-1 as integers, or None when T is singular or T^-1 is not integral."""
-    try:
-        return la.integral_inverse(t)
-    except ValueError:
-        return None
-
-
 def _minus(u, v) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -294,14 +286,9 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
     basis = symmetric_basis(cover)
     dil = dilation_data(cover)
     g, nb, na = nm.source.rank, len(basis.beta), len(basis.alpha_plus)
-    if basis._top_coordinates and basis._top_coordinates[0] is maps.source_basis:
-        _, cols, t_inv = basis._top_coordinates
-    else:  # a basis that verify() has not seen
-        cols = [maps.source_basis.coordinates(c) for c in
-                basis.beta + basis.alpha_plus + basis.alpha_minus + basis.gamma_top]
-        t_inv = _integral_inverse(la._columns_to_matrix(cols, g))
-        if t_inv is None:
-            raise AssertionError("adapted basis has no integral inverse")
+    if not basis._top_coordinates or basis._top_coordinates[0] is not maps.source_basis:
+        raise AssertionError("adapted basis without the integral inverse of verify()")
+    _, cols, t_inv = basis._top_coordinates
     beta, plus, minus = cols[:nb], cols[nb:nb + na], cols[nb + na:nb + 2 * na]
     kernel = la._columns_to_matrix(beta + [_minus(u, v) for u, v in zip(plus, minus)], g)
     reps = la._columns_to_matrix(beta + plus, g)
@@ -476,9 +463,10 @@ class SymmetricBasis:
         mid = [mid_basis.coordinates(c) for c in self.alpha + self.gamma]
         # an integer matrix with an integral inverse has determinant +-1;
         # prym reuses the columns and the inverse
-        top_inverse = _integral_inverse(la._columns_to_matrix(cols, top_basis.rank))
-        if top_inverse is None:
-            raise AssertionError("top basis is not unimodular")
+        try:
+            top_inverse = la.integral_inverse(la._columns_to_matrix(cols, top_basis.rank))
+        except ValueError:
+            raise AssertionError("top basis is not unimodular") from None
         object.__setattr__(self, "_top_coordinates", (top_basis, cols, top_inverse))
         if len(mid) != mid_basis.rank:
             raise AssertionError("mid basis has the wrong size")

@@ -15,17 +15,24 @@ that now run on integers: the Jacobian Gram as a table of cycle
 pairings, adjointness of a homomorphism, the polarization form, and a
 determinant per leading minor for the one-elimination torus verdict.
 So are the Fraction forms of the Prym pairings, which `prym` built
-eagerly before it kept integer forms only.
+eagerly before it kept integer forms only, and the Fraction-era matrix
+helpers no package code calls: the inverse in fractions, rank, a shared
+denominator and the LLL transform alone.  The tower isomorphism search
+that listed mid-level cover isomorphisms and searched the transported top
+cover for each is here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from tropcover import intlinalg as la
-from tropcover.graphs import (HarmonicMorphism, ValidationIssue, hpoint,
-                              is_connected, validate_morphism, vpoint)
+from tropcover.graphs import (Graph, GraphError, GraphMorphism, HarmonicMorphism,
+                              Tower, ValidationIssue, covers_isomorphic_over_base,
+                              hpoint, is_connected, iter_cover_isomorphisms,
+                              validate_morphism, vpoint)
 from tropcover.jacprym import h1_basis, pairing_table
 from tropcover.tori import (DualPolarization, IntegralTorus, KernelTorus,
                             Polarization, PrincipalModel, TorusError, TorusHom,
@@ -198,7 +205,7 @@ class HomFlags:
 
 def classify_hom(h: TorusHom) -> HomFlags:
     g1, g2 = h.source.rank, h.target.rank
-    r = la.rank(h.pull) if h.pull else 0
+    r = rank(h.pull) if h.pull else 0
     surjective = r == g2
     finite = r == g1
     saturated = finite and all(d == 1 for d in snf(h.push).invariant_factors()) if g1 else finite
@@ -268,7 +275,7 @@ def cokernel_tf(matrix) -> Cokernel:
     res = snf(matrix)
     r = res.rank
     proj = tuple(res.U[i] for i in range(r, n))
-    uinv = la.to_int(la.inverse(res.U)) if n else tuple()
+    uinv = la.to_int(inverse(res.U)) if n else tuple()
     reps = tuple(row[r:] for row in uinv)
     cok = Cokernel(n - r, la.mat(proj) if proj else la.zeros(0, n), reps if n else la.zeros(0, 0))
     if cok.rank:
@@ -336,7 +343,7 @@ def pp_rescale(pol: Polarization) -> PrincipalModel:
     res = snf(pol.matrix)
     diag = res.diagonal()
     big = diag[-1]
-    uinv = la.to_int(la.inverse(res.U))
+    uinv = la.to_int(inverse(res.U))
     # P in the adapted bases, then each row i scaled by a_i / a_g
     p_ad = la.matmul(la.matmul(la.transpose(uinv), pol.torus.pairing), res.V)
     p_pp = tuple(tuple(Fraction(diag[i], big) * p_ad[i][j] for j in range(g)) for i in range(g))
@@ -379,7 +386,7 @@ def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> DualPolariza
         multiplier = diag[0] * diag[-1]
     if any(multiplier % a for a in diag):
         raise TorusError("dual multiplier must be divisible by every invariant factor")
-    uinv = la.to_int(la.inverse(res.U))
+    uinv = la.to_int(inverse(res.U))
     p_ad = la.matmul(la.matmul(la.transpose(uinv), pol.torus.pairing), res.V)
     dual_t = IntegralTorus(la.transpose(p_ad))
     xdual = tuple(tuple(multiplier // diag[i] if i == j else 0 for j in range(g)) for i in range(g))
@@ -477,3 +484,50 @@ def polarization_by_fractions(torus: IntegralTorus, matrix) -> bool:
     except ValueError:
         return False
     return True
+
+
+def to_fractions(m) -> tuple:
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in m)
+
+
+def inverse(m) -> tuple:
+    """Exact inverse over the rationals, in fractions."""
+    delta, x = la.scaled_inverse(m)
+    return la.unscaled(delta, x)
+
+
+def rank(m) -> int:
+    return len(la._bareiss(m)[2])
+
+
+def clear_denominators(*matrices):
+    """(scalar, scaled integer matrices); the same scalar for every matrix."""
+    scaled = [la._scaled(m) for m in matrices]
+    scale = lcm(*(d for d, _ in scaled))
+    return scale, tuple(la.mat_scale(scale // d, rows) for d, rows in scaled)
+
+
+def _lll_gram(q) -> tuple:
+    """The LLL transform H of `_lll_reduce` alone."""
+    return la._lll_reduce(q)[0]
+
+
+def transport_cover(pi: HarmonicMorphism, vmap: dict, hmap: dict, new_target: Graph) -> HarmonicMorphism:
+    """Relabel the target of pi through an isomorphism onto new_target."""
+    return HarmonicMorphism(
+        GraphMorphism(pi.source, new_target,
+                      {x: vmap[pi.v(x)] for x in pi.source.vertices},
+                      {h: hmap[pi.h(h)] for h in pi.source.half_edges}),
+        dict(pi.vertex_degree), dict(pi.half_edge_degree))
+
+
+def towers_isomorphic_mid_first(t1: Tower, t2: Tower):
+    """Simultaneous isomorphism at both levels commuting with the maps, or None."""
+    if t1.base != t2.base:
+        raise GraphError("tower isomorphism requires identical base graphs")
+    for vmap, hmap in iter_cover_isomorphisms(t1.f, t2.f):
+        moved = transport_cover(t1.pi.cover, vmap, hmap, t2.mid)
+        found = covers_isomorphic_over_base(moved, t2.pi.cover)
+        if found is not None:
+            return (vmap, hmap), found
+    return None

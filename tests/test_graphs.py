@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from tropcover.graphs import (Graph, GraphError, GraphMorphism,
-                              HarmonicMorphism, PreconditionError,
+from tropcover import graphs
+from tropcover.graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
+                              HarmonicMorphism, PreconditionError, Tower,
                               build_double_cover, compose_harmonic,
                               connected_components, contract_edge,
                               covers_isomorphic_over_base, dilation_data,
@@ -11,9 +12,10 @@ from tropcover.graphs import (Graph, GraphError, GraphMorphism,
                               identity_harmonic, spanning_tree,
                               towers_isomorphic, validate_graph,
                               validate_harmonic, vpoint)
+from tropcover.ngonal import bigonal, recillas, trigonal
 from tropcover.randgen import random_tower
 
-from oracles import validate_harmonic_by_rescan
+from oracles import towers_isomorphic_mid_first, validate_harmonic_by_rescan
 
 
 def loop_graph():
@@ -250,6 +252,92 @@ class TestCoverIsomorphism:
     def test_towers_isomorphic_reflexive(self):
         t = random_tower(4, n=2).tower
         assert towers_isomorphic(t, t) is not None
+
+
+def round_trip_pairs(seeds):
+    """(t, bigonal(t)) both ways, (bigonal^2(t), t) and (t, t) for generic
+    degree-2 towers, dilated and mixed; (recillas(trigonal(t)), t) and
+    (t, t) for free degree-3 towers."""
+    for seed in seeds:
+        for pi_free in (False, None):
+            t = random_tower(seed, n=2, pi_free=pi_free, generic=True).tower
+            b = bigonal(t).tower
+            yield from ((t, b), (b, t), (bigonal(b).tower, t), (t, t))
+        t = random_tower(seed, n=3, pi_free=True).tower
+        yield from ((recillas(trigonal(t).quartic).tower, t), (t, t))
+
+
+def isolated_tower(mid_degrees, top_over):
+    """Tower over a one-vertex base with no edges: mid vertex i of degree
+    mid_degrees[i], top vertex j over mid vertex top_over[j]."""
+    base = Graph((0,), {}, {})
+    mid = Graph(tuple(range(len(mid_degrees))), {}, {})
+    f = HarmonicMorphism(GraphMorphism(mid, base, {v: 0 for v in mid.vertices}, {}),
+                         dict(enumerate(mid_degrees)), {})
+    top = Graph(tuple(range(len(top_over))), {}, {})
+    pi = HarmonicMorphism(GraphMorphism(top, mid, dict(enumerate(top_over)), {}),
+                          {v: 2 // top_over.count(w) for v, w in enumerate(top_over)}, {})
+    return Tower(DoubleCover.from_harmonic(pi), f)
+
+
+class TestTowerIsomorphism:
+    # one search over the base with the deck involutions, against the
+    # nested search it replaced (mid-level isomorphisms first, then the
+    # transported top cover for each)
+
+    def test_agrees_with_the_mid_first_search(self):
+        isomorphic = 0
+        pairs = list(round_trip_pairs(range(60)))
+        for t1, t2 in pairs:
+            found = towers_isomorphic(t1, t2)
+            assert (found is None) == (towers_isomorphic_mid_first(t1, t2) is None)
+            if found is None:
+                continue
+            isomorphic += 1
+            (vmid, hmid), (vtop, htop) = found
+            p1, p2 = t1.pi.cover, t2.pi.cover
+            assert all(vmid[p1.v(v)] == p2.v(x) for v, x in vtop.items())
+            assert all(hmid[p1.h(h)] == p2.h(x) for h, x in htop.items())
+        assert len(pairs) >= 500 and len(pairs) - isomorphic >= 200
+
+    def test_isolated_vertices_skip_conflicting_candidates(self, monkeypatch):
+        # top vertices 0, 1 over mid vertex 0 on one side, 0, 2 on the
+        # other: the first vertex matchings send mid vertex 0 to two places
+        search, drawn = graphs.iter_cover_isomorphisms, []
+
+        def counted(*args):
+            for found in search(*args):
+                drawn.append(found)
+                yield found
+        monkeypatch.setattr(graphs, "iter_cover_isomorphisms", counted)
+        t1, t2 = isolated_tower((1, 1), (0, 0, 1, 1)), isolated_tower((1, 1), (0, 1, 0, 1))
+        (vmid, _), (vtop, _) = towers_isomorphic(t1, t2)
+        assert len(drawn) > 1
+        assert all(vmid[t1.pi.cover.v(v)] == t2.pi.cover.v(x) for v, x in vtop.items())
+        assert towers_isomorphic_mid_first(t1, t2) is not None
+
+    def test_isolated_vertices_with_no_mid_map(self):
+        # degree 2 at every top vertex on both sides, but a free mid vertex
+        # of degree 2 is not three dilated mid vertices of degree 1: one way
+        # a mid vertex would go to two places, the other way two would meet
+        t1, t2 = isolated_tower((2, 1), (0, 0, 1)), isolated_tower((1, 1, 1), (0, 1, 2))
+        assert t1.composed().vertex_degree == t2.composed().vertex_degree
+        for a, b in ((t1, t2), (t2, t1)):
+            assert towers_isomorphic(a, b) is None
+            assert towers_isomorphic_mid_first(a, b) is None
+
+    def test_one_search_per_call(self, monkeypatch):
+        search, calls = graphs.iter_cover_isomorphisms, []
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+        monkeypatch.setattr(graphs, "iter_cover_isomorphisms", counted)
+        t = random_tower(3, n=2, pi_free=False, generic=True).tower
+        for t1, t2 in ((t, t), (t, bigonal(t).tower)):
+            calls.clear()
+            towers_isomorphic(t1, t2)
+            assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,14 @@ from math import ceil, floor, isqrt
 
 import pytest
 
-from tropcover.intlinalg import (_lll_gram, _lll_reduce, clear_denominators,
-                                 definite_isometries, det, gram_isometries,
-                                 identity, integral_inverse, inverse,
+from tropcover.intlinalg import (_lll_reduce, definite_isometries, det,
+                                 gram_isometries, identity, integral_inverse,
                                  is_positive_definite, is_unimodular, mat,
-                                 mat_equal, matmul, rank, scaled_inverse,
-                                 to_fractions, to_int, transpose,
-                                 vectors_with_norm)
+                                 mat_equal, matmul, scaled_inverse, to_int,
+                                 transpose, vectors_with_norm)
 
-from oracles import _cholesky, cokernel_tf, kernel_basis, snf
+from oracles import (_cholesky, _lll_gram, clear_denominators, cokernel_tf,
+                     inverse, kernel_basis, rank, snf, to_fractions)
 
 
 class TestSNF:

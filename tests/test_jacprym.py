@@ -11,7 +11,7 @@ from tropcover.gallery import (bigonal_output_reference, bigonal_reference,
 from tropcover.graphs import (Graph, GraphError, PreconditionError,
                               build_double_cover, genus, is_connected)
 from tropcover.intlinalg import (identity, mat, mat_equal, mat_scale, matmul,
-                                 to_fractions, transpose)
+                                 transpose)
 from tropcover.jacprym import (chain_scale, check_bigonal_duality,
                                check_trigonal_prym, cycle_pairing, h1_basis,
                                invol_chain, jacobian, norm_hom, pairing_table,
@@ -20,6 +20,8 @@ from tropcover.jacprym import (chain_scale, check_bigonal_duality,
 from tropcover.metrics import MetricGraph, induce_metric
 from tropcover.randgen import random_tower
 from tropcover.tori import dual_polarization, polarized_isomorphic
+
+from oracles import to_fractions
 
 
 def loop_cover(connected=True, dilated=False):
@@ -353,8 +355,8 @@ class TestAgainstSnfRoute:
         ("bigonal_tower.json", "alpha", "alpha pair"),
         ("bigonal_tower.json", "beta", "not unimodular")])
     def test_spoiled_basis_is_rejected(self, monkeypatch, name, spoil, verify_message, checked):
-        # SymmetricBasis.verify rejects a spoiled basis, and so does the
-        # integral-inverse check of prym when verify is skipped
+        # SymmetricBasis.verify rejects a spoiled basis, and prym rejects a
+        # basis that comes without the integral inverse verify computes
         from tropcover import jacprym
 
         def spoiled(build):
@@ -575,9 +577,9 @@ class TestOneCycleBasisPerGraph:
     def test_prym_reuses_the_coordinates_of_verify(self, monkeypatch):
         # once symmetric_basis (and so verify) has returned, prym computes
         # no cycle coordinates and inverts nothing: T and T^-1 are verify's
-        from tropcover import jacprym
+        from tropcover import intlinalg, jacprym
         calls = []
-        coordinates, invert, build = (jacprym.CycleBasis.coordinates, jacprym._integral_inverse,
+        coordinates, invert, build = (jacprym.CycleBasis.coordinates, intlinalg.integral_inverse,
                                       jacprym.symmetric_basis)
 
         def counted(name, fn):
@@ -587,7 +589,7 @@ class TestOneCycleBasisPerGraph:
                 return result
             return wrapper
         monkeypatch.setattr(jacprym.CycleBasis, "coordinates", counted("coordinates", coordinates))
-        monkeypatch.setattr(jacprym, "_integral_inverse", counted("inverse", invert))
+        monkeypatch.setattr(intlinalg, "integral_inverse", counted("inverse", invert))
         monkeypatch.setattr(jacprym, "symmetric_basis", counted("basis", build))
         for tower, mid, top in self._towers():
             calls.clear()

@@ -74,15 +74,17 @@ class Graph:
     _cycle_basis: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
+        root = self.root
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        object.__setattr__(self, "_half_edges", tuple(sorted(self.root)))
+        object.__setattr__(self, "_half_edges", tuple(sorted(root)))
         tangent = {v: [] for v in self.vertices}
-        for h in self._half_edges:
-            r = self.root[h]
-            if r in tangent:
-                tangent[r].append(h)
+        at = tangent.get
+        for h, r in zip(self._half_edges, map(root.__getitem__, self._half_edges)):
+            hs = at(r)
+            if hs is not None:
+                hs.append(h)
         object.__setattr__(self, "_tangent", {v: tuple(hs) for v, hs in tangent.items()})
-        keys = tuple(sorted(h for h in self.partner if h <= self.partner[h] and h in self.root))
+        keys = tuple(sorted(h for h, p in self.partner.items() if h <= p and h in root))
         object.__setattr__(self, "_edge_keys", keys)
 
     @property
@@ -129,18 +131,18 @@ class Graph:
 def validate_graph(g: Graph) -> list:
     """Check the half-edge graph axioms; one issue per violation."""
     issues = []
+    root, partner, partner_get = g.root, g.partner, g.partner.get
     vset = set(g.vertices)
-    hset = set(g.root)
-    for h in sorted(g.root):
-        if g.root[h] not in vset:
-            issues.append(ValidationIssue("root-missing", hpoint(h), f"root {g.root[h]} is not a vertex"))
-    if set(g.partner) != hset:
+    for h in sorted(root):
+        if root[h] not in vset:
+            issues.append(ValidationIssue("root-missing", hpoint(h), f"root {root[h]} is not a vertex"))
+    if partner.keys() != root.keys():
         issues.append(ValidationIssue("partner-domain", (), "partner map domain differs from half-edge set"))
-    for h in sorted(g.partner):
-        p = g.partner[h]
+    for h in sorted(partner):
+        p = partner[h]
         if p == h:
             issues.append(ValidationIssue("partner-fixed-point", hpoint(h), "fixed point of involution"))
-        elif g.partner.get(p) != h:
+        elif partner_get(p) != h:
             issues.append(ValidationIssue("partner-not-involution", hpoint(h), f"partner({p}) != {h}"))
     return issues
 
@@ -154,13 +156,15 @@ def _bfs(g: Graph, start, vertices=None, keys=None) -> tuple:
     start.
     """
     order, parent = [start], {}
+    tangent, root, partner = g._tangent, g.root, g.partner
     for v in order:
-        for h in g.tangent(v):
-            w = g.root[g.partner[h]]
-            if w == start or w in parent or (keys is not None and g.edge_key(h) not in keys) \
+        for h in tangent[v]:
+            back = partner[h]
+            w = root[back]
+            if w == start or w in parent or (keys is not None and min(h, back) not in keys) \
                     or (vertices is not None and w not in vertices):
                 continue
-            parent[w] = g.partner[h]
+            parent[w] = back
             order.append(w)
     return order, parent
 
@@ -219,18 +223,20 @@ class GraphMorphism:
 def validate_morphism(m: GraphMorphism) -> list:
     issues = []
     s, t = m.source, m.target
-    t_vertices = set(t.vertices)
+    vget, hget = m.vmap.get, m.hmap.get
+    t_vertices, t_root, t_partner_get = set(t.vertices), t.root, t.partner.get
     for v in s.vertices:
-        if m.vmap.get(v) not in t_vertices:
+        if vget(v) not in t_vertices:
             issues.append(ValidationIssue("vmap", vpoint(v), "vertex image missing"))
+    s_root, s_partner_get = s.root, s.partner.get
     for h in s.half_edges:
-        img = m.hmap.get(h)
-        if img not in t.root:
+        img = hget(h)
+        if img not in t_root:
             issues.append(ValidationIssue("hmap", hpoint(h), "half-edge image missing"))
             continue
-        if m.vmap.get(s.root[h]) != t.root[img]:
+        if vget(s_root[h]) != t_root[img]:
             issues.append(ValidationIssue("root-commute", hpoint(h), "does not commute with root"))
-        if m.hmap.get(s.partner.get(h)) != t.partner.get(img):
+        if hget(s_partner_get(h)) != t_partner_get(img):
             issues.append(ValidationIssue("partner-commute", hpoint(h), "does not commute with involution"))
     return issues
 
@@ -238,8 +244,9 @@ def validate_morphism(m: GraphMorphism) -> list:
 def _preimages(image: dict, ids) -> dict:
     """ids grouped by their image (None if missing), each group in the order of ids."""
     groups = {}
+    add, get = groups.setdefault, image.get
     for x in ids:
-        groups.setdefault(image.get(x), []).append(x)
+        add(get(x), []).append(x)
     return {y: tuple(xs) for y, xs in groups.items()}
 
 
@@ -255,16 +262,17 @@ class HarmonicMorphism:
     vertex_degree: dict
     half_edge_degree: dict
     # fiber index, built once: target id -> ascending source ids over it, for
-    # vertices, half-edges and edge keys (an edge by the image of its key half)
+    # vertices and half-edges, and on first use for edge keys (an edge by the
+    # image of its key half)
     _fibers: tuple = field(init=False, compare=False, repr=False, default=None)
+    _edge_fibers: dict = field(init=False, compare=False, repr=False, default=None)
     # validate_harmonic's issues, found on its first call
     _issues: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         m, s = self.morphism, self.morphism.source
-        object.__setattr__(self, "_fibers", tuple(
-            _preimages(image, ids) for image, ids in
-            ((m.vmap, s.vertices), (m.hmap, s.half_edges), (m.hmap, s.edge_keys()))))
+        object.__setattr__(self, "_fibers", (_preimages(m.vmap, s.vertices),
+                                             _preimages(m.hmap, s.half_edges)))
 
     @property
     def source(self) -> Graph:
@@ -301,7 +309,10 @@ class HarmonicMorphism:
 
     def fiber_edges(self, key) -> tuple:
         """Source edge keys over a target edge key."""
-        by_half = self._fibers[2]
+        by_half = self._edge_fibers
+        if by_half is None:
+            by_half = _preimages(self.morphism.hmap, self.source.edge_keys())
+            object.__setattr__(self, "_edge_fibers", by_half)
         return tuple(sorted(k for h in {key, self.target.partner[key]} for k in by_half.get(h, ())))
 
     def global_degree(self) -> int:
@@ -331,31 +342,38 @@ def validate_harmonic(f: HarmonicMorphism) -> list:
 def _harmonic_issues(f: HarmonicMorphism) -> list:
     issues = list(validate_morphism(f.morphism))
     s, t = f.source, f.target
+    vdeg, hdeg = f.vertex_degree, f.half_edge_degree
+    vdeg_get, hdeg_get, s_partner_get = vdeg.get, hdeg.get, s.partner.get
     for v in s.vertices:
-        if f.vertex_degree.get(v, 0) < 1:
+        if vdeg_get(v, 0) < 1:
             issues.append(ValidationIssue("degree-positive", vpoint(v), "vertex degree must be >= 1"))
     for h in s.half_edges:
-        if f.half_edge_degree.get(h, 0) < 1:
+        d = hdeg_get(h, 0)
+        if d < 1:
             issues.append(ValidationIssue("degree-positive", hpoint(h), "half-edge degree must be >= 1"))
-        elif f.half_edge_degree[h] != f.half_edge_degree.get(s.partner.get(h), 0):
+        elif d != hdeg_get(s_partner_get(h), 0):
             issues.append(ValidationIssue("edge-degree", hpoint(h), "degrees differ on the two halves"))
     if issues:
         return issues
+    vmap, hmap, s_tangent, t_tangent = f.morphism.vmap, f.morphism.hmap, s._tangent, t._tangent
+    fromkeys = dict.fromkeys
     for v in s.vertices:
-        over = dict.fromkeys(t.tangent(f.v(v)), 0)
-        for h in s.tangent(v):
-            over[f.h(h)] += f.half_edge_degree[h]
+        over = fromkeys(t_tangent[vmap[v]], 0)
+        for h in s_tangent[v]:
+            over[hmap[h]] += hdeg[h]
+        d = vdeg[v]
         for hprime, total in over.items():
-            if total != f.vertex_degree[v]:
+            if total != d:
                 issues.append(ValidationIssue(
                     "local-harmonicity", (vpoint(v), hpoint(hprime)),
-                    f"deg(v)={f.vertex_degree[v]} but half-edge degrees over it sum to {total}"))
+                    f"deg(v)={d} but half-edge degrees over it sum to {total}"))
     if not issues and is_connected(t):
+        vfibers, hfibers = f._fibers[0], f._fibers[1]
         sums = {}
         for v in t.vertices:
-            sums[vpoint(v)] = sum(f.vertex_degree[x] for x in f.fiber_vertices(v))
+            sums[vpoint(v)] = sum(map(vdeg.__getitem__, vfibers.get(v, ())))
         for h in t.half_edges:
-            sums[hpoint(h)] = sum(f.half_edge_degree[x] for x in f.fiber_half_edges(h))
+            sums[hpoint(h)] = sum(map(hdeg.__getitem__, hfibers.get(h, ())))
         values = set(sums.values())
         if len(values) > 1:
             for p, d in sorted(sums.items()):
@@ -373,10 +391,12 @@ def compose_harmonic(f: HarmonicMorphism, g: HarmonicMorphism) -> HarmonicMorphi
     """g after f, with local degrees multiplying pointwise."""
     if f.target != g.source:
         raise GraphError("compose_harmonic: target of first morphism is not source of second")
-    vmap = {v: g.v(f.v(v)) for v in f.source.vertices}
-    hmap = {h: g.h(f.h(h)) for h in f.source.half_edges}
-    vd = {v: f.vertex_degree[v] * g.vertex_degree[f.v(v)] for v in f.source.vertices}
-    hd = {h: f.half_edge_degree[h] * g.half_edge_degree[f.h(h)] for h in f.source.half_edges}
+    fv, fh, gv, gh = f.morphism.vmap, f.morphism.hmap, g.morphism.vmap, g.morphism.hmap
+    fvd, fhd, gvd, ghd = f.vertex_degree, f.half_edge_degree, g.vertex_degree, g.half_edge_degree
+    vmap = {v: gv[fv[v]] for v in f.source.vertices}
+    hmap = {h: gh[fh[h]] for h in f.source.half_edges}
+    vd = {v: fvd[v] * gvd[fv[v]] for v in f.source.vertices}
+    hd = {h: fhd[h] * ghd[fh[h]] for h in f.source.half_edges}
     return HarmonicMorphism(GraphMorphism(f.source, g.target, vmap, hmap), vd, hd)
 
 
@@ -679,11 +699,14 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism, involuti
                 return False
         return True
 
+    hdeg1, hdeg2, vdeg1, vdeg2 = (f1.half_edge_degree, f2.half_edge_degree,
+                                  f1.vertex_degree, f2.vertex_degree)
+
     def candidates(h1):
         """Images of h1 consistent with the partial map at the time each is drawn."""
-        r1 = s1.root[h1]
+        r1, d1 = s1.root[h1], hdeg1[h1]
         for h2 in f2.fiber_half_edges(f1.h(h1)):
-            if h2 in used_h or f2.deg_h(h2) != f1.deg_h(h1):
+            if h2 in used_h or hdeg2[h2] != d1:
                 continue
             r2 = s2.root[h2]
             new_v = None
@@ -691,7 +714,7 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism, involuti
                 if vmap[r1] != r2:
                     continue
             else:
-                if r2 in used_v or f2.deg_v(r2) != f1.deg_v(r1):
+                if r2 in used_v or vdeg2[r2] != vdeg1[r1]:
                     continue
                 new_v = (r1, r2)
             if intertwines(h1, h2):
@@ -758,18 +781,23 @@ def covers_isomorphic_over_base(f1: HarmonicMorphism, f2: HarmonicMorphism):
 
 
 def _check_cover_iso(f1, f2, vmap, hmap):
-    s1 = f1.source
-    if sorted(vmap) != list(s1.vertices) or sorted(vmap.values()) != list(f2.source.vertices):
+    s1, s2 = f1.source, f2.source
+    if sorted(vmap) != list(s1.vertices) or sorted(vmap.values()) != list(s2.vertices):
         raise AssertionError("cover isomorphism is not a vertex bijection")
+    m1, m2 = f1.morphism, f2.morphism
+    vdeg1, vdeg2, hdeg1, hdeg2 = (f1.vertex_degree, f2.vertex_degree,
+                                  f1.half_edge_degree, f2.half_edge_degree)
     for v in s1.vertices:
-        if f2.v(vmap[v]) != f1.v(v) or f2.deg_v(vmap[v]) != f1.deg_v(v):
+        x = vmap[v]
+        if m2.vmap[x] != m1.vmap[v] or vdeg2[x] != vdeg1[v]:
             raise AssertionError(f"cover isomorphism moves vertex {v} off its image or degree")
     for h in s1.half_edges:
-        if f2.h(hmap[h]) != f1.h(h) or f2.deg_h(hmap[h]) != f1.deg_h(h):
+        x = hmap[h]
+        if m2.hmap[x] != m1.hmap[h] or hdeg2[x] != hdeg1[h]:
             raise AssertionError(f"cover isomorphism moves half-edge {h} off its image or degree")
-        if hmap[s1.partner[h]] != f2.source.partner[hmap[h]]:
+        if hmap[s1.partner[h]] != s2.partner[x]:
             raise AssertionError(f"cover isomorphism does not commute with partner at {h}")
-        if vmap[s1.root[h]] != f2.source.root[hmap[h]]:
+        if vmap[s1.root[h]] != s2.root[x]:
             raise AssertionError(f"cover isomorphism does not commute with root at {h}")
 
 
@@ -789,8 +817,10 @@ def towers_isomorphic(t1: Tower, t2: Tower):
     p1, p2 = t1.pi.cover, t2.pi.cover
     for vtop, htop in iter_cover_isomorphisms(
             c1, c2, [(t1.pi.half_edge_invol, t2.pi.half_edge_invol)]):
-        hpairs = {(p1.h(h), p2.h(x)) for h, x in htop.items()}
-        vpairs = {(p1.v(v), p2.v(x)) for v, x in vtop.items()}
+        hpairs = set(zip(map(p1.morphism.hmap.__getitem__, htop),
+                         map(p2.morphism.hmap.__getitem__, htop.values())))
+        vpairs = set(zip(map(p1.morphism.vmap.__getitem__, vtop),
+                         map(p2.morphism.vmap.__getitem__, vtop.values())))
         hmid, vmid = dict(hpairs), dict(vpairs)
         if len(hmid) != len(hpairs):
             raise AssertionError("top map sends a mid half-edge to two places")

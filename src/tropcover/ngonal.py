@@ -11,6 +11,16 @@ the fiber over the partner half-edge.  The orientation double cover is
 the sign quotient of the section cover, its image under the multisection
 sign bit (0 over dilated points).
 
+All of this depends only on the shape of a fiber (its parts' degrees and
+dilations) and, for a transport, on the two shapes and how their parts
+match and flip.  So a construction keeps, for the length of one call, a
+table per fiber shape (multisections in order, their degrees, the sign
+swap) and a table per kind of refinement (the position each multisection
+goes to), each entry worked out once by the functions above; a point's id
+is the first id over its base point plus its position in the fiber.  The
+Recillas construction tables its slot classes the same way, by fiber
+profile and by the map of fiber positions.
+
 Specializations: the degree-2 construction (involutive on generic
 towers), the degree-3 construction and its inverse (from 2-element
 subsets of quartic fibers), and the degree-4 splitting.
@@ -19,6 +29,7 @@ subsets of quartic fibers), and the degree-4 splitting.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -236,9 +247,82 @@ class NgonalConstruction:
     orientation_half_edge_info: dict
 
 
+@dataclass(frozen=True)
+class _ShapeTable:
+    """What the construction reads of one fiber shape (the parts' degrees
+    and dilations, in part order), positionally: each part's (plus, minus)
+    splits by increasing plus, whose product lists the multisections in
+    `multisections` order, and per multisection its `multisection_degree`
+    and the position of its `swap_multisection`."""
+
+    splits: tuple
+    degree: tuple
+    swap: tuple
+
+    def multisections(self, fd: FiberDatum) -> list:
+        """The multisections of a fiber of this shape."""
+        return list(itertools.product(*[[(p.part_id, plus, minus) for plus, minus in split]
+                                        for p, split in zip(fd.parts, self.splits)]))
+
+
+def _fiber_shape(fd: FiberDatum) -> tuple:
+    return tuple((p.degree, p.dilated) for p in fd.parts)
+
+
+def _shape_table(fd: FiberDatum) -> _ShapeTable:
+    mss = multisections(fd)
+    position = {ms: k for k, ms in enumerate(mss)}
+    table = _ShapeTable(
+        tuple(sorted({ms[j][1:] for ms in mss}) for j in range(len(fd.parts))),
+        tuple(multisection_degree(fd, ms) for ms in mss),
+        tuple(position[swap_multisection(fd, ms)] for ms in mss))
+    if tuple(table.multisections(fd)) != mss:
+        raise AssertionError("the products of part splits are not the multisections in order")
+    return table
+
+
+def _transport_table(tables: dict, r: Refinement) -> tuple:
+    """Position of the induced multisection in the coarse fiber, per fine
+    multisection: a function of the two shapes, of which coarse part each
+    fine part goes to and of which labels flip.  Worked out by
+    `induce_multisection` on the first refinement of its kind."""
+    fine, coarse = r.fine.parts, r.coarse.parts
+    place = {p.part_id: j for j, p in enumerate(coarse)}
+    key = (_fiber_shape(r.fine), _fiber_shape(r.coarse),
+           tuple(place[r.part_map[p.part_id]] for p in fine),
+           tuple(r.flip.get(p.part_id, False) for p in fine))
+    if key not in tables:
+        position = {ms: k for k, ms in enumerate(multisections(r.coarse))}
+        tables[key] = tuple(position[induce_multisection(r, ms)] for ms in multisections(r.fine))
+    return tables[key]
+
+
+def _number_points(ids, point, over) -> tuple:
+    """Number the points over the base ids in order.  over(base point) gives
+    the labels of the points over it, in order, their degrees and, for
+    each, the position of its image under the construction's involution
+    (sign swap or complement).  Returns (range of point ids per base id,
+    id -> (base id, label), and image, degree and involution by point id)."""
+    ranges, info, image, degree, swap = {}, {}, {}, {}, {}
+    for x in ids:
+        labels, degrees, swaps = over(point(x))
+        at = len(info)
+        here = ranges[x] = range(at, at + len(labels))
+        info.update(zip(here, zip(itertools.repeat(x), labels)))
+        image.update(dict.fromkeys(here, x))
+        degree.update(zip(here, degrees))
+        swap.update(zip(here, [at + k for k in swaps]))
+    return ranges, info, image, degree, swap
+
+
 def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
     """One point per multisection per base point, rooted and glued by
-    inducing multisections along refinements through the top level."""
+    inducing multisections along refinements through the top level.
+
+    Multisections, their degrees and sign swaps are read from one table per
+    fiber shape, and the gluing from one table per kind of refinement, so
+    `induce_multisection` runs once per table entry, not once per point;
+    point ids are a base point's first id plus a position in its fiber."""
     if n not in (2, 3, 4):
         raise PreconditionError("degree", "only degrees 2, 3, 4 are exposed")
     if t.f.global_degree() != n:
@@ -248,39 +332,36 @@ def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
     base = t.base
 
     fibers = {p: tower_fiber(t, p) for p in base.points()}
-    v_ids, v_info = _dense_ids((v, ms) for v in base.vertices
-                               for ms in multisections(fibers[vpoint(v)]))
-    h_ids, h_info = _dense_ids((h, ms) for h in base.half_edges
-                               for ms in multisections(fibers[hpoint(h)]))
+    shapes, transports = {}, {}
 
-    refinements = {h: (_root_refinement(t, fibers, h), _partner_transport(t, fibers, h))
-                   for h in base.half_edges}
+    def over(point):
+        fd = fibers[point]
+        shape = _fiber_shape(fd)
+        if shape not in shapes:
+            shapes[shape] = _shape_table(fd)
+        table = shapes[shape]
+        return table.multisections(fd), table.degree, table.swap
+
+    v_ids, v_info, vmap, vdeg, vperm = _number_points(base.vertices, vpoint, over)
+    h_ids, h_info, hmap, hdeg, hperm = _number_points(base.half_edges, hpoint, over)
     root, partner = {}, {}
-    for i, (h, ms) in h_info.items():
-        to_root, to_partner = refinements[h]
-        root[i] = v_ids[(base.root[h], induce_multisection(to_root, ms))]
-        partner[i] = h_ids[(base.partner[h], induce_multisection(to_partner, ms))]
+    for h in base.half_edges:
+        for glue, r, at in ((root, _root_refinement(t, fibers, h), v_ids[base.root[h]].start),
+                            (partner, _partner_transport(t, fibers, h),
+                             h_ids[base.partner[h]].start)):
+            glue.update(zip(h_ids[h], [at + k for k in _transport_table(transports, r)]))
 
-    total = Graph(tuple(range(len(v_ids))), root, partner)
-    vdeg = {i: multisection_degree(fibers[vpoint(v)], ms) for i, (v, ms) in v_info.items()}
-    hdeg = {i: multisection_degree(fibers[hpoint(h)], ms) for i, (h, ms) in h_info.items()}
-    cover = _check_harmonic(HarmonicMorphism(
-        GraphMorphism(total, base,
-                      {i: v for i, (v, ms) in v_info.items()},
-                      {i: h for i, (h, ms) in h_info.items()}),
-        vdeg, hdeg), "constructed cover")
+    total = Graph(tuple(range(len(v_info))), root, partner)
+    cover = _check_harmonic(HarmonicMorphism(GraphMorphism(total, base, vmap, hmap), vdeg, hdeg),
+                            "constructed cover")
     if cover.global_degree() != 2 ** n:
         raise AssertionError("constructed cover has the wrong degree")
 
-    vperm = {v_ids[(v, ms)]: v_ids[(v, swap_multisection(fibers[vpoint(v)], ms))]
-             for (v, ms) in v_ids}
-    hperm = {h_ids[(h, ms)]: h_ids[(h, swap_multisection(fibers[hpoint(h)], ms))]
-             for (h, ms) in h_ids}
     for i in total.half_edges:
-        if hperm[total.partner[i]] != total.partner[hperm[i]] \
-                or vperm[total.root[i]] != total.root[hperm[i]]:
+        j = hperm[i]
+        if hperm[partner[i]] != partner[j] or vperm[root[i]] != root[j]:
             raise AssertionError("sign involution is not a graph automorphism")
-        if hdeg[hperm[i]] != hdeg[i]:
+        if hdeg[j] != hdeg[i]:
             raise AssertionError("sign involution does not preserve degrees")
 
     orientation, to_orient, ov_info, oh_info = _sign_quotient(n, fibers, cover, v_info, h_info)
@@ -295,21 +376,24 @@ def _sign_quotient(n, fibers, cover, v_info, h_info):
     sign-labeled points of degree 1 over each free one.  Every member of a
     class must glue the class to the same root and partner."""
     src = cover.source
+    plus = operator.itemgetter(1)
 
-    def sign_bit(point, ms):
-        return sum(plus for (_pid, plus, _minus) in ms) % 2 if fibers[point].is_free() else 0
+    def labels(info, ids, point):
+        free = {x: fibers[point(x)].is_free() for x in ids}
+        return {i: (x, sum(map(plus, ms)) % 2 if free[x] else 0) for i, (x, ms) in info.items()}
 
-    vlabel = {i: (v, sign_bit(vpoint(v), ms)) for i, (v, ms) in v_info.items()}
-    hlabel = {i: (h, sign_bit(hpoint(h), ms)) for i, (h, ms) in h_info.items()}
+    vlabel = labels(v_info, cover.target.vertices, vpoint)
+    hlabel = labels(h_info, cover.target.half_edges, hpoint)
     ov_ids, ov_info = _dense_ids(sorted(set(vlabel.values())))
     oh_ids, oh_info = _dense_ids(sorted(set(hlabel.values())))
     vmap = {i: ov_ids[label] for i, label in vlabel.items()}
     hmap = {i: oh_ids[label] for i, label in hlabel.items()}
     root, partner = {}, {}
+    src_root, src_partner = src.root, src.partner
     for i in src.half_edges:
-        for glue, image in ((root, vmap[src.root[i]]), (partner, hmap[src.partner[i]])):
-            if glue.setdefault(hmap[i], image) != image:
-                raise AssertionError(f"sign class {oh_info[hmap[i]]} is glued differently by its members")
+        c, at, mate = hmap[i], vmap[src_root[i]], hmap[src_partner[i]]
+        if root.setdefault(c, at) != at or partner.setdefault(c, mate) != mate:
+            raise AssertionError(f"sign class {oh_info[c]} is glued differently by its members")
     graph = Graph(tuple(range(len(ov_ids))), root, partner)
     odeg_v = {c: 1 if fibers[vpoint(v)].is_free() else 2 for c, (v, _s) in ov_info.items()}
     odeg_h = {c: 1 if fibers[hpoint(h)].is_free() else 2 for c, (h, _s) in oh_info.items()}
@@ -368,18 +452,17 @@ def involution_quotient(cover: HarmonicMorphism, vperm: dict, hperm: dict) -> In
         hdeg[i] = d // 2 if fixed else d
     quotient = _check_harmonic(HarmonicMorphism(
         GraphMorphism(quotient_graph, cover.target,
-                      {v_new[rep]: cover.v(rep) for rep in v_new},
-                      {h_new[rep]: cover.h(rep) for rep in h_new}),
+                      {v_new[rep]: cover.morphism.vmap[rep] for rep in v_new},
+                      {h_new[rep]: cover.morphism.hmap[rep] for rep in h_new}),
         vdeg, hdeg), "involution quotient")
+    vertex_orbit = {v: v_new[vrep[v]] for v in src.vertices}
+    half_edge_orbit = {h: h_new[hrep[h]] for h in src.half_edges}
     proj = HarmonicMorphism(
-        GraphMorphism(src, quotient_graph,
-                      {v: v_new[vrep[v]] for v in src.vertices},
-                      {h: h_new[hrep[h]] for h in src.half_edges}),
+        GraphMorphism(src, quotient_graph, vertex_orbit, half_edge_orbit),
         {v: 2 if vperm[v] == v else 1 for v in src.vertices},
         {h: 2 if hperm[h] == h else 1 for h in src.half_edges})
     return InvolutionQuotient(quotient, DoubleCover.from_harmonic(proj),
-                              {v: v_new[vrep[v]] for v in src.vertices},
-                              {h: h_new[hrep[h]] for h in src.half_edges})
+                              vertex_orbit, half_edge_orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +589,9 @@ def trigonal(t: Tower) -> TrigonalResult:
     plus_vertex = next(i for i, (v, s) in cons.orientation_vertex_info.items()
                        if v == base_min and s == 0)
     even_comp = next(c for c in comps if plus_vertex in c)
+    to_orientation = cons.to_orientation.morphism.vmap
     vertices = frozenset(v for v in cons.cover_to_base.source.vertices
-                         if cons.to_orientation.v(v) in even_comp)
+                         if to_orientation[v] in even_comp)
     other = frozenset(cons.cover_to_base.source.vertices) - vertices
     vperm, hperm = cons.sign_involution
     if {vperm[v] for v in vertices} != other:
@@ -536,8 +620,8 @@ def _restrict_cover(cover: HarmonicMorphism, vertices: frozenset) -> tuple:
                   {h_new[h]: h_new[src.partner[h]] for h in halves})
     out = _check_harmonic(HarmonicMorphism(
         GraphMorphism(graph, cover.target,
-                      {v_new[v]: cover.v(v) for v in vertices},
-                      {h_new[h]: cover.h(h) for h in halves}),
+                      {v_new[v]: cover.morphism.vmap[v] for v in vertices},
+                      {h_new[h]: cover.morphism.hmap[h] for h in halves}),
         {v_new[v]: cover.vertex_degree[v] for v in vertices},
         {h_new[h]: cover.half_edge_degree[h] for h in halves}), "component restriction")
     return out, v_new, h_new
@@ -557,6 +641,54 @@ class RecillasResult:
 _SLOT_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
+@dataclass(frozen=True)
+class _SlotClasses:
+    """The 2-subsets of a fiber's four slots, by class, for one fiber
+    profile (the local degrees of the fiber points in id order), all by
+    position in the fiber: the point of each slot and the first slot of
+    each point; per class in sorted order, the pair of points its subsets
+    touch, its subsets and the class of the complement of its first
+    subset; and the class of each subset."""
+
+    point: tuple
+    first_slot: tuple
+    keys: tuple
+    members: tuple
+    complement: tuple
+    pair_class: dict
+
+
+def _slot_classes(profile: tuple) -> _SlotClasses:
+    point = tuple(j for j, d in enumerate(profile) for _ in range(d))
+    touched = {(a, b): tuple(sorted((point[a], point[b]))) for a, b in _SLOT_PAIRS}
+    keys = tuple(sorted(set(touched.values())))
+    pair_class = {pair: keys.index(key) for pair, key in touched.items()}
+    members = tuple(tuple(pair for pair in _SLOT_PAIRS if pair_class[pair] == c)
+                    for c in range(len(keys)))
+    return _SlotClasses(
+        point, tuple(point.index(j) for j in range(len(profile))), keys, members,
+        tuple(pair_class[tuple(x for x in range(4) if x not in m[0])] for m in members),
+        pair_class)
+
+
+def _carried_classes(source: _SlotClasses, target: _SlotClasses, fiber_map: tuple) -> tuple:
+    """The class at the target carried by each class at the source, under
+    the slot bijection that a part-respecting map of fiber points induces
+    (fiber_map[j]: position of the image of point j)."""
+    used = [0] * len(target.first_slot)
+    slot_map = []
+    for j in map(fiber_map.__getitem__, source.point):
+        slot_map.append(target.first_slot[j] + used[j])
+        used[j] += 1
+    carried = []
+    for pairs in source.members:
+        classes = {target.pair_class[tuple(sorted(slot_map[x] for x in pair))] for pair in pairs}
+        if len(classes) != 1:
+            raise AssertionError("slot transport is not constant on a class")
+        carried.append(classes.pop())
+    return tuple(carried)
+
+
 def recillas(p: HarmonicMorphism) -> RecillasResult:
     """From a generic degree-4 cover of a tree, build the free double cover
     of a trigonal graph whose points are 2-element subsets of the fibers.
@@ -564,7 +696,9 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
     Each fiber is modeled on four slots partitioned by the fiber points;
     2-subsets are classified by the unordered pair of parts they touch,
     the complement gives the free involution, and class size is the
-    local degree.
+    local degree.  Classes are read from one table per fiber profile, and
+    the gluing from one table per pair of profiles and map of fiber
+    positions.
     """
     if p.global_degree() != 4:
         raise PreconditionError("degree-4", "Recillas construction needs a degree-4 cover")
@@ -574,73 +708,45 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
     for point in base.points():
         classify_tetragonal_point(p, point)  # raises NonGenericError with the point
 
-    slots = {}         # base point -> slot index -> fiber point id
-    offsets = {}       # base point -> fiber point id -> first slot
-    pair_class = {}    # base point -> slot pair -> class key
-    members = {}       # base point -> class key -> slot pairs, keys sorted
-    for point in base.points():
-        kind, i = point
-        fib = p.fiber_vertices(i) if kind == "v" else p.fiber_half_edges(i)
-        assign, offs, pos = {}, {}, 0
-        for x in fib:
-            offs[x] = pos
-            for _ in range(p.deg_point((kind, x))):
-                assign[pos] = x
-                pos += 1
-        slots[point] = assign
-        offsets[point] = offs
-        keys = {(a, b): tuple(sorted((assign[a], assign[b]))) for a, b in _SLOT_PAIRS}
-        groups = {}
-        for pair, key in keys.items():
-            groups.setdefault(key, []).append(pair)
-        pair_class[point], members[point] = keys, dict(sorted(groups.items()))
+    fibers = {vpoint(v): p.fiber_vertices(v) for v in base.vertices}
+    fibers.update((hpoint(h), p.fiber_half_edges(h)) for h in base.half_edges)
+    degree = {"v": p.vertex_degree, "h": p.half_edge_degree}
+    position = {point: {x: j for j, x in enumerate(fib)} for point, fib in fibers.items()}
+    slot_classes, transports = {}, {}
 
-    def slot_map_to(point_from, point_to, fiber_map):
-        """Slot bijection induced by a part-respecting map of fiber points."""
-        used = {x: 0 for x in offsets[point_to]}
-        out = {}
-        for s in range(4):
-            target_pt = fiber_map[slots[point_from][s]]
-            out[s] = offsets[point_to][target_pt] + used[target_pt]
-            used[target_pt] += 1
-        return out
+    def profile(point) -> tuple:
+        return tuple(map(degree[point[0]].__getitem__, fibers[point]))
 
-    def carried_class(point, pair, slot_map):
-        return pair_class[point][tuple(sorted(slot_map[s] for s in pair))]
+    def classes(point) -> _SlotClasses:
+        key = profile(point)
+        if key not in slot_classes:
+            slot_classes[key] = _slot_classes(key)
+        return slot_classes[key]
 
-    v_ids, v_info = _dense_ids((v, key) for v in base.vertices for key in members[vpoint(v)])
-    h_ids, h_info = _dense_ids((h, key) for h in base.half_edges for key in members[hpoint(h)])
+    def over(point):
+        fib, table = fibers[point], classes(point)
+        return ([(fib[a], fib[b]) for a, b in table.keys],
+                map(len, table.members), table.complement)
 
+    v_ids, v_info, vmap, vdeg, vperm = _number_points(base.vertices, vpoint, over)
+    h_ids, h_info, hmap, hdeg, hperm = _number_points(base.half_edges, hpoint, over)
     root, partner = {}, {}
     for h in base.half_edges:
-        v, mate, here = base.root[h], base.partner[h], hpoint(h)
-        root_map = slot_map_to(here, vpoint(v), {x: p.source.root[x] for x in offsets[here]})
-        partner_map = slot_map_to(here, hpoint(mate),
-                                  {x: p.source.partner[x] for x in offsets[here]})
-        for key, pairs in members[here].items():
-            rooted = {carried_class(vpoint(v), m, root_map) for m in pairs}
-            carried = {carried_class(hpoint(mate), m, partner_map) for m in pairs}
-            if len(rooted) != 1 or len(carried) != 1:
-                raise AssertionError("slot transport is not constant on a class")
-            root[h_ids[(h, key)]] = v_ids[(v, rooted.pop())]
-            partner[h_ids[(h, key)]] = h_ids[(mate, carried.pop())]
+        here, v, mate = hpoint(h), base.root[h], base.partner[h]
+        for glue, move, there, at in ((root, p.source.root, vpoint(v), v_ids[v].start),
+                                      (partner, p.source.partner, hpoint(mate),
+                                       h_ids[mate].start)):
+            fiber_map = tuple(position[there][move[x]] for x in fibers[here])
+            key = (profile(here), profile(there), fiber_map)
+            if key not in transports:
+                transports[key] = _carried_classes(classes(here), classes(there), fiber_map)
+            glue.update(zip(h_ids[h], [at + c for c in transports[key]]))
 
-    total = Graph(tuple(range(len(v_ids))), root, partner)
-    sextic = _check_harmonic(HarmonicMorphism(
-        GraphMorphism(total, base,
-                      {i: v for i, (v, key) in v_info.items()},
-                      {i: h for i, (h, key) in h_info.items()}),
-        {i: len(members[vpoint(v)][key]) for i, (v, key) in v_info.items()},
-        {i: len(members[hpoint(h)][key]) for i, (h, key) in h_info.items()}), "Recillas cover")
+    total = Graph(tuple(range(len(v_info))), root, partner)
+    sextic = _check_harmonic(HarmonicMorphism(GraphMorphism(total, base, vmap, hmap), vdeg, hdeg),
+                             "Recillas cover")
     if sextic.global_degree() != 6:
         raise AssertionError("Recillas cover must have degree 6")
-
-    def complement_key(point, key):
-        first = members[point][key][0]
-        return pair_class[point][tuple(x for x in range(4) if x not in first)]
-
-    vperm = {i: v_ids[(v, complement_key(vpoint(v), key))] for i, (v, key) in v_info.items()}
-    hperm = {i: h_ids[(h, complement_key(hpoint(h), key))] for i, (h, key) in h_info.items()}
     if any(vperm[i] == i for i in vperm) or any(hperm[i] == i for i in hperm):
         raise AssertionError("complement involution must be fixed-point-free on generic fibers")
     quot = involution_quotient(sextic, vperm, hperm)
@@ -682,7 +788,7 @@ def tetragonal_split(t: Tower) -> TetragonalSplit:
     towers = []
     for comp in comps:
         vertices = frozenset(v for v in cons.cover_to_base.source.vertices
-                             if cons.to_orientation.v(v) in comp)
+                             if cons.to_orientation.morphism.vmap[v] in comp)
         part, v_new, h_new = _restrict_cover(cons.cover_to_base, vertices)
         sub_vperm = {i: v_new[vperm[v]] for v, i in v_new.items()}
         sub_hperm = {i: h_new[hperm[h]] for h, i in h_new.items()}

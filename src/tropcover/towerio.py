@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
                      HarmonicMorphism, Tower, validate_graph, validate_harmonic)
@@ -53,16 +54,23 @@ def _int_list(doc: dict, key: str, what: str) -> list:
 
 
 def _int_key_map(d: dict) -> dict:
-    return {str(k): v for k, v in sorted(d.items())}
+    return dict(zip(map(str, d), d.values()))
 
 
 def _int_keys(d: dict, what: str) -> dict:
-    """{int(key): value} of a JSON object whose keys are integers."""
-    items = _expect(d, dict, what).items()
+    """{int(key): value} of a JSON object whose keys are integers, no two the same id."""
+    _expect(d, dict, what)
     try:
-        return {int(k): v for k, v in items}
+        out = dict(zip(map(int, d), d.values()))
     except ValueError:
         raise ValueError(f"tower file: {what} keys must be integers") from None
+    if len(out) != len(d):
+        seen = set()
+        for k in map(int, d):
+            if k in seen:
+                raise ValueError(f"tower file: {what} has two keys for id {k}")
+            seen.add(k)
+    return out
 
 
 def _parse_int_map(doc: dict, key: str, what: str) -> dict:
@@ -177,7 +185,41 @@ def tower_to_doc(tower: Tower, base_metric: MetricGraph, meta=None) -> dict:
 
 
 def dumps_canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    """The canonical text of a document: byte for byte
+    `json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\\n"`,
+    written without the pure-Python encoder that `indent` selects."""
+    return _dumps(doc, "\n") + "\n"
+
+
+def _dumps(value, nl: str) -> str:
+    """value as the canonical text writes it where a line break is `nl`
+    (a newline and the indent of value's depth).  Lists, str-keyed objects,
+    strs and ints are written here, a list or object of ints with no call
+    per item; any other value by json.dumps, re-indented to this depth."""
+    kind = type(value)
+    if kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        inner = nl + " "
+        if set(map(type, value.values())) <= {int}:
+            body = [f"{_quote(k)}: {value[k]}" for k in sorted(value)]
+        else:
+            body = [f"{_quote(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = nl + " "
+        if set(map(type, value)) <= {int}:
+            body = [f"{x}" for x in value]
+        else:
+            body = [_dumps(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    return json.dumps(value, sort_keys=True, indent=1, separators=(",", ": ")).replace("\n", nl)
 
 
 def save(path, doc: dict):

@@ -19,21 +19,29 @@ eagerly before it kept integer forms only, and the Fraction-era matrix
 helpers no package code calls: the inverse in fractions, rank, a shared
 denominator and the LLL transform alone.  The tower isomorphism search
 that listed mid-level cover isomorphisms and searched the transported top
-cover for each is here too.
+cover for each is here too, and so are the n-gonal and Recillas
+constructions that worked out multisections, transports and slot classes
+once per point instead of once per fiber shape.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from tropcover import intlinalg as la
 from tropcover.graphs import (Graph, GraphError, GraphMorphism, HarmonicMorphism,
-                              Tower, ValidationIssue, covers_isomorphic_over_base,
-                              hpoint, is_connected, iter_cover_isomorphisms,
-                              validate_morphism, vpoint)
+                              PreconditionError, Tower, ValidationIssue,
+                              covers_isomorphic_over_base, hpoint, is_connected, is_tree,
+                              iter_cover_isomorphisms, validate_morphism, vpoint)
 from tropcover.jacprym import h1_basis, pairing_table
+from tropcover.ngonal import (NgonalConstruction, RecillasResult, _check_harmonic,
+                              _dense_ids, _partner_transport, _root_refinement,
+                              _sign_quotient, classify_tetragonal_point, induce_multisection,
+                              involution_quotient, multisection_degree, multisections,
+                              swap_multisection, tower_fiber)
 from tropcover.tori import (DualPolarization, IntegralTorus, KernelTorus,
                             Polarization, PrincipalModel, TorusError, TorusHom,
                             dual_type)
@@ -531,3 +539,148 @@ def towers_isomorphic_mid_first(t1: Tower, t2: Tower):
         if found is not None:
             return (vmap, hmap), found
     return None
+
+
+def ngonal_construct_per_point(t: Tower, n: int) -> NgonalConstruction:
+    """ngonal.ngonal_construct as it was: one `induce_multisection` per
+    point of the cover and transport, one `multisection_degree` and one
+    `swap_multisection` per point."""
+    if n not in (2, 3, 4):
+        raise PreconditionError("degree", "only degrees 2, 3, 4 are exposed")
+    if t.f.global_degree() != n:
+        raise PreconditionError("degree", f"tower has degree {t.f.global_degree()}, expected {n}")
+    if not is_connected(t.base):
+        raise PreconditionError("connected", "base must be connected")
+    base = t.base
+
+    fibers = {p: tower_fiber(t, p) for p in base.points()}
+    v_ids, v_info = _dense_ids((v, ms) for v in base.vertices
+                               for ms in multisections(fibers[vpoint(v)]))
+    h_ids, h_info = _dense_ids((h, ms) for h in base.half_edges
+                               for ms in multisections(fibers[hpoint(h)]))
+
+    refinements = {h: (_root_refinement(t, fibers, h), _partner_transport(t, fibers, h))
+                   for h in base.half_edges}
+    root, partner = {}, {}
+    for i, (h, ms) in h_info.items():
+        to_root, to_partner = refinements[h]
+        root[i] = v_ids[(base.root[h], induce_multisection(to_root, ms))]
+        partner[i] = h_ids[(base.partner[h], induce_multisection(to_partner, ms))]
+
+    total = Graph(tuple(range(len(v_ids))), root, partner)
+    vdeg = {i: multisection_degree(fibers[vpoint(v)], ms) for i, (v, ms) in v_info.items()}
+    hdeg = {i: multisection_degree(fibers[hpoint(h)], ms) for i, (h, ms) in h_info.items()}
+    cover = _check_harmonic(HarmonicMorphism(
+        GraphMorphism(total, base,
+                      {i: v for i, (v, ms) in v_info.items()},
+                      {i: h for i, (h, ms) in h_info.items()}),
+        vdeg, hdeg), "constructed cover")
+    if cover.global_degree() != 2 ** n:
+        raise AssertionError("constructed cover has the wrong degree")
+
+    vperm = {v_ids[(v, ms)]: v_ids[(v, swap_multisection(fibers[vpoint(v)], ms))]
+             for (v, ms) in v_ids}
+    hperm = {h_ids[(h, ms)]: h_ids[(h, swap_multisection(fibers[hpoint(h)], ms))]
+             for (h, ms) in h_ids}
+    for i in total.half_edges:
+        if hperm[total.partner[i]] != total.partner[hperm[i]] \
+                or vperm[total.root[i]] != total.root[hperm[i]]:
+            raise AssertionError("sign involution is not a graph automorphism")
+        if hdeg[hperm[i]] != hdeg[i]:
+            raise AssertionError("sign involution does not preserve degrees")
+
+    orientation, to_orient, ov_info, oh_info = _sign_quotient(n, fibers, cover, v_info, h_info)
+    return NgonalConstruction(t, n, cover, (vperm, hperm), orientation, to_orient,
+                              v_info, h_info, ov_info, oh_info)
+
+
+_SLOT_PAIRS = tuple(itertools.combinations(range(4), 2))
+
+
+def recillas_per_point(p: HarmonicMorphism) -> RecillasResult:
+    """ngonal.recillas as it was: slot classes and slot transports worked
+    out again at every base point and half-edge."""
+    if p.global_degree() != 4:
+        raise PreconditionError("degree-4", "Recillas construction needs a degree-4 cover")
+    if not is_tree(p.target):
+        raise PreconditionError("tree-base", "Recillas construction needs a tree base")
+    base = p.target
+    for point in base.points():
+        classify_tetragonal_point(p, point)  # raises NonGenericError with the point
+
+    slots = {}         # base point -> slot index -> fiber point id
+    offsets = {}       # base point -> fiber point id -> first slot
+    pair_class = {}    # base point -> slot pair -> class key
+    members = {}       # base point -> class key -> slot pairs, keys sorted
+    for point in base.points():
+        kind, i = point
+        fib = p.fiber_vertices(i) if kind == "v" else p.fiber_half_edges(i)
+        assign, offs, pos = {}, {}, 0
+        for x in fib:
+            offs[x] = pos
+            for _ in range(p.deg_point((kind, x))):
+                assign[pos] = x
+                pos += 1
+        slots[point] = assign
+        offsets[point] = offs
+        keys = {(a, b): tuple(sorted((assign[a], assign[b]))) for a, b in _SLOT_PAIRS}
+        groups = {}
+        for pair, key in keys.items():
+            groups.setdefault(key, []).append(pair)
+        pair_class[point], members[point] = keys, dict(sorted(groups.items()))
+
+    def slot_map_to(point_from, point_to, fiber_map):
+        """Slot bijection induced by a part-respecting map of fiber points."""
+        used = {x: 0 for x in offsets[point_to]}
+        out = {}
+        for s in range(4):
+            target_pt = fiber_map[slots[point_from][s]]
+            out[s] = offsets[point_to][target_pt] + used[target_pt]
+            used[target_pt] += 1
+        return out
+
+    def carried_class(point, pair, slot_map):
+        return pair_class[point][tuple(sorted(slot_map[s] for s in pair))]
+
+    v_ids, v_info = _dense_ids((v, key) for v in base.vertices for key in members[vpoint(v)])
+    h_ids, h_info = _dense_ids((h, key) for h in base.half_edges for key in members[hpoint(h)])
+
+    root, partner = {}, {}
+    for h in base.half_edges:
+        v, mate, here = base.root[h], base.partner[h], hpoint(h)
+        root_map = slot_map_to(here, vpoint(v), {x: p.source.root[x] for x in offsets[here]})
+        partner_map = slot_map_to(here, hpoint(mate),
+                                  {x: p.source.partner[x] for x in offsets[here]})
+        for key, pairs in members[here].items():
+            rooted = {carried_class(vpoint(v), m, root_map) for m in pairs}
+            carried = {carried_class(hpoint(mate), m, partner_map) for m in pairs}
+            if len(rooted) != 1 or len(carried) != 1:
+                raise AssertionError("slot transport is not constant on a class")
+            root[h_ids[(h, key)]] = v_ids[(v, rooted.pop())]
+            partner[h_ids[(h, key)]] = h_ids[(mate, carried.pop())]
+
+    total = Graph(tuple(range(len(v_ids))), root, partner)
+    sextic = _check_harmonic(HarmonicMorphism(
+        GraphMorphism(total, base,
+                      {i: v for i, (v, key) in v_info.items()},
+                      {i: h for i, (h, key) in h_info.items()}),
+        {i: len(members[vpoint(v)][key]) for i, (v, key) in v_info.items()},
+        {i: len(members[hpoint(h)][key]) for i, (h, key) in h_info.items()}), "Recillas cover")
+    if sextic.global_degree() != 6:
+        raise AssertionError("Recillas cover must have degree 6")
+
+    def complement_key(point, key):
+        first = members[point][key][0]
+        return pair_class[point][tuple(x for x in range(4) if x not in first)]
+
+    vperm = {i: v_ids[(v, complement_key(vpoint(v), key))] for i, (v, key) in v_info.items()}
+    hperm = {i: h_ids[(h, complement_key(hpoint(h), key))] for i, (h, key) in h_info.items()}
+    if any(vperm[i] == i for i in vperm) or any(hperm[i] == i for i in hperm):
+        raise AssertionError("complement involution must be fixed-point-free on generic fibers")
+    quot = involution_quotient(sextic, vperm, hperm)
+    tower = Tower(quot.projection, quot.quotient_map)
+    if not tower.pi.is_free():
+        raise AssertionError("Recillas double cover must be free")
+    if tower.f.global_degree() != 3:
+        raise AssertionError("Recillas base map must have degree 3")
+    return RecillasResult(tower, v_info, h_info)

@@ -1,0 +1,109 @@
+"""The table-driven constructions against the per-point ones they replaced.
+
+`ngonal.ngonal_construct` reads multisections, degrees and sign swaps from
+one table per fiber shape and the gluing from one table per kind of
+refinement; `ngonal.recillas` reads slot classes and their transports
+from tables by fiber profile.  The per-point versions are kept in
+`tests/oracles.py`.  Both must give equal results, field by field, and
+the `construct` command must write the files it wrote before the tables.
+"""
+
+import dataclasses
+import hashlib
+import os
+
+from oracles import ngonal_construct_per_point, recillas_per_point
+from tropcover.cli import main
+from tropcover.ngonal import ngonal_construct, recillas, trigonal
+from tropcover.randgen import random_tetragonal_curve, random_tower
+from tropcover.towerio import save, tower_to_doc
+
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+
+# (n, pi_free, generic): free and dilated double covers in every degree
+KINDS = ((2, True, False), (2, False, False), (2, None, True), (3, True, False),
+         (3, False, False), (4, True, True), (4, False, False))
+
+
+def seeded_towers():
+    for seed in range(16):
+        for n, pi_free, generic in KINDS:
+            yield n, random_tower(seed, n=n, pi_free=pi_free, generic=generic,
+                                  tree_size=(2, 9)).tower
+
+
+def assert_same_fields(a, b):
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+def test_ngonal_construct_matches_the_per_point_construction():
+    kinds = set()
+    for n, tower in seeded_towers():
+        assert_same_fields(ngonal_construct(tower, n), ngonal_construct_per_point(tower, n))
+        kinds.add((n, tower.pi.is_free()))
+    assert kinds == {(n, free) for n in (2, 3, 4) for free in (True, False)}
+
+
+def test_recillas_matches_the_per_point_construction():
+    profiles = set()
+    for seed in range(40):
+        curve = random_tetragonal_curve(seed, tree_size=(2, 9)).cover
+        quartic = trigonal(random_tower(seed, n=3, pi_free=True, tree_size=(2, 9)).tower).quartic
+        for cover in (curve, quartic):
+            assert_same_fields(recillas(cover), recillas_per_point(cover))
+            profiles.update(cover.fiber_profile(p) for p in cover.target.points())
+    assert profiles == {(1, 1, 1, 1), (2, 1, 1), (3, 1)}
+
+
+def test_tables_serve_many_points():
+    # one N = 60 tower: far fewer table entries than points
+    tower = random_tower(5, n=3, pi_free=True, tree_size=(60, 60)).tower
+    cons = ngonal_construct(tower, 3)
+    assert_same_fields(cons, ngonal_construct_per_point(tower, 3))
+    assert len(cons.vertex_info) + len(cons.half_edge_info) > 1000
+
+
+def construct_digests(workdir) -> dict:
+    """sha256 of every file `construct` writes on data/ and on a seeded
+    degree-4 tower, by file name."""
+    workdir = str(workdir)
+    tetragonal = os.path.join(workdir, "tetragonal.json")
+    gen = random_tower(3, n=4, pi_free=True, generic=True, tree_size=(4, 8))
+    save(tetragonal, tower_to_doc(gen.tower, gen.base_metric, meta={"seed": 3}))
+    quartic = os.path.join(workdir, "trigonal.json")
+    runs = {"bigonal": (os.path.join(DATA, "bigonal_tower.json"), ["--op", "bigonal"]),
+            "ngonal-2": (os.path.join(DATA, "bigonal_tower.json"), ["--op", "ngonal", "--n", "2"]),
+            "trigonal": (os.path.join(DATA, "trigonal_tower.json"), ["--op", "trigonal"]),
+            "ngonal-3": (os.path.join(DATA, "trigonal_tower.json"), ["--op", "ngonal", "--n", "3"]),
+            "recillas": (quartic, ["--op", "recillas"]),
+            "ngonal-4": (tetragonal, ["--op", "ngonal", "--n", "4"]),
+            "split": (tetragonal, ["--op", "tetragonal-split"])}
+    digests = {}
+    for name, (path, op) in runs.items():
+        out = os.path.join(workdir, name + ".json")
+        assert main(["construct", path, *op, "--out", out]) == 0
+        written = [os.path.join(workdir, f"split.{i}.json") for i in (1, 2)] \
+            if name == "split" else [out]
+        for file in written:
+            with open(file, "rb") as fh:
+                digests[os.path.basename(file)] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+# recorded with the per-point constructions, before the tables
+CONSTRUCT_SHA256 = {
+    "bigonal.json": "a95634f5005a503db2e1724fe595602bd6d5ca17fcc69384e62ae9d9cd4c9f85",
+    "ngonal-2.json": "d9720c1847f95a14debb9252246e424afae0434907e034dbfd5c357b6ca1cb90",
+    "trigonal.json": "d4832718ad327f2d3d2c6c72b7f9d90510d61a600c0544c2bd0947754729ead0",
+    "ngonal-3.json": "a6c64e9b518d44ddf12c8f815ebaecfa51e1a430b1f62dd3166f585870e56a5e",
+    "recillas.json": "e6e18436366b2803c4a372661519aaefac9d626b96ec7f76a80fea0568715a22",
+    "ngonal-4.json": "dda3121acedded7f4dbd7a7c5d938b38862b974348fc3e3aaa3d04bc138a55a1",
+    "split.1.json": "ba8d2908cf789fcf473b1e0a1cccb50ada190128982dceaff6b2fa159c7ee561",
+    "split.2.json": "9573f9dcb2cc5a6384dade1c25bb5fbe1deab8a239fc3777f594a1d06d0b2143",
+}
+
+
+def test_construct_writes_the_same_files(tmp_path):
+    assert construct_digests(tmp_path) == CONSTRUCT_SHA256

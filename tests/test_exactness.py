@@ -65,10 +65,11 @@ def fraction_route_uses(tree):
 
 
 # `raise AssertionError` statements in the package source when the floor
-# was last raised (59, plus the two cycle-basis certificate checks of
-# `jacprym._certified_gram`); it may rise, but a self-check is made
-# cheaper, never removed
-SELF_CHECK_FLOOR = 61
+# was last raised (61, plus the half-edge conflict check of
+# `graphs.towers_isomorphic` and the check that a fiber shape's table lists
+# the multisections in order in `ngonal._shape_table`); it may rise, but a
+# self-check is made cheaper, never removed
+SELF_CHECK_FLOOR = 63
 
 
 def self_checks(tree):

@@ -12,7 +12,7 @@ from tropcover.graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
                               identity_harmonic, spanning_tree,
                               towers_isomorphic, validate_graph,
                               validate_harmonic, vpoint)
-from tropcover.ngonal import bigonal, recillas, trigonal
+from tropcover.ngonal import bigonal, ngonal_construct, recillas, tetragonal_split, trigonal
 from tropcover.randgen import random_tower
 
 from oracles import towers_isomorphic_mid_first, validate_harmonic_by_rescan
@@ -456,6 +456,27 @@ class TestValidateHarmonicAgainstRescan:
                         assert issues == validate_harmonic_by_rescan(f)
                         codes.update(i.code for i in issues)
         assert {"local-harmonicity", "edge-degree"} <= codes
+
+    def test_issue_lists_match_on_large_constructed_covers(self):
+        # over a 30-vertex tree: the degree-8 section cover of a free trigonal
+        # tower, the degree-16 one of a free double cover of its quartic (the
+        # tetragonal split) and the Recillas sextic of that quartic
+        tower = random_tower(12, n=3, pi_free=True, tree_size=(30, 30)).tower
+        quartic = trigonal(tower).quartic
+        rng = random.Random(12)
+        sheets = build_double_cover(
+            quartic.source, bits={h: rng.randrange(2) for h in quartic.source.half_edges})
+        covers = ((8, ngonal_construct(tower, 3).cover_to_base),
+                  (16, tetragonal_split(Tower(sheets.cover, quartic)).construction.cover_to_base),
+                  (6, recillas(quartic).tower.composed()))
+        for degree, cover in covers:
+            assert cover.global_degree() == degree and len(cover.source.vertices) > 100
+            codes = set()
+            for f in harmonicity_mutants(cover, rng):
+                issues = validate_harmonic(f)
+                assert issues == validate_harmonic_by_rescan(f)
+                codes.update(i.code for i in issues)
+            assert {"local-harmonicity", "edge-degree"} <= codes
 
     def test_each_morphism_is_scanned_once(self, monkeypatch):
         from tropcover import graphs

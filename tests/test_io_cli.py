@@ -6,9 +6,10 @@ import pytest
 from tropcover.cli import main
 from tropcover.gallery import bigonal_reference, trigonal_reference
 from tropcover.graphs import towers_isomorphic, validate_harmonic
+from tropcover.ngonal import bigonal, ngonal_construct
 from tropcover.randgen import random_tower
 from tropcover.towerio import (doc_to_file, dumps_canonical, file_to_doc, load,
-                               save, tower_to_doc)
+                               provenance_meta, save, tower_to_doc)
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -58,6 +59,55 @@ class TestSerialization:
         assert towers_isomorphic(loaded.tower(), trigonal_reference().tower) is not None
         loaded = load(os.path.join(DATA, "bigonal_tower.json"))
         assert towers_isomorphic(loaded.tower(), bigonal_reference().tower) is not None
+
+
+def dumps_by_json(doc) -> str:
+    """The canonical text as the standard encoder writes it."""
+    return json.dumps(doc, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+
+
+class TestCanonicalWriter:
+    """dumps_canonical writes the document itself; the standard encoder,
+    with the same settings, is its oracle."""
+
+    def test_shipped_files(self):
+        for name in ("trigonal_tower.json", "bigonal_tower.json"):
+            with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+                doc = json.load(fh)
+            assert dumps_canonical(doc) == dumps_by_json(doc)
+
+    def test_constructed_files_with_provenance(self):
+        loaded = load(os.path.join(DATA, "bigonal_tower.json"))
+        result = bigonal(loaded.tower())
+        cons = ngonal_construct(random_tower(4, n=3).tower, 3)
+        docs = [tower_to_doc(result.tower, loaded.base_metric,
+                             meta={"construction": "bigonal",
+                                   "points": provenance_meta(result.construction)}),
+                file_to_doc(loaded.base_metric, [cons.cover_to_base],
+                            meta={"construction": "ngonal n=3", "points": provenance_meta(cons)}),
+                tower_to_doc(loaded.tower(), loaded.base_metric),
+                tower_to_doc(loaded.tower(), loaded.base_metric, meta={})]
+        for doc in docs:
+            assert dumps_canonical(doc) == dumps_by_json(doc)
+
+    def test_odd_values_and_keys(self):
+        doc = {"levels": [], "base": {}, "meta": {
+            "10": 1, "2": [], "1": {}, "": "", "b": [[], {}, [[]], [{}], [1, [2, {"3": 4}]]],
+            "text": "caf\u00e9 \u2192 \U0001d11e \"quoted\" back\\slash\nnew\tline\u0007",
+            "flags": [True, False, None, True], "zero": 0, "neg": -12, "big": 10 ** 40,
+            "nested": {"a": {"b": {"c": {"10": True, "9": None, "x": "y"}}}},
+            "pairs": [[0, 1], [2, 3]], "tuple": (1, "two", (3,)), "mixed": [1, "1", True, None],
+            "int keys": {3: "c", 10: "a", 2: "b"}, "\u00e9": "key"}}
+        assert dumps_canonical(doc) == dumps_by_json(doc)
+        for value in ({}, [], {"10": {}, "2": []}, {"a": {"b": []}}):
+            assert dumps_canonical(value) == dumps_by_json(value)
+
+    def test_unwritable_values_raise_as_before(self):
+        for doc in ({"meta": {"x": {1, 2}}}, {"meta": {"a": {1: 2, "b": 3}}}):
+            with pytest.raises(TypeError):
+                dumps_by_json(doc)
+            with pytest.raises(TypeError):
+                dumps_canonical(doc)
 
 
 class TestGeneratorDeterminism:

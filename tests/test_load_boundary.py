@@ -130,3 +130,25 @@ def fuzz(workdir, seed: int, trials: int):
 
 def test_mutated_files_never_escape_main_or_pass(tmp_path):
     fuzz(str(tmp_path), 20221018, 200)
+
+
+@pytest.mark.parametrize("level, field", [(0, "vmap"), (1, "root"), (None, "lengths")])
+def test_two_keys_for_one_id_are_an_error(tmp_path, level, field):
+    # "00" and "0" both parse to id 0: the file gives id 0 two values, and
+    # no command may quietly keep the later one
+    with open(os.path.join(DATA, "trigonal_tower.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    part = doc["base"] if level is None else doc["levels"][level]
+    mapping = part[field]
+    value = mapping["0"]
+    mapping["00"] = 1 if value == 0 else 0 if type(value) is int else value
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    what = f"base {field}" if level is None else f"level {field}"
+    for argv in (["validate", str(bad)], ["construct", str(bad), "--op", "trigonal",
+                                          "--out", str(tmp_path / "out.json")],
+                 ["compare", str(bad), os.path.join(DATA, "trigonal_tower.json")]):
+        code, text, err = run(argv, "duplicate id")
+        assert (code, text) == (1, "")
+        assert err == f"error: tower file: {what} has two keys for id 0\n"
+    assert not (tmp_path / "out.json").exists()

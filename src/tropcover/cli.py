@@ -29,7 +29,7 @@ from .jacprym import (check_bigonal_duality, check_trigonal_prym, jacobian,
 from .metrics import format_length, induce_metric
 from .ngonal import (bigonal, classify_bigonal_point, classify_tetragonal_point,
                      ngonal_construct, recillas, tetragonal_split, trigonal)
-from .randgen import random_tower
+from .randgen import GenerationError, random_tower
 from .towerio import (InvalidTowerFile, file_to_doc, load, provenance_meta, save,
                       tower_to_doc)
 
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated [{exc.condition}]: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,12 +24,12 @@ def shape(m) -> tuple:
 
 
 def identity(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return diag((1,) * n)
 
 
 def diag(entries) -> tuple:
-    return tuple(tuple(a if i == j else 0 for j in range(len(entries)))
-                 for i, a in enumerate(entries))
+    zero = (0,) * len(entries)
+    return tuple(zero[:i] + (a,) + zero[i + 1:] for i, a in enumerate(entries))
 
 
 def zeros(n: int, m: int) -> tuple:
@@ -200,14 +200,81 @@ def scaled_inverse(m) -> tuple:
     return delta, x
 
 
-def integral_inverse(m) -> tuple:
-    """M^-1 as integer rows: back substitution in integers, then one exact
-    division by delta.  ValueError when M is singular or M^-1 is not
-    integral; an integer M passes iff it is unimodular."""
-    delta, x = scaled_inverse(m)
-    inv = exact_quotient(x, delta)
-    if inv is None:
+def unimodular_inverse(m) -> tuple:
+    """M^-1 of an integer matrix M, as integer rows, by sparse row operations.
+
+    Rows are dicts of their nonzeros, and [M | I] is reduced by integer row
+    operations only.  Columns are taken sparsest first.  Among the rows not
+    yet used as pivots, the entry of least absolute value in the column
+    reduces the others (Euclid steps) until one nonzero is left; it must be
+    +-1, and then clears its column from every other row.  A matrix close
+    to a signed permutation thus costs about one row operation per nonzero.
+    ValueError when M is singular (a column runs out of rows) or M^-1 is
+    not integral (a pivot is not +-1), so an integer M passes iff it is
+    unimodular.  The result is certified by M M^-1 == I.
+    """
+    n, c = shape(m)
+    if n != c:
+        raise ValueError("inverse of a non-square matrix")
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    ops = [{i: 1} for i in range(n)]  # ops[i] @ M == rows[i]
+    where = [set() for _ in range(n)]  # column -> rows with a nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+
+    def subtract(i, q, r):
+        """rows[i] -= q * rows[r], and the same on ops."""
+        row, acc = rows[i], ops[i]
+        for j, x in rows[r].items():
+            y = row.get(j, 0) - q * x
+            if y:
+                row[j] = y
+                where[j].add(i)
+            else:
+                del row[j]
+                where[j].discard(i)
+        for j, x in ops[r].items():
+            y = acc.get(j, 0) - q * x
+            if y:
+                acc[j] = y
+            else:
+                del acc[j]
+
+    free = set(range(n))  # rows not yet used as a pivot
+    pivots, singular, fraction = [], False, False
+    for col in sorted(range(n), key=lambda j: len(where[j])):
+        cand = where[col] & free
+        if not cand:
+            singular = True
+            continue
+        while len(cand) > 1:
+            r = min(cand, key=lambda i: (abs(rows[i][col]), len(rows[i]), i))
+            p = rows[r][col]
+            for i in cand - {r}:
+                subtract(i, rows[i][col] // p, r)
+            cand = where[col] & free
+        r = cand.pop()
+        free.discard(r)
+        p = rows[r][col]
+        if abs(p) != 1:
+            fraction = True  # go on: a later column may still prove M singular
+        elif not fraction:
+            for i in where[col] - {r}:
+                subtract(i, rows[i][col] * p, r)
+        pivots.append((col, r, p))
+    if singular:
+        raise ValueError("matrix is singular")
+    if fraction:
         raise ValueError("inverse is not integral")
+    inv = [[0] * n for _ in range(n)]
+    for col, r, p in pivots:  # ops[r] @ M == p e_col, so row col of M^-1 is p ops[r]
+        out = inv[col]
+        for j, x in ops[r].items():
+            out[j] = p * x
+    inv = mat(inv)
+    if matmul(m, inv) != identity(n):
+        raise AssertionError("sparse inverse fails M M^-1 == I")
     return inv
 
 
@@ -244,7 +311,7 @@ def is_unimodular(m) -> bool:
 
 
 def _columns_to_matrix(cols, nrows) -> tuple:
-    return tuple(tuple(col[i] for col in cols) for i in range(nrows))
+    return tuple(zip(*cols)) if cols else ((),) * nrows
 
 
 def vectors_with_norm(q, target, _cache={}):

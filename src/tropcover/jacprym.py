@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
 from . import intlinalg as la
@@ -47,7 +48,11 @@ class CycleBasis:
     def coordinates(self, chain: dict) -> tuple:
         if chain_boundary(self.graph, chain):
             raise GraphError("coordinates of a non-closed chain")
-        return tuple(chain.get(k, 0) for k in self.tree.complement_keys)
+        return self._closed_coordinates(chain)
+
+    def _closed_coordinates(self, chain: dict) -> tuple:
+        """`coordinates` of a chain the caller knows to be closed."""
+        return tuple(map(chain.get, self.tree.complement_keys, repeat(0)))
 
     def from_coordinates(self, coords) -> dict:
         chain = {}
@@ -216,13 +221,26 @@ class TransferMaps:
 
 
 def transfer_maps(cover: DoubleCover) -> TransferMaps:
+    """The transfer maps in the cycle bases of source and target.
+
+    The images of cycles are read off without a boundary check: they are
+    closed because `DoubleCover.from_harmonic` has checked the chain maps
+    against the boundary.  The pushforward commutes with it since the cover
+    commutes with root (`validate_harmonic`, "root-commute"); the boundary
+    of a pullback at v is deg(v) times that of the chain at its image, by
+    local harmonicity; the involution commutes with root and partner
+    (`_check_involution`).
+    """
     if not is_connected(cover.source) or not is_connected(cover.target):
         raise PreconditionError("connected", "transfer maps require connected source and target")
     sb = h1_basis(cover.source)
     tb = h1_basis(cover.target)
-    push = la._columns_to_matrix([tb.coordinates(push_chain(cover, c)) for c in sb.cycles], tb.rank)
-    pull = la._columns_to_matrix([sb.coordinates(pull_chain(cover, c)) for c in tb.cycles], sb.rank)
-    invol = la._columns_to_matrix([sb.coordinates(invol_chain(cover, c)) for c in sb.cycles], sb.rank)
+    push = la._columns_to_matrix([tb._closed_coordinates(push_chain(cover, c)) for c in sb.cycles],
+                                 tb.rank)
+    pull = la._columns_to_matrix([sb._closed_coordinates(pull_chain(cover, c)) for c in tb.cycles],
+                                 sb.rank)
+    invol = la._columns_to_matrix([sb._closed_coordinates(invol_chain(cover, c)) for c in sb.cycles],
+                                  sb.rank)
     composite = la.matmul(pull, push) if tb.rank else la.zeros(sb.rank, sb.rank)
     if not la.mat_equal(composite, la.mat_add(la.identity(sb.rank), invol)):
         raise AssertionError("transfer maps violate pullback @ pushforward = I + involution")
@@ -297,22 +315,32 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
     k = nb + na
     d, top_gram = nm.source._int_form
     if k:
-        pairing = la.matmul(la.matmul(la.transpose(reps), top_gram), kernel)
+        # G K = (K^T G)^T, G being symmetric (its Polarization checked it)
+        kernel_t = la.transpose(kernel)
+        gk = la.transpose(la.matmul(kernel_t, top_gram))
+        pairing = la.matmul(la.transpose(reps), gk)
         x = la.matmul(proj, kernel)
+        kgk = la.matmul(kernel_t, gk)
     else:
-        pairing = x = ()
+        pairing = x = kgk = ()
     if x != la.diag(ptype):
         raise AssertionError(f"adapted Prym polarization != diag(1^{dil.B}, 2^{dil.A})")
     if k != genus(cover.source) - genus(cover.target):
         raise AssertionError("Prym rank differs from the genus difference")
-    torus = IntegralTorus._from_int_form(d, pairing)
+    # K is anti-invariant and G invariant under the involution, so alpha+ -
+    # alpha- pairs with K as 2 alpha+ does: K^T G K == diag(type) R^T G K.
+    # G is positive definite and K injective (proj K = diag(type)), so K^T
+    # G K is positive definite, and the leading minors of the pairing are
+    # positive multiples of its own
+    scaled = tuple(tuple(a * v for v in row) for a, row in zip(ptype, pairing))
+    if kgk != scaled:
+        raise AssertionError("K^T G K != diag(type) * Prym pairing")
+    torus = IntegralTorus._from_int_form(d, pairing, positive=True)
     ker = KernelTorus(torus, TorusHom(torus, nm.source, proj, kernel), proj, reps, kernel)
     pol = Polarization(torus, x)
     big = max(ptype, default=1)
-    # the pairing with row i scaled by a_i / big: its leading minors are
-    # positive multiples of the Prym pairing's
-    pp_torus = IntegralTorus._from_int_form(
-        d * big, tuple(tuple(a * v for v in row) for a, row in zip(ptype, pairing)), torus._positive)
+    # the pairing with row i scaled by a_i / big, which is K^T G K / big
+    pp_torus = IntegralTorus._from_int_form(d * big, scaled, positive=True)
     zeta = Polarization(pp_torus, la.identity(k))
     to_original = TorusHom(pp_torus, torus, la.diag([big // a for a in ptype]), la.identity(k))
     if la.matmul(la.matmul(to_original.pull, x), to_original.push) != la.mat_scale(big, zeta.matrix):
@@ -461,17 +489,20 @@ class SymmetricBasis:
             raise AssertionError("top basis has the wrong size")
         cols = [top_basis.coordinates(c) for c in chains]
         mid = [mid_basis.coordinates(c) for c in self.alpha + self.gamma]
-        # an integer matrix with an integral inverse has determinant +-1;
-        # prym reuses the columns and the inverse
-        try:
-            top_inverse = la.integral_inverse(la._columns_to_matrix(cols, top_basis.rank))
-        except ValueError:
-            raise AssertionError("top basis is not unimodular") from None
-        object.__setattr__(self, "_top_coordinates", (top_basis, cols, top_inverse))
         if len(mid) != mid_basis.rank:
             raise AssertionError("mid basis has the wrong size")
-        if mid_basis.rank and abs(la.det(la.mat(mid))) != 1:
-            raise AssertionError("mid basis is not unimodular")
+        # one sparse inversion of diag(T, mid) proves both unimodular (an
+        # integer matrix with an integral inverse has determinant +-1);
+        # prym reuses the columns of T and the top-left block, T^-1
+        g, h = top_basis.rank, mid_basis.rank
+        block = tuple(row + (0,) * h for row in la._columns_to_matrix(cols, g)) + \
+            tuple((0,) * g + row for row in mid)
+        try:
+            block_inv = la.unimodular_inverse(block)
+        except ValueError:
+            raise AssertionError("top or mid basis is not unimodular") from None
+        top_inv = tuple(row[:g] for row in block_inv[:g])
+        object.__setattr__(self, "_top_coordinates", (top_basis, cols, top_inv))
         return True
 
 
@@ -682,15 +713,14 @@ def _dilation_subgraphs(cover: DoubleCover):
     groups = {}
     for v, rep in blocks.items():
         groups.setdefault(rep, set()).add(v)
-    out = []
-    for rep in sorted(groups):
-        vs = groups[rep]
-        halves = [h for h in tgt.half_edges
-                  if tgt.edge_key(h) in cover.dilated_edge_keys and tgt.root[h] in vs]
-        out.append(Graph(tuple(sorted(vs)),
-                         {h: tgt.root[h] for h in halves},
-                         {h: tgt.partner[h] for h in halves}))
-    return out
+    halves = {}  # block rep -> its dilated half-edges, in half-edge order
+    for h in tgt.half_edges:
+        if tgt.edge_key(h) in cover.dilated_edge_keys:
+            halves.setdefault(blocks.get(tgt.root[h]), []).append(h)
+    return [Graph(tuple(sorted(groups[rep])),
+                  {h: tgt.root[h] for h in halves.get(rep, ())},
+                  {h: tgt.partner[h] for h in halves.get(rep, ())})
+            for rep in sorted(groups)]
 
 
 def _lift_dilated_cycle(cover: DoubleCover, cyc: dict) -> dict:

@@ -101,11 +101,16 @@ class TorusHom:
         if len(self.push) != g2 or any(len(r) != g1 for r in self.push):
             raise TorusError(f"push must be {g2} x {g1}")
         if g1 and g2:
-            # pull^T (S / d_s) == (T / d_t) push, on the integer rows S and T
+            # pull^T (S / d_s) == (T / d_t) push, on the integer rows S and T;
+            # T push is taken as (push^T T^T)^T, so that each product has the
+            # sparse map as its left factor
             d_s, s = self.source._int_form
             d_t, t = self.target._int_form
-            if la.mat_scale(d_t, la.matmul(la.transpose(self.pull), s)) != \
-                    la.mat_scale(d_s, la.matmul(t, self.push)):
+            pull_s = la.matmul(la.transpose(self.pull), s)
+            t_push = la.transpose(la.matmul(la.transpose(self.push), la.transpose(t)))
+            if d_s != d_t:
+                pull_s, t_push = la.mat_scale(d_t, pull_s), la.mat_scale(d_s, t_push)
+            if pull_s != t_push:
                 raise TorusError("pull/push are not adjoint for the pairings")
             # both pairings are nondegenerate, so adjointness forces
             # rank(pull) == rank(push)

@@ -17,9 +17,12 @@ determinant per leading minor for the one-elimination torus verdict.
 So are the Fraction forms of the Prym pairings, which `prym` built
 eagerly before it kept integer forms only, and the Fraction-era matrix
 helpers no package code calls: the inverse in fractions, rank, a shared
-denominator and the LLL transform alone.  The tower isomorphism search
-that listed mid-level cover isomorphisms and searched the transported top
-cover for each is here too, and so are the n-gonal and Recillas
+denominator and the LLL transform alone.  So are the dense integral
+inverse by elimination of [M | I], which the sparse unimodular inverse
+replaced, and the dilation subgraphs found by one scan of the target
+half-edges per dilation block.  The tower isomorphism search that listed
+mid-level cover isomorphisms and searched the transported top cover for
+each is here too, and so are the n-gonal and Recillas
 constructions that worked out multisections, transports and slot classes
 once per point instead of once per fiber shape.
 """
@@ -36,7 +39,7 @@ from tropcover.graphs import (Graph, GraphError, GraphMorphism, HarmonicMorphism
                               PreconditionError, Tower, ValidationIssue,
                               covers_isomorphic_over_base, hpoint, is_connected, is_tree,
                               iter_cover_isomorphisms, validate_morphism, vpoint)
-from tropcover.jacprym import h1_basis, pairing_table
+from tropcover.jacprym import _dilation_blocks, h1_basis, pairing_table
 from tropcover.ngonal import (NgonalConstruction, RecillasResult, _check_harmonic,
                               _dense_ids, _partner_transport, _root_refinement,
                               _sign_quotient, classify_tetragonal_point, induce_multisection,
@@ -502,6 +505,36 @@ def inverse(m) -> tuple:
     """Exact inverse over the rationals, in fractions."""
     delta, x = la.scaled_inverse(m)
     return la.unscaled(delta, x)
+
+
+def integral_inverse(m) -> tuple:
+    """M^-1 as integer rows by one dense elimination of [M | I]: back
+    substitution in integers, then one exact division by delta.  ValueError
+    when M is singular or M^-1 is not integral."""
+    delta, x = la.scaled_inverse(m)
+    inv = la.exact_quotient(x, delta)
+    if inv is None:
+        raise ValueError("inverse is not integral")
+    return inv
+
+
+def dilation_subgraphs_by_block_scan(cover) -> list:
+    """The dilation subgraphs of a double cover, one scan of the target
+    half-edges per dilation block."""
+    tgt = cover.target
+    blocks = _dilation_blocks(cover)
+    groups = {}
+    for v, rep in blocks.items():
+        groups.setdefault(rep, set()).add(v)
+    out = []
+    for rep in sorted(groups):
+        vs = groups[rep]
+        halves = [h for h in tgt.half_edges
+                  if tgt.edge_key(h) in cover.dilated_edge_keys and tgt.root[h] in vs]
+        out.append(Graph(tuple(sorted(vs)),
+                         {h: tgt.root[h] for h in halves},
+                         {h: tgt.partner[h] for h in halves}))
+    return out
 
 
 def rank(m) -> int:

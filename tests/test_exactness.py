@@ -65,11 +65,12 @@ def fraction_route_uses(tree):
 
 
 # `raise AssertionError` statements in the package source when the floor
-# was last raised (61, plus the half-edge conflict check of
-# `graphs.towers_isomorphic` and the check that a fiber shape's table lists
-# the multisections in order in `ngonal._shape_table`); it may rise, but a
-# self-check is made cheaper, never removed
-SELF_CHECK_FLOOR = 63
+# was last raised (63, less the mid-basis determinant check, which one
+# sparse inverse of diag(T, mid) now shares with the top basis, plus the
+# M M^-1 == I certificate of `intlinalg.unimodular_inverse` and the
+# K^T G K == diag(type) R^T G K certificate of `jacprym.prym`); it may
+# rise, but a self-check is made cheaper, never removed
+SELF_CHECK_FLOOR = 64
 
 
 def self_checks(tree):

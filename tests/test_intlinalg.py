@@ -5,13 +5,15 @@ from math import ceil, floor, isqrt
 import pytest
 
 from tropcover.intlinalg import (_lll_reduce, definite_isometries, det,
-                                 gram_isometries, identity, integral_inverse,
+                                 gram_isometries, identity,
                                  is_positive_definite, is_unimodular, mat,
-                                 mat_equal, matmul, scaled_inverse, to_int,
-                                 transpose, vectors_with_norm)
+                                 mat_equal, mat_scale, matmul, scaled_inverse,
+                                 to_int, transpose, unimodular_inverse,
+                                 vectors_with_norm)
 
 from oracles import (_cholesky, _lll_gram, clear_denominators, cokernel_tf,
-                     inverse, kernel_basis, rank, snf, to_fractions)
+                     integral_inverse, inverse, kernel_basis, rank, snf,
+                     to_fractions)
 
 
 class TestSNF:
@@ -536,6 +538,79 @@ class TestIntegralInverse:
             delta, x = scaled_inverse(m)
             assert all(type(v) is int for row in x for v in row)
             assert tuple(tuple(Fraction(v, delta) for v in row) for row in x) == expected
+
+
+class TestUnimodularInverse:
+    # `unimodular_inverse` reduces sparse dict rows by integer row
+    # operations, Euclid steps and unit pivots; the dense elimination of
+    # [M | I] it replaced, `integral_inverse`, is the oracle
+    @staticmethod
+    def _signed_permutation(rng, n, ops):
+        """A shuffled signed permutation after `ops` elementary row operations."""
+        m = [[0] * n for _ in range(n)]
+        for i, j in enumerate(rng.sample(range(n), n)):
+            m[i][j] = rng.choice((1, -1))
+        for _ in range(ops):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                c = rng.choice((-3, -1, 1, 2))
+                m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        return mat(m)
+
+    def test_matches_the_dense_oracle_on_unimodular_matrices(self):
+        rng = random.Random(36)
+        sizes = set()
+        for i in range(90):
+            n = rng.randint(0, 60)
+            if i % 3 == 0:
+                m = random_unimodular(rng, n) if n else ()
+            else:
+                m = self._signed_permutation(rng, n, rng.randint(0, 2 * n))
+            inv = unimodular_inverse(m)
+            assert inv == integral_inverse(m)
+            assert all(type(x) is int for row in inv for x in row)
+            sizes.add(n)
+        assert max(sizes) > 50
+
+    def test_raises_what_the_dense_oracle_raises(self):
+        rng = random.Random(37)
+        seen = {"matrix is singular": 0, "inverse is not integral": 0, "integral": 0}
+        for i in range(300):
+            n = rng.randint(1, 12)
+            deficient = i % 3 == 0
+            m = random_matrix(rng, n, n, rank_at_most=rng.randint(0, n - 1) if deficient else None)
+            if i % 5 == 1:
+                m = self._signed_permutation(rng, n, n)
+            try:
+                expected = integral_inverse(m)
+            except ValueError as exc:
+                seen[str(exc)] += 1
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    unimodular_inverse(m)
+                continue
+            seen["integral"] += 1
+            assert unimodular_inverse(m) == expected
+        assert min(seen.values()) > 20
+
+    @pytest.mark.parametrize("m, message", [
+        ([[1, 1], [1, 1]], "matrix is singular"),
+        ([[2, 0], [0, 1]], "inverse is not integral")])
+    def test_small_failures(self, m, message):
+        for invert in (unimodular_inverse, integral_inverse):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                invert(mat(m))
+
+    def test_non_square_is_refused(self):
+        with pytest.raises(ValueError, match="non-square"):
+            unimodular_inverse(((1, 0),))
+
+    def test_result_is_certified(self, monkeypatch):
+        # M M^-1 == I is checked by the sparse product; a product that comes
+        # out wrong trips it
+        from tropcover import intlinalg
+        monkeypatch.setattr(intlinalg, "matmul", lambda a, b: mat_scale(2, identity(len(a))))
+        with pytest.raises(AssertionError, match="M M\\^-1 == I"):
+            unimodular_inverse(((0, 1), (1, 0)))
 
 
 class TestLLLCarriesItsInverse:

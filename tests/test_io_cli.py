@@ -449,3 +449,21 @@ class TestRandomArguments:
         assert exit_.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rejection_budget_exceeded_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # a generator that gives up is reported on one `error:` line with
+        # exit 1, not as a traceback, and writes nothing
+        from tropcover import cli
+        from tropcover.randgen import GenerationError
+
+        def give_up(*args, **kw):
+            raise GenerationError("generic", 600)
+        monkeypatch.setattr(cli, "random_tower", give_up)
+        out = tmp_path / "r.json"
+        assert main(["random", "--seed", "0", "--n", "4", "--pi-free", "--generic",
+                     "--tree-size", "8,20", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: rejection budget exceeded after 600 tries; "
+                                "last failing constraint: generic\n")
+        assert captured.out == ""
+        assert not out.exists()

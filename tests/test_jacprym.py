@@ -469,9 +469,9 @@ class TestCertifiedJacobian:
         assert checked > 60 and halved and infinite
 
     def test_no_elimination_in_jacobian_and_few_in_prym(self, monkeypatch):
-        # prym eliminates the top basis matrix once (its integral inverse
-        # proves it unimodular and serves as T^-1), the mid basis once
-        # (det), and the Prym pairing once; the shared and carried
+        # prym eliminates nothing: one sparse inverse of diag(T, mid) proves
+        # both bases unimodular and gives T^-1, K^T G K == diag(type) R^T G K
+        # proves the Prym pairing definite, and the shared and carried
         # verdicts cover the rest
         calls = _counting_bareiss(monkeypatch)
         for name in ("trigonal_tower.json", "bigonal_tower.json"):
@@ -481,7 +481,7 @@ class TestCertifiedJacobian:
             jacobian(mid)
             assert calls == []
             prym(tower.pi, top, mid)
-            assert len(calls) <= 3
+            assert calls == []
 
     def _spoiled(self, monkeypatch, spoil):
         from tropcover import jacprym
@@ -579,7 +579,7 @@ class TestOneCycleBasisPerGraph:
         # no cycle coordinates and inverts nothing: T and T^-1 are verify's
         from tropcover import intlinalg, jacprym
         calls = []
-        coordinates, invert, build = (jacprym.CycleBasis.coordinates, intlinalg.integral_inverse,
+        coordinates, invert, build = (jacprym.CycleBasis.coordinates, intlinalg.unimodular_inverse,
                                       jacprym.symmetric_basis)
 
         def counted(name, fn):
@@ -589,7 +589,7 @@ class TestOneCycleBasisPerGraph:
                 return result
             return wrapper
         monkeypatch.setattr(jacprym.CycleBasis, "coordinates", counted("coordinates", coordinates))
-        monkeypatch.setattr(intlinalg, "integral_inverse", counted("inverse", invert))
+        monkeypatch.setattr(intlinalg, "unimodular_inverse", counted("inverse", invert))
         monkeypatch.setattr(jacprym, "symmetric_basis", counted("basis", build))
         for tower, mid, top in self._towers():
             calls.clear()
@@ -604,11 +604,118 @@ class TestTheoremCheckEliminations:
     # reduction, and certifies each LLL transform by H H^-1 = I.  Before,
     # the checks ran 15 and 18 eliminations
     @pytest.mark.parametrize("name, check, bound", [
-        ("trigonal_tower.json", check_trigonal_prym, 8),
-        ("bigonal_tower.json", check_bigonal_duality, 11)])
+        ("trigonal_tower.json", check_trigonal_prym, 5),
+        ("bigonal_tower.json", check_bigonal_duality, 5)])
     def test_bareiss_calls(self, monkeypatch, name, check, bound):
         from tropcover.towerio import load
         loaded = load(os.path.join(os.path.dirname(__file__), os.pardir, "data", name))
         calls = _counting_bareiss(monkeypatch)
         assert check(loaded.tower(), loaded.base_metric).passed
         assert len(calls) <= bound
+
+
+class TestPrymWithoutElimination:
+    # one sparse inverse of diag(T, mid) proves both adapted bases
+    # unimodular and gives T^-1; K^T G K == diag(type) R^T G K proves the
+    # Prym pairing definite; the dense integral inverse is the oracle
+    @pytest.mark.parametrize("size, rank", [(25, 15), (50, 35), (100, 73)])
+    def test_t_inverse_matches_the_dense_oracle(self, size, rank):
+        from oracles import integral_inverse
+        from tropcover.intlinalg import _columns_to_matrix, unimodular_inverse
+        basis = symmetric_basis(random_tower(1, n=3, pi_free=True, tree_size=(size, size)).tower.pi)
+        top, cols, t_inv = basis._top_coordinates
+        assert len(basis.beta) + len(basis.alpha_plus) == rank
+        t = _columns_to_matrix(cols, top.rank)
+        assert t_inv == unimodular_inverse(t) == integral_inverse(t)
+
+    def test_no_elimination_at_rank_73(self, monkeypatch):
+        gen = random_tower(1, n=3, pi_free=True, tree_size=(100, 100))
+        mid, top = tower_metrics(gen.tower, gen.base_metric)
+        calls = _counting_bareiss(monkeypatch)
+        assert prym(gen.tower.pi, top, mid).rank == 73
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["trigonal_tower.json", "bigonal_tower.json"])
+    def test_non_unimodular_mid_basis_is_refused(self, monkeypatch, name):
+        # mid coordinates doubled: T is untouched, but the mid basis matrix
+        # has determinant +-2^rank, so the inversion of diag(T, mid) fails
+        from tropcover import jacprym
+        cover = _loaded_metrics(name)[0].pi
+        assert h1_basis(cover.target).rank
+        read = jacprym.CycleBasis.coordinates
+
+        def doubled(basis, chain):
+            coords = read(basis, chain)
+            return tuple(2 * x for x in coords) if basis.graph is cover.target else coords
+        monkeypatch.setattr(jacprym.CycleBasis, "coordinates", doubled)
+        with pytest.raises(AssertionError, match="top or mid basis is not unimodular"):
+            symmetric_basis(cover)
+
+    @pytest.mark.parametrize("name", ["trigonal_tower.json", "bigonal_tower.json"])
+    def test_flipped_kernel_column_trips_the_gram_certificate(self, monkeypatch, name):
+        # the first alpha+ - alpha- column of K negated with its projection
+        # row: proj K is still diag(type), but the pairing R^T G K is no
+        # longer positive definite, and K^T G K != diag(type) R^T G K
+        from oracles import torus_verdict_by_minors
+        from tropcover import jacprym
+        tower, mid, top = _loaded_metrics(name)
+        data = prym(tower.pi, top, mid)
+        nb, na = data.dilation.B, data.dilation.A
+        assert na and data.rank > 1
+        flipped = [tuple(-x if j == nb else x for j, x in enumerate(row)) for row in data.torus.pairing]
+        form = [[a * x for x in row] for a, row in zip(data.type, flipped)]
+        assert torus_verdict_by_minors(form) == (True, False)
+        minus, calls = jacprym._minus, []
+
+        def spoiled(u, v):
+            calls.append(1)  # na kernel columns, then na projection rows
+            return minus(v, u) if len(calls) in (1, na + 1) else minus(u, v)
+        monkeypatch.setattr(jacprym, "_minus", spoiled)
+        with pytest.raises(AssertionError, match=r"K\^T G K"):
+            prym(tower.pi, top, mid)
+
+
+class TestTransferMapsReadClosedImages:
+    # push, pull and involution images are closed by the checks the double
+    # cover passed when it was built, so their coordinates are read without
+    # a boundary; any other chain keeps the check
+    def test_no_boundary_and_the_checked_coordinates(self, monkeypatch):
+        from tropcover import jacprym
+        calls = []
+        boundary = jacprym.chain_boundary
+
+        def counted(graph, chain):
+            calls.append(1)
+            return boundary(graph, chain)
+        towers = [_loaded_metrics(name)[0] for name in ("trigonal_tower.json", "bigonal_tower.json")]
+        towers += [random_tower(seed, n=2, pi_free=False).tower for seed in range(6)]
+        for tower in towers:
+            cover = tower.pi
+            monkeypatch.setattr(jacprym, "chain_boundary", counted)
+            maps = transfer_maps(cover)
+            assert calls == []
+            monkeypatch.setattr(jacprym, "chain_boundary", boundary)
+            sb, tb = maps.source_basis, maps.target_basis
+            assert maps.pushforward == _columns(tb, [push_chain(cover, c) for c in sb.cycles])
+            assert maps.pullback == _columns(sb, [pull_chain(cover, c) for c in tb.cycles])
+            assert maps.involution == _columns(sb, [invol_chain(cover, c) for c in sb.cycles])
+            with pytest.raises(GraphError, match="non-closed"):
+                sb.coordinates({min(sb.tree.tree_keys): 1})
+
+    def test_dilation_subgraphs_match_the_block_scan(self):
+        from oracles import dilation_subgraphs_by_block_scan
+        from tropcover.jacprym import _dilation_subgraphs
+        several = 0
+        for seed in range(40):
+            cover = random_tower(seed, n=2, pi_free=False, tree_size=(4, 12)).tower.pi
+            new, old = _dilation_subgraphs(cover), dilation_subgraphs_by_block_scan(cover)
+            assert [(g.vertices, list(g.root.items()), list(g.partner.items())) for g in new] == \
+                [(g.vertices, list(g.root.items()), list(g.partner.items())) for g in old]
+            several += len(new) > 1 and any(g.edge_keys() for g in new)
+        assert several > 5
+
+
+def _columns(basis, chains):
+    """Matrix of the checked coordinates of closed chains, one column each."""
+    from tropcover.intlinalg import _columns_to_matrix
+    return _columns_to_matrix([basis.coordinates(c) for c in chains], basis.rank)

@@ -260,75 +260,120 @@ def _probability(text: str) -> Fraction:
     return p
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+_COMMANDS = ("validate", "construct", "classify", "jacobian", "prym", "check", "random",
+             "export-dot", "compare")
+
+
+class _FullParserNeeded(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser holding one subcommand.  Its usage does not list the other
+    commands, so on any error it hands over to the full parser, which
+    parses the same arguments again and reports the error."""
+
+    def error(self, message):
+        raise _FullParserNeeded
+
+
+def _parser(names, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The command line parser with the subcommands in `names` registered."""
+    parser = parser_class(
         prog="tropcover",
         description="Exact constructions on harmonic covers of metric graphs: "
                     "degree-n section covers, Jacobians, norm-kernel tori and "
                     "their duality/isomorphism checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a tower file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
+    if "validate" in names:
+        p = sub.add_parser("validate", help="validate a tower file")
+        p.add_argument("path")
+        p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("construct", help="run a construction on a tower file")
-    p.add_argument("path")
-    p.add_argument("--op", required=True,
-                   choices=["bigonal", "trigonal", "recillas", "tetragonal-split", "ngonal"])
-    p.add_argument("--n", type=int, default=2, help="degree for --op ngonal")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
+    if "construct" in names:
+        p = sub.add_parser("construct", help="run a construction on a tower file")
+        p.add_argument("path")
+        p.add_argument("--op", required=True,
+                       choices=["bigonal", "trigonal", "recillas", "tetragonal-split", "ngonal"])
+        p.add_argument("--n", type=int, default=2, help="degree for --op ngonal")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("classify", help="per-point fiber type table")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_classify)
+    if "classify" in names:
+        p = sub.add_parser("classify", help="per-point fiber type table")
+        p.add_argument("path")
+        p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("jacobian", help="Gram matrix of the top curve's Jacobian")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_jacobian)
+    if "jacobian" in names:
+        p = sub.add_parser("jacobian", help="Gram matrix of the top curve's Jacobian")
+        p.add_argument("path")
+        p.set_defaults(func=cmd_jacobian)
 
-    p = sub.add_parser("prym", help="norm-kernel pairing and polarization type")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_prym)
+    if "prym" in names:
+        p = sub.add_parser("prym", help="norm-kernel pairing and polarization type")
+        p.add_argument("path")
+        p.set_defaults(func=cmd_prym)
 
-    p = sub.add_parser("check", help="run a duality/isomorphism theorem check")
-    p.add_argument("path")
-    p.add_argument("--theorem", required=True, choices=["bigonal", "trigonal"])
-    p.set_defaults(func=cmd_check)
+    if "check" in names:
+        p = sub.add_parser("check", help="run a duality/isomorphism theorem check")
+        p.add_argument("path")
+        p.add_argument("--theorem", required=True, choices=["bigonal", "trigonal"])
+        p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("random", help="generate a seeded random tower")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, choices=[2, 3, 4])
-    p.add_argument("--out", required=True)
-    # a one-vertex base has no edge to carry a cover's degrees
-    p.add_argument("--tree-size", type=_int_range(2), default="2,5", help="lo,hi base vertices")
-    p.add_argument("--dilation", type=_probability, default="1/3")
-    p.add_argument("--length-range", type=_int_range(1), default="1,6", help="lo,hi edge lengths")
-    pi = p.add_mutually_exclusive_group()
-    pi.add_argument("--pi-free", action="store_true")
-    pi.add_argument("--pi-dilated", action="store_true")
-    p.add_argument("--generic", action="store_true")
-    p.add_argument("--allow-disconnected", action="store_true")
-    p.set_defaults(func=cmd_random)
+    if "random" in names:
+        p = sub.add_parser("random", help="generate a seeded random tower")
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--n", type=int, required=True, choices=[2, 3, 4])
+        p.add_argument("--out", required=True)
+        # a one-vertex base has no edge to carry a cover's degrees
+        p.add_argument("--tree-size", type=_int_range(2), default="2,5", help="lo,hi base vertices")
+        p.add_argument("--dilation", type=_probability, default="1/3")
+        p.add_argument("--length-range", type=_int_range(1), default="1,6", help="lo,hi edge lengths")
+        pi = p.add_mutually_exclusive_group()
+        pi.add_argument("--pi-free", action="store_true")
+        pi.add_argument("--pi-dilated", action="store_true")
+        p.add_argument("--generic", action="store_true")
+        p.add_argument("--allow-disconnected", action="store_true")
+        p.set_defaults(func=cmd_random)
 
-    p = sub.add_parser("export-dot", help="DOT rendering with dilation as edge labels")
-    p.add_argument("path")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_export_dot)
+    if "export-dot" in names:
+        p = sub.add_parser("export-dot", help="DOT rendering with dilation as edge labels")
+        p.add_argument("path")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_export_dot)
 
-    p = sub.add_parser("compare", help="isomorphism of two files over the same base")
-    p.add_argument("path")
-    p.add_argument("other")
-    p.set_defaults(func=cmd_compare)
+    if "compare" in names:
+        p = sub.add_parser("compare", help="isomorphism of two files over the same base")
+        p.add_argument("path")
+        p.add_argument("other")
+        p.set_defaults(func=cmd_compare)
     return parser
 
 
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
+    return _parser(_COMMANDS)
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """A parser with subcommand `name` only, built once per process."""
+    return _parser((name,), _OneCommandParser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Only the subcommand that argv[0] names is
+    registered; `-h`, a missing or unknown command and any usage error go
+    to the full parser, so help, usage and error text are its own."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        if not argv or argv[0] not in _COMMANDS:
+            raise _FullParserNeeded
+        args = _command_parser(argv[0]).parse_args(argv)
+    except _FullParserNeeded:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidTowerFile as exc:

@@ -72,6 +72,8 @@ class Graph:
     _edge_keys: tuple = field(init=False, compare=False, repr=False, default=None)
     # the fundamental-cycle basis of `jacprym.h1_basis`, kept on first use
     _cycle_basis: object = field(init=False, compare=False, repr=False, default=None)
+    # the components of the whole graph, kept by `_bfs_components` on first use
+    _components: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         root = self.root
@@ -170,27 +172,43 @@ def _bfs(g: Graph, start, vertices=None, keys=None) -> tuple:
 
 
 def _bfs_components(g: Graph, vertices=None, keys=None) -> list:
-    """Visit orders of the components of the subgraph _bfs walks, by minimum vertex."""
+    """Visit orders of the components of the subgraph _bfs walks, by minimum vertex.
+
+    Those of the whole graph (no vertex or key filter) are kept on it on
+    first use, as tuples; the caller always gets fresh lists.
+    """
+    whole = vertices is None and keys is None
+    if whole and g._components is not None:
+        return [list(c) for c in g._components]
     comps, seen = [], set()
     for start in (g.vertices if vertices is None else sorted(vertices)):
         if start not in seen:
             comps.append(_bfs(g, start, vertices, keys)[0])
             seen.update(comps[-1])
+    if whole:
+        object.__setattr__(g, "_components", tuple(map(tuple, comps)))
     return comps
+
+
+def _components(g: Graph) -> tuple:
+    """The kept visit orders of the components of g, by minimum vertex."""
+    if g._components is None:
+        _bfs_components(g)
+    return g._components
 
 
 def connected_components(g: Graph) -> tuple:
     """Vertex partition into connected components, sorted by minimum vertex."""
-    return tuple(frozenset(c) for c in _bfs_components(g))
+    return tuple(map(frozenset, _components(g)))
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_bfs_components(g)) == 1
+    return len(_components(g)) == 1
 
 
 def betti_number(g: Graph) -> int:
     """|E| - |V| + number of components: the genus summed over components."""
-    return len(g.edge_keys()) - len(g.vertices) + len(_bfs_components(g))
+    return len(g.edge_keys()) - len(g.vertices) + len(_components(g))
 
 
 def genus(g: Graph) -> int:

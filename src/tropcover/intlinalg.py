@@ -10,9 +10,9 @@ integers only.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 
 
 def mat(rows) -> tuple:
@@ -74,38 +74,59 @@ def exact_quotient(rows, q):
     return tuple(tuple(x // q for x in row) for row in rows)
 
 
+def int_matmul(a, b) -> tuple:
+    """The product a @ b, exact for int and Fraction entries, with no type scan.
+
+    Row i of a @ b is the sum of the rows of b that the nonzeros of row i
+    of a select, each times its entry; `compress` skips the zeros at C
+    speed, so the product costs one row operation per nonzero of a.  The
+    package's own integer forms call this directly; `matmul` is the entry
+    point for matrices of unknown entry type.
+    """
+    if (len(a[0]) if a else 0) != len(b):
+        raise ValueError(f"matmul shape mismatch: {shape(a)} x {shape(b)}")
+    zero = (0,) * (len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in compress(zip(row, b), row):
+            if acc is None:  # tuple() of a tuple is that tuple, not a copy
+                acc = tuple(brow) if x == 1 else tuple(map(mul, repeat(x), brow))
+            elif x == 1:
+                acc = tuple(map(add, acc, brow))
+            elif x == -1:
+                acc = tuple(map(sub, acc, brow))
+            else:
+                acc = tuple(map(add, acc, map(mul, repeat(x), brow)))
+        out.append(zero if acc is None else acc)
+    return tuple(out)
+
+
 def matmul(a, b) -> tuple:
     """Exact product; int x int stays int, anything else gives fractions.
 
-    Row i of a @ b is built as the combination of the rows of b that the
-    nonzeros of row i of a select, so a sparse left factor, such as cycle
-    coordinates, costs one row operation per nonzero.
+    Both factors are scaled to integer rows (`_scaled`) and multiplied by
+    `int_matmul`.
     """
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError(f"matmul shape mismatch: {shape(a)} x {shape(b)}")
     da, ia = _scaled(a)
     db, ib = _scaled(b)
-    prod = []
-    for row in ia:
-        acc = [0] * cb
-        for x, brow in zip(row, ib):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        prod.append(acc)
+    prod = int_matmul(ia, ib)
     if ia is a and ib is b:
-        return mat(prod)
+        return prod
     d = da * db
     return tuple(tuple(Fraction(x, d) for x in row) for row in prod)
 
 
+def is_diagonal(m, entries) -> bool:
+    """m == diag(entries), compared entry by entry without building diag(entries)."""
+    n = len(entries)
+    return len(m) == n and all(
+        len(row) == n and row[i] == a and not any(row[:i]) and not any(row[i + 1:])
+        for i, (row, a) in enumerate(zip(m, entries)))
+
+
 def matvec(a, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c, a) -> tuple:
@@ -200,23 +221,15 @@ def scaled_inverse(m) -> tuple:
     return delta, x
 
 
-def unimodular_inverse(m) -> tuple:
-    """M^-1 of an integer matrix M, as integer rows, by sparse row operations.
+def _sparse_rows(m) -> list:
+    """The rows of m as dicts {column: entry} of their nonzeros."""
+    return [dict(compress(enumerate(row), row)) for row in m]
 
-    Rows are dicts of their nonzeros, and [M | I] is reduced by integer row
-    operations only.  Columns are taken sparsest first.  Among the rows not
-    yet used as pivots, the entry of least absolute value in the column
-    reduces the others (Euclid steps) until one nonzero is left; it must be
-    +-1, and then clears its column from every other row.  A matrix close
-    to a signed permutation thus costs about one row operation per nonzero.
-    ValueError when M is singular (a column runs out of rows) or M^-1 is
-    not integral (a pivot is not +-1), so an integer M passes iff it is
-    unimodular.  The result is certified by M M^-1 == I.
-    """
-    n, c = shape(m)
-    if n != c:
-        raise ValueError("inverse of a non-square matrix")
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+
+def _inverse_rows(rows) -> list:
+    """The rows of M^-1, as dicts of their nonzeros, from the sparse rows of
+    an integer matrix M, which are consumed; see `unimodular_inverse`."""
+    n = len(rows)
     ops = [{i: 1} for i in range(n)]  # ops[i] @ M == rows[i]
     where = [set() for _ in range(n)]  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
@@ -267,15 +280,46 @@ def unimodular_inverse(m) -> tuple:
         raise ValueError("matrix is singular")
     if fraction:
         raise ValueError("inverse is not integral")
-    inv = [[0] * n for _ in range(n)]
+    inv = [None] * n
     for col, r, p in pivots:  # ops[r] @ M == p e_col, so row col of M^-1 is p ops[r]
-        out = inv[col]
-        for j, x in ops[r].items():
-            out[j] = p * x
-    inv = mat(inv)
-    if matmul(m, inv) != identity(n):
-        raise AssertionError("sparse inverse fails M M^-1 == I")
+        inv[col] = ops[r] if p == 1 else {j: -x for j, x in ops[r].items()}
     return inv
+
+
+def unimodular_inverse(m) -> tuple:
+    """M^-1 of an integer matrix M, as integer rows, by sparse row operations.
+
+    Rows are dicts of their nonzeros, and [M | I] is reduced by integer row
+    operations only.  Columns are taken sparsest first.  Among the rows not
+    yet used as pivots, the entry of least absolute value in the column
+    reduces the others (Euclid steps) until one nonzero is left; it must be
+    +-1, and then clears its column from every other row.  A matrix close
+    to a signed permutation thus costs about one row operation per nonzero.
+    ValueError when M is singular (a column runs out of rows) or M^-1 is
+    not integral (a pivot is not +-1), so an integer M passes iff it is
+    unimodular.  The result is certified by M M^-1 == I, computed on the
+    sparse rows of both: row i of M M^-1 sums the rows of M^-1 that the
+    nonzeros of row i of M select, and must be e_i.
+    """
+    n, c = shape(m)
+    if n != c:
+        raise ValueError("inverse of a non-square matrix")
+    rows = _sparse_rows(m)
+    inv = _inverse_rows([row.copy() for row in rows])
+    for i, row in enumerate(rows):
+        acc = {}
+        for j, x in row.items():
+            for k, y in inv[j].items():
+                acc[k] = acc.get(k, 0) + x * y
+        if acc.pop(i, 0) != 1 or any(acc.values()):
+            raise AssertionError("sparse inverse fails M M^-1 == I")
+    dense = []
+    for row in inv:
+        out = [0] * n
+        for j, x in row.items():
+            out[j] = x
+        dense.append(tuple(out))
+    return tuple(dense)
 
 
 def _leading_pivots(m):
@@ -469,7 +513,8 @@ def definite_isometries(q1, q2):
     h2, h2_inv, det2 = _lll_reduce(s2)
     # H H^-1 = I in integers: both transforms are unimodular, so d[n] of
     # each reduction is det S_i, and det Q_i = det S_i / D_i^n
-    if matmul(h1, h1_inv) != identity(n) or matmul(h2, h2_inv) != identity(n):
+    ones = (1,) * n
+    if not (is_diagonal(int_matmul(h1, h1_inv), ones) and is_diagonal(int_matmul(h2, h2_inv), ones)):
         raise AssertionError("LLL transform is not unimodular")
     if det1 * d2 ** n != det2 * d1 ** n:
         return
@@ -483,7 +528,7 @@ def definite_isometries(q1, q2):
 
     def place(j):
         if j == n:
-            b = matmul(matmul(h2, _columns_to_matrix(cols, n)), h1_inv)
+            b = int_matmul(int_matmul(h2, _columns_to_matrix(cols, n)), h1_inv)
             if is_unimodular(b):
                 if not mat_equal(matmul(transpose(b), matmul(q2, b)), q1):
                     raise AssertionError("isometry candidate failed the congruence re-check")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
+from operator import mul, sub
 
 from . import intlinalg as la
 from .graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
@@ -241,8 +242,10 @@ def transfer_maps(cover: DoubleCover) -> TransferMaps:
                                  sb.rank)
     invol = la._columns_to_matrix([sb._closed_coordinates(invol_chain(cover, c)) for c in sb.cycles],
                                   sb.rank)
-    composite = la.matmul(pull, push) if tb.rank else la.zeros(sb.rank, sb.rank)
-    if not la.mat_equal(composite, la.mat_add(la.identity(sb.rank), invol)):
+    composite = la.int_matmul(pull, push) if tb.rank else la.zeros(sb.rank, sb.rank)
+    # pull @ push == I + invol, read as pull @ push - invol == I
+    if not la.is_diagonal(tuple(tuple(map(sub, c, v)) for c, v in zip(composite, invol)),
+                          (1,) * sb.rank):
         raise AssertionError("transfer maps violate pullback @ pushforward = I + involution")
     return TransferMaps(push, pull, invol, sb, tb)
 
@@ -282,7 +285,7 @@ class PrymData:
 
 
 def _minus(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGraph) -> PrymData:
@@ -317,13 +320,13 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
     if k:
         # G K = (K^T G)^T, G being symmetric (its Polarization checked it)
         kernel_t = la.transpose(kernel)
-        gk = la.transpose(la.matmul(kernel_t, top_gram))
-        pairing = la.matmul(la.transpose(reps), gk)
-        x = la.matmul(proj, kernel)
-        kgk = la.matmul(kernel_t, gk)
+        gk = la.transpose(la.int_matmul(kernel_t, top_gram))
+        pairing = la.int_matmul(la.transpose(reps), gk)
+        x = la.int_matmul(proj, kernel)
+        kgk = la.int_matmul(kernel_t, gk)
     else:
         pairing = x = kgk = ()
-    if x != la.diag(ptype):
+    if not la.is_diagonal(x, ptype):
         raise AssertionError(f"adapted Prym polarization != diag(1^{dil.B}, 2^{dil.A})")
     if k != genus(cover.source) - genus(cover.target):
         raise AssertionError("Prym rank differs from the genus difference")
@@ -332,7 +335,8 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
     # G is positive definite and K injective (proj K = diag(type)), so K^T
     # G K is positive definite, and the leading minors of the pairing are
     # positive multiples of its own
-    scaled = tuple(tuple(a * v for v in row) for a, row in zip(ptype, pairing))
+    scaled = tuple(row if a == 1 else tuple(map(mul, repeat(a), row))
+                   for a, row in zip(ptype, pairing))
     if kgk != scaled:
         raise AssertionError("K^T G K != diag(type) * Prym pairing")
     torus = IntegralTorus._from_int_form(d, pairing, positive=True)
@@ -341,9 +345,12 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
     big = max(ptype, default=1)
     # the pairing with row i scaled by a_i / big, which is K^T G K / big
     pp_torus = IntegralTorus._from_int_form(d * big, scaled, positive=True)
-    zeta = Polarization(pp_torus, la.identity(k))
-    to_original = TorusHom(pp_torus, torus, la.diag([big // a for a in ptype]), la.identity(k))
-    if la.matmul(la.matmul(to_original.pull, x), to_original.push) != la.mat_scale(big, zeta.matrix):
+    eye = la.identity(k)
+    zeta = Polarization(pp_torus, eye)
+    to_original = TorusHom(pp_torus, torus, la.diag([big // a for a in ptype]), eye)
+    # zeta.matrix is I, so the law reads f* x == diag(big, ..., big)
+    if not la.is_diagonal(la.int_matmul(la.int_matmul(to_original.pull, x), to_original.push),
+                          (big,) * k):
         raise AssertionError("principal model: pulled-back polarization != multiplier * I")
     return PrymData(cover, torus, pol, ptype, PrincipalModel(zeta, to_original, big),
                     ker, nm, maps, dil)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism, Tower,
@@ -25,7 +26,10 @@ class GenerationError(RuntimeError):
         self.constraint = constraint
 
 
+@cache
 def _partitions(n: int) -> tuple:
+    """The partitions of n, largest parts first, in lexicographically
+    decreasing order; built once per n."""
     if n == 0:
         return ((),)
     out = []

@@ -106,8 +106,8 @@ class TorusHom:
             # sparse map as its left factor
             d_s, s = self.source._int_form
             d_t, t = self.target._int_form
-            pull_s = la.matmul(la.transpose(self.pull), s)
-            t_push = la.transpose(la.matmul(la.transpose(self.push), la.transpose(t)))
+            pull_s = la.int_matmul(la.transpose(self.pull), s)
+            t_push = la.transpose(la.int_matmul(la.transpose(self.push), la.transpose(t)))
             if d_s != d_t:
                 pull_s, t_push = la.mat_scale(d_t, pull_s), la.mat_scale(d_s, t_push)
             if pull_s != t_push:
@@ -151,14 +151,14 @@ class Polarization:
             raise TorusError("polarization matrix must be integral")
         d, rows = self.torus._int_form
         scale = tuple(int(self.matrix[i][i]) for i in range(g))
-        if self.matrix == la.diag(scale) and all(s > 0 for s in scale):
+        if la.is_diagonal(self.matrix, scale) and all(s > 0 for s in scale):
             # the leading minors of diag(s) P are s_1 ... s_k times those of
             # P, so the torus's verdict decides definiteness
             form = rows if all(s == 1 for s in scale) else \
                 tuple(tuple(s * x for x in row) for s, row in zip(scale, rows))
             positive = self.torus._positive
         else:
-            form = la.matmul(la.transpose(la.to_int(self.matrix)), rows)
+            form = la.int_matmul(la.transpose(la.to_int(self.matrix)), rows)
             positive = None
         object.__setattr__(self, "_int_gram", (d, form))
         if form != la.transpose(form):
@@ -227,7 +227,7 @@ def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
                                 pol.torus.dual(), multiplier or 1)
     x = pol.matrix
     d = tuple(x[i][i] for i in range(g))
-    if x != la.diag(d) or not _is_chain(d):
+    if not la.is_diagonal(x, d) or not _is_chain(d):
         raise TorusError("dual polarization needs an adapted polarization diag(d_1 | d_2 | ...)")
     if multiplier is None:
         multiplier = d[0] * d[-1]
@@ -240,7 +240,7 @@ def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
     dual_diag = tuple(xdual[i][i] for i in reversed(range(g)))
     if not _is_chain(dual_diag) or dual_diag != dual_type(d, multiplier):
         raise AssertionError("dual polarization has the wrong type")
-    if not la.mat_equal(la.matmul(x, xdual), la.mat_scale(multiplier, la.identity(g))):
+    if not la.is_diagonal(la.int_matmul(x, xdual), (multiplier,) * g):
         raise AssertionError("xi . xi_dual is not multiplication by the multiplier")
     return DualPolarization(dual_pol, dual_t, multiplier)
 
@@ -269,12 +269,12 @@ def polarized_isomorphic(pol1: Polarization, pol2: Polarization):
     s2_t = la.transpose(s2)
     # each Polarization has proved its form symmetric positive definite
     for b in la.definite_isometries(q1, q2):
-        a = la.exact_quotient(la.mat_scale(d1, la.matmul(la.matmul(x, la.transpose(b)), s2_t)),
-                              delta * d2)
+        xbs = la.int_matmul(la.int_matmul(x, la.transpose(b)), s2_t)
+        a = la.exact_quotient(la.mat_scale(d1, xbs), delta * d2)
         if a is None or not la.is_unimodular(a):
             continue
         TorusHom(t1, t2, a, b)  # adjointness re-verified in the constructor
-        if not la.mat_equal(la.matmul(la.matmul(a, pol2.matrix), b), pol1.matrix):
+        if la.int_matmul(la.int_matmul(a, pol2.matrix), b) != pol1.matrix:
             raise AssertionError("polarized_isomorphic: witness does not transport the polarization")
         return a, b
     return None

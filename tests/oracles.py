@@ -17,14 +17,15 @@ determinant per leading minor for the one-elimination torus verdict.
 So are the Fraction forms of the Prym pairings, which `prym` built
 eagerly before it kept integer forms only, and the Fraction-era matrix
 helpers no package code calls: the inverse in fractions, rank, a shared
-denominator and the LLL transform alone.  So are the dense integral
-inverse by elimination of [M | I], which the sparse unimodular inverse
-replaced, and the dilation subgraphs found by one scan of the target
-half-edges per dilation block.  The tower isomorphism search that listed
-mid-level cover isomorphisms and searched the transported top cover for
-each is here too, and so are the n-gonal and Recillas
-constructions that worked out multisections, transports and slot classes
-once per point instead of once per fiber shape.
+denominator, the LLL transform alone and the sum of two matrices.  So
+are the dense integral inverse by elimination of [M | I], which the
+sparse unimodular inverse replaced, and the dilation subgraphs found by
+one scan of the target half-edges per dilation block.  The tower
+isomorphism search that listed mid-level cover isomorphisms and
+searched the transported top cover for each is here too, and so are the
+n-gonal and Recillas constructions that worked out multisections,
+transports and slot classes once per point instead of once per fiber
+shape.
 """
 
 from __future__ import annotations
@@ -535,6 +536,10 @@ def dilation_subgraphs_by_block_scan(cover) -> list:
                          {h: tgt.root[h] for h in halves},
                          {h: tgt.partner[h] for h in halves}))
     return out
+
+
+def mat_add(a, b) -> tuple:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def rank(m) -> int:

@@ -70,6 +70,38 @@ class TestGenusAndComponents:
         assert len(connected_components(theta_graph())) == 1
         assert connected_components(Graph((), {}, {})) == ()
 
+    def test_components_are_kept_on_the_graph(self, monkeypatch):
+        # one BFS per component on first use; is_connected, genus,
+        # betti_number, is_tree and connected_components then read the memo
+        calls = []
+        bfs = graphs._bfs
+        monkeypatch.setattr(graphs, "_bfs", lambda *a, **kw: calls.append(a[1]) or bfs(*a, **kw))
+        g = theta_graph()
+        assert graphs.is_connected(g) and calls == [0]
+        assert genus(g) == 2 and graphs.betti_number(g) == 2 and not graphs.is_tree(g)
+        assert connected_components(g) == (frozenset({0, 1}),)
+        assert calls == [0]
+        two_loops, _ = Graph.from_edges(3, [(0, 0), (1, 2), (2, 2)])
+        assert graphs.betti_number(two_loops) == 2 and not graphs.is_connected(two_loops)
+        assert calls == [0, 0, 1]
+
+    def test_mutating_returned_components_leaves_the_memo(self):
+        g, _ = Graph.from_edges(4, [(0, 1), (2, 3)])
+        first = graphs._bfs_components(g)
+        assert first == [[0, 1], [2, 3]]
+        first[0].append(7)
+        first.append([9])
+        first[1].clear()
+        assert graphs._bfs_components(g) == [[0, 1], [2, 3]]
+        assert connected_components(g) == (frozenset({0, 1}), frozenset({2, 3}))
+        assert not graphs.is_connected(g) and graphs.betti_number(g) == 0
+
+    def test_filtered_components_are_not_kept(self):
+        g, keys = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert graphs._bfs_components(g, keys={keys[0]}) == [[0, 1], [2]]
+        assert graphs._bfs_components(g, vertices={1, 2}) == [[1, 2]]
+        assert graphs._bfs_components(g) == [[0, 1, 2]]
+
 
 class TestSpanningTree:
     def test_tree_has_no_complement(self):

@@ -4,10 +4,11 @@ from math import ceil, floor, isqrt
 
 import pytest
 
-from tropcover.intlinalg import (_lll_reduce, definite_isometries, det,
-                                 gram_isometries, identity,
-                                 is_positive_definite, is_unimodular, mat,
-                                 mat_equal, mat_scale, matmul, scaled_inverse,
+from tropcover.intlinalg import (_lll_reduce, definite_isometries, det, diag,
+                                 gram_isometries, identity, int_matmul,
+                                 is_diagonal, is_positive_definite,
+                                 is_unimodular, mat,
+                                 mat_equal, matmul, scaled_inverse,
                                  to_int, transpose, unimodular_inverse,
                                  vectors_with_norm)
 
@@ -340,6 +341,85 @@ class TestMatmulAgainstTripleLoop:
             matmul(identity(2), identity(3))
 
 
+class TestIntMatmulKernel:
+    # the one product kernel, called directly on the package's integer forms
+    @staticmethod
+    def factor(rng, kind, n, m, rational):
+        if kind == "dense":
+            return random_matrix(rng, n, m, rational)
+        if kind == "sparse":
+            zero = Fraction(0) if rational else 0
+            return mat([[random_entry(rng, rational) if rng.random() < 0.15 else zero
+                         for _ in range(m)] for _ in range(n)])
+        if kind == "zero":
+            return mat([[0] * m for _ in range(n)])
+        k = min(n, m)
+        d = diag([random_entry(rng, rational) for _ in range(k)] if kind == "diagonal"
+                 else [1] * k)
+        return mat([list(row) + [0] * (m - k) for row in d] + [[0] * m] * (n - k))
+
+    def test_against_the_triple_loop(self):
+        rng = random.Random(38)
+        kinds = ("dense", "sparse", "diagonal", "identity", "zero")
+        seen = set()
+        for i in range(400):
+            n, k, m = rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9)
+            if n == 0:
+                k = 0
+            left, right = rng.choice(kinds), rng.choice(kinds)
+            rational = (i % 4 == 1, i % 4 == 2)
+            a = self.factor(rng, left, n, k, rational[0])
+            b = self.factor(rng, right, k, m, rational[1]) if k else ()
+            product = int_matmul(a, b)
+            assert product == oracle_matmul(a, b)
+            assert type(product) is tuple and all(type(row) is tuple for row in product)
+            assert all(len(row) == (m if k else 0) for row in product)
+            if not any(rational):
+                assert all(type(x) is int for row in product for x in row)
+            seen.add((left, right, n * k * m == 0, rational))
+        assert len(seen) > 100
+
+    def test_empty_factors(self):
+        assert int_matmul((), ()) == ()
+        assert int_matmul(((), ()), ()) == ((), ())
+        assert int_matmul(((1, 2),), ((), ())) == ((),)
+        assert int_matmul(((0, 0),), ((1, 2, 3), (4, 5, 6))) == ((0, 0, 0),)
+
+    def test_rows_are_fresh_tuples(self):
+        # a row of b that the product takes whole is copied when it is a list
+        b = [[1, 2], [3, 4]]
+        product = int_matmul(identity(2), b)
+        assert product == ((1, 2), (3, 4))
+        assert all(type(row) is tuple for row in product)
+        b[0][0] = 9
+        assert product == ((1, 2), (3, 4))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            int_matmul(identity(2), identity(3))
+
+
+class TestIsDiagonal:
+    def test_against_building_the_diagonal(self):
+        rng = random.Random(40)
+        for i in range(300):
+            n = rng.randint(0, 6)
+            entries = tuple(rng.randint(-2, 2) for _ in range(n))
+            m = [list(row) for row in diag(entries)]
+            if n and i % 3:
+                r, c = rng.randrange(n), rng.randrange(n)
+                m[r][c] += rng.choice((-1, 1))
+            if i % 5 == 0:
+                m = [[Fraction(x) for x in row] for row in m]
+            assert is_diagonal(m, entries) == (mat(m) == diag(entries))
+
+    def test_shapes(self):
+        assert is_diagonal((), ())
+        assert not is_diagonal(((1, 0),), (1,))
+        assert not is_diagonal(((1,), (0,)), (1, 0))
+        assert not is_diagonal(identity(2), (1, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # Differential checks of the integer short-vector search and the reduced
 # isometry search against the Fraction Cholesky search and the unreduced
@@ -605,12 +685,21 @@ class TestUnimodularInverse:
             unimodular_inverse(((1, 0),))
 
     def test_result_is_certified(self, monkeypatch):
-        # M M^-1 == I is checked by the sparse product; a product that comes
-        # out wrong trips it
+        # M M^-1 == I is checked on the sparse rows of the inverse the
+        # elimination returns; a spoiled inverse trips it
         from tropcover import intlinalg
-        monkeypatch.setattr(intlinalg, "matmul", lambda a, b: mat_scale(2, identity(len(a))))
-        with pytest.raises(AssertionError, match="M M\\^-1 == I"):
-            unimodular_inverse(((0, 1), (1, 0)))
+        eliminate = intlinalg._inverse_rows
+
+        def one_more(inv):
+            inv[2] = dict(inv[2])
+            inv[2][0] = inv[2].get(0, 0) + 1
+            return inv
+        for spoil in (lambda inv: [{j: 2 * x for j, x in row.items()} for row in inv],
+                      lambda inv: [inv[1], inv[0], inv[2]],
+                      one_more):
+            monkeypatch.setattr(intlinalg, "_inverse_rows", lambda rows: spoil(eliminate(rows)))
+            with pytest.raises(AssertionError, match="M M\\^-1 == I"):
+                unimodular_inverse(((0, 1, 0), (1, 0, 0), (1, 1, 1)))
 
 
 class TestLLLCarriesItsInverse:

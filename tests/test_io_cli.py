@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -122,6 +124,19 @@ class TestGeneratorDeterminism:
             gen = random_tower(seed, n=3)
             assert validate_harmonic(gen.tower.f) == []
             assert validate_harmonic(gen.tower.pi.cover) == []
+
+    def test_partitions_are_built_once(self):
+        # random_harmonic_map draws from _partitions(n) at every base vertex;
+        # the table is kept, and its order (the draws) is the recursive one
+        from itertools import product
+        from tropcover.randgen import _partitions
+        for n in range(7):
+            parts = _partitions(n)
+            assert _partitions(n) is parts
+            every = {tuple(sorted((p for p in c if p), reverse=True))
+                     for c in product(range(n + 1), repeat=n) if sum(c) == n}
+            assert set(parts) == every and len(parts) == len(every)
+            assert list(parts) == sorted(parts, reverse=True)
 
 
 class TestCLI:
@@ -467,3 +482,70 @@ class TestRandomArguments:
                                 "last failing constraint: generic\n")
         assert captured.out == ""
         assert not out.exists()
+
+
+COMMANDS = ["validate", "construct", "classify", "jacobian", "prym", "check", "random",
+            "export-dot", "compare"]
+USAGE_ERRORS = [["prym"], ["prym", "a.json", "--zzz"],
+                ["random", "--seed", "1", "--n", "5", "--out", "o.json"]]
+# sha256 (first 16 hex digits) of stdout + NUL + stderr at COLUMNS=80, as
+# the parser that registered every subcommand up front printed them
+# (Python 3.11; argparse formats help differently across versions)
+PINNED = {
+    ("-h",): "8f6cc074ce22c611",
+    ("validate", "-h"): "24630b0e99dcda1e",
+    ("construct", "-h"): "0f31fd5296ff9b13",
+    ("classify", "-h"): "2fd1d16598d08cee",
+    ("jacobian", "-h"): "0111b1c2e8fc29e7",
+    ("prym", "-h"): "1624c8044733eb9f",
+    ("check", "-h"): "346f93f509aa8378",
+    ("random", "-h"): "73e4c0f94ed90eaa",
+    ("export-dot", "-h"): "0e23d688af0c4722",
+    ("compare", "-h"): "1e6504d69ecb1e40",
+    (): "d5148aceb6bb5218",
+    ("bogus",): "dada51b905ca8a32",
+    ("prym",): "4cbfb1f71c77a2d6",
+    ("prym", "a", "--zzz"): "1fdde2ed77141aa7",
+    ("random", "--seed", "1", "--n", "5", "--out", "o"): "ca1010eb4199ff6b",
+}
+
+
+def _exit_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exit_.value.code, captured.out + "\0" + captured.err
+
+
+class TestOneCommandParser:
+    # main registers only the subcommand argv[0] names; help, usage and
+    # errors must read as the full parser prints them
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", [[c, "-h"] for c in COMMANDS] + [["-h"], [], ["bogus"]]
+                             + USAGE_ERRORS)
+    def test_same_text_as_the_full_parser(self, capsys, argv):
+        from tropcover.cli import build_parser
+        code, text = _exit_text(capsys, main, argv)
+        assert (code, text) == _exit_text(capsys, build_parser().parse_args, argv)
+        assert code == (0 if "-h" in argv else 2)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse formats help differently across Python versions")
+    @pytest.mark.parametrize("argv", sorted(PINNED))
+    def test_pinned_text(self, capsys, argv):
+        code, text = _exit_text(capsys, main, list(argv))
+        assert code == (0 if "-h" in argv else 2)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED[argv]
+
+    def test_a_command_does_not_build_the_full_parser(self, capsys):
+        from tropcover import cli
+        cli.build_parser.cache_clear()
+        assert main(["validate", os.path.join(DATA, "trigonal_tower.json")]) == 0
+        assert capsys.readouterr().out.startswith("OK:")
+        assert cli.build_parser.cache_info().currsize == 0
+        with pytest.raises(SystemExit):
+            main(["validate"])
+        assert cli.build_parser.cache_info().currsize == 1

@@ -20,7 +20,12 @@ helpers no package code calls: the inverse in fractions, rank, a shared
 denominator, the LLL transform alone and the sum of two matrices.  So
 are the dense integral inverse by elimination of [M | I], which the
 sparse unimodular inverse replaced, and the dilation subgraphs found by
-one scan of the target half-edges per dilation block.  The tower
+one scan of the target half-edges per dilation block.  So are the two
+adapted-basis builders that the single lifted-tree construction
+replaced: the free one, and the dilated one that collapsed each dilation
+component to a vertex with a loop, ran the free construction on that
+model cover and closed each alpha again inside the dilation subgraph;
+the dilation subgraphs are theirs.  The tower
 isomorphism search that listed mid-level cover isomorphisms and
 searched the transported top cover for each is here too, and so are the
 n-gonal and Recillas constructions that worked out multisections,
@@ -36,11 +41,13 @@ from fractions import Fraction
 from math import lcm
 
 from tropcover import intlinalg as la
-from tropcover.graphs import (Graph, GraphError, GraphMorphism, HarmonicMorphism,
-                              PreconditionError, Tower, ValidationIssue,
-                              covers_isomorphic_over_base, hpoint, is_connected, is_tree,
-                              iter_cover_isomorphisms, validate_morphism, vpoint)
-from tropcover.jacprym import _dilation_blocks, h1_basis, pairing_table
+from tropcover.graphs import (DoubleCover, Graph, GraphError, GraphMorphism, HarmonicMorphism,
+                              PreconditionError, Tower, ValidationIssue, _bfs, _bfs_components,
+                              _bfs_tree, chain_boundary, covers_isomorphic_over_base,
+                              fundamental_cycle, genus, hpoint, is_connected, is_tree,
+                              iter_cover_isomorphisms, spanning_tree, validate_morphism, vpoint)
+from tropcover.jacprym import (SymmetricBasis, _lift_dilated_cycle, chain_halve, h1_basis,
+                               invol_chain, pairing_table, push_chain)
 from tropcover.ngonal import (NgonalConstruction, RecillasResult, _check_harmonic,
                               _dense_ids, _partner_transport, _root_refinement,
                               _sign_quotient, classify_tetragonal_point, induce_multisection,
@@ -517,6 +524,218 @@ def integral_inverse(m) -> tuple:
     if inv is None:
         raise ValueError("inverse is not integral")
     return inv
+
+
+def symmetric_basis_by_model(cover: DoubleCover) -> SymmetricBasis:
+    """The adapted bases of the two builders the single construction
+    replaced, verified: the free construction, and for a dilated cover the
+    free construction on a model cover with each dilation component
+    collapsed to a vertex with a loop."""
+    basis = _symmetric_basis_free(cover) if cover.is_free() else _symmetric_basis_dilated(cover)
+    basis.verify()
+    return basis
+
+
+def _symmetric_basis_free(cover: DoubleCover) -> SymmetricBasis:
+    if not is_connected(cover.source):
+        raise PreconditionError("connected", "symmetric basis of a free cover requires a connected source")
+    tgt, src = cover.target, cover.source
+    tree = h1_basis(tgt).tree
+    lifts = cover.cover.fiber_edges
+    tree_lift_keys = {kk for k in tree.tree_keys for kk in lifts(k)}
+    # the tree preimage is two disjoint trees; a crossing lift joins them
+    comps = _bfs_components(src, keys=tree_lift_keys)
+    sheets = {v: i for i, comp in enumerate(comps) for v in comp}
+    crossing = None
+    for k in tree.complement_keys:
+        a, b = (sheets[v] for v in src.edge_ends(lifts(k)[0]))
+        if a != b:
+            crossing = k
+            break
+    if crossing is None:
+        raise AssertionError("connected free cover has no crossing edge")
+    src_tree = _bfs_tree(src, tree_lift_keys | {lifts(crossing)[0]})
+    if len(src_tree.up_half) + 1 != len(src.vertices):
+        raise AssertionError("lifted tree does not span the source")
+    gamma_top = fundamental_cycle(src, src_tree, lifts(crossing)[1])
+    gamma = chain_halve(push_chain(cover, gamma_top))
+    alpha_plus, alpha_minus, alpha = [], [], []
+    for k in tree.complement_keys:
+        if k == crossing:
+            continue
+        plus = fundamental_cycle(src, src_tree, lifts(k)[0])
+        minus = invol_chain(cover, plus)
+        alpha_plus.append(plus)
+        alpha_minus.append(minus)
+        alpha.append(push_chain(cover, plus))
+    return SymmetricBasis(cover, tuple(alpha_plus), tuple(alpha_minus), (),
+                          (gamma_top,), tuple(alpha), (gamma,))
+
+
+def _dilation_blocks(cover: DoubleCover):
+    """Connected components of the target dilation subgraph, rep = min vertex."""
+    comps = _bfs_components(cover.target, cover.dilated_vertices, cover.dilated_edge_keys)
+    return {v: comp[0] for comp in comps for v in comp}
+
+
+def _symmetric_basis_dilated(cover: DoubleCover) -> SymmetricBasis:
+    tgt, src, f = cover.target, cover.source, cover.cover
+    if not is_connected(src):
+        raise PreconditionError("connected", "symmetric basis requires a connected source")
+    blocks = _dilation_blocks(cover)
+    reps = sorted(set(blocks.values()))
+    dil_keys = set(cover.dilated_edge_keys)
+
+    # collapsed target: each dilation component becomes its rep vertex plus a loop
+    t_map = {v: blocks.get(v, v) for v in tgt.vertices}
+    keep_t = [h for h in tgt.half_edges if tgt.edge_key(h) not in dil_keys]
+    next_h = max(tgt.half_edges, default=-1) + 1
+    root_m = {h: t_map[tgt.root[h]] for h in keep_t}
+    partner_m = {h: tgt.partner[h] for h in keep_t}
+    loop_key = {}
+    for rep in reps:
+        a, b = next_h, next_h + 1
+        next_h += 2
+        root_m[a] = root_m[b] = rep
+        partner_m[a], partner_m[b] = b, a
+        loop_key[rep] = a
+    target_m = Graph(tuple(sorted(set(t_map.values()))), root_m, partner_m)
+
+    # collapsed source: the dilated preimage splits into two artificial sheets
+    plus_id, minus_id = {}, {}
+    next_v = max(src.vertices, default=-1) + 1
+    for rep in reps:
+        plus_id[rep], minus_id[rep] = next_v, next_v + 1
+        next_v += 2
+    keep_s = [h for h in src.half_edges if tgt.edge_key(f.h(h)) not in dil_keys]
+    root_s, partner_s = {}, {}
+    for h in keep_s:
+        r = src.root[h]
+        if f.v(r) in blocks:
+            rep = blocks[f.v(r)]
+            mate = cover.half_edge_invol[h]
+            side = plus_id if h < mate else minus_id
+            root_s[h] = side[rep]
+        else:
+            root_s[h] = r
+        partner_s[h] = src.partner[h]
+    next_hs = max(src.half_edges, default=-1) + 1
+    pair_keys = {}
+    for rep in reps:
+        made = []
+        for _ in range(2):
+            a, b = next_hs, next_hs + 1
+            next_hs += 2
+            root_s[a], root_s[b] = plus_id[rep], minus_id[rep]
+            partner_s[a], partner_s[b] = b, a
+            made.append(a)
+        pair_keys[rep] = tuple(made)
+    free_src_vertices = [x for x in src.vertices if f.v(x) not in blocks]
+    source_m = Graph(tuple(sorted(free_src_vertices + list(plus_id.values()) + list(minus_id.values()))),
+                     root_s, partner_s)
+
+    vmap_m = {}
+    for x in free_src_vertices:
+        vmap_m[x] = f.v(x)
+    for rep in reps:
+        vmap_m[plus_id[rep]] = rep
+        vmap_m[minus_id[rep]] = rep
+    hmap_m = {h: f.h(h) for h in keep_s}
+    for rep in reps:
+        k1, k2 = pair_keys[rep]
+        la_half, lb_half = loop_key[rep], partner_m[loop_key[rep]]
+        hmap_m[k1], hmap_m[partner_s[k1]] = la_half, lb_half
+        hmap_m[k2], hmap_m[partner_s[k2]] = lb_half, la_half
+    model = DoubleCover.from_harmonic(HarmonicMorphism(
+        GraphMorphism(source_m, target_m, vmap_m, hmap_m),
+        {x: 1 for x in source_m.vertices}, {h: 1 for h in source_m.half_edges}))
+
+    # free construction over the collapsed target, crossing at the first loop
+    # (loops are never BFS tree edges, so all of them are complementary)
+    loop_keys_sorted = sorted(loop_key[rep] for rep in reps)
+    tree_m = spanning_tree(target_m)
+    lifts = model.cover.fiber_edges
+    crossing = loop_keys_sorted[0]
+    src_tree = _bfs_tree(source_m, {kk for k in tree_m.tree_keys for kk in lifts(k)}
+                         | {lifts(crossing)[0]})
+    if len(src_tree.up_half) + 1 != len(source_m.vertices):
+        raise AssertionError("lifted tree does not span the collapsed source")
+
+    artificial = {kk for rep in reps for kk in lifts(loop_key[rep])}
+
+    def drop(chain):
+        return {k: c for k, c in chain.items() if k not in artificial}
+
+    beta, alpha_plus, alpha_minus, alpha = [], [], [], []
+    for k in tree_m.complement_keys:
+        if k == crossing:
+            continue
+        raw = drop(fundamental_cycle(source_m, src_tree, lifts(k)[0]))
+        if k in loop_keys_sorted:
+            if chain_boundary(src, raw):
+                raise AssertionError("anti-invariant chain is not closed")
+            beta.append(raw)
+        else:
+            plus = _close_in_dilated(cover, raw)
+            alpha_plus.append(plus)
+            alpha_minus.append(invol_chain(cover, plus))
+            alpha.append(push_chain(cover, plus))
+    gamma, gamma_top = [], []
+    for comp in _dilation_subgraphs(cover):
+        if comp.edge_keys() and genus(comp) > 0:
+            for cyc in h1_basis(comp).cycles:
+                gamma.append(dict(cyc))
+                gamma_top.append(_lift_dilated_cycle(cover, cyc))
+    return SymmetricBasis(cover, tuple(alpha_plus), tuple(alpha_minus), tuple(beta),
+                          tuple(gamma_top), tuple(alpha), tuple(gamma))
+
+
+def _close_in_dilated(cover: DoubleCover, chain: dict) -> dict:
+    """Add a correction chain supported on the dilated preimage (pointwise
+    fixed by the involution) making the input closed."""
+    src = cover.source
+    bd = chain_boundary(src, chain)
+    if not bd:
+        return dict(sorted(chain.items()))
+    allowed = {kk for k in cover.dilated_edge_keys for kk in cover.cover.fiber_edges(k)}
+    work = dict(chain)
+    bd = dict(bd)
+    while any(c > 0 for c in bd.values()):
+        start = min(v for v, c in bd.items() if c > 0)
+        order, parent = _bfs(src, start, keys=allowed)
+        goal = next((v for v in order if bd.get(v, 0) < 0), None)
+        if goal is None:
+            raise AssertionError("cannot close chain inside the dilation subgraph")
+        v = goal
+        while v != start:
+            h = parent[v]  # half-edge rooted at v, leading back toward start
+            kk = src.edge_key(h)
+            sign = -1 if h == kk else 1  # traversal from the other end to v
+            work[kk] = work.get(kk, 0) + sign
+            v = src.root[src.partner[h]]
+        bd[start] -= 1
+        bd[goal] = bd.get(goal, 0) + 1
+        bd = {x: c for x, c in bd.items() if c}
+    out = {k: c for k, c in sorted(work.items()) if c}
+    if chain_boundary(src, out):
+        raise AssertionError("correction chain failed to close the cycle")
+    return out
+
+
+def _dilation_subgraphs(cover: DoubleCover):
+    tgt = cover.target
+    blocks = _dilation_blocks(cover)
+    groups = {}
+    for v, rep in blocks.items():
+        groups.setdefault(rep, set()).add(v)
+    halves = {}  # block rep -> its dilated half-edges, in half-edge order
+    for h in tgt.half_edges:
+        if tgt.edge_key(h) in cover.dilated_edge_keys:
+            halves.setdefault(blocks.get(tgt.root[h]), []).append(h)
+    return [Graph(tuple(sorted(groups[rep])),
+                  {h: tgt.root[h] for h in halves.get(rep, ())},
+                  {h: tgt.partner[h] for h in halves.get(rep, ())})
+            for rep in sorted(groups)]
 
 
 def dilation_subgraphs_by_block_scan(cover) -> list:

@@ -66,10 +66,12 @@ def fraction_route_uses(tree):
 
 # `raise AssertionError` statements in the package source when the floor
 # was last raised (63, less the mid-basis determinant check, which one
-# sparse inverse of diag(T, mid) now shares with the top basis, plus the
+# sparse inverse of diag(T, mid) then shared with the top basis, plus the
 # M M^-1 == I certificate of `intlinalg.unimodular_inverse` and the
 # K^T G K == diag(type) R^T G K certificate of `jacprym.prym`); it may
-# rise, but a self-check is made cheaper, never removed
+# rise, but a self-check is made cheaper, never removed.  The four checks
+# of the collapsed-model basis builder left with it and were replaced by
+# four checks of the facts the lifted-tree construction relies on
 SELF_CHECK_FLOOR = 64
 
 

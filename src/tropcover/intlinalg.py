@@ -2,9 +2,10 @@
 
 Matrices are tuples of tuples (rows): ints for lattice maps, fractions
 for pairings.  Internally a rational matrix is (D, integer rows) with D
-the lcm of its denominators; products, determinant, inverses, the
-definiteness test, LLL reduction and the short-vector search run on
-integers only.  No floating point anywhere.
+the lcm of its denominators; products, inverses, the definiteness test,
+LLL reduction and the short-vector search run on integers only.  A
+Fraction matrix enters only through a public function, which scales it
+to integer rows once.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -79,9 +80,7 @@ def int_matmul(a, b) -> tuple:
 
     Row i of a @ b is the sum of the rows of b that the nonzeros of row i
     of a select, each times its entry; `compress` skips the zeros at C
-    speed, so the product costs one row operation per nonzero of a.  The
-    package's own integer forms call this directly; `matmul` is the entry
-    point for matrices of unknown entry type.
+    speed, so the product costs one row operation per nonzero of a.
     """
     if (len(a[0]) if a else 0) != len(b):
         raise ValueError(f"matmul shape mismatch: {shape(a)} x {shape(b)}")
@@ -102,21 +101,6 @@ def int_matmul(a, b) -> tuple:
     return tuple(out)
 
 
-def matmul(a, b) -> tuple:
-    """Exact product; int x int stays int, anything else gives fractions.
-
-    Both factors are scaled to integer rows (`_scaled`) and multiplied by
-    `int_matmul`.
-    """
-    da, ia = _scaled(a)
-    db, ib = _scaled(b)
-    prod = int_matmul(ia, ib)
-    if ia is a and ib is b:
-        return prod
-    d = da * db
-    return tuple(tuple(Fraction(x, d) for x in row) for row in prod)
-
-
 def is_diagonal(m, entries) -> bool:
     """m == diag(entries), compared entry by entry without building diag(entries)."""
     n = len(entries)
@@ -125,16 +109,8 @@ def is_diagonal(m, entries) -> bool:
         for i, (row, a) in enumerate(zip(m, entries)))
 
 
-def matvec(a, v) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def mat_scale(c, a) -> tuple:
     return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_equal(a, b) -> bool:
-    return mat(a) == mat(b)
 
 
 def is_integral(m) -> bool:
@@ -185,15 +161,6 @@ def _bareiss(m, pivoting=True):
         prev = piv
         r += 1
     return d, a, cols, sign * prev
-
-
-def det(m):
-    """Exact determinant: the signed last Bareiss pivot over D^n."""
-    n, c = shape(m)
-    if n != c:
-        raise ValueError("determinant of a non-square matrix")
-    d, _, cols, minor = _bareiss(m)
-    return Fraction(minor, d ** n) if len(cols) == n else Fraction(0)
 
 
 def scaled_inverse(m) -> tuple:
@@ -322,36 +289,26 @@ def unimodular_inverse(m) -> tuple:
     return tuple(dense)
 
 
-def _leading_pivots(m):
-    """The leading Bareiss pivots of a square m, each a leading principal
-    minor times a positive scale, or None when one of those minors is 0."""
-    _, a, cols, _ = _bareiss(m, pivoting=False)
-    return [a[i][i] for i in range(len(a))] if len(cols) == len(a) else None
-
-
 def is_positive_definite(q) -> bool:
     """Sylvester's test for a symmetric form: every leading Bareiss pivot is > 0."""
-    pivots = _leading_pivots(q)
-    return pivots is not None and all(p > 0 for p in pivots)
+    return leading_minor_verdict(q)[1]
 
 
 def leading_minor_verdict(m) -> tuple:
-    """(det(m) != 0, every leading principal minor of m is > 0).
+    """(m is nonsingular, every leading principal minor of square m is > 0).
 
-    One non-pivoting Bareiss pass decides both when no leading minor
-    vanishes; a nonsingular matrix with a zero leading minor, such as
-    [[0, 1], [1, 0]], costs a second, pivoting pass for the determinant.
-    For a symmetric m the second verdict is positive definiteness.
+    The leading Bareiss pivots are the leading principal minors times a
+    positive scale, so one non-pivoting pass decides both when no leading
+    minor vanishes; a nonsingular matrix with a zero leading minor, such as
+    [[0, 1], [1, 0]], costs a second, pivoting pass, which finds a pivot in
+    every column iff m is nonsingular.  For a symmetric m the second
+    verdict is positive definiteness.
     """
-    pivots = _leading_pivots(m)
-    if pivots is None:
-        return det(m) != 0, False
-    return True, all(p > 0 for p in pivots)
-
-
-def is_unimodular(m) -> bool:
-    rows, cols = shape(m)
-    return rows == cols and is_integral(m) and abs(det(m)) == 1
+    _, a, cols, _ = _bareiss(m, pivoting=False)
+    n = len(a)
+    if len(cols) == n:
+        return True, all(a[i][i] > 0 for i in range(n))
+    return len(_bareiss(m)[2]) == n, False
 
 
 def _columns_to_matrix(cols, nrows) -> tuple:
@@ -486,7 +443,7 @@ def gram_isometries(q1, q2):
         raise ValueError("rank mismatch")
     q1, q2 = mat(q1), mat(q2)
     for q in (q1, q2):
-        if not mat_equal(q, transpose(q)):
+        if q != transpose(q):
             raise ValueError("forms must be symmetric")
         if not is_positive_definite(q):
             raise ValueError("form is not positive definite")
@@ -497,52 +454,54 @@ def definite_isometries(q1, q2):
     """`gram_isometries` of two forms the caller has proved symmetric
     positive definite and of equal rank, without proving it again.
 
-    Both forms are LLL-reduced first, Q_i -> R_i = H_i^T Q_i H_i, with
-    R1's basis ordered by norm.  Column-by-column backtracking over the
-    short vectors of R2 finds each C with C^T R2 C = R1, and C -> H2 C H1^-1
-    is a bijection onto the isometries of the original forms.  Unequal
-    determinants, read off the reductions, end the search at once.
+    Both forms are scaled once to integers over their common denominator
+    D, Q_i -> D Q_i, which has the isometries of Q_i.  Both are then
+    LLL-reduced, D Q_i -> R_i = H_i^T D Q_i H_i, with R1's basis ordered by
+    norm.  Column-by-column backtracking over the short vectors of R2 finds
+    each C with C^T R2 C = R1, and C -> H2 C H1^-1 is a bijection onto the
+    isometries of the original forms.  Unequal determinants, read off the
+    reductions, end the search at once.
     """
     n = len(q1)
     if n == 0:
         yield tuple()
         return
-    q1, q2 = mat(q1), mat(q2)
     (d1, s1), (d2, s2) = _scaled(q1), _scaled(q2)
-    h1, h1_inv, det1 = _lll_reduce(s1)
-    h2, h2_inv, det2 = _lll_reduce(s2)
+    d = lcm(d1, d2)
+    q1, q2 = mat_scale(d // d1, s1), mat_scale(d // d2, s2)
+    h1, h1_inv, det1 = _lll_reduce(q1)
+    h2, h2_inv, det2 = _lll_reduce(q2)
     # H H^-1 = I in integers: both transforms are unimodular, so d[n] of
-    # each reduction is det S_i, and det Q_i = det S_i / D_i^n
+    # each reduction is det D Q_i
     ones = (1,) * n
     if not (is_diagonal(int_matmul(h1, h1_inv), ones) and is_diagonal(int_matmul(h2, h2_inv), ones)):
         raise AssertionError("LLL transform is not unimodular")
-    if det1 * d2 ** n != det2 * d1 ** n:
+    if det1 != det2:
         return
-    r1 = matmul(transpose(h1), matmul(q1, h1))
+    r1 = int_matmul(transpose(h1), int_matmul(q1, h1))
     order = sorted(range(n), key=lambda k: r1[k][k])
     h1_inv = tuple(h1_inv[k] for k in order)
     r1 = tuple(tuple(r1[i][j] for j in order) for i in order)
-    r2 = matmul(transpose(h2), matmul(q2, h2))
+    r2 = int_matmul(transpose(h2), int_matmul(q2, h2))
     cols = [None] * n
     r2_cols = [None] * n  # cached R2 @ c_k
 
     def place(j):
         if j == n:
+            # C^T R2 C = R1 with det R1 = det R2 != 0 forces det C = +-1, and
+            # H1, H2 are unimodular, so b needs no unimodularity test
             b = int_matmul(int_matmul(h2, _columns_to_matrix(cols, n)), h1_inv)
-            if is_unimodular(b):
-                if not mat_equal(matmul(transpose(b), matmul(q2, b)), q1):
-                    raise AssertionError("isometry candidate failed the congruence re-check")
-                yield b
+            if int_matmul(transpose(b), int_matmul(q2, b)) != q1:
+                raise AssertionError("isometry candidate failed the congruence re-check")
+            yield b
             return
         for v in vectors_with_norm(r2, r1[j][j]):
-            ok = True
             for k in range(j):
-                if sum(a * b for a, b in zip(v, r2_cols[k])) != r1[j][k]:
-                    ok = False
+                if sum(map(mul, v, r2_cols[k])) != r1[j][k]:
                     break
-            if ok:
+            else:
                 cols[j] = v
-                r2_cols[j] = matvec(r2, v)
+                r2_cols[j] = tuple(sum(map(mul, row, v)) for row in r2)
                 yield from place(j + 1)
         cols[j] = None
 

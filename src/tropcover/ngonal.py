@@ -203,15 +203,6 @@ def _partner_transport(t: Tower, fibers: dict, h) -> Refinement:
     return Refinement(fine, coarse, part_map, flip)
 
 
-def _dense_ids(pairs) -> tuple:
-    """Number the distinct (base point, label) pairs densely in first-seen
-    order; returns (pair -> id, id -> pair)."""
-    ids = {}
-    for pair in pairs:
-        ids.setdefault(pair, len(ids))
-    return ids, {i: pair for pair, i in ids.items()}
-
-
 def _check_harmonic(f: HarmonicMorphism, what: str) -> HarmonicMorphism:
     """Self-check of a morphism built here; raise if it is not harmonic."""
     issues = validate_harmonic(f)
@@ -375,40 +366,51 @@ def _sign_quotient(n, fibers, cover, v_info, h_info):
     points): one point of degree 2 over each dilated base point, two
     sign-labeled points of degree 1 over each free one.  Every member of a
     class must glue the class to the same root and partner."""
-    src = cover.source
     plus = operator.itemgetter(1)
 
-    def labels(info, ids, point):
+    def classes(info, ids, point):
         free = {x: fibers[point(x)].is_free() for x in ids}
-        return {i: (x, sum(map(plus, ms)) % 2 if free[x] else 0) for i, (x, ms) in info.items()}
+        label = {i: (x, sum(map(plus, ms)) % 2 if free[x] else 0) for i, (x, ms) in info.items()}
+        return label, {c: 1 if free[c[0]] else 2 for c in sorted(set(label.values()))}
 
-    vlabel = labels(v_info, cover.target.vertices, vpoint)
-    hlabel = labels(h_info, cover.target.half_edges, hpoint)
-    ov_ids, ov_info = _dense_ids(sorted(set(vlabel.values())))
-    oh_ids, oh_info = _dense_ids(sorted(set(hlabel.values())))
-    vmap = {i: ov_ids[label] for i, label in vlabel.items()}
-    hmap = {i: oh_ids[label] for i, label in hlabel.items()}
+    vlabel, vdeg = classes(v_info, cover.target.vertices, vpoint)
+    hlabel, hdeg = classes(h_info, cover.target.half_edges, hpoint)
+    orientation, q = _quotient(cover, vlabel, hlabel, vdeg, hdeg, "sign")
+    _check_harmonic(orientation, "orientation cover")
+    _check_harmonic(q, "sign quotient")
+    if q.global_degree() != 2 ** (n - 1):
+        raise AssertionError("sign quotient has the wrong degree")
+    return orientation, q, dict(enumerate(vdeg)), dict(enumerate(hdeg))
+
+
+def _quotient(cover, vclass, hclass, vdeg, hdeg, what):
+    """(quotient -> base, source -> quotient) for the quotient of the source
+    of `cover` by classes of its points, not yet checked harmonic.  vclass
+    and hclass give each source point its class label; vdeg and hdeg give
+    each label, in the order of the quotient's ids, its degree over the
+    base.  A point maps onto its class with its own degree divided by the
+    class's, and every member of a class must glue it the same way."""
+    src = cover.source
+    vid = {c: i for i, c in enumerate(vdeg)}
+    hid = {c: i for i, c in enumerate(hdeg)}
+    vmap = {v: vid[c] for v, c in vclass.items()}
+    hmap = {h: hid[c] for h, c in hclass.items()}
     root, partner = {}, {}
     src_root, src_partner = src.root, src.partner
     for i in src.half_edges:
         c, at, mate = hmap[i], vmap[src_root[i]], hmap[src_partner[i]]
         if root.setdefault(c, at) != at or partner.setdefault(c, mate) != mate:
-            raise AssertionError(f"sign class {oh_info[c]} is glued differently by its members")
-    graph = Graph(tuple(range(len(ov_ids))), root, partner)
-    odeg_v = {c: 1 if fibers[vpoint(v)].is_free() else 2 for c, (v, _s) in ov_info.items()}
-    odeg_h = {c: 1 if fibers[hpoint(h)].is_free() else 2 for c, (h, _s) in oh_info.items()}
-    orientation = _check_harmonic(HarmonicMorphism(
-        GraphMorphism(graph, cover.target,
-                      {c: v for c, (v, _s) in ov_info.items()},
-                      {c: h for c, (h, _s) in oh_info.items()}),
-        odeg_v, odeg_h), "orientation cover")
-    q = _check_harmonic(HarmonicMorphism(
+            raise AssertionError(f"{what} class {list(hdeg)[c]} is glued differently by its members")
+    graph = Graph(tuple(range(len(vid))), root, partner)
+    to_base = HarmonicMorphism(
+        GraphMorphism(graph, cover.target, {vmap[v]: cover.v(v) for v in vmap},
+                      {hmap[h]: cover.h(h) for h in hmap}),
+        dict(enumerate(vdeg.values())), dict(enumerate(hdeg.values())))
+    proj = HarmonicMorphism(
         GraphMorphism(src, graph, vmap, hmap),
-        {i: cover.vertex_degree[i] // odeg_v[c] for i, c in vmap.items()},
-        {i: cover.half_edge_degree[i] // odeg_h[c] for i, c in hmap.items()}), "sign quotient")
-    if q.global_degree() != 2 ** (n - 1):
-        raise AssertionError("sign quotient has the wrong degree")
-    return orientation, q, ov_info, oh_info
+        {v: cover.vertex_degree[v] // vdeg[c] for v, c in vclass.items()},
+        {h: cover.half_edge_degree[h] // hdeg[c] for h, c in hclass.items()})
+    return to_base, proj
 
 
 # ---------------------------------------------------------------------------
@@ -430,39 +432,24 @@ def involution_quotient(cover: HarmonicMorphism, vperm: dict, hperm: dict) -> In
     their degree downstairs and the projection has degree 2 there.
     """
     src = cover.source
-    vrep = {v: min(v, vperm[v]) for v in src.vertices}
-    hrep = {h: min(h, hperm[h]) for h in src.half_edges}
-    v_new = {rep: i for i, rep in enumerate(sorted(set(vrep.values())))}
-    h_new = {rep: i for i, rep in enumerate(sorted(set(hrep.values())))}
-    root = {h_new[h]: v_new[vrep[src.root[h]]] for h in h_new}
-    partner = {h_new[h]: h_new[hrep[src.partner[h]]] for h in h_new}
-    quotient_graph = Graph(tuple(range(len(v_new))), root, partner)
-    vdeg, hdeg = {}, {}
-    for rep, i in v_new.items():
-        fixed = vperm[rep] == rep
-        d = cover.vertex_degree[rep]
-        if fixed and d % 2:
-            raise GraphError("fixed vertex has odd degree; quotient undefined")
-        vdeg[i] = d // 2 if fixed else d
-    for rep, i in h_new.items():
-        fixed = hperm[rep] == rep
-        d = cover.half_edge_degree[rep]
-        if fixed and d % 2:
-            raise GraphError("fixed half-edge has odd degree; quotient undefined")
-        hdeg[i] = d // 2 if fixed else d
-    quotient = _check_harmonic(HarmonicMorphism(
-        GraphMorphism(quotient_graph, cover.target,
-                      {v_new[rep]: cover.morphism.vmap[rep] for rep in v_new},
-                      {h_new[rep]: cover.morphism.hmap[rep] for rep in h_new}),
-        vdeg, hdeg), "involution quotient")
-    vertex_orbit = {v: v_new[vrep[v]] for v in src.vertices}
-    half_edge_orbit = {h: h_new[hrep[h]] for h in src.half_edges}
-    proj = HarmonicMorphism(
-        GraphMorphism(src, quotient_graph, vertex_orbit, half_edge_orbit),
-        {v: 2 if vperm[v] == v else 1 for v in src.vertices},
-        {h: 2 if hperm[h] == h else 1 for h in src.half_edges})
+
+    def orbits(ids, perm, degree, what):
+        """(point -> orbit label, orbit label -> degree over the base)."""
+        label = {x: min(x, perm[x]) for x in ids}
+        odeg = {}
+        for c in sorted(set(label.values())):
+            d = degree[c]
+            if perm[c] == c and d % 2:
+                raise GraphError(f"fixed {what} has odd degree; quotient undefined")
+            odeg[c] = d // 2 if perm[c] == c else d
+        return label, odeg
+
+    vorbit, vdeg = orbits(src.vertices, vperm, cover.vertex_degree, "vertex")
+    horbit, hdeg = orbits(src.half_edges, hperm, cover.half_edge_degree, "half-edge")
+    quotient, proj = _quotient(cover, vorbit, horbit, vdeg, hdeg, "involution")
+    _check_harmonic(quotient, "involution quotient")
     return InvolutionQuotient(quotient, DoubleCover.from_harmonic(proj),
-                              vertex_orbit, half_edge_orbit)
+                              proj.morphism.vmap, proj.morphism.hmap)
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,11 @@ def polarized_isomorphic(pol1: Polarization, pol2: Polarization):
     for b in la.definite_isometries(q1, q2):
         xbs = la.int_matmul(la.int_matmul(x, la.transpose(b)), s2_t)
         a = la.exact_quotient(la.mat_scale(d1, xbs), delta * d2)
-        if a is None or not la.is_unimodular(a):
+        if a is None:
+            continue
+        try:
+            la.unimodular_inverse(a)  # ValueError unless a is unimodular
+        except ValueError:
             continue
         TorusHom(t1, t2, a, b)  # adjointness re-verified in the constructor
         if la.int_matmul(la.int_matmul(a, pol2.matrix), b) != pol1.matrix:

@@ -17,7 +17,11 @@ determinant per leading minor for the one-elimination torus verdict.
 So are the Fraction forms of the Prym pairings, which `prym` built
 eagerly before it kept integer forms only, and the Fraction-era matrix
 helpers no package code calls: the inverse in fractions, rank, a shared
-denominator, the LLL transform alone and the sum of two matrices.  So
+denominator, the LLL transform alone, the sum of two matrices, the
+Fraction-aware product, matrix equality, the determinant and the
+unimodularity test by determinant, which the integer-only isometry search
+and the sparse unimodular inverse replaced, and the dense numbering of
+(base point, label) pairs that the replaced constructions use.  So
 are the dense integral inverse by elimination of [M | I], which the
 sparse unimodular inverse replaced, and the dilation subgraphs found by
 one scan of the target half-edges per dilation block.  So are the two
@@ -49,7 +53,7 @@ from tropcover.graphs import (DoubleCover, Graph, GraphError, GraphMorphism, Har
 from tropcover.jacprym import (SymmetricBasis, _lift_dilated_cycle, chain_halve, h1_basis,
                                invol_chain, pairing_table, push_chain)
 from tropcover.ngonal import (NgonalConstruction, RecillasResult, _check_harmonic,
-                              _dense_ids, _partner_transport, _root_refinement,
+                              _partner_transport, _root_refinement,
                               _sign_quotient, classify_tetragonal_point, induce_multisection,
                               involution_quotient, multisection_degree, multisections,
                               swap_multisection, tower_fiber)
@@ -190,9 +194,9 @@ def snf(matrix) -> SNF:
 
 
 def _check_snf(matrix, res: SNF):
-    if not la.mat_equal(la.matmul(la.matmul(res.U, la.mat(matrix)), res.V), res.S):
+    if not mat_equal(matmul(matmul(res.U, la.mat(matrix)), res.V), res.S):
         raise AssertionError("snf: U @ M @ V != S")
-    if abs(la.det(res.U)) != 1 or abs(la.det(res.V)) != 1:
+    if abs(det(res.U)) != 1 or abs(det(res.V)) != 1:
         raise AssertionError("snf: transforms are not unimodular")
     diag = res.diagonal()
     for d1, d2 in zip(diag, diag[1:]):
@@ -230,8 +234,8 @@ def classify_hom(h: TorusHom) -> HomFlags:
     saturated = finite and all(d == 1 for d in snf(h.push).invariant_factors()) if g1 else finite
     injective = finite and saturated
     isogeny = surjective and finite
-    free = isogeny and la.is_unimodular(h.pull) if g1 else isogeny
-    dil = isogeny and la.is_unimodular(h.push) if g1 else isogeny
+    free = isogeny and is_unimodular(h.pull) if g1 else isogeny
+    dil = isogeny and is_unimodular(h.push) if g1 else isogeny
     return HomFlags(surjective, finite, injective, isogeny, free, dil, free and dil)
 
 
@@ -243,7 +247,7 @@ def induced_polarization(h: TorusHom, pol: Polarization) -> Polarization:
         raise TorusError("induced polarization requires a finite homomorphism")
     if h.source.rank == 0:
         return Polarization(h.source, tuple())
-    x = la.matmul(la.matmul(h.pull, pol.matrix), h.push)
+    x = matmul(matmul(h.pull, pol.matrix), h.push)
     return Polarization(h.source, x)
 
 
@@ -298,9 +302,9 @@ def cokernel_tf(matrix) -> Cokernel:
     reps = tuple(row[r:] for row in uinv)
     cok = Cokernel(n - r, la.mat(proj) if proj else la.zeros(0, n), reps if n else la.zeros(0, 0))
     if cok.rank:
-        if not la.mat_equal(la.matmul(cok.projection, cok.representatives), la.identity(cok.rank)):
+        if not mat_equal(matmul(cok.projection, cok.representatives), la.identity(cok.rank)):
             raise AssertionError("cokernel: projection @ representatives != I")
-        if m and any(x for row in la.matmul(cok.projection, la.mat(matrix)) for x in row):
+        if m and any(x for row in matmul(cok.projection, la.mat(matrix)) for x in row):
             raise AssertionError("cokernel: projection does not kill the image")
     return cok
 
@@ -319,7 +323,7 @@ def kernel_torus(h: TorusHom) -> KernelTorus:
     if (len(ker[0]) if ker else 0) != k:
         raise AssertionError("kernel_torus: coker(pull) and ker(push) ranks differ")
     if k:
-        pairing = la.matmul(la.matmul(la.transpose(cok.representatives), h.source.pairing), ker)
+        pairing = matmul(matmul(la.transpose(cok.representatives), h.source.pairing), ker)
     else:
         pairing = tuple()
     torus = IntegralTorus(pairing)
@@ -346,7 +350,7 @@ def cokernel_torus(h: TorusHom) -> CokernelTorus:
     if (len(ker[0]) if ker else 0) != k:
         raise AssertionError("cokernel_torus: ker(pull) and coker(push) ranks differ")
     if k:
-        pairing = la.matmul(la.matmul(la.transpose(ker), h.target.pairing), cok.representatives)
+        pairing = matmul(matmul(la.transpose(ker), h.target.pairing), cok.representatives)
     else:
         pairing = tuple()
     torus = IntegralTorus(pairing)
@@ -364,16 +368,16 @@ def pp_rescale(pol: Polarization) -> PrincipalModel:
     big = diag[-1]
     uinv = la.to_int(inverse(res.U))
     # P in the adapted bases, then each row i scaled by a_i / a_g
-    p_ad = la.matmul(la.matmul(la.transpose(uinv), pol.torus.pairing), res.V)
+    p_ad = matmul(matmul(la.transpose(uinv), pol.torus.pairing), res.V)
     p_pp = tuple(tuple(Fraction(diag[i], big) * p_ad[i][j] for j in range(g)) for i in range(g))
     pp_torus = IntegralTorus(p_pp)
     zeta = Polarization(pp_torus, la.identity(g))
     scale = tuple(tuple(big // diag[i] if i == j else 0 for j in range(g)) for i in range(g))
-    to_original = TorusHom(pp_torus, pol.torus, la.matmul(scale, res.U), res.V)
+    to_original = TorusHom(pp_torus, pol.torus, matmul(scale, res.U), res.V)
     if not classify_hom(to_original).dilation:
         raise AssertionError("pp_rescale: rescaling map is not a dilation")
     pulled = induced_polarization(to_original, pol)
-    if not la.mat_equal(pulled.matrix, la.mat_scale(big, zeta.matrix)):
+    if not mat_equal(pulled.matrix, la.mat_scale(big, zeta.matrix)):
         raise AssertionError("pp_rescale: induced polarization is not multiplier * principal")
     return PrincipalModel(zeta, to_original, big)
 
@@ -406,13 +410,13 @@ def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> DualPolariza
     if any(multiplier % a for a in diag):
         raise TorusError("dual multiplier must be divisible by every invariant factor")
     uinv = la.to_int(inverse(res.U))
-    p_ad = la.matmul(la.matmul(la.transpose(uinv), pol.torus.pairing), res.V)
+    p_ad = matmul(matmul(la.transpose(uinv), pol.torus.pairing), res.V)
     dual_t = IntegralTorus(la.transpose(p_ad))
     xdual = tuple(tuple(multiplier // diag[i] if i == j else 0 for j in range(g)) for i in range(g))
     dual_pol = Polarization(dual_t, xdual)
     if polarization_type(dual_pol) != dual_type(polarization_type(pol), multiplier):
         raise AssertionError("dual polarization has the wrong type")
-    if not la.mat_equal(la.matmul(res.S, xdual), la.mat_scale(multiplier, la.identity(g))):
+    if not mat_equal(matmul(res.S, xdual), la.mat_scale(multiplier, la.identity(g))):
         raise AssertionError("xi . xi_dual is not multiplication by the multiplier")
     return DualPolarization(dual_pol, dual_t, multiplier)
 
@@ -462,8 +466,8 @@ def jacobian_gram_by_pairing_table(metric) -> tuple:
 
 def torus_verdict_by_minors(m) -> tuple:
     """(det != 0, every leading principal minor > 0), a pivoting determinant each."""
-    return la.det(m) != 0, all(la.det([row[:k] for row in m[:k]]) > 0
-                               for k in range(1, len(m) + 1))
+    return det(m) != 0, all(det([row[:k] for row in m[:k]]) > 0
+                            for k in range(1, len(m) + 1))
 
 
 def _fraction_product(a, b) -> tuple:
@@ -772,9 +776,51 @@ def clear_denominators(*matrices):
     return scale, tuple(la.mat_scale(scale // d, rows) for d, rows in scaled)
 
 
+def matmul(a, b) -> tuple:
+    """Exact product; int x int stays int, anything else gives fractions.
+
+    Both factors are scaled to integer rows (`_scaled`) and multiplied by
+    `int_matmul`.
+    """
+    da, ia = la._scaled(a)
+    db, ib = la._scaled(b)
+    prod = la.int_matmul(ia, ib)
+    if ia is a and ib is b:
+        return prod
+    d = da * db
+    return tuple(tuple(Fraction(x, d) for x in row) for row in prod)
+
+
+def mat_equal(a, b) -> bool:
+    return la.mat(a) == la.mat(b)
+
+
+def det(m):
+    """Exact determinant: the signed last Bareiss pivot over D^n."""
+    n, c = la.shape(m)
+    if n != c:
+        raise ValueError("determinant of a non-square matrix")
+    d, _, cols, minor = la._bareiss(m)
+    return Fraction(minor, d ** n) if len(cols) == n else Fraction(0)
+
+
+def is_unimodular(m) -> bool:
+    rows, cols = la.shape(m)
+    return rows == cols and la.is_integral(m) and abs(det(m)) == 1
+
+
 def _lll_gram(q) -> tuple:
     """The LLL transform H of `_lll_reduce` alone."""
     return la._lll_reduce(q)[0]
+
+
+def _dense_ids(pairs) -> tuple:
+    """Number the distinct (base point, label) pairs densely in first-seen
+    order; returns (pair -> id, id -> pair)."""
+    ids = {}
+    for pair in pairs:
+        ids.setdefault(pair, len(ids))
+    return ids, {i: pair for pair, i in ids.items()}
 
 
 def transport_cover(pi: HarmonicMorphism, vmap: dict, hmap: dict, new_target: Graph) -> HarmonicMorphism:

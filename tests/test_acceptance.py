@@ -18,8 +18,8 @@ from tropcover.graphs import (Graph, NonGenericError, betti_number, genus,
                               harmonic_from_edges, is_connected,
                               towers_isomorphic, covers_isomorphic_over_base,
                               validate_harmonic)
-from tropcover.intlinalg import (det, gram_isometries, is_integral, mat,
-                                 mat_equal, matmul, to_int, transpose)
+from tropcover.intlinalg import (gram_isometries, is_integral, mat,
+                                 to_int, transpose)
 from tropcover.jacprym import (check_bigonal_duality, check_trigonal_prym,
                                jacobian, pairing_table, prym, tower_metrics)
 from tropcover.metrics import induce_metric
@@ -29,8 +29,8 @@ from tropcover.ngonal import (bigonal, classify_tetragonal_point,
 from tropcover.randgen import random_tetragonal_curve, random_tower
 from tropcover.tori import Polarization
 
-from oracles import (clear_denominators, inverse, polarization_type, snf,
-                     to_fractions)
+from oracles import (clear_denominators, det, inverse, mat_equal, matmul,
+                     polarization_type, snf, to_fractions)
 
 
 def _unimodular_change(columns_a, columns_b):

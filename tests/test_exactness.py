@@ -6,7 +6,11 @@ that making them cheaper never removes one, and no Smith normal form
 (`snf`, `SNF`): every polarization the package builds is in adapted form,
 and the Smith form lives in tests/oracles.py.  The Prym and torus modules
 also take no Fraction route: `jacprym.py` and `tori.py` call neither
-`inverse` nor `to_fractions`, and carry (D, integer rows) instead."""
+`inverse` nor `to_fractions`, and carry (D, integer rows) instead.  The
+package has one matrix product, `int_matmul`, and one unimodularity test,
+`unimodular_inverse`: it neither defines nor names the Fraction-aware
+`matmul`, the determinant `det`, `is_unimodular`, `mat_equal` or `matvec`,
+which live in tests/oracles.py where tests use them."""
 
 import ast
 import os
@@ -32,21 +36,30 @@ def forbidden_uses(tree):
             yield node.lineno, "bare assert"
 
 
+def name_uses(tree, names):
+    """(line, description) of each definition of, reference to or import of
+    one of `names`, read off the AST, so docstrings and comments are free."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name in names:
+            yield node.lineno, f"defines {node.name}"
+        elif isinstance(node, ast.Name) and node.id in names:
+            yield node.lineno, f"name {node.id}"
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            yield node.lineno, f"attribute {node.attr}"
+        elif isinstance(node, ast.alias) and (node.name in names or node.asname in names):
+            yield node.lineno, f"imports {node.name}"
+
+
 SMITH = {"snf", "SNF"}
 
 
 def smith_form_uses(tree):
     """(line, description) of each definition of or reference to snf or SNF."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                and node.name in SMITH:
-            yield node.lineno, f"defines {node.name}"
-        elif isinstance(node, ast.Name) and node.id in SMITH:
-            yield node.lineno, f"name {node.id}"
-        elif isinstance(node, ast.Attribute) and node.attr in SMITH:
-            yield node.lineno, f"attribute {node.attr}"
-        elif isinstance(node, ast.alias) and (node.name in SMITH or node.asname in SMITH):
-            yield node.lineno, f"imports {node.name}"
+    return name_uses(tree, SMITH)
+
+
+REPLACED_HELPERS = {"matmul", "det", "is_unimodular", "mat_equal", "matvec"}
 
 
 FRACTION_ROUTE = {"inverse", "to_fractions"}
@@ -153,4 +166,22 @@ def test_prym_and_tori_take_no_fraction_route():
     trees = dict(package_trees())
     offenders = [f"{name}:{line}: {what}" for name in INTEGER_FORM_MODULES
                  for line, what in fraction_route_uses(trees[name])]
+    assert offenders == []
+
+
+def test_guard_catches_the_replaced_helpers():
+    source = ('"""The det of M; matmul and is_unimodular in a docstring are free."""\n'
+              "from .intlinalg import det as d, int_matmul\n"
+              "from . import intlinalg as la\n"
+              "def matvec(a, v):\n    return la.matmul(a, v)\n"
+              "def f(m, a, b):\n    # is_unimodular(m) in a comment is free too\n"
+              "    return is_unimodular(m), la.mat_equal(a, b), int_matmul(a, b)\n")
+    assert sorted(name_uses(ast.parse(source), REPLACED_HELPERS)) == [
+        (2, "imports det"), (4, "defines matvec"), (5, "attribute matmul"),
+        (8, "attribute mat_equal"), (8, "name is_unimodular")]
+
+
+def test_package_has_one_product_and_one_unimodularity_test():
+    offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
+                 for line, what in name_uses(tree, REPLACED_HELPERS)]
     assert offenders == []

@@ -4,17 +4,16 @@ from math import ceil, floor, isqrt
 
 import pytest
 
-from tropcover.intlinalg import (_lll_reduce, definite_isometries, det, diag,
+from tropcover.intlinalg import (_lll_reduce, definite_isometries, diag,
                                  gram_isometries, identity, int_matmul,
-                                 is_diagonal, is_positive_definite,
-                                 is_unimodular, mat,
-                                 mat_equal, matmul, scaled_inverse,
+                                 is_diagonal, is_positive_definite, mat,
+                                 scaled_inverse,
                                  to_int, transpose, unimodular_inverse,
                                  vectors_with_norm)
 
-from oracles import (_cholesky, _lll_gram, clear_denominators, cokernel_tf,
-                     integral_inverse, inverse, kernel_basis, rank, snf,
-                     to_fractions)
+from oracles import (_cholesky, _lll_gram, clear_denominators, cokernel_tf, det,
+                     integral_inverse, inverse, is_unimodular, kernel_basis,
+                     mat_equal, matmul, rank, snf, to_fractions)
 
 
 class TestSNF:

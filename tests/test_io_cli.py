@@ -304,6 +304,13 @@ class TestCLI:
         assert main(["check", str(src), "--theorem", "bigonal"]) == 1
         assert "output-connected" in capsys.readouterr().err
 
+    def test_type_v_tower_is_a_precondition_violation(self, tmp_path, capsys):
+        gen = random_tower(2, n=2, pi_free=False)
+        src = tmp_path / "type-v.json"
+        save(src, tower_to_doc(gen.tower, gen.base_metric))
+        assert main(["check", str(src), "--theorem", "bigonal"]) == 1
+        assert "precondition violated [generic]" in capsys.readouterr().err
+
 
 def _trigonal_doc():
     with open(os.path.join(DATA, "trigonal_tower.json"), encoding="utf-8") as fh:

@@ -10,8 +10,7 @@ from tropcover.gallery import (bigonal_output_reference, bigonal_reference,
                                trigonal_expected_table, trigonal_reference)
 from tropcover.graphs import (Graph, GraphError, PreconditionError,
                               build_double_cover, genus, is_connected)
-from tropcover.intlinalg import (identity, mat, mat_equal, mat_scale, matmul,
-                                 transpose)
+from tropcover.intlinalg import identity, mat, mat_scale, transpose
 from tropcover.jacprym import (chain_scale, check_bigonal_duality,
                                check_trigonal_prym, cycle_pairing, h1_basis,
                                invol_chain, jacobian, norm_hom, pairing_table,
@@ -21,7 +20,7 @@ from tropcover.metrics import MetricGraph, induce_metric
 from tropcover.randgen import random_tower
 from tropcover.tori import dual_polarization, polarized_isomorphic
 
-from oracles import to_fractions
+from oracles import mat_equal, matmul, to_fractions
 
 
 def loop_cover(connected=True, dilated=False):
@@ -253,6 +252,15 @@ class TestChecks:
         with pytest.raises(PreconditionError) as err:
             check_bigonal_duality(gen.tower, gen.base_metric)
         assert err.value.condition == "output-connected"
+
+    def test_bigonal_type_v_input_rejected_by_name(self):
+        # two dilated mid points over base vertex 0: type V, outside the theorem
+        gen = random_tower(2, n=2, pi_free=False)
+        with pytest.raises(PreconditionError) as err:
+            check_bigonal_duality(gen.tower, gen.base_metric)
+        assert err.value.condition == "generic"
+        assert err.value.point == ("v", 0)
+        assert "('v', 0) has type V" in str(err.value)
 
     def test_rescaling_scales_grams_and_keeps_witness(self):
         ref = trigonal_reference((1, 1, 1, 1, 1))

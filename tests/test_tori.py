@@ -4,17 +4,17 @@ from fractions import Fraction
 import pytest
 
 from tropcover import intlinalg
-from tropcover.intlinalg import (det, diag, identity, is_positive_definite,
-                                 leading_minor_verdict, mat, mat_equal,
-                                 mat_scale, matmul, transpose)
+from tropcover.intlinalg import (diag, identity, is_positive_definite,
+                                 leading_minor_verdict, mat,
+                                 mat_scale, transpose)
 from tropcover.tori import (IntegralTorus, Polarization, TorusError, TorusHom,
                             dual_polarization, dual_type, polarized_isomorphic)
 
 import oracles
 from oracles import (adjoint_by_fractions, classify_hom,
-                     cokernel_torus, eager_prym_forms, identity_hom,
+                     cokernel_torus, det, eager_prym_forms, identity_hom,
                      induced_polarization, jacobian_gram_by_pairing_table,
-                     kernel_torus, polarization_by_fractions,
+                     kernel_torus, mat_equal, matmul, polarization_by_fractions,
                      polarization_type, pp_rescale, torus_verdict_by_minors)
 from test_intlinalg import (oracle_is_positive_definite, random_matrix,
                             random_symmetric, random_unimodular)
@@ -165,6 +165,15 @@ class TestPolarizedIsomorphic:
     def test_distinct_gram_determinants(self):
         p1 = Polarization(T2, identity(2))
         p2 = Polarization(self_paired([[2, 1], [1, 2]]), identity(2))
+        assert polarized_isomorphic(p1, p2) is None
+
+    def test_non_unimodular_forced_map_rejected(self):
+        # both Gram forms are 2 I, and for every isometry B the forced
+        # first-lattice map A = 2 B^T is integral: only the unimodularity
+        # test of A rejects it
+        p1 = Polarization(IntegralTorus(identity(2)), diag((2, 2)))
+        p2 = Polarization(IntegralTorus(mat_scale(2, identity(2))), identity(2))
+        assert p1.gram() == p2.gram()
         assert polarized_isomorphic(p1, p2) is None
 
     def test_congruent_forms_found_and_verified(self):

@@ -23,7 +23,8 @@ from .graphs import (DoubleCover, Graph, GraphError, PreconditionError, Spanning
 from .metrics import MetricGraph, induce_metric, is_inf, validate_metric_harmonic
 from .ngonal import bigonal, classify_bigonal_point, trigonal
 from .tori import (IntegralTorus, KernelTorus, Polarization, PrincipalModel,
-                   TorusHom, dual_polarization, dual_type, polarized_isomorphic)
+                   TorusHom, certify_isomorphism, dual_polarization, dual_type,
+                   polarized_isomorphic)
 
 
 class NonGenericTower(PreconditionError):
@@ -411,7 +412,13 @@ def check_bigonal_duality(tower: Tower, base_metric: MetricGraph) -> CheckResult
 
 def check_trigonal_prym(tower: Tower, base_metric: MetricGraph) -> CheckResult:
     """Prym(top/mid) == Jac(constructed quartic curve) as principally
-    polarized tori, verified by complete isometry search."""
+    polarized tori.
+
+    The witness is built from the correspondence of the construction
+    (`_trigonal_witness`) and certified exactly; only if its certificate
+    fails does the complete isometry search run, so FAIL still means that
+    no isomorphism exists.  details["decided_by"] says which route decided.
+    """
     if tower.f.global_degree() != 3:
         raise PreconditionError("degree-3", "tower must cover a trigonal graph")
     if not tower.pi.is_free():
@@ -426,11 +433,63 @@ def check_trigonal_prym(tower: Tower, base_metric: MetricGraph) -> CheckResult:
     jac = jacobian(induce_metric(tri.quartic, base_metric))
     if jac.torus.rank != prym_data.rank:
         raise AssertionError("dimension mismatch between Jacobian and Prym")
-    witness = polarized_isomorphic(prym_data.principal.polarized, jac.polarization)
+    witness = _trigonal_witness(tri, prym_data, jac)
+    decided_by = "search" if witness is None else "witness"
+    if witness is None:
+        witness = polarized_isomorphic(prym_data.principal.polarized, jac.polarization)
     return CheckResult(witness is not None, witness, {
         "prym_gram": prym_data.principal.polarized.gram(),
         "jacobian_gram": jac.torus.pairing,
-        "quartic": tri})
+        "quartic": tri,
+        "decided_by": decided_by})
+
+
+def _trigonal_witness(tri, prym_data: PrymData, jac: Jacobian):
+    """(A, B) from the correspondence Phi of the construction, or None when
+    its certificate fails.
+
+    A quartic half-edge is a section-cover half-edge over a multisection of
+    (x, plus, minus); Phi sends it to plus times the first top half-edge
+    over the mid half-edge x plus minus times the second.  The images of the
+    quartic cycles must be closed, with coordinates c = diag(type)^-1 proj
+    Phi in the Prym kernel columns K, integral, with K c == Phi exactly and
+    c unimodular.  Both polarizations are I, so the transport law forces
+    A = c and B = c^-1, which must pass the re-checks of a search result:
+    adjointness, which here is c^T P c == G_X, and transport.
+    """
+    lift, top = prym_data.cover.cover.fiber_half_edges, prym_data.cover.source
+    info = tri.construction.half_edge_info
+    section = {new: h for h, new in tri.half_edge_ids.items()}
+
+    def phi(cycle):
+        out = {}
+        for k, c in cycle.items():
+            for x, plus, minus in info[section[k]][1]:
+                for h, m in zip(lift(x), (plus, minus)):
+                    key = top.edge_key(h)
+                    out[key] = out.get(key, 0) + (c * m if h == key else -c * m)
+        return out
+
+    top_basis, ker = prym_data.maps.source_basis, prym_data.kernel
+    try:
+        coords = tuple(top_basis.coordinates(phi(z)) for z in jac.basis.cycles)
+    except GraphError:
+        return None
+    if not coords:
+        return la.identity(0), la.identity(0)
+    # c^T = coords^T proj^T / diag(type), one row per quartic cycle
+    rows = la.int_matmul(coords, la.transpose(ker.projection))
+    if any(x % a for row in rows for x, a in zip(row, prym_data.type)):
+        return None
+    c_t = tuple(tuple(x // a for x, a in zip(row, prym_data.type)) for row in rows)
+    if la.int_matmul(c_t, la.transpose(ker.kernel_columns)) != coords:
+        return None
+    c = la.transpose(c_t)
+    try:
+        return certify_isomorphism(prym_data.principal.polarized, jac.polarization,
+                                   c, la.unimodular_inverse(c))
+    except ValueError:  # c is not unimodular, or a TorusError: not adjoint
+        return None
 
 
 # ---------------------------------------------------------------------------

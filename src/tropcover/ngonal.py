@@ -555,6 +555,7 @@ class TrigonalResult:
     construction: NgonalConstruction
     component_vertices: frozenset
     other_component_vertices: frozenset
+    half_edge_ids: dict  # section-cover half-edge -> its id on the quartic curve
 
 
 def trigonal(t: Tower) -> TrigonalResult:
@@ -583,7 +584,7 @@ def trigonal(t: Tower) -> TrigonalResult:
     vperm, hperm = cons.sign_involution
     if {vperm[v] for v in vertices} != other:
         raise AssertionError("sign involution does not exchange the two components")
-    quartic = _restrict_cover(cons.cover_to_base, vertices)[0]
+    quartic, _, half_edge_ids = _restrict_cover(cons.cover_to_base, vertices)
     if quartic.global_degree() != 4:
         raise AssertionError("even component does not have degree 4")
     for point in t.base.points():
@@ -592,7 +593,7 @@ def trigonal(t: Tower) -> TrigonalResult:
         raise AssertionError("component connectivity does not match the top curve")
     if is_connected(quartic.source) and genus(quartic.source) != genus(t.mid) - 1:
         raise AssertionError("constructed quartic curve has the wrong genus")
-    return TrigonalResult(quartic, cons, vertices, other)
+    return TrigonalResult(quartic, cons, vertices, other, half_edge_ids)
 
 
 def _restrict_cover(cover: HarmonicMorphism, vertices: frozenset) -> tuple:

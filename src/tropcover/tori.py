@@ -277,8 +277,16 @@ def polarized_isomorphic(pol1: Polarization, pol2: Polarization):
             la.unimodular_inverse(a)  # ValueError unless a is unimodular
         except ValueError:
             continue
-        TorusHom(t1, t2, a, b)  # adjointness re-verified in the constructor
-        if la.int_matmul(la.int_matmul(a, pol2.matrix), b) != pol1.matrix:
-            raise AssertionError("polarized_isomorphic: witness does not transport the polarization")
-        return a, b
+        return certify_isomorphism(pol1, pol2, a, b)
     return None
+
+
+def certify_isomorphism(pol1: Polarization, pol2: Polarization, a, b) -> tuple:
+    """(a, b) once it has passed the re-checks of a polarized isomorphism:
+    adjointness for the two pairings (TorusError otherwise) and the
+    transport law a pol2 b == pol1, which a forced first-lattice map must
+    satisfy (AssertionError otherwise)."""
+    TorusHom(pol1.torus, pol2.torus, a, b)  # adjointness re-verified in the constructor
+    if la.int_matmul(la.int_matmul(a, pol2.matrix), b) != pol1.matrix:
+        raise AssertionError("polarized_isomorphic: witness does not transport the polarization")
+    return a, b

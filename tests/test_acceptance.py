@@ -244,6 +244,24 @@ def test_criterion_07_trigonal_theorem_at_high_rank():
           f"8-11 pass the isomorphism check (worst {worst:.3f}s)")
 
 
+def test_criterion_07_trigonal_theorem_by_its_witness_at_rank_23_to_73():
+    # ranks where the isometry search takes seconds to minutes; the witness
+    # built from the correspondence of the construction decides each check
+    ranks, worst = [], 0.0
+    for seed, size in ((1, 30), (2, 40), (1, 50), (3, 60), (1, 100)):
+        gen = random_tower(seed, n=3, pi_free=True, tree_size=(size, size))
+        t1 = time.perf_counter()
+        result = check_trigonal_prym(gen.tower, gen.base_metric)
+        elapsed = time.perf_counter() - t1
+        assert result.passed and result.details["decided_by"] == "witness", (seed, size)
+        assert elapsed < 2.0, (seed, size, elapsed)
+        worst = max(worst, elapsed)
+        ranks.append(len(result.witness[0]))
+    assert ranks == [23, 29, 35, 39, 73]
+    print(f"\nPASS criterion 7 (witness): kernel ranks {ranks} pass the isomorphism "
+          f"check by the constructed witness (worst {worst:.3f}s)")
+
+
 def test_criterion_08_bigonal_theorem_at_scale():
     t0 = time.perf_counter()
     worst = 0.0

@@ -726,3 +726,119 @@ def _columns(basis, chains):
     """Matrix of the checked coordinates of closed chains, one column each."""
     from tropcover.intlinalg import _columns_to_matrix
     return _columns_to_matrix([basis.coordinates(c) for c in chains], basis.rank)
+
+
+def _search_polarizations(result):
+    """The two principal polarizations the trigonal check compares, rebuilt
+    from the Grams it returns."""
+    from tropcover.tori import IntegralTorus, Polarization
+    k = len(result.details["prym_gram"])
+    return tuple(Polarization(IntegralTorus(result.details[name]), identity(k))
+                 for name in ("prym_gram", "jacobian_gram"))
+
+
+def _trigonal_towers(sizes=((2, 9), (9, 16)), seeds=range(60)):
+    """(label, tower, base metric): data/trigonal_tower.json, the gallery
+    references and the seeded free degree-3 towers."""
+    from tropcover.towerio import load
+    loaded = load(os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                               "trigonal_tower.json"))
+    out = [("trigonal_tower.json", loaded.tower(), loaded.base_metric)]
+    for lengths in ((1, 1, 1, 1, 1), (1, 2, 3, 4, 5)):
+        ref = trigonal_reference(lengths)
+        out.append((f"reference {lengths}", ref.tower, ref.base_metric))
+    for size in sizes:
+        for seed in seeds:
+            gen = random_tower(seed, n=3, pi_free=True, tree_size=size)
+            out.append((f"seed {seed} {size}", gen.tower, gen.base_metric))
+    return out
+
+
+class TestTrigonalWitness:
+    # check_trigonal_prym builds its witness from the correspondence Phi of
+    # the construction and certifies it; the isometry search is the
+    # fallback, and here the oracle
+    @pytest.mark.parametrize("sizes, rank_set", [
+        ((), {2}), (((2, 9),), {0, 1, 2, 3, 4, 5, 6, 7, 11}),
+        (((9, 16),), set(range(1, 13)))], ids=["shipped", "seeds-2-9", "seeds-9-16"])
+    def test_witness_decides_and_the_search_agrees(self, sizes, rank_set):
+        from tropcover.tori import certify_isomorphism
+        ranks = set()
+        for label, tower, metric in _trigonal_towers(sizes):
+            result = check_trigonal_prym(tower, metric)
+            assert result.passed and result.details["decided_by"] == "witness", label
+            pols = _search_polarizations(result)
+            assert polarized_isomorphic(*pols) is not None, label
+            # the witness passes the re-checks of a search result
+            assert certify_isomorphism(*pols, *result.witness) == result.witness
+            ranks.add(len(result.details["prym_gram"]))
+        assert ranks == rank_set
+
+    @staticmethod
+    def _spoiled_trigonal(tower):
+        """trigonal(tower) with plus and minus swapped on both halves of one
+        quartic edge that closes a cycle and whose multisection changes."""
+        from tropcover.ngonal import trigonal
+        tri = trigonal(tower)
+        info = dict(tri.construction.half_edge_info)
+        section = {new: h for h, new in tri.half_edge_ids.items()}
+        partner = tri.construction.cover_to_base.source.partner
+        for k in h1_basis(tri.quartic.source).tree.complement_keys:
+            h = section[k]
+            if any(plus != minus for _x, plus, minus in info[h][1]):
+                for half in (h, partner[h]):
+                    point, ms = info[half]
+                    info[half] = (point, tuple((x, minus, plus) for x, plus, minus in ms))
+                break
+        else:
+            raise AssertionError("no quartic cycle edge to spoil")
+        cons = dataclasses.replace(tri.construction, half_edge_info=info)
+        return dataclasses.replace(tri, construction=cons)
+
+    def test_spoiled_correspondence_falls_back_to_the_search(self, monkeypatch):
+        from tropcover import jacprym
+        monkeypatch.setattr(jacprym, "trigonal", self._spoiled_trigonal)
+        for label, tower, metric in _trigonal_towers(((9, 16),), range(10)):
+            result = check_trigonal_prym(tower, metric)
+            assert result.passed and result.details["decided_by"] == "search", label
+
+    def test_doubled_quartic_metric_fails_after_the_search(self, monkeypatch):
+        from tropcover import jacprym
+
+        def doubled_quartic(f, metric):
+            out = induce_metric(f, metric)
+            if f.global_degree() != 4:
+                return out
+            return MetricGraph(out.graph, {k: 2 * x for k, x in out.length.items()},
+                               out.smooth_model)
+        monkeypatch.setattr(jacprym, "induce_metric", doubled_quartic)
+        for label, tower, metric in _trigonal_towers(((9, 16),), range(10)):
+            result = check_trigonal_prym(tower, metric)
+            assert not result.passed and result.witness is None, label
+            assert result.details["decided_by"] == "search", label
+
+    def test_image_off_the_kernel_lattice_falls_back_to_the_search(self, monkeypatch):
+        # the pullback of a mid cycle added to every image of Phi: it is
+        # invariant, so proj kills it and c, with c^T P c == G_X, is unchanged;
+        # only K c == Phi refuses the images
+        from tropcover import jacprym
+        read, induced = jacprym.CycleBasis.coordinates, []
+
+        def mark_quartic(f, metric):  # the quartic metric comes after prym
+            induced.append(f.global_degree())
+            return induce_metric(f, metric)
+
+        for label, tower, metric in _trigonal_towers(((9, 16),), range(5)):
+            extra = pull_chain(tower.pi, h1_basis(tower.mid).cycles[0])
+
+            def shifted(basis, chain):
+                if 4 in induced and basis.graph is tower.top:
+                    chain = dict(chain)
+                    for k, c in extra.items():
+                        chain[k] = chain.get(k, 0) + c
+                return read(basis, chain)
+            induced.clear()
+            monkeypatch.setattr(jacprym, "induce_metric", mark_quartic)
+            monkeypatch.setattr(jacprym.CycleBasis, "coordinates", shifted)
+            result = check_trigonal_prym(tower, metric)
+            assert result.passed and result.details["decided_by"] == "search", label

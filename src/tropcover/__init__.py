@@ -18,8 +18,7 @@ from .graphs import (BuiltDoubleCover, DoubleCover, Graph, GraphError,
 from .metrics import (INF, MetricGraph, augment_smooth, augment_smooth_tower,
                       induce_metric, is_inf, validate_metric,
                       validate_metric_harmonic)
-from .ngonal import (FiberDatum, FiberPart, Refinement, bigonal,
-                     induce_multisection, involution_quotient,
+from .ngonal import (FiberDatum, FiberPart, bigonal, involution_quotient,
                      is_generic_bigonal, is_generic_tetragonal,
                      multisection_degree, multisection_sign, multisections,
                      ngonal_construct, recillas, tetragonal_split,

@@ -380,7 +380,7 @@ def main(argv=None) -> int:
         print("\n".join(exc.issues))
         return 1
     except PreconditionError as exc:
-        print(f"precondition violated [{exc.condition}]: {exc}", file=sys.stderr)
+        print(f"precondition violated [{exc.condition}]: {exc.message}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

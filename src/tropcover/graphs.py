@@ -26,6 +26,7 @@ class PreconditionError(ValueError):
     def __init__(self, condition: str, message: str):
         super().__init__(f"{condition}: {message}")
         self.condition = condition
+        self.message = message
 
 
 class NonGenericError(PreconditionError):

@@ -5,19 +5,22 @@ per mid-level preimage) carrying a local degree and a free/dilated
 status.  A multisection splits each part's degree into a nonnegative
 (plus, minus) pair; the section cover has one point per multisection,
 with local degrees counting the sections inducing it.  Its points are
-rooted and glued by one transport, `induce_multisection` along a
-`Refinement`: into the fiber over the root vertex, and bijectively onto
-the fiber over the partner half-edge.  The orientation double cover is
-the sign quotient of the section cover, its image under the multisection
-sign bit (0 over dilated points).
+rooted and glued by carrying multisections along the fiber maps: into
+the fiber over the root vertex, and bijectively onto the fiber over the
+partner half-edge, with plus and minus aligned through the top level.
+The orientation double cover is the sign quotient of the section cover,
+its image under the multisection sign bit (0 over dilated points).
 
 All of this depends only on the shape of a fiber (its parts' degrees and
 dilations) and, for a transport, on the two shapes and how their parts
 match and flip.  So a construction keeps, for the length of one call, a
 table per fiber shape (multisections in order, their degrees, the sign
-swap) and a table per kind of refinement (the position each multisection
-goes to), each entry worked out once by the functions above; a point's id
-is the first id over its base point plus its position in the fiber.  The
+swap) and a table per kind of transport; a point's id is the first id
+over its base point plus its position in the fiber.  The gluing is
+positional: a multisection's position is a mixed-radix number over its
+parts' plus counts, so a transport table is plus-count arithmetic
+(`_glue_table`).  The transport it replaced, `induce_multisection` along
+a `Refinement` per half-edge, is the oracle in `tests/oracles.py`.  The
 Recillas construction tables its slot classes the same way, by fiber
 profile and by the map of fiber positions.
 
@@ -115,43 +118,6 @@ def multisection_sign(fd: FiberDatum, ms: Multisection) -> int:
     return -1 if sum(plus for (_pid, plus, _minus) in ms) % 2 else 1
 
 
-@dataclass(frozen=True)
-class Refinement:
-    """Map from the parts of a fine fiber into the parts of a coarse one.
-
-    part_map: fine part id -> coarse part id.  flip: fine part id ->
-    bool, whether the plus/minus labels reverse; only meaningful when
-    both parts are free.
-    """
-
-    fine: FiberDatum
-    coarse: FiberDatum
-    part_map: dict
-    flip: dict
-
-    def __post_init__(self):
-        sums = {p.part_id: 0 for p in self.coarse.parts}
-        for p in self.fine.parts:
-            coarse = self.coarse.part(self.part_map[p.part_id])
-            if p.dilated and not coarse.dilated:
-                raise GraphError("a dilated part cannot refine a free part")
-            sums[coarse.part_id] += p.degree
-        for p in self.coarse.parts:
-            if sums[p.part_id] != p.degree:
-                raise GraphError(f"refinement degree mismatch at coarse part {p.part_id}")
-
-
-def induce_multisection(r: Refinement, ms: Multisection) -> Multisection:
-    coeffs = {p.part_id: [0, 0] for p in r.coarse.parts}
-    for (part_id, plus, minus) in ms:
-        coarse = r.coarse.part(r.part_map[part_id])
-        if not coarse.dilated and r.flip.get(part_id, False):
-            plus, minus = minus, plus
-        coeffs[coarse.part_id][0] += plus
-        coeffs[coarse.part_id][1] += minus
-    return _canonical(r.coarse, {k: tuple(v) for k, v in coeffs.items()})
-
-
 def swap_multisection(fd: FiberDatum, ms: Multisection) -> Multisection:
     """Exchange all signs (the canonical involution of the construction)."""
     return _canonical(fd, {pid: (minus, plus) for (pid, plus, minus) in ms})
@@ -170,37 +136,6 @@ def tower_fiber(t: Tower, point) -> FiberDatum:
     mids = t.f.fiber_half_edges(i)
     return FiberDatum(tuple(
         FiberPart(x, t.f.deg_h(x), len(t.pi.cover.fiber_half_edges(x)) == 1) for x in mids))
-
-
-def _root_refinement(t: Tower, fibers: dict, h) -> Refinement:
-    """Refinement from the fiber over a base half-edge into the fiber over
-    its root vertex, with plus/minus alignment from the top level."""
-    fine, coarse = fibers[hpoint(h)], fibers[vpoint(t.base.root[h])]
-    part_map, flip = {}, {}
-    for p in fine.parts:
-        mid_root = t.mid.root[p.part_id]
-        part_map[p.part_id] = mid_root
-        if not p.dilated and not coarse.part(mid_root).dilated:
-            # the two top-level preimages of a free mid point, plus first
-            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
-            top_roots = t.pi.cover.fiber_vertices(mid_root)
-            flip[p.part_id] = t.top.root[top_halves[0]] == top_roots[1]
-    return Refinement(fine, coarse, part_map, flip)
-
-
-def _partner_transport(t: Tower, fibers: dict, h) -> Refinement:
-    """Bijective refinement from the fiber over h onto the fiber over its
-    partner, with plus/minus alignment from the top level."""
-    fine, coarse = fibers[hpoint(h)], fibers[hpoint(t.base.partner[h])]
-    part_map, flip = {}, {}
-    for p in fine.parts:
-        mate = t.mid.partner[p.part_id]
-        part_map[p.part_id] = mate
-        if not p.dilated:
-            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
-            mate_halves = t.pi.cover.fiber_half_edges(mate)
-            flip[p.part_id] = t.top.partner[top_halves[0]] == mate_halves[1]
-    return Refinement(fine, coarse, part_map, flip)
 
 
 def _check_harmonic(f: HarmonicMorphism, what: str) -> HarmonicMorphism:
@@ -272,20 +207,33 @@ def _shape_table(fd: FiberDatum) -> _ShapeTable:
     return table
 
 
-def _transport_table(tables: dict, r: Refinement) -> tuple:
-    """Position of the induced multisection in the coarse fiber, per fine
-    multisection: a function of the two shapes, of which coarse part each
-    fine part goes to and of which labels flip.  Worked out by
-    `induce_multisection` on the first refinement of its kind."""
-    fine, coarse = r.fine.parts, r.coarse.parts
-    place = {p.part_id: j for j, p in enumerate(coarse)}
-    key = (_fiber_shape(r.fine), _fiber_shape(r.coarse),
-           tuple(place[r.part_map[p.part_id]] for p in fine),
-           tuple(r.flip.get(p.part_id, False) for p in fine))
-    if key not in tables:
-        position = {ms: k for k, ms in enumerate(multisections(r.coarse))}
-        tables[key] = tuple(position[induce_multisection(r, ms)] for ms in multisections(r.fine))
-    return tables[key]
+def _glue_table(fine: FiberDatum, coarse: FiberDatum, place: tuple, flips: tuple) -> tuple:
+    """Position in the coarse fiber of the multisection induced by each fine
+    multisection, in order, when fine part j goes into coarse part place[j]
+    with its plus and minus exchanged if flips[j].
+
+    A position is a mixed-radix number over the parts' plus counts: radix
+    degree + 1 for a free part and 1 for a dilated one, last part fastest,
+    which is `multisections` order.  So a fine part with plus count a adds
+    stride_k * (degree - a if flipped else a) to the position, k its coarse
+    part (nothing if k is dilated), and each entry is one sum of these."""
+    strides, stride = [], 1
+    for q in reversed(coarse.parts):
+        strides.append(0 if q.dilated else stride)
+        stride *= 1 if q.dilated else q.degree + 1
+    strides.reverse()
+    sums = [0] * len(coarse.parts)
+    steps = []
+    for p, k, flip in zip(fine.parts, place, flips):
+        if p.dilated and not coarse.parts[k].dilated:
+            raise GraphError("a dilated part cannot refine a free part")
+        sums[k] += p.degree
+        plus = range(p.degree, -1, -1) if flip else range(p.degree + 1)
+        steps.append((0,) if p.dilated else [strides[k] * a for a in plus])
+    for q, total in zip(coarse.parts, sums):
+        if total != q.degree:
+            raise GraphError(f"refinement degree mismatch at coarse part {q.part_id}")
+    return tuple(map(sum, itertools.product(*steps)))
 
 
 def _number_points(ids, point, over) -> tuple:
@@ -308,12 +256,12 @@ def _number_points(ids, point, over) -> tuple:
 
 def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
     """One point per multisection per base point, rooted and glued by
-    inducing multisections along refinements through the top level.
+    carrying multisections along the fiber maps through the top level.
 
     Multisections, their degrees and sign swaps are read from one table per
-    fiber shape, and the gluing from one table per kind of refinement, so
-    `induce_multisection` runs once per table entry, not once per point;
-    point ids are a base point's first id plus a position in its fiber."""
+    fiber shape, and the gluing from one `_glue_table` per pair of shapes,
+    placement of fine parts and flips; point ids are a base point's first
+    id plus a position in its fiber."""
     if n not in (2, 3, 4):
         raise PreconditionError("degree", "only degrees 2, 3, 4 are exposed")
     if t.f.global_degree() != n:
@@ -323,11 +271,14 @@ def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
     base = t.base
 
     fibers = {p: tower_fiber(t, p) for p in base.points()}
-    shapes, transports = {}, {}
+    shapes, shape_of, transports = {}, {}, {}
+    place_of = {"v": {}, "h": {}}  # mid point -> position of its part in its fiber
+    for (kind, _), fd in fibers.items():
+        place_of[kind].update((p.part_id, j) for j, p in enumerate(fd.parts))
 
     def over(point):
         fd = fibers[point]
-        shape = _fiber_shape(fd)
+        shape = shape_of[point] = _fiber_shape(fd)
         if shape not in shapes:
             shapes[shape] = _shape_table(fd)
         table = shapes[shape]
@@ -335,12 +286,29 @@ def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
 
     v_ids, v_info, vmap, vdeg, vperm = _number_points(base.vertices, vpoint, over)
     h_ids, h_info, hmap, hdeg, hperm = _number_points(base.half_edges, hpoint, over)
+    # a free fine part flips when the first of its two top preimages goes to
+    # the second top preimage of its image
+    top_halves = t.pi.cover.fiber_half_edges
+    ids = {"v": v_ids, "h": h_ids}
     root, partner = {}, {}
+    moves = ((root, vpoint, base.root, t.mid.root, t.top.root, t.pi.cover.fiber_vertices),
+             (partner, hpoint, base.partner, t.mid.partner, t.top.partner, top_halves))
     for h in base.half_edges:
-        for glue, r, at in ((root, _root_refinement(t, fibers, h), v_ids[base.root[h]].start),
-                            (partner, _partner_transport(t, fibers, h),
-                             h_ids[base.partner[h]].start)):
-            glue.update(zip(h_ids[h], [at + k for k in _transport_table(transports, r)]))
+        here = hpoint(h)
+        fine = fibers[here]
+        for glue, point, base_move, move, top_move, top_fiber in moves:
+            there = kind, target = point(base_move[h])
+            coarse = fibers[there]
+            images = [move[p.part_id] for p in fine.parts]
+            to = tuple(map(place_of[kind].__getitem__, images))
+            flips = tuple(not p.dilated and not coarse.parts[k].dilated
+                          and top_move[top_halves(p.part_id)[0]] == top_fiber(x)[1]
+                          for p, x, k in zip(fine.parts, images, to))
+            key = (shape_of[here], shape_of[there], to, flips)
+            if key not in transports:
+                transports[key] = _glue_table(fine, coarse, to, flips)
+            at = ids[kind][target].start
+            glue.update(zip(h_ids[h], [at + k for k in transports[key]]))
 
     total = Graph(tuple(range(len(v_info))), root, partner)
     cover = _check_harmonic(HarmonicMorphism(GraphMorphism(total, base, vmap, hmap), vdeg, hdeg),

@@ -34,7 +34,9 @@ isomorphism search that listed mid-level cover isomorphisms and
 searched the transported top cover for each is here too, and so are the
 n-gonal and Recillas constructions that worked out multisections,
 transports and slot classes once per point instead of once per fiber
-shape.
+shape, and the transport that the n-gonal construction's positional
+gluing replaced: a `Refinement` per base half-edge, root and partner,
+and `induce_multisection` along it, tabled by kind of refinement.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ from tropcover.graphs import (DoubleCover, Graph, GraphError, GraphMorphism, Har
                               iter_cover_isomorphisms, spanning_tree, validate_morphism, vpoint)
 from tropcover.jacprym import (SymmetricBasis, _lift_dilated_cycle, chain_halve, h1_basis,
                                invol_chain, pairing_table, push_chain)
-from tropcover.ngonal import (NgonalConstruction, RecillasResult, _check_harmonic,
-                              _partner_transport, _root_refinement,
-                              _sign_quotient, classify_tetragonal_point, induce_multisection,
-                              involution_quotient, multisection_degree, multisections,
-                              swap_multisection, tower_fiber)
+from tropcover.ngonal import (FiberDatum, Multisection, NgonalConstruction, RecillasResult,
+                              _canonical, _check_harmonic, _fiber_shape, _sign_quotient,
+                              classify_tetragonal_point, involution_quotient,
+                              multisection_degree, multisections, swap_multisection,
+                              tower_fiber)
 from tropcover.tori import (DualPolarization, IntegralTorus, KernelTorus,
                             Polarization, PrincipalModel, TorusError, TorusHom,
                             dual_type)
@@ -842,6 +844,90 @@ def towers_isomorphic_mid_first(t1: Tower, t2: Tower):
         if found is not None:
             return (vmap, hmap), found
     return None
+
+
+@dataclass(frozen=True)
+class Refinement:
+    """Map from the parts of a fine fiber into the parts of a coarse one.
+
+    part_map: fine part id -> coarse part id.  flip: fine part id ->
+    bool, whether the plus/minus labels reverse; only meaningful when
+    both parts are free.
+    """
+
+    fine: FiberDatum
+    coarse: FiberDatum
+    part_map: dict
+    flip: dict
+
+    def __post_init__(self):
+        sums = {p.part_id: 0 for p in self.coarse.parts}
+        for p in self.fine.parts:
+            coarse = self.coarse.part(self.part_map[p.part_id])
+            if p.dilated and not coarse.dilated:
+                raise GraphError("a dilated part cannot refine a free part")
+            sums[coarse.part_id] += p.degree
+        for p in self.coarse.parts:
+            if sums[p.part_id] != p.degree:
+                raise GraphError(f"refinement degree mismatch at coarse part {p.part_id}")
+
+
+def induce_multisection(r: Refinement, ms: Multisection) -> Multisection:
+    coeffs = {p.part_id: [0, 0] for p in r.coarse.parts}
+    for (part_id, plus, minus) in ms:
+        coarse = r.coarse.part(r.part_map[part_id])
+        if not coarse.dilated and r.flip.get(part_id, False):
+            plus, minus = minus, plus
+        coeffs[coarse.part_id][0] += plus
+        coeffs[coarse.part_id][1] += minus
+    return _canonical(r.coarse, {k: tuple(v) for k, v in coeffs.items()})
+
+
+def _root_refinement(t: Tower, fibers: dict, h) -> Refinement:
+    """Refinement from the fiber over a base half-edge into the fiber over
+    its root vertex, with plus/minus alignment from the top level."""
+    fine, coarse = fibers[hpoint(h)], fibers[vpoint(t.base.root[h])]
+    part_map, flip = {}, {}
+    for p in fine.parts:
+        mid_root = t.mid.root[p.part_id]
+        part_map[p.part_id] = mid_root
+        if not p.dilated and not coarse.part(mid_root).dilated:
+            # the two top-level preimages of a free mid point, plus first
+            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
+            top_roots = t.pi.cover.fiber_vertices(mid_root)
+            flip[p.part_id] = t.top.root[top_halves[0]] == top_roots[1]
+    return Refinement(fine, coarse, part_map, flip)
+
+
+def _partner_transport(t: Tower, fibers: dict, h) -> Refinement:
+    """Bijective refinement from the fiber over h onto the fiber over its
+    partner, with plus/minus alignment from the top level."""
+    fine, coarse = fibers[hpoint(h)], fibers[hpoint(t.base.partner[h])]
+    part_map, flip = {}, {}
+    for p in fine.parts:
+        mate = t.mid.partner[p.part_id]
+        part_map[p.part_id] = mate
+        if not p.dilated:
+            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
+            mate_halves = t.pi.cover.fiber_half_edges(mate)
+            flip[p.part_id] = t.top.partner[top_halves[0]] == mate_halves[1]
+    return Refinement(fine, coarse, part_map, flip)
+
+
+def _transport_table(tables: dict, r: Refinement) -> tuple:
+    """Position of the induced multisection in the coarse fiber, per fine
+    multisection: a function of the two shapes, of which coarse part each
+    fine part goes to and of which labels flip.  Worked out by
+    `induce_multisection` on the first refinement of its kind."""
+    fine, coarse = r.fine.parts, r.coarse.parts
+    place = {p.part_id: j for j, p in enumerate(coarse)}
+    key = (_fiber_shape(r.fine), _fiber_shape(r.coarse),
+           tuple(place[r.part_map[p.part_id]] for p in fine),
+           tuple(r.flip.get(p.part_id, False) for p in fine))
+    if key not in tables:
+        position = {ms: k for k, ms in enumerate(multisections(r.coarse))}
+        tables[key] = tuple(position[induce_multisection(r, ms)] for ms in multisections(r.fine))
+    return tables[key]
 
 
 def ngonal_construct_per_point(t: Tower, n: int) -> NgonalConstruction:

@@ -17,7 +17,11 @@ import of `random_tower`, `genus`, `dilation_data`, `save` or
 each workload, the end-to-end test runs `worker.py setup WORKLOAD 1 DIR 1`
 twice, compares the digests of the files written, and runs the items of
 that pass untraced and traced: every worker must exit 0 and every item
-must come out `ok`.
+must come out `ok`.  On the workloads that construct, the traced pass
+must also time `ngonal.construct_s` and count `ngonal.points` above 0:
+the tracer finds `ngonal_construct`, `trigonal` and `bigonal` and reads
+`vertex_info` and `half_edge_info` of the construction by name, and a
+name gone from there makes these layers read 0 without failing the run.
 """
 
 import json
@@ -71,3 +75,7 @@ def test_workload_set_up_and_pass_run_ok(tmp_path, workload):
         assert [(r["id"], r["status"]) for r in result["items"]] == \
             [(item["id"], "ok") for item in items]
         assert ("layers" in result) == bool(spans)
+        if spans and workload != "prym_ladder":
+            # the tracer reads these by name; a moved construction would read 0
+            assert result["layers"]["ngonal.construct_s"] > 0
+            assert result["layers"]["ngonal.points"] > 0

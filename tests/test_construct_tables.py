@@ -2,19 +2,26 @@
 
 `ngonal.ngonal_construct` reads multisections, degrees and sign swaps from
 one table per fiber shape and the gluing from one table per kind of
-refinement; `ngonal.recillas` reads slot classes and their transports
-from tables by fiber profile.  The per-point versions are kept in
-`tests/oracles.py`.  Both must give equal results, field by field, and
-the `construct` command must write the files it wrote before the tables.
+transport, worked out by plus-count arithmetic on fiber positions;
+`ngonal.recillas` reads slot classes and their transports from tables by
+fiber profile.  The per-point versions are kept in `tests/oracles.py`.
+Both must give equal results, field by field, and the `construct`
+command must write the files it wrote before the tables.  The transport
+tables are also compared, entry by entry, with the transport they
+replaced, `induce_multisection` along a `Refinement`, on every kind of
+transport between fibers of degree 2 to 4.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import os
 
-from oracles import ngonal_construct_per_point, recillas_per_point
+from oracles import Refinement, _transport_table, ngonal_construct_per_point, recillas_per_point
 from tropcover.cli import main
-from tropcover.ngonal import ngonal_construct, recillas, trigonal
+from tropcover.graphs import GraphError
+from tropcover.ngonal import (FiberDatum, FiberPart, _glue_table, ngonal_construct, recillas,
+                              trigonal)
 from tropcover.randgen import random_tetragonal_curve, random_tower
 from tropcover.towerio import save, tower_to_doc
 
@@ -107,3 +114,56 @@ CONSTRUCT_SHA256 = {
 
 def test_construct_writes_the_same_files(tmp_path):
     assert construct_digests(tmp_path) == CONSTRUCT_SHA256
+
+
+def fiber_shapes(total):
+    """Every fiber shape of the given total degree: ordered (degree, dilated)
+    parts."""
+    if total == 0:
+        yield ()
+        return
+    for degree in range(1, total + 1):
+        for dilated in (False, True):
+            for rest in fiber_shapes(total - degree):
+                yield ((degree, dilated),) + rest
+
+
+def refusal_of(build, *args):
+    """The message of the GraphError that build(*args) raises, or None."""
+    try:
+        build(*args)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+def test_glue_table_matches_induce_multisection_on_every_transport():
+    # every fine and coarse shape of total degree 2-4, every place map and,
+    # on the maps a refinement allows, every flip of a free part into a free
+    # one; the oracle numbers `induce_multisection` of every fine
+    # multisection by its position in `multisections` of the coarse fiber
+    keys = refused = 0
+    for total in (2, 3, 4):
+        shapes = list(fiber_shapes(total))
+        for fine_shape, coarse_shape in itertools.product(shapes, shapes):
+            fine = FiberDatum(tuple(FiberPart(j, d, dil) for j, (d, dil) in enumerate(fine_shape)))
+            coarse = FiberDatum(tuple(FiberPart(10 + k, d, dil)
+                                      for k, (d, dil) in enumerate(coarse_shape)))
+            for place in itertools.product(range(len(coarse.parts)), repeat=len(fine.parts)):
+                part_map = {p.part_id: 10 + k for p, k in zip(fine.parts, place)}
+                refusal = refusal_of(Refinement, fine, coarse, part_map, {})
+                assert refusal_of(_glue_table, fine, coarse, place, (False,) * len(place)) == \
+                    refusal, (fine_shape, coarse_shape, place)
+                if refusal is not None:
+                    refused += 1
+                    continue
+                free = [not p.dilated and not coarse.parts[k].dilated
+                        for p, k in zip(fine.parts, place)]
+                for flips in itertools.product(*[(False, True) if f else (False,) for f in free]):
+                    r = Refinement(fine, coarse, part_map,
+                                   {p.part_id: flip for p, flip in zip(fine.parts, flips)})
+                    assert _glue_table(fine, coarse, place, flips) == _transport_table({}, r), \
+                        (fine_shape, coarse_shape, place, flips)
+                    keys += 1
+    print(f"{keys} transport tables equal to the oracle's, {refused} place maps refused alike")
+    assert (keys, refused) == (14300, 146954)

@@ -7,7 +7,7 @@ import pytest
 
 from tropcover.cli import main
 from tropcover.gallery import bigonal_reference, trigonal_reference
-from tropcover.graphs import towers_isomorphic, validate_harmonic
+from tropcover.graphs import PreconditionError, towers_isomorphic, validate_harmonic
 from tropcover.ngonal import bigonal, ngonal_construct
 from tropcover.randgen import random_tower
 from tropcover.towerio import (doc_to_file, dumps_canonical, file_to_doc, load,
@@ -310,6 +310,15 @@ class TestCLI:
         save(src, tower_to_doc(gen.tower, gen.base_metric))
         assert main(["check", str(src), "--theorem", "bigonal"]) == 1
         assert "precondition violated [generic]" in capsys.readouterr().err
+
+    def test_precondition_names_its_condition_once(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["construct", os.path.join(DATA, "bigonal_tower.json"),
+                     "--op", "trigonal", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("precondition violated [degree-3]: "
+                                           "trigonal construction needs a degree-3 base map\n")
+        assert not out.exists()
+        assert str(PreconditionError("degree-3", "needs three")) == "degree-3: needs three"
 
 
 def _trigonal_doc():

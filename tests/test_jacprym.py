@@ -610,15 +610,19 @@ class TestTheoremCheckEliminations:
     # polarized_isomorphic enters the isometry search with the definiteness
     # its Polarizations proved; the search reads det Q off the LLL
     # reduction, and certifies each LLL transform by H H^-1 = I.  Before,
-    # the checks ran 15 and 18 eliminations
+    # the checks ran 15 and 18 eliminations.  The trigonal check is decided
+    # by its witness and runs none
     @pytest.mark.parametrize("name, check, bound", [
-        ("trigonal_tower.json", check_trigonal_prym, 5),
+        ("trigonal_tower.json", check_trigonal_prym, 0),
         ("bigonal_tower.json", check_bigonal_duality, 5)])
     def test_bareiss_calls(self, monkeypatch, name, check, bound):
         from tropcover.towerio import load
         loaded = load(os.path.join(os.path.dirname(__file__), os.pardir, "data", name))
         calls = _counting_bareiss(monkeypatch)
-        assert check(loaded.tower(), loaded.base_metric).passed
+        result = check(loaded.tower(), loaded.base_metric)
+        assert result.passed
+        if check is check_trigonal_prym:
+            assert result.details["decided_by"] == "witness"
         assert len(calls) <= bound
 
 

@@ -7,17 +7,18 @@ from tropcover.graphs import (Graph, NonGenericError, PreconditionError, Tower,
                               build_double_cover, connected_components, genus,
                               harmonic_from_edges, is_connected,
                               towers_isomorphic)
-from tropcover.ngonal import (FiberDatum, FiberPart, Refinement, bigonal,
+from oracles import (Refinement, _partner_transport, _root_refinement,
+                     induce_multisection)
+from tropcover.ngonal import (FiberDatum, FiberPart, bigonal,
                               classify_bigonal_point,
-                              classify_tetragonal_point, induce_multisection,
+                              classify_tetragonal_point,
                               involution_quotient, multisection_degree,
                               multisection_sign, multisections,
                               ngonal_construct, recillas,
                               tetragonal_split, tower_fiber, trigonal,
                               hpoint, vpoint)
 from tropcover.randgen import random_tetragonal_curve, random_tower
-from tropcover.ngonal import (_canonical, _partner_transport, _root_refinement,
-                              _sign_quotient, swap_multisection)
+from tropcover.ngonal import _canonical, _sign_quotient, swap_multisection
 from tropcover.graphs import (DoubleCover, GraphMorphism, HarmonicMorphism,
                               validate_harmonic)
 

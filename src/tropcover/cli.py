@@ -22,7 +22,6 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from . import intlinalg as la
 from .graphs import PreconditionError, is_tree, towers_isomorphic
 from .jacprym import (check_bigonal_duality, check_trigonal_prym, jacobian,
                       prym, tower_metrics)
@@ -34,12 +33,10 @@ from .towerio import (InvalidTowerFile, file_to_doc, load, provenance_meta, save
                       tower_to_doc)
 
 
-def _format_matrix(m, d=1) -> str:
-    """The matrix m / d, each entry in lowest terms; m may hold fractions."""
-    if not m:
+def _format_matrix(rows, d=1) -> str:
+    """The matrix of integer rows / d, each entry in lowest terms."""
+    if not rows:
         return "  (empty)"
-    e, rows = la._scaled(m)
-    d *= e
 
     def cell(x):
         g = gcd(x, d)
@@ -144,16 +141,17 @@ def cmd_check(args) -> int:
     tower = loaded.tower()
     if args.theorem == "bigonal":
         result = check_bigonal_duality(tower, loaded.base_metric)
-        print("pairing table (input tower):")
-        print(_format_matrix(result.details.get("pairing", ())))
-        print("dual pairing table (constructed tower):")
-        print(_format_matrix(result.details.get("dual_pairing", ())))
+        tables = (("pairing table (input tower):", "pairing"),
+                  ("dual pairing table (constructed tower):", "dual_pairing"))
     else:
         result = check_trigonal_prym(tower, loaded.base_metric)
-        print("Prym principal Gram:")
-        print(_format_matrix(result.details["prym_gram"]))
-        print("Jacobian Gram of the constructed quartic curve:")
-        print(_format_matrix(result.details["jacobian_gram"]))
+        tables = (("Prym principal Gram:", "prym_gram"),
+                  ("Jacobian Gram of the constructed quartic curve:", "jacobian_gram"))
+    for title, name in tables:
+        # (D, integer rows); a FAIL on polarization types carries no tables
+        d, rows = result.details.get(name, (1, ()))
+        print(title)
+        print(_format_matrix(rows, d))
     if result.passed:
         a, b = result.witness
         print("witness (pull):")

@@ -19,9 +19,9 @@ from . import intlinalg as la
 from .graphs import (DoubleCover, Graph, GraphError, PreconditionError, SpanningTree,
                      Tower, _bfs, _bfs_components, _bfs_tree, chain_boundary,
                      dilation_data, fundamental_cycle, fundamental_cycles, genus,
-                     is_connected, is_tree, spanning_tree)
+                     is_connected, spanning_tree)
 from .metrics import MetricGraph, induce_metric, is_inf, validate_metric_harmonic
-from .ngonal import bigonal, classify_bigonal_point, trigonal
+from .ngonal import bigonal, trigonal
 from .tori import (IntegralTorus, KernelTorus, Polarization, PrincipalModel,
                    TorusHom, certify_isomorphism, dual_polarization, dual_type,
                    polarized_isomorphic)
@@ -157,39 +157,40 @@ def jacobian(metric: MetricGraph) -> Jacobian:
 # chain-level transfer maps of a double cover
 
 
+def chain_image(graph: Graph, chain: dict, images) -> dict:
+    """The image of a chain under a map of half-edges into `graph`.
+
+    Each edge key k of the chain, in its canonical orientation, with
+    coefficient c, adds c * m to the edge of h for each (h, m) in
+    images(k), with the sign of h's orientation: + when h is its edge key.
+    Keys come out sorted and zeros dropped.
+    """
+    edge_key = graph.edge_key
+    out = {}
+    for k, c in chain.items():
+        for h, m in images(k):
+            key = edge_key(h)
+            out[key] = out.get(key, 0) + (c * m if h == key else -c * m)
+    return {k: v for k, v in sorted(out.items()) if v}
+
+
 def push_chain(cover: DoubleCover, chain: dict) -> dict:
     """Chain map of the covering projection."""
     f = cover.cover
-    out = {}
-    for k, c in chain.items():
-        img_half = f.h(k)
-        key = f.target.edge_key(img_half)
-        sign = 1 if img_half == key else -1
-        out[key] = out.get(key, 0) + sign * c
-    return {k: v for k, v in sorted(out.items()) if v}
+    return chain_image(f.target, chain, lambda k: ((f.h(k), 1),))
 
 
 def pull_chain(cover: DoubleCover, chain: dict) -> dict:
     """Pullback of 1-forms: a free edge lifts to both preimages, a dilated
     edge to twice its single preimage."""
     f = cover.cover
-    out = {}
-    for k, c in chain.items():
-        for up in f.fiber_edges(k):
-            sign = 1 if f.h(up) == k else -1
-            out[up] = out.get(up, 0) + sign * c * f.deg_edge(up)
-    return {k: v for k, v in sorted(out.items()) if v}
+    return chain_image(cover.source, chain,
+                       lambda k: [(h, f.deg_h(h)) for h in f.fiber_half_edges(k)])
 
 
 def invol_chain(cover: DoubleCover, chain: dict) -> dict:
-    g = cover.source
-    out = {}
-    for k, c in chain.items():
-        img_half = cover.half_edge_invol[k]
-        key = g.edge_key(img_half)
-        sign = 1 if img_half == key else -1
-        out[key] = out.get(key, 0) + sign * c
-    return {k: v for k, v in sorted(out.items()) if v}
+    invol = cover.half_edge_invol
+    return chain_image(cover.source, chain, lambda k: ((invol[k], 1),))
 
 
 def chain_sum(a: dict, b: dict) -> dict:
@@ -375,17 +376,16 @@ class CheckResult:
 
 def check_bigonal_duality(tower: Tower, base_metric: MetricGraph) -> CheckResult:
     """The norm-kernel tori of a generic hyperelliptic-cover tower and of its
-    reconstruction are dual polarized tori; verified by complete search."""
-    if tower.f.global_degree() != 2:
-        raise PreconditionError("degree-2", "tower must be a double cover of a hyperelliptic graph")
-    if not is_tree(tower.base):
-        raise PreconditionError("tree-base", "base must be a tree")
-    for p in tower.base.points():
-        if classify_bigonal_point(tower, p) == "V":
+    reconstruction are dual polarized tori; verified by complete search.
+
+    `bigonal` decides the degree and tree-base preconditions and the point
+    types; the check refuses the first base point of type V."""
+    result = bigonal(tower)
+    for p, label in result.input_types.items():
+        if label == "V":
             raise NonGenericTower(p)
     if not is_connected(tower.top):
         raise PreconditionError("top-connected", "source curve is disconnected")
-    result = bigonal(tower)
     out = result.tower
     if not is_connected(out.top):
         raise PreconditionError(
@@ -405,8 +405,8 @@ def check_bigonal_duality(tower: Tower, base_metric: MetricGraph) -> CheckResult
     witness = polarized_isomorphic(prym1.polarization, dual2.polarized)
     return CheckResult(witness is not None, witness, {
         "types": (prym1.type, prym2.type),
-        "pairing": prym1.torus.pairing,
-        "dual_pairing": dual2.dual_torus.pairing,
+        "pairing": prym1.torus._int_form,
+        "dual_pairing": dual2.dual_torus._int_form,
         "construction": result})
 
 
@@ -414,20 +414,16 @@ def check_trigonal_prym(tower: Tower, base_metric: MetricGraph) -> CheckResult:
     """Prym(top/mid) == Jac(constructed quartic curve) as principally
     polarized tori.
 
+    `trigonal` decides the degree, free-cover and tree-base preconditions.
     The witness is built from the correspondence of the construction
     (`_trigonal_witness`) and certified exactly; only if its certificate
     fails does the complete isometry search run, so FAIL still means that
-    no isomorphism exists.  details["decided_by"] says which route decided.
+    no isomorphism exists.  details["decided_by"] says which route decided;
+    the two Grams are (D, integer rows) pairs, the matrices rows / D.
     """
-    if tower.f.global_degree() != 3:
-        raise PreconditionError("degree-3", "tower must cover a trigonal graph")
-    if not tower.pi.is_free():
-        raise PreconditionError("free-cover", "double cover must be free")
-    if not is_tree(tower.base):
-        raise PreconditionError("tree-base", "base must be a tree")
+    tri = trigonal(tower)
     if not is_connected(tower.top):
         raise PreconditionError("top-connected", "source curve is disconnected")
-    tri = trigonal(tower)
     mid_m, top_m = tower_metrics(tower, base_metric)
     prym_data = prym(tower.pi, top_m, mid_m)
     jac = jacobian(induce_metric(tri.quartic, base_metric))
@@ -438,8 +434,8 @@ def check_trigonal_prym(tower: Tower, base_metric: MetricGraph) -> CheckResult:
     if witness is None:
         witness = polarized_isomorphic(prym_data.principal.polarized, jac.polarization)
     return CheckResult(witness is not None, witness, {
-        "prym_gram": prym_data.principal.polarized.gram(),
-        "jacobian_gram": jac.torus.pairing,
+        "prym_gram": prym_data.principal.polarized._int_gram,
+        "jacobian_gram": jac.torus._int_form,
         "quartic": tri,
         "decided_by": decided_by})
 
@@ -448,31 +444,20 @@ def _trigonal_witness(tri, prym_data: PrymData, jac: Jacobian):
     """(A, B) from the correspondence Phi of the construction, or None when
     its certificate fails.
 
-    A quartic half-edge is a section-cover half-edge over a multisection of
-    (x, plus, minus); Phi sends it to plus times the first top half-edge
-    over the mid half-edge x plus minus times the second.  The images of the
-    quartic cycles must be closed, with coordinates c = diag(type)^-1 proj
-    Phi in the Prym kernel columns K, integral, with K c == Phi exactly and
-    c unimodular.  Both polarizations are I, so the transport law forces
-    A = c and B = c^-1, which must pass the re-checks of a search result:
+    A quartic half-edge is a section-cover half-edge, and Phi there is
+    `NgonalConstruction.correspondence`.  The images of the quartic cycles
+    must be closed, with coordinates c = diag(type)^-1 proj Phi in the Prym
+    kernel columns K, integral, with K c == Phi exactly and c unimodular.
+    Both polarizations are I, so the transport law forces A = c and
+    B = c^-1, which must pass the re-checks of a search result:
     adjointness, which here is c^T P c == G_X, and transport.
     """
-    lift, top = prym_data.cover.cover.fiber_half_edges, prym_data.cover.source
-    info = tri.construction.half_edge_info
+    correspondence, top = tri.construction.correspondence, prym_data.cover.source
     section = {new: h for h, new in tri.half_edge_ids.items()}
-
-    def phi(cycle):
-        out = {}
-        for k, c in cycle.items():
-            for x, plus, minus in info[section[k]][1]:
-                for h, m in zip(lift(x), (plus, minus)):
-                    key = top.edge_key(h)
-                    out[key] = out.get(key, 0) + (c * m if h == key else -c * m)
-        return out
-
     top_basis, ker = prym_data.maps.source_basis, prym_data.kernel
     try:
-        coords = tuple(top_basis.coordinates(phi(z)) for z in jac.basis.cycles)
+        coords = tuple(top_basis.coordinates(
+            chain_image(top, z, lambda k: correspondence(section[k]))) for z in jac.basis.cycles)
     except GraphError:
         return None
     if not coords:
@@ -661,13 +646,11 @@ def _adapted_tree(cover: DoubleCover) -> tuple:
 
 
 def _lift_dilated_cycle(cover: DoubleCover, cyc: dict) -> dict:
-    f = cover.cover
-    out = {}
-    for k, c in cyc.items():
-        ups = f.fiber_edges(k)
+    lifts = cover.cover.fiber_half_edges
+
+    def lift(k):
+        ups = lifts(k)
         if len(ups) != 1:
             raise AssertionError("dilated edge must have a unique preimage")
-        kk = ups[0]
-        sign = 1 if f.h(kk) == k else -1
-        out[kk] = sign * c
-    return {k: c for k, c in sorted(out.items()) if c}
+        return ((ups[0], 1),)
+    return chain_image(cover.source, cyc, lift)

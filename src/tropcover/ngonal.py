@@ -172,6 +172,16 @@ class NgonalConstruction:
     orientation_vertex_info: dict
     orientation_half_edge_info: dict
 
+    def correspondence(self, h) -> list:
+        """The (top half-edge, multiplicity) pairs of the correspondence Phi
+        at section-cover half-edge h: for each part (x, plus, minus) of its
+        multisection, plus times the first top half-edge over the mid
+        half-edge x and minus times the second; a dilated part (x, d, 0) is
+        d times its one lift."""
+        lift = self.tower.pi.cover.fiber_half_edges
+        return [(y, m) for x, plus, minus in self.half_edge_info[h][1]
+                for y, m in zip(lift(x), (plus, minus)) if m]
+
 
 @dataclass(frozen=True)
 class _ShapeTable:

@@ -36,7 +36,12 @@ n-gonal and Recillas constructions that worked out multisections,
 transports and slot classes once per point instead of once per fiber
 shape, and the transport that the n-gonal construction's positional
 gluing replaced: a `Refinement` per base half-edge, root and partner,
-and `induce_multisection` along it, tabled by kind of refinement.
+and `induce_multisection` along it, tabled by kind of refinement.  So
+are the chain maps of a double cover that each ran their own signed
+edge-key loop before `jacprym.chain_image`: push, pull (by source edge
+keys and a sign test), involution, the lift of a dilated cycle, and the
+trigonal witness's Phi, which read `half_edge_info` itself before
+`NgonalConstruction.correspondence`.
 """
 
 from __future__ import annotations
@@ -1073,3 +1078,68 @@ def recillas_per_point(p: HarmonicMorphism) -> RecillasResult:
     if tower.f.global_degree() != 3:
         raise AssertionError("Recillas base map must have degree 3")
     return RecillasResult(tower, v_info, h_info)
+
+
+# ---------------------------------------------------------------------------
+# the chain maps before `jacprym.chain_image`
+
+
+def push_chain_by_loop(cover: DoubleCover, chain: dict) -> dict:
+    """Chain map of the covering projection."""
+    f = cover.cover
+    out = {}
+    for k, c in chain.items():
+        img_half = f.h(k)
+        key = f.target.edge_key(img_half)
+        sign = 1 if img_half == key else -1
+        out[key] = out.get(key, 0) + sign * c
+    return {k: v for k, v in sorted(out.items()) if v}
+
+
+def pull_chain_by_fiber_edges(cover: DoubleCover, chain: dict) -> dict:
+    """Pullback of 1-forms: a free edge lifts to both preimages, a dilated
+    edge to twice its single preimage."""
+    f = cover.cover
+    out = {}
+    for k, c in chain.items():
+        for up in f.fiber_edges(k):
+            sign = 1 if f.h(up) == k else -1
+            out[up] = out.get(up, 0) + sign * c * f.deg_edge(up)
+    return {k: v for k, v in sorted(out.items()) if v}
+
+
+def invol_chain_by_loop(cover: DoubleCover, chain: dict) -> dict:
+    g = cover.source
+    out = {}
+    for k, c in chain.items():
+        img_half = cover.half_edge_invol[k]
+        key = g.edge_key(img_half)
+        sign = 1 if img_half == key else -1
+        out[key] = out.get(key, 0) + sign * c
+    return {k: v for k, v in sorted(out.items()) if v}
+
+
+def lift_dilated_cycle_by_fiber_edges(cover: DoubleCover, cyc: dict) -> dict:
+    f = cover.cover
+    out = {}
+    for k, c in cyc.items():
+        ups = f.fiber_edges(k)
+        if len(ups) != 1:
+            raise AssertionError("dilated edge must have a unique preimage")
+        kk = ups[0]
+        sign = 1 if f.h(kk) == k else -1
+        out[kk] = sign * c
+    return {k: c for k, c in sorted(out.items()) if c}
+
+
+def phi_by_half_edge_info(info: dict, section: dict, lift, top: Graph, cycle: dict) -> dict:
+    """Phi of a chain on the section cover (through the relabeling
+    `section`), read off `half_edge_info` as the trigonal witness read it:
+    keys unsorted, zeros kept.  lift is the top fiber of a mid half-edge."""
+    out = {}
+    for k, c in cycle.items():
+        for x, plus, minus in info[section[k]][1]:
+            for h, m in zip(lift(x), (plus, minus)):
+                key = top.edge_key(h)
+                out[key] = out.get(key, 0) + (c * m if h == key else -c * m)
+    return out

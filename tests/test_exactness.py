@@ -10,7 +10,10 @@ also take no Fraction route: `jacprym.py` and `tori.py` call neither
 package has one matrix product, `int_matmul`, and one unimodularity test,
 `unimodular_inverse`: it neither defines nor names the Fraction-aware
 `matmul`, the determinant `det`, `is_unimodular`, `mat_equal` or `matvec`,
-which live in tests/oracles.py where tests use them."""
+which live in tests/oracles.py where tests use them.  Chains move along
+maps in one place: `jacprym.py` reads no `half_edge_info` of a
+construction, and names `edge_key` only in `chain_image`, the one signed
+edge-key loop, and in `_adapted_tree`, which reads tree edges."""
 
 import ast
 import os
@@ -179,6 +182,40 @@ def test_guard_catches_the_replaced_helpers():
     assert sorted(name_uses(ast.parse(source), REPLACED_HELPERS)) == [
         (2, "imports det"), (4, "defines matvec"), (5, "attribute matmul"),
         (8, "attribute mat_equal"), (8, "name is_unimodular")]
+
+
+CHAIN_MAP_OWNERS = {"chain_image", "_adapted_tree"}
+
+
+def chain_map_reads(tree, owners=CHAIN_MAP_OWNERS):
+    """(line, description) of each reference to `half_edge_info`, and of
+    each reference to `edge_key` outside the top-level definitions named in
+    `owners`."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else None
+            if name == "half_edge_info" or (name == "edge_key" and owner not in owners):
+                yield node.lineno, f"{name} in {owner}"
+
+
+def test_guard_catches_chain_maps_outside_chain_image():
+    source = ('"""edge_key and half_edge_info in a docstring are free."""\n'
+              "def chain_image(g, h):\n    edge_key = g.edge_key\n    return edge_key(h)\n"
+              "def push(g, h, cons):\n    return g.edge_key(h), cons.half_edge_info[h]\n"
+              "class Basis:\n    def f(self, g, h):\n        key = g.edge_key\n"
+              "        return key(h), g.edge_keys()\n"
+              "def _adapted_tree(g, cons):\n    return g.edge_key(0), cons.half_edge_info\n"
+              "edge_key = min\n")
+    assert sorted(chain_map_reads(ast.parse(source))) == [
+        (6, "edge_key in push"), (6, "half_edge_info in push"), (9, "edge_key in Basis"),
+        (12, "half_edge_info in _adapted_tree"), (13, "edge_key in None")]
+
+
+def test_jacprym_moves_chains_in_chain_image_only():
+    trees = dict(package_trees())
+    assert [f"jacprym.py:{line}: {what}" for line, what in chain_map_reads(trees["jacprym.py"])] == []
 
 
 def test_package_has_one_product_and_one_unimodularity_test():

@@ -320,6 +320,20 @@ class TestCLI:
         assert not out.exists()
         assert str(PreconditionError("degree-3", "needs three")) == "degree-3: needs three"
 
+    def test_check_reports_the_preconditions_of_its_construction(self, tmp_path, capsys):
+        # the checks leave degree, free cover and tree base to the construction
+        assert main(["check", os.path.join(DATA, "bigonal_tower.json"),
+                     "--theorem", "trigonal"]) == 1
+        assert capsys.readouterr().err == ("precondition violated [degree-3]: "
+                                           "trigonal construction needs a degree-3 base map\n")
+        path = os.path.join(DATA, "trigonal_tower.json")
+        assert main(["construct", path, "--op", "bigonal",
+                     "--out", str(tmp_path / "out.json")]) == 1
+        construct_err = capsys.readouterr().err
+        assert construct_err.startswith("precondition violated [degree-2]: ")
+        assert main(["check", path, "--theorem", "bigonal"]) == 1
+        assert capsys.readouterr().err == construct_err
+
 
 def _trigonal_doc():
     with open(os.path.join(DATA, "trigonal_tower.json"), encoding="utf-8") as fh:

@@ -10,7 +10,7 @@ from tropcover.gallery import (bigonal_output_reference, bigonal_reference,
                                trigonal_expected_table, trigonal_reference)
 from tropcover.graphs import (Graph, GraphError, PreconditionError,
                               build_double_cover, genus, is_connected)
-from tropcover.intlinalg import identity, mat, mat_scale, transpose
+from tropcover.intlinalg import identity, mat, mat_scale, transpose, unscaled
 from tropcover.jacprym import (chain_scale, check_bigonal_duality,
                                check_trigonal_prym, cycle_pairing, h1_basis,
                                invol_chain, jacobian, norm_hom, pairing_table,
@@ -262,15 +262,45 @@ class TestChecks:
         assert err.value.point == ("v", 0)
         assert "('v', 0) has type V" in str(err.value)
 
+    def test_bigonal_check_reads_the_point_types_of_its_construction(self, monkeypatch):
+        # bigonal classifies its input and, as the self-check of its type
+        # map, its output; the check classifies nothing itself
+        from tropcover import jacprym, ngonal
+        from tropcover.towerio import load
+        loaded = load(os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                                   "bigonal_tower.json"))
+        calls, classify = [], ngonal.classify_bigonal_point
+
+        def counted(t, point):
+            calls.append(point)
+            return classify(t, point)
+        for module in (ngonal, jacprym):  # wherever the name is bound
+            monkeypatch.setattr(module, "classify_bigonal_point", counted, raising=False)
+        assert check_bigonal_duality(loaded.tower(), loaded.base_metric).passed
+        assert len(calls) == 2 * len(loaded.base.points())
+
+    @pytest.mark.parametrize("check, n, options", [
+        (check_trigonal_prym, 3, {"pi_free": True}),
+        (check_bigonal_duality, 2, {"pi_free": True, "generic": True})],
+        ids=["trigonal", "bigonal"])
+    def test_disconnected_top_rejected_by_name(self, check, n, options):
+        towers = [gen for gen in (random_tower(seed, n=n, connected=False, **options)
+                                  for seed in range(20)) if not is_connected(gen.tower.top)]
+        assert len(towers) > 5
+        for gen in towers:
+            with pytest.raises(PreconditionError) as err:
+                check(gen.tower, gen.base_metric)
+            assert err.value.condition == "top-connected"
+
     def test_rescaling_scales_grams_and_keeps_witness(self):
         ref = trigonal_reference((1, 1, 1, 1, 1))
         scaled = trigonal_reference((3, 3, 3, 3, 3))
         r1 = check_trigonal_prym(ref.tower, ref.base_metric)
         r2 = check_trigonal_prym(scaled.tower, scaled.base_metric)
-        assert mat_equal(r2.details["prym_gram"],
-                         mat_scale(Fraction(3), r1.details["prym_gram"]))
-        assert mat_equal(r2.details["jacobian_gram"],
-                         mat_scale(Fraction(3), r1.details["jacobian_gram"]))
+        assert mat_equal(unscaled(*r2.details["prym_gram"]),
+                         mat_scale(Fraction(3), unscaled(*r1.details["prym_gram"])))
+        assert mat_equal(unscaled(*r2.details["jacobian_gram"]),
+                         mat_scale(Fraction(3), unscaled(*r1.details["jacobian_gram"])))
         assert r1.witness == r2.witness
 
 
@@ -736,8 +766,8 @@ def _search_polarizations(result):
     """The two principal polarizations the trigonal check compares, rebuilt
     from the Grams it returns."""
     from tropcover.tori import IntegralTorus, Polarization
-    k = len(result.details["prym_gram"])
-    return tuple(Polarization(IntegralTorus(result.details[name]), identity(k))
+    k = len(unscaled(*result.details["prym_gram"]))
+    return tuple(Polarization(IntegralTorus(unscaled(*result.details[name])), identity(k))
                  for name in ("prym_gram", "jacobian_gram"))
 
 
@@ -775,7 +805,7 @@ class TestTrigonalWitness:
             assert polarized_isomorphic(*pols) is not None, label
             # the witness passes the re-checks of a search result
             assert certify_isomorphism(*pols, *result.witness) == result.witness
-            ranks.add(len(result.details["prym_gram"]))
+            ranks.add(len(unscaled(*result.details["prym_gram"])))
         assert ranks == rank_set
 
     @staticmethod

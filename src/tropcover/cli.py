@@ -99,13 +99,14 @@ def cmd_classify(args) -> int:
         for p in loaded.base.points():
             print(f"{p}\t{classify_bigonal_point(tower, p)}")
         return 0
-    cover = loaded.top_cover()
-    if cover.global_degree() != 4:
-        print("classification needs a (2,2) tower or a degree-4 cover", file=sys.stderr)
-        return 2
+    if not loaded.levels or loaded.levels[0].global_degree() != 4:
+        raise PreconditionError(
+            "degree", "classification needs a (2,2) tower or a degree-4 bottom level")
+    quartic = loaded.levels[0]
+    # the whole table first: a non-generic point prints no partial table
+    rows = [f"{p}\t{classify_tetragonal_point(quartic, p)}" for p in loaded.base.points()]
     print("point\ttype (quartic cover: A-C)")
-    for p in loaded.base.points():
-        print(f"{p}\t{classify_tetragonal_point(cover, p)}")
+    print("\n".join(rows))
     return 0
 
 

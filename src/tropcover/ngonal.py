@@ -58,10 +58,6 @@ class FiberDatum:
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(sorted(self.parts, key=lambda p: p.part_id)))
 
-    @property
-    def total(self) -> int:
-        return sum(p.degree for p in self.parts)
-
     def is_free(self) -> bool:
         return all(not p.dilated for p in self.parts)
 
@@ -159,6 +155,7 @@ class NgonalConstruction:
     orientation: the degree-2 orientation cover of the base.
     to_orientation: the degree 2^(n-1) quotient by multisection sign.
     vertex_info / half_edge_info: constructed id -> (base point, multisection).
+    fibers: base point -> the tower's fiber over it, in base point order.
     """
 
     tower: Tower
@@ -171,6 +168,7 @@ class NgonalConstruction:
     half_edge_info: dict
     orientation_vertex_info: dict
     orientation_half_edge_info: dict
+    fibers: dict
 
     def correspondence(self, h) -> list:
         """The (top half-edge, multiplicity) pairs of the correspondence Phi
@@ -335,7 +333,7 @@ def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
 
     orientation, to_orient, ov_info, oh_info = _sign_quotient(n, fibers, cover, v_info, h_info)
     return NgonalConstruction(t, n, cover, (vperm, hperm), orientation, to_orient,
-                              v_info, h_info, ov_info, oh_info)
+                              v_info, h_info, ov_info, oh_info, fibers)
 
 
 def _sign_quotient(n, fibers, cover, v_info, h_info):
@@ -399,8 +397,6 @@ def _quotient(cover, vclass, hclass, vdeg, hdeg, what):
 class InvolutionQuotient:
     quotient_map: HarmonicMorphism  # constructed quotient -> base
     projection: DoubleCover         # total cover -> quotient
-    vertex_orbit: dict
-    half_edge_orbit: dict
 
 
 def involution_quotient(cover: HarmonicMorphism, vperm: dict, hperm: dict) -> InvolutionQuotient:
@@ -426,8 +422,7 @@ def involution_quotient(cover: HarmonicMorphism, vperm: dict, hperm: dict) -> In
     horbit, hdeg = orbits(src.half_edges, hperm, cover.half_edge_degree, "half-edge")
     quotient, proj = _quotient(cover, vorbit, horbit, vdeg, hdeg, "involution")
     _check_harmonic(quotient, "involution quotient")
-    return InvolutionQuotient(quotient, DoubleCover.from_harmonic(proj),
-                              proj.morphism.vmap, proj.morphism.hmap)
+    return InvolutionQuotient(quotient, DoubleCover.from_harmonic(proj))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +449,11 @@ def classify_bigonal_point(t: Tower, point) -> str:
     dilated.  (On generic towers the label is the number of top-level
     preimages.)
     """
-    fd = tower_fiber(t, point)
+    return _bigonal_type(tower_fiber(t, point), point)
+
+
+def _bigonal_type(fd: FiberDatum, point) -> str:
+    """Type I-V of the fiber fd over a base point, by its profile."""
     profile = tuple(sorted(((p.degree, p.dilated) for p in fd.parts),
                            key=lambda x: (-x[0], x[1])))
     try:
@@ -489,11 +488,21 @@ def is_generic_tetragonal(p: HarmonicMorphism) -> bool:
 # bigonal construction
 
 
+def _require(t: Tower, n: int, name: str, free: bool) -> None:
+    """The preconditions of the degree-n construction `name`, in order: a
+    degree-n base map, a free double cover (if `free`), a tree base."""
+    if t.f.global_degree() != n:
+        raise PreconditionError(f"degree-{n}", f"{name} construction needs a degree-{n} base map")
+    if free and not t.pi.is_free():
+        raise PreconditionError("free-cover", f"{name} construction needs a free double cover")
+    if not is_tree(t.base):
+        raise PreconditionError("tree-base", f"{name} construction needs a tree base")
+
+
 @dataclass(frozen=True)
 class BigonalResult:
     tower: Tower
     construction: NgonalConstruction
-    quotient: InvolutionQuotient
     input_types: dict
     output_types: dict
     generic_input: bool
@@ -506,20 +515,17 @@ def bigonal(t: Tower) -> BigonalResult:
     Point types map I -> I, II -> III, III -> II, IV -> IV, V -> I; on
     generic towers the construction is an involution up to isomorphism.
     """
-    if t.f.global_degree() != 2:
-        raise PreconditionError("degree-2", "bigonal construction needs a degree-2 base map")
-    if not is_tree(t.base):
-        raise PreconditionError("tree-base", "bigonal construction needs a tree base")
+    _require(t, 2, "bigonal", free=False)
     cons = ngonal_construct(t, 2)
     vperm, hperm = cons.sign_involution
     quot = involution_quotient(cons.cover_to_base, vperm, hperm)
     out = Tower(quot.projection, quot.quotient_map)
-    input_types = {p: classify_bigonal_point(t, p) for p in t.base.points()}
-    output_types = {p: classify_bigonal_point(out, p) for p in t.base.points()}
+    input_types = {p: _bigonal_type(fd, p) for p, fd in cons.fibers.items()}
+    output_types = {p: classify_bigonal_point(out, p) for p in input_types}
     for p, label in input_types.items():
         if output_types[p] != BIGONAL_TYPE_MAP[label]:
             raise AssertionError(f"bigonal type map failed at {p}: {label} -> {output_types[p]}")
-    return BigonalResult(out, cons, quot, input_types, output_types,
+    return BigonalResult(out, cons, input_types, output_types,
                          "V" not in input_types.values(), "V" not in output_types.values())
 
 
@@ -531,8 +537,6 @@ def bigonal(t: Tower) -> BigonalResult:
 class TrigonalResult:
     quartic: HarmonicMorphism  # the even component, a generic degree-4 cover
     construction: NgonalConstruction
-    component_vertices: frozenset
-    other_component_vertices: frozenset
     half_edge_ids: dict  # section-cover half-edge -> its id on the quartic curve
 
 
@@ -540,12 +544,7 @@ def trigonal(t: Tower) -> TrigonalResult:
     """Degree-3 construction of a free cover over a tree: the total cover
     splits into two components exchanged by the sign involution; the even
     one is a generic degree-4 cover of the base."""
-    if t.f.global_degree() != 3:
-        raise PreconditionError("degree-3", "trigonal construction needs a degree-3 base map")
-    if not t.pi.is_free():
-        raise PreconditionError("free-cover", "trigonal construction needs a free double cover")
-    if not is_tree(t.base):
-        raise PreconditionError("tree-base", "trigonal construction needs a tree base")
+    _require(t, 3, "trigonal", free=True)
     cons = ngonal_construct(t, 3)
     orient = cons.orientation
     comps = connected_components(orient.source)
@@ -571,7 +570,7 @@ def trigonal(t: Tower) -> TrigonalResult:
         raise AssertionError("component connectivity does not match the top curve")
     if is_connected(quartic.source) and genus(quartic.source) != genus(t.mid) - 1:
         raise AssertionError("constructed quartic curve has the wrong genus")
-    return TrigonalResult(quartic, cons, vertices, other, half_edge_ids)
+    return TrigonalResult(quartic, cons, half_edge_ids)
 
 
 def _restrict_cover(cover: HarmonicMorphism, vertices: frozenset) -> tuple:
@@ -738,14 +737,9 @@ def tetragonal_split(t: Tower) -> TetragonalSplit:
     """Degree-4 construction of a free cover of a generic quartic graph over
     a tree: the output splits into two towers of the same kind, and every
     base point keeps its A/B/C type in both."""
-    if t.f.global_degree() != 4:
-        raise PreconditionError("degree-4", "tetragonal construction needs a degree-4 base map")
-    if not t.pi.is_free():
-        raise PreconditionError("free-cover", "tetragonal construction needs a free double cover")
-    if not is_tree(t.base):
-        raise PreconditionError("tree-base", "tetragonal construction needs a tree base")
-    for point in t.base.points():
-        classify_tetragonal_point(t.f, point)  # raises NonGenericError if (4) or (2,2)
+    _require(t, 4, "tetragonal", free=True)
+    # raises NonGenericError if (4) or (2,2)
+    types = {point: classify_tetragonal_point(t.f, point) for point in t.base.points()}
     cons = ngonal_construct(t, 4)
     comps = connected_components(cons.orientation.source)
     if len(comps) != 2:
@@ -764,8 +758,8 @@ def tetragonal_split(t: Tower) -> TetragonalSplit:
         tower = Tower(quot.projection, quot.quotient_map)
         if not tower.pi.is_free():
             raise AssertionError("split towers must be free double covers")
-        for point in t.base.points():
-            if classify_tetragonal_point(tower.f, point) != classify_tetragonal_point(t.f, point):
+        for point, label in types.items():
+            if classify_tetragonal_point(tower.f, point) != label:
                 raise AssertionError(f"point type not preserved at {point}")
         towers.append(tower)
     return TetragonalSplit(tuple(towers), cons)

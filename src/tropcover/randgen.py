@@ -26,6 +26,9 @@ class GenerationError(RuntimeError):
         self.constraint = constraint
 
 
+_TRIES = 600  # rejection budget per call
+
+
 @cache
 def _partitions(n: int) -> tuple:
     """The partitions of n, largest parts first, in lexicographically
@@ -113,7 +116,7 @@ class GeneratedTower:
 
 def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fraction(1, 3),
                  length_range=(1, 6), pi_free=None, generic=False, connected=True,
-                 max_genus=None, max_prym_rank=None, max_tries=600) -> GeneratedTower:
+                 max_prym_rank=None) -> GeneratedTower:
     """Seeded random tower over a random metric tree.
 
     pi_free: force the double cover free (True), dilated (False) or leave
@@ -124,7 +127,7 @@ def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fr
         raise GraphError("tower degree must be 2, 3 or 4")
     rng = random.Random(seed)
     failing = "none"
-    for attempt in range(max_tries):
+    for attempt in range(_TRIES):
         base, keys = random_tree(rng, rng.randint(*tree_size))
         metric = MetricGraph(base, random_lengths(rng, keys, length_range))
         f = random_harmonic_map(rng, base, n)
@@ -143,15 +146,12 @@ def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fr
         if generic and n == 4 and not is_generic_tetragonal(f):
             failing = "generic"
             continue
-        if max_genus is not None and betti_number(tower.top) > max_genus:
-            failing = "max-genus"
-            continue
         if max_prym_rank is not None and \
                 betti_number(tower.top) - betti_number(tower.mid) > max_prym_rank:
             failing = "max-prym-rank"
             continue
         return GeneratedTower(tower, metric, seed)
-    raise GenerationError(failing, max_tries)
+    raise GenerationError(failing, _TRIES)
 
 
 @dataclass(frozen=True)
@@ -161,23 +161,20 @@ class GeneratedCover:
     seed: int
 
 
-def random_tetragonal_curve(seed: int, *, tree_size=(2, 5), length_range=(1, 6),
-                            connected=True, max_genus=None, max_tries=600) -> GeneratedCover:
-    """Seeded random generic degree-4 harmonic cover of a random metric tree."""
+def random_tetragonal_curve(seed: int, *, tree_size=(2, 5)) -> GeneratedCover:
+    """Seeded random generic degree-4 harmonic cover of a random metric
+    tree, with a connected covering curve."""
     rng = random.Random(seed)
     failing = "none"
-    for attempt in range(max_tries):
+    for attempt in range(_TRIES):
         base, keys = random_tree(rng, rng.randint(*tree_size))
-        metric = MetricGraph(base, random_lengths(rng, keys, length_range))
+        metric = MetricGraph(base, random_lengths(rng, keys))
         f = random_harmonic_map(rng, base, 4)
         if not is_generic_tetragonal(f):
             failing = "generic"
             continue
-        if connected and not is_connected(f.source):
+        if not is_connected(f.source):
             failing = "connected"
             continue
-        if max_genus is not None and betti_number(f.source) > max_genus:
-            failing = "max-genus"
-            continue
         return GeneratedCover(f, metric, seed)
-    raise GenerationError(failing, max_tries)
+    raise GenerationError(failing, _TRIES)

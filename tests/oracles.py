@@ -985,7 +985,7 @@ def ngonal_construct_per_point(t: Tower, n: int) -> NgonalConstruction:
 
     orientation, to_orient, ov_info, oh_info = _sign_quotient(n, fibers, cover, v_info, h_info)
     return NgonalConstruction(t, n, cover, (vperm, hperm), orientation, to_orient,
-                              v_info, h_info, ov_info, oh_info)
+                              v_info, h_info, ov_info, oh_info, fibers)
 
 
 _SLOT_PAIRS = tuple(itertools.combinations(range(4), 2))

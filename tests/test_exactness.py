@@ -13,7 +13,11 @@ package has one matrix product, `int_matmul`, and one unimodularity test,
 which live in tests/oracles.py where tests use them.  Chains move along
 maps in one place: `jacprym.py` reads no `half_edge_info` of a
 construction, and names `edge_key` only in `chain_image`, the one signed
-edge-key loop, and in `_adapted_tree`, which reads tree edges."""
+edge-key loop, and in `_adapted_tree`, which reads tree edges.  Fibers
+are read once: in `ngonal.py`, `tower_fiber` is named only by
+`ngonal_construct`, which keeps the fibers on its result, and by
+`classify_bigonal_point`, and `bigonal` names `classify_bigonal_point`
+once, for the self-check of its type map on the output."""
 
 import ast
 import os
@@ -216,6 +220,47 @@ def test_guard_catches_chain_maps_outside_chain_image():
 def test_jacprym_moves_chains_in_chain_image_only():
     trees = dict(package_trees())
     assert [f"jacprym.py:{line}: {what}" for line, what in chain_map_reads(trees["jacprym.py"])] == []
+
+
+FIBER_READERS = {"ngonal_construct", "classify_bigonal_point"}
+
+
+def fiber_reads(tree):
+    """(line, description) of each reference to `tower_fiber` outside the
+    top-level definitions named in FIBER_READERS, and of `bigonal` unless it
+    names `classify_bigonal_point` exactly once."""
+    in_bigonal = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else None
+            if name == "tower_fiber" and owner not in FIBER_READERS:
+                yield node.lineno, f"tower_fiber in {owner}"
+            elif name == "classify_bigonal_point" and owner == "bigonal":
+                in_bigonal.append(node.lineno)
+    if len(in_bigonal) != 1:
+        yield max(in_bigonal, default=0), f"bigonal names classify_bigonal_point {len(in_bigonal)}x"
+
+
+def test_guard_catches_a_second_fiber_read():
+    source = ('"""tower_fiber in a docstring is free."""\n'
+              "def ngonal_construct(t):\n    return {p: tower_fiber(t, p) for p in t}\n"
+              "def classify_bigonal_point(t, p):\n    return _type(tower_fiber(t, p), p)\n"
+              "def bigonal(t, out):\n    types = {p: classify_bigonal_point(t, p) for p in t}\n"
+              "    return types, [classify_bigonal_point(out, p) for p in t]\n"
+              "class Split:\n    def f(self, t, p):\n        return ngonal.tower_fiber(t, p)\n")
+    assert sorted(fiber_reads(ast.parse(source))) == [
+        (8, "bigonal names classify_bigonal_point 2x"), (11, "tower_fiber in Split")]
+    once = source.replace("types = {p: classify_bigonal_point(t, p) for p in t}", "types = {}")
+    assert sorted(fiber_reads(ast.parse(once))) == [(11, "tower_fiber in Split")]
+    assert list(fiber_reads(ast.parse("def bigonal(t):\n    return t\n"))) == [
+        (0, "bigonal names classify_bigonal_point 0x")]
+
+
+def test_ngonal_reads_each_fiber_once():
+    trees = dict(package_trees())
+    assert [f"ngonal.py:{line}: {what}" for line, what in fiber_reads(trees["ngonal.py"])] == []
 
 
 def test_package_has_one_product_and_one_unimodularity_test():

@@ -8,7 +8,7 @@ import pytest
 from tropcover.cli import main
 from tropcover.gallery import bigonal_reference, trigonal_reference
 from tropcover.graphs import PreconditionError, towers_isomorphic, validate_harmonic
-from tropcover.ngonal import bigonal, ngonal_construct
+from tropcover.ngonal import bigonal, classify_tetragonal_point, ngonal_construct
 from tropcover.randgen import random_tower
 from tropcover.towerio import (doc_to_file, dumps_canonical, file_to_doc, load,
                                provenance_meta, save, tower_to_doc)
@@ -319,6 +319,27 @@ class TestCLI:
                                            "trigonal construction needs a degree-3 base map\n")
         assert not out.exists()
         assert str(PreconditionError("degree-3", "needs three")) == "degree-3: needs three"
+
+    def test_classify_reads_the_degree_four_bottom_level(self, tmp_path, capsys):
+        # a (2,4) tower, the input of --op tetragonal-split, is classified by
+        # its quartic base map, and a non-generic one names its point
+        generic, other = tmp_path / "generic.json", tmp_path / "other.json"
+        for path, extra in ((generic, ["--generic"]), (other, [])):
+            assert main(["random", "--seed", "3", "--n", "4", "--pi-free", *extra,
+                         "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["classify", str(generic)]) == 0
+        quartic = load(generic).levels[0]
+        assert capsys.readouterr().out.splitlines() == ["point\ttype (quartic cover: A-C)"] + [
+            f"{p}\t{classify_tetragonal_point(quartic, p)}" for p in quartic.target.points()]
+        assert main(["classify", str(other)]) == 1
+        assert capsys.readouterr() == ("", "precondition violated [generic]: "
+                                           "point ('v', 0) has dilation profile (4,)\n")
+
+    def test_classify_rejects_other_towers_by_degree(self, capsys):
+        assert main(["classify", os.path.join(DATA, "trigonal_tower.json")]) == 1
+        assert capsys.readouterr() == ("", "precondition violated [degree]: classification "
+                                           "needs a (2,2) tower or a degree-4 bottom level\n")
 
     def test_check_reports_the_preconditions_of_its_construction(self, tmp_path, capsys):
         # the checks leave degree, free cover and tree base to the construction

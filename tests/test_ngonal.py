@@ -391,6 +391,22 @@ class TestTetragonalSplit:
                     assert classify_tetragonal_point(tower.f, p) == \
                         classify_tetragonal_point(gen.tower.f, p)
 
+    def test_split_reads_the_input_types_once(self, monkeypatch):
+        # the precondition loop types each base point once; each split tower
+        # is classified once, as the check that it keeps those types
+        from tropcover import ngonal
+        calls, classify = [], ngonal.classify_tetragonal_point
+
+        def counted(p, point):
+            calls.append(point)
+            return classify(p, point)
+        monkeypatch.setattr(ngonal, "classify_tetragonal_point", counted)
+        for seed in range(4):
+            tower = random_tower(seed, n=4, pi_free=True, generic=True).tower
+            calls.clear()
+            tetragonal_split(tower)
+            assert len(calls) == 3 * len(tower.base.points())
+
     def test_non_generic_rejected(self):
         base, keys = Graph.from_edges(2, [(0, 1)])
         f = harmonic_from_edges(4, [(0, 2, keys[0], 2), (1, 3, keys[0], 2)],

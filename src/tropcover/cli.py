@@ -23,8 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .graphs import PreconditionError, is_tree, towers_isomorphic
-from .jacprym import (check_bigonal_duality, check_trigonal_prym, jacobian,
-                      prym, tower_metrics)
+from .jacprym import check_bigonal_duality, check_trigonal_prym, jacobian, prym
 from .metrics import format_length, induce_metric
 from .ngonal import (bigonal, classify_bigonal_point, classify_tetragonal_point,
                      ngonal_construct, recillas, tetragonal_split, trigonal)
@@ -68,7 +67,9 @@ def cmd_construct(args) -> int:
                           meta={"construction": "trigonal"})
         save(out, doc)
     elif args.op == "recillas":
-        result = recillas(loaded.top_cover())
+        # the bottom level: a quartic file's one level, or the degree-4
+        # level of a (2,4) tower, as classify reads it
+        result = recillas(loaded.level(0))
         doc = tower_to_doc(result.tower, loaded.base_metric, meta={"construction": "recillas"})
         save(out, doc)
     elif args.op == "tetragonal-split":
@@ -125,8 +126,7 @@ def cmd_jacobian(args) -> int:
 def cmd_prym(args) -> int:
     loaded = load(args.path)
     tower = loaded.tower()
-    mid, top = tower_metrics(tower, loaded.base_metric)
-    data = prym(tower.pi, top, mid)
+    data = prym(tower.pi, induce_metric(tower.f, loaded.base_metric))
     print(f"rank {data.rank}; polarization type {data.type}")
     print("pairing [(beta, alpha+) x (beta, alpha+ - alpha-)]:")
     d, pairing = data.torus._int_form
@@ -227,7 +227,7 @@ def cmd_compare(args) -> int:
         found = towers_isomorphic(first.tower(), second.tower())
     else:
         from .graphs import covers_isomorphic_over_base
-        found = covers_isomorphic_over_base(first.top_cover(), second.top_cover())
+        found = covers_isomorphic_over_base(first.level(-1), second.level(-1))
     if found is not None:
         print("isomorphic")
         return 0

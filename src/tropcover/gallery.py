@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import (BuiltDoubleCover, Graph, Tower, build_double_cover,
-                     harmonic_from_edges)
+from .graphs import Graph, Tower, build_double_cover, harmonic_from_edges
 from .metrics import MetricGraph
 
 
@@ -29,7 +28,6 @@ class ReferenceTower:
     base_metric: MetricGraph
     kernel_cycles: tuple  # basis of ker(pushforward), as edge-key chains upstairs
     class_reps: tuple     # representatives of the coker basis downstairs-quotient
-    built: BuiltDoubleCover
 
 
 def _path_base(lengths):
@@ -84,7 +82,7 @@ def trigonal_reference(lengths=(1, 1, 1, 1, 1)) -> ReferenceTower:
                    lk(11, s): -1, lk(9, s): -1, lk(6, s): -1, lk(4, s): -1, lk(1, s): -1}
     kernel = (_diff(eta1[0], eta1[1]), _diff(eta2[1], eta2[0]))
     reps = (eta1[0], eta2[1])
-    return ReferenceTower(tower, metric, kernel, reps, built)
+    return ReferenceTower(tower, metric, kernel, reps)
 
 
 def trigonal_expected_table(lengths=(1, 1, 1, 1, 1)) -> tuple:
@@ -117,7 +115,7 @@ def bigonal_reference(lengths=(1, 2, 3)) -> ReferenceTower:
     eta2 = {lk(0, 0): -1, lk(0, 1): 1, lk(1, 1): 1, lk(3, 1): 1, lk(3, 0): -1, lk(1, 0): -1}
     kernel = (_diff(eta1[0], eta1[1]), eta2)
     reps = (eta1[0], eta2)
-    return ReferenceTower(tower, metric, kernel, reps, built)
+    return ReferenceTower(tower, metric, kernel, reps)
 
 
 def bigonal_output_reference(lengths=(1, 2, 3)) -> ReferenceTower:
@@ -151,7 +149,7 @@ def bigonal_output_reference(lengths=(1, 2, 3)) -> ReferenceTower:
                    lk(5, 0): -1, lk(3, s): -1}
     kernel = (eps1, _diff(eps2[0], eps2[1]))
     reps = (eps1, eps2[0])
-    return ReferenceTower(tower, metric, kernel, reps, built)
+    return ReferenceTower(tower, metric, kernel, reps)
 
 
 def bigonal_expected_tables(lengths=(1, 2, 3)) -> tuple:

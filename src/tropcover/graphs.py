@@ -554,7 +554,6 @@ def dilation_data(c: DoubleCover) -> DilationData:
 class Contraction:
     morphism: HarmonicMorphism
     source_vertex_map: dict
-    target_vertex_map: dict
 
 
 def contract_edge(f: HarmonicMorphism, key: int) -> Contraction:
@@ -607,7 +606,7 @@ def contract_edge(f: HarmonicMorphism, key: int) -> Contraction:
     issues = validate_harmonic(new_f)
     if issues:
         raise GraphError(f"contraction produced a non-harmonic morphism: {issues[0]}")
-    return Contraction(new_f, s_vmap, t_vmap)
+    return Contraction(new_f, s_vmap)
 
 
 @dataclass(frozen=True)
@@ -682,15 +681,6 @@ def chain_boundary(g: Graph, chain: dict) -> dict:
     return {v: c for v, c in bd.items() if c}
 
 
-def _fiber_signature(f: HarmonicMorphism):
-    sig = {}
-    for v in f.target.vertices:
-        sig[vpoint(v)] = tuple(sorted(f.vertex_degree[x] for x in f.fiber_vertices(v)))
-    for h in f.target.half_edges:
-        sig[hpoint(h)] = tuple(sorted(f.half_edge_degree[x] for x in f.fiber_half_edges(h)))
-    return sig
-
-
 def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism, involutions=()):
     """All degree-preserving isomorphisms phi with f2 . phi = f1.
 
@@ -704,7 +694,7 @@ def iter_cover_isomorphisms(f1: HarmonicMorphism, f2: HarmonicMorphism, involuti
     """
     if f1.target != f2.target:
         raise GraphError("cover isomorphism requires identical target graphs")
-    if _fiber_signature(f1) != _fiber_signature(f2):
+    if any(f1.fiber_profile(p) != f2.fiber_profile(p) for p in f1.target.points()):
         return
     s1, s2 = f1.source, f2.source
     pairs = ((s1.partner, s2.partner),) + tuple(involutions)
@@ -854,12 +844,11 @@ def towers_isomorphic(t1: Tower, t2: Tower):
 class BuiltDoubleCover:
     """Explicit double cover with the id bookkeeping of its construction.
 
-    vertex_ids / half_ids map (downstairs id, sheet) to the upstairs id;
-    dilated points only carry sheet 0.
+    half_ids maps (downstairs half-edge, sheet) to the upstairs half-edge;
+    dilated half-edges only carry sheet 0.
     """
 
     cover: DoubleCover
-    vertex_ids: dict
     half_ids: dict
 
     def lift_edge_key(self, key: int, sheet: int) -> int:
@@ -907,7 +896,7 @@ def build_double_cover(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
     vmap = {i: v for (v, s), i in vertex_ids.items()}
     cover = DoubleCover.from_harmonic(
         HarmonicMorphism(GraphMorphism(source, g, vmap, hmap), vdeg, hdeg))
-    return BuiltDoubleCover(cover, vertex_ids, half_ids)
+    return BuiltDoubleCover(cover, half_ids)
 
 
 def harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:

@@ -20,7 +20,7 @@ from .graphs import (DoubleCover, Graph, GraphError, PreconditionError, Spanning
                      Tower, _bfs, _bfs_components, _bfs_tree, chain_boundary,
                      dilation_data, fundamental_cycle, fundamental_cycles, genus,
                      is_connected, spanning_tree)
-from .metrics import MetricGraph, induce_metric, is_inf, validate_metric_harmonic
+from .metrics import MetricGraph, induce_metric, is_inf
 from .ngonal import bigonal, trigonal
 from .tori import (IntegralTorus, KernelTorus, Polarization, PrincipalModel,
                    TorusHom, certify_isomorphism, dual_polarization, dual_type,
@@ -96,7 +96,6 @@ class Jacobian:
     torus: IntegralTorus
     polarization: Polarization  # the identity map: the pairing is the Gram form
     basis: CycleBasis
-    metric: MetricGraph
 
 
 def _certified_gram(metric: MetricGraph, basis: CycleBasis) -> tuple:
@@ -150,7 +149,7 @@ def jacobian(metric: MetricGraph) -> Jacobian:
     basis = h1_basis(metric.graph)
     d, gram = _certified_gram(metric, basis)
     torus = IntegralTorus._from_int_form(d, gram, positive=True)
-    return Jacobian(torus, Polarization(torus, la.identity(basis.rank)), basis, metric)
+    return Jacobian(torus, Polarization(torus, la.identity(basis.rank)), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +250,16 @@ def transfer_maps(cover: DoubleCover) -> TransferMaps:
     return TransferMaps(push, pull, invol, sb, tb)
 
 
-def norm_hom(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGraph,
+def norm_hom(cover: DoubleCover, target_metric: MetricGraph,
              maps: TransferMaps = None) -> TorusHom:
     """Norm homomorphism Jac(source) -> Jac(target) of a double cover.
 
-    Adjointness for the two Jacobian pairings is the projection formula,
-    re-verified exactly by the TorusHom constructor.
+    The source carries the metric induced from the target, len(e) =
+    len(pi(e)) / deg(e).  Adjointness for the two Jacobian pairings is the
+    projection formula, re-verified exactly by the TorusHom constructor.
     """
-    if validate_metric_harmonic(cover.cover, source_metric, target_metric):
-        raise GraphError("norm_hom: metrics are not compatible with the cover")
     maps = maps or transfer_maps(cover)
-    src = jacobian(source_metric)
+    src = jacobian(induce_metric(cover.cover, target_metric))
     tgt = jacobian(target_metric)
     return TorusHom(src.torus, tgt.torus, maps.pullback, maps.pushforward)
 
@@ -289,8 +287,10 @@ def _minus(u, v) -> tuple:
     return tuple(map(sub, u, v))
 
 
-def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGraph) -> PrymData:
+def prym(cover: DoubleCover, target_metric: MetricGraph) -> PrymData:
     """Identity component of the norm kernel; polarization type (1^B, 2^A).
+
+    The source carries the metric induced from the target (`norm_hom`).
 
     Built in the involution-adapted bases.  T holds the coordinates of
     (beta, alpha+, alpha-, gamma_top) in the top cycle basis and must have
@@ -304,7 +304,7 @@ def prym(cover: DoubleCover, source_metric: MetricGraph, target_metric: MetricGr
     if not is_connected(cover.source):
         raise PreconditionError("connected", "prym requires a connected source")
     maps = transfer_maps(cover)
-    nm = norm_hom(cover, source_metric, target_metric, maps)
+    nm = norm_hom(cover, target_metric, maps)
     basis = symmetric_basis(cover)
     dil = dilation_data(cover)
     g, nb, na = nm.source.rank, len(basis.beta), len(basis.alpha_plus)
@@ -391,10 +391,8 @@ def check_bigonal_duality(tower: Tower, base_metric: MetricGraph) -> CheckResult
         raise PreconditionError(
             "output-connected",
             "constructed curve is disconnected (the input double cover is free)")
-    mid1, top1 = tower_metrics(tower, base_metric)
-    mid2, top2 = tower_metrics(out, base_metric)
-    prym1 = prym(tower.pi, top1, mid1)
-    prym2 = prym(out.pi, top2, mid2)
+    prym1 = prym(tower.pi, induce_metric(tower.f, base_metric))
+    prym2 = prym(out.pi, induce_metric(out.f, base_metric))
     # the duality exchanges the 1s and 2s of the type; the multiplier is the
     # covering degree 2, which equals a_1 * a_g whenever the type is mixed
     if prym1.type != dual_type(prym2.type, multiplier=2):
@@ -424,8 +422,7 @@ def check_trigonal_prym(tower: Tower, base_metric: MetricGraph) -> CheckResult:
     tri = trigonal(tower)
     if not is_connected(tower.top):
         raise PreconditionError("top-connected", "source curve is disconnected")
-    mid_m, top_m = tower_metrics(tower, base_metric)
-    prym_data = prym(tower.pi, top_m, mid_m)
+    prym_data = prym(tower.pi, induce_metric(tower.f, base_metric))
     jac = jacobian(induce_metric(tri.quartic, base_metric))
     if jac.torus.rank != prym_data.rank:
         raise AssertionError("dimension mismatch between Jacobian and Prym")

@@ -97,16 +97,15 @@ def induce_metric(f: HarmonicMorphism, target_metric: MetricGraph) -> MetricGrap
     return MetricGraph(f.source, length, target_metric.smooth_model)
 
 
-def validate_metric_harmonic(f: HarmonicMorphism, source_metric: MetricGraph,
-                             target_metric: MetricGraph) -> list:
-    """Empty iff deg(e) * len(e) = len(f(e)) for every source edge."""
+def validate_metric_harmonic(f: HarmonicMorphism, up: MetricGraph, down: MetricGraph) -> list:
+    """Empty iff deg(e) * len(e) = len(f(e)) for every source edge, where
+    `up` is a metric on f's source and `down` one on its target."""
     issues = []
-    if source_metric.graph != f.source or target_metric.graph != f.target:
+    if up.graph != f.source or down.graph != f.target:
         issues.append(ValidationIssue("metric-domain", (), "metrics do not match the morphism"))
         return issues
     for k in f.source.edge_keys():
-        down = f.target.edge_key(f.h(k))
-        up_len, down_len = source_metric.length[k], target_metric.length[down]
+        up_len, down_len = up.length[k], down.length[f.target.edge_key(f.h(k))]
         if is_inf(up_len) != is_inf(down_len):
             issues.append(ValidationIssue("dilation-factor", hpoint(k), "infinite lengths do not correspond"))
         elif not is_inf(up_len) and f.deg_edge(k) * up_len != down_len:
@@ -150,12 +149,12 @@ def augment_smooth(m: MetricGraph) -> MetricGraph:
     return MetricGraph(Graph(tuple(vertices), root, partner), length, smooth_model=True)
 
 
-def augment_smooth_tower(f: HarmonicMorphism, source_metric: MetricGraph,
-                         target_metric: MetricGraph):
+def augment_smooth_tower(f: HarmonicMorphism, target_metric: MetricGraph):
     """Augment target leaves, then attach deg(v) rays of degree 1 above each.
 
-    Returns (morphism, source_metric, target_metric) over the augmented
-    graphs; genus and homology are unchanged on both levels.
+    The source carries the metric induced from the target.  Returns
+    (morphism, source_metric, target_metric) over the augmented graphs;
+    genus and homology are unchanged on both levels.
     """
     new_target = augment_smooth(target_metric)
     tgt_leaves = _finite_leaves(target_metric)
@@ -169,7 +168,7 @@ def augment_smooth_tower(f: HarmonicMorphism, source_metric: MetricGraph,
     next_h = max(s.half_edges, default=-1) + 1
     root, partner = dict(s.root), dict(s.partner)
     vertices = list(s.vertices)
-    length = dict(source_metric.length)
+    length = dict(induce_metric(f, target_metric).length)
     vmap, hmap = dict(f.morphism.vmap), dict(f.morphism.hmap)
     vd, hd = dict(f.vertex_degree), dict(f.half_edge_degree)
     for v in tgt_leaves:

@@ -57,6 +57,16 @@ def _int_key_map(d: dict) -> dict:
     return dict(zip(map(str, d), d.values()))
 
 
+def _distinct(ids, what: str, kind: str = "entries"):
+    """The ids, unless one occurs twice: then ValueError naming the first repeat."""
+    seen = set()
+    for k in ids:
+        if k in seen:
+            raise ValueError(f"tower file: {what} has two {kind} for id {k}")
+        seen.add(k)
+    return ids
+
+
 def _int_keys(d: dict, what: str) -> dict:
     """{int(key): value} of a JSON object whose keys are integers, no two the same id."""
     _expect(d, dict, what)
@@ -65,11 +75,7 @@ def _int_keys(d: dict, what: str) -> dict:
     except ValueError:
         raise ValueError(f"tower file: {what} keys must be integers") from None
     if len(out) != len(d):
-        seen = set()
-        for k in map(int, d):
-            if k in seen:
-                raise ValueError(f"tower file: {what} has two keys for id {k}")
-            seen.add(k)
+        _distinct(map(int, d), what, "keys")
     return out
 
 
@@ -90,13 +96,16 @@ def graph_to_doc(g: Graph) -> dict:
 
 def graph_from_doc(doc: dict) -> Graph:
     root = _parse_int_map(doc, "root", "graph root")
-    partner = {}
+    partner, named = {}, []
     for edge in _field(doc, "edges", list, "graph edges"):
         if type(edge) is not list or len(edge) != 2:
             raise ValueError("tower file: graph edges must be [h, hbar] pairs")
         a, b = _ints(edge, "graph edges")
         partner[a], partner[b] = b, a
-    return Graph(tuple(_int_list(doc, "vertices", "graph vertices")), root, partner)
+        named += {a, b}  # a pair [h, h] names h once; validate_graph reports it
+    vertices = _distinct(_int_list(doc, "vertices", "graph vertices"), "graph vertices")
+    _distinct(named, "graph edges")
+    return Graph(tuple(vertices), root, partner)
 
 
 def level_to_doc(f: HarmonicMorphism, label: str) -> dict:
@@ -115,10 +124,14 @@ def level_to_doc(f: HarmonicMorphism, label: str) -> dict:
 
 
 def level_from_doc(doc: dict, target: Graph) -> HarmonicMorphism:
-    _ints(_expect(doc.get("half_edges", []), list, "level half_edges"), "level half_edges")
+    half_edges = _ints(_expect(doc.get("half_edges", []), list, "level half_edges"),
+                       "level half_edges")
     m = {key: _parse_int_map(doc, key, f"level {key}") for key in
          ("root", "partner", "vmap", "hmap", "vertex_degree", "half_edge_degree")}
-    g = Graph(tuple(_int_list(doc, "vertices", "level vertices")), m["root"], m["partner"])
+    vertices = _distinct(_int_list(doc, "vertices", "level vertices"), "level vertices")
+    if "half_edges" in doc and sorted(_distinct(half_edges, "level half_edges")) != sorted(m["root"]):
+        raise ValueError("tower file: level half_edges must hold the root keys")
+    g = Graph(tuple(vertices), m["root"], m["partner"])
     return HarmonicMorphism(GraphMorphism(g, target, m["vmap"], m["hmap"]),
                             m["vertex_degree"], m["half_edge_degree"])
 
@@ -133,10 +146,11 @@ class LoadedFile:
     def base(self) -> Graph:
         return self.base_metric.graph
 
-    def top_cover(self) -> HarmonicMorphism:
+    def level(self, i: int) -> HarmonicMorphism:
+        """levels[i], bottom first, -1 the top; a file with no levels is an error."""
         if not self.levels:
             raise GraphError("file has no cover levels")
-        return self.levels[-1]
+        return self.levels[i]
 
     def tower(self) -> Tower:
         if len(self.levels) != 2:

@@ -59,7 +59,7 @@ def test_criterion_01_trigonal_example_replication():
         assert table == expected
 
         # those cycles are genuine bases of the norm-kernel lattices
-        data = prym(ref.tower.pi, top, mid)
+        data = prym(ref.tower.pi, mid)
         src_basis = data.maps.source_basis
         kernel_coords = transpose(mat([src_basis.coordinates(c) for c in ref.kernel_cycles]))
         assert _unimodular_change(data.kernel.kernel_columns, kernel_coords) is not None
@@ -103,8 +103,8 @@ def test_criterion_02_bigonal_example_replication():
 
     assert towers_isomorphic(bigonal(ref_in.tower).tower, ref_out.tower) is not None
 
-    prym_in = prym(ref_in.tower.pi, top_i, mid_i)
-    prym_out = prym(ref_out.tower.pi, top_o, mid_o)
+    prym_in = prym(ref_in.tower.pi, mid_i)
+    prym_out = prym(ref_out.tower.pi, mid_o)
     assert prym_in.type == (1, 2) and prym_out.type == (1, 2)
 
     assert check_bigonal_duality(ref_in.tower, ref_in.base_metric).passed
@@ -190,7 +190,7 @@ def test_criterion_06_polarization_type_law():
     for seed in range(100):
         gen = random_tower(seed, n=2, dilation_probability=Fraction(1, 2))
         mid, top = tower_metrics(gen.tower, gen.base_metric)
-        data = prym(gen.tower.pi, top, mid)
+        data = prym(gen.tower.pi, mid)
         dd = data.dilation
         assert data.type == (1,) * dd.B + (2,) * dd.A  # re-checked against diag(1^B, 2^A) inside
         assert polarization_type(Polarization(data.torus, data.polarization.matrix)) == data.type

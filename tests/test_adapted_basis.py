@@ -52,10 +52,10 @@ def test_dilated_bases_agree_with_the_collapsed_model(monkeypatch):
         new, old = symmetric_basis(cover), symmetric_basis_by_model(cover)
         assert new.verify() and old.verify()
         assert counts(new) == counts(old)
-        data = prym(cover, top, mid)
+        data = prym(cover, mid)
         with monkeypatch.context() as patch:
             patch.setattr(jacprym, "symmetric_basis", symmetric_basis_by_model)
-            data_old = prym(cover, top, mid)
+            data_old = prym(cover, mid)
         assert (data.rank, data.type) == (data_old.rank, data_old.type)
         if data.rank:
             assert _unimodular_change(data_old.kernel.kernel_columns,

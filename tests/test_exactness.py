@@ -17,7 +17,11 @@ edge-key loop, and in `_adapted_tree`, which reads tree edges.  Fibers
 are read once: in `ngonal.py`, `tower_fiber` is named only by
 `ngonal_construct`, which keeps the fibers on its result, and by
 `classify_bigonal_point`, and `bigonal` names `classify_bigonal_point`
-once, for the self-check of its type map on the output."""
+once, for the self-check of its type map on the output.  The metric of a
+cover's source is induced from its target, never passed in: no public
+function takes a `source_metric`, and `jacprym.py` and `cli.py` do not
+name `validate_metric_harmonic`, nor `tower_metrics` outside its
+definition, since `prym` induces the top metric itself."""
 
 import ast
 import os
@@ -266,4 +270,47 @@ def test_ngonal_reads_each_fiber_once():
 def test_package_has_one_product_and_one_unimodularity_test():
     offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
                  for line, what in name_uses(tree, REPLACED_HELPERS)]
+    assert offenders == []
+
+
+METRIC_MODULES = ("jacprym.py", "cli.py")
+
+
+def source_metric_inputs(tree, metric_module=True):
+    """(line, description) of each public function with a `source_metric`
+    parameter and, in a module of METRIC_MODULES, of each use of
+    `validate_metric_harmonic` and each use of `tower_metrics` but its
+    definition."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and not node.name.startswith("_"):
+            args = node.args
+            if "source_metric" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                yield node.lineno, f"{node.name} takes source_metric"
+    if metric_module:
+        for line, what in name_uses(tree, {"validate_metric_harmonic", "tower_metrics"}):
+            if what != "defines tower_metrics":
+                yield line, what
+
+
+def test_guard_catches_a_source_metric_input():
+    source = ('"""prym(cover, source_metric, target_metric) in a docstring is free."""\n'
+              "from .metrics import induce_metric, validate_metric_harmonic as check\n"
+              "def prym(cover, source_metric, target_metric):\n    return cover\n"
+              "def _helper(source_metric):\n    return source_metric\n"
+              "class Torus:\n    def hom(self, *, source_metric=None):\n        return self\n"
+              "def tower_metrics(tower, base_metric):\n    return base_metric\n"
+              "def check(tower, base_metric):\n"
+              "    return tower_metrics(tower, base_metric), metrics.validate_metric_harmonic\n")
+    assert sorted(source_metric_inputs(ast.parse(source))) == [
+        (2, "imports validate_metric_harmonic"), (3, "prym takes source_metric"),
+        (8, "hom takes source_metric"), (13, "attribute validate_metric_harmonic"),
+        (13, "name tower_metrics")]
+    assert sorted(source_metric_inputs(ast.parse(source), metric_module=False)) == [
+        (3, "prym takes source_metric"), (8, "hom takes source_metric")]
+
+
+def test_the_source_metric_is_induced_not_passed():
+    offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
+                 for line, what in source_metric_inputs(tree, name in METRIC_MODULES)]
     assert offenders == []

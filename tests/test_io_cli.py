@@ -341,6 +341,29 @@ class TestCLI:
         assert capsys.readouterr() == ("", "precondition violated [degree]: classification "
                                            "needs a (2,2) tower or a degree-4 bottom level\n")
 
+    def test_recillas_reads_the_degree_four_bottom_level(self, tmp_path, capsys):
+        # a (2,4) tower is read by its quartic base map, as classify reads it:
+        # the output is that of the quartic alone in a one-level file
+        tower, quartic = tmp_path / "tower.json", tmp_path / "quartic.json"
+        assert main(["random", "--seed", "5", "--n", "4", "--pi-free", "--generic",
+                     "--out", str(tower)]) == 0
+        loaded = load(tower)
+        save(quartic, file_to_doc(loaded.base_metric, loaded.levels[:1]))
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, out in zip((tower, quartic), outs):
+            assert main(["construct", str(path), "--op", "recillas", "--out", str(out)]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+        capsys.readouterr()
+        assert main(["construct", os.path.join(DATA, "trigonal_tower.json"), "--op", "recillas",
+                     "--out", str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err == ("precondition violated [degree-4]: "
+                                           "Recillas construction needs a degree-4 cover\n")
+        bare = tmp_path / "bare.json"
+        save(bare, file_to_doc(loaded.base_metric, []))
+        assert main(["construct", str(bare), "--op", "recillas",
+                     "--out", str(tmp_path / "d.json")]) == 1
+        assert capsys.readouterr().err == "error: file has no cover levels\n"
+
     def test_check_reports_the_preconditions_of_its_construction(self, tmp_path, capsys):
         # the checks leave degree, free cover and tree base to the construction
         assert main(["check", os.path.join(DATA, "bigonal_tower.json"),

@@ -119,7 +119,7 @@ class TestNormHom:
         for seed in range(10):
             gen = random_tower(seed, n=2)
             mid, top = tower_metrics(gen.tower, gen.base_metric)
-            nm = norm_hom(gen.tower.pi, top, mid)
+            nm = norm_hom(gen.tower.pi, mid)
             if nm.source.rank and nm.target.rank:
                 lhs = matmul(transpose(to_fractions(nm.pull)), nm.source.pairing)
                 rhs = matmul(nm.target.pairing, to_fractions(nm.push))
@@ -128,15 +128,13 @@ class TestNormHom:
     def test_free_loop_matrices(self):
         cover = loop_cover()
         tgt_metric = MetricGraph(cover.target, {0: Fraction(2)})
-        src_metric = induce_metric(cover.cover, tgt_metric)
-        nm = norm_hom(cover, src_metric, tgt_metric)
+        nm = norm_hom(cover, tgt_metric)
         assert abs(nm.push[0][0]) == 2 and abs(nm.pull[0][0]) == 1
 
     def test_dilated_loop_matrices(self):
         cover = loop_cover(dilated=True)
         tgt_metric = MetricGraph(cover.target, {0: Fraction(2)})
-        src_metric = induce_metric(cover.cover, tgt_metric)
-        nm = norm_hom(cover, src_metric, tgt_metric)
+        nm = norm_hom(cover, tgt_metric)
         assert abs(nm.push[0][0]) == 1 and abs(nm.pull[0][0]) == 2
 
 
@@ -194,13 +192,13 @@ class TestPrym:
         g, _ = Graph.from_edges(2, [(0, 1), (0, 1), (0, 1)])
         cover = build_double_cover(g, bits={1: 1}).cover
         tgt_metric = MetricGraph(g, {k: Fraction(1) for k in g.edge_keys()})
-        data = prym(cover, induce_metric(cover.cover, tgt_metric), tgt_metric)
+        data = prym(cover, tgt_metric)
         assert data.rank == 1 and data.type == (2,)
 
     def test_reference_tower_rank_two_type_one_two(self):
         ref = bigonal_reference()
         mid, top = tower_metrics(ref.tower, ref.base_metric)
-        data = prym(ref.tower.pi, top, mid)
+        data = prym(ref.tower.pi, mid)
         assert data.rank == 2 and data.type == (1, 2)
 
     def test_trigonal_reference_paper_basis_table(self):
@@ -215,7 +213,7 @@ class TestPrym:
             gen = random_tower(seed, n=2)
             cover = gen.tower.pi
             mid, top = tower_metrics(gen.tower, gen.base_metric)
-            data = prym(cover, top, mid)
+            data = prym(cover, mid)
             src_basis = data.maps.source_basis
             tgt_basis = data.maps.target_basis
             kernel_cols = transpose(data.kernel.kernel_columns) if data.rank else ()
@@ -230,7 +228,7 @@ class TestPrym:
         for seed in range(10):
             gen = random_tower(seed, n=2)
             mid, top = tower_metrics(gen.tower, gen.base_metric)
-            data = prym(gen.tower.pi, top, mid)
+            data = prym(gen.tower.pi, mid)
             if data.rank:
                 _cholesky(data.polarization.gram())  # raises if not PD
 
@@ -307,14 +305,14 @@ class TestChecks:
 
 def _prym_of(gen):
     mid, top = tower_metrics(gen.tower, gen.base_metric)
-    return prym(gen.tower.pi, top, mid)
+    return prym(gen.tower.pi, mid)
 
 
 def _loaded_prym(name):
     from tropcover.towerio import load
     loaded = load(os.path.join(os.path.dirname(__file__), os.pardir, "data", name))
     mid, top = tower_metrics(loaded.tower(), loaded.base_metric)
-    return prym(loaded.tower().pi, top, mid)
+    return prym(loaded.tower().pi, mid)
 
 
 class TestAgainstSnfRoute:
@@ -347,7 +345,7 @@ class TestAgainstSnfRoute:
     def test_rank_zero(self):
         cover = loop_cover()
         tgt_metric = MetricGraph(cover.target, {0: Fraction(3)})
-        data = prym(cover, induce_metric(cover.cover, tgt_metric), tgt_metric)
+        data = prym(cover, tgt_metric)
         assert data.rank == 0 and data.type == ()
         self._agree(data)
 
@@ -518,7 +516,7 @@ class TestCertifiedJacobian:
             jacobian(top)
             jacobian(mid)
             assert calls == []
-            prym(tower.pi, top, mid)
+            prym(tower.pi, mid)
             assert calls == []
 
     def _spoiled(self, monkeypatch, spoil):
@@ -563,7 +561,7 @@ class TestCertifiedJacobian:
         from tropcover.tori import TorusError, TorusHom
         for name in ("trigonal_tower.json", "bigonal_tower.json"):
             tower, mid, top = _loaded_metrics(name)
-            nm = norm_hom(tower.pi, top, mid)
+            nm = norm_hom(tower.pi, mid)
             assert adjoint_by_fractions(nm.source, nm.target, nm.pull, nm.push)
             for i, row in enumerate(nm.push):
                 for j in range(len(row)):
@@ -600,7 +598,7 @@ class TestOneCycleBasisPerGraph:
         free = dilated = 0
         for tower, mid, top in self._towers():
             trees.clear()
-            prym(tower.pi, top, mid)
+            prym(tower.pi, mid)
             ids = [id(g) for g in trees]
             assert len(ids) == len(set(ids))
             assert sum(g is tower.pi.source for g in trees) == 1
@@ -632,7 +630,7 @@ class TestOneCycleBasisPerGraph:
         monkeypatch.setattr(jacprym, "symmetric_basis", counted("basis", build))
         for tower, mid, top in self._towers():
             calls.clear()
-            prym(tower.pi, top, mid)
+            prym(tower.pi, mid)
             assert calls.count("basis") == 1 and calls.count("inverse") == 2
             assert calls[-3:] == ["inverse", "inverse", "basis"]
 
@@ -675,7 +673,7 @@ class TestPrymWithoutElimination:
         gen = random_tower(1, n=3, pi_free=True, tree_size=(100, 100))
         mid, top = tower_metrics(gen.tower, gen.base_metric)
         calls = _counting_bareiss(monkeypatch)
-        assert prym(gen.tower.pi, top, mid).rank == 73
+        assert prym(gen.tower.pi, mid).rank == 73
         assert calls == []
 
     @pytest.mark.parametrize("name", ["trigonal_tower.json", "bigonal_tower.json"])
@@ -702,7 +700,7 @@ class TestPrymWithoutElimination:
         from oracles import torus_verdict_by_minors
         from tropcover import jacprym
         tower, mid, top = _loaded_metrics(name)
-        data = prym(tower.pi, top, mid)
+        data = prym(tower.pi, mid)
         nb, na = data.dilation.B, data.dilation.A
         assert na and data.rank > 1
         flipped = [tuple(-x if j == nb else x for j, x in enumerate(row)) for row in data.torus.pairing]
@@ -715,7 +713,7 @@ class TestPrymWithoutElimination:
             return minus(v, u) if len(calls) in (1, na + 1) else minus(u, v)
         monkeypatch.setattr(jacprym, "_minus", spoiled)
         with pytest.raises(AssertionError, match=r"K\^T G K"):
-            prym(tower.pi, top, mid)
+            prym(tower.pi, mid)
 
 
 class TestTransferMapsReadClosedImages:

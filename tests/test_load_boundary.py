@@ -152,3 +152,36 @@ def test_two_keys_for_one_id_are_an_error(tmp_path, level, field):
         assert (code, text) == (1, "")
         assert err == f"error: tower file: {what} has two keys for id 0\n"
     assert not (tmp_path / "out.json").exists()
+
+
+def _append_first(part, field):
+    """Mutation appending the first entry of doc[...][field] again."""
+    def mutate(doc):
+        node = doc["base"] if part is None else doc["levels"][part]
+        node[field].append(node[field][0])
+    return mutate
+
+
+def _half_edges(doc):
+    doc["levels"][0]["half_edges"] = [999, 1000]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_append_first(None, "vertices"), "graph vertices has two entries for id 0"),
+    (_append_first(None, "edges"), "graph edges has two entries for id 0"),
+    (_append_first(1, "vertices"), "level vertices has two entries for id 0"),
+    (_append_first(0, "half_edges"), "level half_edges has two entries for id 0"),
+    (_half_edges, "level half_edges must hold the root keys")],
+    ids=["base vertex", "base edge", "level vertex", "level half-edge", "level half_edges"])
+def test_a_list_naming_an_id_twice_is_an_error(tmp_path, mutate, message):
+    # a repeated vertex made the base a non-tree, a repeated edge pair was
+    # collapsed, and a level's half_edges list was read for its type only
+    with open(os.path.join(DATA, "trigonal_tower.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(bad)], ["check", str(bad), "--theorem", "trigonal"],
+                 ["construct", str(bad), "--op", "trigonal", "--out", str(tmp_path / "out.json")]):
+        assert run(argv, message) == (1, "", f"error: tower file: {message}\n")
+    assert not (tmp_path / "out.json").exists()

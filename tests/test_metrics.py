@@ -96,8 +96,7 @@ class TestAugmentSmooth:
         built = build_double_cover(base, dilated_vertices={0, 1}, dilated_edge_keys={0})
         f = built.cover.cover
         tgt_metric = MetricGraph(base, {0: Fraction(2)})
-        src_metric = induce_metric(f, tgt_metric)
-        f2, s2, t2 = augment_smooth_tower(f, src_metric, tgt_metric)
+        f2, s2, t2 = augment_smooth_tower(f, tgt_metric)
         new_src_rays = [k for k, v in s2.length.items() if is_inf(v)]
         assert len(new_src_rays) == 4  # 2 rays over each of the two target rays
         assert all(f2.half_edge_degree[k] == 1 for k in new_src_rays)

@@ -385,7 +385,7 @@ def _seeded_pryms():
             if not is_connected(gen.tower.top):
                 continue
             mid, top = tower_metrics(gen.tower, gen.base_metric)
-            yield prym(gen.tower.pi, top, mid), mid, top
+            yield prym(gen.tower.pi, mid), mid, top
 
 
 class TestLazyFractionForms:

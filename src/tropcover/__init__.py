@@ -8,9 +8,9 @@ of the duality and isomorphism theorems relating them.
 """
 
 from .graphs import (BuiltDoubleCover, DoubleCover, Graph, GraphError,
-                     GraphMorphism, HarmonicMorphism, NonGenericError,
-                     PreconditionError, Tower, build_double_cover,
-                     compose_harmonic, connected_components, contract_edge,
+                     HarmonicMorphism, NonGenericError, PreconditionError,
+                     Tower, build_double_cover, compose_harmonic,
+                     connected_components, contract_edge,
                      covers_isomorphic_over_base, dilation_data, genus,
                      harmonic_from_edges, is_connected, is_tree,
                      spanning_tree, towers_isomorphic, validate_graph,

@@ -22,7 +22,8 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .graphs import PreconditionError, is_tree, towers_isomorphic
+from .graphs import (GraphError, PreconditionError, covers_isomorphic_over_base, is_tree,
+                     towers_isomorphic)
 from .jacprym import check_bigonal_duality, check_trigonal_prym, jacobian, prym
 from .metrics import format_length, induce_metric
 from .ngonal import (bigonal, classify_bigonal_point, classify_tetragonal_point,
@@ -223,10 +224,11 @@ def cmd_export_dot(args) -> int:
 
 def cmd_compare(args) -> int:
     first, second = load(args.path), load(args.other)
+    if first.base == second.base and first.base_metric.length != second.base_metric.length:
+        raise GraphError("compare requires identical base lengths")
     if len(first.levels) == 2 and len(second.levels) == 2:
         found = towers_isomorphic(first.tower(), second.tower())
     else:
-        from .graphs import covers_isomorphic_over_base
         found = covers_isomorphic_over_base(first.level(-1), second.level(-1))
     if found is not None:
         print("isomorphic")

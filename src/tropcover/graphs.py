@@ -223,30 +223,17 @@ def is_tree(g: Graph) -> bool:
     return is_connected(g) and genus(g) == 0
 
 
-@dataclass(frozen=True)
-class GraphMorphism:
-    """Vertex and half-edge maps commuting with root and partner."""
-
-    source: Graph
-    target: Graph
-    vmap: dict
-    hmap: dict
-
-    def v(self, x):
-        return self.vmap[x]
-
-    def h(self, x):
-        return self.hmap[x]
-
-
-def validate_morphism(m: GraphMorphism) -> list:
+def validate_morphism(f: HarmonicMorphism) -> list:
+    """The maps send exactly the source's ids into the target and commute with root and partner."""
     issues = []
-    s, t = m.source, m.target
-    vget, hget = m.vmap.get, m.hmap.get
+    s, t = f.source, f.target
+    vget, hget = f.vmap.get, f.hmap.get
     t_vertices, t_root, t_partner_get = set(t.vertices), t.root, t.partner.get
     for v in s.vertices:
         if vget(v) not in t_vertices:
             issues.append(ValidationIssue("vmap", vpoint(v), "vertex image missing"))
+    if len(f.vmap) > len(s.vertices):
+        issues.append(ValidationIssue("vmap-domain", (), "vertex map has keys that are not vertices"))
     s_root, s_partner_get = s.root, s.partner.get
     for h in s.half_edges:
         img = hget(h)
@@ -257,6 +244,8 @@ def validate_morphism(m: GraphMorphism) -> list:
             issues.append(ValidationIssue("root-commute", hpoint(h), "does not commute with root"))
         if hget(s_partner_get(h)) != t_partner_get(img):
             issues.append(ValidationIssue("partner-commute", hpoint(h), "does not commute with involution"))
+    if len(f.hmap) > len(s.half_edges):
+        issues.append(ValidationIssue("hmap-domain", (), "half-edge map has keys that are not half-edges"))
     return issues
 
 
@@ -271,13 +260,18 @@ def _preimages(image: dict, ids) -> dict:
 
 @dataclass(frozen=True)
 class HarmonicMorphism:
-    """Graph morphism with positive integer local degrees.
+    """Vertex and half-edge maps commuting with root and partner, with
+    positive integer local degrees.
 
-    vertex_degree: vertex id -> degree; half_edge_degree: half-edge id ->
-    degree (equal on the two halves of an edge).
+    vmap: source vertex -> target vertex; hmap: source half-edge -> target
+    half-edge; vertex_degree: vertex id -> degree; half_edge_degree:
+    half-edge id -> degree (equal on the two halves of an edge).
     """
 
-    morphism: GraphMorphism
+    source: Graph
+    target: Graph
+    vmap: dict
+    hmap: dict
     vertex_degree: dict
     half_edge_degree: dict
     # fiber index, built once: target id -> ascending source ids over it, for
@@ -289,23 +283,15 @@ class HarmonicMorphism:
     _issues: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
-        m, s = self.morphism, self.morphism.source
-        object.__setattr__(self, "_fibers", (_preimages(m.vmap, s.vertices),
-                                             _preimages(m.hmap, s.half_edges)))
-
-    @property
-    def source(self) -> Graph:
-        return self.morphism.source
-
-    @property
-    def target(self) -> Graph:
-        return self.morphism.target
+        s = self.source
+        object.__setattr__(self, "_fibers", (_preimages(self.vmap, s.vertices),
+                                             _preimages(self.hmap, s.half_edges)))
 
     def v(self, x):
-        return self.morphism.vmap[x]
+        return self.vmap[x]
 
     def h(self, x):
-        return self.morphism.hmap[x]
+        return self.hmap[x]
 
     def deg_v(self, v) -> int:
         return self.vertex_degree[v]
@@ -330,7 +316,7 @@ class HarmonicMorphism:
         """Source edge keys over a target edge key."""
         by_half = self._edge_fibers
         if by_half is None:
-            by_half = _preimages(self.morphism.hmap, self.source.edge_keys())
+            by_half = _preimages(self.hmap, self.source.edge_keys())
             object.__setattr__(self, "_edge_fibers", by_half)
         return tuple(sorted(k for h in {key, self.target.partner[key]} for k in by_half.get(h, ())))
 
@@ -359,22 +345,28 @@ def validate_harmonic(f: HarmonicMorphism) -> list:
 
 
 def _harmonic_issues(f: HarmonicMorphism) -> list:
-    issues = list(validate_morphism(f.morphism))
+    issues = validate_morphism(f)
     s, t = f.source, f.target
     vdeg, hdeg = f.vertex_degree, f.half_edge_degree
     vdeg_get, hdeg_get, s_partner_get = vdeg.get, hdeg.get, s.partner.get
     for v in s.vertices:
         if vdeg_get(v, 0) < 1:
             issues.append(ValidationIssue("degree-positive", vpoint(v), "vertex degree must be >= 1"))
+    if len(vdeg) > len(s.vertices):
+        issues.append(ValidationIssue("vertex-degree-domain", (),
+                                      "vertex degree map has keys that are not vertices"))
     for h in s.half_edges:
         d = hdeg_get(h, 0)
         if d < 1:
             issues.append(ValidationIssue("degree-positive", hpoint(h), "half-edge degree must be >= 1"))
         elif d != hdeg_get(s_partner_get(h), 0):
             issues.append(ValidationIssue("edge-degree", hpoint(h), "degrees differ on the two halves"))
+    if len(hdeg) > len(s.half_edges):
+        issues.append(ValidationIssue("half-edge-degree-domain", (),
+                                      "half-edge degree map has keys that are not half-edges"))
     if issues:
         return issues
-    vmap, hmap, s_tangent, t_tangent = f.morphism.vmap, f.morphism.hmap, s._tangent, t._tangent
+    vmap, hmap, s_tangent, t_tangent = f.vmap, f.hmap, s._tangent, t._tangent
     fromkeys = dict.fromkeys
     for v in s.vertices:
         over = fromkeys(t_tangent[vmap[v]], 0)
@@ -401,22 +393,21 @@ def _harmonic_issues(f: HarmonicMorphism) -> list:
 
 
 def identity_harmonic(g: Graph) -> HarmonicMorphism:
-    return HarmonicMorphism(
-        GraphMorphism(g, g, {v: v for v in g.vertices}, {h: h for h in g.half_edges}),
-        {v: 1 for v in g.vertices}, {h: 1 for h in g.half_edges})
+    return HarmonicMorphism(g, g, {v: v for v in g.vertices}, {h: h for h in g.half_edges},
+                            {v: 1 for v in g.vertices}, {h: 1 for h in g.half_edges})
 
 
 def compose_harmonic(f: HarmonicMorphism, g: HarmonicMorphism) -> HarmonicMorphism:
     """g after f, with local degrees multiplying pointwise."""
     if f.target != g.source:
         raise GraphError("compose_harmonic: target of first morphism is not source of second")
-    fv, fh, gv, gh = f.morphism.vmap, f.morphism.hmap, g.morphism.vmap, g.morphism.hmap
+    fv, fh, gv, gh = f.vmap, f.hmap, g.vmap, g.hmap
     fvd, fhd, gvd, ghd = f.vertex_degree, f.half_edge_degree, g.vertex_degree, g.half_edge_degree
     vmap = {v: gv[fv[v]] for v in f.source.vertices}
     hmap = {h: gh[fh[h]] for h in f.source.half_edges}
     vd = {v: fvd[v] * gvd[fv[v]] for v in f.source.vertices}
     hd = {h: fhd[h] * ghd[fh[h]] for h in f.source.half_edges}
-    return HarmonicMorphism(GraphMorphism(f.source, g.target, vmap, hmap), vd, hd)
+    return HarmonicMorphism(f.source, g.target, vmap, hmap, vd, hd)
 
 
 @dataclass(frozen=True)
@@ -598,10 +589,8 @@ def contract_edge(f: HarmonicMorphism, key: int) -> Contraction:
                   {h: s_vmap[s.root[h]] for h in s.half_edges if h not in fiber_halves},
                   {h: s.partner[h] for h in s.half_edges if h not in fiber_halves})
     new_f = HarmonicMorphism(
-        GraphMorphism(new_s, new_t,
-                      {x: t_vmap[f.v(x)] for x in new_s.vertices},
-                      {h: f.h(h) for h in new_s.half_edges}),
-        {x: new_vd[x] for x in new_s.vertices},
+        new_s, new_t, {x: t_vmap[f.v(x)] for x in new_s.vertices},
+        {h: f.h(h) for h in new_s.half_edges}, {x: new_vd[x] for x in new_s.vertices},
         {h: f.half_edge_degree[h] for h in new_s.half_edges})
     issues = validate_harmonic(new_f)
     if issues:
@@ -793,16 +782,15 @@ def _check_cover_iso(f1, f2, vmap, hmap):
     s1, s2 = f1.source, f2.source
     if sorted(vmap) != list(s1.vertices) or sorted(vmap.values()) != list(s2.vertices):
         raise AssertionError("cover isomorphism is not a vertex bijection")
-    m1, m2 = f1.morphism, f2.morphism
     vdeg1, vdeg2, hdeg1, hdeg2 = (f1.vertex_degree, f2.vertex_degree,
                                   f1.half_edge_degree, f2.half_edge_degree)
     for v in s1.vertices:
         x = vmap[v]
-        if m2.vmap[x] != m1.vmap[v] or vdeg2[x] != vdeg1[v]:
+        if f2.vmap[x] != f1.vmap[v] or vdeg2[x] != vdeg1[v]:
             raise AssertionError(f"cover isomorphism moves vertex {v} off its image or degree")
     for h in s1.half_edges:
         x = hmap[h]
-        if m2.hmap[x] != m1.hmap[h] or hdeg2[x] != hdeg1[h]:
+        if f2.hmap[x] != f1.hmap[h] or hdeg2[x] != hdeg1[h]:
             raise AssertionError(f"cover isomorphism moves half-edge {h} off its image or degree")
         if hmap[s1.partner[h]] != s2.partner[x]:
             raise AssertionError(f"cover isomorphism does not commute with partner at {h}")
@@ -826,10 +814,8 @@ def towers_isomorphic(t1: Tower, t2: Tower):
     p1, p2 = t1.pi.cover, t2.pi.cover
     for vtop, htop in iter_cover_isomorphisms(
             c1, c2, [(t1.pi.half_edge_invol, t2.pi.half_edge_invol)]):
-        hpairs = set(zip(map(p1.morphism.hmap.__getitem__, htop),
-                         map(p2.morphism.hmap.__getitem__, htop.values())))
-        vpairs = set(zip(map(p1.morphism.vmap.__getitem__, vtop),
-                         map(p2.morphism.vmap.__getitem__, vtop.values())))
+        hpairs = set(zip(map(p1.hmap.__getitem__, htop), map(p2.hmap.__getitem__, htop.values())))
+        vpairs = set(zip(map(p1.vmap.__getitem__, vtop), map(p2.vmap.__getitem__, vtop.values())))
         hmid, vmid = dict(hpairs), dict(vpairs)
         if len(hmid) != len(hpairs):
             raise AssertionError("top map sends a mid half-edge to two places")
@@ -894,8 +880,7 @@ def build_double_cover(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
     vdeg = {i: 2 if v in dil_v else 1 for (v, s), i in vertex_ids.items()}
     hdeg = {i: 2 if g.edge_key(h) in dil_e else 1 for (h, s), i in half_ids.items()}
     vmap = {i: v for (v, s), i in vertex_ids.items()}
-    cover = DoubleCover.from_harmonic(
-        HarmonicMorphism(GraphMorphism(source, g, vmap, hmap), vdeg, hdeg))
+    cover = DoubleCover.from_harmonic(HarmonicMorphism(source, g, vmap, hmap, vdeg, hdeg))
     return BuiltDoubleCover(cover, half_ids)
 
 
@@ -923,7 +908,7 @@ def harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> Har
         h = graph.tangent(v)[0]
         target_half = hmap[h]
         vdeg[v] = sum(hdeg[x] for x in graph.tangent(v) if hmap[x] == target_half)
-    out = HarmonicMorphism(GraphMorphism(graph, target, dict(vmap), hmap), vdeg, hdeg)
+    out = HarmonicMorphism(graph, target, dict(vmap), hmap, vdeg, hdeg)
     issues = validate_harmonic(out)
     if issues:
         raise GraphError(f"edge spec is not harmonic: {issues[0]}")

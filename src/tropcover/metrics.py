@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import (Graph, GraphError, GraphMorphism, HarmonicMorphism,
-                     ValidationIssue, hpoint, vpoint)
+from .graphs import Graph, GraphError, HarmonicMorphism, ValidationIssue, hpoint, vpoint
 
 
 class _Infinity:
@@ -91,9 +90,8 @@ def induce_metric(f: HarmonicMorphism, target_metric: MetricGraph) -> MetricGrap
         raise GraphError("induce_metric: metric is not on the morphism's target")
     length = {}
     for k in f.source.edge_keys():
-        down = f.target.edge_key(f.h(k))
-        val = target_metric.length[down]
-        length[k] = INF if is_inf(val) else Fraction(val) / f.deg_edge(k)
+        val, d = target_metric.length[f.target.edge_key(f.h(k))], f.deg_edge(k)
+        length[k] = val if is_inf(val) or (d == 1 and type(val) is Fraction) else Fraction(val, d)
     return MetricGraph(f.source, length, target_metric.smooth_model)
 
 
@@ -169,7 +167,7 @@ def augment_smooth_tower(f: HarmonicMorphism, target_metric: MetricGraph):
     root, partner = dict(s.root), dict(s.partner)
     vertices = list(s.vertices)
     length = dict(induce_metric(f, target_metric).length)
-    vmap, hmap = dict(f.morphism.vmap), dict(f.morphism.hmap)
+    vmap, hmap = dict(f.vmap), dict(f.hmap)
     vd, hd = dict(f.vertex_degree), dict(f.half_edge_degree)
     for v in tgt_leaves:
         k = ray_at[v]
@@ -188,6 +186,6 @@ def augment_smooth_tower(f: HarmonicMorphism, target_metric: MetricGraph):
                 vd[tip] = 1
                 hd[a] = hd[b] = 1
     new_source_graph = Graph(tuple(vertices), root, partner)
-    new_f = HarmonicMorphism(GraphMorphism(new_source_graph, new_target.graph, vmap, hmap), vd, hd)
+    new_f = HarmonicMorphism(new_source_graph, new_target.graph, vmap, hmap, vd, hd)
     new_source = MetricGraph(new_source_graph, length, smooth_model=True)
     return new_f, new_source, new_target

@@ -36,9 +36,9 @@ import operator
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
-                     HarmonicMorphism, NonGenericError, PreconditionError,
-                     Tower, connected_components, genus, is_connected, is_tree,
+from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism,
+                     NonGenericError, PreconditionError, Tower,
+                     connected_components, genus, is_connected, is_tree,
                      validate_harmonic, vpoint, hpoint)
 
 
@@ -319,7 +319,7 @@ def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
             glue.update(zip(h_ids[h], [at + k for k in transports[key]]))
 
     total = Graph(tuple(range(len(v_info))), root, partner)
-    cover = _check_harmonic(HarmonicMorphism(GraphMorphism(total, base, vmap, hmap), vdeg, hdeg),
+    cover = _check_harmonic(HarmonicMorphism(total, base, vmap, hmap, vdeg, hdeg),
                             "constructed cover")
     if cover.global_degree() != 2 ** n:
         raise AssertionError("constructed cover has the wrong degree")
@@ -379,12 +379,10 @@ def _quotient(cover, vclass, hclass, vdeg, hdeg, what):
             raise AssertionError(f"{what} class {list(hdeg)[c]} is glued differently by its members")
     graph = Graph(tuple(range(len(vid))), root, partner)
     to_base = HarmonicMorphism(
-        GraphMorphism(graph, cover.target, {vmap[v]: cover.v(v) for v in vmap},
-                      {hmap[h]: cover.h(h) for h in hmap}),
+        graph, cover.target, {vmap[v]: cover.v(v) for v in vmap}, {hmap[h]: cover.h(h) for h in hmap},
         dict(enumerate(vdeg.values())), dict(enumerate(hdeg.values())))
     proj = HarmonicMorphism(
-        GraphMorphism(src, graph, vmap, hmap),
-        {v: cover.vertex_degree[v] // vdeg[c] for v, c in vclass.items()},
+        src, graph, vmap, hmap, {v: cover.vertex_degree[v] // vdeg[c] for v, c in vclass.items()},
         {h: cover.half_edge_degree[h] // hdeg[c] for h, c in hclass.items()})
     return to_base, proj
 
@@ -554,7 +552,7 @@ def trigonal(t: Tower) -> TrigonalResult:
     plus_vertex = next(i for i, (v, s) in cons.orientation_vertex_info.items()
                        if v == base_min and s == 0)
     even_comp = next(c for c in comps if plus_vertex in c)
-    to_orientation = cons.to_orientation.morphism.vmap
+    to_orientation = cons.to_orientation.vmap
     vertices = frozenset(v for v in cons.cover_to_base.source.vertices
                          if to_orientation[v] in even_comp)
     other = frozenset(cons.cover_to_base.source.vertices) - vertices
@@ -584,10 +582,8 @@ def _restrict_cover(cover: HarmonicMorphism, vertices: frozenset) -> tuple:
                   {h_new[h]: v_new[src.root[h]] for h in halves},
                   {h_new[h]: h_new[src.partner[h]] for h in halves})
     out = _check_harmonic(HarmonicMorphism(
-        GraphMorphism(graph, cover.target,
-                      {v_new[v]: cover.morphism.vmap[v] for v in vertices},
-                      {h_new[h]: cover.morphism.hmap[h] for h in halves}),
-        {v_new[v]: cover.vertex_degree[v] for v in vertices},
+        graph, cover.target, {v_new[v]: cover.vmap[v] for v in vertices},
+        {h_new[h]: cover.hmap[h] for h in halves}, {v_new[v]: cover.vertex_degree[v] for v in vertices},
         {h_new[h]: cover.half_edge_degree[h] for h in halves}), "component restriction")
     return out, v_new, h_new
 
@@ -708,7 +704,7 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
             glue.update(zip(h_ids[h], [at + c for c in transports[key]]))
 
     total = Graph(tuple(range(len(v_info))), root, partner)
-    sextic = _check_harmonic(HarmonicMorphism(GraphMorphism(total, base, vmap, hmap), vdeg, hdeg),
+    sextic = _check_harmonic(HarmonicMorphism(total, base, vmap, hmap, vdeg, hdeg),
                              "Recillas cover")
     if sextic.global_degree() != 6:
         raise AssertionError("Recillas cover must have degree 6")
@@ -748,7 +744,7 @@ def tetragonal_split(t: Tower) -> TetragonalSplit:
     towers = []
     for comp in comps:
         vertices = frozenset(v for v in cons.cover_to_base.source.vertices
-                             if cons.to_orientation.morphism.vmap[v] in comp)
+                             if cons.to_orientation.vmap[v] in comp)
         part, v_new, h_new = _restrict_cover(cons.cover_to_base, vertices)
         sub_vperm = {i: v_new[vperm[v]] for v, i in v_new.items()}
         sub_hperm = {i: h_new[hperm[h]] for h, i in h_new.items()}

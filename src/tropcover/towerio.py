@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
-from .graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
-                     HarmonicMorphism, Tower, validate_graph, validate_harmonic)
+from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism, Tower,
+                     validate_graph, validate_harmonic)
 from .metrics import MetricGraph, format_length, parse_length, validate_metric
 
 
@@ -116,8 +116,8 @@ def level_to_doc(f: HarmonicMorphism, label: str) -> dict:
         "half_edges": list(g.half_edges),
         "root": _int_key_map(g.root),
         "partner": _int_key_map(g.partner),
-        "vmap": _int_key_map(f.morphism.vmap),
-        "hmap": _int_key_map(f.morphism.hmap),
+        "vmap": _int_key_map(f.vmap),
+        "hmap": _int_key_map(f.hmap),
         "vertex_degree": _int_key_map(f.vertex_degree),
         "half_edge_degree": _int_key_map(f.half_edge_degree),
     }
@@ -132,8 +132,8 @@ def level_from_doc(doc: dict, target: Graph) -> HarmonicMorphism:
     if "half_edges" in doc and sorted(_distinct(half_edges, "level half_edges")) != sorted(m["root"]):
         raise ValueError("tower file: level half_edges must hold the root keys")
     g = Graph(tuple(vertices), m["root"], m["partner"])
-    return HarmonicMorphism(GraphMorphism(g, target, m["vmap"], m["hmap"]),
-                            m["vertex_degree"], m["half_edge_degree"])
+    return HarmonicMorphism(g, target, m["vmap"], m["hmap"], m["vertex_degree"],
+                            m["half_edge_degree"])
 
 
 @dataclass(frozen=True)

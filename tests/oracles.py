@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import lcm
 
 from tropcover import intlinalg as la
-from tropcover.graphs import (DoubleCover, Graph, GraphError, GraphMorphism, HarmonicMorphism,
+from tropcover.graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism,
                               PreconditionError, Tower, ValidationIssue, _bfs, _bfs_components,
                               _bfs_tree, chain_boundary, covers_isomorphic_over_base,
                               fundamental_cycle, genus, hpoint, is_connected, is_tree,
@@ -432,7 +432,7 @@ def validate_harmonic_by_rescan(f: HarmonicMorphism) -> list:
     """graphs.validate_harmonic with the local-harmonicity loop it replaced:
     for each vertex v and each target half-edge at f(v), a sum over the
     whole tangent space of v."""
-    issues = list(validate_morphism(f.morphism))
+    issues = list(validate_morphism(f))
     s, t = f.source, f.target
     for v in s.vertices:
         if f.vertex_degree.get(v, 0) < 1:
@@ -658,7 +658,7 @@ def _symmetric_basis_dilated(cover: DoubleCover) -> SymmetricBasis:
         hmap_m[k1], hmap_m[partner_s[k1]] = la_half, lb_half
         hmap_m[k2], hmap_m[partner_s[k2]] = lb_half, la_half
     model = DoubleCover.from_harmonic(HarmonicMorphism(
-        GraphMorphism(source_m, target_m, vmap_m, hmap_m),
+        source_m, target_m, vmap_m, hmap_m,
         {x: 1 for x in source_m.vertices}, {h: 1 for h in source_m.half_edges}))
 
     # free construction over the collapsed target, crossing at the first loop
@@ -833,9 +833,9 @@ def _dense_ids(pairs) -> tuple:
 def transport_cover(pi: HarmonicMorphism, vmap: dict, hmap: dict, new_target: Graph) -> HarmonicMorphism:
     """Relabel the target of pi through an isomorphism onto new_target."""
     return HarmonicMorphism(
-        GraphMorphism(pi.source, new_target,
-                      {x: vmap[pi.v(x)] for x in pi.source.vertices},
-                      {h: hmap[pi.h(h)] for h in pi.source.half_edges}),
+        pi.source, new_target,
+        {x: vmap[pi.v(x)] for x in pi.source.vertices},
+        {h: hmap[pi.h(h)] for h in pi.source.half_edges},
         dict(pi.vertex_degree), dict(pi.half_edge_degree))
 
 
@@ -965,9 +965,9 @@ def ngonal_construct_per_point(t: Tower, n: int) -> NgonalConstruction:
     vdeg = {i: multisection_degree(fibers[vpoint(v)], ms) for i, (v, ms) in v_info.items()}
     hdeg = {i: multisection_degree(fibers[hpoint(h)], ms) for i, (h, ms) in h_info.items()}
     cover = _check_harmonic(HarmonicMorphism(
-        GraphMorphism(total, base,
-                      {i: v for i, (v, ms) in v_info.items()},
-                      {i: h for i, (h, ms) in h_info.items()}),
+        total, base,
+        {i: v for i, (v, ms) in v_info.items()},
+        {i: h for i, (h, ms) in h_info.items()},
         vdeg, hdeg), "constructed cover")
     if cover.global_degree() != 2 ** n:
         raise AssertionError("constructed cover has the wrong degree")
@@ -1055,9 +1055,9 @@ def recillas_per_point(p: HarmonicMorphism) -> RecillasResult:
 
     total = Graph(tuple(range(len(v_ids))), root, partner)
     sextic = _check_harmonic(HarmonicMorphism(
-        GraphMorphism(total, base,
-                      {i: v for i, (v, key) in v_info.items()},
-                      {i: h for i, (h, key) in h_info.items()}),
+        total, base,
+        {i: v for i, (v, key) in v_info.items()},
+        {i: h for i, (h, key) in h_info.items()},
         {i: len(members[vpoint(v)][key]) for i, (v, key) in v_info.items()},
         {i: len(members[hpoint(h)][key]) for i, (h, key) in h_info.items()}), "Recillas cover")
     if sextic.global_degree() != 6:

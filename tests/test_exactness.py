@@ -21,7 +21,11 @@ once, for the self-check of its type map on the output.  The metric of a
 cover's source is induced from its target, never passed in: no public
 function takes a `source_metric`, and `jacprym.py` and `cli.py` do not
 name `validate_metric_harmonic`, nor `tower_metrics` outside its
-definition, since `prym` induces the top metric itself."""
+definition, since `prym` induces the top metric itself.  A harmonic
+morphism is one value holding its maps and degrees: the package neither
+defines, imports nor names a `GraphMorphism`, and reads no
+`.morphism.vmap`, `.morphism.hmap`, `.morphism.source` or
+`.morphism.target` chain."""
 
 import ast
 import os
@@ -313,4 +317,37 @@ def test_guard_catches_a_source_metric_input():
 def test_the_source_metric_is_induced_not_passed():
     offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
                  for line, what in source_metric_inputs(tree, name in METRIC_MODULES)]
+    assert offenders == []
+
+
+MORPHISM_FIELDS = {"vmap", "hmap", "source", "target"}
+
+
+def morphism_wrapper_uses(tree):
+    """(line, description) of each use of `GraphMorphism` and of each
+    attribute chain `.morphism.<field>` with field in MORPHISM_FIELDS."""
+    yield from name_uses(tree, {"GraphMorphism"})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in MORPHISM_FIELDS \
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "morphism":
+            yield node.lineno, f"reads .morphism.{node.attr}"
+
+
+def test_guard_catches_the_morphism_wrapper():
+    source = ('"""GraphMorphism and f.morphism.vmap in a docstring are free."""\n'
+              "from .graphs import GraphMorphism as GM\n"
+              "class GraphMorphism:\n    pass\n"
+              "def build(f, graphs):\n"
+              "    return graphs.GraphMorphism(f.morphism.source, f.morphism.target, {}, {})\n"
+              "def read(c):\n"
+              "    return c.morphism.vmap[0], c.cover.morphism.hmap, c.morphism.vertex_degree\n")
+    assert sorted(morphism_wrapper_uses(ast.parse(source))) == [
+        (2, "imports GraphMorphism"), (3, "defines GraphMorphism"),
+        (6, "attribute GraphMorphism"), (6, "reads .morphism.source"),
+        (6, "reads .morphism.target"), (8, "reads .morphism.hmap"), (8, "reads .morphism.vmap")]
+
+
+def test_a_harmonic_morphism_is_one_value():
+    offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
+                 for line, what in morphism_wrapper_uses(tree)]
     assert offenders == []

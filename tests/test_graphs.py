@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tropcover import graphs
-from tropcover.graphs import (DoubleCover, Graph, GraphError, GraphMorphism,
+from tropcover.graphs import (DoubleCover, Graph, GraphError,
                               HarmonicMorphism, PreconditionError, Tower,
                               build_double_cover, compose_harmonic,
                               connected_components, contract_edge,
@@ -141,7 +141,7 @@ class TestValidateHarmonic:
     def test_local_violation_reported_at_vertex_half_edge_pair(self):
         base = path_graph(2)
         src = path_graph(2)
-        f = HarmonicMorphism(GraphMorphism(src, base, {0: 0, 1: 1}, {0: 0, 1: 1}),
+        f = HarmonicMorphism(src, base, {0: 0, 1: 1}, {0: 0, 1: 1},
                              {0: 2, 1: 1}, {0: 1, 1: 1})
         issues = validate_harmonic(f)
         assert any(i.code == "local-harmonicity" and i.where == (("v", 0), ("h", 0))
@@ -149,7 +149,7 @@ class TestValidateHarmonic:
 
     def test_global_degree_onto_empty_graph_is_an_error(self):
         empty = Graph((), {}, {})
-        f = HarmonicMorphism(GraphMorphism(empty, empty, {}, {}), {}, {})
+        f = HarmonicMorphism(empty, empty, {}, {}, {}, {})
         with pytest.raises(GraphError, match="empty"):
             f.global_degree()
 
@@ -276,8 +276,8 @@ class TestCoverIsomorphism:
 
     def test_fiber_profile_mismatch(self):
         base = Graph((0,), {}, {})
-        one = HarmonicMorphism(GraphMorphism(Graph((0,), {}, {}), base, {0: 0}, {}), {0: 3}, {})
-        two = HarmonicMorphism(GraphMorphism(Graph((0, 1), {}, {}), base, {0: 0, 1: 0}, {}),
+        one = HarmonicMorphism(Graph((0,), {}, {}), base, {0: 0}, {}, {0: 3}, {})
+        two = HarmonicMorphism(Graph((0, 1), {}, {}), base, {0: 0, 1: 0}, {},
                                {0: 2, 1: 1}, {})
         assert covers_isomorphic_over_base(one, two) is None
 
@@ -304,10 +304,10 @@ def isolated_tower(mid_degrees, top_over):
     mid_degrees[i], top vertex j over mid vertex top_over[j]."""
     base = Graph((0,), {}, {})
     mid = Graph(tuple(range(len(mid_degrees))), {}, {})
-    f = HarmonicMorphism(GraphMorphism(mid, base, {v: 0 for v in mid.vertices}, {}),
+    f = HarmonicMorphism(mid, base, {v: 0 for v in mid.vertices}, {},
                          dict(enumerate(mid_degrees)), {})
     top = Graph(tuple(range(len(top_over))), {}, {})
-    pi = HarmonicMorphism(GraphMorphism(top, mid, dict(enumerate(top_over)), {}),
+    pi = HarmonicMorphism(top, mid, dict(enumerate(top_over)), {},
                           {v: 2 // top_over.count(w) for v, w in enumerate(top_over)}, {})
     return Tower(DoubleCover.from_harmonic(pi), f)
 
@@ -377,16 +377,16 @@ class TestTowerIsomorphism:
 
 
 def scan_fiber_vertices(f, v):
-    return tuple(x for x in f.source.vertices if f.morphism.vmap[x] == v)
+    return tuple(x for x in f.source.vertices if f.vmap[x] == v)
 
 
 def scan_fiber_half_edges(f, h):
-    return tuple(x for x in f.source.half_edges if f.morphism.hmap[x] == h)
+    return tuple(x for x in f.source.half_edges if f.hmap[x] == h)
 
 
 def scan_fiber_edges(f, key):
     pair = {key, f.target.partner[key]}
-    return tuple(k for k in f.source.edge_keys() if f.morphism.hmap[k] in pair)
+    return tuple(k for k in f.source.edge_keys() if f.hmap[k] in pair)
 
 
 def union_find_groups(vertices, edges):
@@ -449,7 +449,7 @@ class TestAgainstReplacedAlgorithms:
                 for key in f.target.edge_keys():
                     ends = f.target.edge_ends(key)
                     groups = union_find_groups(
-                        [x for x in f.source.vertices if f.morphism.vmap[x] in ends],
+                        [x for x in f.source.vertices if f.vmap[x] in ends],
                         [f.source.edge_ends(k) for k in scan_fiber_edges(f, key)])
                     expected = {x: x for x in f.source.vertices}
                     expected.update({x: members[0] for members in groups for x in members})
@@ -463,15 +463,15 @@ def harmonicity_mutants(f, rng):
     v, h = rng.choice(s.vertices), rng.choice(s.half_edges)
     hd_edge = dict(f.half_edge_degree)
     hd_edge[h] = hd_edge[s.partner[h]] = hd_edge[h] + 1
-    hmap = dict(f.morphism.hmap)
+    hmap = dict(f.hmap)
     hmap[h] = rng.choice(f.target.half_edges)
     yield f
-    yield HarmonicMorphism(f.morphism, {**f.vertex_degree, v: f.vertex_degree[v] + 1},
-                           f.half_edge_degree)
-    yield HarmonicMorphism(f.morphism, f.vertex_degree,
+    yield HarmonicMorphism(f.source, f.target, f.vmap, f.hmap,
+                           {**f.vertex_degree, v: f.vertex_degree[v] + 1}, f.half_edge_degree)
+    yield HarmonicMorphism(f.source, f.target, f.vmap, f.hmap, f.vertex_degree,
                            {**f.half_edge_degree, h: f.half_edge_degree[h] + 1})
-    yield HarmonicMorphism(f.morphism, f.vertex_degree, hd_edge)
-    yield HarmonicMorphism(GraphMorphism(s, f.target, f.morphism.vmap, hmap),
+    yield HarmonicMorphism(f.source, f.target, f.vmap, f.hmap, f.vertex_degree, hd_edge)
+    yield HarmonicMorphism(s, f.target, f.vmap, hmap,
                            f.vertex_degree, f.half_edge_degree)
 
 

@@ -378,6 +378,24 @@ class TestCLI:
         assert main(["check", path, "--theorem", "bigonal"]) == 1
         assert capsys.readouterr().err == construct_err
 
+    def test_compare_refuses_different_base_lengths(self, tmp_path, capsys):
+        # a longer base edge changes the top curve's Jacobian (17/2 against
+        # 65/2 on the diagonal of its Gram), yet compare printed "isomorphic"
+        path = os.path.join(DATA, "trigonal_tower.json")
+        doc = _trigonal_doc()
+        doc["base"]["lengths"]["0"] = "17"
+        longer = tmp_path / "longer.json"
+        longer.write_text(json.dumps(doc))
+        loaded, loaded_longer = load(path), load(longer)
+        one, one_longer = tmp_path / "one.json", tmp_path / "one_longer.json"
+        save(one, file_to_doc(loaded.base_metric, loaded.levels[:1]))
+        save(one_longer, file_to_doc(loaded_longer.base_metric, loaded_longer.levels[:1]))
+        for first, second in ((path, longer), (one, one_longer)):
+            assert main(["compare", str(first), str(second)]) == 1
+            assert capsys.readouterr() == ("", "error: compare requires identical base lengths\n")
+            assert main(["compare", str(second), str(second)]) == 0
+            assert capsys.readouterr() == ("isomorphic\n", "")
+
 
 def _trigonal_doc():
     with open(os.path.join(DATA, "trigonal_tower.json"), encoding="utf-8") as fh:

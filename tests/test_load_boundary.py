@@ -185,3 +185,27 @@ def test_a_list_naming_an_id_twice_is_an_error(tmp_path, mutate, message):
                  ["construct", str(bad), "--op", "trigonal", "--out", str(tmp_path / "out.json")]):
         assert run(argv, message) == (1, "", f"error: tower file: {message}\n")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("key, issue", [
+    ("vmap", "[vmap-domain] at (): vertex map has keys that are not vertices"),
+    ("hmap", "[hmap-domain] at (): half-edge map has keys that are not half-edges"),
+    ("vertex_degree", "[vertex-degree-domain] at (): "
+                      "vertex degree map has keys that are not vertices"),
+    ("half_edge_degree", "[half-edge-degree-domain] at (): "
+                         "half-edge degree map has keys that are not half-edges")],
+    ids=["vmap", "hmap", "vertex_degree", "half_edge_degree"])
+def test_a_map_entry_for_an_id_the_level_lacks_is_an_issue(tmp_path, level, key, issue):
+    # an entry for id 999 was read past: the file validated OK and prym exited 0
+    with open(os.path.join(DATA, "trigonal_tower.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    entries = doc["levels"][level][key]
+    entries["999"] = entries["0"]
+    bad = tmp_path / "stray.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(bad)], ["prym", str(bad)],
+                 ["check", str(bad), "--theorem", "trigonal"],
+                 ["construct", str(bad), "--op", "trigonal", "--out", str(tmp_path / "out.json")]):
+        assert run(argv, f"stray {key} entry") == (1, f"level{level}: {issue}\n", "")
+    assert not (tmp_path / "out.json").exists()

@@ -9,6 +9,7 @@ from tropcover.metrics import (INF, MetricGraph, augment_smooth,
                                augment_smooth_tower, format_length,
                                induce_metric, is_inf, parse_length,
                                validate_metric, validate_metric_harmonic)
+from tropcover.randgen import random_tower
 
 
 def test_length_parsing_round_trip():
@@ -110,3 +111,17 @@ def test_all_lengths_exact_fractions():
     for metric in (ref.base_metric, mid, top):
         for v in metric.length.values():
             assert isinstance(v, Fraction)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("pi_free", [True, False], ids=["free", "dilated"])
+def test_induced_lengths_are_the_target_lengths_over_the_degrees(n, pi_free):
+    for seed in range(4):
+        gen = random_tower(seed, n=n, pi_free=pi_free)
+        mid = induce_metric(gen.tower.f, gen.base_metric)
+        for f, down in ((gen.tower.f, gen.base_metric), (gen.tower.pi.cover, mid)):
+            up = induce_metric(f, down)
+            assert sorted(up.length) == list(f.source.edge_keys())
+            for k, val in up.length.items():
+                assert type(val) is Fraction
+                assert val == Fraction(down.length[f.target.edge_key(f.h(k))]) / f.deg_edge(k)

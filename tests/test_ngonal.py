@@ -19,7 +19,7 @@ from tropcover.ngonal import (FiberDatum, FiberPart, bigonal,
                               hpoint, vpoint)
 from tropcover.randgen import random_tetragonal_curve, random_tower
 from tropcover.ngonal import _canonical, _sign_quotient, swap_multisection
-from tropcover.graphs import (DoubleCover, GraphMorphism, HarmonicMorphism,
+from tropcover.graphs import (DoubleCover, HarmonicMorphism,
                               validate_harmonic)
 
 
@@ -491,9 +491,9 @@ def _old_orientation_cover(t, fibers, transports):
             partner[hid] = oh_ids[(hbar, 0 if hbar_dil else (s + partner_parity) % 2)]
     graph = Graph(tuple(range(len(ov_ids))), root, partner)
     cover = HarmonicMorphism(
-        GraphMorphism(graph, base,
-                      {i: v for i, (v, s) in ov_info.items()},
-                      {i: h for i, (h, s) in oh_info.items()}),
+        graph, base,
+        {i: v for i, (v, s) in ov_info.items()},
+        {i: h for i, (h, s) in oh_info.items()},
         {i: 2 if _old_point_is_dilated(fibers[vpoint(v)]) else 1 for i, (v, s) in ov_info.items()},
         {i: 2 if _old_point_is_dilated(fibers[hpoint(h)]) else 1 for i, (h, s) in oh_info.items()})
     assert not validate_harmonic(cover)
@@ -518,7 +518,7 @@ def _old_sign_quotient(t, n, fibers, cover, v_info, h_info, ov_ids, oh_ids, orie
         else:
             hmap[i] = oh_ids[(h, _old_ms_sign_bit(fd, ms))]
             hdeg[i] = cover.half_edge_degree[i]
-    q = HarmonicMorphism(GraphMorphism(cover.source, orientation.source, vmap, hmap), vdeg, hdeg)
+    q = HarmonicMorphism(cover.source, orientation.source, vmap, hmap, vdeg, hdeg)
     assert not validate_harmonic(q)
     assert q.global_degree() == 2 ** (n - 1)
     return q
@@ -536,8 +536,8 @@ def _relabel_top(t, seed):
     graph = Graph(tuple(vs), {hnew[h]: vnew[top.root[h]] for h in top.half_edges},
                   {hnew[h]: hnew[top.partner[h]] for h in top.half_edges})
     shuffled = HarmonicMorphism(
-        GraphMorphism(graph, t.mid, {vnew[v]: cover.v(v) for v in top.vertices},
-                      {hnew[h]: cover.h(h) for h in top.half_edges}),
+        graph, t.mid, {vnew[v]: cover.v(v) for v in top.vertices},
+        {hnew[h]: cover.h(h) for h in top.half_edges},
         {vnew[v]: cover.vertex_degree[v] for v in top.vertices},
         {hnew[h]: cover.half_edge_degree[h] for h in top.half_edges})
     return Tower(DoubleCover.from_harmonic(shuffled), t.f)

@@ -7,7 +7,7 @@ tropical Jacobians and norm-kernel (Prym) tori, and mechanical checks
 of the duality and isomorphism theorems relating them.
 """
 
-from .graphs import (BuiltDoubleCover, DoubleCover, Graph, GraphError,
+from .graphs import (DoubleCover, Graph, GraphError,
                      HarmonicMorphism, NonGenericError, PreconditionError,
                      Tower, build_double_cover, compose_harmonic,
                      connected_components, contract_edge,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, Tower, build_double_cover, harmonic_from_edges
+from .graphs import DoubleCover, Graph, Tower, build_double_cover, harmonic_from_edges
 from .metrics import MetricGraph
 
 
@@ -35,6 +35,13 @@ def _path_base(lengths):
     graph, keys = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     metric = MetricGraph(graph, {k: Fraction(x) for k, x in zip(keys, lengths)})
     return graph, keys, metric
+
+
+def _sheet_lifts(pi: DoubleCover):
+    """lk(i, s): the edge key of the sheet-s lift of edge i (half-edges 2i
+    and 2i + 1) under a cover from `build_double_cover`, whose fibers list
+    the lifts in sheet order."""
+    return lambda i, s: pi.source.edge_key(pi.fiber_half_edges(2 * i)[s])
 
 
 def trigonal_reference(lengths=(1, 1, 1, 1, 1)) -> ReferenceTower:
@@ -66,11 +73,8 @@ def trigonal_reference(lengths=(1, 1, 1, 1, 1)) -> ReferenceTower:
     ]
     vmap = {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 1, 6: 2, 7: 3, 8: 4, 9: 5}
     f = harmonic_from_edges(10, edge_spec, base, vmap)
-    built = build_double_cover(f.source, bits={5: 1, 15: 1})
-    tower = Tower(built.cover, f)
-
-    def lk(edge_index, sheet):
-        return built.lift_edge_key(2 * edge_index, sheet)
+    tower = Tower(build_double_cover(f.source, bits={5: 1, 15: 1}), f)
+    lk = _sheet_lifts(tower.pi)
 
     eta1 = {
         0: {lk(2, 0): 1, lk(5, 1): 1, lk(7, 1): 1, lk(8, 0): -1, lk(5, 0): -1, lk(3, 0): -1},
@@ -105,11 +109,8 @@ def bigonal_reference(lengths=(1, 2, 3)) -> ReferenceTower:
         (2, 3, c, 2),  # 3
     ]
     f = harmonic_from_edges(4, edge_spec, base, {0: 0, 1: 1, 2: 2, 3: 3})
-    built = build_double_cover(f.source, dilated_vertices={0, 3})
-    tower = Tower(built.cover, f)
-
-    def lk(edge_index, sheet):
-        return built.lift_edge_key(2 * edge_index, sheet)
+    tower = Tower(build_double_cover(f.source, dilated_vertices={0, 3}), f)
+    lk = _sheet_lifts(tower.pi)
 
     eta1 = {s: {lk(2, s): 1, lk(1, s): -1} for s in (0, 1)}
     eta2 = {lk(0, 0): -1, lk(0, 1): 1, lk(1, 1): 1, lk(3, 1): 1, lk(3, 0): -1, lk(1, 0): -1}
@@ -135,12 +136,9 @@ def bigonal_output_reference(lengths=(1, 2, 3)) -> ReferenceTower:
         (4, 5, c, 1),  # 5  dilated lift below
     ]
     f = harmonic_from_edges(6, edge_spec, base, {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3})
-    built = build_double_cover(f.source, dilated_vertices={0, 2, 4, 5},
-                               dilated_edge_keys={2, 10})
-    tower = Tower(built.cover, f)
-
-    def lk(edge_index, sheet):
-        return built.lift_edge_key(2 * edge_index, sheet)
+    tower = Tower(build_double_cover(f.source, dilated_vertices={0, 2, 4, 5},
+                                     dilated_edge_keys={2, 10}), f)
+    lk = _sheet_lifts(tower.pi)
 
     eps1 = _diff({lk(3, 1): 1}, {lk(3, 0): 1})
     eps2 = {}

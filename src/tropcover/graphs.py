@@ -411,56 +411,51 @@ def compose_harmonic(f: HarmonicMorphism, g: HarmonicMorphism) -> HarmonicMorphi
 
 
 @dataclass(frozen=True)
-class DoubleCover:
-    """Harmonic morphism of global degree 2 with its sheet-swap involution.
+class DoubleCover(HarmonicMorphism):
+    """Harmonic morphism of degree 2 over every point, with its sheet-swap
+    involution and its dilated vertices and edge keys.
 
     A target point is free (two degree-1 preimages, swapped) or dilated
     (one degree-2 preimage, fixed).
     """
 
-    cover: HarmonicMorphism
     vertex_invol: dict
     half_edge_invol: dict
     dilated_vertices: frozenset
     dilated_edge_keys: frozenset
-
-    @property
-    def source(self) -> Graph:
-        return self.cover.source
-
-    @property
-    def target(self) -> Graph:
-        return self.cover.target
 
     def is_free(self) -> bool:
         return not self.dilated_vertices and not self.dilated_edge_keys
 
     @classmethod
     def from_harmonic(cls, f: HarmonicMorphism) -> "DoubleCover":
+        """The double cover with the maps of f, its involution and dilation
+        read off the fibers.  It has f's maps, so it keeps f's
+        `validate_harmonic` scan instead of scanning again."""
         issues = validate_harmonic(f)
         if issues:
             raise GraphError(f"double cover is not harmonic: {issues[0]}")
         if f.global_degree() != 2:
             raise GraphError(f"double cover must have global degree 2, got {f.global_degree()}")
-        vinv, dil_v = {}, set()
-        for v in f.target.vertices:
-            fib = f.fiber_vertices(v)
-            if len(fib) == 1:
-                vinv[fib[0]] = fib[0]
-                dil_v.add(v)
-            else:
-                a, b = fib
-                vinv[a], vinv[b] = b, a
-        hinv, dil_e = {}, set()
-        for h in f.target.half_edges:
-            fib = f.fiber_half_edges(h)
-            if len(fib) == 1:
-                hinv[fib[0]] = fib[0]
-                dil_e.add(f.target.edge_key(h))
-            else:
-                a, b = fib
-                hinv[a], hinv[b] = b, a
-        cov = cls(f, vinv, hinv, frozenset(dil_v), frozenset(dil_e))
+        t = f.target
+        vinv, hinv, dil_v, dil_h = {}, {}, set(), set()
+        for kind, ids, fiber, degree, inv, dil in (
+                ("v", t.vertices, f.fiber_vertices, f.vertex_degree, vinv, dil_v),
+                ("h", t.half_edges, f.fiber_half_edges, f.half_edge_degree, hinv, dil_h)):
+            for x in ids:
+                fib = fiber(x)
+                if sum(map(degree.__getitem__, fib)) != 2:
+                    raise GraphError("double cover must have degree 2 over every point, "
+                                     f"not over {(kind, x)}")
+                if len(fib) == 1:
+                    inv[fib[0]] = fib[0]
+                    dil.add(x)
+                else:
+                    a, b = fib
+                    inv[a], inv[b] = b, a
+        cov = cls(f.source, t, f.vmap, f.hmap, f.vertex_degree, f.half_edge_degree,
+                  vinv, hinv, frozenset(dil_v), frozenset(map(t.edge_key, dil_h)))
+        object.__setattr__(cov, "_issues", f._issues)
         cov._check_involution()
         return cov
 
@@ -498,15 +493,13 @@ class Tower:
         return self.f.target
 
     def composed(self) -> HarmonicMorphism:
-        return compose_harmonic(self.pi.cover, self.f)
+        return compose_harmonic(self.pi, self.f)
 
 
 @dataclass(frozen=True)
 class DilationData:
     """Dilation subgraph of a double cover's target and its lattice invariants."""
 
-    dilated_vertices: frozenset
-    dilated_edge_keys: frozenset
     m_d: int
     n_d: int
     components: int
@@ -520,17 +513,16 @@ def dilation_data(c: DoubleCover) -> DilationData:
 
     For a free cover the convention A = g(target) - 1, B = C = 0 applies.
     """
-    if c.cover.global_degree() != 2:
+    if c.global_degree() != 2:
         raise GraphError("dilation_data requires a cover of global degree 2")
     if not is_connected(c.source):
         raise PreconditionError("connected", "dilation_data requires connected source")
     t = c.target
     g_t = genus(t)
     g_s = genus(c.source)
-    dil_v = set(c.dilated_vertices)
-    dil_e = set(c.dilated_edge_keys)
-    if not dil_v and not dil_e:
-        return DilationData(frozenset(), frozenset(), 0, 0, 0, g_t - 1, 0, 0)
+    dil_v, dil_e = c.dilated_vertices, c.dilated_edge_keys
+    if c.is_free():
+        return DilationData(0, 0, 0, g_t - 1, 0, 0)
     m_d, n_d = len(dil_e), len(dil_v)
     d = len(_bfs_components(t, dil_v, dil_e))
     A = g_t - m_d + n_d - d
@@ -538,7 +530,7 @@ def dilation_data(c: DoubleCover) -> DilationData:
     C = m_d - n_d + d
     if A + B != g_s - g_t:
         raise GraphError(f"dilation invariants inconsistent: A+B={A + B} but g difference is {g_s - g_t}")
-    return DilationData(frozenset(dil_v), frozenset(dil_e), m_d, n_d, d, A, B, C)
+    return DilationData(m_d, n_d, d, A, B, C)
 
 
 @dataclass(frozen=True)
@@ -811,9 +803,9 @@ def towers_isomorphic(t1: Tower, t2: Tower):
     if t1.base != t2.base:
         raise GraphError("tower isomorphism requires identical base graphs")
     c1, c2 = t1.composed(), t2.composed()
-    p1, p2 = t1.pi.cover, t2.pi.cover
+    p1, p2 = t1.pi, t2.pi
     for vtop, htop in iter_cover_isomorphisms(
-            c1, c2, [(t1.pi.half_edge_invol, t2.pi.half_edge_invol)]):
+            c1, c2, [(p1.half_edge_invol, p2.half_edge_invol)]):
         hpairs = set(zip(map(p1.hmap.__getitem__, htop), map(p2.hmap.__getitem__, htop.values())))
         vpairs = set(zip(map(p1.vmap.__getitem__, vtop), map(p2.vmap.__getitem__, vtop.values())))
         hmid, vmid = dict(hpairs), dict(vpairs)
@@ -826,31 +818,15 @@ def towers_isomorphic(t1: Tower, t2: Tower):
     return None
 
 
-@dataclass(frozen=True)
-class BuiltDoubleCover:
-    """Explicit double cover with the id bookkeeping of its construction.
-
-    half_ids maps (downstairs half-edge, sheet) to the upstairs half-edge;
-    dilated half-edges only carry sheet 0.
-    """
-
-    cover: DoubleCover
-    half_ids: dict
-
-    def lift_edge_key(self, key: int, sheet: int) -> int:
-        g = self.cover.target
-        a = self.half_ids[(key, sheet)]
-        b = self.half_ids[(g.partner[key], sheet)]
-        return min(a, b)
-
-
 def build_double_cover(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
-                       bits=None) -> BuiltDoubleCover:
+                       bits=None) -> DoubleCover:
     """Double cover of g with prescribed dilation and monodromy.
 
     Free points get two sheet-labeled preimages; a half-edge h of a free
     edge attaches its sheet-s lift to sheet s xor bits[h] of its root
-    (bits default 0).  Dilated edges must end at dilated vertices.
+    (bits default 0).  Dilated edges must end at dilated vertices.  Sheet
+    0 is numbered before sheet 1, so a fiber lists the lifts in sheet
+    order: the sheet-s lift of h is `fiber_half_edges(h)[s]`.
     """
     dil_v = set(dilated_vertices)
     dil_e = set(dilated_edge_keys)
@@ -880,8 +856,7 @@ def build_double_cover(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
     vdeg = {i: 2 if v in dil_v else 1 for (v, s), i in vertex_ids.items()}
     hdeg = {i: 2 if g.edge_key(h) in dil_e else 1 for (h, s), i in half_ids.items()}
     vmap = {i: v for (v, s), i in vertex_ids.items()}
-    cover = DoubleCover.from_harmonic(HarmonicMorphism(source, g, vmap, hmap, vdeg, hdeg))
-    return BuiltDoubleCover(cover, half_ids)
+    return DoubleCover.from_harmonic(HarmonicMorphism(source, g, vmap, hmap, vdeg, hdeg))
 
 
 def harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:

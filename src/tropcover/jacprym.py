@@ -175,16 +175,14 @@ def chain_image(graph: Graph, chain: dict, images) -> dict:
 
 def push_chain(cover: DoubleCover, chain: dict) -> dict:
     """Chain map of the covering projection."""
-    f = cover.cover
-    return chain_image(f.target, chain, lambda k: ((f.h(k), 1),))
+    return chain_image(cover.target, chain, lambda k: ((cover.h(k), 1),))
 
 
 def pull_chain(cover: DoubleCover, chain: dict) -> dict:
     """Pullback of 1-forms: a free edge lifts to both preimages, a dilated
     edge to twice its single preimage."""
-    f = cover.cover
     return chain_image(cover.source, chain,
-                       lambda k: [(h, f.deg_h(h)) for h in f.fiber_half_edges(k)])
+                       lambda k: [(h, cover.deg_h(h)) for h in cover.fiber_half_edges(k)])
 
 
 def invol_chain(cover: DoubleCover, chain: dict) -> dict:
@@ -259,7 +257,7 @@ def norm_hom(cover: DoubleCover, target_metric: MetricGraph,
     projection formula, re-verified exactly by the TorusHom constructor.
     """
     maps = maps or transfer_maps(cover)
-    src = jacobian(induce_metric(cover.cover, target_metric))
+    src = jacobian(induce_metric(cover, target_metric))
     tgt = jacobian(target_metric)
     return TorusHom(src.torus, tgt.torus, maps.pullback, maps.pushforward)
 
@@ -360,7 +358,7 @@ def prym(cover: DoubleCover, target_metric: MetricGraph) -> PrymData:
 def tower_metrics(tower: Tower, base_metric: MetricGraph):
     """(mid metric, top metric) induced from the base through the tower."""
     mid = induce_metric(tower.f, base_metric)
-    top = induce_metric(tower.pi.cover, mid)
+    top = induce_metric(tower.pi, mid)
     return mid, top
 
 
@@ -404,7 +402,7 @@ def check_bigonal_duality(tower: Tower, base_metric: MetricGraph) -> CheckResult
     return CheckResult(witness is not None, witness, {
         "types": (prym1.type, prym2.type),
         "pairing": prym1.torus._int_form,
-        "dual_pairing": dual2.dual_torus._int_form,
+        "dual_pairing": dual2.polarized.torus._int_form,
         "construction": result})
 
 
@@ -571,7 +569,7 @@ def _adapted_basis(cover: DoubleCover) -> SymmetricBasis:
     tgt, src = cover.target, cover.source
     if not is_connected(src):
         raise PreconditionError("connected", "symmetric basis requires a connected source")
-    lifts, free = cover.cover.fiber_edges, cover.is_free()
+    lifts, free = cover.fiber_edges, cover.is_free()
     tree, genus_up = (h1_basis(tgt).tree, 0) if free else _adapted_tree(cover)
     up_keys = {kk for k in tree.tree_keys for kk in lifts(k)}
     crossing = None
@@ -643,7 +641,7 @@ def _adapted_tree(cover: DoubleCover) -> tuple:
 
 
 def _lift_dilated_cycle(cover: DoubleCover, cyc: dict) -> dict:
-    lifts = cover.cover.fiber_half_edges
+    lifts = cover.fiber_half_edges
 
     def lift(k):
         ups = lifts(k)

@@ -128,10 +128,10 @@ def tower_fiber(t: Tower, point) -> FiberDatum:
     if kind == "v":
         mids = t.f.fiber_vertices(i)
         return FiberDatum(tuple(
-            FiberPart(x, t.f.deg_v(x), len(t.pi.cover.fiber_vertices(x)) == 1) for x in mids))
+            FiberPart(x, t.f.deg_v(x), len(t.pi.fiber_vertices(x)) == 1) for x in mids))
     mids = t.f.fiber_half_edges(i)
     return FiberDatum(tuple(
-        FiberPart(x, t.f.deg_h(x), len(t.pi.cover.fiber_half_edges(x)) == 1) for x in mids))
+        FiberPart(x, t.f.deg_h(x), len(t.pi.fiber_half_edges(x)) == 1) for x in mids))
 
 
 def _check_harmonic(f: HarmonicMorphism, what: str) -> HarmonicMorphism:
@@ -176,7 +176,7 @@ class NgonalConstruction:
         multisection, plus times the first top half-edge over the mid
         half-edge x and minus times the second; a dilated part (x, d, 0) is
         d times its one lift."""
-        lift = self.tower.pi.cover.fiber_half_edges
+        lift = self.tower.pi.fiber_half_edges
         return [(y, m) for x, plus, minus in self.half_edge_info[h][1]
                 for y, m in zip(lift(x), (plus, minus)) if m]
 
@@ -296,10 +296,10 @@ def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
     h_ids, h_info, hmap, hdeg, hperm = _number_points(base.half_edges, hpoint, over)
     # a free fine part flips when the first of its two top preimages goes to
     # the second top preimage of its image
-    top_halves = t.pi.cover.fiber_half_edges
+    top_halves = t.pi.fiber_half_edges
     ids = {"v": v_ids, "h": h_ids}
     root, partner = {}, {}
-    moves = ((root, vpoint, base.root, t.mid.root, t.top.root, t.pi.cover.fiber_vertices),
+    moves = ((root, vpoint, base.root, t.mid.root, t.top.root, t.pi.fiber_vertices),
              (partner, hpoint, base.partner, t.mid.partner, t.top.partner, top_halves))
     for h in base.half_edges:
         here = hpoint(h)
@@ -391,14 +391,10 @@ def _quotient(cover, vclass, hclass, vdeg, hdeg, what):
 # quotient by the sign involution
 
 
-@dataclass(frozen=True)
-class InvolutionQuotient:
-    quotient_map: HarmonicMorphism  # constructed quotient -> base
-    projection: DoubleCover         # total cover -> quotient
-
-
-def involution_quotient(cover: HarmonicMorphism, vperm: dict, hperm: dict) -> InvolutionQuotient:
-    """Quotient a harmonic morphism by a sign involution over the same base.
+def involution_quotient(cover: HarmonicMorphism, vperm: dict, hperm: dict) -> Tower:
+    """Quotient a harmonic morphism by a sign involution over the same base:
+    the tower of the projection onto the quotient and the quotient's map
+    onto the base.
 
     Orbits of size two map with their shared degree; fixed points halve
     their degree downstairs and the projection has degree 2 there.
@@ -420,7 +416,7 @@ def involution_quotient(cover: HarmonicMorphism, vperm: dict, hperm: dict) -> In
     horbit, hdeg = orbits(src.half_edges, hperm, cover.half_edge_degree, "half-edge")
     quotient, proj = _quotient(cover, vorbit, horbit, vdeg, hdeg, "involution")
     _check_harmonic(quotient, "involution quotient")
-    return InvolutionQuotient(quotient, DoubleCover.from_harmonic(proj))
+    return Tower(DoubleCover.from_harmonic(proj), quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +512,7 @@ def bigonal(t: Tower) -> BigonalResult:
     _require(t, 2, "bigonal", free=False)
     cons = ngonal_construct(t, 2)
     vperm, hperm = cons.sign_involution
-    quot = involution_quotient(cons.cover_to_base, vperm, hperm)
-    out = Tower(quot.projection, quot.quotient_map)
+    out = involution_quotient(cons.cover_to_base, vperm, hperm)
     input_types = {p: _bigonal_type(fd, p) for p, fd in cons.fibers.items()}
     output_types = {p: classify_bigonal_point(out, p) for p in input_types}
     for p, label in input_types.items():
@@ -710,8 +705,7 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
         raise AssertionError("Recillas cover must have degree 6")
     if any(vperm[i] == i for i in vperm) or any(hperm[i] == i for i in hperm):
         raise AssertionError("complement involution must be fixed-point-free on generic fibers")
-    quot = involution_quotient(sextic, vperm, hperm)
-    tower = Tower(quot.projection, quot.quotient_map)
+    tower = involution_quotient(sextic, vperm, hperm)
     if not tower.pi.is_free():
         raise AssertionError("Recillas double cover must be free")
     if tower.f.global_degree() != 3:
@@ -750,8 +744,7 @@ def tetragonal_split(t: Tower) -> TetragonalSplit:
         sub_hperm = {i: h_new[hperm[h]] for h, i in h_new.items()}
         if any(sub_vperm[i] == i for i in sub_vperm):
             raise AssertionError("sign involution has fixed points on a generic fiber")
-        quot = involution_quotient(part, sub_vperm, sub_hperm)
-        tower = Tower(quot.projection, quot.quotient_map)
+        tower = involution_quotient(part, sub_vperm, sub_hperm)
         if not tower.pi.is_free():
             raise AssertionError("split towers must be free double covers")
         for point, label in types.items():

@@ -104,7 +104,7 @@ def random_double_cover_of(rng: random.Random, f_source: Graph,
     for h in f_source.half_edges:
         if f_source.edge_key(h) not in dil_e and f_source.root[h] not in dil_v:
             bits[h] = rng.randint(0, 1)
-    return build_double_cover(f_source, dil_v, dil_e, bits).cover
+    return build_double_cover(f_source, dil_v, dil_e, bits)
 
 
 @dataclass(frozen=True)

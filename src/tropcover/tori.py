@@ -200,7 +200,6 @@ class DualPolarization:
     """Dual polarization on the dual torus, in the adapted bases of the input."""
 
     polarized: Polarization
-    dual_torus: IntegralTorus
     multiplier: int
 
 
@@ -223,8 +222,7 @@ def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
     """
     g = pol.torus.rank
     if g == 0:
-        return DualPolarization(Polarization(pol.torus.dual(), la.identity(0)),
-                                pol.torus.dual(), multiplier or 1)
+        return DualPolarization(Polarization(pol.torus.dual(), la.identity(0)), multiplier or 1)
     x = pol.matrix
     d = tuple(x[i][i] for i in range(g))
     if not la.is_diagonal(x, d) or not _is_chain(d):
@@ -233,16 +231,15 @@ def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
         multiplier = d[0] * d[-1]
     if any(multiplier % a for a in d):
         raise TorusError("dual multiplier must be divisible by every invariant factor")
-    dual_t = pol.torus.dual()
     xdual = la.diag([multiplier // a for a in d])
-    dual_pol = Polarization(dual_t, xdual)
+    dual_pol = Polarization(pol.torus.dual(), xdual)
     # multiplier / d_g | ... | multiplier / d_1: the reversed diagonal is the type
     dual_diag = tuple(xdual[i][i] for i in reversed(range(g)))
     if not _is_chain(dual_diag) or dual_diag != dual_type(d, multiplier):
         raise AssertionError("dual polarization has the wrong type")
     if not la.is_diagonal(la.int_matmul(x, xdual), (multiplier,) * g):
         raise AssertionError("xi . xi_dual is not multiplication by the multiplier")
-    return DualPolarization(dual_pol, dual_t, multiplier)
+    return DualPolarization(dual_pol, multiplier)
 
 
 def polarized_isomorphic(pol1: Polarization, pol2: Polarization):

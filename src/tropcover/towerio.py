@@ -195,7 +195,7 @@ def doc_to_file(doc: dict) -> LoadedFile:
 
 
 def tower_to_doc(tower: Tower, base_metric: MetricGraph, meta=None) -> dict:
-    return file_to_doc(base_metric, [tower.f, tower.pi.cover], meta)
+    return file_to_doc(base_metric, [tower.f, tower.pi], meta)
 
 
 def dumps_canonical(doc: dict) -> str:

@@ -408,8 +408,7 @@ def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> DualPolariza
     """
     g = pol.torus.rank
     if g == 0:
-        return DualPolarization(Polarization(pol.torus.dual(), la.identity(0)),
-                                pol.torus.dual(), multiplier or 1)
+        return DualPolarization(Polarization(pol.torus.dual(), la.identity(0)), multiplier or 1)
     res = snf(pol.matrix)
     diag = res.diagonal()
     if multiplier is None:
@@ -425,7 +424,7 @@ def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> DualPolariza
         raise AssertionError("dual polarization has the wrong type")
     if not mat_equal(matmul(res.S, xdual), la.mat_scale(multiplier, la.identity(g))):
         raise AssertionError("xi . xi_dual is not multiplication by the multiplier")
-    return DualPolarization(dual_pol, dual_t, multiplier)
+    return DualPolarization(dual_pol, multiplier)
 
 
 def validate_harmonic_by_rescan(f: HarmonicMorphism) -> list:
@@ -552,7 +551,7 @@ def _symmetric_basis_free(cover: DoubleCover) -> SymmetricBasis:
         raise PreconditionError("connected", "symmetric basis of a free cover requires a connected source")
     tgt, src = cover.target, cover.source
     tree = h1_basis(tgt).tree
-    lifts = cover.cover.fiber_edges
+    lifts = cover.fiber_edges
     tree_lift_keys = {kk for k in tree.tree_keys for kk in lifts(k)}
     # the tree preimage is two disjoint trees; a crossing lift joins them
     comps = _bfs_components(src, keys=tree_lift_keys)
@@ -590,7 +589,7 @@ def _dilation_blocks(cover: DoubleCover):
 
 
 def _symmetric_basis_dilated(cover: DoubleCover) -> SymmetricBasis:
-    tgt, src, f = cover.target, cover.source, cover.cover
+    tgt, src, f = cover.target, cover.source, cover
     if not is_connected(src):
         raise PreconditionError("connected", "symmetric basis requires a connected source")
     blocks = _dilation_blocks(cover)
@@ -665,7 +664,7 @@ def _symmetric_basis_dilated(cover: DoubleCover) -> SymmetricBasis:
     # (loops are never BFS tree edges, so all of them are complementary)
     loop_keys_sorted = sorted(loop_key[rep] for rep in reps)
     tree_m = spanning_tree(target_m)
-    lifts = model.cover.fiber_edges
+    lifts = model.fiber_edges
     crossing = loop_keys_sorted[0]
     src_tree = _bfs_tree(source_m, {kk for k in tree_m.tree_keys for kk in lifts(k)}
                          | {lifts(crossing)[0]})
@@ -708,7 +707,7 @@ def _close_in_dilated(cover: DoubleCover, chain: dict) -> dict:
     bd = chain_boundary(src, chain)
     if not bd:
         return dict(sorted(chain.items()))
-    allowed = {kk for k in cover.dilated_edge_keys for kk in cover.cover.fiber_edges(k)}
+    allowed = {kk for k in cover.dilated_edge_keys for kk in cover.fiber_edges(k)}
     work = dict(chain)
     bd = dict(bd)
     while any(c > 0 for c in bd.values()):
@@ -844,8 +843,8 @@ def towers_isomorphic_mid_first(t1: Tower, t2: Tower):
     if t1.base != t2.base:
         raise GraphError("tower isomorphism requires identical base graphs")
     for vmap, hmap in iter_cover_isomorphisms(t1.f, t2.f):
-        moved = transport_cover(t1.pi.cover, vmap, hmap, t2.mid)
-        found = covers_isomorphic_over_base(moved, t2.pi.cover)
+        moved = transport_cover(t1.pi, vmap, hmap, t2.mid)
+        found = covers_isomorphic_over_base(moved, t2.pi)
         if found is not None:
             return (vmap, hmap), found
     return None
@@ -898,8 +897,8 @@ def _root_refinement(t: Tower, fibers: dict, h) -> Refinement:
         part_map[p.part_id] = mid_root
         if not p.dilated and not coarse.part(mid_root).dilated:
             # the two top-level preimages of a free mid point, plus first
-            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
-            top_roots = t.pi.cover.fiber_vertices(mid_root)
+            top_halves = t.pi.fiber_half_edges(p.part_id)
+            top_roots = t.pi.fiber_vertices(mid_root)
             flip[p.part_id] = t.top.root[top_halves[0]] == top_roots[1]
     return Refinement(fine, coarse, part_map, flip)
 
@@ -913,8 +912,8 @@ def _partner_transport(t: Tower, fibers: dict, h) -> Refinement:
         mate = t.mid.partner[p.part_id]
         part_map[p.part_id] = mate
         if not p.dilated:
-            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
-            mate_halves = t.pi.cover.fiber_half_edges(mate)
+            top_halves = t.pi.fiber_half_edges(p.part_id)
+            mate_halves = t.pi.fiber_half_edges(mate)
             flip[p.part_id] = t.top.partner[top_halves[0]] == mate_halves[1]
     return Refinement(fine, coarse, part_map, flip)
 
@@ -1071,8 +1070,7 @@ def recillas_per_point(p: HarmonicMorphism) -> RecillasResult:
     hperm = {i: h_ids[(h, complement_key(hpoint(h), key))] for i, (h, key) in h_info.items()}
     if any(vperm[i] == i for i in vperm) or any(hperm[i] == i for i in hperm):
         raise AssertionError("complement involution must be fixed-point-free on generic fibers")
-    quot = involution_quotient(sextic, vperm, hperm)
-    tower = Tower(quot.projection, quot.quotient_map)
+    tower = involution_quotient(sextic, vperm, hperm)
     if not tower.pi.is_free():
         raise AssertionError("Recillas double cover must be free")
     if tower.f.global_degree() != 3:
@@ -1086,7 +1084,7 @@ def recillas_per_point(p: HarmonicMorphism) -> RecillasResult:
 
 def push_chain_by_loop(cover: DoubleCover, chain: dict) -> dict:
     """Chain map of the covering projection."""
-    f = cover.cover
+    f = cover
     out = {}
     for k, c in chain.items():
         img_half = f.h(k)
@@ -1099,7 +1097,7 @@ def push_chain_by_loop(cover: DoubleCover, chain: dict) -> dict:
 def pull_chain_by_fiber_edges(cover: DoubleCover, chain: dict) -> dict:
     """Pullback of 1-forms: a free edge lifts to both preimages, a dilated
     edge to twice its single preimage."""
-    f = cover.cover
+    f = cover
     out = {}
     for k, c in chain.items():
         for up in f.fiber_edges(k):
@@ -1120,7 +1118,7 @@ def invol_chain_by_loop(cover: DoubleCover, chain: dict) -> dict:
 
 
 def lift_dilated_cycle_by_fiber_edges(cover: DoubleCover, cyc: dict) -> dict:
-    f = cover.cover
+    f = cover
     out = {}
     for k, c in cyc.items():
         ups = f.fiber_edges(k)

@@ -75,7 +75,7 @@ def test_dilated_lifts_match_the_loop(n):
 def _phi_at_every_half_edge(cons, top):
     """Phi at each section-cover half-edge, as a one-edge chain, against the
     oracle; its multiplicities sum to the degree n of the construction."""
-    info, lift = cons.half_edge_info, cons.tower.pi.cover.fiber_half_edges
+    info, lift = cons.half_edge_info, cons.tower.pi.fiber_half_edges
     identity = {h: h for h in info}
     for h in cons.cover_to_base.source.half_edges:
         pairs = cons.correspondence(h)
@@ -91,7 +91,7 @@ def test_trigonal_phi_matches_half_edge_info():
         tri = trigonal(tower)
         cons, top = tri.construction, tower.top
         section = {new: h for h, new in tri.half_edge_ids.items()}
-        info, lift = cons.half_edge_info, tower.pi.cover.fiber_half_edges
+        info, lift = cons.half_edge_info, tower.pi.fiber_half_edges
         for z in h1_basis(tri.quartic.source).cycles:
             assert chain_image(top, z, lambda k: cons.correspondence(section[k])) == \
                 _normal(phi_by_half_edge_info(info, section, lift, top, z))

@@ -25,10 +25,16 @@ definition, since `prym` induces the top metric itself.  A harmonic
 morphism is one value holding its maps and degrees: the package neither
 defines, imports nor names a `GraphMorphism`, and reads no
 `.morphism.vmap`, `.morphism.hmap`, `.morphism.source` or
-`.morphism.target` chain."""
+`.morphism.target` chain.  A double cover is one too: `DoubleCover`
+subclasses `HarmonicMorphism` and has no `cover` member, the package
+neither defines nor names `BuiltDoubleCover` or `InvolutionQuotient`, and
+reads no `.pi.cover` or `.cover.cover` chain."""
 
 import ast
+import dataclasses
 import os
+
+from tropcover.graphs import DoubleCover, HarmonicMorphism
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tropcover")
 FLOAT_MATH = {"sqrt", "log", "exp"}
@@ -350,4 +356,58 @@ def test_guard_catches_the_morphism_wrapper():
 def test_a_harmonic_morphism_is_one_value():
     offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
                  for line, what in morphism_wrapper_uses(tree)]
+    assert offenders == []
+
+
+DOUBLE_COVER_WRAPPERS = {"BuiltDoubleCover", "InvolutionQuotient"}
+
+
+def _is_harmonic_morphism(base) -> bool:
+    return getattr(base, "id", None) == "HarmonicMorphism" \
+        or getattr(base, "attr", None) == "HarmonicMorphism"
+
+
+def double_cover_wrapper_uses(tree):
+    """(line, description) of each use of `BuiltDoubleCover` or
+    `InvolutionQuotient`, of each `.pi.cover` or `.cover.cover` chain, and of
+    a `DoubleCover` class that does not subclass `HarmonicMorphism` or that
+    has a `cover` field or method."""
+    yield from name_uses(tree, DOUBLE_COVER_WRAPPERS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "cover" \
+                and isinstance(node.value, ast.Attribute) and node.value.attr in ("pi", "cover"):
+            yield node.lineno, f"reads .{node.value.attr}.cover"
+        elif isinstance(node, ast.ClassDef) and node.name == "DoubleCover":
+            if not any(map(_is_harmonic_morphism, node.bases)):
+                yield node.lineno, "DoubleCover does not subclass HarmonicMorphism"
+            for item in node.body:
+                target = getattr(item, "target", None)
+                if getattr(item, "name", None) == "cover" or getattr(target, "id", None) == "cover":
+                    yield item.lineno, "DoubleCover has a cover member"
+
+
+def test_guard_catches_the_double_cover_wrappers():
+    source = ('"""BuiltDoubleCover and t.pi.cover in a docstring are free."""\n'
+              "from .graphs import InvolutionQuotient\n"
+              "class DoubleCover:\n    cover: object\n"
+              "class BuiltDoubleCover(DoubleCover):\n    pass\n"
+              "def read(t, c, prym_data):\n"
+              "    return t.pi.cover.h, c.cover.cover, prym_data.cover.source\n")
+    assert sorted(double_cover_wrapper_uses(ast.parse(source))) == [
+        (2, "imports InvolutionQuotient"), (3, "DoubleCover does not subclass HarmonicMorphism"),
+        (4, "DoubleCover has a cover member"), (5, "defines BuiltDoubleCover"),
+        (8, "reads .cover.cover"), (8, "reads .pi.cover")]
+    folded = ("class DoubleCover(graphs.HarmonicMorphism):\n    vertex_invol: dict\n"
+              "    @property\n    def cover(self):\n        return self\n")
+    assert list(double_cover_wrapper_uses(ast.parse(folded))) == [
+        (4, "DoubleCover has a cover member")]
+    assert list(double_cover_wrapper_uses(ast.parse(folded.replace("cover(", "free(")))) == []
+
+
+def test_a_double_cover_is_a_harmonic_morphism():
+    assert issubclass(DoubleCover, HarmonicMorphism)
+    assert not hasattr(DoubleCover, "cover")
+    assert "cover" not in {f.name for f in dataclasses.fields(DoubleCover)}
+    offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
+                 for line, what in double_cover_wrapper_uses(tree)]
     assert offenders == []

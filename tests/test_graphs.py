@@ -170,11 +170,11 @@ class TestCompose:
     def test_degrees_multiply(self):
         for seed in range(8):
             tower = random_tower(seed, n=3).tower
-            comp = compose_harmonic(tower.pi.cover, tower.f)
+            comp = compose_harmonic(tower.pi, tower.f)
             assert validate_harmonic(comp) == []
             assert comp.global_degree() == 6
             for v in tower.top.vertices:
-                expected = tower.pi.cover.deg_v(v) * tower.f.deg_v(tower.pi.cover.v(v))
+                expected = tower.pi.deg_v(v) * tower.f.deg_v(tower.pi.v(v))
                 assert comp.deg_v(v) == expected
 
     def test_identity_composition(self):
@@ -192,7 +192,7 @@ class TestDilationData:
     def test_free_cover_of_genus_two(self):
         base, _ = Graph.from_edges(2, [(0, 1), (0, 1), (0, 1)])
         built = build_double_cover(base, bits={1: 1})
-        data = dilation_data(built.cover)
+        data = dilation_data(built)
         assert (data.A, data.B, data.C) == (1, 0, 0)
 
     def test_reference_hyperelliptic_tower(self):
@@ -205,7 +205,7 @@ class TestDilationData:
     def test_single_dilated_vertex_on_genus_one(self):
         base, _ = Graph.from_edges(2, [(0, 1), (0, 1)])
         built = build_double_cover(base, dilated_vertices={0}, bits={})
-        data = dilation_data(built.cover)
+        data = dilation_data(built)
         assert (data.m_d, data.n_d, data.components) == (0, 1, 1)
         assert (data.A, data.B, data.C) == (1, 0, 0)
 
@@ -220,14 +220,14 @@ class TestContractEdge:
     def test_free_edge_contraction_gives_two_unit_vertices(self):
         base = path_graph(2)
         built = build_double_cover(base)
-        c = contract_edge(built.cover.cover, 0)
+        c = contract_edge(built, 0)
         assert sorted(c.morphism.vertex_degree.values()) == [1, 1]
         assert len(c.morphism.target.vertices) == 1
 
     def test_dilated_edge_contraction_gives_one_degree_two_vertex(self):
         base = path_graph(2)
         built = build_double_cover(base, dilated_vertices={0, 1}, dilated_edge_keys={0})
-        c = contract_edge(built.cover.cover, 0)
+        c = contract_edge(built, 0)
         assert list(c.morphism.vertex_degree.values()) == [2]
 
     def test_contract_all_edges_of_degree_three_cover(self):
@@ -245,7 +245,7 @@ class TestContractEdge:
             key = rng.choice(tower.base.edge_keys())
             total = contract_edge(tower.composed(), key)
             c_f = contract_edge(tower.f, key)
-            pi = tower.pi.cover
+            pi = tower.pi
             for k in sorted(tower.f.fiber_edges(key), reverse=True):
                 pi = contract_edge(pi, k).morphism
             recomposed = compose_harmonic(pi, c_f.morphism)
@@ -270,8 +270,8 @@ class TestCoverIsomorphism:
 
     def test_connected_vs_split_double_cover_of_loop(self):
         base = loop_graph()
-        connected = build_double_cover(base, bits={1: 1}).cover.cover
-        split = build_double_cover(base).cover.cover
+        connected = build_double_cover(base, bits={1: 1})
+        split = build_double_cover(base)
         assert covers_isomorphic_over_base(connected, split) is None
 
     def test_fiber_profile_mismatch(self):
@@ -327,7 +327,7 @@ class TestTowerIsomorphism:
                 continue
             isomorphic += 1
             (vmid, hmid), (vtop, htop) = found
-            p1, p2 = t1.pi.cover, t2.pi.cover
+            p1, p2 = t1.pi, t2.pi
             assert all(vmid[p1.v(v)] == p2.v(x) for v, x in vtop.items())
             assert all(hmid[p1.h(h)] == p2.h(x) for h, x in htop.items())
         assert len(pairs) >= 500 and len(pairs) - isomorphic >= 200
@@ -345,7 +345,7 @@ class TestTowerIsomorphism:
         t1, t2 = isolated_tower((1, 1), (0, 0, 1, 1)), isolated_tower((1, 1), (0, 1, 0, 1))
         (vmid, _), (vtop, _) = towers_isomorphic(t1, t2)
         assert len(drawn) > 1
-        assert all(vmid[t1.pi.cover.v(v)] == t2.pi.cover.v(x) for v, x in vtop.items())
+        assert all(vmid[t1.pi.v(v)] == t2.pi.v(x) for v, x in vtop.items())
         assert towers_isomorphic_mid_first(t1, t2) is not None
 
     def test_isolated_vertices_with_no_mid_map(self):
@@ -418,7 +418,7 @@ def oracle_towers():
 class TestAgainstReplacedAlgorithms:
     def test_fiber_lookups_match_linear_scans(self):
         for tower in oracle_towers():
-            for f in (tower.pi.cover, tower.f, tower.composed()):
+            for f in (tower.pi, tower.f, tower.composed()):
                 for v in f.target.vertices:
                     fib = scan_fiber_vertices(f, v)
                     assert f.fiber_vertices(v) == fib
@@ -445,7 +445,7 @@ class TestAgainstReplacedAlgorithms:
 
     def test_contract_edge_groups_match_union_find(self):
         for tower in oracle_towers():
-            for f in (tower.pi.cover, tower.f):
+            for f in (tower.pi, tower.f):
                 for key in f.target.edge_keys():
                     ends = f.target.edge_ends(key)
                     groups = union_find_groups(
@@ -482,7 +482,7 @@ class TestValidateHarmonicAgainstRescan:
             for seed in range(20):
                 rng = random.Random(seed)
                 tower = random_tower(seed, n=n).tower
-                for level in (tower.f, tower.pi.cover):
+                for level in (tower.f, tower.pi):
                     for f in harmonicity_mutants(level, rng):
                         issues = validate_harmonic(f)
                         assert issues == validate_harmonic_by_rescan(f)
@@ -499,7 +499,7 @@ class TestValidateHarmonicAgainstRescan:
         sheets = build_double_cover(
             quartic.source, bits={h: rng.randrange(2) for h in quartic.source.half_edges})
         covers = ((8, ngonal_construct(tower, 3).cover_to_base),
-                  (16, tetragonal_split(Tower(sheets.cover, quartic)).construction.cover_to_base),
+                  (16, tetragonal_split(Tower(sheets, quartic)).construction.cover_to_base),
                   (6, recillas(quartic).tower.composed()))
         for degree, cover in covers:
             assert cover.global_degree() == degree and len(cover.source.vertices) > 100

@@ -123,7 +123,7 @@ class TestGeneratorDeterminism:
         for seed in range(20):
             gen = random_tower(seed, n=3)
             assert validate_harmonic(gen.tower.f) == []
-            assert validate_harmonic(gen.tower.pi.cover) == []
+            assert validate_harmonic(gen.tower.pi) == []
 
     def test_partitions_are_built_once(self):
         # random_harmonic_map draws from _partitions(n) at every base vertex;

@@ -26,8 +26,8 @@ from oracles import mat_equal, matmul, to_fractions
 def loop_cover(connected=True, dilated=False):
     loop = Graph((0,), {0: 0, 1: 0}, {0: 1, 1: 0})
     if dilated:
-        return build_double_cover(loop, dilated_vertices={0}, dilated_edge_keys={0}).cover
-    return build_double_cover(loop, bits={1: 1} if connected else {}).cover
+        return build_double_cover(loop, dilated_vertices={0}, dilated_edge_keys={0})
+    return build_double_cover(loop, bits={1: 1} if connected else {})
 
 
 class TestH1Basis:
@@ -141,7 +141,7 @@ class TestNormHom:
 class TestSymmetricBasis:
     def test_free_genus_two(self):
         g, _ = Graph.from_edges(2, [(0, 1), (0, 1), (0, 1)])
-        cover = build_double_cover(g, bits={1: 1}).cover
+        cover = build_double_cover(g, bits={1: 1})
         sb = symmetric_basis(cover)  # verify() runs inside
         assert len(sb.alpha_plus) == genus(g) - 1
         assert len(sb.beta) == 0 and len(sb.gamma_top) == 1
@@ -156,7 +156,7 @@ class TestSymmetricBasis:
         # dilated parallel pair: the dilation subgraph has a cycle
         g, keys = Graph.from_edges(2, [(0, 1), (0, 1), (0, 1)])
         cover = build_double_cover(g, dilated_vertices={0, 1},
-                                   dilated_edge_keys={0, 2}).cover
+                                   dilated_edge_keys={0, 2})
         sb = symmetric_basis(cover)
         assert len(sb.gamma_top) == 1
         assert pull_chain(cover, sb.gamma[0]) == chain_scale(2, sb.gamma_top[0])
@@ -190,7 +190,7 @@ class TestSymmetricBasis:
 class TestPrym:
     def test_free_cover_of_genus_two_type(self):
         g, _ = Graph.from_edges(2, [(0, 1), (0, 1), (0, 1)])
-        cover = build_double_cover(g, bits={1: 1}).cover
+        cover = build_double_cover(g, bits={1: 1})
         tgt_metric = MetricGraph(g, {k: Fraction(1) for k in g.edge_keys()})
         data = prym(cover, tgt_metric)
         assert data.rank == 1 and data.type == (2,)
@@ -427,7 +427,7 @@ class TestDualAgainstSnfRoute:
         for multiplier in (None, 2):
             new = dual_polarization(data.polarization, multiplier)
             old = dual_polarization_by_snf(data.polarization, multiplier)
-            assert new.dual_torus.pairing == old.dual_torus.pairing
+            assert new.polarized.torus.pairing == old.polarized.torus.pairing
             assert new.polarized.torus == old.polarized.torus
             assert new.polarized.matrix == old.polarized.matrix
             assert new.multiplier == old.multiplier

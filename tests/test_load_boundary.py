@@ -8,10 +8,14 @@ import io
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 from tropcover.cli import main
+from tropcover.graphs import Graph, HarmonicMorphism
+from tropcover.metrics import MetricGraph
+from tropcover.towerio import dumps_canonical, file_to_doc
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tropcover")
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -209,3 +213,35 @@ def test_a_map_entry_for_an_id_the_level_lacks_is_an_issue(tmp_path, level, key,
                  ["construct", str(bad), "--op", "trigonal", "--out", str(tmp_path / "out.json")]):
         assert run(argv, f"stray {key} entry") == (1, f"level{level}: {issue}\n", "")
     assert not (tmp_path / "out.json").exists()
+
+
+def _uneven_tower(copies: int) -> dict:
+    """A tower document over one base edge whose mid curve is two disjoint
+    edges of degree 1, with two top copies over the first mid edge and
+    `copies` over the second: degree 2 over mid vertex 0, but not over 2."""
+    base, _ = Graph.from_edges(2, [(0, 1)])
+    mid, _ = Graph.from_edges(4, [(0, 1), (2, 3)])
+    f = HarmonicMorphism(mid, base, {0: 0, 1: 1, 2: 0, 3: 1}, {0: 0, 1: 1, 2: 0, 3: 1},
+                         dict.fromkeys(range(4), 1), dict.fromkeys(range(4), 1))
+    over = [0, 0] + [1] * copies
+    top, _ = Graph.from_edges(2 * len(over), [(2 * i, 2 * i + 1) for i in range(len(over))])
+    vmap = {2 * i + j: 2 * e + j for i, e in enumerate(over) for j in (0, 1)}
+    pi = HarmonicMorphism(top, mid, vmap, dict(vmap), dict.fromkeys(top.vertices, 1),
+                          dict.fromkeys(top.half_edges, 1))
+    return file_to_doc(MetricGraph(base, {0: Fraction(1)}), [f, pi])
+
+
+@pytest.mark.parametrize("copies", [1, 3], ids=["degree 1", "degree 3"])
+def test_a_double_cover_has_degree_2_over_every_point(tmp_path, copies):
+    # with one copy, classify typed every point III (a degree-1 point taken
+    # as dilated) and construct wrote a file; with three, the commands
+    # failed with "too many values to unpack"
+    bad = tmp_path / "uneven.json"
+    bad.write_text(dumps_canonical(_uneven_tower(copies)), encoding="utf-8")
+    out = tmp_path / "out.json"
+    for argv in (["classify", str(bad)], ["prym", str(bad)],
+                 ["check", str(bad), "--theorem", "bigonal"],
+                 ["construct", str(bad), "--op", "bigonal", "--out", str(out)]):
+        assert run(argv, "uneven double cover") == (
+            1, "", "error: double cover must have degree 2 over every point, not over ('v', 2)\n")
+    assert not out.exists()

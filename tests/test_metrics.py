@@ -32,9 +32,9 @@ def test_free_cover_copies_lengths():
     base, keys = Graph.from_edges(3, [(0, 1), (1, 2)])
     metric = MetricGraph(base, {keys[0]: Fraction(5, 3), keys[1]: Fraction(2)})
     built = build_double_cover(base)
-    induced = induce_metric(built.cover.cover, metric)
+    induced = induce_metric(built, metric)
     for k in induced.graph.edge_keys():
-        down = base.edge_key(built.cover.cover.h(k))
+        down = base.edge_key(built.h(k))
         assert induced.length[k] == metric.length[down]
 
 
@@ -47,7 +47,7 @@ def test_trigonal_reference_lengths():
         assert mid.length[k] == Fraction(1, ref.tower.f.deg_edge(k))
     # the free double cover just copies these upstairs
     for k in top.graph.edge_keys():
-        down = mid.graph.edge_key(ref.tower.pi.cover.h(k))
+        down = mid.graph.edge_key(ref.tower.pi.h(k))
         assert top.length[k] == mid.length[down]
 
 
@@ -95,7 +95,7 @@ class TestAugmentSmooth:
         # each mapping with degree 1
         base, keys = Graph.from_edges(2, [(0, 1)])
         built = build_double_cover(base, dilated_vertices={0, 1}, dilated_edge_keys={0})
-        f = built.cover.cover
+        f = built
         tgt_metric = MetricGraph(base, {0: Fraction(2)})
         f2, s2, t2 = augment_smooth_tower(f, tgt_metric)
         new_src_rays = [k for k, v in s2.length.items() if is_inf(v)]
@@ -119,7 +119,7 @@ def test_induced_lengths_are_the_target_lengths_over_the_degrees(n, pi_free):
     for seed in range(4):
         gen = random_tower(seed, n=n, pi_free=pi_free)
         mid = induce_metric(gen.tower.f, gen.base_metric)
-        for f, down in ((gen.tower.f, gen.base_metric), (gen.tower.pi.cover, mid)):
+        for f, down in ((gen.tower.f, gen.base_metric), (gen.tower.pi, mid)):
             up = induce_metric(f, down)
             assert sorted(up.length) == list(f.source.edge_keys())
             for k, val in up.length.items():

@@ -132,7 +132,7 @@ class TestConstruction:
             9, [(3 * i + j, 3 * i + j + 3, keys[i], 1) for i in range(2) for j in range(3)],
             base, {3 * i + j: i for i in range(3) for j in range(3)})
         built = build_double_cover(f.source)
-        cons = ngonal_construct(Tower(built.cover, f), 3)
+        cons = ngonal_construct(Tower(built, f), 3)
         assert set(cons.cover_to_base.vertex_degree.values()) == {1}
         assert len(connected_components(cons.cover_to_base.source)) == 8
 
@@ -170,14 +170,14 @@ class TestInvolutionQuotient:
         fixed = [v for v in cons.cover_to_base.source.vertices if vperm[v] == v]
         assert fixed  # the (1,1) multisections over free degree-2 parts
         for v in fixed:
-            assert quot.projection.cover.vertex_degree[v] == 2
+            assert quot.pi.vertex_degree[v] == 2
 
     def test_quotient_degree_halves(self):
         ref = bigonal_reference()
         cons = ngonal_construct(ref.tower, 2)
         vperm, hperm = cons.sign_involution
         quot = involution_quotient(cons.cover_to_base, vperm, hperm)
-        assert quot.quotient_map.global_degree() == 2
+        assert quot.f.global_degree() == 2
 
     def test_fixed_point_free_iff_odd_free_part(self):
         # the sign involution is fixed-point-free over a base vertex exactly
@@ -230,7 +230,7 @@ class TestBigonal:
                                 base, {0: 0, 1: 0, 2: 1, 3: 1})
         built = build_double_cover(f.source, dilated_vertices={0, 1, 2, 3},
                                    dilated_edge_keys={0, 2})
-        tower = Tower(built.cover, f)
+        tower = Tower(built, f)
         assert classify_bigonal_point(tower, vpoint(0)) == "V"
         result = bigonal(tower)
         assert result.output_types[vpoint(0)] == "I"
@@ -413,7 +413,7 @@ class TestTetragonalSplit:
                                 base, {0: 0, 1: 0, 2: 1, 3: 1})
         built = build_double_cover(f.source)
         with pytest.raises(NonGenericError):
-            tetragonal_split(Tower(built.cover, f))
+            tetragonal_split(Tower(built, f))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +443,8 @@ def _old_partner_transport(t, h):
         mate = t.mid.partner[p.part_id]
         part_map[p.part_id] = mate
         if not p.dilated:
-            top_halves = t.pi.cover.fiber_half_edges(p.part_id)
-            mate_halves = t.pi.cover.fiber_half_edges(mate)
+            top_halves = t.pi.fiber_half_edges(p.part_id)
+            mate_halves = t.pi.fiber_half_edges(mate)
             flip[p.part_id] = t.top.partner[top_halves[0]] == mate_halves[1]
     return other, part_map, flip
 
@@ -528,7 +528,7 @@ def _relabel_top(t, seed):
     """The same tower with the top graph's ids shuffled, so that the lifts
     of a mid point come in either order and partner transport flips."""
     rng = random.Random(seed)
-    top, cover = t.top, t.pi.cover
+    top, cover = t.top, t.pi
     vs, hs = list(top.vertices), list(top.half_edges)
     rng.shuffle(vs)
     rng.shuffle(hs)

@@ -405,7 +405,7 @@ class TestLazyFractionForms:
             assert data.principal.polarized.gram() == eager["principal"]
             assert data.principal.polarized.torus.pairing == eager["principal"]
             dual = dual_polarization(data.polarization)
-            assert dual.dual_torus.pairing == transpose(eager["pairing"])
+            assert dual.polarized.torus.pairing == transpose(eager["pairing"])
         assert count == 16 and ranks > 10
 
     def test_prym_builds_no_fraction_matrix(self):

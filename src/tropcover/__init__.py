@@ -10,14 +10,11 @@ of the duality and isomorphism theorems relating them.
 from .graphs import (DoubleCover, Graph, GraphError,
                      HarmonicMorphism, NonGenericError, PreconditionError,
                      Tower, build_double_cover, compose_harmonic,
-                     connected_components, contract_edge,
-                     covers_isomorphic_over_base, dilation_data, genus,
-                     harmonic_from_edges, is_connected, is_tree,
-                     spanning_tree, towers_isomorphic, validate_graph,
+                     connected_components, covers_isomorphic_over_base,
+                     dilation_data, genus, harmonic_from_edges, is_connected,
+                     is_tree, spanning_tree, towers_isomorphic, validate_graph,
                      validate_harmonic)
-from .metrics import (INF, MetricGraph, augment_smooth, augment_smooth_tower,
-                      induce_metric, is_inf, validate_metric,
-                      validate_metric_harmonic)
+from .metrics import INF, MetricGraph, induce_metric, is_inf, validate_metric
 from .ngonal import (FiberDatum, FiberPart, bigonal, involution_quotient,
                      is_generic_bigonal, is_generic_tetragonal,
                      multisection_degree, multisection_sign, multisections,
@@ -29,7 +26,7 @@ from .tori import (IntegralTorus, Polarization, TorusHom, dual_polarization,
 from .jacprym import (CheckResult, PrymData, SymmetricBasis, check_bigonal_duality,
                       check_trigonal_prym, cycle_pairing, h1_basis, jacobian,
                       norm_hom, pairing_table, prym, symmetric_basis,
-                      tower_metrics, transfer_maps)
+                      transfer_maps)
 from .randgen import (GenerationError, random_tetragonal_curve, random_tower)
 
 __version__ = "0.1.0"

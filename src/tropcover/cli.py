@@ -2,12 +2,14 @@
 
 Subcommands: validate, construct, classify, jacobian, prym, check,
 random, export-dot, compare.  Every command reads tower files through one
-checking loader, ``towerio.load``, so a file that one command rejects is
+checking loader, ``towerio.load``, so a file that the loader rejects is
 rejected by all of them, the same way.  Exit codes:
 
 - 0: pass.
 - 1, issue report on stdout: the file breaks the graph, metric or
   harmonicity axioms; one line per issue, as ``validate`` prints it.
+  ``validate`` also reports a 2-level file whose top level is not a double
+  cover, where the commands that read the tower stop at an ``error:``.
 - 1, ``error: tower file: ...`` on stderr: the file is malformed (a
   missing field, a wrong JSON type, a non-integer key).  Other errors,
   failed checks and violated preconditions also exit 1.
@@ -48,6 +50,9 @@ def _format_matrix(rows, d=1) -> str:
 
 def cmd_validate(args) -> int:
     loaded = load(args.path)
+    issues = loaded.tower_issues()
+    if issues:
+        raise InvalidTowerFile(issues)
     print(f"OK: base tree={is_tree(loaded.base)}, levels={len(loaded.levels)}, "
           f"degrees={[f.global_degree() for f in loaded.levels]}")
     return 0

@@ -379,17 +379,27 @@ def _harmonic_issues(f: HarmonicMorphism) -> list:
                     "local-harmonicity", (vpoint(v), hpoint(hprime)),
                     f"deg(v)={d} but half-edge degrees over it sum to {total}"))
     if not issues and is_connected(t):
-        vfibers, hfibers = f._fibers[0], f._fibers[1]
-        sums = {}
-        for v in t.vertices:
-            sums[vpoint(v)] = sum(map(vdeg.__getitem__, vfibers.get(v, ())))
-        for h in t.half_edges:
-            sums[hpoint(h)] = sum(map(hdeg.__getitem__, hfibers.get(h, ())))
-        values = set(sums.values())
-        if len(values) > 1:
+        sums = _fiber_degree_sums(f)
+        if len(set(sums.values())) > 1:
             for p, d in sorted(sums.items()):
                 issues.append(ValidationIssue("global-degree", p, f"fiber degree sum {d} not constant"))
     return issues
+
+
+def _fiber_degree_sums(f: HarmonicMorphism) -> dict:
+    """Target point -> the sum of the local degrees over it, vertices first."""
+    (vfibers, hfibers), vdeg, hdeg = f._fibers, f.vertex_degree, f.half_edge_degree
+    sums = {vpoint(v): sum(map(vdeg.__getitem__, vfibers.get(v, ()))) for v in f.target.vertices}
+    for h in f.target.half_edges:
+        sums[hpoint(h)] = sum(map(hdeg.__getitem__, hfibers.get(h, ())))
+    return sums
+
+
+def double_cover_issues(f: HarmonicMorphism) -> list:
+    """One issue per target point over which the degrees of f do not sum to
+    2, vertices first; a harmonic f without one is a double cover."""
+    return [ValidationIssue("double-cover-degree", p, f"fiber degree sum {d}, not 2")
+            for p, d in _fiber_degree_sums(f).items() if d != 2]
 
 
 def identity_harmonic(g: Graph) -> HarmonicMorphism:
@@ -424,29 +434,32 @@ class DoubleCover(HarmonicMorphism):
     dilated_vertices: frozenset
     dilated_edge_keys: frozenset
 
+    def __post_init__(self):
+        """Builds no fiber index: `from_harmonic` hands over its input's."""
+
     def is_free(self) -> bool:
         return not self.dilated_vertices and not self.dilated_edge_keys
 
     @classmethod
     def from_harmonic(cls, f: HarmonicMorphism) -> "DoubleCover":
         """The double cover with the maps of f, its involution and dilation
-        read off the fibers.  It has f's maps, so it keeps f's
-        `validate_harmonic` scan instead of scanning again."""
+        read off the fibers.  It has f's maps, so it keeps f's fiber index
+        and `validate_harmonic` scan instead of building them again."""
         issues = validate_harmonic(f)
         if issues:
             raise GraphError(f"double cover is not harmonic: {issues[0]}")
         if f.global_degree() != 2:
             raise GraphError(f"double cover must have global degree 2, got {f.global_degree()}")
+        uneven = double_cover_issues(f)
+        if uneven:
+            raise GraphError("double cover must have degree 2 over every point, "
+                             f"not over {uneven[0].where}")
         t = f.target
         vinv, hinv, dil_v, dil_h = {}, {}, set(), set()
-        for kind, ids, fiber, degree, inv, dil in (
-                ("v", t.vertices, f.fiber_vertices, f.vertex_degree, vinv, dil_v),
-                ("h", t.half_edges, f.fiber_half_edges, f.half_edge_degree, hinv, dil_h)):
+        for ids, fiber, inv, dil in ((t.vertices, f.fiber_vertices, vinv, dil_v),
+                                     (t.half_edges, f.fiber_half_edges, hinv, dil_h)):
             for x in ids:
                 fib = fiber(x)
-                if sum(map(degree.__getitem__, fib)) != 2:
-                    raise GraphError("double cover must have degree 2 over every point, "
-                                     f"not over {(kind, x)}")
                 if len(fib) == 1:
                     inv[fib[0]] = fib[0]
                     dil.add(x)
@@ -455,7 +468,8 @@ class DoubleCover(HarmonicMorphism):
                     inv[a], inv[b] = b, a
         cov = cls(f.source, t, f.vmap, f.hmap, f.vertex_degree, f.half_edge_degree,
                   vinv, hinv, frozenset(dil_v), frozenset(map(t.edge_key, dil_h)))
-        object.__setattr__(cov, "_issues", f._issues)
+        for name in ("_fibers", "_issues"):
+            object.__setattr__(cov, name, getattr(f, name))
         cov._check_involution()
         return cov
 
@@ -531,63 +545,6 @@ def dilation_data(c: DoubleCover) -> DilationData:
     if A + B != g_s - g_t:
         raise GraphError(f"dilation invariants inconsistent: A+B={A + B} but g difference is {g_s - g_t}")
     return DilationData(m_d, n_d, d, A, B, C)
-
-
-@dataclass(frozen=True)
-class Contraction:
-    morphism: HarmonicMorphism
-    source_vertex_map: dict
-
-
-def contract_edge(f: HarmonicMorphism, key: int) -> Contraction:
-    """Contract a target edge and every source edge above it.
-
-    Each connected component of the preimage of the edge (with its two
-    endpoints) collapses to one vertex whose degree is the degree of the
-    restriction of f to that component.
-    """
-    t = f.target
-    if key not in t.edge_keys():
-        raise GraphError(f"{key} is not an edge key of the target")
-    u, v = t.edge_ends(key)
-    w = min(u, v)
-    t_vmap = {x: (w if x in (u, v) else x) for x in t.vertices}
-    dead_t = {key, t.partner[key]}
-    new_t = Graph(tuple(sorted(set(t_vmap.values()))),
-                  {h: t_vmap[t.root[h]] for h in t.half_edges if h not in dead_t},
-                  {h: t.partner[h] for h in t.half_edges if h not in dead_t})
-
-    s = f.source
-    fiber_keys = set(f.fiber_edges(key))
-    fiber_halves = set()
-    for k in fiber_keys:
-        fiber_halves.add(k)
-        fiber_halves.add(s.partner[k])
-    # components of the preimage of {u, v, e}
-    end_vertices = set(f.fiber_vertices(u) + f.fiber_vertices(v))
-    s_vmap = {x: x for x in s.vertices}
-    new_vd = dict(f.vertex_degree)
-    for members in _bfs_components(s, end_vertices, fiber_keys):
-        rep = min(members)
-        over_u = [x for x in members if f.v(x) == u]
-        deg = sum(f.vertex_degree[x] for x in over_u)
-        if deg == 0:  # e is a loop at u=v; the restriction degree is the sum over u
-            deg = sum(f.vertex_degree[x] for x in members)
-        for x in members:
-            s_vmap[x] = rep
-            new_vd.pop(x, None)
-        new_vd[rep] = deg
-    new_s = Graph(tuple(sorted(set(s_vmap.values()))),
-                  {h: s_vmap[s.root[h]] for h in s.half_edges if h not in fiber_halves},
-                  {h: s.partner[h] for h in s.half_edges if h not in fiber_halves})
-    new_f = HarmonicMorphism(
-        new_s, new_t, {x: t_vmap[f.v(x)] for x in new_s.vertices},
-        {h: f.h(h) for h in new_s.half_edges}, {x: new_vd[x] for x in new_s.vertices},
-        {h: f.half_edge_degree[h] for h in new_s.half_edges})
-    issues = validate_harmonic(new_f)
-    if issues:
-        raise GraphError(f"contraction produced a non-harmonic morphism: {issues[0]}")
-    return Contraction(new_f, s_vmap)
 
 
 @dataclass(frozen=True)

@@ -355,13 +355,6 @@ def prym(cover: DoubleCover, target_metric: MetricGraph) -> PrymData:
                     ker, nm, maps, dil)
 
 
-def tower_metrics(tower: Tower, base_metric: MetricGraph):
-    """(mid metric, top metric) induced from the base through the tower."""
-    mid = induce_metric(tower.f, base_metric)
-    top = induce_metric(tower.pi, mid)
-    return mid, top
-
-
 @dataclass(frozen=True)
 class CheckResult:
     passed: bool

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism, Tower,
-                     validate_graph, validate_harmonic)
+                     double_cover_issues, validate_graph, validate_harmonic)
 from .metrics import MetricGraph, format_length, parse_length, validate_metric
 
 
@@ -151,6 +151,13 @@ class LoadedFile:
         if not self.levels:
             raise GraphError("file has no cover levels")
         return self.levels[i]
+
+    def tower_issues(self) -> list:
+        """The issue lines of a 2-level file whose top level is not a double
+        cover, which `tower` refuses at the first; none for other files."""
+        if len(self.levels) != 2:
+            return []
+        return [f"level1: {x}" for x in double_cover_issues(self.levels[1])]
 
     def tower(self) -> Tower:
         if len(self.levels) != 2:

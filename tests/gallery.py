@@ -10,7 +10,8 @@ Two families, each over a path base with symbolic rational edge lengths:
 
 Both come with explicit homology cycles in which those tables take
 their closed forms, so the exact matrices can be asserted entry by
-entry.
+entry.  `tower_metrics` induces the mid and top metrics of any tower
+from its base metric.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import DoubleCover, Graph, Tower, build_double_cover, harmonic_from_edges
-from .metrics import MetricGraph
+from tropcover.graphs import DoubleCover, Graph, Tower, build_double_cover, harmonic_from_edges
+from tropcover.metrics import MetricGraph, induce_metric
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,12 @@ class ReferenceTower:
     base_metric: MetricGraph
     kernel_cycles: tuple  # basis of ker(pushforward), as edge-key chains upstairs
     class_reps: tuple     # representatives of the coker basis downstairs-quotient
+
+
+def tower_metrics(tower: Tower, base_metric: MetricGraph):
+    """(mid metric, top metric) induced from the base through the tower."""
+    mid = induce_metric(tower.f, base_metric)
+    return mid, induce_metric(tower.pi, mid)
 
 
 def _path_base(lengths):

@@ -42,6 +42,12 @@ edge-key loop before `jacprym.chain_image`: push, pull (by source edge
 keys and a sign test), involution, the lift of a dilated cycle, and the
 trigonal witness's Phi, which read `half_edge_info` itself before
 `NgonalConstruction.correspondence`.
+
+Last come the operations that no command, construction or theorem check
+reaches, which the package dropped: the contraction of an edge of a
+harmonic morphism, the smooth augmentation of a metric graph or a cover
+by infinite rays, and the check that a source metric is induced from a
+target metric.
 """
 
 from __future__ import annotations
@@ -56,9 +62,11 @@ from tropcover.graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism,
                               PreconditionError, Tower, ValidationIssue, _bfs, _bfs_components,
                               _bfs_tree, chain_boundary, covers_isomorphic_over_base,
                               fundamental_cycle, genus, hpoint, is_connected, is_tree,
-                              iter_cover_isomorphisms, spanning_tree, validate_morphism, vpoint)
+                              iter_cover_isomorphisms, spanning_tree, validate_harmonic,
+                              validate_morphism, vpoint)
 from tropcover.jacprym import (SymmetricBasis, _lift_dilated_cycle, chain_halve, h1_basis,
                                invol_chain, pairing_table, push_chain)
+from tropcover.metrics import INF, MetricGraph, induce_metric, is_inf
 from tropcover.ngonal import (FiberDatum, Multisection, NgonalConstruction, RecillasResult,
                               _canonical, _check_harmonic, _fiber_shape, _sign_quotient,
                               classify_tetragonal_point, involution_quotient,
@@ -1141,3 +1149,159 @@ def phi_by_half_edge_info(info: dict, section: dict, lift, top: Graph, cycle: di
                 key = top.edge_key(h)
                 out[key] = out.get(key, 0) + (c * m if h == key else -c * m)
     return out
+
+
+# ---------------------------------------------------------------------------
+# operations no command, construction or check reaches, tested for their own sake
+
+@dataclass(frozen=True)
+class Contraction:
+    morphism: HarmonicMorphism
+    source_vertex_map: dict
+
+
+def contract_edge(f: HarmonicMorphism, key: int) -> Contraction:
+    """Contract a target edge and every source edge above it.
+
+    Each connected component of the preimage of the edge (with its two
+    endpoints) collapses to one vertex whose degree is the degree of the
+    restriction of f to that component.
+    """
+    t = f.target
+    if key not in t.edge_keys():
+        raise GraphError(f"{key} is not an edge key of the target")
+    u, v = t.edge_ends(key)
+    w = min(u, v)
+    t_vmap = {x: (w if x in (u, v) else x) for x in t.vertices}
+    dead_t = {key, t.partner[key]}
+    new_t = Graph(tuple(sorted(set(t_vmap.values()))),
+                  {h: t_vmap[t.root[h]] for h in t.half_edges if h not in dead_t},
+                  {h: t.partner[h] for h in t.half_edges if h not in dead_t})
+
+    s = f.source
+    fiber_keys = set(f.fiber_edges(key))
+    fiber_halves = set()
+    for k in fiber_keys:
+        fiber_halves.add(k)
+        fiber_halves.add(s.partner[k])
+    # components of the preimage of {u, v, e}
+    end_vertices = set(f.fiber_vertices(u) + f.fiber_vertices(v))
+    s_vmap = {x: x for x in s.vertices}
+    new_vd = dict(f.vertex_degree)
+    for members in _bfs_components(s, end_vertices, fiber_keys):
+        rep = min(members)
+        over_u = [x for x in members if f.v(x) == u]
+        deg = sum(f.vertex_degree[x] for x in over_u)
+        if deg == 0:  # e is a loop at u=v; the restriction degree is the sum over u
+            deg = sum(f.vertex_degree[x] for x in members)
+        for x in members:
+            s_vmap[x] = rep
+            new_vd.pop(x, None)
+        new_vd[rep] = deg
+    new_s = Graph(tuple(sorted(set(s_vmap.values()))),
+                  {h: s_vmap[s.root[h]] for h in s.half_edges if h not in fiber_halves},
+                  {h: s.partner[h] for h in s.half_edges if h not in fiber_halves})
+    new_f = HarmonicMorphism(
+        new_s, new_t, {x: t_vmap[f.v(x)] for x in new_s.vertices},
+        {h: f.h(h) for h in new_s.half_edges}, {x: new_vd[x] for x in new_s.vertices},
+        {h: f.half_edge_degree[h] for h in new_s.half_edges})
+    issues = validate_harmonic(new_f)
+    if issues:
+        raise GraphError(f"contraction produced a non-harmonic morphism: {issues[0]}")
+    return Contraction(new_f, s_vmap)
+
+
+def validate_metric_harmonic(f: HarmonicMorphism, up: MetricGraph, down: MetricGraph) -> list:
+    """Empty iff deg(e) * len(e) = len(f(e)) for every source edge, where
+    `up` is a metric on f's source and `down` one on its target."""
+    issues = []
+    if up.graph != f.source or down.graph != f.target:
+        issues.append(ValidationIssue("metric-domain", (), "metrics do not match the morphism"))
+        return issues
+    for k in f.source.edge_keys():
+        up_len, down_len = up.length[k], down.length[f.target.edge_key(f.h(k))]
+        if is_inf(up_len) != is_inf(down_len):
+            issues.append(ValidationIssue("dilation-factor", hpoint(k), "infinite lengths do not correspond"))
+        elif not is_inf(up_len) and f.deg_edge(k) * up_len != down_len:
+            issues.append(ValidationIssue(
+                "dilation-factor", hpoint(k),
+                f"{f.deg_edge(k)} * {up_len} != {down_len}"))
+    return issues
+
+
+def _finite_leaves(m: MetricGraph):
+    g = m.graph
+    leaves = []
+    for v in g.vertices:
+        if g.valence(v) == 1:
+            k = g.edge_key(g.tangent(v)[0])
+            if not is_inf(m.length[k]):
+                leaves.append(v)
+    return leaves
+
+
+def augment_smooth(m: MetricGraph) -> MetricGraph:
+    """Attach one infinite ray to every finite univalent vertex. Idempotent."""
+    leaves = _finite_leaves(m)
+    if not leaves:
+        return m
+    g = m.graph
+    next_v = max(g.vertices, default=-1) + 1
+    next_h = max(g.half_edges, default=-1) + 1
+    root, partner = dict(g.root), dict(g.partner)
+    vertices = list(g.vertices)
+    length = dict(m.length)
+    for v in leaves:
+        tip = next_v
+        a, b = next_h, next_h + 1
+        next_v += 1
+        next_h += 2
+        vertices.append(tip)
+        root[a], root[b] = v, tip
+        partner[a], partner[b] = b, a
+        length[a] = INF
+    return MetricGraph(Graph(tuple(vertices), root, partner), length)
+
+
+def augment_smooth_tower(f: HarmonicMorphism, target_metric: MetricGraph):
+    """Augment target leaves, then attach deg(v) rays of degree 1 above each.
+
+    The source carries the metric induced from the target.  Returns
+    (morphism, source_metric, target_metric) over the augmented graphs;
+    genus and homology are unchanged on both levels.
+    """
+    new_target = augment_smooth(target_metric)
+    tgt_leaves = _finite_leaves(target_metric)
+    # ray edge attached at each old target leaf, in creation order
+    ray_at = {}
+    for v, k in zip(tgt_leaves, sorted(set(new_target.length) - set(target_metric.length))):
+        ray_at[v] = k
+
+    s = f.source
+    next_v = max(s.vertices, default=-1) + 1
+    next_h = max(s.half_edges, default=-1) + 1
+    root, partner = dict(s.root), dict(s.partner)
+    vertices = list(s.vertices)
+    length = dict(induce_metric(f, target_metric).length)
+    vmap, hmap = dict(f.vmap), dict(f.hmap)
+    vd, hd = dict(f.vertex_degree), dict(f.half_edge_degree)
+    for v in tgt_leaves:
+        k = ray_at[v]
+        far = new_target.graph.root[new_target.graph.partner[k]]
+        for x in f.fiber_vertices(v):
+            for _ in range(f.vertex_degree[x]):
+                tip, a, b = next_v, next_h, next_h + 1
+                next_v += 1
+                next_h += 2
+                vertices.append(tip)
+                root[a], root[b] = x, tip
+                partner[a], partner[b] = b, a
+                length[a] = INF
+                vmap[tip] = far
+                hmap[a], hmap[b] = k, new_target.graph.partner[k]
+                vd[tip] = 1
+                hd[a] = hd[b] = 1
+    new_source_graph = Graph(tuple(vertices), root, partner)
+    new_f = HarmonicMorphism(new_source_graph, new_target.graph, vmap, hmap, vd, hd)
+    new_source = MetricGraph(new_source_graph, length)
+    return new_f, new_source, new_target

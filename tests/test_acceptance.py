@@ -11,9 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from tropcover.gallery import (bigonal_expected_tables, bigonal_output_reference,
-                               bigonal_reference, trigonal_expected_table,
-                               trigonal_reference)
 from tropcover.graphs import (Graph, NonGenericError, betti_number, genus,
                               harmonic_from_edges, is_connected,
                               towers_isomorphic, covers_isomorphic_over_base,
@@ -21,7 +18,7 @@ from tropcover.graphs import (Graph, NonGenericError, betti_number, genus,
 from tropcover.intlinalg import (gram_isometries, is_integral, mat,
                                  to_int, transpose)
 from tropcover.jacprym import (check_bigonal_duality, check_trigonal_prym,
-                               jacobian, pairing_table, prym, tower_metrics)
+                               jacobian, pairing_table, prym)
 from tropcover.metrics import induce_metric
 from tropcover.ngonal import (bigonal, classify_tetragonal_point,
                               ngonal_construct, recillas, tetragonal_split,
@@ -29,6 +26,9 @@ from tropcover.ngonal import (bigonal, classify_tetragonal_point,
 from tropcover.randgen import random_tetragonal_curve, random_tower
 from tropcover.tori import Polarization
 
+from gallery import (bigonal_expected_tables, bigonal_output_reference,
+                     bigonal_reference, tower_metrics, trigonal_expected_table,
+                     trigonal_reference)
 from oracles import (clear_denominators, det, inverse, mat_equal, matmul,
                      polarization_type, snf, to_fractions)
 

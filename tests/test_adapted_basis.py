@@ -17,11 +17,12 @@ import io
 import os
 from fractions import Fraction
 
+from gallery import tower_metrics
 from oracles import symmetric_basis_by_model
 from test_acceptance import _unimodular_change
 from tropcover import jacprym
 from tropcover.cli import main
-from tropcover.jacprym import prym, symmetric_basis, tower_metrics
+from tropcover.jacprym import prym, symmetric_basis
 from tropcover.randgen import random_tower
 from tropcover.tori import polarized_isomorphic
 from tropcover.towerio import load, save, tower_to_doc

@@ -28,7 +28,9 @@ defines, imports nor names a `GraphMorphism`, and reads no
 `.morphism.target` chain.  A double cover is one too: `DoubleCover`
 subclasses `HarmonicMorphism` and has no `cover` member, the package
 neither defines nor names `BuiltDoubleCover` or `InvolutionQuotient`, and
-reads no `.pi.cover` or `.cover.cover` chain."""
+reads no `.pi.cover` or `.cover.cover` chain.  Every module of the package
+is reached from `cli.py` through package-relative imports, so a module that
+only tests import lives in tests/."""
 
 import ast
 import dataclasses
@@ -411,3 +413,39 @@ def test_a_double_cover_is_a_harmonic_morphism():
     offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
                  for line, what in double_cover_wrapper_uses(tree)]
     assert offenders == []
+
+
+def package_imports(tree) -> set:
+    """The package modules a module imports: x of each `from .x import ...`
+    and each name of `from . import x, ...`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module.split(".")[0]] if node.module
+                       else (alias.name for alias in node.names))
+    return out
+
+
+def reached_from(trees: dict, start: str) -> set:
+    """The modules of `trees` (module name -> AST) that `start` reaches
+    through package-relative imports, itself included."""
+    seen, todo = {start}, [start]
+    while todo:
+        new = package_imports(trees[todo.pop()]) & trees.keys() - seen
+        seen |= new
+        todo += new
+    return seen
+
+
+def test_guard_follows_both_import_forms():
+    trees = {name: ast.parse(source) for name, source in {
+        "cli": '"""from .gallery import x in a docstring is free."""\nfrom .a import f\n',
+        "a": "from . import b as la, c\nimport d\n", "b": "from .e.sub import g\n",
+        "c": "", "d": "", "e": "", "gallery": "from .a import f\n"}.items()}
+    assert reached_from(trees, "cli") == {"cli", "a", "b", "c", "e"}
+
+
+def test_every_module_is_reached_from_the_cli():
+    # a module only tests import, such as the reference towers, lives in tests/
+    trees = {name[:-3]: tree for name, tree in package_trees()}
+    assert set(trees) - {"__init__"} - reached_from(trees, "cli") == set()

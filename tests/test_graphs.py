@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,8 +7,7 @@ from tropcover import graphs
 from tropcover.graphs import (DoubleCover, Graph, GraphError,
                               HarmonicMorphism, PreconditionError, Tower,
                               build_double_cover, compose_harmonic,
-                              connected_components, contract_edge,
-                              covers_isomorphic_over_base, dilation_data,
+                              connected_components, covers_isomorphic_over_base, dilation_data,
                               fundamental_cycles, genus, harmonic_from_edges,
                               identity_harmonic, spanning_tree,
                               towers_isomorphic, validate_graph,
@@ -15,7 +15,7 @@ from tropcover.graphs import (DoubleCover, Graph, GraphError,
 from tropcover.ngonal import bigonal, ngonal_construct, recillas, tetragonal_split, trigonal
 from tropcover.randgen import random_tower
 
-from oracles import towers_isomorphic_mid_first, validate_harmonic_by_rescan
+from oracles import contract_edge, towers_isomorphic_mid_first, validate_harmonic_by_rescan
 
 
 def loop_graph():
@@ -196,7 +196,7 @@ class TestDilationData:
         assert (data.A, data.B, data.C) == (1, 0, 0)
 
     def test_reference_hyperelliptic_tower(self):
-        from tropcover.gallery import bigonal_reference
+        from gallery import bigonal_reference
         data = dilation_data(bigonal_reference().tower.pi)
         assert (data.A, data.B, data.C) == (1, 1, 0)
         assert data.components == 2
@@ -214,6 +214,27 @@ class TestDilationData:
             tower = random_tower(seed, n=2).tower
             data = dilation_data(tower.pi)
             assert data.A + data.B == genus(tower.top) - genus(tower.mid)
+
+
+def test_a_double_cover_indexes_its_fibers_once_per_map(monkeypatch, tmp_path):
+    # build_double_cover indexed the fibers of its morphism, then
+    # from_harmonic indexed them again on the double cover with the same maps
+    from tropcover import randgen
+    from tropcover.towerio import load, save, tower_to_doc
+    towers = []
+    for seed in range(10):
+        gen = random_tower(seed, n=3)
+        save(tmp_path / f"t{seed}.json", tower_to_doc(gen.tower, gen.base_metric))
+        towers.append((seed, gen.tower.mid, load(tmp_path / f"t{seed}.json")))
+    indexed, preimages = [], graphs._preimages
+    monkeypatch.setattr(graphs, "_preimages", lambda image, ids: indexed.append(image)
+                        or preimages(image, ids))
+    for seed, mid, loaded in towers:
+        indexed.clear()
+        cover = randgen.random_double_cover_of(random.Random(seed), mid, Fraction(1, 2))
+        assert list(map(id, indexed)) == [id(cover.vmap), id(cover.hmap)]
+        # a loaded level keeps the index the loader built
+        assert loaded.tower().pi.fiber_vertices(0) and len(indexed) == 2
 
 
 class TestContractEdge:

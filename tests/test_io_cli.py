@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
+from gallery import bigonal_reference, trigonal_reference
 from tropcover.cli import main
-from tropcover.gallery import bigonal_reference, trigonal_reference
 from tropcover.graphs import PreconditionError, towers_isomorphic, validate_harmonic
 from tropcover.ngonal import bigonal, classify_tetragonal_point, ngonal_construct
 from tropcover.randgen import random_tower

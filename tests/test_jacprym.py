@@ -6,8 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from tropcover.gallery import (bigonal_output_reference, bigonal_reference,
-                               trigonal_expected_table, trigonal_reference)
 from tropcover.graphs import (Graph, GraphError, PreconditionError,
                               build_double_cover, genus, is_connected)
 from tropcover.intlinalg import identity, mat, mat_scale, transpose, unscaled
@@ -15,11 +13,13 @@ from tropcover.jacprym import (chain_scale, check_bigonal_duality,
                                check_trigonal_prym, cycle_pairing, h1_basis,
                                invol_chain, jacobian, norm_hom, pairing_table,
                                prym, pull_chain, push_chain, symmetric_basis,
-                               tower_metrics, transfer_maps)
+                               transfer_maps)
 from tropcover.metrics import MetricGraph, induce_metric
 from tropcover.randgen import random_tower
 from tropcover.tori import dual_polarization, polarized_isomorphic
 
+from gallery import (bigonal_output_reference, bigonal_reference,
+                     tower_metrics, trigonal_expected_table, trigonal_reference)
 from oracles import mat_equal, matmul, to_fractions
 
 
@@ -170,7 +170,7 @@ class TestSymmetricBasis:
         # python -O strips `assert` statements; verify() must still raise
         script = (
             "import dataclasses, sys\n"
-            "from tropcover.gallery import trigonal_reference\n"
+            "from gallery import trigonal_reference\n"
             "from tropcover.jacprym import symmetric_basis\n"
             "sb = symmetric_basis(trigonal_reference().tower.pi)\n"
             "spoiled = dataclasses.replace(sb, alpha_minus=sb.alpha_plus)\n"
@@ -181,7 +181,8 @@ class TestSymmetricBasis:
             "sys.exit(1)\n")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            [src, os.path.dirname(__file__)]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -474,7 +475,7 @@ class TestCertifiedJacobian:
     # every two cycles in fractions, then eliminated the Gram twice
     @staticmethod
     def _metrics():
-        from tropcover.metrics import augment_smooth
+        from oracles import augment_smooth
         from tropcover.ngonal import trigonal
         for n in (2, 3):
             for seed in range(8):
@@ -842,8 +843,7 @@ class TestTrigonalWitness:
             out = induce_metric(f, metric)
             if f.global_degree() != 4:
                 return out
-            return MetricGraph(out.graph, {k: 2 * x for k, x in out.length.items()},
-                               out.smooth_model)
+            return MetricGraph(out.graph, {k: 2 * x for k, x in out.length.items()})
         monkeypatch.setattr(jacprym, "induce_metric", doubled_quartic)
         for label, tower, metric in _trigonal_towers(((9, 16),), range(10)):
             result = check_trigonal_prym(tower, metric)

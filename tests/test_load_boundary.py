@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ import pytest
 from tropcover.cli import main
 from tropcover.graphs import Graph, HarmonicMorphism
 from tropcover.metrics import MetricGraph
-from tropcover.towerio import dumps_canonical, file_to_doc
+from tropcover.randgen import random_tower
+from tropcover.towerio import dumps_canonical, file_to_doc, tower_to_doc
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tropcover")
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -245,3 +247,62 @@ def test_a_double_cover_has_degree_2_over_every_point(tmp_path, copies):
         assert run(argv, "uneven double cover") == (
             1, "", "error: double cover must have degree 2 over every point, not over ('v', 2)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("copies", [1, 3], ids=["degree 1", "degree 3"])
+def test_validate_reports_a_top_level_off_degree_2(tmp_path, copies):
+    # validate printed `OK: ... degrees=[2, 2]` and exited 0 on these files
+    bad = tmp_path / "uneven.json"
+    bad.write_text(dumps_canonical(_uneven_tower(copies)), encoding="utf-8")
+    assert run(["validate", str(bad)], "uneven double cover") == (1, "".join(
+        f"level1: [double-cover-degree] at {p}: fiber degree sum {copies}, not 2\n"
+        for p in (("v", 2), ("v", 3), ("h", 2), ("h", 3))), "")
+
+
+ISSUE_LINE = re.compile(r"(level\d+: )?\[[a-z-]+\] at ")
+LOAD_ERRORS = ("error: tower file: ", "error: double cover ")
+
+
+def load_error(text: str, err: str):
+    """The first line by which a command refuses its file as a file: an
+    issue report line, or an `error:` line about the file or its double
+    cover.  None if there is no such line."""
+    return next((line for line in text.splitlines() if ISSUE_LINE.match(line)), None) or \
+        next((line for line in err.splitlines() if line.startswith(LOAD_ERRORS)), None)
+
+
+def test_a_file_that_validates_loads_in_every_command(tmp_path):
+    """On the shipped files, the two uneven towers, seeded towers whose top
+    curve may be disconnected, and seeded mutants of them all: whenever
+    validate exits 0, no command that reads the file refuses it as a file."""
+    rng = random.Random(20261019)
+    sources = []
+    for name, theorem in (("trigonal_tower.json", "trigonal"), ("bigonal_tower.json", "bigonal")):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            sources.append((name, json.load(fh), theorem))
+    for copies in (1, 3):
+        sources.append((f"uneven {copies}", _uneven_tower(copies), "bigonal"))
+    for n, theorem in ((2, "bigonal"), (3, "trigonal")):
+        for seed in range(5):
+            gen = random_tower(seed, n=n, connected=False)
+            sources.append((f"seed {seed} n={n}", tower_to_doc(gen.tower, gen.base_metric),
+                            theorem))
+    out, refused = str(tmp_path / "out.json"), []
+    for trial in range(len(sources) + 200):
+        name, source, theorem = sources[trial] if trial < len(sources) else rng.choice(sources)
+        doc = json.loads(json.dumps(source))
+        what = mutate(doc, rng) if trial >= len(sources) else "unchanged"
+        path = str(tmp_path / f"m{trial}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if run(["validate", path], what)[0] != 0:
+            if trial < len(sources):
+                refused.append(name)
+            continue
+        for argv in (["construct", path, "--op", theorem, "--out", out],
+                     ["classify", path], ["jacobian", path], ["prym", path],
+                     ["check", path, "--theorem", theorem], ["export-dot", path],
+                     ["compare", path, path]):
+            _, text, err = run(argv, what)
+            assert load_error(text, err) is None, (name, what, argv, text, err)
+    assert refused == ["uneven 1", "uneven 3"]

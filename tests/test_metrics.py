@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest  # noqa: F401  (raises-based tests below)
 
-from tropcover.gallery import trigonal_reference
+from gallery import tower_metrics, trigonal_reference
+from oracles import (_finite_leaves, augment_smooth, augment_smooth_tower,
+                     validate_metric_harmonic)
 from tropcover.graphs import Graph, build_double_cover, harmonic_from_edges
-from tropcover.jacprym import h1_basis, tower_metrics
-from tropcover.metrics import (INF, MetricGraph, augment_smooth,
-                               augment_smooth_tower, format_length,
-                               induce_metric, is_inf, parse_length,
-                               validate_metric, validate_metric_harmonic)
+from tropcover.jacprym import h1_basis
+from tropcover.metrics import (INF, MetricGraph, format_length, induce_metric,
+                               is_inf, parse_length, validate_metric)
 from tropcover.randgen import random_tower
 
 
@@ -73,7 +73,7 @@ class TestAugmentSmooth:
         loop = Graph((0,), {0: 0, 1: 0}, {0: 1, 1: 0})
         metric = MetricGraph(loop, {0: Fraction(3)})
         out = augment_smooth(metric)
-        assert out.graph == loop and out.smooth_model
+        assert out.graph == loop and not _finite_leaves(out)
 
     def test_single_leaf_gets_one_ray(self):
         base, keys = Graph.from_edges(2, [(0, 1)])

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from tropcover.gallery import bigonal_output_reference, bigonal_reference, trigonal_reference
 from tropcover.graphs import (Graph, NonGenericError, PreconditionError, Tower,
                               build_double_cover, connected_components, genus,
                               harmonic_from_edges, is_connected,
                               towers_isomorphic)
+from gallery import bigonal_output_reference, bigonal_reference, trigonal_reference
 from oracles import (Refinement, _partner_transport, _root_refinement,
                      induce_multisection)
 from tropcover.ngonal import (FiberDatum, FiberPart, bigonal,

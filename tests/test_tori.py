@@ -377,7 +377,8 @@ class TestTorusEquality:
 
 def _seeded_pryms():
     from tropcover.graphs import is_connected
-    from tropcover.jacprym import prym, tower_metrics
+    from gallery import tower_metrics
+    from tropcover.jacprym import prym
     from tropcover.randgen import random_tower
     for n in (2, 3):
         for seed in range(8):

@@ -93,8 +93,7 @@ def pairing_table(metric: MetricGraph, rows, cols) -> tuple:
 
 @dataclass(frozen=True)
 class Jacobian:
-    torus: IntegralTorus
-    polarization: Polarization  # the identity map: the pairing is the Gram form
+    polarization: Polarization  # the identity map on its torus: the pairing is the Gram form
     basis: CycleBasis
 
 
@@ -149,7 +148,7 @@ def jacobian(metric: MetricGraph) -> Jacobian:
     basis = h1_basis(metric.graph)
     d, gram = _certified_gram(metric, basis)
     torus = IntegralTorus._from_int_form(d, gram, positive=True)
-    return Jacobian(torus, Polarization(torus, la.identity(basis.rank)), basis)
+    return Jacobian(Polarization(torus, la.identity(basis.rank)), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -248,37 +247,36 @@ def transfer_maps(cover: DoubleCover) -> TransferMaps:
     return TransferMaps(push, pull, invol, sb, tb)
 
 
-def norm_hom(cover: DoubleCover, target_metric: MetricGraph,
-             maps: TransferMaps = None) -> TorusHom:
+def norm_hom(cover: DoubleCover, target_metric: MetricGraph) -> TorusHom:
     """Norm homomorphism Jac(source) -> Jac(target) of a double cover.
 
     The source carries the metric induced from the target, len(e) =
     len(pi(e)) / deg(e).  Adjointness for the two Jacobian pairings is the
     projection formula, re-verified exactly by the TorusHom constructor.
     """
-    maps = maps or transfer_maps(cover)
-    src = jacobian(induce_metric(cover, target_metric))
-    tgt = jacobian(target_metric)
-    return TorusHom(src.torus, tgt.torus, maps.pullback, maps.pushforward)
+    maps = transfer_maps(cover)
+    src = jacobian(induce_metric(cover, target_metric)).polarization.torus
+    tgt = jacobian(target_metric).polarization.torus
+    return TorusHom(src, tgt, maps.pullback, maps.pushforward)
 
 
 @dataclass(frozen=True)
 class PrymData:
-    """Norm-kernel torus with its induced polarization and principal model."""
+    """Norm-kernel torus `polarization.torus` with its induced polarization
+    and principal model; `norm.pull` and `norm.push` are the transfer maps in
+    the `h1_basis` of the cover's target and source."""
 
     cover: DoubleCover
-    torus: IntegralTorus
     polarization: Polarization
     type: tuple
     principal: PrincipalModel
-    kernel: object
+    kernel: KernelTorus
     norm: TorusHom
-    maps: TransferMaps
     dilation: object
 
     @property
     def rank(self) -> int:
-        return self.torus.rank
+        return self.polarization.torus.rank
 
 
 def _minus(u, v) -> tuple:
@@ -301,12 +299,11 @@ def prym(cover: DoubleCover, target_metric: MetricGraph) -> PrymData:
     """
     if not is_connected(cover.source):
         raise PreconditionError("connected", "prym requires a connected source")
-    maps = transfer_maps(cover)
-    nm = norm_hom(cover, target_metric, maps)
+    nm = norm_hom(cover, target_metric)
     basis = symmetric_basis(cover)
     dil = dilation_data(cover)
     g, nb, na = nm.source.rank, len(basis.beta), len(basis.alpha_plus)
-    if not basis._top_coordinates or basis._top_coordinates[0] is not maps.source_basis:
+    if not basis._top_coordinates or basis._top_coordinates[0] is not h1_basis(cover.source):
         raise AssertionError("adapted basis without the integral inverse of verify()")
     _, cols, t_inv = basis._top_coordinates
     beta, plus, minus = cols[:nb], cols[nb:nb + na], cols[nb + na:nb + 2 * na]
@@ -339,7 +336,7 @@ def prym(cover: DoubleCover, target_metric: MetricGraph) -> PrymData:
     if kgk != scaled:
         raise AssertionError("K^T G K != diag(type) * Prym pairing")
     torus = IntegralTorus._from_int_form(d, pairing, positive=True)
-    ker = KernelTorus(torus, TorusHom(torus, nm.source, proj, kernel), proj, reps, kernel)
+    ker = KernelTorus(TorusHom(torus, nm.source, proj, kernel), reps)
     pol = Polarization(torus, x)
     big = max(ptype, default=1)
     # the pairing with row i scaled by a_i / big, which is K^T G K / big
@@ -351,8 +348,7 @@ def prym(cover: DoubleCover, target_metric: MetricGraph) -> PrymData:
     if not la.is_diagonal(la.int_matmul(la.int_matmul(to_original.pull, x), to_original.push),
                           (big,) * k):
         raise AssertionError("principal model: pulled-back polarization != multiplier * I")
-    return PrymData(cover, torus, pol, ptype, PrincipalModel(zeta, to_original, big),
-                    ker, nm, maps, dil)
+    return PrymData(cover, pol, ptype, PrincipalModel(zeta, to_original, big), ker, nm, dil)
 
 
 @dataclass(frozen=True)
@@ -391,11 +387,11 @@ def check_bigonal_duality(tower: Tower, base_metric: MetricGraph) -> CheckResult
             "reason": "polarization types are not dual",
             "types": (prym1.type, prym2.type)})
     dual2 = dual_polarization(prym2.polarization, multiplier=2)
-    witness = polarized_isomorphic(prym1.polarization, dual2.polarized)
+    witness = polarized_isomorphic(prym1.polarization, dual2)
     return CheckResult(witness is not None, witness, {
         "types": (prym1.type, prym2.type),
-        "pairing": prym1.torus._int_form,
-        "dual_pairing": dual2.polarized.torus._int_form,
+        "pairing": prym1.polarization.torus._int_form,
+        "dual_pairing": dual2.torus._int_form,
         "construction": result})
 
 
@@ -415,7 +411,7 @@ def check_trigonal_prym(tower: Tower, base_metric: MetricGraph) -> CheckResult:
         raise PreconditionError("top-connected", "source curve is disconnected")
     prym_data = prym(tower.pi, induce_metric(tower.f, base_metric))
     jac = jacobian(induce_metric(tri.quartic, base_metric))
-    if jac.torus.rank != prym_data.rank:
+    if jac.basis.rank != prym_data.rank:
         raise AssertionError("dimension mismatch between Jacobian and Prym")
     witness = _trigonal_witness(tri, prym_data, jac)
     decided_by = "search" if witness is None else "witness"
@@ -423,7 +419,7 @@ def check_trigonal_prym(tower: Tower, base_metric: MetricGraph) -> CheckResult:
         witness = polarized_isomorphic(prym_data.principal.polarized, jac.polarization)
     return CheckResult(witness is not None, witness, {
         "prym_gram": prym_data.principal.polarized._int_gram,
-        "jacobian_gram": jac.torus._int_form,
+        "jacobian_gram": jac.polarization.torus._int_form,
         "quartic": tri,
         "decided_by": decided_by})
 
@@ -442,7 +438,7 @@ def _trigonal_witness(tri, prym_data: PrymData, jac: Jacobian):
     """
     correspondence, top = tri.construction.correspondence, prym_data.cover.source
     section = {new: h for h, new in tri.half_edge_ids.items()}
-    top_basis, ker = prym_data.maps.source_basis, prym_data.kernel
+    top_basis, inclusion = h1_basis(top), prym_data.kernel.inclusion
     try:
         coords = tuple(top_basis.coordinates(
             chain_image(top, z, lambda k: correspondence(section[k]))) for z in jac.basis.cycles)
@@ -451,11 +447,11 @@ def _trigonal_witness(tri, prym_data: PrymData, jac: Jacobian):
     if not coords:
         return la.identity(0), la.identity(0)
     # c^T = coords^T proj^T / diag(type), one row per quartic cycle
-    rows = la.int_matmul(coords, la.transpose(ker.projection))
+    rows = la.int_matmul(coords, la.transpose(inclusion.pull))
     if any(x % a for row in rows for x, a in zip(row, prym_data.type)):
         return None
     c_t = tuple(tuple(x // a for x, a in zip(row, prym_data.type)) for row in rows)
-    if la.int_matmul(c_t, la.transpose(ker.kernel_columns)) != coords:
+    if la.int_matmul(c_t, la.transpose(inclusion.push)) != coords:
         return None
     c = la.transpose(c_t)
     try:

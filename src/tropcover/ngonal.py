@@ -159,7 +159,6 @@ class NgonalConstruction:
     """
 
     tower: Tower
-    n: int
     cover_to_base: HarmonicMorphism
     sign_involution: tuple  # (vertex permutation, half-edge permutation)
     orientation: HarmonicMorphism
@@ -332,7 +331,7 @@ def ngonal_construct(t: Tower, n: int) -> NgonalConstruction:
             raise AssertionError("sign involution does not preserve degrees")
 
     orientation, to_orient, ov_info, oh_info = _sign_quotient(n, fibers, cover, v_info, h_info)
-    return NgonalConstruction(t, n, cover, (vperm, hperm), orientation, to_orient,
+    return NgonalConstruction(t, cover, (vperm, hperm), orientation, to_orient,
                               v_info, h_info, ov_info, oh_info, fibers)
 
 
@@ -499,8 +498,6 @@ class BigonalResult:
     construction: NgonalConstruction
     input_types: dict
     output_types: dict
-    generic_input: bool
-    generic_output: bool
 
 
 def bigonal(t: Tower) -> BigonalResult:
@@ -518,8 +515,7 @@ def bigonal(t: Tower) -> BigonalResult:
     for p, label in input_types.items():
         if output_types[p] != BIGONAL_TYPE_MAP[label]:
             raise AssertionError(f"bigonal type map failed at {p}: {label} -> {output_types[p]}")
-    return BigonalResult(out, cons, input_types, output_types,
-                         "V" not in input_types.values(), "V" not in output_types.values())
+    return BigonalResult(out, cons, input_types, output_types)
 
 
 # ---------------------------------------------------------------------------

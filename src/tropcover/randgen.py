@@ -111,7 +111,6 @@ def random_double_cover_of(rng: random.Random, f_source: Graph,
 class GeneratedTower:
     tower: Tower
     base_metric: MetricGraph
-    seed: int
 
 
 def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fraction(1, 3),
@@ -150,7 +149,7 @@ def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fr
                 betti_number(tower.top) - betti_number(tower.mid) > max_prym_rank:
             failing = "max-prym-rank"
             continue
-        return GeneratedTower(tower, metric, seed)
+        return GeneratedTower(tower, metric)
     raise GenerationError(failing, _TRIES)
 
 
@@ -158,7 +157,6 @@ def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fr
 class GeneratedCover:
     cover: HarmonicMorphism
     base_metric: MetricGraph
-    seed: int
 
 
 def random_tetragonal_curve(seed: int, *, tree_size=(2, 5)) -> GeneratedCover:
@@ -176,5 +174,5 @@ def random_tetragonal_curve(seed: int, *, tree_size=(2, 5)) -> GeneratedCover:
         if not is_connected(f.source):
             failing = "connected"
             continue
-        return GeneratedCover(f, metric, seed)
+        return GeneratedCover(f, metric)
     raise GenerationError(failing, _TRIES)

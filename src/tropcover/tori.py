@@ -121,11 +121,8 @@ class TorusHom:
 
 @dataclass(frozen=True)
 class KernelTorus:
-    torus: IntegralTorus
-    inclusion: TorusHom       # kernel -> source
-    projection: tuple         # source first lattice -> kernel first lattice
-    representatives: tuple    # section of the projection
-    kernel_columns: tuple     # columns span ker(push) in the source second lattice
+    inclusion: TorusHom       # kernel -> source; pull projects, push's columns span the kernel
+    representatives: tuple    # section of the projection inclusion.pull
 
 
 @dataclass(frozen=True)
@@ -195,21 +192,14 @@ def dual_type(t: tuple, multiplier=None) -> tuple:
     return tuple(sorted(multiplier // a for a in t))
 
 
-@dataclass(frozen=True)
-class DualPolarization:
-    """Dual polarization on the dual torus, in the adapted bases of the input."""
-
-    polarized: Polarization
-    multiplier: int
-
-
 def _is_chain(d) -> bool:
     """d_1 | d_2 | ... with every d_i > 0."""
     return all(a > 0 for a in d) and all(b % a == 0 for a, b in zip(d, d[1:]))
 
 
-def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
-    """xi_dual(e_i) = (multiplier / d_i) e'_i for xi = diag(d_1, ..., d_g).
+def dual_polarization(pol: Polarization, multiplier=None) -> Polarization:
+    """xi_dual(e_i) = (multiplier / d_i) e'_i for xi = diag(d_1, ..., d_g),
+    on the dual torus `pol.torus.dual()` in the adapted bases of pol.
 
     The polarization must be in adapted form, diagonal with d_1 | d_2 | ...,
     as every polarization the package builds is; then the dual torus is the
@@ -222,7 +212,7 @@ def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
     """
     g = pol.torus.rank
     if g == 0:
-        return DualPolarization(Polarization(pol.torus.dual(), la.identity(0)), multiplier or 1)
+        return Polarization(pol.torus.dual(), la.identity(0))
     x = pol.matrix
     d = tuple(x[i][i] for i in range(g))
     if not la.is_diagonal(x, d) or not _is_chain(d):
@@ -239,7 +229,7 @@ def dual_polarization(pol: Polarization, multiplier=None) -> DualPolarization:
         raise AssertionError("dual polarization has the wrong type")
     if not la.is_diagonal(la.int_matmul(x, xdual), (multiplier,) * g):
         raise AssertionError("xi . xi_dual is not multiplication by the multiplier")
-    return DualPolarization(dual_pol, multiplier)
+    return dual_pol
 
 
 def polarized_isomorphic(pol1: Polarization, pol2: Polarization):

@@ -14,7 +14,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism, Tower,
                      double_cover_issues, validate_graph, validate_harmonic)
-from .metrics import MetricGraph, format_length, parse_length, validate_metric
+from .metrics import (MetricGraph, format_length, induce_metric, is_inf, parse_length,
+                      validate_metric)
 
 
 class InvalidTowerFile(ValueError):
@@ -152,13 +153,6 @@ class LoadedFile:
             raise GraphError("file has no cover levels")
         return self.levels[i]
 
-    def tower_issues(self) -> list:
-        """The issue lines of a 2-level file whose top level is not a double
-        cover, which `tower` refuses at the first; none for other files."""
-        if len(self.levels) != 2:
-            return []
-        return [f"level1: {x}" for x in double_cover_issues(self.levels[1])]
-
     def tower(self) -> Tower:
         if len(self.levels) != 2:
             raise GraphError(f"a tower file needs exactly 2 levels, found {len(self.levels)}")
@@ -179,7 +173,8 @@ def file_to_doc(base_metric: MetricGraph, levels, meta=None) -> dict:
 def doc_to_file(doc: dict) -> LoadedFile:
     """The checked file of a parsed document: the one place a file is checked.
     A malformed document raises ValueError (`tower file: ...`), one that breaks
-    the graph, metric or harmonicity axioms InvalidTowerFile."""
+    the graph, metric or harmonicity axioms InvalidTowerFile, as does a
+    2-level file whose top level is not a double cover."""
     base_doc = _field(_expect(doc, dict, "the document"), "base", dict, "base")
     base = graph_from_doc(base_doc)
     lengths = _int_keys(base_doc.get("lengths", {}), "base lengths")
@@ -196,6 +191,16 @@ def doc_to_file(doc: dict) -> LoadedFile:
     issues = validate_graph(base) + validate_metric(metric)
     for i, f in enumerate(levels):
         issues += [f"level{i}: {x}" for x in validate_graph(f.source) + validate_harmonic(f)]
+    if not issues:
+        # the levels are harmonic: check a tower's top as a double cover; an
+        # induced metric can break only the leg rule, only over an infinite edge
+        if len(levels) == 2:
+            issues += [f"level1: {x}" for x in double_cover_issues(levels[1])]
+        if any(map(is_inf, metric.length.values())):
+            induced = metric
+            for i, f in enumerate(levels):
+                induced = induce_metric(f, induced)
+                issues += [f"level{i}: {x}" for x in validate_metric(induced)]
     if issues:
         raise InvalidTowerFile(map(str, issues))
     return LoadedFile(metric, tuple(levels), doc.get("meta", {}))

@@ -72,7 +72,7 @@ from tropcover.ngonal import (FiberDatum, Multisection, NgonalConstruction, Reci
                               classify_tetragonal_point, involution_quotient,
                               multisection_degree, multisections, swap_multisection,
                               tower_fiber)
-from tropcover.tori import (DualPolarization, IntegralTorus, KernelTorus,
+from tropcover.tori import (IntegralTorus, KernelTorus,
                             Polarization, PrincipalModel, TorusError, TorusHom,
                             dual_type)
 
@@ -343,7 +343,7 @@ def kernel_torus(h: TorusHom) -> KernelTorus:
         pairing = tuple()
     torus = IntegralTorus(pairing)
     inclusion = TorusHom(torus, h.source, cok.projection, ker)
-    return KernelTorus(torus, inclusion, cok.projection, cok.representatives, ker)
+    return KernelTorus(inclusion, cok.representatives)
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def snf_route_prym(norm: TorusHom):
     return ker, pol, pp_rescale(pol)
 
 
-def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> DualPolarization:
+def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> Polarization:
     """xi_dual(e_i) = (multiplier / a_i) e'_i in Smith-adapted bases.
 
     The default multiplier a_1 * a_g makes the composition with xi the
@@ -416,7 +416,7 @@ def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> DualPolariza
     """
     g = pol.torus.rank
     if g == 0:
-        return DualPolarization(Polarization(pol.torus.dual(), la.identity(0)), multiplier or 1)
+        return Polarization(pol.torus.dual(), la.identity(0))
     res = snf(pol.matrix)
     diag = res.diagonal()
     if multiplier is None:
@@ -432,7 +432,7 @@ def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> DualPolariza
         raise AssertionError("dual polarization has the wrong type")
     if not mat_equal(matmul(res.S, xdual), la.mat_scale(multiplier, la.identity(g))):
         raise AssertionError("xi . xi_dual is not multiplication by the multiplier")
-    return DualPolarization(dual_pol, multiplier)
+    return dual_pol
 
 
 def validate_harmonic_by_rescan(f: HarmonicMorphism) -> list:
@@ -502,7 +502,7 @@ def eager_prym_forms(data, top_metric) -> dict:
     top = jacobian_gram_by_pairing_table(top_metric)
     ker = data.kernel
     pairing = _fraction_product(_fraction_product(la.transpose(ker.representatives), top),
-                                ker.kernel_columns)
+                                ker.inclusion.push)
     big = data.principal.multiplier
     return {"top": top,
             "pairing": pairing,
@@ -991,7 +991,7 @@ def ngonal_construct_per_point(t: Tower, n: int) -> NgonalConstruction:
             raise AssertionError("sign involution does not preserve degrees")
 
     orientation, to_orient, ov_info, oh_info = _sign_quotient(n, fibers, cover, v_info, h_info)
-    return NgonalConstruction(t, n, cover, (vperm, hperm), orientation, to_orient,
+    return NgonalConstruction(t, cover, (vperm, hperm), orientation, to_orient,
                               v_info, h_info, ov_info, oh_info, fibers)
 
 

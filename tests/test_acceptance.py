@@ -18,7 +18,7 @@ from tropcover.graphs import (Graph, NonGenericError, betti_number, genus,
 from tropcover.intlinalg import (gram_isometries, is_integral, mat,
                                  to_int, transpose)
 from tropcover.jacprym import (check_bigonal_duality, check_trigonal_prym,
-                               jacobian, pairing_table, prym)
+                               h1_basis, jacobian, pairing_table, prym)
 from tropcover.metrics import induce_metric
 from tropcover.ngonal import (bigonal, classify_tetragonal_point,
                               ngonal_construct, recillas, tetragonal_split,
@@ -60,22 +60,22 @@ def test_criterion_01_trigonal_example_replication():
 
         # those cycles are genuine bases of the norm-kernel lattices
         data = prym(ref.tower.pi, mid)
-        src_basis = data.maps.source_basis
+        src_basis = h1_basis(data.cover.source)
         kernel_coords = transpose(mat([src_basis.coordinates(c) for c in ref.kernel_cycles]))
-        assert _unimodular_change(data.kernel.kernel_columns, kernel_coords) is not None
+        assert _unimodular_change(data.kernel.inclusion.push, kernel_coords) is not None
         rep_coords = transpose(mat([src_basis.coordinates(c) for c in ref.class_reps]))
-        proj = matmul(data.kernel.projection, rep_coords)
+        proj = matmul(data.kernel.inclusion.pull, rep_coords)
         assert abs(det(proj)) == 1
 
         # the Jacobian of the constructed quartic curve yields the identical
         # table in a suitable basis: an exact unimodular congruence witness
         tri = trigonal(ref.tower)
         jac = jacobian(induce_metric(tri.quartic, ref.base_metric))
-        scale, (q_target, q_jac) = clear_denominators(expected, jac.torus.pairing)
+        scale, (q_target, q_jac) = clear_denominators(expected, jac.polarization.torus.pairing)
         witness = next(iter(gram_isometries(q_target, q_jac)), None)
         assert witness is not None
         transformed = matmul(transpose(to_fractions(witness)),
-                             matmul(jac.torus.pairing, to_fractions(witness)))
+                             matmul(jac.polarization.torus.pairing, to_fractions(witness)))
         assert mat_equal(transformed, to_fractions(expected))
 
         assert check_trigonal_prym(ref.tower, ref.base_metric).passed
@@ -122,7 +122,7 @@ def test_criterion_03_bigonal_involutivity_at_scale():
     for seed in range(100):
         gen = random_tower(seed, n=2, generic=True)
         once = bigonal(gen.tower)
-        assert once.generic_input and once.generic_output
+        assert "V" not in once.input_types.values() and "V" not in once.output_types.values()
         for p, label in once.input_types.items():
             assert label != "V"
             assert once.output_types[p] == TYPE_MAP[label]
@@ -193,7 +193,8 @@ def test_criterion_06_polarization_type_law():
         data = prym(gen.tower.pi, mid)
         dd = data.dilation
         assert data.type == (1,) * dd.B + (2,) * dd.A  # re-checked against diag(1^B, 2^A) inside
-        assert polarization_type(Polarization(data.torus, data.polarization.matrix)) == data.type
+        assert polarization_type(Polarization(data.polarization.torus,
+                                              data.polarization.matrix)) == data.type
     elapsed = time.perf_counter() - t0
     print(f"\nPASS criterion 6: induced polarization type equals (1^B, 2^A) on "
           f"100 covers ({elapsed:.2f}s)")
@@ -216,14 +217,14 @@ def _high_rank_tier(check, gens):
     """Run `check` on each tower of Prym rank 8-11 among `gens`, each under
     2 s; returns their ranks and the slowest time."""
     ranks, worst = [], 0.0
-    for gen in gens:
+    for i, gen in enumerate(gens):
         rank = betti_number(gen.tower.top) - betti_number(gen.tower.mid)
         if not 8 <= rank <= 11:
             continue
         t1 = time.perf_counter()
-        assert check(gen.tower, gen.base_metric).passed, (gen.seed, rank)
+        assert check(gen.tower, gen.base_metric).passed, (i, rank)
         elapsed = time.perf_counter() - t1
-        assert elapsed < 2.0, (gen.seed, rank, elapsed)
+        assert elapsed < 2.0, (i, rank, elapsed)
         worst = max(worst, elapsed)
         ranks.append(rank)
     return ranks, worst

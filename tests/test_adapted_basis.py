@@ -59,8 +59,8 @@ def test_dilated_bases_agree_with_the_collapsed_model(monkeypatch):
             data_old = prym(cover, mid)
         assert (data.rank, data.type) == (data_old.rank, data_old.type)
         if data.rank:
-            assert _unimodular_change(data_old.kernel.kernel_columns,
-                                      data.kernel.kernel_columns) is not None
+            assert _unimodular_change(data_old.kernel.inclusion.push,
+                                      data.kernel.inclusion.push) is not None
         if data.rank <= 7:
             assert polarized_isomorphic(data_old.polarization, data.polarization) is not None
             assert polarized_isomorphic(data_old.principal.polarized,

@@ -79,7 +79,8 @@ def _phi_at_every_half_edge(cons, top):
     identity = {h: h for h in info}
     for h in cons.cover_to_base.source.half_edges:
         pairs = cons.correspondence(h)
-        assert all(m > 0 for _, m in pairs) and sum(m for _, m in pairs) == cons.n
+        assert all(m > 0 for _, m in pairs) and \
+            sum(m for _, m in pairs) == cons.tower.f.global_degree()
         assert chain_image(top, {h: 1}, cons.correspondence) == \
             _normal(phi_by_half_edge_info(info, identity, lift, top, {h: 1}))
     return len(info)

@@ -28,12 +28,16 @@ defines, imports nor names a `GraphMorphism`, and reads no
 `.morphism.target` chain.  A double cover is one too: `DoubleCover`
 subclasses `HarmonicMorphism` and has no `cover` member, the package
 neither defines nor names `BuiltDoubleCover` or `InvolutionQuotient`, and
-reads no `.pi.cover` or `.cover.cover` chain.  Every module of the package
+reads no `.pi.cover` or `.cover.cover` chain.  Each lattice value has one
+home: the package neither defines nor names `DualPolarization` (the dual
+is a `Polarization`), and no record in `COPIED_FIELDS` keeps a field that
+copied a value another record holds.  Every module of the package
 is reached from `cli.py` through package-relative imports, so a module that
 only tests import lives in tests/."""
 
 import ast
 import dataclasses
+import importlib
 import os
 
 from tropcover.graphs import DoubleCover, HarmonicMorphism
@@ -449,3 +453,28 @@ def test_every_module_is_reached_from_the_cli():
     # a module only tests import, such as the reference towers, lives in tests/
     trees = {name[:-3]: tree for name, tree in package_trees()}
     assert set(trees) - {"__init__"} - reached_from(trees, "cli") == set()
+
+
+# record -> the fields it dropped, each a copy of a value it reads elsewhere:
+# the kernel torus, projection and kernel columns are its inclusion's source,
+# pull and push; a Prym's and a Jacobian's torus is their polarization's; the
+# transfer maps are the norm's pull and push; the rest derive from other fields
+COPIED_FIELDS = {
+    ("tori", "KernelTorus"): {"torus", "projection", "kernel_columns"},
+    ("jacprym", "PrymData"): {"torus", "maps"},
+    ("jacprym", "Jacobian"): {"torus"},
+    ("ngonal", "NgonalConstruction"): {"n"},
+    ("ngonal", "BigonalResult"): {"generic_input", "generic_output"},
+    ("randgen", "GeneratedTower"): {"seed"},
+    ("randgen", "GeneratedCover"): {"seed"},
+}
+
+
+def test_each_lattice_value_has_one_home():
+    offenders = [f"{name}:{line}: {what}" for name, tree in package_trees()
+                 for line, what in name_uses(tree, {"DualPolarization"})]
+    assert offenders == []
+    for (module, record), copied in COPIED_FIELDS.items():
+        fields = {f.name for f in dataclasses.fields(
+            getattr(importlib.import_module(f"tropcover.{module}"), record))}
+        assert not fields & copied, (record, fields & copied)

@@ -52,7 +52,7 @@ class TestJacobian:
     def test_loop_of_length_three(self):
         g = Graph((0,), {0: 0, 1: 0}, {0: 1, 1: 0})
         jac = jacobian(MetricGraph(g, {0: Fraction(3)}))
-        assert jac.torus.pairing == ((Fraction(3),),)
+        assert jac.polarization.torus.pairing == ((Fraction(3),),)
 
     def test_theta_gram_in_difference_basis(self):
         g, keys = Graph.from_edges(2, [(0, 1), (0, 1), (0, 1)])
@@ -215,9 +215,9 @@ class TestPrym:
             cover = gen.tower.pi
             mid, top = tower_metrics(gen.tower, gen.base_metric)
             data = prym(cover, mid)
-            src_basis = data.maps.source_basis
-            tgt_basis = data.maps.target_basis
-            kernel_cols = transpose(data.kernel.kernel_columns) if data.rank else ()
+            src_basis = h1_basis(data.cover.source)
+            tgt_basis = h1_basis(data.cover.target)
+            kernel_cols = transpose(data.kernel.inclusion.push) if data.rank else ()
             for gamma in tgt_basis.cycles:
                 pulled = pull_chain(cover, gamma)
                 for col in kernel_cols:
@@ -330,7 +330,7 @@ class TestAgainstSnfRoute:
     def _agree(data):
         from oracles import polarization_type, snf_route_prym
         ker, pol, model = snf_route_prym(data.norm)
-        assert data.rank == ker.torus.rank
+        assert data.rank == ker.inclusion.source.rank
         assert data.type == polarization_type(pol)
         assert data.principal.multiplier == model.multiplier
         assert polarized_isomorphic(data.polarization, pol) is not None
@@ -421,17 +421,16 @@ class TestAgainstSnfRoute:
 class TestDualAgainstSnfRoute:
     # `dual_polarization` reads the dual off the adapted form diag(1^B, 2^A)
     # that `prym` builds; the Smith-form dual it replaced must give the same
-    # dual pairing, matrix and multiplier
+    # dual pairing and matrix
     @staticmethod
     def _agree(data):
         from oracles import dual_polarization_by_snf
         for multiplier in (None, 2):
             new = dual_polarization(data.polarization, multiplier)
             old = dual_polarization_by_snf(data.polarization, multiplier)
-            assert new.polarized.torus.pairing == old.polarized.torus.pairing
-            assert new.polarized.torus == old.polarized.torus
-            assert new.polarized.matrix == old.polarized.matrix
-            assert new.multiplier == old.multiplier
+            assert new.torus.pairing == old.torus.pairing
+            assert new.torus == old.torus
+            assert new.matrix == old.matrix
 
     def test_gallery_references(self):
         for ref in (bigonal_reference(), bigonal_output_reference()):
@@ -498,8 +497,8 @@ class TestCertifiedJacobian:
                 continue
             checked += 1
             jac = jacobian(metric)
-            assert jac.torus.pairing == jacobian_gram_by_pairing_table(metric)
-            assert jac.polarization.gram() == jac.torus.pairing
+            assert jac.polarization.torus.pairing == jacobian_gram_by_pairing_table(metric)
+            assert jac.polarization.gram() == jac.polarization.torus.pairing
             lengths = metric.length.values()
             halved += any(not is_inf(x) and Fraction(x).denominator == 2 for x in lengths)
             infinite += any(is_inf(x) for x in lengths)
@@ -704,7 +703,8 @@ class TestPrymWithoutElimination:
         data = prym(tower.pi, mid)
         nb, na = data.dilation.B, data.dilation.A
         assert na and data.rank > 1
-        flipped = [tuple(-x if j == nb else x for j, x in enumerate(row)) for row in data.torus.pairing]
+        flipped = [tuple(-x if j == nb else x for j, x in enumerate(row))
+                   for row in data.polarization.torus.pairing]
         form = [[a * x for x in row] for a, row in zip(data.type, flipped)]
         assert torus_verdict_by_minors(form) == (True, False)
         minus, calls = jacprym._minus, []

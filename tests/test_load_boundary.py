@@ -17,7 +17,7 @@ from tropcover.cli import main
 from tropcover.graphs import Graph, HarmonicMorphism
 from tropcover.metrics import MetricGraph
 from tropcover.randgen import random_tower
-from tropcover.towerio import dumps_canonical, file_to_doc, tower_to_doc
+from tropcover.towerio import dumps_canonical, file_to_doc, level_to_doc, tower_to_doc
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tropcover")
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -233,6 +233,11 @@ def _uneven_tower(copies: int) -> dict:
     return file_to_doc(MetricGraph(base, {0: Fraction(1)}), [f, pi])
 
 
+def _degree_report(total: int) -> str:
+    return "".join(f"level1: [double-cover-degree] at {p}: fiber degree sum {total}, not 2\n"
+                   for p in (("v", 2), ("v", 3), ("h", 2), ("h", 3)))
+
+
 @pytest.mark.parametrize("copies", [1, 3], ids=["degree 1", "degree 3"])
 def test_a_double_cover_has_degree_2_over_every_point(tmp_path, copies):
     # with one copy, classify typed every point III (a degree-1 point taken
@@ -244,8 +249,7 @@ def test_a_double_cover_has_degree_2_over_every_point(tmp_path, copies):
     for argv in (["classify", str(bad)], ["prym", str(bad)],
                  ["check", str(bad), "--theorem", "bigonal"],
                  ["construct", str(bad), "--op", "bigonal", "--out", str(out)]):
-        assert run(argv, "uneven double cover") == (
-            1, "", "error: double cover must have degree 2 over every point, not over ('v', 2)\n")
+        assert run(argv, "uneven double cover") == (1, _degree_report(copies), "")
     assert not out.exists()
 
 
@@ -257,6 +261,77 @@ def test_validate_reports_a_top_level_off_degree_2(tmp_path, copies):
     assert run(["validate", str(bad)], "uneven double cover") == (1, "".join(
         f"level1: [double-cover-degree] at {p}: fiber degree sum {copies}, not 2\n"
         for p in (("v", 2), ("v", 3), ("h", 2), ("h", 3))), "")
+
+
+def _half_covered_tower() -> dict:
+    """`_uneven_tower`'s base and mid curve under a connected top curve: two
+    edges joining two vertices of degree 2 over the first mid edge, and
+    nothing over the second, so degree 0 over mid vertex 2."""
+    doc = _uneven_tower(0)
+    mid, _ = Graph.from_edges(4, [(0, 1), (2, 3)])
+    top, _ = Graph.from_edges(2, [(0, 1), (0, 1)])
+    pi = HarmonicMorphism(top, mid, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 0, 3: 1}, {0: 2, 1: 2},
+                          dict.fromkeys(top.half_edges, 1))
+    doc["levels"][1] = level_to_doc(pi, "level1")
+    return doc
+
+
+def _infinite_leg_tower(seed: int) -> dict:
+    """The tower of `tropcover random --seed <seed> --n 3 --pi-free` with base
+    edge 0, which ends at a leaf, of infinite length."""
+    gen = random_tower(seed, n=3, pi_free=True)
+    doc = tower_to_doc(gen.tower, gen.base_metric)
+    doc["base"]["lengths"]["0"] = "inf"
+    return doc
+
+
+def _leg_report(level: int, keys) -> str:
+    return "".join(f"level{level}: [infinite-not-extremal] at ('h', {k}): "
+                   "infinite edge must have a univalent endpoint\n" for k in keys)
+
+
+REFUSED = {
+    "degree 0": (_half_covered_tower, "bigonal", _degree_report(0)),
+    "degree 1": (lambda: _uneven_tower(1), "bigonal", _degree_report(1)),
+    "degree 3": (lambda: _uneven_tower(3), "bigonal", _degree_report(3)),
+    "infinite edge off a leg": (lambda: _infinite_leg_tower(3), "trigonal",
+                                _leg_report(0, (0, 2, 4)) + _leg_report(1, (0, 1, 4, 5, 8, 9))),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_every_command_refuses_a_file_validate_refuses(tmp_path, name):
+    # jacobian printed a Gram of the connected degree-0 file and export-dot
+    # drew all of them; validate passed the infinite edges off a leg, which
+    # export-dot drew and construct --op trigonal built on, while prym,
+    # jacobian and check stopped on a cycle pairing across an infinite edge
+    make, theorem, report = REFUSED[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_canonical(make()), encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    for argv in (["validate", bad], ["classify", bad], ["jacobian", bad], ["prym", bad],
+                 ["check", bad, "--theorem", theorem], ["export-dot", bad, "--out", out],
+                 *(["construct", bad, "--op", op, "--out", out]
+                   for op in ("bigonal", "trigonal", "recillas", "tetragonal-split", "ngonal")),
+                 ["compare", bad, bad]):
+        assert run(list(map(str, argv)), name) == (1, report, ""), argv
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_an_infinite_leg_whose_lifts_are_legs_passes_every_command(tmp_path):
+    # on seed 16 both levels over the leaf of base edge 0 are leaves, and so
+    # are the quartic curve's: every lift of the infinite edge is a leg
+    path, quartic, back = (str(tmp_path / x) for x in ("leg.json", "quartic.json", "back.json"))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_canonical(_infinite_leg_tower(16)))
+    for argv in (["validate", path], ["jacobian", path], ["prym", path],
+                 ["check", path, "--theorem", "trigonal"], ["export-dot", path],
+                 ["construct", path, "--op", "trigonal", "--out", quartic],
+                 ["compare", path, path], ["validate", quartic], ["classify", quartic],
+                 ["construct", quartic, "--op", "recillas", "--out", back],
+                 ["compare", path, back]):
+        code, text, err = run(argv, "infinite leg")
+        assert (code, err) == (0, ""), (argv, text, err)
 
 
 ISSUE_LINE = re.compile(r"(level\d+: )?\[[a-z-]+\] at ")

@@ -21,8 +21,8 @@ positional: a multisection's position is a mixed-radix number over its
 parts' plus counts, so a transport table is plus-count arithmetic
 (`_glue_table`).  The transport it replaced, `induce_multisection` along
 a `Refinement` per half-edge, is the oracle in `tests/oracles.py`.  The
-Recillas construction tables its slot classes the same way, by fiber
-profile and by the map of fiber positions.
+Recillas construction reads the same tables, since a 2-element subset of
+a fiber is a plus-count-2 multisection of the trivial double cover.
 
 Specializations: the degree-2 construction (involutive on generic
 towers), the degree-3 construction and its inverse (from 2-element
@@ -590,67 +590,42 @@ class RecillasResult:
     half_edge_info: dict
 
 
-_SLOT_PAIRS = tuple(itertools.combinations(range(4), 2))
+def _pair_layer(profile: tuple) -> tuple:
+    """The 2-element subsets of a fiber whose points have these local
+    degrees: the multisections of plus count 2 of the free fiber whose part
+    j has degree profile[j], last first, so that their pairs of fiber
+    positions come sorted.  Returns that fiber and, per subset, its position
+    among the multisections, its pair, its local degree and the layer index
+    of its complement (its sign swap)."""
+    fd = FiberDatum(tuple(FiberPart(j, d, False) for j, d in enumerate(profile)))
+    table = _shape_table(fd)
+    mss = table.multisections(fd)
+    at = [k for k in reversed(range(len(mss))) if sum(plus for _, plus, _ in mss[k]) == 2]
+    index = {k: i for i, k in enumerate(at)}
+    return (fd, tuple(at), tuple(tuple(j for j, plus, _ in mss[k] for _ in range(plus)) for k in at),
+            tuple(table.degree[k] for k in at), tuple(index[table.swap[k]] for k in at))
 
 
-@dataclass(frozen=True)
-class _SlotClasses:
-    """The 2-subsets of a fiber's four slots, by class, for one fiber
-    profile (the local degrees of the fiber points in id order), all by
-    position in the fiber: the point of each slot and the first slot of
-    each point; per class in sorted order, the pair of points its subsets
-    touch, its subsets and the class of the complement of its first
-    subset; and the class of each subset."""
-
-    point: tuple
-    first_slot: tuple
-    keys: tuple
-    members: tuple
-    complement: tuple
-    pair_class: dict
-
-
-def _slot_classes(profile: tuple) -> _SlotClasses:
-    point = tuple(j for j, d in enumerate(profile) for _ in range(d))
-    touched = {(a, b): tuple(sorted((point[a], point[b]))) for a, b in _SLOT_PAIRS}
-    keys = tuple(sorted(set(touched.values())))
-    pair_class = {pair: keys.index(key) for pair, key in touched.items()}
-    members = tuple(tuple(pair for pair in _SLOT_PAIRS if pair_class[pair] == c)
-                    for c in range(len(keys)))
-    return _SlotClasses(
-        point, tuple(point.index(j) for j in range(len(profile))), keys, members,
-        tuple(pair_class[tuple(x for x in range(4) if x not in m[0])] for m in members),
-        pair_class)
-
-
-def _carried_classes(source: _SlotClasses, target: _SlotClasses, fiber_map: tuple) -> tuple:
-    """The class at the target carried by each class at the source, under
-    the slot bijection that a part-respecting map of fiber points induces
-    (fiber_map[j]: position of the image of point j)."""
-    used = [0] * len(target.first_slot)
-    slot_map = []
-    for j in map(fiber_map.__getitem__, source.point):
-        slot_map.append(target.first_slot[j] + used[j])
-        used[j] += 1
-    carried = []
-    for pairs in source.members:
-        classes = {target.pair_class[tuple(sorted(slot_map[x] for x in pair))] for pair in pairs}
-        if len(classes) != 1:
-            raise AssertionError("slot transport is not constant on a class")
-        carried.append(classes.pop())
-    return tuple(carried)
+def _pair_transport(fine: tuple, coarse: tuple, fiber_map: tuple) -> tuple:
+    """For each subset of the `_pair_layer` fine, the index in the layer
+    coarse of its image when fiber position j goes to fiber_map[j]: the
+    `_glue_table` with no flips, which adds plus counts."""
+    glue = _glue_table(fine[0], coarse[0], fiber_map, (False,) * len(fiber_map))
+    index = {k: i for i, k in enumerate(coarse[1])}
+    carried = tuple(index.get(glue[k]) for k in fine[1])
+    if None in carried:
+        raise AssertionError("gluing leaves the plus-count-2 layer")
+    return carried
 
 
 def recillas(p: HarmonicMorphism) -> RecillasResult:
     """From a generic degree-4 cover of a tree, build the free double cover
     of a trigonal graph whose points are 2-element subsets of the fibers.
 
-    Each fiber is modeled on four slots partitioned by the fiber points;
-    2-subsets are classified by the unordered pair of parts they touch,
-    the complement gives the free involution, and class size is the
-    local degree.  Classes are read from one table per fiber profile, and
-    the gluing from one table per pair of profiles and map of fiber
-    positions.
+    A 2-element subset is a plus-count-2 multisection of the trivial double
+    cover over its fiber: its degree, complement (the free involution) and
+    gluing are read from `_pair_layer` and `_pair_transport`, once per
+    fiber profile and per pair of profiles and map of fiber positions.
     """
     if p.global_degree() != 4:
         raise PreconditionError("degree-4", "Recillas construction needs a degree-4 cover")
@@ -663,22 +638,13 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
     fibers = {vpoint(v): p.fiber_vertices(v) for v in base.vertices}
     fibers.update((hpoint(h), p.fiber_half_edges(h)) for h in base.half_edges)
     degree = {"v": p.vertex_degree, "h": p.half_edge_degree}
+    profile = {point: tuple(map(degree[point[0]].__getitem__, fib)) for point, fib in fibers.items()}
     position = {point: {x: j for j, x in enumerate(fib)} for point, fib in fibers.items()}
-    slot_classes, transports = {}, {}
-
-    def profile(point) -> tuple:
-        return tuple(map(degree[point[0]].__getitem__, fibers[point]))
-
-    def classes(point) -> _SlotClasses:
-        key = profile(point)
-        if key not in slot_classes:
-            slot_classes[key] = _slot_classes(key)
-        return slot_classes[key]
+    layers, transports = {key: _pair_layer(key) for key in set(profile.values())}, {}
 
     def over(point):
-        fib, table = fibers[point], classes(point)
-        return ([(fib[a], fib[b]) for a, b in table.keys],
-                map(len, table.members), table.complement)
+        fib, (_, _, pairs, degrees, complements) = fibers[point], layers[profile[point]]
+        return [(fib[a], fib[b]) for a, b in pairs], degrees, complements
 
     v_ids, v_info, vmap, vdeg, vperm = _number_points(base.vertices, vpoint, over)
     h_ids, h_info, hmap, hdeg, hperm = _number_points(base.half_edges, hpoint, over)
@@ -689,9 +655,9 @@ def recillas(p: HarmonicMorphism) -> RecillasResult:
                                       (partner, p.source.partner, hpoint(mate),
                                        h_ids[mate].start)):
             fiber_map = tuple(position[there][move[x]] for x in fibers[here])
-            key = (profile(here), profile(there), fiber_map)
+            key = (profile[here], profile[there], fiber_map)
             if key not in transports:
-                transports[key] = _carried_classes(classes(here), classes(there), fiber_map)
+                transports[key] = _pair_transport(layers[key[0]], layers[key[1]], fiber_map)
             glue.update(zip(h_ids[h], [at + c for c in transports[key]]))
 
     total = Graph(tuple(range(len(v_info))), root, partner)

@@ -34,9 +34,12 @@ isomorphism search that listed mid-level cover isomorphisms and
 searched the transported top cover for each is here too, and so are the
 n-gonal and Recillas constructions that worked out multisections,
 transports and slot classes once per point instead of once per fiber
-shape, and the transport that the n-gonal construction's positional
-gluing replaced: a `Refinement` per base half-edge, root and partner,
-and `induce_multisection` along it, tabled by kind of refinement.  So
+shape, the slot classes and slot transports that the Recillas
+construction then tabled per fiber profile, before it read the section
+construction's tables, and the transport that the n-gonal
+construction's positional gluing replaced: a `Refinement` per base
+half-edge, root and partner, and `induce_multisection` along it, tabled
+by kind of refinement.  So
 are the chain maps of a double cover that each ran their own signed
 edge-key loop before `jacprym.chain_image`: push, pull (by source edge
 keys and a sign test), involution, the lift of a dilated cycle, and the
@@ -1084,6 +1087,54 @@ def recillas_per_point(p: HarmonicMorphism) -> RecillasResult:
     if tower.f.global_degree() != 3:
         raise AssertionError("Recillas base map must have degree 3")
     return RecillasResult(tower, v_info, h_info)
+
+
+@dataclass(frozen=True)
+class _SlotClasses:
+    """The 2-subsets of a fiber's four slots, by class, for one fiber
+    profile (the local degrees of the fiber points in id order), all by
+    position in the fiber: the point of each slot and the first slot of
+    each point; per class in sorted order, the pair of points its subsets
+    touch, its subsets and the class of the complement of its first
+    subset; and the class of each subset."""
+
+    point: tuple
+    first_slot: tuple
+    keys: tuple
+    members: tuple
+    complement: tuple
+    pair_class: dict
+
+
+def _slot_classes(profile: tuple) -> _SlotClasses:
+    point = tuple(j for j, d in enumerate(profile) for _ in range(d))
+    touched = {(a, b): tuple(sorted((point[a], point[b]))) for a, b in _SLOT_PAIRS}
+    keys = tuple(sorted(set(touched.values())))
+    pair_class = {pair: keys.index(key) for pair, key in touched.items()}
+    members = tuple(tuple(pair for pair in _SLOT_PAIRS if pair_class[pair] == c)
+                    for c in range(len(keys)))
+    return _SlotClasses(
+        point, tuple(point.index(j) for j in range(len(profile))), keys, members,
+        tuple(pair_class[tuple(x for x in range(4) if x not in m[0])] for m in members),
+        pair_class)
+
+
+def _carried_classes(source: _SlotClasses, target: _SlotClasses, fiber_map: tuple) -> tuple:
+    """The class at the target carried by each class at the source, under
+    the slot bijection that a part-respecting map of fiber points induces
+    (fiber_map[j]: position of the image of point j)."""
+    used = [0] * len(target.first_slot)
+    slot_map = []
+    for j in map(fiber_map.__getitem__, source.point):
+        slot_map.append(target.first_slot[j] + used[j])
+        used[j] += 1
+    carried = []
+    for pairs in source.members:
+        classes = {target.pair_class[tuple(sorted(slot_map[x] for x in pair))] for pair in pairs}
+        if len(classes) != 1:
+            raise AssertionError("slot transport is not constant on a class")
+        carried.append(classes.pop())
+    return tuple(carried)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 `ngonal.ngonal_construct` reads multisections, degrees and sign swaps from
 one table per fiber shape and the gluing from one table per kind of
 transport, worked out by plus-count arithmetic on fiber positions;
-`ngonal.recillas` reads slot classes and their transports from tables by
-fiber profile.  The per-point versions are kept in `tests/oracles.py`.
-Both must give equal results, field by field, and the `construct`
-command must write the files it wrote before the tables.  The transport
-tables are also compared, entry by entry, with the transport they
-replaced, `induce_multisection` along a `Refinement`, on every kind of
-transport between fibers of degree 2 to 4.
+`ngonal.recillas` reads the same tables on the multisections of plus
+count 2 of a free fiber, which are the 2-element subsets of a fiber.  The
+per-point versions are kept in `tests/oracles.py`.  Both must give equal
+results, field by field, and the `construct` command must write the
+files it wrote before the tables.  The transport tables are also
+compared, entry by entry, with the transport they replaced,
+`induce_multisection` along a `Refinement`, on every kind of transport
+between fibers of degree 2 to 4, and the plus-count-2 layer and its
+transports with the four-slot classes and slot transports they replaced,
+on every generic fiber profile and every degree-respecting fiber map.
 """
 
 import dataclasses
@@ -17,11 +20,12 @@ import hashlib
 import itertools
 import os
 
-from oracles import Refinement, _transport_table, ngonal_construct_per_point, recillas_per_point
+from oracles import (Refinement, _carried_classes, _slot_classes, _transport_table,
+                     ngonal_construct_per_point, recillas_per_point)
 from tropcover.cli import main
 from tropcover.graphs import GraphError
-from tropcover.ngonal import (FiberDatum, FiberPart, _glue_table, ngonal_construct, recillas,
-                              trigonal)
+from tropcover.ngonal import (FiberDatum, FiberPart, _glue_table, _pair_layer, _pair_transport,
+                              ngonal_construct, recillas, trigonal)
 from tropcover.randgen import random_tetragonal_curve, random_tower
 from tropcover.towerio import save, tower_to_doc
 
@@ -62,6 +66,35 @@ def test_recillas_matches_the_per_point_construction():
             assert_same_fields(recillas(cover), recillas_per_point(cover))
             profiles.update(cover.fiber_profile(p) for p in cover.target.points())
     assert profiles == {(1, 1, 1, 1), (2, 1, 1), (3, 1)}
+
+
+# every generic fiber profile of a degree-4 cover, in every order of its points
+GENERIC_PROFILES = ((1, 1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 1), (1, 3))
+
+
+def test_recillas_layer_matches_the_slot_classes_on_every_transport():
+    for profile in GENERIC_PROFILES:
+        _, _, pairs, degrees, complements = _pair_layer(profile)
+        slots = _slot_classes(profile)
+        assert (pairs, degrees, complements) == \
+            (slots.keys, tuple(map(len, slots.members)), slots.complement), profile
+    # every map of fiber positions whose degrees add up: onto the fiber over
+    # the root vertex, and the bijections among them onto a partner fiber
+    maps = bijections = 0
+    for fine, coarse in itertools.product(GENERIC_PROFILES, GENERIC_PROFILES):
+        for place in itertools.product(range(len(coarse)), repeat=len(fine)):
+            sums = [0] * len(coarse)
+            for j, k in enumerate(place):
+                sums[k] += fine[j]
+            if sums != list(coarse):
+                continue
+            carried = _carried_classes(_slot_classes(fine), _slot_classes(coarse), place)
+            assert _pair_transport(_pair_layer(fine), _pair_layer(coarse), place) == carried, \
+                (fine, coarse, place)
+            maps += 1
+            bijections += len(fine) == len(coarse)
+    print(f"{maps} fiber maps carry the layer as the slots, {bijections} of them bijections")
+    assert (maps, bijections) == (102, 46)
 
 
 def test_tables_serve_many_points():

@@ -33,7 +33,11 @@ home: the package neither defines nor names `DualPolarization` (the dual
 is a `Polarization`), and no record in `COPIED_FIELDS` keeps a field that
 copied a value another record holds.  Every module of the package
 is reached from `cli.py` through package-relative imports, so a module that
-only tests import lives in tests/."""
+only tests import lives in tests/.  The Recillas construction reads the
+section construction's tables: the package neither defines nor names the
+four-slot model (`_SLOT_PAIRS`, `_SlotClasses`, `_slot_classes`,
+`_carried_classes`), which lives in tests/oracles.py, and `recillas`
+reaches `_shape_table` and `_glue_table` through the functions it names."""
 
 import ast
 import dataclasses
@@ -478,3 +482,33 @@ def test_each_lattice_value_has_one_home():
         fields = {f.name for f in dataclasses.fields(
             getattr(importlib.import_module(f"tropcover.{module}"), record))}
         assert not fields & copied, (record, fields & copied)
+
+
+SLOT_MODEL = {"_SLOT_PAIRS", "_SlotClasses", "_slot_classes", "_carried_classes"}
+
+
+def functions_reached(tree, start):
+    """The module-level functions of the tree that `start` reaches by
+    naming them, directly or through one another, `start` included."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in seen:
+            seen.add(name)
+            todo += [node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)]
+    return seen
+
+
+def test_guard_follows_the_functions_named():
+    source = ('def a(x):\n    """c in a docstring is free."""\n    return b(x)\n'
+              "def b(x):\n    return map(d, x)\ndef c():\n    pass\ndef d(y):\n    return y\n")
+    assert functions_reached(ast.parse(source), "a") == {"a", "b", "d"}
+
+
+def test_recillas_reads_the_section_construction_tables():
+    trees = dict(package_trees())
+    offenders = [f"{name}:{line}: {what}" for name, tree in trees.items()
+                 for line, what in name_uses(tree, SLOT_MODEL)]
+    assert offenders == []
+    assert {"_shape_table", "_glue_table"} <= functions_reached(trees["ngonal.py"], "recillas")

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -316,13 +317,22 @@ class TestRecillas:
         degs = sorted(out.tower.composed().vertex_degree[x]
                       for x in out.tower.composed().fiber_vertices(0))
         assert degs == [3, 3]
-        # degree table: a (2,1) pair of fiber points carries degree 2
-        gen = random_tetragonal_curve(5)
-        out2 = recillas(gen.cover)
-        comp = out2.tower.composed()
-        for i, (v, key) in out2.vertex_info.items():
-            orig = comp.fiber_vertices(v)
-        assert out2.tower.f.global_degree() == 3
+        # degree table: a pair (x, x) carries C(d_x, 2) and a pair (x, y)
+        # d_x * d_y, and the involution sends a pair to its complement
+        for seed in (5, 9, 13, 14, 19):  # fibers of all three profiles
+            cover = random_tetragonal_curve(seed).cover
+            assert {cover.fiber_profile(vpoint(v)) for v in cover.target.vertices} == \
+                {(1, 1, 1, 1), (2, 1, 1), (3, 1)}
+            out2 = recillas(cover)
+            d, invol = cover.vertex_degree, out2.tower.pi.vertex_invol
+            degree = out2.tower.composed().vertex_degree
+            for i, (v, (x, y)) in out2.vertex_info.items():
+                assert degree[i] == (comb(d[x], 2) if x == y else d[x] * d[y]), (seed, i)
+                rest = [z for z in cover.fiber_vertices(v) for _ in range(d[z])]
+                rest.remove(x)
+                rest.remove(y)
+                assert sorted(out2.vertex_info[invol[i]][1]) == sorted(rest), (seed, i)
+            assert out2.tower.f.global_degree() == 3
 
     def test_degree_table_two_one(self):
         found = None

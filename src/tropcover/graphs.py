@@ -123,12 +123,8 @@ class Graph:
         Returns (graph, edge_keys) with edge_keys[i] = 2i.
         """
         vertices = tuple(range(n_vertices)) if isinstance(n_vertices, int) else tuple(n_vertices)
-        root, partner = {}, {}
-        for i, (u, v) in enumerate(edge_list):
-            a, b = 2 * i, 2 * i + 1
-            root[a], root[b] = u, v
-            partner[a], partner[b] = b, a
-        return cls(vertices, root, partner), tuple(2 * i for i in range(len(edge_list)))
+        root = dict(enumerate(end for u, v in edge_list for end in (u, v)))
+        return cls(vertices, root, {h: h ^ 1 for h in root}), tuple(range(0, len(root), 2))
 
 
 def validate_graph(g: Graph) -> list:
@@ -785,35 +781,39 @@ def build_double_cover(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
     0 is numbered before sheet 1, so a fiber lists the lifts in sheet
     order: the sheet-s lift of h is `fiber_half_edges(h)[s]`.
     """
+    return DoubleCover.from_harmonic(_double_cover_morphism(g, dilated_vertices,
+                                                            dilated_edge_keys, bits))
+
+
+def _double_cover_morphism(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
+                           bits=None) -> HarmonicMorphism:
+    """`build_double_cover`'s maps, unchecked: the sheet-s lift of a point
+    is its first id plus s."""
     dil_v = set(dilated_vertices)
-    dil_e = set(dilated_edge_keys)
-    bits = dict(bits or {})
-    for k in dil_e:
+    root, partner, bits = g.root, g.partner, bits or {}
+    dil_h = set()
+    for k in set(dilated_edge_keys):
         for end in g.edge_ends(k):
             if end not in dil_v:
                 raise GraphError(f"dilated edge {k} has a free endpoint {end}")
-    vertex_ids = {}
-    for v in g.vertices:
-        for s in ((0,) if v in dil_v else (0, 1)):
-            vertex_ids[(v, s)] = len(vertex_ids)
-    half_ids = {}
-    for h in g.half_edges:
-        for s in ((0,) if g.edge_key(h) in dil_e else (0, 1)):
-            half_ids[(h, s)] = len(half_ids)
-    root, partner, hmap = {}, {}, {}
-    for (h, s), i in half_ids.items():
-        r = g.root[h]
-        if r in dil_v:
-            root[i] = vertex_ids[(r, 0)]
-        else:
-            root[i] = vertex_ids[(r, s ^ bits.get(h, 0))]
-        partner[i] = half_ids[(g.partner[h], s)]
-        hmap[i] = h
-    source = Graph(tuple(range(len(vertex_ids))), root, partner)
-    vdeg = {i: 2 if v in dil_v else 1 for (v, s), i in vertex_ids.items()}
-    hdeg = {i: 2 if g.edge_key(h) in dil_e else 1 for (h, s), i in half_ids.items()}
-    vmap = {i: v for (v, s), i in vertex_ids.items()}
-    return DoubleCover.from_harmonic(HarmonicMorphism(source, g, vmap, hmap, vdeg, hdeg))
+        dil_h.update((k, partner[k]))
+    vfirst, vmap, vdeg, hfirst, hmap, hdeg = {}, {}, {}, {}, {}, {}
+    for ids, dil, first, image, deg in ((g.vertices, dil_v, vfirst, vmap, vdeg),
+                                        (g.half_edges, dil_h, hfirst, hmap, hdeg)):
+        for x in ids:
+            i = first[x] = len(image)
+            if x in dil:
+                image[i], deg[i] = x, 2
+            else:
+                image[i] = image[i + 1] = x
+                deg[i] = deg[i + 1] = 1
+    s_root, s_partner = {}, {}
+    for i, h in hmap.items():
+        s, r = i - hfirst[h], root[h]
+        s_root[i] = vfirst[r] + (0 if r in dil_v else s ^ bits.get(h, 0))
+        s_partner[i] = hfirst[partner[h]] + s
+    return HarmonicMorphism(Graph(tuple(range(len(vmap))), s_root, s_partner), g, vmap, hmap,
+                            vdeg, hdeg)
 
 
 def harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:
@@ -822,26 +822,36 @@ def harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> Har
     Half-edges 2i, 2i+1 of edge i map onto the target halves matching the
     vertex map; vertex degrees are derived from local harmonicity.
     """
-    graph, keys = Graph.from_edges(n_vertices, [(u, v) for (u, v, _k, _d) in edge_spec])
+    return _check_edge_spec(_harmonic_from_edges(n_vertices, edge_spec, target, vmap))
+
+
+def _harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:
+    """`harmonic_from_edges`' morphism, unchecked."""
+    graph, _keys = Graph.from_edges(n_vertices, [(u, v) for (u, v, _k, _d) in edge_spec])
+    t_root, t_partner = target.root, target.partner
     hmap, hdeg = {}, {}
-    for i, (u, v, k, d) in enumerate(edge_spec):
-        ends = (target.root[k], target.root[target.partner[k]])
+    for a, (u, v, k, d) in zip(range(0, 2 * len(edge_spec), 2), edge_spec):
+        p = t_partner[k]
+        ends = (t_root[k], t_root[p])
         if (vmap[u], vmap[v]) == ends:
-            hmap[2 * i], hmap[2 * i + 1] = k, target.partner[k]
+            hmap[a], hmap[a + 1] = k, p
         elif (vmap[v], vmap[u]) == ends:
-            hmap[2 * i], hmap[2 * i + 1] = target.partner[k], k
+            hmap[a], hmap[a + 1] = p, k
         else:
-            raise GraphError(f"edge {i} does not lie over target edge {k}")
-        hdeg[2 * i] = hdeg[2 * i + 1] = d
+            raise GraphError(f"edge {a // 2} does not lie over target edge {k}")
+        hdeg[a] = hdeg[a + 1] = d
     vdeg = {}
-    for v in graph.vertices:
-        if not graph.tangent(v):
+    for v, hs in graph._tangent.items():
+        if not hs:
             raise GraphError(f"vertex {v} is isolated; cannot derive its degree")
-        h = graph.tangent(v)[0]
-        target_half = hmap[h]
-        vdeg[v] = sum(hdeg[x] for x in graph.tangent(v) if hmap[x] == target_half)
-    out = HarmonicMorphism(graph, target, dict(vmap), hmap, vdeg, hdeg)
-    issues = validate_harmonic(out)
+        target_half = hmap[hs[0]]
+        vdeg[v] = sum(hdeg[x] for x in hs if hmap[x] == target_half)
+    return HarmonicMorphism(graph, target, dict(vmap), hmap, vdeg, hdeg)
+
+
+def _check_edge_spec(f: HarmonicMorphism) -> HarmonicMorphism:
+    """f, if harmonic; else `harmonic_from_edges`' GraphError."""
+    issues = validate_harmonic(f)
     if issues:
         raise GraphError(f"edge spec is not harmonic: {issues[0]}")
-    return out
+    return f

@@ -2,8 +2,10 @@
 
 A single deterministic PRNG drives everything; iteration orders are
 id-sorted, so a seed fully determines the output on any platform.
-Generation is by rejection: sample, validate, check the requested
-structural flags, retry up to a budget.
+Generation is by rejection: sample, check the flags, validate what is
+returned, retry up to a budget.  A rejected draw costs its draws only:
+the flags read the unchecked maps, and the harmonicity scans run once,
+on the tower or cover returned.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from functools import cache
 from fractions import Fraction
 
 from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism, Tower,
-                     betti_number, build_double_cover, harmonic_from_edges,
-                     is_connected)
+                     _check_edge_spec, _double_cover_morphism, _harmonic_from_edges,
+                     betti_number, is_connected)
 from .metrics import MetricGraph
 from .ngonal import is_generic_bigonal, is_generic_tetragonal
 
@@ -60,39 +62,39 @@ def random_lengths(rng: random.Random, keys, length_range=(1, 6)):
 
 def random_harmonic_map(rng: random.Random, base: Graph, n: int) -> HarmonicMorphism:
     """Random degree-n harmonic morphism onto a tree: random vertex
-    partitions joined by random transport plans along each edge."""
-    parts = {v: rng.choice(_partitions(n)) for v in base.vertices}
-    vertex_ids = {}
-    vmap = {}
-    vid = 0
+    partitions joined by random transport plans along each edge.  It is
+    unchecked: the generators check the one they return."""
+    choice, randint, table = rng.choice, rng.randint, _partitions(n)
+    parts = {v: choice(table) for v in base.vertices}
+    vertex_ids, vmap = {}, {}
     for v in base.vertices:
-        ids = []
-        for _d in parts[v]:
-            vmap[vid] = v
-            ids.append(vid)
-            vid += 1
-        vertex_ids[v] = ids
+        vertex_ids[v] = range(len(vmap), len(vmap) + len(parts[v]))
+        vmap.update(dict.fromkeys(vertex_ids[v], v))
     edge_spec = []
     for k in base.edge_keys():
         u, v = base.edge_ends(k)
-        supply = [[parts[u][i], vertex_ids[u][i]] for i in range(len(parts[u]))]
-        demand = [[parts[v][i], vertex_ids[v][i]] for i in range(len(parts[v]))]
+        supply = list(map(list, zip(parts[u], vertex_ids[u])))
+        demand = list(map(list, zip(parts[v], vertex_ids[v])))
         while supply:
-            su = rng.choice([s for s in supply if s[0] > 0])
-            dv = rng.choice([t for t in demand if t[0] > 0])
-            take = rng.randint(1, min(su[0], dv[0]))
+            su, dv = choice(supply), choice(demand)
+            take = randint(1, min(su[0], dv[0]))
             edge_spec.append((su[1], dv[1], k, take))
             su[0] -= take
             dv[0] -= take
-            supply = [s for s in supply if s[0] > 0]
-            demand = [t for t in demand if t[0] > 0]
-    return harmonic_from_edges(vid, sorted(edge_spec), base, vmap)
+            if not su[0]:
+                supply.remove(su)
+            if not dv[0]:
+                demand.remove(dv)
+    return _harmonic_from_edges(len(vmap), sorted(edge_spec), base, vmap)
 
 
 def random_double_cover_of(rng: random.Random, f_source: Graph,
-                           dilation_probability: Fraction) -> DoubleCover:
+                           dilation_probability: Fraction) -> HarmonicMorphism:
     """Random double cover of a graph: vertex statuses first, edge statuses
-    respecting the closure rule, then monodromy bits on free attachments."""
+    respecting the closure rule, then monodromy bits on free attachments.
+    It returns the cover's maps, an unchecked `HarmonicMorphism`, not a
+    `DoubleCover`: `random_tower` checks the maps of the tower it returns
+    and makes their `DoubleCover` then."""
     p_num, p_den = dilation_probability.numerator, dilation_probability.denominator
     dil_v = {v for v in f_source.vertices if rng.randrange(p_den) < p_num}
     dil_e = set()
@@ -100,11 +102,10 @@ def random_double_cover_of(rng: random.Random, f_source: Graph,
         u, v = f_source.edge_ends(k)
         if u in dil_v and v in dil_v and rng.randrange(p_den) < p_num:
             dil_e.add(k)
-    bits = {}
-    for h in f_source.half_edges:
-        if f_source.edge_key(h) not in dil_e and f_source.root[h] not in dil_v:
-            bits[h] = rng.randint(0, 1)
-    return build_double_cover(f_source, dil_v, dil_e, bits)
+    # a dilated edge ends at dilated vertices, so a half-edge at a free root is free
+    root = f_source.root
+    bits = {h: rng.randint(0, 1) for h in f_source.half_edges if root[h] not in dil_v}
+    return _double_cover_morphism(f_source, dil_v, dil_e, bits)
 
 
 @dataclass(frozen=True)
@@ -131,25 +132,26 @@ def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fr
         metric = MetricGraph(base, random_lengths(rng, keys, length_range))
         f = random_harmonic_map(rng, base, n)
         prob = Fraction(0) if pi_free else dilation_probability
-        cover = random_double_cover_of(rng, f.source, prob)
-        tower = Tower(cover, f)
-        if pi_free is False and cover.is_free():
-            failing = "pi-dilated"
+        pi = random_double_cover_of(rng, f.source, prob)  # the flags read unchecked maps
+        if pi_free is False and 2 not in pi.vertex_degree.values():
+            failing = "pi-dilated"  # no dilated vertex, so no dilated edge
             continue
-        if connected and not is_connected(tower.top):
+        if connected and not is_connected(pi.source):
             failing = "top-connected"
             continue
-        if generic and n == 2 and not is_generic_bigonal(tower):
+        # a tower of unchecked maps serves: `is_generic_bigonal` reads their fibers only
+        if generic and n == 2 and not is_generic_bigonal(Tower(pi, f)):
             failing = "generic"
             continue
         if generic and n == 4 and not is_generic_tetragonal(f):
             failing = "generic"
             continue
         if max_prym_rank is not None and \
-                betti_number(tower.top) - betti_number(tower.mid) > max_prym_rank:
+                betti_number(pi.source) - betti_number(f.source) > max_prym_rank:
             failing = "max-prym-rank"
             continue
-        return GeneratedTower(tower, metric)
+        f = _check_edge_spec(f)  # the mid map first, as it was built first
+        return GeneratedTower(Tower(DoubleCover.from_harmonic(pi), f), metric)
     raise GenerationError(failing, _TRIES)
 
 
@@ -174,5 +176,5 @@ def random_tetragonal_curve(seed: int, *, tree_size=(2, 5)) -> GeneratedCover:
         if not is_connected(f.source):
             failing = "connected"
             continue
-        return GeneratedCover(f, metric)
+        return GeneratedCover(_check_edge_spec(f), metric)
     raise GenerationError(failing, _TRIES)

@@ -44,7 +44,10 @@ are the chain maps of a double cover that each ran their own signed
 edge-key loop before `jacprym.chain_image`: push, pull (by source edge
 keys and a sign test), involution, the lift of a dilated cycle, and the
 trigonal witness's Phi, which read `half_edge_info` itself before
-`NgonalConstruction.correspondence`.
+`NgonalConstruction.correspondence`.  So is the seeded generation that
+validated every draw, rejected ones included, before it checked only the
+tower it returns, with the builders that numbered a lift through
+(point, sheet) dicts and rebuilt their lists at every step.
 
 Last come the operations that no command, construction or theorem check
 reaches, which the package dropped: the contraction of an edge of a
@@ -56,14 +59,16 @@ target metric.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from tropcover import intlinalg as la
+from tropcover import randgen
 from tropcover.graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism,
                               PreconditionError, Tower, ValidationIssue, _bfs, _bfs_components,
-                              _bfs_tree, chain_boundary, covers_isomorphic_over_base,
+                              _bfs_tree, betti_number, chain_boundary, covers_isomorphic_over_base,
                               fundamental_cycle, genus, hpoint, is_connected, is_tree,
                               iter_cover_isomorphisms, spanning_tree, validate_harmonic,
                               validate_morphism, vpoint)
@@ -73,8 +78,8 @@ from tropcover.metrics import INF, MetricGraph, induce_metric, is_inf
 from tropcover.ngonal import (FiberDatum, Multisection, NgonalConstruction, RecillasResult,
                               _canonical, _check_harmonic, _fiber_shape, _sign_quotient,
                               classify_tetragonal_point, involution_quotient,
-                              multisection_degree, multisections, swap_multisection,
-                              tower_fiber)
+                              is_generic_bigonal, is_generic_tetragonal, multisection_degree,
+                              multisections, swap_multisection, tower_fiber)
 from tropcover.tori import (IntegralTorus, KernelTorus,
                             Polarization, PrincipalModel, TorusError, TorusHom,
                             dual_type)
@@ -1200,6 +1205,182 @@ def phi_by_half_edge_info(info: dict, section: dict, lift, top: Graph, cycle: di
                 key = top.edge_key(h)
                 out[key] = out.get(key, 0) + (c * m if h == key else -c * m)
     return out
+
+
+# ---------------------------------------------------------------------------
+# seeded generation that validated every draw, before it checked only the
+# tower it returns; the bodies are the replaced ones, calling each other
+
+
+def graph_from_edges_by_loop(n_vertices, edge_list):
+    vertices = tuple(range(n_vertices)) if isinstance(n_vertices, int) else tuple(n_vertices)
+    root, partner = {}, {}
+    for i, (u, v) in enumerate(edge_list):
+        a, b = 2 * i, 2 * i + 1
+        root[a], root[b] = u, v
+        partner[a], partner[b] = b, a
+    return Graph(vertices, root, partner), tuple(2 * i for i in range(len(edge_list)))
+
+
+def build_double_cover_by_sheet_pairs(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
+                                      bits=None) -> DoubleCover:
+    dil_v = set(dilated_vertices)
+    dil_e = set(dilated_edge_keys)
+    bits = dict(bits or {})
+    for k in dil_e:
+        for end in g.edge_ends(k):
+            if end not in dil_v:
+                raise GraphError(f"dilated edge {k} has a free endpoint {end}")
+    vertex_ids = {}
+    for v in g.vertices:
+        for s in ((0,) if v in dil_v else (0, 1)):
+            vertex_ids[(v, s)] = len(vertex_ids)
+    half_ids = {}
+    for h in g.half_edges:
+        for s in ((0,) if g.edge_key(h) in dil_e else (0, 1)):
+            half_ids[(h, s)] = len(half_ids)
+    root, partner, hmap = {}, {}, {}
+    for (h, s), i in half_ids.items():
+        r = g.root[h]
+        if r in dil_v:
+            root[i] = vertex_ids[(r, 0)]
+        else:
+            root[i] = vertex_ids[(r, s ^ bits.get(h, 0))]
+        partner[i] = half_ids[(g.partner[h], s)]
+        hmap[i] = h
+    source = Graph(tuple(range(len(vertex_ids))), root, partner)
+    vdeg = {i: 2 if v in dil_v else 1 for (v, s), i in vertex_ids.items()}
+    hdeg = {i: 2 if g.edge_key(h) in dil_e else 1 for (h, s), i in half_ids.items()}
+    vmap = {i: v for (v, s), i in vertex_ids.items()}
+    return DoubleCover.from_harmonic(HarmonicMorphism(source, g, vmap, hmap, vdeg, hdeg))
+
+
+def harmonic_from_edges_by_rebuilds(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:
+    graph, keys = graph_from_edges_by_loop(n_vertices, [(u, v) for (u, v, _k, _d) in edge_spec])
+    hmap, hdeg = {}, {}
+    for i, (u, v, k, d) in enumerate(edge_spec):
+        ends = (target.root[k], target.root[target.partner[k]])
+        if (vmap[u], vmap[v]) == ends:
+            hmap[2 * i], hmap[2 * i + 1] = k, target.partner[k]
+        elif (vmap[v], vmap[u]) == ends:
+            hmap[2 * i], hmap[2 * i + 1] = target.partner[k], k
+        else:
+            raise GraphError(f"edge {i} does not lie over target edge {k}")
+        hdeg[2 * i] = hdeg[2 * i + 1] = d
+    vdeg = {}
+    for v in graph.vertices:
+        if not graph.tangent(v):
+            raise GraphError(f"vertex {v} is isolated; cannot derive its degree")
+        h = graph.tangent(v)[0]
+        target_half = hmap[h]
+        vdeg[v] = sum(hdeg[x] for x in graph.tangent(v) if hmap[x] == target_half)
+    out = HarmonicMorphism(graph, target, dict(vmap), hmap, vdeg, hdeg)
+    issues = validate_harmonic(out)
+    if issues:
+        raise GraphError(f"edge spec is not harmonic: {issues[0]}")
+    return out
+
+
+def _random_tree_by_loop(rng, n_vertices):
+    edges = [(rng.randrange(v), v) for v in range(1, n_vertices)]
+    return graph_from_edges_by_loop(n_vertices, edges)
+
+
+def random_harmonic_map_by_rebuilds(rng, base: Graph, n: int) -> HarmonicMorphism:
+    parts = {v: rng.choice(randgen._partitions(n)) for v in base.vertices}
+    vertex_ids = {}
+    vmap = {}
+    vid = 0
+    for v in base.vertices:
+        ids = []
+        for _d in parts[v]:
+            vmap[vid] = v
+            ids.append(vid)
+            vid += 1
+        vertex_ids[v] = ids
+    edge_spec = []
+    for k in base.edge_keys():
+        u, v = base.edge_ends(k)
+        supply = [[parts[u][i], vertex_ids[u][i]] for i in range(len(parts[u]))]
+        demand = [[parts[v][i], vertex_ids[v][i]] for i in range(len(parts[v]))]
+        while supply:
+            su = rng.choice([s for s in supply if s[0] > 0])
+            dv = rng.choice([t for t in demand if t[0] > 0])
+            take = rng.randint(1, min(su[0], dv[0]))
+            edge_spec.append((su[1], dv[1], k, take))
+            su[0] -= take
+            dv[0] -= take
+            supply = [s for s in supply if s[0] > 0]
+            demand = [t for t in demand if t[0] > 0]
+    return harmonic_from_edges_by_rebuilds(vid, sorted(edge_spec), base, vmap)
+
+
+def random_double_cover_of_by_edge_key(rng, f_source: Graph,
+                                       dilation_probability: Fraction) -> DoubleCover:
+    p_num, p_den = dilation_probability.numerator, dilation_probability.denominator
+    dil_v = {v for v in f_source.vertices if rng.randrange(p_den) < p_num}
+    dil_e = set()
+    for k in f_source.edge_keys():
+        u, v = f_source.edge_ends(k)
+        if u in dil_v and v in dil_v and rng.randrange(p_den) < p_num:
+            dil_e.add(k)
+    bits = {}
+    for h in f_source.half_edges:
+        if f_source.edge_key(h) not in dil_e and f_source.root[h] not in dil_v:
+            bits[h] = rng.randint(0, 1)
+    return build_double_cover_by_sheet_pairs(f_source, dil_v, dil_e, bits)
+
+
+def random_tower_checking_every_draw(seed: int, *, n: int, tree_size=(2, 5),
+                                     dilation_probability=Fraction(1, 3), length_range=(1, 6),
+                                     pi_free=None, generic=False, connected=True,
+                                     max_prym_rank=None) -> randgen.GeneratedTower:
+    if n not in (2, 3, 4):
+        raise GraphError("tower degree must be 2, 3 or 4")
+    rng = random.Random(seed)
+    failing = "none"
+    for attempt in range(randgen._TRIES):
+        base, keys = _random_tree_by_loop(rng, rng.randint(*tree_size))
+        metric = MetricGraph(base, randgen.random_lengths(rng, keys, length_range))
+        f = random_harmonic_map_by_rebuilds(rng, base, n)
+        prob = Fraction(0) if pi_free else dilation_probability
+        cover = random_double_cover_of_by_edge_key(rng, f.source, prob)
+        tower = Tower(cover, f)
+        if pi_free is False and cover.is_free():
+            failing = "pi-dilated"
+            continue
+        if connected and not is_connected(tower.top):
+            failing = "top-connected"
+            continue
+        if generic and n == 2 and not is_generic_bigonal(tower):
+            failing = "generic"
+            continue
+        if generic and n == 4 and not is_generic_tetragonal(f):
+            failing = "generic"
+            continue
+        if max_prym_rank is not None and \
+                betti_number(tower.top) - betti_number(tower.mid) > max_prym_rank:
+            failing = "max-prym-rank"
+            continue
+        return randgen.GeneratedTower(tower, metric)
+    raise randgen.GenerationError(failing, randgen._TRIES)
+
+
+def random_tetragonal_curve_checking_every_draw(seed: int, *, tree_size=(2, 5)):
+    rng = random.Random(seed)
+    failing = "none"
+    for attempt in range(randgen._TRIES):
+        base, keys = _random_tree_by_loop(rng, rng.randint(*tree_size))
+        metric = MetricGraph(base, randgen.random_lengths(rng, keys))
+        f = random_harmonic_map_by_rebuilds(rng, base, 4)
+        if not is_generic_tetragonal(f):
+            failing = "generic"
+            continue
+        if not is_connected(f.source):
+            failing = "connected"
+            continue
+        return randgen.GeneratedCover(f, metric)
+    raise randgen.GenerationError(failing, randgen._TRIES)
 
 
 # ---------------------------------------------------------------------------

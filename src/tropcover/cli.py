@@ -23,6 +23,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+# kept at module level: importing cli loads every module, before any command is timed
 from .graphs import (GraphError, PreconditionError, covers_isomorphic_over_base, is_tree,
                      towers_isomorphic)
 from .jacprym import check_bigonal_duality, check_trigonal_prym, jacobian, prym

@@ -5,7 +5,8 @@ id-sorted, so a seed fully determines the output on any platform.
 Generation is by rejection: sample, check the flags, validate what is
 returned, retry up to a budget.  A rejected draw costs its draws only:
 the flags read the unchecked maps, and the harmonicity scans run once,
-on the tower or cover returned.
+on the tower or cover returned.  `ngonal` loads on the first generic
+draw only: the other draws never read a fiber profile.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism, Tower,
                      _check_edge_spec, _double_cover_morphism, _harmonic_from_edges,
                      betti_number, is_connected)
 from .metrics import MetricGraph
-from .ngonal import is_generic_bigonal, is_generic_tetragonal
 
 
 class GenerationError(RuntimeError):
@@ -29,6 +29,16 @@ class GenerationError(RuntimeError):
 
 
 _TRIES = 600  # rejection budget per call
+
+
+def is_generic_bigonal(tower) -> bool:
+    from . import ngonal
+    return ngonal.is_generic_bigonal(tower)
+
+
+def is_generic_tetragonal(f) -> bool:
+    from . import ngonal
+    return ngonal.is_generic_tetragonal(f)
 
 
 @cache

@@ -14,19 +14,17 @@ import importlib
 
 _EXPORTED = {
     "graphs": "DoubleCover Graph GraphError HarmonicMorphism NonGenericError PreconditionError"
-              " Tower build_double_cover compose_harmonic connected_components dilation_data"
-              " covers_isomorphic_over_base genus harmonic_from_edges is_connected is_tree"
-              " spanning_tree towers_isomorphic validate_graph validate_harmonic",
+              " Tower compose_harmonic connected_components dilation_data"
+              " covers_isomorphic_over_base genus is_connected is_tree spanning_tree"
+              " towers_isomorphic validate_graph validate_harmonic",
     "metrics": "INF MetricGraph induce_metric is_inf validate_metric",
     "ngonal": "FiberDatum FiberPart bigonal involution_quotient is_generic_bigonal recillas"
-              " is_generic_tetragonal multisection_degree multisection_sign multisections"
-              " ngonal_construct tetragonal_split tower_fiber trigonal",
-    "intlinalg": "gram_isometries vectors_with_norm",
+              " is_generic_tetragonal ngonal_construct tetragonal_split tower_fiber trigonal",
+    "intlinalg": "vectors_with_norm",
     "tori": "IntegralTorus Polarization TorusHom dual_polarization dual_type polarized_isomorphic",
     "jacprym": "CheckResult PrymData SymmetricBasis check_bigonal_duality check_trigonal_prym"
-               " cycle_pairing h1_basis jacobian norm_hom pairing_table prym symmetric_basis"
-               " transfer_maps",
-    "randgen": "GenerationError random_tetragonal_curve random_tower",
+               " h1_basis jacobian norm_hom prym symmetric_basis transfer_maps",
+    "randgen": "GenerationError random_tower",
 }
 _HOME = {name: module for module, names in _EXPORTED.items() for name in names.split()}
 __all__ = list(_HOME)

@@ -398,11 +398,6 @@ def double_cover_issues(f: HarmonicMorphism) -> list:
             for p, d in _fiber_degree_sums(f).items() if d != 2]
 
 
-def identity_harmonic(g: Graph) -> HarmonicMorphism:
-    return HarmonicMorphism(g, g, {v: v for v in g.vertices}, {h: h for h in g.half_edges},
-                            {v: 1 for v in g.vertices}, {h: 1 for h in g.half_edges})
-
-
 def compose_harmonic(f: HarmonicMorphism, g: HarmonicMorphism) -> HarmonicMorphism:
     """g after f, with local degrees multiplying pointwise."""
     if f.target != g.source:
@@ -771,24 +766,17 @@ def towers_isomorphic(t1: Tower, t2: Tower):
     return None
 
 
-def build_double_cover(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
-                       bits=None) -> DoubleCover:
-    """Double cover of g with prescribed dilation and monodromy.
+def _double_cover_morphism(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
+                           bits=None) -> HarmonicMorphism:
+    """The maps of a double cover of g with prescribed dilation and
+    monodromy, unchecked.
 
     Free points get two sheet-labeled preimages; a half-edge h of a free
     edge attaches its sheet-s lift to sheet s xor bits[h] of its root
-    (bits default 0).  Dilated edges must end at dilated vertices.  Sheet
-    0 is numbered before sheet 1, so a fiber lists the lifts in sheet
-    order: the sheet-s lift of h is `fiber_half_edges(h)[s]`.
+    (bits default 0).  Dilated edges must end at dilated vertices.  The
+    sheet-s lift of a point is its first id plus s, so a fiber lists the
+    lifts in sheet order.
     """
-    return DoubleCover.from_harmonic(_double_cover_morphism(g, dilated_vertices,
-                                                            dilated_edge_keys, bits))
-
-
-def _double_cover_morphism(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
-                           bits=None) -> HarmonicMorphism:
-    """`build_double_cover`'s maps, unchecked: the sheet-s lift of a point
-    is its first id plus s."""
     dil_v = set(dilated_vertices)
     root, partner, bits = g.root, g.partner, bits or {}
     dil_h = set()
@@ -816,17 +804,13 @@ def _double_cover_morphism(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
                             vdeg, hdeg)
 
 
-def harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:
-    """Harmonic morphism from an edge list (tail, head, target_edge_key, degree).
+def _harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:
+    """Morphism from an edge list (tail, head, target_edge_key, degree),
+    unchecked.
 
     Half-edges 2i, 2i+1 of edge i map onto the target halves matching the
     vertex map; vertex degrees are derived from local harmonicity.
     """
-    return _check_edge_spec(_harmonic_from_edges(n_vertices, edge_spec, target, vmap))
-
-
-def _harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:
-    """`harmonic_from_edges`' morphism, unchecked."""
     graph, _keys = Graph.from_edges(n_vertices, [(u, v) for (u, v, _k, _d) in edge_spec])
     t_root, t_partner = target.root, target.partner
     hmap, hdeg = {}, {}
@@ -850,7 +834,7 @@ def _harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> Ha
 
 
 def _check_edge_spec(f: HarmonicMorphism) -> HarmonicMorphism:
-    """f, if harmonic; else `harmonic_from_edges`' GraphError."""
+    """f, if harmonic; else a GraphError naming its first issue."""
     issues = validate_harmonic(f)
     if issues:
         raise GraphError(f"edge spec is not harmonic: {issues[0]}")

@@ -431,28 +431,10 @@ def _lll_reduce(q) -> tuple:
     return transpose(h), mat(g), d[n]
 
 
-def gram_isometries(q1, q2):
-    """Unimodular B with B^T Q2 B = Q1, yielded exactly once each.
-
-    Both forms must be symmetric positive definite; `definite_isometries`
-    runs the search.
-    """
-    n, _ = shape(q1)
-    n2, _ = shape(q2)
-    if n != n2:
-        raise ValueError("rank mismatch")
-    q1, q2 = mat(q1), mat(q2)
-    for q in (q1, q2):
-        if q != transpose(q):
-            raise ValueError("forms must be symmetric")
-        if not is_positive_definite(q):
-            raise ValueError("form is not positive definite")
-    yield from definite_isometries(q1, q2)
-
-
 def definite_isometries(q1, q2):
-    """`gram_isometries` of two forms the caller has proved symmetric
-    positive definite and of equal rank, without proving it again.
+    """Unimodular B with B^T Q2 B = Q1, yielded exactly once each, for two
+    forms the caller has proved symmetric positive definite and of equal
+    rank; nothing here proves it again.
 
     Both forms are scaled once to integers over their common denominator
     D, Q_i -> D Q_i, which has the isometries of Q_i.  Both are then

@@ -74,23 +74,6 @@ def h1_basis(graph: Graph) -> CycleBasis:
     return graph._cycle_basis
 
 
-def cycle_pairing(metric: MetricGraph, a: dict, b: dict) -> Fraction:
-    """Integration pairing sum_e a_e b_e len(e)."""
-    total = Fraction(0)
-    for k, c in a.items():
-        other = b.get(k, 0)
-        if other:
-            length = metric.length[k]
-            if is_inf(length):
-                raise GraphError("cycle pairing across an infinite edge")
-            total += c * other * length
-    return total
-
-
-def pairing_table(metric: MetricGraph, rows, cols) -> tuple:
-    return tuple(tuple(cycle_pairing(metric, r, c) for c in cols) for r in rows)
-
-
 @dataclass(frozen=True)
 class Jacobian:
     polarization: Polarization  # the identity map on its torus: the pairing is the Gram form

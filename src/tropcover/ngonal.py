@@ -16,11 +16,14 @@ dilations) and, for a transport, on the two shapes and how their parts
 match and flip.  So a construction keeps, for the length of one call, a
 table per fiber shape (multisections in order, their degrees, the sign
 swap) and a table per kind of transport; a point's id is the first id
-over its base point plus its position in the fiber.  The gluing is
-positional: a multisection's position is a mixed-radix number over its
-parts' plus counts, so a transport table is plus-count arithmetic
-(`_glue_table`).  The transport it replaced, `induce_multisection` along
-a `Refinement` per half-edge, is the oracle in `tests/oracles.py`.  The
+over its base point plus its position in the fiber.  Both are positional:
+a multisection's position is a mixed-radix number over its parts' plus
+counts, so a transport table (`_glue_table`), the sign swap (the fiber
+glued onto itself, every free part flipped) and the degrees (products of
+binomials) are plus-count arithmetic.  The tuple model of multisections
+it replaced (`multisections`, `multisection_degree`,
+`swap_multisection`), and the transport by `induce_multisection` along a
+`Refinement` per half-edge, are the oracles in `tests/oracles.py`.  The
 Recillas construction reads the same tables, since a 2-element subset of
 a fiber is a plus-count-2 multisection of the trivial double cover.
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism,
                      NonGenericError, PreconditionError, Tower,
@@ -60,63 +63,6 @@ class FiberDatum:
 
     def is_free(self) -> bool:
         return all(not p.dilated for p in self.parts)
-
-    def part(self, part_id) -> FiberPart:
-        for p in self.parts:
-            if p.part_id == part_id:
-                return p
-        raise KeyError(part_id)
-
-
-Multisection = tuple  # sorted tuple of (part_id, plus, minus); dilated parts canonical (d, 0)
-
-
-def _canonical(fd: FiberDatum, coeffs: dict) -> Multisection:
-    out = []
-    for p in fd.parts:
-        plus, minus = coeffs[p.part_id]
-        if p.dilated:
-            plus, minus = p.degree, 0
-        if plus + minus != p.degree or plus < 0 or minus < 0:
-            raise GraphError(f"multisection coefficients {(plus, minus)} do not split degree {p.degree}")
-        out.append((p.part_id, plus, minus))
-    return tuple(out)
-
-
-def multisections(fd: FiberDatum) -> tuple:
-    """All multisections in lexicographic order; count = prod over free
-    parts of (degree + 1)."""
-    ranges = []
-    for p in fd.parts:
-        if p.dilated:
-            ranges.append([(p.degree, 0)])
-        else:
-            ranges.append([(a, p.degree - a) for a in range(p.degree, -1, -1)])
-    out = []
-    for combo in itertools.product(*ranges):
-        out.append(tuple((p.part_id, a, b) for p, (a, b) in zip(fd.parts, combo)))
-    return tuple(sorted(out))
-
-
-def multisection_degree(fd: FiberDatum, ms: Multisection) -> int:
-    """Number of sections inducing the multisection."""
-    deg = 1
-    for (part_id, plus, _minus) in ms:
-        p = fd.part(part_id)
-        deg *= 2 ** p.degree if p.dilated else comb(p.degree, plus)
-    return deg
-
-
-def multisection_sign(fd: FiberDatum, ms: Multisection) -> int:
-    """(-1)^(sum of plus coefficients); defined only for free fibers."""
-    if not fd.is_free():
-        raise PreconditionError("free-fiber", "sign undefined on dilated partition")
-    return -1 if sum(plus for (_pid, plus, _minus) in ms) % 2 else 1
-
-
-def swap_multisection(fd: FiberDatum, ms: Multisection) -> Multisection:
-    """Exchange all signs (the canonical involution of the construction)."""
-    return _canonical(fd, {pid: (minus, plus) for (pid, plus, minus) in ms})
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +131,8 @@ class _ShapeTable:
     """What the construction reads of one fiber shape (the parts' degrees
     and dilations, in part order), positionally: each part's (plus, minus)
     splits by increasing plus, whose product lists the multisections in
-    `multisections` order, and per multisection its `multisection_degree`
-    and the position of its `swap_multisection`."""
+    order, last part fastest, and per multisection its degree and the
+    position of its sign swap."""
 
     splits: tuple
     degree: tuple
@@ -203,15 +149,23 @@ def _fiber_shape(fd: FiberDatum) -> tuple:
 
 
 def _shape_table(fd: FiberDatum) -> _ShapeTable:
-    mss = multisections(fd)
-    position = {ms: k for k, ms in enumerate(mss)}
-    table = _ShapeTable(
-        tuple(sorted({ms[j][1:] for ms in mss}) for j in range(len(fd.parts))),
-        tuple(multisection_degree(fd, ms) for ms in mss),
-        tuple(position[swap_multisection(fd, ms)] for ms in mss))
-    if tuple(table.multisections(fd)) != mss:
-        raise AssertionError("the products of part splits are not the multisections in order")
-    return table
+    """The table of a fiber's shape, by plus-count arithmetic: a free part of
+    degree d splits as (a, d - a), a = 0..d, in C(d, a) ways, a dilated one
+    as (d, 0) only, in 2^d ways, so a degree is a product of these; the sign
+    swap is the gluing of the fiber onto itself with every free part
+    flipped."""
+    splits, ways = [], []
+    for p in fd.parts:
+        d = p.degree
+        splits.append(((d, 0),) if p.dilated else tuple((a, d - a) for a in range(d + 1)))
+        ways.append((2 ** d,) if p.dilated else tuple(comb(d, a) for a in range(d + 1)))
+    degree = tuple(map(prod, itertools.product(*ways)))
+    swap = _glue_table(fd, fd, tuple(range(len(fd.parts))), (True,) * len(fd.parts))
+    if sum(degree) != 2 ** sum(p.degree for p in fd.parts):
+        raise AssertionError("the degrees of a fiber shape do not sum to 2^(total degree)")
+    if any(swap[k] != j for j, k in enumerate(swap)):
+        raise AssertionError("the sign swap of a fiber shape is not an involution")
+    return _ShapeTable(tuple(splits), degree, swap)
 
 
 def _glue_table(fine: FiberDatum, coarse: FiberDatum, place: tuple, flips: tuple) -> tuple:
@@ -221,7 +175,7 @@ def _glue_table(fine: FiberDatum, coarse: FiberDatum, place: tuple, flips: tuple
 
     A position is a mixed-radix number over the parts' plus counts: radix
     degree + 1 for a free part and 1 for a dilated one, last part fastest,
-    which is `multisections` order.  So a fine part with plus count a adds
+    which is `_ShapeTable` order.  So a fine part with plus count a adds
     stride_k * (degree - a if flipped else a) to the position, k its coarse
     part (nothing if k is dilated), and each entry is one sum of these."""
     strides, stride = [], 1

@@ -163,28 +163,3 @@ def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fr
         f = _check_edge_spec(f)  # the mid map first, as it was built first
         return GeneratedTower(Tower(DoubleCover.from_harmonic(pi), f), metric)
     raise GenerationError(failing, _TRIES)
-
-
-@dataclass(frozen=True)
-class GeneratedCover:
-    cover: HarmonicMorphism
-    base_metric: MetricGraph
-
-
-def random_tetragonal_curve(seed: int, *, tree_size=(2, 5)) -> GeneratedCover:
-    """Seeded random generic degree-4 harmonic cover of a random metric
-    tree, with a connected covering curve."""
-    rng = random.Random(seed)
-    failing = "none"
-    for attempt in range(_TRIES):
-        base, keys = random_tree(rng, rng.randint(*tree_size))
-        metric = MetricGraph(base, random_lengths(rng, keys))
-        f = random_harmonic_map(rng, base, 4)
-        if not is_generic_tetragonal(f):
-            failing = "generic"
-            continue
-        if not is_connected(f.source):
-            failing = "connected"
-            continue
-        return GeneratedCover(_check_edge_spec(f), metric)
-    raise GenerationError(failing, _TRIES)

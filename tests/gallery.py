@@ -12,15 +12,77 @@ Both come with explicit homology cycles in which those tables take
 their closed forms, so the exact matrices can be asserted entry by
 entry.  `tower_metrics` induces the mid and top metrics of any tower
 from its base metric.
+
+The builders only tests call live here too, around the package's private
+builders and their checks: a double cover with prescribed dilation and
+monodromy, a harmonic morphism from an edge list, the identity morphism,
+and seeded random generic quartic covers, drawn by the package's random
+trees and maps.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tropcover.graphs import DoubleCover, Graph, Tower, build_double_cover, harmonic_from_edges
+from tropcover import randgen
+from tropcover.graphs import (DoubleCover, Graph, HarmonicMorphism, Tower, _check_edge_spec,
+                              _double_cover_morphism, _harmonic_from_edges, is_connected)
 from tropcover.metrics import MetricGraph, induce_metric
+
+
+def build_double_cover(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
+                       bits=None) -> DoubleCover:
+    """Double cover of g with prescribed dilation and monodromy.
+
+    Free points get two sheet-labeled preimages; a half-edge h of a free
+    edge attaches its sheet-s lift to sheet s xor bits[h] of its root
+    (bits default 0).  Dilated edges must end at dilated vertices.  Sheet
+    0 is numbered before sheet 1, so a fiber lists the lifts in sheet
+    order: the sheet-s lift of h is `fiber_half_edges(h)[s]`.
+    """
+    return DoubleCover.from_harmonic(_double_cover_morphism(g, dilated_vertices,
+                                                            dilated_edge_keys, bits))
+
+
+def harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:
+    """Harmonic morphism from an edge list (tail, head, target_edge_key, degree).
+
+    Half-edges 2i, 2i+1 of edge i map onto the target halves matching the
+    vertex map; vertex degrees are derived from local harmonicity.
+    """
+    return _check_edge_spec(_harmonic_from_edges(n_vertices, edge_spec, target, vmap))
+
+
+def identity_harmonic(g: Graph) -> HarmonicMorphism:
+    return HarmonicMorphism(g, g, {v: v for v in g.vertices}, {h: h for h in g.half_edges},
+                            {v: 1 for v in g.vertices}, {h: 1 for h in g.half_edges})
+
+
+@dataclass(frozen=True)
+class GeneratedCover:
+    cover: HarmonicMorphism
+    base_metric: MetricGraph
+
+
+def random_tetragonal_curve(seed: int, *, tree_size=(2, 5)) -> GeneratedCover:
+    """Seeded random generic degree-4 harmonic cover of a random metric
+    tree, with a connected covering curve."""
+    rng = random.Random(seed)
+    failing = "none"
+    for attempt in range(randgen._TRIES):
+        base, keys = randgen.random_tree(rng, rng.randint(*tree_size))
+        metric = MetricGraph(base, randgen.random_lengths(rng, keys))
+        f = randgen.random_harmonic_map(rng, base, 4)
+        if not randgen.is_generic_tetragonal(f):
+            failing = "generic"
+            continue
+        if not is_connected(f.source):
+            failing = "connected"
+            continue
+        return GeneratedCover(_check_edge_spec(f), metric)
+    raise randgen.GenerationError(failing, randgen._TRIES)
 
 
 @dataclass(frozen=True)

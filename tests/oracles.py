@@ -47,7 +47,14 @@ trigonal witness's Phi, which read `half_edge_info` itself before
 `NgonalConstruction.correspondence`.  So is the seeded generation that
 validated every draw, rejected ones included, before it checked only the
 tower it returns, with the builders that numbered a lift through
-(point, sheet) dicts and rebuilt their lists at every step.
+(point, sheet) dicts and rebuilt their lists at every step.  So is the
+tuple model of multisections (sorted (part, plus, minus) tuples, with
+their degrees, signs and sign swaps), which the shape tables of the
+section construction replaced by plus-count arithmetic, and the second
+entries of primitives the package keeps once: the Fraction pairing of
+two cycles and its table, next to the certified integer Gram, and the
+isometry search that checks its forms first, next to
+`definite_isometries`.
 
 Last come the operations that no command, construction or theorem check
 reaches, which the package dropped: the contraction of an edge of a
@@ -62,8 +69,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
+from gallery import GeneratedCover
 from tropcover import intlinalg as la
 from tropcover import randgen
 from tropcover.graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism,
@@ -73,13 +81,12 @@ from tropcover.graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism,
                               iter_cover_isomorphisms, spanning_tree, validate_harmonic,
                               validate_morphism, vpoint)
 from tropcover.jacprym import (SymmetricBasis, _lift_dilated_cycle, chain_halve, h1_basis,
-                               invol_chain, pairing_table, push_chain)
+                               invol_chain, push_chain)
 from tropcover.metrics import INF, MetricGraph, induce_metric, is_inf
-from tropcover.ngonal import (FiberDatum, Multisection, NgonalConstruction, RecillasResult,
-                              _canonical, _check_harmonic, _fiber_shape, _sign_quotient,
+from tropcover.ngonal import (FiberDatum, FiberPart, NgonalConstruction, RecillasResult,
+                              _check_harmonic, _fiber_shape, _sign_quotient,
                               classify_tetragonal_point, involution_quotient,
-                              is_generic_bigonal, is_generic_tetragonal, multisection_degree,
-                              multisections, swap_multisection, tower_fiber)
+                              is_generic_bigonal, is_generic_tetragonal, tower_fiber)
 from tropcover.tori import (IntegralTorus, KernelTorus,
                             Polarization, PrincipalModel, TorusError, TorusHom,
                             dual_type)
@@ -480,6 +487,23 @@ def validate_harmonic_by_rescan(f: HarmonicMorphism) -> list:
     return issues
 
 
+def cycle_pairing(metric: MetricGraph, a: dict, b: dict) -> Fraction:
+    """Integration pairing sum_e a_e b_e len(e)."""
+    total = Fraction(0)
+    for k, c in a.items():
+        other = b.get(k, 0)
+        if other:
+            length = metric.length[k]
+            if is_inf(length):
+                raise GraphError("cycle pairing across an infinite edge")
+            total += c * other * length
+    return total
+
+
+def pairing_table(metric: MetricGraph, rows, cols) -> tuple:
+    return tuple(tuple(cycle_pairing(metric, r, c) for c in cols) for r in rows)
+
+
 def jacobian_gram_by_pairing_table(metric) -> tuple:
     """The Fraction Gram of the fundamental cycles, one cycle pairing per entry."""
     cycles = h1_basis(metric.graph).cycles
@@ -831,6 +855,25 @@ def is_unimodular(m) -> bool:
     return rows == cols and la.is_integral(m) and abs(det(m)) == 1
 
 
+def gram_isometries(q1, q2):
+    """Unimodular B with B^T Q2 B = Q1, yielded exactly once each.
+
+    Both forms must be symmetric positive definite; `definite_isometries`
+    runs the search.
+    """
+    n, _ = la.shape(q1)
+    n2, _ = la.shape(q2)
+    if n != n2:
+        raise ValueError("rank mismatch")
+    q1, q2 = la.mat(q1), la.mat(q2)
+    for q in (q1, q2):
+        if q != la.transpose(q):
+            raise ValueError("forms must be symmetric")
+        if not la.is_positive_definite(q):
+            raise ValueError("form is not positive definite")
+    yield from la.definite_isometries(q1, q2)
+
+
 def _lll_gram(q) -> tuple:
     """The LLL transform H of `_lll_reduce` alone."""
     return la._lll_reduce(q)[0]
@@ -866,6 +909,76 @@ def towers_isomorphic_mid_first(t1: Tower, t2: Tower):
     return None
 
 
+Multisection = tuple  # sorted tuple of (part_id, plus, minus); dilated parts canonical (d, 0)
+
+
+def fiber_part(fd: FiberDatum, part_id) -> FiberPart:
+    for p in fd.parts:
+        if p.part_id == part_id:
+            return p
+    raise KeyError(part_id)
+
+
+def _canonical(fd: FiberDatum, coeffs: dict) -> Multisection:
+    out = []
+    for p in fd.parts:
+        plus, minus = coeffs[p.part_id]
+        if p.dilated:
+            plus, minus = p.degree, 0
+        if plus + minus != p.degree or plus < 0 or minus < 0:
+            raise GraphError(f"multisection coefficients {(plus, minus)} do not split degree {p.degree}")
+        out.append((p.part_id, plus, minus))
+    return tuple(out)
+
+
+def multisections(fd: FiberDatum) -> tuple:
+    """All multisections in lexicographic order; count = prod over free
+    parts of (degree + 1)."""
+    ranges = []
+    for p in fd.parts:
+        if p.dilated:
+            ranges.append([(p.degree, 0)])
+        else:
+            ranges.append([(a, p.degree - a) for a in range(p.degree, -1, -1)])
+    out = []
+    for combo in itertools.product(*ranges):
+        out.append(tuple((p.part_id, a, b) for p, (a, b) in zip(fd.parts, combo)))
+    return tuple(sorted(out))
+
+
+def multisection_degree(fd: FiberDatum, ms: Multisection) -> int:
+    """Number of sections inducing the multisection."""
+    deg = 1
+    for (part_id, plus, _minus) in ms:
+        p = fiber_part(fd, part_id)
+        deg *= 2 ** p.degree if p.dilated else comb(p.degree, plus)
+    return deg
+
+
+def multisection_sign(fd: FiberDatum, ms: Multisection) -> int:
+    """(-1)^(sum of plus coefficients); defined only for free fibers."""
+    if not fd.is_free():
+        raise PreconditionError("free-fiber", "sign undefined on dilated partition")
+    return -1 if sum(plus for (_pid, plus, _minus) in ms) % 2 else 1
+
+
+def swap_multisection(fd: FiberDatum, ms: Multisection) -> Multisection:
+    """Exchange all signs (the canonical involution of the construction)."""
+    return _canonical(fd, {pid: (minus, plus) for (pid, plus, minus) in ms})
+
+
+def shape_table_by_tuples(fd: FiberDatum) -> tuple:
+    """(splits, degree, swap) of `ngonal._shape_table`, worked out on the
+    tuple model: each part's (plus, minus) pairs over all multisections, and
+    per multisection its `multisection_degree` and the position of its
+    `swap_multisection` among `multisections`."""
+    mss = multisections(fd)
+    position = {ms: k for k, ms in enumerate(mss)}
+    return (tuple(tuple(sorted({ms[j][1:] for ms in mss})) for j in range(len(fd.parts))),
+            tuple(multisection_degree(fd, ms) for ms in mss),
+            tuple(position[swap_multisection(fd, ms)] for ms in mss))
+
+
 @dataclass(frozen=True)
 class Refinement:
     """Map from the parts of a fine fiber into the parts of a coarse one.
@@ -883,7 +996,7 @@ class Refinement:
     def __post_init__(self):
         sums = {p.part_id: 0 for p in self.coarse.parts}
         for p in self.fine.parts:
-            coarse = self.coarse.part(self.part_map[p.part_id])
+            coarse = fiber_part(self.coarse, self.part_map[p.part_id])
             if p.dilated and not coarse.dilated:
                 raise GraphError("a dilated part cannot refine a free part")
             sums[coarse.part_id] += p.degree
@@ -895,7 +1008,7 @@ class Refinement:
 def induce_multisection(r: Refinement, ms: Multisection) -> Multisection:
     coeffs = {p.part_id: [0, 0] for p in r.coarse.parts}
     for (part_id, plus, minus) in ms:
-        coarse = r.coarse.part(r.part_map[part_id])
+        coarse = fiber_part(r.coarse, r.part_map[part_id])
         if not coarse.dilated and r.flip.get(part_id, False):
             plus, minus = minus, plus
         coeffs[coarse.part_id][0] += plus
@@ -911,7 +1024,7 @@ def _root_refinement(t: Tower, fibers: dict, h) -> Refinement:
     for p in fine.parts:
         mid_root = t.mid.root[p.part_id]
         part_map[p.part_id] = mid_root
-        if not p.dilated and not coarse.part(mid_root).dilated:
+        if not p.dilated and not fiber_part(coarse, mid_root).dilated:
             # the two top-level preimages of a free mid point, plus first
             top_halves = t.pi.fiber_half_edges(p.part_id)
             top_roots = t.pi.fiber_vertices(mid_root)
@@ -1379,7 +1492,7 @@ def random_tetragonal_curve_checking_every_draw(seed: int, *, tree_size=(2, 5)):
         if not is_connected(f.source):
             failing = "connected"
             continue
-        return randgen.GeneratedCover(f, metric)
+        return GeneratedCover(f, metric)
     raise randgen.GenerationError(failing, randgen._TRIES)
 
 

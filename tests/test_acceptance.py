@@ -12,25 +12,25 @@ from fractions import Fraction
 import pytest
 
 from tropcover.graphs import (Graph, NonGenericError, betti_number, genus,
-                              harmonic_from_edges, is_connected,
+                              is_connected,
                               towers_isomorphic, covers_isomorphic_over_base,
                               validate_harmonic)
-from tropcover.intlinalg import (gram_isometries, is_integral, mat,
+from tropcover.intlinalg import (is_integral, mat,
                                  to_int, transpose)
 from tropcover.jacprym import (check_bigonal_duality, check_trigonal_prym,
-                               h1_basis, jacobian, pairing_table, prym)
+                               h1_basis, jacobian, prym)
 from tropcover.metrics import induce_metric
 from tropcover.ngonal import (bigonal, classify_tetragonal_point,
                               ngonal_construct, recillas, tetragonal_split,
                               tower_fiber, trigonal)
-from tropcover.randgen import random_tetragonal_curve, random_tower
+from tropcover.randgen import random_tower
 from tropcover.tori import Polarization
 
 from gallery import (bigonal_expected_tables, bigonal_output_reference,
-                     bigonal_reference, tower_metrics, trigonal_expected_table,
-                     trigonal_reference)
-from oracles import (clear_denominators, det, inverse, mat_equal, matmul,
-                     polarization_type, snf, to_fractions)
+                     bigonal_reference, harmonic_from_edges, random_tetragonal_curve,
+                     tower_metrics, trigonal_expected_table, trigonal_reference)
+from oracles import (clear_denominators, det, gram_isometries, inverse, mat_equal, matmul,
+                     pairing_table, polarization_type, snf, to_fractions)
 
 
 def _unimodular_change(columns_a, columns_b):

@@ -7,26 +7,40 @@ transport, worked out by plus-count arithmetic on fiber positions;
 count 2 of a free fiber, which are the 2-element subsets of a fiber.  The
 per-point versions are kept in `tests/oracles.py`.  Both must give equal
 results, field by field, and the `construct` command must write the
-files it wrote before the tables.  The transport tables are also
-compared, entry by entry, with the transport they replaced,
-`induce_multisection` along a `Refinement`, on every kind of transport
-between fibers of degree 2 to 4, and the plus-count-2 layer and its
-transports with the four-slot classes and slot transports they replaced,
-on every generic fiber profile and every degree-respecting fiber map.
+files it wrote before the tables.  Each shape table, worked out by
+plus-count arithmetic, is compared with the tuple model of multisections
+it replaced on every fiber shape of total degree 1 to 6, and each of its
+two self-checks is made to raise by a spoiled binomial or gluing.  The
+transport tables are also compared, entry by entry, with the transport
+they replaced, `induce_multisection` along a `Refinement`, on every kind
+of transport between fibers of degree 2 to 4, and the plus-count-2 layer
+and its transports with the four-slot classes and slot transports they
+replaced, on every generic fiber profile and every degree-respecting
+fiber map.
 """
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import os
+import re
+from math import comb
 
+import pytest
+
+from gallery import random_tetragonal_curve
 from oracles import (Refinement, _carried_classes, _slot_classes, _transport_table,
-                     ngonal_construct_per_point, recillas_per_point)
+                     multisections, ngonal_construct_per_point, recillas_per_point,
+                     shape_table_by_tuples)
+from tropcover import ngonal
 from tropcover.cli import main
 from tropcover.graphs import GraphError
 from tropcover.ngonal import (FiberDatum, FiberPart, _glue_table, _pair_layer, _pair_transport,
+                              _shape_table,
                               ngonal_construct, recillas, trigonal)
-from tropcover.randgen import random_tetragonal_curve, random_tower
+from tropcover.randgen import random_tower
 from tropcover.towerio import save, tower_to_doc
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -200,3 +214,54 @@ def test_glue_table_matches_induce_multisection_on_every_transport():
                     keys += 1
     print(f"{keys} transport tables equal to the oracle's, {refused} place maps refused alike")
     assert (keys, refused) == (14300, 146954)
+
+
+def test_shape_table_matches_the_tuple_model_on_every_shape():
+    # every fiber shape of total degree 1-6 with every dilation pattern, on
+    # part ids that are not consecutive: the splits, degrees and sign swap
+    # worked out by plus-count arithmetic equal those of the tuple model, and
+    # the products of the splits list its multisections in order
+    shapes = 0
+    for total in range(1, 7):
+        for shape in fiber_shapes(total):
+            fd = FiberDatum(tuple(FiberPart(3 * j + 5, d, dil) for j, (d, dil) in enumerate(shape)))
+            table = _shape_table(fd)
+            assert (table.splits, table.degree, table.swap) == shape_table_by_tuples(fd), shape
+            assert table.multisections(fd) == list(multisections(fd)), shape
+            shapes += 1
+    assert shapes == 728
+
+
+def _spoil_degrees(monkeypatch):
+    # one way too many to split a free part
+    monkeypatch.setattr(ngonal, "comb", lambda d, a: comb(d, a) + 1)
+
+
+def _spoil_swap(monkeypatch):
+    # every multisection swaps onto the first
+    glue = ngonal._glue_table
+    monkeypatch.setattr(ngonal, "_glue_table", lambda *args: (0,) * len(glue(*args)))
+
+
+# self-check message -> the spoiling that makes it raise: one row per
+# `raise AssertionError` of `_shape_table`
+SHAPE_TABLE_CHECKS = {
+    "the degrees of a fiber shape do not sum to 2^(total degree)": _spoil_degrees,
+    "the sign swap of a fiber shape is not an involution": _spoil_swap,
+}
+
+
+def test_every_shape_table_check_has_a_spoiling():
+    tree = ast.parse(inspect.getsource(_shape_table))
+    messages = {node.exc.args[0].value for node in ast.walk(tree)
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "AssertionError"}
+    assert messages == set(SHAPE_TABLE_CHECKS)
+
+
+@pytest.mark.parametrize("message", SHAPE_TABLE_CHECKS)
+def test_a_spoiled_shape_table_raises_its_check(monkeypatch, message):
+    tower = random_tower(1, n=3, pi_free=True, tree_size=(2, 5)).tower
+    SHAPE_TABLE_CHECKS[message](monkeypatch)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        ngonal_construct(tower, 3)

@@ -33,11 +33,18 @@ home: the package neither defines nor names `DualPolarization` (the dual
 is a `Polarization`), and no record in `COPIED_FIELDS` keeps a field that
 copied a value another record holds.  Every module of the package
 is reached from `cli.py` through package-relative imports, so a module that
-only tests import lives in tests/.  The Recillas construction reads the
-section construction's tables: the package neither defines nor names the
-four-slot model (`_SLOT_PAIRS`, `_SlotClasses`, `_slot_classes`,
-`_carried_classes`), which lives in tests/oracles.py, and `recillas`
-reaches `_shape_table` and `_glue_table` through the functions it names."""
+only tests import lives in tests/, and so is every top-level function and
+class, by name from `cli.main`, so a definition only tests call lives
+there too.  The shape table is the one model of multisections: the
+package neither defines nor names the tuple model (`Multisection`,
+`_canonical`, `multisection_degree`, `multisection_sign`,
+`swap_multisection`), defines no top-level `multisections` and no
+`FiberDatum.part`; the model lives in tests/oracles.py.  The Recillas
+construction reads the section construction's tables: the package
+neither defines nor names the four-slot model (`_SLOT_PAIRS`,
+`_SlotClasses`, `_slot_classes`, `_carried_classes`), which lives in
+tests/oracles.py, and `recillas` reaches `_shape_table` and `_glue_table`
+through the functions it names."""
 
 import ast
 import dataclasses
@@ -45,6 +52,7 @@ import importlib
 import os
 
 from tropcover.graphs import DoubleCover, HarmonicMorphism
+from tropcover.ngonal import FiberDatum
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tropcover")
 FLOAT_MATH = {"sqrt", "log", "exp"}
@@ -456,21 +464,56 @@ def test_guard_follows_both_import_forms():
 def test_every_module_is_reached_from_the_cli():
     # a module only tests import, such as the reference towers, lives in tests/
     trees = {name[:-3]: tree for name, tree in package_trees()}
-    assert set(trees) - {"__init__"} - reached_from(trees, "cli") == set()
+    modules = reached_from(trees, "cli")
+    assert set(trees) - {"__init__"} - modules == set()
+    # so does a function or class: the roots are `cli.main`, what the reached
+    # modules (and the package, which the import protocol runs) do at import
+    # time, and the package's `__getattr__` and `__dir__`, which it calls
+    assert unreached_definitions(trees, modules | {"__init__"}) == []
 
 
-# record -> the fields it dropped, each a copy of a value it reads elsewhere:
-# the kernel torus, projection and kernel columns are its inclusion's source,
-# pull and push; a Prym's and a Jacobian's torus is their polarization's; the
-# transfer maps are the norm's pull and push; the rest derive from other fields
+def unreached_definitions(trees: dict, modules: set) -> list:
+    """module.name of each top-level function and class of `trees` that
+    `cli.main` does not reach by name, with the module-level statements of
+    `modules` as further roots."""
+    package = ast.Module([node for tree in trees.values() for node in tree.body], [])
+    roots = [node for module in modules for node in trees[module].body
+             if not isinstance(node, DEFINITIONS + (ast.Import, ast.ImportFrom))]
+    reached = functions_reached(package, "main", "__getattr__", "__dir__", roots=roots)
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, DEFINITIONS) and node.name not in reached)
+
+
+def test_guard_names_each_unreached_definition():
+    trees = {name: ast.parse(source) for name, source in {
+        "__init__": "import importlib\ndef __getattr__(name):\n    return _load(name)\n"
+                    "def _load(name):\n    return importlib.import_module(name)\n",
+        "cli": "from .a import f\nfrom .b import Unused\ndef main():\n    return f.run(A)\n",
+        "a": "TABLE = {1: helper}\nclass A:\n    def method(self):\n        return B()\n"
+             "def f():\n    pass\ndef run():\n    pass\ndef helper():\n    pass\n"
+             "class B:\n    pass\ndef test_only():\n    return run()\n",
+        "b": "class Unused:\n    pass\n"}.items()}
+    assert unreached_definitions(trees, {"__init__", "cli", "a", "b"}) == \
+        ["a.test_only", "b.Unused"]
+    # a module-level statement of a module the CLI does not reach is no root
+    assert unreached_definitions(trees, {"__init__", "cli", "b"}) == \
+        ["a.helper", "a.test_only", "b.Unused"]
+
+
+# (home module, record) -> the fields it dropped, each a copy of a value it
+# reads elsewhere: the kernel torus, projection and kernel columns are its
+# inclusion's source, pull and push; a Prym's and a Jacobian's torus is their
+# polarization's; the transfer maps are the norm's pull and push; the rest
+# derive from other fields.  The seeded quartic covers are a test builder's.
 COPIED_FIELDS = {
-    ("tori", "KernelTorus"): {"torus", "projection", "kernel_columns"},
-    ("jacprym", "PrymData"): {"torus", "maps"},
-    ("jacprym", "Jacobian"): {"torus"},
-    ("ngonal", "NgonalConstruction"): {"n"},
-    ("ngonal", "BigonalResult"): {"generic_input", "generic_output"},
-    ("randgen", "GeneratedTower"): {"seed"},
-    ("randgen", "GeneratedCover"): {"seed"},
+    ("tropcover.tori", "KernelTorus"): {"torus", "projection", "kernel_columns"},
+    ("tropcover.jacprym", "PrymData"): {"torus", "maps"},
+    ("tropcover.jacprym", "Jacobian"): {"torus"},
+    ("tropcover.ngonal", "NgonalConstruction"): {"n"},
+    ("tropcover.ngonal", "BigonalResult"): {"generic_input", "generic_output"},
+    ("tropcover.randgen", "GeneratedTower"): {"seed"},
+    ("gallery", "GeneratedCover"): {"seed"},
 }
 
 
@@ -480,30 +523,60 @@ def test_each_lattice_value_has_one_home():
     assert offenders == []
     for (module, record), copied in COPIED_FIELDS.items():
         fields = {f.name for f in dataclasses.fields(
-            getattr(importlib.import_module(f"tropcover.{module}"), record))}
+            getattr(importlib.import_module(module), record))}
         assert not fields & copied, (record, fields & copied)
 
 
 SLOT_MODEL = {"_SLOT_PAIRS", "_SlotClasses", "_slot_classes", "_carried_classes"}
 
 
-def functions_reached(tree, start):
-    """The module-level functions of the tree that `start` reaches by
-    naming them, directly or through one another, `start` included."""
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    seen, todo = set(), [start]
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def functions_reached(tree, *starts, roots=()):
+    """The top-level functions and classes of the tree that `starts` and the
+    statements `roots` reach by naming them, as a name or an attribute,
+    directly or through one another, `starts` included."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            defs.setdefault(node.name, []).append(node)
+    seen, todo = set(), [*starts, *names_in(roots)]
     while todo:
         name = todo.pop()
         if name in defs and name not in seen:
             seen.add(name)
-            todo += [node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)]
+            todo += names_in(defs[name])
     return seen
+
+
+def names_in(nodes) -> list:
+    """Every name and attribute named in the nodes."""
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for top in nodes for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))]
 
 
 def test_guard_follows_the_functions_named():
     source = ('def a(x):\n    """c in a docstring is free."""\n    return b(x)\n'
               "def b(x):\n    return map(d, x)\ndef c():\n    pass\ndef d(y):\n    return y\n")
     assert functions_reached(ast.parse(source), "a") == {"a", "b", "d"}
+
+
+TUPLE_MODEL = {"Multisection", "_canonical", "multisection_degree", "multisection_sign",
+               "swap_multisection"}
+
+
+def test_the_shape_table_is_the_only_multisection_model():
+    # the tuple model is the oracle in tests/oracles.py; `_ShapeTable.multisections`
+    # labels a fiber's points from the table
+    trees = dict(package_trees())
+    offenders = [f"{name}:{line}: {what}" for name, tree in trees.items()
+                 for line, what in name_uses(tree, TUPLE_MODEL)]
+    offenders += [f"{name}:{node.lineno}: defines {node.name}" for name, tree in trees.items()
+                  for node in tree.body if getattr(node, "name", None) == "multisections"]
+    assert offenders == []
+    assert not hasattr(FiberDatum, "part")
 
 
 def test_recillas_reads_the_section_construction_tables():

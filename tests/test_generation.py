@@ -19,10 +19,11 @@ from fractions import Fraction
 
 import pytest
 
+from gallery import build_double_cover, harmonic_from_edges, random_tetragonal_curve
 from oracles import random_tetragonal_curve_checking_every_draw, random_tower_checking_every_draw
 from tropcover import graphs, randgen
-from tropcover.graphs import DoubleCover, Graph, GraphError, build_double_cover, harmonic_from_edges
-from tropcover.randgen import GenerationError, random_tetragonal_curve, random_tower
+from tropcover.graphs import DoubleCover, Graph, GraphError
+from tropcover.randgen import GenerationError, random_tower
 from tropcover.towerio import dumps_canonical, file_to_doc, tower_to_doc
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))

@@ -6,15 +6,15 @@ import pytest
 from tropcover import graphs
 from tropcover.graphs import (DoubleCover, Graph, GraphError,
                               HarmonicMorphism, PreconditionError, Tower,
-                              build_double_cover, compose_harmonic,
+                              compose_harmonic,
                               connected_components, covers_isomorphic_over_base, dilation_data,
-                              fundamental_cycles, genus, harmonic_from_edges,
-                              identity_harmonic, spanning_tree,
+                              fundamental_cycles, genus, spanning_tree,
                               towers_isomorphic, validate_graph,
                               validate_harmonic, vpoint)
 from tropcover.ngonal import bigonal, ngonal_construct, recillas, tetragonal_split, trigonal
 from tropcover.randgen import random_tower
 
+from gallery import build_double_cover, harmonic_from_edges, identity_harmonic
 from oracles import contract_edge, towers_isomorphic_mid_first, validate_harmonic_by_rescan
 
 

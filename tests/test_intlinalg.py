@@ -5,14 +5,14 @@ from math import ceil, floor, isqrt
 import pytest
 
 from tropcover.intlinalg import (_lll_reduce, definite_isometries, diag,
-                                 gram_isometries, identity, int_matmul,
+                                 identity, int_matmul,
                                  is_diagonal, is_positive_definite, mat,
                                  scaled_inverse,
                                  to_int, transpose, unimodular_inverse,
                                  vectors_with_norm)
 
 from oracles import (_cholesky, _lll_gram, clear_denominators, cokernel_tf, det,
-                     integral_inverse, inverse, is_unimodular, kernel_basis,
+                     gram_isometries, integral_inverse, inverse, is_unimodular, kernel_basis,
                      mat_equal, matmul, rank, snf, to_fractions)
 
 

@@ -7,20 +7,20 @@ from fractions import Fraction
 import pytest
 
 from tropcover.graphs import (Graph, GraphError, PreconditionError,
-                              build_double_cover, genus, is_connected)
+                              genus, is_connected)
 from tropcover.intlinalg import identity, mat, mat_scale, transpose, unscaled
 from tropcover.jacprym import (chain_scale, check_bigonal_duality,
-                               check_trigonal_prym, cycle_pairing, h1_basis,
-                               invol_chain, jacobian, norm_hom, pairing_table,
+                               check_trigonal_prym, h1_basis,
+                               invol_chain, jacobian, norm_hom,
                                prym, pull_chain, push_chain, symmetric_basis,
                                transfer_maps)
 from tropcover.metrics import MetricGraph, induce_metric
 from tropcover.randgen import random_tower
 from tropcover.tori import dual_polarization, polarized_isomorphic
 
-from gallery import (bigonal_output_reference, bigonal_reference,
+from gallery import (bigonal_output_reference, bigonal_reference, build_double_cover,
                      tower_metrics, trigonal_expected_table, trigonal_reference)
-from oracles import mat_equal, matmul, to_fractions
+from oracles import cycle_pairing, mat_equal, matmul, pairing_table, to_fractions
 
 
 def loop_cover(connected=True, dilated=False):

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest  # noqa: F401  (raises-based tests below)
 
-from gallery import tower_metrics, trigonal_reference
+from gallery import build_double_cover, harmonic_from_edges, tower_metrics, trigonal_reference
 from oracles import (_finite_leaves, augment_smooth, augment_smooth_tower,
                      validate_metric_harmonic)
-from tropcover.graphs import Graph, build_double_cover, harmonic_from_edges
+from tropcover.graphs import Graph
 from tropcover.jacprym import h1_basis
 from tropcover.metrics import (INF, MetricGraph, format_length, induce_metric,
                                is_inf, parse_length, validate_metric)

@@ -4,22 +4,23 @@ from math import comb
 import pytest
 
 from tropcover.graphs import (Graph, NonGenericError, PreconditionError, Tower,
-                              build_double_cover, connected_components, genus,
-                              harmonic_from_edges, is_connected,
+                              connected_components, genus,
+                              is_connected,
                               towers_isomorphic)
-from gallery import bigonal_output_reference, bigonal_reference, trigonal_reference
-from oracles import (Refinement, _partner_transport, _root_refinement,
-                     induce_multisection)
+from gallery import (bigonal_output_reference, bigonal_reference, build_double_cover,
+                     harmonic_from_edges, random_tetragonal_curve, trigonal_reference)
+from oracles import (Refinement, _canonical, _partner_transport, _root_refinement, fiber_part,
+                     induce_multisection, multisection_degree, multisection_sign,
+                     multisections, swap_multisection)
 from tropcover.ngonal import (FiberDatum, FiberPart, bigonal,
                               classify_bigonal_point,
                               classify_tetragonal_point,
-                              involution_quotient, multisection_degree,
-                              multisection_sign, multisections,
+                              involution_quotient,
                               ngonal_construct, recillas,
                               tetragonal_split, tower_fiber, trigonal,
                               hpoint, vpoint)
-from tropcover.randgen import random_tetragonal_curve, random_tower
-from tropcover.ngonal import _canonical, _sign_quotient, swap_multisection
+from tropcover.randgen import random_tower
+from tropcover.ngonal import _sign_quotient
 from tropcover.graphs import (DoubleCover, HarmonicMorphism,
                               validate_harmonic)
 
@@ -437,7 +438,7 @@ def _old_point_is_dilated(fd):
 
 
 def _old_sign_flip_parity(fd, flip):
-    return sum(fd.part(pid).degree for pid, fl in flip.items() if fl) % 2
+    return sum(fiber_part(fd, pid).degree for pid, fl in flip.items() if fl) % 2
 
 
 def _old_ms_sign_bit(fd, ms):

@@ -20,26 +20,31 @@ SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "src")
 MODULES = ("cli", "graphs", "intlinalg", "jacprym", "metrics", "ngonal", "randgen", "tori",
            "towerio")
 
-# every name the package exported when it imported all its modules eagerly, by home module
+# every name the package exports, by home module
 EXPORTS = {
     "graphs": ("DoubleCover", "Graph", "GraphError", "HarmonicMorphism", "NonGenericError",
-               "PreconditionError", "Tower", "build_double_cover", "compose_harmonic",
+               "PreconditionError", "Tower", "compose_harmonic",
                "connected_components", "covers_isomorphic_over_base", "dilation_data", "genus",
-               "harmonic_from_edges", "is_connected", "is_tree", "spanning_tree",
+               "is_connected", "is_tree", "spanning_tree",
                "towers_isomorphic", "validate_graph", "validate_harmonic"),
     "metrics": ("INF", "MetricGraph", "induce_metric", "is_inf", "validate_metric"),
     "ngonal": ("FiberDatum", "FiberPart", "bigonal", "involution_quotient", "is_generic_bigonal",
-               "is_generic_tetragonal", "multisection_degree", "multisection_sign",
-               "multisections", "ngonal_construct", "recillas", "tetragonal_split", "tower_fiber",
-               "trigonal"),
-    "intlinalg": ("gram_isometries", "vectors_with_norm"),
+               "is_generic_tetragonal", "ngonal_construct", "recillas", "tetragonal_split",
+               "tower_fiber", "trigonal"),
+    "intlinalg": ("vectors_with_norm",),
     "tori": ("IntegralTorus", "Polarization", "TorusHom", "dual_polarization", "dual_type",
              "polarized_isomorphic"),
     "jacprym": ("CheckResult", "PrymData", "SymmetricBasis", "check_bigonal_duality",
-                "check_trigonal_prym", "cycle_pairing", "h1_basis", "jacobian", "norm_hom",
-                "pairing_table", "prym", "symmetric_basis", "transfer_maps"),
-    "randgen": ("GenerationError", "random_tetragonal_curve", "random_tower"),
+                "check_trigonal_prym", "h1_basis", "jacobian", "norm_hom",
+                "prym", "symmetric_basis", "transfer_maps"),
+    "randgen": ("GenerationError", "random_tower"),
 }
+
+# exported once, reached only from tests: they live in tests/gallery.py and
+# tests/oracles.py now
+MOVED_TO_TESTS = ("build_double_cover", "harmonic_from_edges", "multisection_degree",
+                  "multisection_sign", "multisections", "gram_isometries", "cycle_pairing",
+                  "pairing_table", "random_tetragonal_curve")
 
 
 def _loaded_after(script):
@@ -71,7 +76,7 @@ def test_an_import_loads_only_the_modules_it_runs(script, loaded):
 
 def test_every_export_resolves_to_its_home_module():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == len(set(names)) == 63
+    assert len(names) == len(set(names)) == 54
     for module, exported in EXPORTS.items():
         home = importlib.import_module(f"tropcover.{module}")
         for name in exported:
@@ -80,6 +85,12 @@ def test_every_export_resolves_to_its_home_module():
             assert namespace[name] is getattr(home, name), name
     assert set(names) <= set(dir(tropcover))
     assert sorted(tropcover.__all__) == sorted(names)
+
+
+def test_the_names_moved_to_tests_are_not_exported():
+    for name in MOVED_TO_TESTS:
+        assert not hasattr(tropcover, name), name
+        assert name not in dir(tropcover), name
 
 
 def test_an_unknown_name_is_an_attribute_error_of_the_package():

@@ -121,7 +121,7 @@ def cmd_jacobian(args) -> int:
         metric = induce_metric(level, metric)
     jac = jacobian(metric)
     print(f"genus {jac.basis.rank}; Gram matrix of the top curve's Jacobian:")
-    d, gram = jac.polarization.torus._int_form
+    d, gram = jac.polarization.torus.form
     print(_format_matrix(gram, d))
     return 0
 
@@ -132,10 +132,10 @@ def cmd_prym(args) -> int:
     data = prym(tower.pi, induce_metric(tower.f, loaded.base_metric))
     print(f"rank {data.rank}; polarization type {data.type}")
     print("pairing [(beta, alpha+) x (beta, alpha+ - alpha-)]:")
-    d, pairing = data.polarization.torus._int_form
+    d, pairing = data.polarization.torus.form
     print(_format_matrix(pairing, d))
     print("principal model Gram:")
-    d, gram = data.principal.polarized._int_gram
+    d, gram = data.principal.polarized.gram()
     print(_format_matrix(gram, d))
     return 0
 

@@ -1,16 +1,14 @@
-"""Exact integer and rational matrix routines.
+"""Exact integer matrix routines.
 
-Matrices are tuples of tuples (rows): ints for lattice maps, fractions
-for pairings.  Internally a rational matrix is (D, integer rows) with D
-the lcm of its denominators; products, inverses, the definiteness test,
-LLL reduction and the short-vector search run on integers only.  A
-Fraction matrix enters only through a public function, which scales it
-to integer rows once.  No floating point anywhere.
+Matrices are tuples of tuples (rows) of ints.  A rational matrix, such as
+a pairing, is kept as (D, integer rows), the matrix rows / D, and the
+product, the unimodular inverse, the leading-minor verdict, LLL reduction
+and the short-vector search all run on integer rows.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
@@ -41,18 +39,6 @@ def transpose(m) -> tuple:
     return tuple(zip(*m))
 
 
-_INT = {int}
-
-
-def _scaled(m):
-    """(D, integer rows) with m == rows / D, D the lcm of the denominators;
-    an all-int matrix comes back as the same object, with D = 1."""
-    if set(map(type, chain.from_iterable(m))) <= _INT:
-        return 1, m
-    d = lcm(*{x.denominator for row in m for x in row})
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
-
-
 def lowest_terms(d, rows) -> tuple:
     """(D, rows) divided by the gcd of D > 0 and every entry: then D is the
     lcm of the denominators of rows / D, and (D, rows) is determined by
@@ -63,20 +49,16 @@ def lowest_terms(d, rows) -> tuple:
     return d // g, tuple(tuple(x // g for x in row) for row in rows)
 
 
-def unscaled(d, rows) -> tuple:
-    """The Fraction matrix rows / D."""
-    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
-
-
-def exact_quotient(rows, q):
-    """rows / q as integer rows, or None when q does not divide every entry."""
-    if any(x % q for row in rows for x in row):
+def divide_columns(m, divisors):
+    """m diag(divisors)^-1 as integer rows, column j divided by divisors[j],
+    or None when a divisor does not divide every entry of its column."""
+    if any(x % a for row in m for x, a in zip(row, divisors)):
         return None
-    return tuple(tuple(x // q for x in row) for row in rows)
+    return tuple(tuple(x // a for x, a in zip(row, divisors)) for row in m)
 
 
 def int_matmul(a, b) -> tuple:
-    """The product a @ b, exact for int and Fraction entries, with no type scan.
+    """The product a @ b of integer matrices.
 
     Row i of a @ b is the sum of the rows of b that the nonzeros of row i
     of a select, each times its entry; `compress` skips the zeros at C
@@ -113,28 +95,17 @@ def mat_scale(c, a) -> tuple:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def is_integral(m) -> bool:
-    return set(map(type, chain.from_iterable(m))) <= _INT or \
-        all(x.denominator == 1 for row in m for x in row)
-
-
-def to_int(m) -> tuple:
-    if not is_integral(m):
-        raise ValueError("matrix has non-integer entries")
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
 def _bareiss(m, pivoting=True):
-    """Fraction-free row echelon form of D * m (Bareiss 1968; Cohen, 2.2).
+    """Fraction-free row echelon form of the integer matrix m (Bareiss 1968;
+    Cohen, 2.2).
 
-    Returns (D, rows, pivot columns, signed last pivot).  The pivot of row
-    i, at column cols[i], is the minor of the row-permuted D * m on rows
-    0..i and columns cols[:i+1], so every division is exact.  Without
-    pivoting no rows are exchanged and elimination stops at the first zero
-    diagonal entry: the pivots are the leading principal minors.
+    Returns (rows, pivot columns, signed last pivot).  The pivot of row i,
+    at column cols[i], is the minor of the row-permuted m on rows 0..i and
+    columns cols[:i+1], so every division is exact.  Without pivoting no
+    rows are exchanged and elimination stops at the first zero diagonal
+    entry: the pivots are the leading principal minors.
     """
-    d, rows = _scaled(m)
-    a = [list(row) for row in rows]
+    a = [list(row) for row in m]
     n, width = shape(a)
     cols, sign, prev, r = [], 1, 1, 0
     for c in range(width):
@@ -160,32 +131,7 @@ def _bareiss(m, pivoting=True):
         cols.append(c)
         prev = piv
         r += 1
-    return d, a, cols, sign * prev
-
-
-def scaled_inverse(m) -> tuple:
-    """(delta, X) with integer rows X and M^-1 = X / delta.
-
-    Bareiss on D * [M | I] = [D M | D I], then fraction-free back
-    substitution for X = delta * M^-1, delta = +-det(D M); every division
-    is exact.  A singular M raises ValueError.
-    """
-    n, c = shape(m)
-    if n != c:
-        raise ValueError("inverse of a non-square matrix")
-    _, a, cols, delta = _bareiss([list(row) + [int(i == j) for j in range(n)]
-                                  for i, row in enumerate(m)])
-    if cols[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = [delta * y for y in row[n:]]
-        for j in range(i + 1, n):
-            if row[j]:
-                acc = [s - row[j] * t for s, t in zip(acc, x[j])]
-        x[i] = [s // row[i] for s in acc]
-    return delta, x
+    return a, cols, sign * prev
 
 
 def _sparse_rows(m) -> list:
@@ -289,26 +235,21 @@ def unimodular_inverse(m) -> tuple:
     return tuple(dense)
 
 
-def is_positive_definite(q) -> bool:
-    """Sylvester's test for a symmetric form: every leading Bareiss pivot is > 0."""
-    return leading_minor_verdict(q)[1]
-
-
 def leading_minor_verdict(m) -> tuple:
     """(m is nonsingular, every leading principal minor of square m is > 0).
 
-    The leading Bareiss pivots are the leading principal minors times a
-    positive scale, so one non-pivoting pass decides both when no leading
-    minor vanishes; a nonsingular matrix with a zero leading minor, such as
+    The leading Bareiss pivots are the leading principal minors, so one
+    non-pivoting pass decides both when no leading minor vanishes; a
+    nonsingular matrix with a zero leading minor, such as
     [[0, 1], [1, 0]], costs a second, pivoting pass, which finds a pivot in
     every column iff m is nonsingular.  For a symmetric m the second
     verdict is positive definiteness.
     """
-    _, a, cols, _ = _bareiss(m, pivoting=False)
+    a, cols, _ = _bareiss(m, pivoting=False)
     n = len(a)
     if len(cols) == n:
         return True, all(a[i][i] > 0 for i in range(n))
-    return len(_bareiss(m)[2]) == n, False
+    return len(_bareiss(m)[1]) == n, False
 
 
 def _columns_to_matrix(cols, nrows) -> tuple:
@@ -316,11 +257,12 @@ def _columns_to_matrix(cols, nrows) -> tuple:
 
 
 def vectors_with_norm(q, target, _cache={}):
-    """All integer vectors x with x^T Q x == target, Q positive definite.
+    """All integer vectors x with x^T Q x == target, for an integer form Q
+    that is positive definite and an integer target.
 
     Fincke--Pohst depth-first search in integers.  With p_i the leading
-    Bareiss pivots of D * Q (p_-1 = 1) and a_ij the entries of its Bareiss
-    rows, D * x^T Q x = sum_i (p_i x_i + S_i)^2 / (p_i p_{i-1}) with
+    Bareiss pivots of Q (p_-1 = 1) and a_ij the entries of its Bareiss
+    rows, x^T Q x = sum_i (p_i x_i + S_i)^2 / (p_i p_{i-1}) with
     S_i = sum_{j>i} a_ij x_j; scaled by the lcm of the p_i p_{i-1}, every
     bound is the isqrt of an integer, and the last coordinate is solved.
     """
@@ -328,12 +270,11 @@ def vectors_with_norm(q, target, _cache={}):
     if key in _cache:
         return _cache[key]
     n, _ = shape(q)
-    d, a, cols, _ = _bareiss(q, pivoting=False)
+    a, cols, _ = _bareiss(q, pivoting=False)
     if len(cols) < n or any(a[i][i] <= 0 for i in range(n)):
         raise ValueError("form is not positive definite")
-    t = Fraction(target) * d
-    if n == 0 or t < 0 or t.denominator != 1:
-        result = (tuple(),) if n == 0 and t == 0 else tuple()
+    if n == 0 or target < 0:
+        result = (tuple(),) if n == 0 and target == 0 else tuple()
         _cache[key] = result
         return result
     p = [a[i][i] for i in range(n)]
@@ -362,7 +303,7 @@ def vectors_with_norm(q, target, _cache={}):
             descend(i - 1, remaining - w[i] * y * y)
         x[i] = 0
 
-    descend(n - 1, t.numerator * m)
+    descend(n - 1, target * m)
     result = tuple(sorted(out))
     _cache[key] = result
     return result
@@ -433,28 +374,23 @@ def _lll_reduce(q) -> tuple:
 
 def definite_isometries(q1, q2):
     """Unimodular B with B^T Q2 B = Q1, yielded exactly once each, for two
-    forms the caller has proved symmetric positive definite and of equal
-    rank; nothing here proves it again.
+    integer forms the caller has proved symmetric positive definite and of
+    equal rank; nothing here proves it again.
 
-    Both forms are scaled once to integers over their common denominator
-    D, Q_i -> D Q_i, which has the isometries of Q_i.  Both are then
-    LLL-reduced, D Q_i -> R_i = H_i^T D Q_i H_i, with R1's basis ordered by
-    norm.  Column-by-column backtracking over the short vectors of R2 finds
-    each C with C^T R2 C = R1, and C -> H2 C H1^-1 is a bijection onto the
-    isometries of the original forms.  Unequal determinants, read off the
+    Both forms are LLL-reduced, Q_i -> R_i = H_i^T Q_i H_i, with R1's basis
+    ordered by norm.  Column-by-column backtracking over the short vectors
+    of R2 finds each C with C^T R2 C = R1, and C -> H2 C H1^-1 is a
+    bijection onto the isometries of the original forms.  Unequal determinants, read off the
     reductions, end the search at once.
     """
     n = len(q1)
     if n == 0:
         yield tuple()
         return
-    (d1, s1), (d2, s2) = _scaled(q1), _scaled(q2)
-    d = lcm(d1, d2)
-    q1, q2 = mat_scale(d // d1, s1), mat_scale(d // d2, s2)
     h1, h1_inv, det1 = _lll_reduce(q1)
     h2, h2_inv, det2 = _lll_reduce(q2)
     # H H^-1 = I in integers: both transforms are unimodular, so d[n] of
-    # each reduction is det D Q_i
+    # each reduction is det Q_i
     ones = (1,) * n
     if not (is_diagonal(int_matmul(h1, h1_inv), ones) and is_diagonal(int_matmul(h2, h2_inv), ones)):
         raise AssertionError("LLL transform is not unimodular")

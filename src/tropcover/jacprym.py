@@ -130,7 +130,7 @@ def jacobian(metric: MetricGraph) -> Jacobian:
         raise PreconditionError("connected", "jacobian requires a connected graph")
     basis = h1_basis(metric.graph)
     d, gram = _certified_gram(metric, basis)
-    torus = IntegralTorus._from_int_form(d, gram, positive=True)
+    torus = IntegralTorus((d, gram), positive=True)
     return Jacobian(Polarization(torus, la.identity(basis.rank)), basis)
 
 
@@ -295,7 +295,7 @@ def prym(cover: DoubleCover, target_metric: MetricGraph) -> PrymData:
     proj = t_inv[:nb] + tuple(_minus(t_inv[nb + i], t_inv[nb + na + i]) for i in range(na))
     ptype = (1,) * dil.B + (2,) * dil.A
     k = nb + na
-    d, top_gram = nm.source._int_form
+    d, top_gram = nm.source.form
     if k:
         # G K = (K^T G)^T, G being symmetric (its Polarization checked it)
         kernel_t = la.transpose(kernel)
@@ -318,12 +318,12 @@ def prym(cover: DoubleCover, target_metric: MetricGraph) -> PrymData:
                    for a, row in zip(ptype, pairing))
     if kgk != scaled:
         raise AssertionError("K^T G K != diag(type) * Prym pairing")
-    torus = IntegralTorus._from_int_form(d, pairing, positive=True)
+    torus = IntegralTorus((d, pairing), positive=True)
     ker = KernelTorus(TorusHom(torus, nm.source, proj, kernel), reps)
     pol = Polarization(torus, x)
     big = max(ptype, default=1)
     # the pairing with row i scaled by a_i / big, which is K^T G K / big
-    pp_torus = IntegralTorus._from_int_form(d * big, scaled, positive=True)
+    pp_torus = IntegralTorus((d * big, scaled), positive=True)
     eye = la.identity(k)
     zeta = Polarization(pp_torus, eye)
     to_original = TorusHom(pp_torus, torus, la.diag([big // a for a in ptype]), eye)
@@ -373,8 +373,8 @@ def check_bigonal_duality(tower: Tower, base_metric: MetricGraph) -> CheckResult
     witness = polarized_isomorphic(prym1.polarization, dual2)
     return CheckResult(witness is not None, witness, {
         "types": (prym1.type, prym2.type),
-        "pairing": prym1.polarization.torus._int_form,
-        "dual_pairing": dual2.torus._int_form,
+        "pairing": prym1.polarization.torus.form,
+        "dual_pairing": dual2.torus.form,
         "construction": result})
 
 
@@ -401,8 +401,8 @@ def check_trigonal_prym(tower: Tower, base_metric: MetricGraph) -> CheckResult:
     if witness is None:
         witness = polarized_isomorphic(prym_data.principal.polarized, jac.polarization)
     return CheckResult(witness is not None, witness, {
-        "prym_gram": prym_data.principal.polarized._int_gram,
-        "jacobian_gram": jac.polarization.torus._int_form,
+        "prym_gram": prym_data.principal.polarized.gram(),
+        "jacobian_gram": jac.polarization.torus.form,
         "quartic": tri,
         "decided_by": decided_by})
 
@@ -430,11 +430,8 @@ def _trigonal_witness(tri, prym_data: PrymData, jac: Jacobian):
     if not coords:
         return la.identity(0), la.identity(0)
     # c^T = coords^T proj^T / diag(type), one row per quartic cycle
-    rows = la.int_matmul(coords, la.transpose(inclusion.pull))
-    if any(x % a for row in rows for x, a in zip(row, prym_data.type)):
-        return None
-    c_t = tuple(tuple(x // a for x, a in zip(row, prym_data.type)) for row in rows)
-    if la.int_matmul(c_t, la.transpose(inclusion.push)) != coords:
+    c_t = la.divide_columns(la.int_matmul(coords, la.transpose(inclusion.pull)), prym_data.type)
+    if c_t is None or la.int_matmul(c_t, la.transpose(inclusion.push)) != coords:
         return None
     c = la.transpose(c_t)
     try:

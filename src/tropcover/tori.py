@@ -1,17 +1,18 @@
 """Real tori with integral structure: homomorphisms, kernels, polarizations.
 
 An integral torus is a pair of equal-rank lattices with a nondegenerate
-rational pairing; a homomorphism is a (pull, push) pair of integer
-matrices compatible with the pairings.  A polarization is dualized in
-adapted form, diag(d_1 | d_2 | ...), the form in which the package builds
-every polarization.  Polarized isomorphism is decided by a complete finite
-search through Gram-form isometries.
+rational pairing, kept as (D, integer rows); a homomorphism is a (pull,
+push) pair of integer matrices compatible with the pairings.  A
+polarization is a positive integer diagonal map, the elementary-divisor
+form in which the package builds every polarization, so its Gram form is
+the pairing with row i scaled by x_i and its dual is read off the
+diagonal.  Polarized isomorphism is decided by a complete finite search
+through Gram-form isometries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import lcm
 
 from . import intlinalg as la
@@ -21,65 +22,42 @@ class TorusError(ValueError):
     pass
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IntegralTorus:
-    """Lattice pair of equal rank g with pairing[i][j] = [e_i, e'_j].
+    """Lattice pair of equal rank g with [e_i, e'_j] = rows[i][j] / D.
 
-    The pairing is kept as (D, integer rows) in lowest terms, pairing ==
-    rows / D, so two tori are equal iff their pairings are; with it the
-    verdict of one non-pivoting elimination: whether every leading
-    principal minor is positive, which for a symmetric pairing is positive
-    definiteness.  The checks of `TorusHom` and `Polarization` read both;
-    the Fraction matrix `pairing` is built only when it is read.
+    `form` is (D, integer rows), kept in lowest terms, so two tori are equal
+    iff their pairings are.  `positive` is the verdict of one non-pivoting
+    elimination: whether every leading principal minor is positive, which
+    for a symmetric pairing is positive definiteness.  A caller that has
+    proved the pairing nondegenerate passes its verdict, and nothing is
+    eliminated; otherwise the constructor eliminates.  The checks of
+    `TorusHom` and `Polarization` read both.
     """
 
-    _int_form: tuple
-    _positive: bool = field(compare=False, repr=False)
+    form: tuple
+    positive: bool = field(default=None, compare=False, repr=False)
 
-    def __init__(self, pairing):
-        # what a dataclass with an init-only `pairing` would run; the name
-        # `pairing` stays free for the Fraction matrix built on first read
-        self.__post_init__(pairing)
-
-    def __post_init__(self, pairing):
-        n, m = la.shape(pairing)
-        if n != m:
+    def __post_init__(self):
+        d, rows = self.form
+        rows = la.mat(rows)
+        if any(len(row) != len(rows) for row in rows):
             raise TorusError("pairing matrix must be square")
-        d, rows = la._scaled(pairing)
-        self._keep_int_form(d, la.mat(rows), None)
-
-    def _keep_int_form(self, d, rows, positive):
-        if positive is None:
+        if self.positive is None:
             nonsingular, positive = la.leading_minor_verdict(rows)
             if not nonsingular:
                 raise TorusError("pairing must be nondegenerate")
-        object.__setattr__(self, "_int_form", la.lowest_terms(d, rows))
-        object.__setattr__(self, "_positive", positive)
-
-    @classmethod
-    def _from_int_form(cls, d, rows, positive=None) -> "IntegralTorus":
-        """Torus on the square pairing rows / D, from that integer form.
-
-        With `positive` None the pairing is checked as in the constructor.
-        Otherwise the caller has proved it nondegenerate, with that
-        leading-minor verdict, and nothing is eliminated.
-        """
-        torus = object.__new__(cls)
-        torus._keep_int_form(d, rows, positive)
-        return torus
-
-    @cached_property
-    def pairing(self) -> tuple:
-        return la.unscaled(*self._int_form)
+            object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "form", la.lowest_terms(d, rows))
 
     @property
     def rank(self) -> int:
-        return len(self._int_form[1])
+        return len(self.form[1])
 
     def dual(self) -> "IntegralTorus":
         # the transpose has the same leading principal minors
-        d, rows = self._int_form
-        return IntegralTorus._from_int_form(d, la.transpose(rows), self._positive)
+        d, rows = self.form
+        return IntegralTorus((d, la.transpose(rows)), self.positive)
 
 
 @dataclass(frozen=True)
@@ -104,8 +82,8 @@ class TorusHom:
             # pull^T (S / d_s) == (T / d_t) push, on the integer rows S and T;
             # T push is taken as (push^T T^T)^T, so that each product has the
             # sparse map as its left factor
-            d_s, s = self.source._int_form
-            d_t, t = self.target._int_form
+            d_s, s = self.source.form
+            d_t, t = self.target.form
             pull_s = la.int_matmul(la.transpose(self.pull), s)
             t_push = la.transpose(la.int_matmul(la.transpose(self.push), la.transpose(t)))
             if d_s != d_t:
@@ -127,16 +105,15 @@ class KernelTorus:
 
 @dataclass(frozen=True)
 class Polarization:
-    """Integer map from the second lattice to the first whose associated
-    bilinear form gram = X^T P is symmetric positive definite.
+    """Positive integer diagonal map X = diag(x_1, ..., x_g) from the second
+    lattice to the first whose bilinear form X^T P, the pairing with row i
+    scaled by x_i, is symmetric positive definite.
 
-    The form is kept as (D, integer rows) on the scale of the torus; the
-    Fraction matrix `gram()` is built only when it is read.
+    `gram()` is that form as (D, integer rows) on the scale of the torus.
     """
 
     torus: IntegralTorus
     matrix: tuple
-    _int_gram: tuple = field(init=False, compare=False, repr=False, default=None)
     _gram: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -144,30 +121,21 @@ class Polarization:
         g = self.torus.rank
         if la.shape(self.matrix) != (g, g):
             raise TorusError("polarization matrix has wrong shape")
-        if not la.is_integral(self.matrix):
-            raise TorusError("polarization matrix must be integral")
-        d, rows = self.torus._int_form
-        scale = tuple(int(self.matrix[i][i]) for i in range(g))
-        if la.is_diagonal(self.matrix, scale) and all(s > 0 for s in scale):
-            # the leading minors of diag(s) P are s_1 ... s_k times those of
-            # P, so the torus's verdict decides definiteness
-            form = rows if all(s == 1 for s in scale) else \
-                tuple(tuple(s * x for x in row) for s, row in zip(scale, rows))
-            positive = self.torus._positive
-        else:
-            form = la.int_matmul(la.transpose(la.to_int(self.matrix)), rows)
-            positive = None
-        object.__setattr__(self, "_int_gram", (d, form))
+        scale = tuple(self.matrix[i][i] for i in range(g))
+        if not (la.is_diagonal(self.matrix, scale) and all(type(s) is int and s > 0 for s in scale)):
+            raise TorusError("polarization matrix must be a positive integer diagonal")
+        d, rows = self.torus.form
+        form = rows if all(s == 1 for s in scale) else \
+            tuple(tuple(s * x for x in row) for s, row in zip(scale, rows))
+        object.__setattr__(self, "_gram", (d, form))
         if form != la.transpose(form):
             raise TorusError("polarization form is not symmetric")
-        if not (la.is_positive_definite(form) if positive is None else positive):
+        # the leading minors of diag(s) P are s_1 ... s_k times those of P,
+        # so the torus's verdict decides definiteness
+        if not self.torus.positive:
             raise TorusError("polarization form is not positive definite")
 
     def gram(self) -> tuple:
-        if self._gram is None:
-            d, form = self._int_gram
-            object.__setattr__(self, "_gram", self.torus.pairing if form is self.torus._int_form[1]
-                               else la.unscaled(d, form))
         return self._gram
 
 
@@ -201,8 +169,8 @@ def dual_polarization(pol: Polarization, multiplier=None) -> Polarization:
     """xi_dual(e_i) = (multiplier / d_i) e'_i for xi = diag(d_1, ..., d_g),
     on the dual torus `pol.torus.dual()` in the adapted bases of pol.
 
-    The polarization must be in adapted form, diagonal with d_1 | d_2 | ...,
-    as every polarization the package builds is; then the dual torus is the
+    The diagonal must be a divisibility chain d_1 | d_2 | ..., as on every
+    polarization the package builds; then the dual torus is the
     transposed pairing in the same bases, and the type of xi is (d_i).
     The default multiplier d_1 * d_g makes the composition with xi the
     multiplication by d_1 * d_g and is principal iff xi is principal.
@@ -215,7 +183,7 @@ def dual_polarization(pol: Polarization, multiplier=None) -> Polarization:
         return Polarization(pol.torus.dual(), la.identity(0))
     x = pol.matrix
     d = tuple(x[i][i] for i in range(g))
-    if not la.is_diagonal(x, d) or not _is_chain(d):
+    if not _is_chain(d):
         raise TorusError("dual polarization needs an adapted polarization diag(d_1 | d_2 | ...)")
     if multiplier is None:
         multiplier = d[0] * d[-1]
@@ -235,29 +203,27 @@ def dual_polarization(pol: Polarization, multiplier=None) -> Polarization:
 def polarized_isomorphic(pol1: Polarization, pol2: Polarization):
     """First isomorphism of polarized tori, or None.
 
-    The second-lattice map B must be an isometry of the (jointly
-    denominator-cleared) Gram forms, a finite set; the first-lattice map
-    is then forced and accepted iff integral unimodular.  For principal
-    polarizations this is the homological pptav criterion.
+    The second-lattice map B must be an isometry of the Gram forms Q_i =
+    X_i P_i (over their common denominator), a finite set.  The transport
+    law A X2 B = X1 then forces A = X1 B^-1 X2^-1, accepted iff integral
+    unimodular.  This A is adjoint to B, A^T P1 = X2^-1 B^-T Q1 =
+    X2^-1 Q2 B = P2 B, and adjointness determines A, since P1 is
+    nondegenerate.  For principal polarizations this is the homological
+    pptav criterion.
     """
     t1, t2 = pol1.torus, pol2.torus
     if t1.rank != t2.rank:
         raise TorusError("rank mismatch")
     if t1.rank == 0:
         return la.identity(0), la.identity(0)
-    (e1, g1), (e2, g2) = (la.lowest_terms(*pol._int_gram) for pol in (pol1, pol2))
+    (e1, g1), (e2, g2) = (la.lowest_terms(*pol.gram()) for pol in (pol1, pol2))
     e = lcm(e1, e2)
     q1, q2 = la.mat_scale(e // e1, g1), la.mat_scale(e // e2, g2)
-    # with P_i = S_i / d_i, A = P1^-T B^T P2^T = d1 X B^T S2^T / (delta d2)
-    # for S1^-T = X / delta
-    d1, s1 = t1._int_form
-    d2, s2 = t2._int_form
-    delta, x = la.scaled_inverse(la.transpose(s1))
-    s2_t = la.transpose(s2)
+    x2 = tuple(pol2.matrix[i][i] for i in range(t2.rank))
     # each Polarization has proved its form symmetric positive definite
     for b in la.definite_isometries(q1, q2):
-        xbs = la.int_matmul(la.int_matmul(x, la.transpose(b)), s2_t)
-        a = la.exact_quotient(la.mat_scale(d1, xbs), delta * d2)
+        # B is unimodular, so its inverse is integral
+        a = la.divide_columns(la.int_matmul(pol1.matrix, la.unimodular_inverse(b)), x2)
         if a is None:
             continue
         try:

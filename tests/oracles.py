@@ -54,7 +54,17 @@ section construction replaced by plus-count arithmetic, and the second
 entries of primitives the package keeps once: the Fraction pairing of
 two cycles and its table, next to the certified integer Gram, and the
 isometry search that checks its forms first, next to
-`definite_isometries`.
+`definite_isometries`.  So is the Fraction form of tori and
+polarizations, which the package dropped when (D, integer rows) became
+the only form of a pairing and a positive integer diagonal the only
+polarization: the scaling of a Fraction matrix to integer rows and back,
+a torus built from a Fraction pairing and its Fraction pairing and Gram,
+the integrality test and conversion, the definiteness test of a rational
+form, the rational inverse by Bareiss elimination, the polarization by a
+general integer matrix that the Smith-form route induces, the polarized
+isomorphism decision that forced its first-lattice map through that
+rational inverse, and the short-vector and isometry searches on rational
+forms.
 
 Last come the operations that no command, construction or theorem check
 reaches, which the package dropped: the contraction of an edge of a
@@ -67,7 +77,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
@@ -89,7 +99,7 @@ from tropcover.ngonal import (FiberDatum, FiberPart, NgonalConstruction, Recilla
                               is_generic_bigonal, is_generic_tetragonal, tower_fiber)
 from tropcover.tori import (IntegralTorus, KernelTorus,
                             Polarization, PrincipalModel, TorusError, TorusHom,
-                            dual_type)
+                            certify_isomorphism, dual_type)
 
 
 @dataclass(frozen=True)
@@ -269,16 +279,14 @@ def classify_hom(h: TorusHom) -> HomFlags:
     return HomFlags(surjective, finite, injective, isogeny, free, dil, free and dil)
 
 
-def induced_polarization(h: TorusHom, pol: Polarization) -> Polarization:
+def induced_polarization(h: TorusHom, pol) -> "MatrixPolarization":
     """Pull a polarization on the target back along a finite homomorphism."""
     if pol.torus != h.target:
         raise TorusError("polarization is not on the hom's target")
     if not classify_hom(h).finite:
         raise TorusError("induced polarization requires a finite homomorphism")
-    if h.source.rank == 0:
-        return Polarization(h.source, tuple())
-    x = matmul(matmul(h.pull, pol.matrix), h.push)
-    return Polarization(h.source, x)
+    x = matmul(matmul(h.pull, pol.matrix), h.push) if h.source.rank else ()
+    return MatrixPolarization(h.source, x)
 
 
 def _cholesky(q) -> tuple:
@@ -328,7 +336,7 @@ def cokernel_tf(matrix) -> Cokernel:
     res = snf(matrix)
     r = res.rank
     proj = tuple(res.U[i] for i in range(r, n))
-    uinv = la.to_int(inverse(res.U)) if n else tuple()
+    uinv = to_int(inverse(res.U)) if n else tuple()
     reps = tuple(row[r:] for row in uinv)
     cok = Cokernel(n - r, la.mat(proj) if proj else la.zeros(0, n), reps if n else la.zeros(0, 0))
     if cok.rank:
@@ -353,10 +361,10 @@ def kernel_torus(h: TorusHom) -> KernelTorus:
     if (len(ker[0]) if ker else 0) != k:
         raise AssertionError("kernel_torus: coker(pull) and ker(push) ranks differ")
     if k:
-        pairing = matmul(matmul(la.transpose(cok.representatives), h.source.pairing), ker)
+        pairing = matmul(matmul(la.transpose(cok.representatives), fraction_pairing(h.source)), ker)
     else:
         pairing = tuple()
-    torus = IntegralTorus(pairing)
+    torus = fraction_torus(pairing)
     inclusion = TorusHom(torus, h.source, cok.projection, ker)
     return KernelTorus(inclusion, cok.representatives)
 
@@ -380,15 +388,15 @@ def cokernel_torus(h: TorusHom) -> CokernelTorus:
     if (len(ker[0]) if ker else 0) != k:
         raise AssertionError("cokernel_torus: ker(pull) and coker(push) ranks differ")
     if k:
-        pairing = matmul(matmul(la.transpose(ker), h.target.pairing), cok.representatives)
+        pairing = matmul(matmul(la.transpose(ker), fraction_pairing(h.target)), cok.representatives)
     else:
         pairing = tuple()
-    torus = IntegralTorus(pairing)
+    torus = fraction_torus(pairing)
     quotient = TorusHom(h.target, torus, ker, cok.projection)
     return CokernelTorus(torus, quotient)
 
 
-def pp_rescale(pol: Polarization) -> PrincipalModel:
+def pp_rescale(pol) -> PrincipalModel:
     g = pol.torus.rank
     if g == 0:
         return PrincipalModel(Polarization(pol.torus, la.identity(0)),
@@ -396,11 +404,11 @@ def pp_rescale(pol: Polarization) -> PrincipalModel:
     res = snf(pol.matrix)
     diag = res.diagonal()
     big = diag[-1]
-    uinv = la.to_int(inverse(res.U))
+    uinv = to_int(inverse(res.U))
     # P in the adapted bases, then each row i scaled by a_i / a_g
-    p_ad = matmul(matmul(la.transpose(uinv), pol.torus.pairing), res.V)
+    p_ad = matmul(matmul(la.transpose(uinv), fraction_pairing(pol.torus)), res.V)
     p_pp = tuple(tuple(Fraction(diag[i], big) * p_ad[i][j] for j in range(g)) for i in range(g))
-    pp_torus = IntegralTorus(p_pp)
+    pp_torus = fraction_torus(p_pp)
     zeta = Polarization(pp_torus, la.identity(g))
     scale = tuple(tuple(big // diag[i] if i == j else 0 for j in range(g)) for i in range(g))
     to_original = TorusHom(pp_torus, pol.torus, matmul(scale, res.U), res.V)
@@ -438,9 +446,9 @@ def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> Polarization
         multiplier = diag[0] * diag[-1]
     if any(multiplier % a for a in diag):
         raise TorusError("dual multiplier must be divisible by every invariant factor")
-    uinv = la.to_int(inverse(res.U))
-    p_ad = matmul(matmul(la.transpose(uinv), pol.torus.pairing), res.V)
-    dual_t = IntegralTorus(la.transpose(p_ad))
+    uinv = to_int(inverse(res.U))
+    p_ad = matmul(matmul(la.transpose(uinv), fraction_pairing(pol.torus)), res.V)
+    dual_t = fraction_torus(la.transpose(p_ad))
     xdual = tuple(tuple(multiplier // diag[i] if i == j else 0 for j in range(g)) for i in range(g))
     dual_pol = Polarization(dual_t, xdual)
     if polarization_type(dual_pol) != dual_type(polarization_type(pol), multiplier):
@@ -524,8 +532,8 @@ def _fraction_product(a, b) -> tuple:
 
 def adjoint_by_fractions(source: IntegralTorus, target: IntegralTorus, pull, push) -> bool:
     """pull^T P_source == P_target push on the Fraction pairings."""
-    return (_fraction_product(la.transpose(pull), source.pairing)
-            == _fraction_product(target.pairing, push))
+    return (_fraction_product(la.transpose(pull), fraction_pairing(source))
+            == _fraction_product(fraction_pairing(target), push))
 
 
 def eager_prym_forms(data, top_metric) -> dict:
@@ -545,7 +553,7 @@ def eager_prym_forms(data, top_metric) -> dict:
 
 def polarization_by_fractions(torus: IntegralTorus, matrix) -> bool:
     """X^T P symmetric and positive definite, on fractions, by Cholesky."""
-    gram = _fraction_product(la.transpose(matrix), torus.pairing)
+    gram = _fraction_product(la.transpose(matrix), fraction_pairing(torus))
     if gram != la.transpose(gram):
         return False
     try:
@@ -559,18 +567,171 @@ def to_fractions(m) -> tuple:
     return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in m)
 
 
+def scaled(m):
+    """(D, integer rows) with m == rows / D, D the lcm of the denominators;
+    an all-int matrix comes back as the same object, with D = 1."""
+    if set(map(type, itertools.chain.from_iterable(m))) <= {int}:
+        return 1, m
+    d = lcm(*{x.denominator for row in m for x in row})
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
+
+
+def unscaled(d, rows) -> tuple:
+    """The Fraction matrix rows / D."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+
+
+def is_integral(m) -> bool:
+    return all(x.denominator == 1 for row in m for x in row)
+
+
+def to_int(m) -> tuple:
+    if not is_integral(m):
+        raise ValueError("matrix has non-integer entries")
+    return tuple(tuple(int(x) for x in row) for row in m)
+
+
+def is_positive_definite(q) -> bool:
+    """Sylvester's test for a symmetric form, rational or not: every leading
+    Bareiss pivot of its integer rows is > 0."""
+    return la.leading_minor_verdict(scaled(q)[1])[1]
+
+
+def scaled_inverse(m) -> tuple:
+    """(delta, X) with integer rows X and M^-1 = X / delta.
+
+    Bareiss on D * [M | I] = [D M | D I], then fraction-free back
+    substitution for X = delta * M^-1, delta = +-det(D M); every division
+    is exact.  A singular M raises ValueError.
+    """
+    n, c = la.shape(m)
+    if n != c:
+        raise ValueError("inverse of a non-square matrix")
+    d, rows = scaled(m)
+    a, cols, delta = la._bareiss([list(row) + [d * (i == j) for j in range(n)]
+                                  for i, row in enumerate(rows)])
+    if cols[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = [delta * y for y in row[n:]]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc = [s - row[j] * t for s, t in zip(acc, x[j])]
+        x[i] = [s // row[i] for s in acc]
+    return delta, x
+
+
+def fraction_torus(pairing) -> IntegralTorus:
+    """The torus of a Fraction (or int) pairing matrix, as the public
+    constructor built it before a torus took (D, integer rows) only."""
+    return IntegralTorus(scaled(pairing))
+
+
+def fraction_pairing(torus: IntegralTorus) -> tuple:
+    """The Fraction pairing matrix rows / D of a torus."""
+    return unscaled(*torus.form)
+
+
+def fraction_gram(pol) -> tuple:
+    """The Fraction Gram form X^T P of a polarization."""
+    return unscaled(*pol.gram())
+
+
+@dataclass(frozen=True)
+class MatrixPolarization:
+    """A polarization by a general integer matrix X, the branch that
+    `Polarization` had before it took positive integer diagonals only: the
+    form X^T P, as (D, integer rows), must be symmetric positive definite,
+    decided by one elimination.  The Smith-form route induces polarizations
+    in bases that are not adapted, so it builds these."""
+
+    torus: IntegralTorus
+    matrix: tuple
+    _gram: tuple = field(init=False, compare=False, repr=False, default=None)
+
+    def __post_init__(self):
+        if not is_integral(self.matrix):
+            raise TorusError("polarization matrix must be integral")
+        object.__setattr__(self, "matrix", to_int(self.matrix))
+        g = self.torus.rank
+        if la.shape(self.matrix) != (g, g):
+            raise TorusError("polarization matrix has wrong shape")
+        d, rows = self.torus.form
+        form = la.int_matmul(la.transpose(self.matrix), rows) if g else ()
+        object.__setattr__(self, "_gram", (d, form))
+        if form != la.transpose(form):
+            raise TorusError("polarization form is not symmetric")
+        if not is_positive_definite(form):
+            raise TorusError("polarization form is not positive definite")
+
+    def gram(self) -> tuple:
+        return self._gram
+
+
+def polarized_isomorphic_by_inverse(pol1, pol2):
+    """`tori.polarized_isomorphic` as it was before the transport law gave
+    the first-lattice map: for each Gram isometry B, A is forced by
+    adjointness, A = P1^-T B^T P2^T, through the rational inverse of the
+    first pairing, and accepted iff integral unimodular.  Takes
+    `Polarization`s and `MatrixPolarization`s alike."""
+    t1, t2 = pol1.torus, pol2.torus
+    if t1.rank != t2.rank:
+        raise TorusError("rank mismatch")
+    if t1.rank == 0:
+        return la.identity(0), la.identity(0)
+    (e1, g1), (e2, g2) = (la.lowest_terms(*pol.gram()) for pol in (pol1, pol2))
+    e = lcm(e1, e2)
+    q1, q2 = la.mat_scale(e // e1, g1), la.mat_scale(e // e2, g2)
+    # with P_i = S_i / d_i, A = P1^-T B^T P2^T = d1 X B^T S2^T / (delta d2)
+    # for S1^-T = X / delta
+    d1, s1 = t1.form
+    d2, s2 = t2.form
+    delta, x = scaled_inverse(la.transpose(s1))
+    s2_t = la.transpose(s2)
+    for b in la.definite_isometries(q1, q2):
+        xbs = la.int_matmul(la.int_matmul(x, la.transpose(b)), s2_t)
+        a = la.divide_columns(la.mat_scale(d1, xbs), (delta * d2,) * len(xbs))
+        if a is None:
+            continue
+        try:
+            la.unimodular_inverse(a)  # ValueError unless a is unimodular
+        except ValueError:
+            continue
+        return certify_isomorphism(pol1, pol2, a, b)
+    return None
+
+
+def rational_vectors_with_norm(q, target):
+    """`vectors_with_norm` of a rational form and target: x^T Q x == target
+    iff x^T (D Q) x == D target, which has no solution unless D target is
+    an integer."""
+    d, rows = scaled(q)
+    t = Fraction(target) * d
+    if t.denominator != 1:
+        return ()
+    return la.vectors_with_norm(la.mat(rows), t.numerator)
+
+
+def rational_definite_isometries(q1, q2):
+    """`definite_isometries` of two rational forms, over their common
+    denominator, whose isometries are theirs."""
+    return la.definite_isometries(*clear_denominators(q1, q2)[1])
+
+
 def inverse(m) -> tuple:
     """Exact inverse over the rationals, in fractions."""
-    delta, x = la.scaled_inverse(m)
-    return la.unscaled(delta, x)
+    delta, x = scaled_inverse(m)
+    return unscaled(delta, x)
 
 
 def integral_inverse(m) -> tuple:
     """M^-1 as integer rows by one dense elimination of [M | I]: back
     substitution in integers, then one exact division by delta.  ValueError
     when M is singular or M^-1 is not integral."""
-    delta, x = la.scaled_inverse(m)
-    inv = la.exact_quotient(x, delta)
+    delta, x = scaled_inverse(m)
+    inv = la.divide_columns(x, (delta,) * len(x))
     if inv is None:
         raise ValueError("inverse is not integral")
     return inv
@@ -812,24 +973,24 @@ def mat_add(a, b) -> tuple:
 
 
 def rank(m) -> int:
-    return len(la._bareiss(m)[2])
+    return len(la._bareiss(scaled(m)[1])[1])
 
 
 def clear_denominators(*matrices):
     """(scalar, scaled integer matrices); the same scalar for every matrix."""
-    scaled = [la._scaled(m) for m in matrices]
-    scale = lcm(*(d for d, _ in scaled))
-    return scale, tuple(la.mat_scale(scale // d, rows) for d, rows in scaled)
+    forms = [scaled(m) for m in matrices]
+    scale = lcm(*(d for d, _ in forms))
+    return scale, tuple(la.mat_scale(scale // d, rows) for d, rows in forms)
 
 
 def matmul(a, b) -> tuple:
     """Exact product; int x int stays int, anything else gives fractions.
 
-    Both factors are scaled to integer rows (`_scaled`) and multiplied by
+    Both factors are scaled to integer rows (`scaled`) and multiplied by
     `int_matmul`.
     """
-    da, ia = la._scaled(a)
-    db, ib = la._scaled(b)
+    da, ia = scaled(a)
+    db, ib = scaled(b)
     prod = la.int_matmul(ia, ib)
     if ia is a and ib is b:
         return prod
@@ -846,20 +1007,22 @@ def det(m):
     n, c = la.shape(m)
     if n != c:
         raise ValueError("determinant of a non-square matrix")
-    d, _, cols, minor = la._bareiss(m)
+    d, rows = scaled(m)
+    _, cols, minor = la._bareiss(rows)
     return Fraction(minor, d ** n) if len(cols) == n else Fraction(0)
 
 
 def is_unimodular(m) -> bool:
     rows, cols = la.shape(m)
-    return rows == cols and la.is_integral(m) and abs(det(m)) == 1
+    return rows == cols and is_integral(m) and abs(det(m)) == 1
 
 
 def gram_isometries(q1, q2):
     """Unimodular B with B^T Q2 B = Q1, yielded exactly once each.
 
     Both forms must be symmetric positive definite; `definite_isometries`
-    runs the search.
+    runs the search on them over their common denominator
+    (`rational_definite_isometries`).
     """
     n, _ = la.shape(q1)
     n2, _ = la.shape(q2)
@@ -869,9 +1032,9 @@ def gram_isometries(q1, q2):
     for q in (q1, q2):
         if q != la.transpose(q):
             raise ValueError("forms must be symmetric")
-        if not la.is_positive_definite(q):
+        if not is_positive_definite(q):
             raise ValueError("form is not positive definite")
-    yield from la.definite_isometries(q1, q2)
+    yield from rational_definite_isometries(q1, q2)
 
 
 def _lll_gram(q) -> tuple:

@@ -15,8 +15,7 @@ from tropcover.graphs import (Graph, NonGenericError, betti_number, genus,
                               is_connected,
                               towers_isomorphic, covers_isomorphic_over_base,
                               validate_harmonic)
-from tropcover.intlinalg import (is_integral, mat,
-                                 to_int, transpose)
+from tropcover.intlinalg import mat, transpose
 from tropcover.jacprym import (check_bigonal_duality, check_trigonal_prym,
                                h1_basis, jacobian, prym)
 from tropcover.metrics import induce_metric
@@ -29,8 +28,9 @@ from tropcover.tori import Polarization
 from gallery import (bigonal_expected_tables, bigonal_output_reference,
                      bigonal_reference, harmonic_from_edges, random_tetragonal_curve,
                      tower_metrics, trigonal_expected_table, trigonal_reference)
-from oracles import (clear_denominators, det, gram_isometries, inverse, mat_equal, matmul,
-                     pairing_table, polarization_type, snf, to_fractions)
+from oracles import (clear_denominators, det, fraction_pairing, gram_isometries, inverse,
+                     is_integral, mat_equal, matmul, pairing_table, polarization_type, snf,
+                     to_fractions, to_int)
 
 
 def _unimodular_change(columns_a, columns_b):
@@ -71,11 +71,11 @@ def test_criterion_01_trigonal_example_replication():
         # table in a suitable basis: an exact unimodular congruence witness
         tri = trigonal(ref.tower)
         jac = jacobian(induce_metric(tri.quartic, ref.base_metric))
-        scale, (q_target, q_jac) = clear_denominators(expected, jac.polarization.torus.pairing)
+        scale, (q_target, q_jac) = clear_denominators(expected, fraction_pairing(jac.polarization.torus))
         witness = next(iter(gram_isometries(q_target, q_jac)), None)
         assert witness is not None
         transformed = matmul(transpose(to_fractions(witness)),
-                             matmul(jac.polarization.torus.pairing, to_fractions(witness)))
+                             matmul(fraction_pairing(jac.polarization.torus), to_fractions(witness)))
         assert mat_equal(transformed, to_fractions(expected))
 
         assert check_trigonal_prym(ref.tower, ref.base_metric).passed

@@ -6,11 +6,13 @@ that making them cheaper never removes one, and no Smith normal form
 (`snf`, `SNF`): every polarization the package builds is in adapted form,
 and the Smith form lives in tests/oracles.py.  The Prym and torus modules
 also take no Fraction route: `jacprym.py` and `tori.py` call neither
-`inverse` nor `to_fractions`, and carry (D, integer rows) instead.  The
-package has one matrix product, `int_matmul`, and one unimodularity test,
-`unimodular_inverse`: it neither defines nor names the Fraction-aware
-`matmul`, the determinant `det`, `is_unimodular`, `mat_equal` or `matvec`,
-which live in tests/oracles.py where tests use them.  Chains move along
+`inverse` nor `to_fractions`, and carry (D, integer rows) instead, and
+`intlinalg.py` and `tori.py` neither import nor name `Fraction` or the
+`fractions` module.  The package has one matrix product, `int_matmul`,
+and one unimodularity test, `unimodular_inverse`: it neither defines nor
+names the Fraction-aware `matmul`, the determinant `det`,
+`is_unimodular`, `mat_equal` or `matvec`, which live in tests/oracles.py
+where tests use them.  Chains move along
 maps in one place: `jacprym.py` reads no `half_edge_info` of a
 construction, and names `edge_key` only in `chain_image`, the one signed
 edge-key loop, and in `_adapted_tree`, which reads tree edges.  Fibers
@@ -205,6 +207,36 @@ def test_prym_and_tori_take_no_fraction_route():
     trees = dict(package_trees())
     offenders = [f"{name}:{line}: {what}" for name in INTEGER_FORM_MODULES
                  for line, what in fraction_route_uses(trees[name])]
+    assert offenders == []
+
+
+FRACTION_FREE_MODULES = ("intlinalg.py", "tori.py")
+
+
+def fraction_uses(tree):
+    """(line, description) of each use or import of `Fraction` or of the
+    `fractions` module."""
+    yield from name_uses(tree, {"Fraction", "fractions"})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            yield node.lineno, "imports from fractions"
+
+
+def test_guard_catches_fractions():
+    source = ('"""A Fraction matrix in a docstring is free."""\n'
+              "from fractions import Fraction as F\nimport fractions\n"
+              "def f(m, d):\n    return fractions.Fraction(m, d), Fraction(d)\n")
+    assert sorted(fraction_uses(ast.parse(source))) == [
+        (2, "imports Fraction"), (2, "imports from fractions"), (3, "imports fractions"),
+        (5, "attribute Fraction"), (5, "name Fraction"), (5, "name fractions")]
+
+
+def test_lattice_modules_have_no_fractions():
+    # a pairing or Gram is (D, integer rows) and a polarization a positive
+    # integer diagonal; the Fraction forms live in tests/oracles.py
+    trees = dict(package_trees())
+    offenders = [f"{name}:{line}: {what}" for name in FRACTION_FREE_MODULES
+                 for line, what in fraction_uses(trees[name])]
     assert offenders == []
 
 

@@ -4,16 +4,17 @@ from math import ceil, floor, isqrt
 
 import pytest
 
-from tropcover.intlinalg import (_lll_reduce, definite_isometries, diag,
+from tropcover.intlinalg import (_lll_reduce, diag,
                                  identity, int_matmul,
-                                 is_diagonal, is_positive_definite, mat,
-                                 scaled_inverse,
-                                 to_int, transpose, unimodular_inverse,
+                                 is_diagonal, mat,
+                                 transpose, unimodular_inverse,
                                  vectors_with_norm)
 
 from oracles import (_cholesky, _lll_gram, clear_denominators, cokernel_tf, det,
-                     gram_isometries, integral_inverse, inverse, is_unimodular, kernel_basis,
-                     mat_equal, matmul, rank, snf, to_fractions)
+                     gram_isometries, integral_inverse, inverse, is_positive_definite,
+                     is_unimodular, kernel_basis, mat_equal, matmul, rank,
+                     rational_definite_isometries, rational_vectors_with_norm, scaled_inverse,
+                     snf, to_fractions, to_int)
 
 
 class TestSNF:
@@ -510,7 +511,8 @@ class TestIntegerSearchAgainstOracles:
             k = rng.randrange(n) if n else None
             attained = q[k][k] if n else 0  # the norm of a basis vector
             for target in (attained, attained + 1, attained + Fraction(1, 2)):
-                found = vectors_with_norm(q, target)
+                # a rational form and target, scaled to integers first
+                found = rational_vectors_with_norm(q, target)
                 assert found == oracle_vectors_with_norm(q, target), (q, target)
                 sizes.add((bool(found), type(target) is int or Fraction(target).denominator == 1))
         assert sizes == {(True, True), (False, True), (True, False), (False, False)}
@@ -725,4 +727,4 @@ class TestLLLCarriesItsInverse:
             q2 = random_pd_form(rng, n) if i % 5 == 4 else q1
             u = random_unimodular(rng, n) if n else ()
             q2 = matmul(transpose(u), matmul(q2, u)) if n else q2
-            assert list(definite_isometries(q1, q2)) == list(gram_isometries(q1, q2))
+            assert list(rational_definite_isometries(q1, q2)) == list(gram_isometries(q1, q2))

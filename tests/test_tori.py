@@ -1,27 +1,31 @@
+import ast
+import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from tropcover import intlinalg
-from tropcover.intlinalg import (diag, identity, is_positive_definite,
+from tropcover import intlinalg, tori
+from tropcover.intlinalg import (diag, identity,
                                  leading_minor_verdict, mat,
                                  mat_scale, transpose)
 from tropcover.tori import (IntegralTorus, Polarization, TorusError, TorusHom,
                             dual_polarization, dual_type, polarized_isomorphic)
 
 import oracles
-from oracles import (adjoint_by_fractions, classify_hom,
-                     cokernel_torus, det, eager_prym_forms, identity_hom,
-                     induced_polarization, jacobian_gram_by_pairing_table,
+from oracles import (MatrixPolarization, adjoint_by_fractions, classify_hom,
+                     cokernel_torus, det, eager_prym_forms, fraction_gram, fraction_pairing,
+                     fraction_torus, identity_hom, induced_polarization, is_integral,
+                     is_positive_definite, jacobian_gram_by_pairing_table,
                      kernel_torus, mat_equal, matmul, polarization_by_fractions,
-                     polarization_type, pp_rescale, torus_verdict_by_minors)
+                     polarization_type, pp_rescale, scaled, to_int, torus_verdict_by_minors)
 from test_intlinalg import (oracle_is_positive_definite, random_matrix,
                             random_symmetric, random_unimodular)
 
 
 def self_paired(gram):
-    return IntegralTorus(gram)
+    return fraction_torus(gram)
 
 
 T2 = self_paired([[2, 0], [0, 2]])
@@ -55,11 +59,11 @@ class TestKernelCokernelTori:
         assert kernel_torus(identity_hom(T2)).inclusion.source.rank == 0
 
     def test_kernel_of_zero_is_source(self):
-        zero_t = IntegralTorus(())
+        zero_t = IntegralTorus((1, ()))
         h = TorusHom(T2, zero_t, ((), ()), ())
         ker = kernel_torus(h)
         assert ker.inclusion.source.rank == 2
-        assert mat_equal(ker.inclusion.source.pairing, T2.pairing)
+        assert mat_equal(fraction_pairing(ker.inclusion.source), fraction_pairing(T2))
 
     def test_dual_of_kernel_equals_cokernel_of_dual(self):
         src = self_paired([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
@@ -67,7 +71,7 @@ class TestKernelCokernelTori:
         h = TorusHom(src, tgt, ((1,), (0,), (0,)), ((1, 0, 0),))
         ker = kernel_torus(h)
         cok = cokernel_torus(h.dual())
-        assert mat_equal(ker.inclusion.source.dual().pairing, cok.torus.pairing)
+        assert mat_equal(fraction_pairing(ker.inclusion.source.dual()), fraction_pairing(cok.torus))
 
     def test_dual_dual_identity(self):
         assert T2.dual().dual() == T2
@@ -98,6 +102,25 @@ class TestPolarizations:
     def test_not_positive_definite_rejected(self):
         with pytest.raises(TorusError):
             Polarization(self_paired([[1, 0], [0, -1]]), identity(2))
+
+    # a polarization is a positive integer diagonal map, the adapted form in
+    # which the package builds every polarization; any other matrix is
+    # refused before the torus is read
+    @pytest.mark.parametrize("matrix", [
+        [[1, 1], [0, 1]], [[2, 1], [1, 2]], [[0, 1], [1, 0]],
+        [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[-1, 0], [0, 1]], [[1, 0], [0, -2]],
+        [[Fraction(1), 0], [0, 1]], [[1, 0], [0, Fraction(2)]], [[1, 0], [0, Fraction(1, 2)]],
+        [[True, 0], [0, 1]],
+    ], ids=["upper", "symmetric", "swap", "zero", "zero-first", "negative", "negative-second",
+            "fraction-one", "fraction-two", "fraction-half", "bool"])
+    def test_only_positive_integer_diagonals(self, matrix):
+        with pytest.raises(TorusError, match="positive integer diagonal"):
+            Polarization(T2, matrix)
+
+    def test_positive_integer_diagonals_are_accepted(self):
+        for entries in ((1, 1), (1, 2), (2, 2), (3, 1)):
+            pol = Polarization(T2, diag(entries))
+            assert pol.gram() == (1, diag([2 * a for a in entries]))
 
 
 class TestPPRescale:
@@ -146,9 +169,9 @@ class TestDualPolarization:
         ([[-1, 0], [0, -1]], [[-1, 0], [0, -1]]),  # negative diagonal
     ], ids=["non-diagonal", "descending", "non-chain", "negative"])
     def test_non_adapted_polarization_rejected(self, pairing, matrix):
-        pol = Polarization(self_paired(pairing), matrix)
+        # a non-diagonal or negative matrix is no Polarization at all
         with pytest.raises(TorusError):
-            dual_polarization(pol)
+            dual_polarization(Polarization(self_paired(pairing), matrix))
 
     def test_multiplier_must_clear_factors(self):
         pol = Polarization(self_paired([[1, 0], [0, 3]]), [[1, 0], [0, 3]])
@@ -169,10 +192,10 @@ class TestPolarizedIsomorphic:
 
     def test_non_unimodular_forced_map_rejected(self):
         # both Gram forms are 2 I, and for every isometry B the forced
-        # first-lattice map A = 2 B^T is integral: only the unimodularity
-        # test of A rejects it
-        p1 = Polarization(IntegralTorus(identity(2)), diag((2, 2)))
-        p2 = Polarization(IntegralTorus(mat_scale(2, identity(2))), identity(2))
+        # first-lattice map A = X1 B^-1 X2^-1 = 2 B^-1 is integral: only the
+        # unimodularity test of A rejects it
+        p1 = Polarization(IntegralTorus((1, identity(2))), diag((2, 2)))
+        p2 = Polarization(IntegralTorus((1, mat_scale(2, identity(2)))), identity(2))
         assert p1.gram() == p2.gram()
         assert polarized_isomorphic(p1, p2) is None
 
@@ -181,13 +204,13 @@ class TestPolarizedIsomorphic:
         b = mat([[1, -1], [1, 0]])
         q2 = matmul(transpose(b), matmul(q1, b))
         # as self-paired principally polarized tori
-        p1 = Polarization(IntegralTorus(q2), identity(2))
-        p2 = Polarization(IntegralTorus(q1), identity(2))
+        p1 = Polarization(IntegralTorus((1, q2)), identity(2))
+        p2 = Polarization(IntegralTorus((1, q1)), identity(2))
         found = polarized_isomorphic(p1, p2)
         assert found is not None
         a, bb = found
-        assert mat_equal(matmul(transpose(bb), matmul(IntegralTorus(q1).pairing, bb)),
-                         IntegralTorus(q2).pairing)
+        assert mat_equal(matmul(transpose(bb), matmul(fraction_pairing(p2.torus), bb)),
+                         fraction_pairing(p1.torus))
 
     def test_rank_mismatch(self):
         with pytest.raises(TorusError):
@@ -225,11 +248,12 @@ def verdict_cases():
 class TestOneEliminationVerdict:
     # `IntegralTorus` decides nondegeneracy and leading-minor positivity in
     # one non-pivoting elimination; the old route ran `det`, then
-    # `is_positive_definite` on the polarization form
+    # `is_positive_definite` on the polarization form.  The verdict is taken
+    # on the integer rows D m, whose leading minors are D^k times those of m
     def test_verdict_agrees_with_det_and_definiteness(self):
         seen = set()
         for m in verdict_cases():
-            verdict = leading_minor_verdict(m)
+            verdict = leading_minor_verdict(scaled(m)[1])
             assert verdict == torus_verdict_by_minors(m)
             assert verdict[0] == (det(m) != 0)
             if m == transpose(m):
@@ -243,11 +267,11 @@ class TestOneEliminationVerdict:
             nonsingular, positive = torus_verdict_by_minors(m)
             if not nonsingular:
                 with pytest.raises(TorusError, match="nondegenerate"):
-                    IntegralTorus(m)
+                    fraction_torus(m)
                 continue
-            torus = IntegralTorus(m)
-            assert torus._positive == positive
-            assert torus.dual()._positive == positive
+            torus = fraction_torus(m)
+            assert torus.positive == positive
+            assert torus.dual().positive == positive
             accepted = polarization_by_fractions(torus, identity(len(m)))
             try:
                 Polarization(torus, identity(len(m)))
@@ -259,9 +283,11 @@ class TestOneEliminationVerdict:
     def test_polarizations_agree_with_the_fraction_check(self):
         # self-paired tori P = rows / D with an identity, a diagonal or a
         # general integer matrix X; X = (S U^-1)^T makes X^T U = S
-        # symmetric, definite or not
+        # symmetric, definite or not.  A positive diagonal is accepted iff
+        # the Fraction check accepts it; any other matrix is refused, and
+        # only the oracle's `MatrixPolarization` still takes it
         rng = random.Random(22)
-        verdicts = set()
+        verdicts, refused = set(), 0
         for i in range(150):
             n = rng.randint(1, 5)
             kind = i % 5
@@ -270,7 +296,7 @@ class TestOneEliminationVerdict:
                     _definite(rng, n, i % 2 == 1)
                 if not det(pairing):
                     continue
-                torus = IntegralTorus(pairing)
+                torus = fraction_torus(pairing)
                 if kind == 0:
                     x = identity(n)
                 elif kind == 1:
@@ -280,9 +306,22 @@ class TestOneEliminationVerdict:
             else:
                 u = random_unimodular(rng, n)
                 s = random_symmetric(rng, n, False)
-                torus = IntegralTorus(u)
-                x = transpose(matmul(s, intlinalg.to_int(oracles.inverse(u))))
+                torus = IntegralTorus((1, u))
+                x = transpose(matmul(s, to_int(oracles.inverse(u))))
             accepted = polarization_by_fractions(torus, x)
+            try:
+                general = MatrixPolarization(torus, x)
+            except TorusError:
+                assert not accepted
+            else:
+                assert accepted
+                assert fraction_gram(general) == matmul(transpose(x), fraction_pairing(torus))
+            if not (intlinalg.is_diagonal(x, [x[k][k] for k in range(n)])
+                    and all(x[k][k] > 0 for k in range(n))):
+                refused += 1
+                with pytest.raises(TorusError, match="positive integer diagonal"):
+                    Polarization(torus, x)
+                continue
             verdicts.add(accepted)
             try:
                 pol = Polarization(torus, x)
@@ -290,8 +329,9 @@ class TestOneEliminationVerdict:
                 assert not accepted
             else:
                 assert accepted
-                assert pol.gram() == matmul(transpose(x), torus.pairing)
-        assert verdicts == {True, False}
+                assert pol.gram() == general.gram()
+                assert fraction_gram(pol) == matmul(transpose(x), fraction_pairing(torus))
+        assert verdicts == {True, False} and refused > 40
 
     def test_eliminations_are_shared(self, monkeypatch):
         calls = []
@@ -301,17 +341,18 @@ class TestOneEliminationVerdict:
             calls.append(1)
             return bareiss(*args, **kw)
         monkeypatch.setattr(intlinalg, "_bareiss", counted)
-        torus = IntegralTorus([[2, 1], [2, 5]])
+        torus = IntegralTorus((1, [[2, 1], [2, 5]]))
         assert len(calls) == 1
         Polarization(torus, diag((2, 1)))
         dual = torus.dual()
         Polarization(dual, diag((1, 2)))
-        Polarization(IntegralTorus([[2, 1], [1, 3]]), identity(2))
+        Polarization(IntegralTorus((1, [[2, 1], [1, 3]])), identity(2))
         assert len(calls) == 2
-        Polarization(torus, [[5, -2], [-1, 2]])  # a general matrix: one elimination
-        assert len(calls) == 3
-        IntegralTorus([[0, 1], [1, 0]])  # a zero leading minor: a pivoting pass too
-        assert len(calls) == 5
+        with pytest.raises(TorusError, match="positive integer diagonal"):
+            Polarization(torus, [[5, -2], [-1, 2]])  # a general matrix: refused unread
+        assert len(calls) == 2
+        IntegralTorus((1, [[0, 1], [1, 0]]))  # a zero leading minor: a pivoting pass too
+        assert len(calls) == 4
 
 
 class TestIntegerAdjointness:
@@ -320,13 +361,13 @@ class TestIntegerAdjointness:
         verdicts = set()
         for i in range(120):
             g1, g2 = rng.randint(1, 4), rng.randint(1, 4)
-            src = IntegralTorus(_definite(rng, g1, i % 2 == 1) if i % 3 else diag([1] * g1))
-            tgt = IntegralTorus(_definite(rng, g2, i % 3 == 1))
+            src = fraction_torus(_definite(rng, g1, i % 2 == 1) if i % 3 else diag([1] * g1))
+            tgt = fraction_torus(_definite(rng, g2, i % 3 == 1))
             push = mat([[rng.randint(-2, 2) for _ in range(g1)] for _ in range(g2)])
             # pull^T = P_t push P_s^-1 when that is integral; otherwise a random pull
-            pull_t = matmul(matmul(tgt.pairing, push), oracles.inverse(src.pairing))
-            if intlinalg.is_integral(pull_t) and i % 4:
-                pull = transpose(intlinalg.to_int(pull_t))
+            pull_t = matmul(matmul(fraction_pairing(tgt), push), oracles.inverse(fraction_pairing(src)))
+            if is_integral(pull_t) and i % 4:
+                pull = transpose(to_int(pull_t))
             else:
                 pull = mat([[rng.randint(-2, 2) for _ in range(g2)] for _ in range(g1)])
             expected = adjoint_by_fractions(src, tgt, pull, push)
@@ -356,9 +397,9 @@ class TestTorusEquality:
         for a in cases:
             for b in cases:
                 same = oracles.to_fractions(a) == oracles.to_fractions(b)
-                assert (IntegralTorus(a) == IntegralTorus(b)) == same
+                assert (fraction_torus(a) == fraction_torus(b)) == same
                 if same:
-                    assert hash(IntegralTorus(a)) == hash(IntegralTorus(b))
+                    assert hash(fraction_torus(a)) == hash(fraction_torus(b))
                 verdicts.add(same)
         assert verdicts == {True, False}
 
@@ -367,12 +408,12 @@ class TestTorusEquality:
         for i in range(40):
             n = rng.randint(1, 4)
             m = _definite(rng, n, i % 2 == 1)
-            d, rows = intlinalg._scaled(m)
+            d, rows = scaled(m)
             k = rng.randint(2, 6)
-            built = IntegralTorus._from_int_form(k * d, mat_scale(k, rows))
-            assert built == IntegralTorus(m) and hash(built) == hash(IntegralTorus(m))
-            assert built.pairing == oracles.to_fractions(m)
-            assert built._int_form == (d, mat(rows))
+            built = IntegralTorus((k * d, mat_scale(k, rows)))
+            assert built == fraction_torus(m) and hash(built) == hash(fraction_torus(m))
+            assert fraction_pairing(built) == oracles.to_fractions(m)
+            assert built.form == (d, mat(rows))
 
 
 def _seeded_pryms():
@@ -390,31 +431,189 @@ def _seeded_pryms():
 
 
 class TestLazyFractionForms:
-    # `IntegralTorus.pairing` and `Polarization.gram()` are built on first
-    # read from the integer forms; before, every torus and polarization
-    # built them eagerly
+    # a torus and a polarization keep integer forms only, and the Fraction
+    # matrices are the oracles' view of them; before, every torus and
+    # polarization built them eagerly, and later on first read
     def test_lazy_forms_equal_the_eager_ones(self):
         count = ranks = 0
         for data, mid, top in _seeded_pryms():
             count += 1
             ranks += data.rank > 0
             eager = eager_prym_forms(data, top)
-            assert data.norm.source.pairing == eager["top"]
-            assert data.norm.target.pairing == jacobian_gram_by_pairing_table(mid)
-            assert data.polarization.torus.pairing == eager["pairing"]
-            assert data.polarization.gram() == eager["gram"]
-            assert data.principal.polarized.gram() == eager["principal"]
-            assert data.principal.polarized.torus.pairing == eager["principal"]
+            assert fraction_pairing(data.norm.source) == eager["top"]
+            assert fraction_pairing(data.norm.target) == jacobian_gram_by_pairing_table(mid)
+            assert fraction_pairing(data.polarization.torus) == eager["pairing"]
+            assert fraction_gram(data.polarization) == eager["gram"]
+            assert fraction_gram(data.principal.polarized) == eager["principal"]
+            assert fraction_pairing(data.principal.polarized.torus) == eager["principal"]
             dual = dual_polarization(data.polarization)
-            assert dual.torus.pairing == transpose(eager["pairing"])
+            assert fraction_pairing(dual.torus) == transpose(eager["pairing"])
         assert count == 16 and ranks > 10
 
     def test_prym_builds_no_fraction_matrix(self):
         for data, _, _ in _seeded_pryms():
             for torus in (data.polarization.torus, data.norm.source, data.norm.target,
                           data.principal.polarized.torus):
-                assert "pairing" not in vars(torus)
+                assert not hasattr(torus, "pairing")
+                d, rows = torus.form
+                assert all(type(x) is int for x in (d, *(y for row in rows for y in row)))
             for pol in (data.polarization, data.principal.polarized):
-                assert pol._gram is None
+                d, form = pol.gram()
+                assert all(type(x) is int for x in (d, *(y for row in form for y in row)))
             gram = data.polarization.gram()
             assert data.polarization.gram() is gram  # built once
+
+
+# ---------------------------------------------------------------------------
+# the isomorphism decision against the route it replaced: `polarized_isomorphic`
+# forces the first-lattice map by the transport law, A = X1 B^-1 X2^-1; the
+# oracle forced it by adjointness through the rational inverse of the first
+# pairing.  Adjointness determines A, so both take the same first isometry B
+# with the same A
+
+
+def _decision_pairs():
+    """(label, pol1, pol2): the pairs the two theorem checks hand to the
+    decision, on the shipped towers and on seeded n = 2 generic dilated and
+    n = 3 free towers."""
+    import os
+    from tropcover.jacprym import jacobian, prym
+    from tropcover.metrics import induce_metric
+    from tropcover.ngonal import bigonal, trigonal
+    from tropcover.randgen import random_tower
+    from tropcover.towerio import load
+
+    def bigonal_pair(tower, base):
+        out = bigonal(tower).tower
+        prym1 = prym(tower.pi, induce_metric(tower.f, base))
+        prym2 = prym(out.pi, induce_metric(out.f, base))
+        assert prym1.type == dual_type(prym2.type, multiplier=2)
+        return prym1.polarization, dual_polarization(prym2.polarization, multiplier=2)
+
+    def trigonal_pair(tower, base):
+        data = prym(tower.pi, induce_metric(tower.f, base))
+        jac = jacobian(induce_metric(trigonal(tower).quartic, base))
+        return data.principal.polarized, jac.polarization
+
+    data_dir = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+    for name, pair in (("bigonal_tower.json", bigonal_pair), ("trigonal_tower.json", trigonal_pair)):
+        loaded = load(os.path.join(data_dir, name))
+        yield (name, *pair(loaded.tower(), loaded.base_metric))
+    for seed in range(30):
+        gen = random_tower(seed, n=2, generic=True, pi_free=False, tree_size=(5, 13))
+        yield (f"n2 seed {seed}", *bigonal_pair(gen.tower, gen.base_metric))
+        gen = random_tower(seed, n=3, pi_free=True, tree_size=(5, 13))
+        yield (f"n3 seed {seed}", *trigonal_pair(gen.tower, gen.base_metric))
+
+
+class TestIsomorphismDecisionAgainstTheInverseRoute:
+    def test_same_witness_as_the_adjointness_route(self):
+        ranks = set()
+        for label, pol1, pol2 in _decision_pairs():
+            found = polarized_isomorphic(pol1, pol2)
+            assert found is not None, label
+            assert found == oracles.polarized_isomorphic_by_inverse(pol1, pol2), label
+            ranks.add(pol1.torus.rank)
+        assert len(ranks) > 6 and max(ranks) > 8
+
+    def test_a_spoiled_jacobian_length_is_refused_by_both(self):
+        import os
+        from tropcover.jacprym import jacobian, prym
+        from tropcover.metrics import MetricGraph, induce_metric
+        from tropcover.ngonal import trigonal
+        from tropcover.towerio import load
+        loaded = load(os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                                   "trigonal_tower.json"))
+        tower, base = loaded.tower(), loaded.base_metric
+        principal = prym(tower.pi, induce_metric(tower.f, base)).principal.polarized
+        metric = induce_metric(trigonal(tower).quartic, base)
+        jac = jacobian(metric)
+        assert polarized_isomorphic(principal, jac.polarization) is not None
+        key = next(iter(jac.basis.cycles[0]))  # an edge on a cycle
+        spoiled = jacobian(MetricGraph(metric.graph, {**metric.length, key: metric.length[key] + 1}))
+        assert spoiled.polarization.gram() != jac.polarization.gram()
+        assert polarized_isomorphic(principal, spoiled.polarization) is None
+        assert oracles.polarized_isomorphic_by_inverse(principal, spoiled.polarization) is None
+
+
+# ---------------------------------------------------------------------------
+# self-checks of the lattice layer: each spoiling makes one `raise
+# AssertionError` of tori.py or intlinalg.py fire, by a spoiled input or an
+# internal monkeypatched to return a spoiled value
+
+
+def _spoil_dual_type(monkeypatch):
+    # the type formula doubles every factor
+    pol = Polarization(self_paired([[1, 0], [0, 2]]), diag((1, 2)))
+    formula = tori.dual_type
+    monkeypatch.setattr(tori, "dual_type",
+                        lambda t, multiplier=None: tuple(2 * a for a in formula(t, multiplier)))
+    dual_polarization(pol, 2)
+
+
+def _spoil_dual_product(monkeypatch):
+    # the product xi . xi_dual comes out doubled
+    pol = Polarization(self_paired([[1, 0], [0, 2]]), diag((1, 2)))
+    product = intlinalg.int_matmul
+    monkeypatch.setattr(intlinalg, "int_matmul", lambda a, b: mat_scale(2, product(a, b)))
+    dual_polarization(pol, 2)
+
+
+def _spoil_transport(monkeypatch):
+    # (2 I, 2 I) is adjoint for the pairing I, but carries I to 4 I
+    pol = Polarization(IntegralTorus((1, identity(2))), identity(2))
+    tori.certify_isomorphism(pol, pol, mat_scale(2, identity(2)), mat_scale(2, identity(2)))
+
+
+def _spoil_sparse_inverse(monkeypatch):
+    # every row of the inverse doubled
+    eliminate = intlinalg._inverse_rows
+    monkeypatch.setattr(intlinalg, "_inverse_rows", lambda rows: [
+        {j: 2 * x for j, x in row.items()} for row in eliminate(rows)])
+    intlinalg.unimodular_inverse(((0, 1), (1, 1)))
+
+
+def _spoil_lll_inverse(monkeypatch):
+    # H^-1 comes back doubled
+    reduce = intlinalg._lll_reduce
+
+    def spoiled(q):
+        h, h_inv, det = reduce(q)
+        return h, mat_scale(2, h_inv), det
+    monkeypatch.setattr(intlinalg, "_lll_reduce", spoiled)
+    list(intlinalg.definite_isometries(((2, 1), (1, 3)), ((2, 1), (1, 3))))
+
+
+def _spoil_short_vectors(monkeypatch):
+    # every short vector doubled, so C^T R2 C = 4 R1
+    search = intlinalg.vectors_with_norm
+    monkeypatch.setattr(intlinalg, "vectors_with_norm", lambda q, target: tuple(
+        tuple(2 * x for x in v) for v in search(q, target)))
+    list(intlinalg.definite_isometries(((3,),), ((3,),)))
+
+
+# self-check message -> the spoiling that makes it raise: one row per
+# `raise AssertionError` of tori.py and intlinalg.py
+LATTICE_CHECKS = {
+    "dual polarization has the wrong type": _spoil_dual_type,
+    "xi . xi_dual is not multiplication by the multiplier": _spoil_dual_product,
+    "polarized_isomorphic: witness does not transport the polarization": _spoil_transport,
+    "sparse inverse fails M M^-1 == I": _spoil_sparse_inverse,
+    "LLL transform is not unimodular": _spoil_lll_inverse,
+    "isometry candidate failed the congruence re-check": _spoil_short_vectors,
+}
+
+
+def test_every_lattice_check_has_a_spoiling():
+    messages = set()
+    for module in (tori, intlinalg):
+        messages |= {node.exc.args[0].value for node in ast.walk(ast.parse(inspect.getsource(module)))
+                     if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                     and getattr(node.exc.func, "id", None) == "AssertionError"}
+    assert messages == set(LATTICE_CHECKS)
+
+
+@pytest.mark.parametrize("message", LATTICE_CHECKS)
+def test_a_spoiled_lattice_input_raises_its_check(monkeypatch, message):
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        LATTICE_CHECKS[message](monkeypatch)

@@ -117,14 +117,14 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n_vertices, edge_list):
-        """Build a graph from (tail, head) pairs; edge i gets half-edges 2i, 2i+1.
+        """Build a graph on vertices 0..n_vertices-1 from (tail, head) pairs;
+        edge i gets half-edges 2i, 2i+1.
 
-        n_vertices may be an int (vertices 0..n-1) or an explicit iterable.
         Returns (graph, edge_keys) with edge_keys[i] = 2i.
         """
-        vertices = tuple(range(n_vertices)) if isinstance(n_vertices, int) else tuple(n_vertices)
         root = dict(enumerate(end for u, v in edge_list for end in (u, v)))
-        return cls(vertices, root, {h: h ^ 1 for h in root}), tuple(range(0, len(root), 2))
+        graph = cls(tuple(range(n_vertices)), root, {h: h ^ 1 for h in root})
+        return graph, tuple(range(0, len(root), 2))
 
 
 def validate_graph(g: Graph) -> list:
@@ -201,11 +201,6 @@ def connected_components(g: Graph) -> tuple:
 
 def is_connected(g: Graph) -> bool:
     return len(_components(g)) == 1
-
-
-def betti_number(g: Graph) -> int:
-    """|E| - |V| + number of components: the genus summed over components."""
-    return len(g.edge_keys()) - len(g.vertices) + len(_components(g))
 
 
 def genus(g: Graph) -> int:
@@ -766,19 +761,19 @@ def towers_isomorphic(t1: Tower, t2: Tower):
     return None
 
 
-def _double_cover_morphism(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
-                           bits=None) -> HarmonicMorphism:
+def _double_cover_morphism(g: Graph, dilated_vertices, dilated_edge_keys,
+                           bits: dict) -> HarmonicMorphism:
     """The maps of a double cover of g with prescribed dilation and
     monodromy, unchecked.
 
     Free points get two sheet-labeled preimages; a half-edge h of a free
     edge attaches its sheet-s lift to sheet s xor bits[h] of its root
-    (bits default 0).  Dilated edges must end at dilated vertices.  The
-    sheet-s lift of a point is its first id plus s, so a fiber lists the
-    lifts in sheet order.
+    (0 where bits has no h).  Dilated edges must end at dilated vertices.
+    The sheet-s lift of a point is its first id plus s, so a fiber lists
+    the lifts in sheet order.
     """
     dil_v = set(dilated_vertices)
-    root, partner, bits = g.root, g.partner, bits or {}
+    root, partner = g.root, g.partner
     dil_h = set()
     for k in set(dilated_edge_keys):
         for end in g.edge_ends(k):

@@ -2,9 +2,8 @@
 
 Matrices are tuples of tuples (rows) of ints.  A rational matrix, such as
 a pairing, is kept as (D, integer rows), the matrix rows / D, and the
-product, the unimodular inverse, the leading-minor verdict, LLL reduction
-and the short-vector search all run on integer rows.  No floating point
-anywhere.
+product, the unimodular inverse, LLL reduction and the short-vector
+search all run on integer rows.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -95,30 +94,20 @@ def mat_scale(c, a) -> tuple:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _bareiss(m, pivoting=True):
-    """Fraction-free row echelon form of the integer matrix m (Bareiss 1968;
-    Cohen, 2.2).
+def _bareiss(m):
+    """Fraction-free row echelon form of the integer matrix m without row
+    exchanges (Bareiss 1968; Cohen, 2.2).
 
-    Returns (rows, pivot columns, signed last pivot).  The pivot of row i,
-    at column cols[i], is the minor of the row-permuted m on rows 0..i and
-    columns cols[:i+1], so every division is exact.  Without pivoting no
-    rows are exchanged and elimination stops at the first zero diagonal
-    entry: the pivots are the leading principal minors.
+    Returns (rows, pivot columns).  Elimination stops at the first zero
+    diagonal entry, so the pivots are the leading principal minors of m,
+    and every division is exact.
     """
     a = [list(row) for row in m]
     n, width = shape(a)
-    cols, sign, prev, r = [], 1, 1, 0
+    cols, prev, r = [], 1, 0
     for c in range(width):
-        if r == n:
+        if r == n or not a[r][c]:
             break
-        if not a[r][c]:
-            if not pivoting:
-                break
-            p = next((i for i in range(r + 1, n) if a[i][c]), None)
-            if p is None:
-                continue
-            a[r], a[p] = a[p], a[r]
-            sign = -sign
         piv = a[r][c]
         tail = a[r][c + 1:]
         for row in a[r + 1:]:
@@ -131,7 +120,7 @@ def _bareiss(m, pivoting=True):
         cols.append(c)
         prev = piv
         r += 1
-    return a, cols, sign * prev
+    return a, cols
 
 
 def _sparse_rows(m) -> list:
@@ -235,23 +224,6 @@ def unimodular_inverse(m) -> tuple:
     return tuple(dense)
 
 
-def leading_minor_verdict(m) -> tuple:
-    """(m is nonsingular, every leading principal minor of square m is > 0).
-
-    The leading Bareiss pivots are the leading principal minors, so one
-    non-pivoting pass decides both when no leading minor vanishes; a
-    nonsingular matrix with a zero leading minor, such as
-    [[0, 1], [1, 0]], costs a second, pivoting pass, which finds a pivot in
-    every column iff m is nonsingular.  For a symmetric m the second
-    verdict is positive definiteness.
-    """
-    a, cols, _ = _bareiss(m, pivoting=False)
-    n = len(a)
-    if len(cols) == n:
-        return True, all(a[i][i] > 0 for i in range(n))
-    return len(_bareiss(m)[1]) == n, False
-
-
 def _columns_to_matrix(cols, nrows) -> tuple:
     return tuple(zip(*cols)) if cols else ((),) * nrows
 
@@ -270,7 +242,7 @@ def vectors_with_norm(q, target, _cache={}):
     if key in _cache:
         return _cache[key]
     n, _ = shape(q)
-    a, cols, _ = _bareiss(q, pivoting=False)
+    a, cols = _bareiss(q)
     if len(cols) < n or any(a[i][i] <= 0 for i in range(n)):
         raise ValueError("form is not positive definite")
     if n == 0 or target < 0:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism, Tower,
                      _check_edge_spec, _double_cover_morphism, _harmonic_from_edges,
-                     betti_number, is_connected)
+                     is_connected)
 from .metrics import MetricGraph
 
 
@@ -125,8 +125,8 @@ class GeneratedTower:
 
 
 def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fraction(1, 3),
-                 length_range=(1, 6), pi_free=None, generic=False, connected=True,
-                 max_prym_rank=None) -> GeneratedTower:
+                 length_range=(1, 6), pi_free=None, generic=False,
+                 connected=True) -> GeneratedTower:
     """Seeded random tower over a random metric tree.
 
     pi_free: force the double cover free (True), dilated (False) or leave
@@ -155,10 +155,6 @@ def random_tower(seed: int, *, n: int, tree_size=(2, 5), dilation_probability=Fr
             continue
         if generic and n == 4 and not is_generic_tetragonal(f):
             failing = "generic"
-            continue
-        if max_prym_rank is not None and \
-                betti_number(pi.source) - betti_number(f.source) > max_prym_rank:
-            failing = "max-prym-rank"
             continue
         f = _check_edge_spec(f)  # the mid map first, as it was built first
         return GeneratedTower(Tower(DoubleCover.from_harmonic(pi), f), metric)

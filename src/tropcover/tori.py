@@ -1,8 +1,9 @@
 """Real tori with integral structure: homomorphisms, kernels, polarizations.
 
 An integral torus is a pair of equal-rank lattices with a nondegenerate
-rational pairing, kept as (D, integer rows); a homomorphism is a (pull,
-push) pair of integer matrices compatible with the pairings.  A
+rational pairing, kept as (D, integer rows), with its builder's proof of
+whether the pairing's leading minors are positive; a homomorphism is a
+(pull, push) pair of integer matrices compatible with the pairings.  A
 polarization is a positive integer diagonal map, the elementary-divisor
 form in which the package builds every polarization, so its Gram form is
 the pairing with row i scaled by x_i and its dual is read off the
@@ -27,27 +28,21 @@ class IntegralTorus:
     """Lattice pair of equal rank g with [e_i, e'_j] = rows[i][j] / D.
 
     `form` is (D, integer rows), kept in lowest terms, so two tori are equal
-    iff their pairings are.  `positive` is the verdict of one non-pivoting
-    elimination: whether every leading principal minor is positive, which
-    for a symmetric pairing is positive definiteness.  A caller that has
-    proved the pairing nondegenerate passes its verdict, and nothing is
-    eliminated; otherwise the constructor eliminates.  The checks of
-    `TorusHom` and `Polarization` read both.
+    iff their pairings are.  `positive` is the builder's proved verdict
+    that every leading principal minor is positive, which for a symmetric
+    pairing is positive definiteness: a Jacobian's from its certified Gram,
+    a Prym's from the K^T G K identity, a dual's from the torus it
+    transposes.  The checks of `TorusHom` and `Polarization` read both.
     """
 
     form: tuple
-    positive: bool = field(default=None, compare=False, repr=False)
+    positive: bool = field(compare=False, repr=False)
 
     def __post_init__(self):
         d, rows = self.form
         rows = la.mat(rows)
         if any(len(row) != len(rows) for row in rows):
             raise TorusError("pairing matrix must be square")
-        if self.positive is None:
-            nonsingular, positive = la.leading_minor_verdict(rows)
-            if not nonsingular:
-                raise TorusError("pairing must be nondegenerate")
-            object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "form", la.lowest_terms(d, rows))
 
     @property
@@ -92,9 +87,6 @@ class TorusHom:
                 raise TorusError("pull/push are not adjoint for the pairings")
             # both pairings are nondegenerate, so adjointness forces
             # rank(pull) == rank(push)
-
-    def dual(self) -> "TorusHom":
-        return TorusHom(self.target.dual(), self.source.dual(), self.push, self.pull)
 
 
 @dataclass(frozen=True)
@@ -152,11 +144,7 @@ class PrincipalModel:
     multiplier: int
 
 
-def dual_type(t: tuple, multiplier=None) -> tuple:
-    if not t:
-        return t
-    if multiplier is None:
-        multiplier = t[0] * t[-1]
+def dual_type(t: tuple, multiplier: int) -> tuple:
     return tuple(sorted(multiplier // a for a in t))
 
 
@@ -165,18 +153,16 @@ def _is_chain(d) -> bool:
     return all(a > 0 for a in d) and all(b % a == 0 for a, b in zip(d, d[1:]))
 
 
-def dual_polarization(pol: Polarization, multiplier=None) -> Polarization:
+def dual_polarization(pol: Polarization, multiplier: int) -> Polarization:
     """xi_dual(e_i) = (multiplier / d_i) e'_i for xi = diag(d_1, ..., d_g),
     on the dual torus `pol.torus.dual()` in the adapted bases of pol.
 
     The diagonal must be a divisibility chain d_1 | d_2 | ..., as on every
     polarization the package builds; then the dual torus is the
     transposed pairing in the same bases, and the type of xi is (d_i).
-    The default multiplier d_1 * d_g makes the composition with xi the
-    multiplication by d_1 * d_g and is principal iff xi is principal.
-    Any common multiple of the d_i is allowed; theorem checks for double
-    covers use the fixed multiplier 2, which agrees with the default exactly
-    when the type mixes 1s and 2s.
+    The multiplier may be any common multiple of the d_i; the composition
+    with xi is then the multiplication by it.  The theorem check for double
+    covers uses 2.
     """
     g = pol.torus.rank
     if g == 0:
@@ -185,8 +171,6 @@ def dual_polarization(pol: Polarization, multiplier=None) -> Polarization:
     d = tuple(x[i][i] for i in range(g))
     if not _is_chain(d):
         raise TorusError("dual polarization needs an adapted polarization diag(d_1 | d_2 | ...)")
-    if multiplier is None:
-        multiplier = d[0] * d[-1]
     if any(multiplier % a for a in d):
         raise TorusError("dual multiplier must be divisible by every invariant factor")
     xdual = la.diag([multiplier // a for a in d])

@@ -43,7 +43,7 @@ def build_double_cover(g: Graph, dilated_vertices=(), dilated_edge_keys=(),
     order: the sheet-s lift of h is `fiber_half_edges(h)[s]`.
     """
     return DoubleCover.from_harmonic(_double_cover_morphism(g, dilated_vertices,
-                                                            dilated_edge_keys, bits))
+                                                            dilated_edge_keys, bits or {}))
 
 
 def harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> HarmonicMorphism:

@@ -70,7 +70,12 @@ Last come the operations that no command, construction or theorem check
 reaches, which the package dropped: the contraction of an edge of a
 harmonic morphism, the smooth augmentation of a metric graph or a cover
 by infinite rays, and the check that a source metric is induced from a
-target metric.
+target metric.  So are the options and branches no command ran: the
+elimination that decided a torus's verdict when its builder passed none
+(the leading-minor verdict, with the pivoting Bareiss pass that it and
+the rank, determinant and rational-inverse oracles use), the dual of a
+homomorphism, the Betti number of a graph and the generation's Prym-rank
+cap, which the rank-capped acceptance tiers still draw through.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ from tropcover import intlinalg as la
 from tropcover import randgen
 from tropcover.graphs import (DoubleCover, Graph, GraphError, HarmonicMorphism,
                               PreconditionError, Tower, ValidationIssue, _bfs, _bfs_components,
-                              _bfs_tree, betti_number, chain_boundary, covers_isomorphic_over_base,
+                              _bfs_tree, _components, chain_boundary, covers_isomorphic_over_base,
                               fundamental_cycle, genus, hpoint, is_connected, is_tree,
                               iter_cover_isomorphisms, spanning_tree, validate_harmonic,
                               validate_morphism, vpoint)
@@ -594,7 +599,81 @@ def to_int(m) -> tuple:
 def is_positive_definite(q) -> bool:
     """Sylvester's test for a symmetric form, rational or not: every leading
     Bareiss pivot of its integer rows is > 0."""
-    return la.leading_minor_verdict(scaled(q)[1])[1]
+    return leading_minor_verdict(scaled(q)[1])[1]
+
+
+def bareiss(m, pivoting=True):
+    """Fraction-free row echelon form of the integer matrix m (Bareiss 1968;
+    Cohen, 2.2).
+
+    Returns (rows, pivot columns, signed last pivot).  The pivot of row i,
+    at column cols[i], is the minor of the row-permuted m on rows 0..i and
+    columns cols[:i+1], so every division is exact.  Without pivoting no
+    rows are exchanged and elimination stops at the first zero diagonal
+    entry: the pivots are the leading principal minors.  The package keeps
+    the non-pivoting pass only, as `intlinalg._bareiss`.
+    """
+    a = [list(row) for row in m]
+    n, width = la.shape(a)
+    cols, sign, prev, r = [], 1, 1, 0
+    for c in range(width):
+        if r == n:
+            break
+        if not a[r][c]:
+            if not pivoting:
+                break
+            p = next((i for i in range(r + 1, n) if a[i][c]), None)
+            if p is None:
+                continue
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        piv = a[r][c]
+        tail = a[r][c + 1:]
+        for row in a[r + 1:]:
+            x = row[c]
+            if x:
+                row[c + 1:] = [(piv * y - x * z) // prev for y, z in zip(row[c + 1:], tail)]
+                row[c] = 0
+            elif piv != prev:
+                row[c + 1:] = [piv * y // prev for y in row[c + 1:]]
+        cols.append(c)
+        prev = piv
+        r += 1
+    return a, cols, sign * prev
+
+
+def leading_minor_verdict(m) -> tuple:
+    """(m is nonsingular, every leading principal minor of square m is > 0).
+
+    The leading Bareiss pivots are the leading principal minors, so one
+    non-pivoting pass decides both when no leading minor vanishes; a
+    nonsingular matrix with a zero leading minor, such as
+    [[0, 1], [1, 0]], costs a second, pivoting pass, which finds a pivot in
+    every column iff m is nonsingular.  For a symmetric m the second
+    verdict is positive definiteness.  `IntegralTorus` eliminated so before
+    every builder passed it a proved verdict.
+    """
+    a, cols, _ = bareiss(m, pivoting=False)
+    n = len(a)
+    if len(cols) == n:
+        return True, all(a[i][i] > 0 for i in range(n))
+    return len(bareiss(m)[1]) == n, False
+
+
+def torus_by_elimination(form) -> IntegralTorus:
+    """The torus of a square (D, integer rows) pairing with the verdict of
+    `leading_minor_verdict`, as the constructor eliminated before every
+    builder passed it a proved verdict; TorusError if the pairing is
+    singular."""
+    nonsingular, positive = leading_minor_verdict(form[1])
+    if not nonsingular:
+        raise TorusError("pairing must be nondegenerate")
+    return IntegralTorus(form, positive)
+
+
+def dual_hom(h: TorusHom) -> TorusHom:
+    """The dual homomorphism, between the dual tori, with pull and push swapped."""
+    return TorusHom(h.target.dual(), h.source.dual(), h.push, h.pull)
 
 
 def scaled_inverse(m) -> tuple:
@@ -608,8 +687,8 @@ def scaled_inverse(m) -> tuple:
     if n != c:
         raise ValueError("inverse of a non-square matrix")
     d, rows = scaled(m)
-    a, cols, delta = la._bareiss([list(row) + [d * (i == j) for j in range(n)]
-                                  for i, row in enumerate(rows)])
+    a, cols, delta = bareiss([list(row) + [d * (i == j) for j in range(n)]
+                               for i, row in enumerate(rows)])
     if cols[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     x = [None] * n
@@ -626,7 +705,7 @@ def scaled_inverse(m) -> tuple:
 def fraction_torus(pairing) -> IntegralTorus:
     """The torus of a Fraction (or int) pairing matrix, as the public
     constructor built it before a torus took (D, integer rows) only."""
-    return IntegralTorus(scaled(pairing))
+    return torus_by_elimination(scaled(pairing))
 
 
 def fraction_pairing(torus: IntegralTorus) -> tuple:
@@ -973,7 +1052,7 @@ def mat_add(a, b) -> tuple:
 
 
 def rank(m) -> int:
-    return len(la._bareiss(scaled(m)[1])[1])
+    return len(bareiss(scaled(m)[1])[1])
 
 
 def clear_denominators(*matrices):
@@ -1008,7 +1087,7 @@ def det(m):
     if n != c:
         raise ValueError("determinant of a non-square matrix")
     d, rows = scaled(m)
-    _, cols, minor = la._bareiss(rows)
+    _, cols, minor = bareiss(rows)
     return Fraction(minor, d ** n) if len(cols) == n else Fraction(0)
 
 
@@ -1605,6 +1684,11 @@ def random_double_cover_of_by_edge_key(rng, f_source: Graph,
         if f_source.edge_key(h) not in dil_e and f_source.root[h] not in dil_v:
             bits[h] = rng.randint(0, 1)
     return build_double_cover_by_sheet_pairs(f_source, dil_v, dil_e, bits)
+
+
+def betti_number(g: Graph) -> int:
+    """|E| - |V| + number of components: the genus summed over components."""
+    return len(g.edge_keys()) - len(g.vertices) + len(_components(g))
 
 
 def random_tower_checking_every_draw(seed: int, *, n: int, tree_size=(2, 5),

@@ -37,8 +37,12 @@ copied a value another record holds.  Every module of the package
 is reached from `cli.py` through package-relative imports, so a module that
 only tests import lives in tests/, and so is every top-level function and
 class, by name from `cli.main`, so a definition only tests call lives
-there too.  The shape table is the one model of multisections: the
-package neither defines nor names the tuple model (`Multisection`,
+there too.  Every option is used: each optional parameter of a package
+function is passed by some call in the package, and each default of a
+`_`-prefixed function is relied on by some call, calls matched by name,
+save the exemptions `DEAD_OPTION_EXEMPT` gives reasons for.  The shape
+table is the one model of multisections: the package neither defines
+nor names the tuple model (`Multisection`,
 `_canonical`, `multisection_degree`, `multisection_sign`,
 `swap_multisection`), defines no top-level `multisections` and no
 `FiberDatum.part`; the model lives in tests/oracles.py.  The Recillas
@@ -51,6 +55,7 @@ through the functions it names."""
 import ast
 import dataclasses
 import importlib
+import math
 import os
 
 from tropcover.graphs import DoubleCover, HarmonicMorphism
@@ -531,6 +536,82 @@ def test_guard_names_each_unreached_definition():
     # a module-level statement of a module the CLI does not reach is no root
     assert unreached_definitions(trees, {"__init__", "cli", "b"}) == \
         ["a.helper", "a.test_only", "b.Unused"]
+
+
+# Optional parameters that no call in the package sets, or defaults that no
+# call relies on, each with its reason for staying
+DEAD_OPTION_EXEMPT = {
+    "main.argv": "the console entry point calls main() without it; tests pass argv",
+    "vectors_with_norm._cache": "the memo, passed by no call: perfbench/worker.py reads it "
+                                "as `vectors_with_norm.__defaults__[0]`",
+}
+
+
+def optional_parameters(tree):
+    """(function name, parameter, positional index or None) of each parameter
+    with a default, of every function and method in the tree; a method's
+    index skips its `self` or `cls`."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and "staticmethod" not in names_in(node.decorator_list)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        skip = 1 if id(node) in methods else 0
+        first = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield node.name, arg.arg, i - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def calls_by_name(tree) -> dict:
+    """name -> (positional count, keyword names) of each call `name(...)` or
+    `x.name(...)`; a starred argument counts as every position, `**` as
+    every keyword (None)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            out.setdefault(name, []).append(
+                (math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
+    return out
+
+
+def dead_options(tree, exempt=DEAD_OPTION_EXEMPT) -> list:
+    """function.parameter of each optional parameter that no call of the
+    function's name passes, and, for a `_`-prefixed function, of each one
+    that every such call passes, so its default is never used."""
+    calls = calls_by_name(tree)
+    dead = []
+    for function, param, index in optional_parameters(tree):
+        passes = [(index is not None and index < count) or param in keywords or None in keywords
+                  for count, keywords in calls.get(function, ())]
+        key = f"{function}.{param}"
+        if key not in exempt and (not any(passes) or function.startswith("_") and all(passes)):
+            dead.append(key)
+    return sorted(dead)
+
+
+def test_guard_names_each_dead_option():
+    source = ("def f(x, y=1, *, z=2):\n    return g(x) + _h(x, 1) + _h(x, 2, k=2)\n"
+              "def g(x, w=0, v=0):\n    return _h(x, 0, 0)\n"
+              "def _h(x, y=0, k=0):\n    return x\n"
+              "class C:\n    def m(self, a=0):\n        return a\n    def n(self, b=0):\n"
+              "        return self.m(1) + f(*b) + self.n()\n"
+              "def main(argv=None):\n    return g(1, **argv)\n"
+              "if __name__ == '__main__':\n    main()\n")
+    # f's y is passed by the starred call and g's w and v by `**`, but no
+    # call passes f's z or n's b, and every call passes _h's y
+    assert dead_options(ast.parse(source), exempt={"main.argv": ""}) == ["_h.y", "f.z", "n.b"]
+
+
+def test_package_has_no_dead_options():
+    package = ast.Module([node for _, tree in package_trees() for node in tree.body], [])
+    assert dead_options(package) == []
 
 
 # (home module, record) -> the fields it dropped, each a copy of a value it

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,8 @@ from tropcover.ngonal import bigonal, ngonal_construct, recillas, tetragonal_spl
 from tropcover.randgen import random_tower
 
 from gallery import build_double_cover, harmonic_from_edges, identity_harmonic
-from oracles import contract_edge, towers_isomorphic_mid_first, validate_harmonic_by_rescan
+from oracles import (betti_number, contract_edge, towers_isomorphic_mid_first,
+                     validate_harmonic_by_rescan)
 
 
 def loop_graph():
@@ -78,11 +82,11 @@ class TestGenusAndComponents:
         monkeypatch.setattr(graphs, "_bfs", lambda *a, **kw: calls.append(a[1]) or bfs(*a, **kw))
         g = theta_graph()
         assert graphs.is_connected(g) and calls == [0]
-        assert genus(g) == 2 and graphs.betti_number(g) == 2 and not graphs.is_tree(g)
+        assert genus(g) == 2 and betti_number(g) == 2 and not graphs.is_tree(g)
         assert connected_components(g) == (frozenset({0, 1}),)
         assert calls == [0]
         two_loops, _ = Graph.from_edges(3, [(0, 0), (1, 2), (2, 2)])
-        assert graphs.betti_number(two_loops) == 2 and not graphs.is_connected(two_loops)
+        assert betti_number(two_loops) == 2 and not graphs.is_connected(two_loops)
         assert calls == [0, 0, 1]
 
     def test_mutating_returned_components_leaves_the_memo(self):
@@ -94,7 +98,7 @@ class TestGenusAndComponents:
         first[1].clear()
         assert graphs._bfs_components(g) == [[0, 1], [2, 3]]
         assert connected_components(g) == (frozenset({0, 1}), frozenset({2, 3}))
-        assert not graphs.is_connected(g) and graphs.betti_number(g) == 0
+        assert not graphs.is_connected(g) and betti_number(g) == 0
 
     def test_filtered_components_are_not_kept(self):
         g, keys = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -554,3 +558,132 @@ class TestValidateHarmonicAgainstRescan:
         # the generator checked the unmutated level already
         assert len(scans) == len(mutants) - 1 and all(a is b for a, b in zip(scans, mutants[1:]))
         assert validate_harmonic(mutants[0]) == [] and any(validate_harmonic(f) for f in mutants[1:])
+
+
+# ---------------------------------------------------------------------------
+# self-checks of the cover and tower isomorphisms: each spoiling makes one
+# `raise AssertionError` of graphs.py fire, by a monkeypatched
+# `iter_cover_isomorphisms` that yields a spoiled map
+
+
+def _spoiled_search(monkeypatch, spoil):
+    """Make `iter_cover_isomorphisms` yield spoil(vmap, hmap) of each map it finds."""
+    search = graphs.iter_cover_isomorphisms
+
+    def spoiled(f1, f2, involutions=()):
+        for vmap, hmap in search(f1, f2, involutions):
+            yield spoil(dict(vmap), dict(hmap))
+    monkeypatch.setattr(graphs, "iter_cover_isomorphisms", spoiled)
+
+
+def _swap(m, a, b):
+    m[a], m[b] = m[b], m[a]
+
+
+def _spoiled_cover_iso(monkeypatch, spoil):
+    """Decide the composed cover of a free degree-3 tower against itself
+    with spoil(cover, vmap, hmap) in place of each map found."""
+    cover = random_tower(1, n=3, pi_free=True, tree_size=(4, 6)).tower.composed()
+    _spoiled_search(monkeypatch, lambda vmap, hmap: spoil(cover, vmap, hmap))
+    covers_isomorphic_over_base(cover, cover)
+
+
+def _twins(ids, image, degree):
+    """The first two ids with the same image and degree."""
+    seen = {}
+    for x in ids:
+        key = (image[x], degree[x])
+        if key in seen:
+            return seen[key], x
+        seen[key] = x
+
+
+def _spoil_vertex_bijection(cover, vmap, hmap):
+    # two vertices sent to one
+    v, w = cover.source.vertices[:2]
+    vmap[w] = vmap[v]
+    return vmap, hmap
+
+
+def _spoil_vertex_image(cover, vmap, hmap):
+    # two vertices over distinct base vertices trade images
+    v = cover.source.vertices[0]
+    w = next(x for x in cover.source.vertices if cover.vmap[x] != cover.vmap[v])
+    _swap(vmap, v, w)
+    return vmap, hmap
+
+
+def _spoil_half_edge_image(cover, vmap, hmap):
+    # the first half-edge trades images with one over another base half-edge
+    h = cover.source.half_edges[0]
+    x = next(y for y in cover.source.half_edges if cover.hmap[y] != cover.hmap[h])
+    _swap(hmap, h, x)
+    return vmap, hmap
+
+
+def _spoil_partner(cover, vmap, hmap):
+    # two lifts of one base half-edge trade images, their partners do not
+    _swap(hmap, *_twins(cover.source.half_edges, cover.hmap, cover.half_edge_degree))
+    return vmap, hmap
+
+
+def _spoil_root(cover, vmap, hmap):
+    # two vertices over one base vertex trade images, their half-edges do not
+    _swap(vmap, *_twins(cover.source.vertices, cover.vmap, cover.vertex_degree))
+    return vmap, hmap
+
+
+def _spoil_mid_map(monkeypatch):
+    # two top half-edges over one base half-edge but distinct mid half-edges
+    # trade images, so the mid half-edge under one goes to two places
+    tower = random_tower(1, n=3, pi_free=True, tree_size=(4, 6)).tower
+    top, over_base, over_mid = tower.top, tower.composed().hmap, tower.pi.hmap
+
+    def spoil(vmap, hmap):
+        h = top.half_edges[0]
+        x = next(y for y in top.half_edges
+                 if over_base[y] == over_base[h] and over_mid[y] != over_mid[h])
+        _swap(hmap, h, x)
+        return vmap, hmap
+    _spoiled_search(monkeypatch, spoil)
+    towers_isomorphic(tower, tower)
+
+
+# self-check message, its fields as in the source -> the spoiling that makes
+# it raise: one row per `raise AssertionError` of graphs.py
+COVER_ISO_CHECKS = {
+    "cover isomorphism is not a vertex bijection":
+        lambda mp: _spoiled_cover_iso(mp, _spoil_vertex_bijection),
+    "cover isomorphism moves vertex {v} off its image or degree":
+        lambda mp: _spoiled_cover_iso(mp, _spoil_vertex_image),
+    "cover isomorphism moves half-edge {h} off its image or degree":
+        lambda mp: _spoiled_cover_iso(mp, _spoil_half_edge_image),
+    "cover isomorphism does not commute with partner at {h}":
+        lambda mp: _spoiled_cover_iso(mp, _spoil_partner),
+    "cover isomorphism does not commute with root at {h}":
+        lambda mp: _spoiled_cover_iso(mp, _spoil_root),
+    "top map sends a mid half-edge to two places": _spoil_mid_map,
+}
+
+
+def _message(node) -> str:
+    """The text of a message, an f-string's fields written as in the source."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant)
+                       else "{" + ast.unparse(part.value) + "}" for part in node.values)
+    return node.value
+
+
+def test_every_cover_iso_check_has_a_spoiling():
+    tree = ast.parse(inspect.getsource(graphs))
+    messages = {_message(node.exc.args[0]) for node in ast.walk(tree)
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "AssertionError"}
+    assert messages == set(COVER_ISO_CHECKS)
+
+
+@pytest.mark.parametrize("message", COVER_ISO_CHECKS)
+def test_a_spoiled_cover_iso_raises_its_check(monkeypatch, message):
+    pattern = re.sub(r"\\\{\w+\\\}", r"\\d+", re.escape(message))
+    with pytest.raises(AssertionError, match=f"^{pattern}$"):
+        COVER_ISO_CHECKS[message](monkeypatch)

@@ -7,19 +7,18 @@ from fractions import Fraction
 import pytest
 
 from tropcover import intlinalg, tori
-from tropcover.intlinalg import (diag, identity,
-                                 leading_minor_verdict, mat,
-                                 mat_scale, transpose)
+from tropcover.intlinalg import diag, identity, mat, mat_scale, transpose
 from tropcover.tori import (IntegralTorus, Polarization, TorusError, TorusHom,
                             dual_polarization, dual_type, polarized_isomorphic)
 
 import oracles
 from oracles import (MatrixPolarization, adjoint_by_fractions, classify_hom,
-                     cokernel_torus, det, eager_prym_forms, fraction_gram, fraction_pairing,
-                     fraction_torus, identity_hom, induced_polarization, is_integral,
-                     is_positive_definite, jacobian_gram_by_pairing_table,
-                     kernel_torus, mat_equal, matmul, polarization_by_fractions,
-                     polarization_type, pp_rescale, scaled, to_int, torus_verdict_by_minors)
+                     cokernel_torus, det, dual_hom, eager_prym_forms, fraction_gram,
+                     fraction_pairing, fraction_torus, identity_hom, induced_polarization,
+                     is_integral, is_positive_definite, jacobian_gram_by_pairing_table,
+                     kernel_torus, leading_minor_verdict, mat_equal, matmul,
+                     polarization_by_fractions, polarization_type, pp_rescale, scaled, to_int,
+                     torus_by_elimination, torus_verdict_by_minors)
 from test_intlinalg import (oracle_is_positive_definite, random_matrix,
                             random_symmetric, random_unimodular)
 
@@ -59,7 +58,7 @@ class TestKernelCokernelTori:
         assert kernel_torus(identity_hom(T2)).inclusion.source.rank == 0
 
     def test_kernel_of_zero_is_source(self):
-        zero_t = IntegralTorus((1, ()))
+        zero_t = torus_by_elimination((1, ()))
         h = TorusHom(T2, zero_t, ((), ()), ())
         ker = kernel_torus(h)
         assert ker.inclusion.source.rank == 2
@@ -70,13 +69,13 @@ class TestKernelCokernelTori:
         tgt = self_paired([[1]])
         h = TorusHom(src, tgt, ((1,), (0,), (0,)), ((1, 0, 0),))
         ker = kernel_torus(h)
-        cok = cokernel_torus(h.dual())
+        cok = cokernel_torus(dual_hom(h))
         assert mat_equal(fraction_pairing(ker.inclusion.source.dual()), fraction_pairing(cok.torus))
 
     def test_dual_dual_identity(self):
         assert T2.dual().dual() == T2
         h = TorusHom(T2, T2, [[1, 1], [0, 1]], [[1, 0], [1, 1]])
-        hdd = h.dual().dual()
+        hdd = dual_hom(dual_hom(h))
         assert mat_equal(hdd.pull, h.pull) and mat_equal(hdd.push, h.push)
 
 
@@ -147,18 +146,18 @@ class TestPPRescale:
 
 class TestDualPolarization:
     def test_principal_stays_principal(self):
-        dual = dual_polarization(Polarization(T2, identity(2)))
+        dual = dual_polarization(Polarization(T2, identity(2)), 1)
         assert polarization_type(dual) == (1, 1)
 
     def test_type_two_four_self_dual(self):
         pol = Polarization(self_paired([[1, 0], [0, 2]]), [[2, 0], [0, 4]])
-        dual = dual_polarization(pol)
+        dual = dual_polarization(pol, 8)
         assert polarization_type(dual) == (2, 4)
         assert dual.matrix == ((4, 0), (0, 2))
 
     def test_dual_type_formula(self):
-        assert dual_type((1, 1, 2)) == (1, 2, 2)
-        assert dual_type((2, 4)) == (2, 4)
+        assert dual_type((1, 1, 2), 2) == (1, 2, 2)
+        assert dual_type((2, 4), 8) == (2, 4)
         assert dual_type((1, 2), multiplier=2) == (1, 2)
         assert dual_type((2, 2), multiplier=2) == (1, 1)
 
@@ -169,9 +168,10 @@ class TestDualPolarization:
         ([[-1, 0], [0, -1]], [[-1, 0], [0, -1]]),  # negative diagonal
     ], ids=["non-diagonal", "descending", "non-chain", "negative"])
     def test_non_adapted_polarization_rejected(self, pairing, matrix):
-        # a non-diagonal or negative matrix is no Polarization at all
+        # a non-diagonal or negative matrix is no Polarization at all; 6
+        # clears every factor, so only the chain rule refuses the others
         with pytest.raises(TorusError):
-            dual_polarization(Polarization(self_paired(pairing), matrix))
+            dual_polarization(Polarization(self_paired(pairing), matrix), 6)
 
     def test_multiplier_must_clear_factors(self):
         pol = Polarization(self_paired([[1, 0], [0, 3]]), [[1, 0], [0, 3]])
@@ -194,8 +194,8 @@ class TestPolarizedIsomorphic:
         # both Gram forms are 2 I, and for every isometry B the forced
         # first-lattice map A = X1 B^-1 X2^-1 = 2 B^-1 is integral: only the
         # unimodularity test of A rejects it
-        p1 = Polarization(IntegralTorus((1, identity(2))), diag((2, 2)))
-        p2 = Polarization(IntegralTorus((1, mat_scale(2, identity(2)))), identity(2))
+        p1 = Polarization(torus_by_elimination((1, identity(2))), diag((2, 2)))
+        p2 = Polarization(torus_by_elimination((1, mat_scale(2, identity(2)))), identity(2))
         assert p1.gram() == p2.gram()
         assert polarized_isomorphic(p1, p2) is None
 
@@ -204,8 +204,8 @@ class TestPolarizedIsomorphic:
         b = mat([[1, -1], [1, 0]])
         q2 = matmul(transpose(b), matmul(q1, b))
         # as self-paired principally polarized tori
-        p1 = Polarization(IntegralTorus((1, q2)), identity(2))
-        p2 = Polarization(IntegralTorus((1, q1)), identity(2))
+        p1 = Polarization(torus_by_elimination((1, q2)), identity(2))
+        p2 = Polarization(torus_by_elimination((1, q1)), identity(2))
         found = polarized_isomorphic(p1, p2)
         assert found is not None
         a, bb = found
@@ -246,10 +246,12 @@ def verdict_cases():
 
 
 class TestOneEliminationVerdict:
-    # `IntegralTorus` decides nondegeneracy and leading-minor positivity in
-    # one non-pivoting elimination; the old route ran `det`, then
-    # `is_positive_definite` on the polarization form.  The verdict is taken
-    # on the integer rows D m, whose leading minors are D^k times those of m
+    # `leading_minor_verdict` decides nondegeneracy and leading-minor
+    # positivity in one non-pivoting elimination, and `torus_by_elimination`
+    # hands its verdict to `IntegralTorus`, as the constructor once did
+    # itself; the route before that ran `det`, then `is_positive_definite`
+    # on the polarization form.  The verdict is taken on the integer rows
+    # D m, whose leading minors are D^k times those of m
     def test_verdict_agrees_with_det_and_definiteness(self):
         seen = set()
         for m in verdict_cases():
@@ -261,6 +263,12 @@ class TestOneEliminationVerdict:
                 assert verdict[1] == oracle_is_positive_definite(m)
             seen.add(verdict)
         assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_package_pass_is_the_oracles_non_pivoting_pass(self):
+        # `intlinalg._bareiss` kept only the pass that stops at a zero pivot
+        for m in verdict_cases():
+            rows = scaled(m)[1]
+            assert intlinalg._bareiss(rows) == oracles.bareiss(rows, pivoting=False)[:2]
 
     def test_torus_and_identity_polarization_follow_the_verdict(self):
         for m in verdict_cases():
@@ -306,7 +314,7 @@ class TestOneEliminationVerdict:
             else:
                 u = random_unimodular(rng, n)
                 s = random_symmetric(rng, n, False)
-                torus = IntegralTorus((1, u))
+                torus = torus_by_elimination((1, u))
                 x = transpose(matmul(s, to_int(oracles.inverse(u))))
             accepted = polarization_by_fractions(torus, x)
             try:
@@ -333,7 +341,9 @@ class TestOneEliminationVerdict:
                 assert fraction_gram(pol) == matmul(transpose(x), fraction_pairing(torus))
         assert verdicts == {True, False} and refused > 40
 
-    def test_eliminations_are_shared(self, monkeypatch):
+    def test_tori_and_polarizations_run_no_elimination(self, monkeypatch):
+        # a torus carries its builder's verdict, and its dual and its
+        # polarizations read it: none of them runs the package's elimination
         calls = []
         bareiss = intlinalg._bareiss
 
@@ -341,18 +351,17 @@ class TestOneEliminationVerdict:
             calls.append(1)
             return bareiss(*args, **kw)
         monkeypatch.setattr(intlinalg, "_bareiss", counted)
-        torus = IntegralTorus((1, [[2, 1], [2, 5]]))
-        assert len(calls) == 1
+        torus = IntegralTorus((1, [[2, 1], [2, 5]]), True)
         Polarization(torus, diag((2, 1)))
         dual = torus.dual()
+        assert dual.positive
         Polarization(dual, diag((1, 2)))
-        Polarization(IntegralTorus((1, [[2, 1], [1, 3]])), identity(2))
-        assert len(calls) == 2
+        Polarization(IntegralTorus((1, [[2, 1], [1, 3]]), True), identity(2))
         with pytest.raises(TorusError, match="positive integer diagonal"):
             Polarization(torus, [[5, -2], [-1, 2]])  # a general matrix: refused unread
-        assert len(calls) == 2
-        IntegralTorus((1, [[0, 1], [1, 0]]))  # a zero leading minor: a pivoting pass too
-        assert len(calls) == 4
+        with pytest.raises(TorusError, match="not positive definite"):
+            Polarization(IntegralTorus((1, [[0, 1], [1, 0]]), False), identity(2))
+        assert calls == []
 
 
 class TestIntegerAdjointness:
@@ -410,7 +419,7 @@ class TestTorusEquality:
             m = _definite(rng, n, i % 2 == 1)
             d, rows = scaled(m)
             k = rng.randint(2, 6)
-            built = IntegralTorus((k * d, mat_scale(k, rows)))
+            built = torus_by_elimination((k * d, mat_scale(k, rows)))
             assert built == fraction_torus(m) and hash(built) == hash(fraction_torus(m))
             assert fraction_pairing(built) == oracles.to_fractions(m)
             assert built.form == (d, mat(rows))
@@ -446,7 +455,7 @@ class TestLazyFractionForms:
             assert fraction_gram(data.polarization) == eager["gram"]
             assert fraction_gram(data.principal.polarized) == eager["principal"]
             assert fraction_pairing(data.principal.polarized.torus) == eager["principal"]
-            dual = dual_polarization(data.polarization)
+            dual = dual_polarization(data.polarization, 2)
             assert fraction_pairing(dual.torus) == transpose(eager["pairing"])
         assert count == 16 and ranks > 10
 
@@ -547,7 +556,7 @@ def _spoil_dual_type(monkeypatch):
     pol = Polarization(self_paired([[1, 0], [0, 2]]), diag((1, 2)))
     formula = tori.dual_type
     monkeypatch.setattr(tori, "dual_type",
-                        lambda t, multiplier=None: tuple(2 * a for a in formula(t, multiplier)))
+                        lambda t, multiplier: tuple(2 * a for a in formula(t, multiplier)))
     dual_polarization(pol, 2)
 
 
@@ -561,7 +570,7 @@ def _spoil_dual_product(monkeypatch):
 
 def _spoil_transport(monkeypatch):
     # (2 I, 2 I) is adjoint for the pairing I, but carries I to 4 I
-    pol = Polarization(IntegralTorus((1, identity(2))), identity(2))
+    pol = Polarization(torus_by_elimination((1, identity(2))), identity(2))
     tori.certify_isomorphism(pol, pol, mat_scale(2, identity(2)), mat_scale(2, identity(2)))
 
 

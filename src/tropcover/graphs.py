@@ -73,7 +73,7 @@ class Graph:
     _edge_keys: tuple = field(init=False, compare=False, repr=False, default=None)
     # the fundamental-cycle basis of `jacprym.h1_basis`, kept on first use
     _cycle_basis: object = field(init=False, compare=False, repr=False, default=None)
-    # the components of the whole graph, kept by `_bfs_components` on first use
+    # the components of the whole graph, kept by `_components` on first use
     _components: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -100,10 +100,6 @@ class Graph:
 
     def edge_key(self, h: int) -> int:
         return min(h, self.partner[h])
-
-    def tangent(self, v: int) -> tuple:
-        """Half-edges rooted at v (a loop contributes both of its halves)."""
-        return self._tangent[v]
 
     def valence(self, v: int) -> int:
         return len(self._tangent[v])
@@ -169,28 +165,20 @@ def _bfs(g: Graph, start, vertices=None, keys=None) -> tuple:
 
 
 def _bfs_components(g: Graph, vertices=None, keys=None) -> list:
-    """Visit orders of the components of the subgraph _bfs walks, by minimum vertex.
-
-    Those of the whole graph (no vertex or key filter) are kept on it on
-    first use, as tuples; the caller always gets fresh lists.
-    """
-    whole = vertices is None and keys is None
-    if whole and g._components is not None:
-        return [list(c) for c in g._components]
+    """Visit orders of the components of the subgraph _bfs walks, by minimum
+    vertex; `_components` keeps those of the whole graph."""
     comps, seen = [], set()
     for start in (g.vertices if vertices is None else sorted(vertices)):
         if start not in seen:
             comps.append(_bfs(g, start, vertices, keys)[0])
             seen.update(comps[-1])
-    if whole:
-        object.__setattr__(g, "_components", tuple(map(tuple, comps)))
     return comps
 
 
 def _components(g: Graph) -> tuple:
-    """The kept visit orders of the components of g, by minimum vertex."""
+    """The visit orders of the components of g, by minimum vertex, kept on g."""
     if g._components is None:
-        _bfs_components(g)
+        object.__setattr__(g, "_components", tuple(map(tuple, _bfs_components(g))))
     return g._components
 
 
@@ -290,9 +278,6 @@ class HarmonicMorphism:
     def deg_h(self, h) -> int:
         return self.half_edge_degree[h]
 
-    def deg_edge(self, key) -> int:
-        return self.half_edge_degree[key]
-
     def deg_point(self, p) -> int:
         kind, i = p
         return self.vertex_degree[i] if kind == "v" else self.half_edge_degree[i]
@@ -324,11 +309,14 @@ class HarmonicMorphism:
 
 
 def validate_harmonic(f: HarmonicMorphism) -> list:
-    """Check edge-degree consistency and the local balancing equation.
+    """Check the maps, edge-degree consistency and the local balancing
+    equation; a morphism is scanned once, each call returns a fresh list.
 
-    For a connected target additionally checks that fiber degree sums
-    agree over all points (the global degree).  A morphism is scanned once;
-    each call returns a fresh list of its issues.
+    These imply one global degree over a connected target (Baker-Norine
+    2009), so no scan of fiber degree sums follows: the sum over a target
+    half-edge equals that over its root, where root-commute places every
+    half-edge over it and each source vertex carries its degree on them,
+    and that over its partner, a degree-keeping bijection of the fibers.
     """
     if f._issues is None:
         object.__setattr__(f, "_issues", tuple(_harmonic_issues(f)))
@@ -369,28 +357,17 @@ def _harmonic_issues(f: HarmonicMorphism) -> list:
                 issues.append(ValidationIssue(
                     "local-harmonicity", (vpoint(v), hpoint(hprime)),
                     f"deg(v)={d} but half-edge degrees over it sum to {total}"))
-    if not issues and is_connected(t):
-        sums = _fiber_degree_sums(f)
-        if len(set(sums.values())) > 1:
-            for p, d in sorted(sums.items()):
-                issues.append(ValidationIssue("global-degree", p, f"fiber degree sum {d} not constant"))
     return issues
-
-
-def _fiber_degree_sums(f: HarmonicMorphism) -> dict:
-    """Target point -> the sum of the local degrees over it, vertices first."""
-    (vfibers, hfibers), vdeg, hdeg = f._fibers, f.vertex_degree, f.half_edge_degree
-    sums = {vpoint(v): sum(map(vdeg.__getitem__, vfibers.get(v, ()))) for v in f.target.vertices}
-    for h in f.target.half_edges:
-        sums[hpoint(h)] = sum(map(hdeg.__getitem__, hfibers.get(h, ())))
-    return sums
 
 
 def double_cover_issues(f: HarmonicMorphism) -> list:
     """One issue per target point over which the degrees of f do not sum to
     2, vertices first; a harmonic f without one is a double cover."""
+    (vfibers, hfibers), vdeg, hdeg = f._fibers, f.vertex_degree, f.half_edge_degree
+    sums = [(vpoint(v), sum(map(vdeg.__getitem__, vfibers.get(v, ())))) for v in f.target.vertices]
+    sums += [(hpoint(h), sum(map(hdeg.__getitem__, hfibers.get(h, ())))) for h in f.target.half_edges]
     return [ValidationIssue("double-cover-degree", p, f"fiber degree sum {d}, not 2")
-            for p, d in _fiber_degree_sums(f).items() if d != 2]
+            for p, d in sums if d != 2]
 
 
 def compose_harmonic(f: HarmonicMorphism, g: HarmonicMorphism) -> HarmonicMorphism:
@@ -430,7 +407,12 @@ class DoubleCover(HarmonicMorphism):
     def from_harmonic(cls, f: HarmonicMorphism) -> "DoubleCover":
         """The double cover with the maps of f, its involution and dilation
         read off the fibers.  It has f's maps, so it keeps f's fiber index
-        and `validate_harmonic` scan instead of building them again."""
+        and `validate_harmonic` scan instead of building them again.  The
+        involution commutes with root and partner unchecked: each fiber is
+        a degree-1 pair or a degree-2 point, local harmonicity puts the
+        lifts of a free half-edge at the lifts of its root (both, if that
+        is dilated) and a degree-2 half-edge at a degree-2 root, and
+        partner keeps degrees and is injective."""
         issues = validate_harmonic(f)
         if issues:
             raise GraphError(f"double cover is not harmonic: {issues[0]}")
@@ -456,17 +438,7 @@ class DoubleCover(HarmonicMorphism):
                   vinv, hinv, frozenset(dil_v), frozenset(map(t.edge_key, dil_h)))
         for name in ("_fibers", "_issues"):
             object.__setattr__(cov, name, getattr(f, name))
-        cov._check_involution()
         return cov
-
-    def _check_involution(self):
-        s = self.source
-        for h in s.half_edges:
-            i = self.half_edge_invol[h]
-            if self.vertex_invol[s.root[h]] != s.root[i]:
-                raise GraphError("double cover involution does not commute with root")
-            if self.half_edge_invol[s.partner[h]] != s.partner[i]:
-                raise GraphError("double cover involution does not commute with partner")
 
 
 @dataclass(frozen=True)
@@ -803,8 +775,9 @@ def _harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> Ha
     """Morphism from an edge list (tail, head, target_edge_key, degree),
     unchecked.
 
-    Half-edges 2i, 2i+1 of edge i map onto the target halves matching the
-    vertex map; vertex degrees are derived from local harmonicity.
+    Half-edges 2i, 2i+1 of edge i map onto target half k and its partner,
+    whose roots vmap must give (tail, head); vertex degrees are derived
+    from local harmonicity.
     """
     graph, _keys = Graph.from_edges(n_vertices, [(u, v) for (u, v, _k, _d) in edge_spec])
     t_root, t_partner = target.root, target.partner
@@ -812,12 +785,9 @@ def _harmonic_from_edges(n_vertices, edge_spec, target: Graph, vmap: dict) -> Ha
     for a, (u, v, k, d) in zip(range(0, 2 * len(edge_spec), 2), edge_spec):
         p = t_partner[k]
         ends = (t_root[k], t_root[p])
-        if (vmap[u], vmap[v]) == ends:
-            hmap[a], hmap[a + 1] = k, p
-        elif (vmap[v], vmap[u]) == ends:
-            hmap[a], hmap[a + 1] = p, k
-        else:
+        if (vmap[u], vmap[v]) != ends:
             raise GraphError(f"edge {a // 2} does not lie over target edge {k}")
+        hmap[a], hmap[a + 1] = k, p
         hdeg[a] = hdeg[a + 1] = d
     vdeg = {}
     for v, hs in graph._tangent.items():

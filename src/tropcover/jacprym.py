@@ -209,8 +209,8 @@ def transfer_maps(cover: DoubleCover) -> TransferMaps:
     against the boundary.  The pushforward commutes with it since the cover
     commutes with root (`validate_harmonic`, "root-commute"); the boundary
     of a pullback at v is deg(v) times that of the chain at its image, by
-    local harmonicity; the involution commutes with root and partner
-    (`_check_involution`).
+    local harmonicity; the involution commutes with root and partner, as
+    harmonicity and degree 2 over every point imply (`from_harmonic`).
     """
     if not is_connected(cover.source) or not is_connected(cover.target):
         raise PreconditionError("connected", "transfer maps require connected source and target")

@@ -76,6 +76,6 @@ def induce_metric(f: HarmonicMorphism, target_metric: MetricGraph) -> MetricGrap
         raise GraphError("induce_metric: metric is not on the morphism's target")
     length = {}
     for k in f.source.edge_keys():
-        val, d = target_metric.length[f.target.edge_key(f.h(k))], f.deg_edge(k)
+        val, d = target_metric.length[f.target.edge_key(f.h(k))], f.deg_h(k)
         length[k] = val if is_inf(val) or (d == 1 and type(val) is Fraction) else Fraction(val, d)
     return MetricGraph(f.source, length)

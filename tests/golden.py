@@ -3,7 +3,9 @@
 Each run is one in-process `tropcover` command, run in a scratch directory
 on relative file names, so no output depends on where it ran.  The
 inputs are the shipped `data/*.json`, seeded random towers, the files
-the constructions write, and a few malformed files.  A run's digest is
+the constructions write, a few malformed files, and edited copies that
+reach what the others do not: infinite lengths, spoiled levels,
+single-level files and isolated vertices.  A run's digest is
 the sha256 of its exit code, stdout and stderr; each file it writes gets
 a digest of its own bytes, under "<run> > <file name>".
 
@@ -29,8 +31,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
 from tropcover.cli import main  # noqa: E402
+from tropcover.graphs import Graph, HarmonicMorphism  # noqa: E402
+from tropcover.metrics import MetricGraph  # noqa: E402
+from tropcover.ngonal import trigonal  # noqa: E402
 from tropcover.randgen import random_tower  # noqa: E402
-from tropcover.towerio import save, tower_to_doc  # noqa: E402
+from tropcover.towerio import doc_to_file, file_to_doc, save, tower_to_doc  # noqa: E402
 
 DATA = os.path.join(HERE, os.pardir, "data")
 TABLE = os.path.join(HERE, "golden.json")
@@ -54,6 +59,103 @@ MALFORMED = {
     "not-json.json": "{",
     "no-base.json": json.dumps({"format": "tropcover-tower", "levels": []}),
     "wrong-type.json": json.dumps({"base": [], "levels": {}}),
+}
+
+
+
+def _base_length(key: int, text: str):
+    """Edit setting the length of base edge `key`."""
+    def edit(doc):
+        doc["base"]["lengths"][str(key)] = text
+    return edit
+
+
+def _vertex_degree(level: int, vertex: int, degree: int):
+    """Edit setting the degree of one vertex of a level."""
+    def edit(doc):
+        doc["levels"][level]["vertex_degree"][str(vertex)] = degree
+    return edit
+
+
+def _double_top_degrees(doc):
+    """Every local degree of the top level doubled: still harmonic, of
+    global degree 4."""
+    top = doc["levels"][-1]
+    for name in ("vertex_degree", "half_edge_degree"):
+        top[name] = {k: 2 * d for k, d in top[name].items()}
+
+
+def _relabel_top(doc):
+    """The top level's vertex ids and half-edge ids each renumbered in
+    reverse order."""
+    top = doc["levels"][-1]
+    new_v = dict(zip(top["vertices"], reversed(top["vertices"])))
+    new_h = dict(zip(top["half_edges"], reversed(top["half_edges"])))
+    for name, ids, values in (("root", new_h, new_v), ("partner", new_h, new_h),
+                              ("vmap", new_v, None), ("hmap", new_h, None),
+                              ("vertex_degree", new_v, None), ("half_edge_degree", new_h, None)):
+        top[name] = {str(ids[int(k)]): x if values is None else values[x]
+                     for k, x in top[name].items()}
+
+
+def _quartic() -> dict:
+    """The file `construct trigonal_tower.json --op trigonal` writes."""
+    loaded = doc_to_file(document("trigonal_tower.json"))
+    return file_to_doc(loaded.base_metric, [trigonal(loaded.tower()).quartic],
+                       meta={"construction": "trigonal"})
+
+
+def _point() -> dict:
+    """A tower over a one-vertex base: two isolated mid vertices of degrees
+    1 and 2, a free pair of top vertices over the first and a dilated one
+    over the second."""
+    base, mid, top = Graph((0,), {}, {}), Graph((0, 1), {}, {}), Graph((0, 1, 2), {}, {})
+    f = HarmonicMorphism(mid, base, {0: 0, 1: 0}, {}, {0: 1, 1: 2}, {})
+    pi = HarmonicMorphism(top, mid, {0: 0, 1: 0, 2: 1}, {}, {0: 1, 1: 1, 2: 2}, {})
+    return file_to_doc(MetricGraph(base, {}), [f, pi])
+
+
+def _edited(source: str, *edits):
+    """Maker of the document of input `source` after each edit in turn."""
+    def make():
+        doc = document(source)
+        for edit in edits:
+            edit(doc)
+        return doc
+    return make
+
+
+# name -> (maker of its document, the argv of its runs)
+EDITED = {
+    # an infinite leaf edge whose lifts are legs at both levels
+    "inf-leg.json": (_edited("free3-03.json", _base_length(8, "inf")), (
+        ("validate", "inf-leg.json"), ("prym", "inf-leg.json"),
+        ("check", "inf-leg.json", "--theorem", "trigonal"), ("export-dot", "inf-leg.json"),
+        ("construct", "inf-leg.json", "--op", "trigonal", "--out", "inf-leg.q.json"),
+        ("validate", "inf-leg.q.json"),
+        ("construct", "inf-leg.q.json", "--op", "recillas", "--out", "inf-leg.r.json"),
+        ("compare", "inf-leg.json", "inf-leg.json"),
+        ("compare", "inf-leg.json", "inf-leg.r.json"))),
+    # an infinite leaf edge whose lifts are not all legs: the levels' leg rule
+    "inf-lifted.json": (_edited("trigonal_tower.json", _base_length(0, "inf")),
+                        (("validate", "inf-lifted.json"),)),
+    "inf-inner.json": (_edited("trigonal_tower.json", _base_length(4, "inf")),
+                       (("validate", "inf-inner.json"),)),
+    "unbalanced.json": (_edited("trigonal_tower.json", _vertex_degree(0, 0, 2)),
+                        (("validate", "unbalanced.json"),)),
+    "not-double.json": (_edited("trigonal_tower.json", _double_top_degrees),
+                        (("validate", "not-double.json"),)),
+    # single-level files
+    "quartic.json": (_quartic, (("compare", "quartic.json", "quartic.json"),)),
+    "quartic-relabelled.json": (_edited("quartic.json", _relabel_top), (
+        ("validate", "quartic-relabelled.json"),
+        ("compare", "quartic.json", "quartic-relabelled.json"))),
+    # isolated vertices over a one-vertex base
+    "point.json": (_point, (("validate", "point.json"), ("compare", "point.json", "point.json"),
+                            ("prym", "point.json"))),
+    "point-relabelled.json": (_edited("point.json", _relabel_top), (
+        ("validate", "point-relabelled.json"),
+        ("compare", "point.json", "point-relabelled.json"))),
 }
 
 # the argv of the runs, besides the per-file ones: usage errors exit 2
@@ -88,6 +190,7 @@ def inputs() -> dict:
     for kinds, seeds in ((KINDS, SEEDS), (QUARTIC_KINDS, QUARTIC_SEEDS)):
         files.update((f"{stem}-{seed:02d}.json", stem) for stem in kinds for seed in seeds)
     files.update(dict.fromkeys(MALFORMED, "malformed"))
+    files.update(dict.fromkeys(EDITED, "edited"))
     return files
 
 
@@ -95,6 +198,21 @@ def _seed(name: str):
     """The seed in a seeded tower's file name, or None."""
     tail = name.removesuffix(".json").rsplit("-", 1)[-1]
     return int(tail) if tail.isdigit() else None
+
+
+def document(name: str) -> dict:
+    """The JSON document of a tower input, as its file holds it."""
+    kind = inputs()[name]
+    if kind in ("trigonal", "bigonal"):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            return json.load(fh)
+    if kind == "edited":
+        doc = EDITED[name][0]()
+    else:
+        seed = _seed(name)
+        gen = random_tower(seed, **{**KINDS, **QUARTIC_KINDS}[kind])
+        doc = tower_to_doc(gen.tower, gen.base_metric, meta={"seed": seed})
+    return json.loads(json.dumps(doc))
 
 
 def write_input(name: str, kind: str):
@@ -105,9 +223,7 @@ def write_input(name: str, kind: str):
         with open(name, "w", encoding="utf-8") as fh:
             fh.write(MALFORMED[name])
     else:
-        seed = _seed(name)
-        gen = random_tower(seed, **{**KINDS, **QUARTIC_KINDS}[kind])
-        save(name, tower_to_doc(gen.tower, gen.base_metric, meta={"seed": seed}))
+        save(name, document(name))
 
 
 def commands(name: str, kind: str) -> list:
@@ -118,6 +234,8 @@ def commands(name: str, kind: str) -> list:
     which keeps the corpus within a few seconds."""
     stem, seed = name.removesuffix(".json"), _seed(name)
     full = seed is None or seed < FULL
+    if kind == "edited":
+        return list(EDITED[name][1])
     if kind == "malformed":
         return [("validate", name), ("prym", name), ("classify", name),
                 ("check", name, "--theorem", "bigonal"), ("compare", name, name)]

@@ -75,7 +75,10 @@ elimination that decided a torus's verdict when its builder passed none
 (the leading-minor verdict, with the pivoting Bareiss pass that it and
 the rank, determinant and rational-inverse oracles use), the dual of a
 homomorphism, the Betti number of a graph and the generation's Prym-rank
-cap, which the rank-capped acceptance tiers still draw through.
+cap, which the rank-capped acceptance tiers still draw through.  So is
+the tangent of a vertex as a method of the graph, which only these
+oracles read; the rescan keeps the global-degree rule that the package
+dropped as implied by local harmonicity over a connected target.
 """
 
 from __future__ import annotations
@@ -463,6 +466,12 @@ def dual_polarization_by_snf(pol: Polarization, multiplier=None) -> Polarization
     return dual_pol
 
 
+def tangent(graph: Graph, v: int) -> tuple:
+    """Half-edges rooted at v (a loop contributes both of its halves), read
+    from the table the graph keeps; only these oracles ask for it."""
+    return graph._tangent[v]
+
+
 def validate_harmonic_by_rescan(f: HarmonicMorphism) -> list:
     """graphs.validate_harmonic with the local-harmonicity loop it replaced:
     for each vertex v and each target half-edge at f(v), a sum over the
@@ -481,8 +490,8 @@ def validate_harmonic_by_rescan(f: HarmonicMorphism) -> list:
         return issues
     for v in s.vertices:
         fv = f.v(v)
-        for hprime in t.tangent(fv):
-            total = sum(f.half_edge_degree[h] for h in s.tangent(v) if f.h(h) == hprime)
+        for hprime in tangent(t, fv):
+            total = sum(f.half_edge_degree[h] for h in tangent(s, v) if f.h(h) == hprime)
             if total != f.vertex_degree[v]:
                 issues.append(ValidationIssue(
                     "local-harmonicity", (vpoint(v), hpoint(hprime)),
@@ -1521,7 +1530,7 @@ def pull_chain_by_fiber_edges(cover: DoubleCover, chain: dict) -> dict:
     for k, c in chain.items():
         for up in f.fiber_edges(k):
             sign = 1 if f.h(up) == k else -1
-            out[up] = out.get(up, 0) + sign * c * f.deg_edge(up)
+            out[up] = out.get(up, 0) + sign * c * f.deg_h(up)
     return {k: v for k, v in sorted(out.items()) if v}
 
 
@@ -1624,11 +1633,11 @@ def harmonic_from_edges_by_rebuilds(n_vertices, edge_spec, target: Graph, vmap: 
         hdeg[2 * i] = hdeg[2 * i + 1] = d
     vdeg = {}
     for v in graph.vertices:
-        if not graph.tangent(v):
+        if not tangent(graph, v):
             raise GraphError(f"vertex {v} is isolated; cannot derive its degree")
-        h = graph.tangent(v)[0]
+        h = tangent(graph, v)[0]
         target_half = hmap[h]
-        vdeg[v] = sum(hdeg[x] for x in graph.tangent(v) if hmap[x] == target_half)
+        vdeg[v] = sum(hdeg[x] for x in tangent(graph, v) if hmap[x] == target_half)
     out = HarmonicMorphism(graph, target, dict(vmap), hmap, vdeg, hdeg)
     issues = validate_harmonic(out)
     if issues:
@@ -1814,10 +1823,10 @@ def validate_metric_harmonic(f: HarmonicMorphism, up: MetricGraph, down: MetricG
         up_len, down_len = up.length[k], down.length[f.target.edge_key(f.h(k))]
         if is_inf(up_len) != is_inf(down_len):
             issues.append(ValidationIssue("dilation-factor", hpoint(k), "infinite lengths do not correspond"))
-        elif not is_inf(up_len) and f.deg_edge(k) * up_len != down_len:
+        elif not is_inf(up_len) and f.deg_h(k) * up_len != down_len:
             issues.append(ValidationIssue(
                 "dilation-factor", hpoint(k),
-                f"{f.deg_edge(k)} * {up_len} != {down_len}"))
+                f"{f.deg_h(k)} * {up_len} != {down_len}"))
     return issues
 
 
@@ -1826,7 +1835,7 @@ def _finite_leaves(m: MetricGraph):
     leaves = []
     for v in g.vertices:
         if g.valence(v) == 1:
-            k = g.edge_key(g.tangent(v)[0])
+            k = g.edge_key(tangent(g, v)[0])
             if not is_inf(m.length[k]):
                 leaves.append(v)
     return leaves

@@ -8,21 +8,29 @@ two give the same basis; on a dilated cover the bases differ, but both
 must be verified, have the same counts, span the same norm kernel and
 give isomorphic Pryms.  The `prym` and `check` outputs are pinned by
 sha256: the free ones as the replaced builders printed them, the dilated
-ones as the single construction prints them.
+ones as the single construction prints them.  Each self-check of
+`SymmetricBasis.verify` is made to fire by a spoiled basis or chain map.
 """
 
+import ast
 import contextlib
+import dataclasses
 import hashlib
+import inspect
 import io
 import os
+import re
+import textwrap
 from fractions import Fraction
+
+import pytest
 
 from gallery import tower_metrics
 from oracles import symmetric_basis_by_model
 from test_acceptance import _unimodular_change
 from tropcover import jacprym
 from tropcover.cli import main
-from tropcover.jacprym import prym, symmetric_basis
+from tropcover.jacprym import chain_scale, prym, symmetric_basis
 from tropcover.randgen import random_tower
 from tropcover.tori import polarized_isomorphic
 from tropcover.towerio import load, save, tower_to_doc
@@ -152,3 +160,94 @@ OUTPUT_SHA256 = {
 
 def test_prym_and_check_print_the_pinned_outputs(tmp_path):
     assert output_digests(tmp_path) == OUTPUT_SHA256
+
+
+def _free_cover():
+    """The shipped trigonal tower's double cover: two alpha pairs and a gamma."""
+    return load(os.path.join(DATA, "trigonal_tower.json")).tower().pi
+
+
+def _dilated_cover():
+    """A dilated double cover with an alpha pair, a beta and a gamma."""
+    return random_tower(25, n=2, pi_free=False, dilation_probability=Fraction(4, 5)).tower.pi
+
+
+def _verify_spoiled(monkeypatch, cover, spoil_basis=None, chain_map=None, spoil_map=None):
+    """symmetric_basis(cover) on the basis `_adapted_basis` builds, with the
+    fields spoil_basis(basis) gives replaced, and with jacprym.<chain_map>
+    replaced by spoil_map(basis, the map, cover, chain)."""
+    basis = jacprym._adapted_basis(cover)
+    if spoil_basis:
+        basis = dataclasses.replace(basis, **spoil_basis(basis))
+    monkeypatch.setattr(jacprym, "_adapted_basis", lambda c: basis)
+    if chain_map:
+        original = getattr(jacprym, chain_map)
+        monkeypatch.setattr(jacprym, chain_map,
+                            lambda cov, chain: spoil_map(basis, original, cov, chain))
+    symmetric_basis(cover)
+
+
+def _scaled(c, name):
+    """Basis spoiling: every chain of field `name` times c."""
+    return lambda b: {name: tuple(chain_scale(c, x) for x in getattr(b, name))}
+
+
+def _doubled(basis, chain_map, cov, chain):
+    """Map spoiling: every image doubled."""
+    return chain_scale(2, chain_map(cov, chain))
+
+
+def _doubled_on_gamma(basis, chain_map, cov, chain):
+    """Map spoiling: the images of the mid gammas doubled, no others."""
+    image = chain_map(cov, chain)
+    return chain_scale(2, image) if chain in basis.gamma else image
+
+
+def _nonzero(basis, chain_map, cov, chain):
+    """Map spoiling: a zero image becomes the first mid edge once."""
+    return chain_map(cov, chain) or {cov.target.edge_keys()[0]: 1}
+
+
+# self-check message -> the spoiling that makes it raise: one row per
+# `raise AssertionError` of `SymmetricBasis.verify` but the unimodularity
+# check, which tests/test_jacprym.py spoils
+VERIFY_CHECKS = {
+    "involution does not swap an alpha pair": lambda mp: _verify_spoiled(
+        mp, _free_cover(), lambda b: {"alpha_minus": b.alpha_plus}),
+    "an alpha pair does not push to its alpha": lambda mp: _verify_spoiled(
+        mp, _free_cover(), _scaled(2, "alpha")),
+    "an alpha does not pull back to its pair": lambda mp: _verify_spoiled(
+        mp, _free_cover(), chain_map="pull_chain", spoil_map=_doubled),
+    "a beta is not anti-invariant": lambda mp: _verify_spoiled(
+        mp, _dilated_cover(), lambda b: {"beta": b.gamma_top}),
+    "a beta has nonzero pushforward": lambda mp: _verify_spoiled(
+        mp, _dilated_cover(), chain_map="push_chain", spoil_map=_nonzero),
+    "a gamma lift is not invariant": lambda mp: _verify_spoiled(
+        mp, _free_cover(), lambda b: {"gamma_top": b.alpha_plus[:1]}),
+    "a free gamma lift does not push to 2 gamma": lambda mp: _verify_spoiled(
+        mp, _free_cover(), _scaled(3, "gamma")),
+    "a free gamma does not pull back to its lift": lambda mp: _verify_spoiled(
+        mp, _free_cover(), chain_map="pull_chain", spoil_map=_doubled_on_gamma),
+    "a dilated gamma lift does not push to gamma": lambda mp: _verify_spoiled(
+        mp, _dilated_cover(), _scaled(2, "gamma")),
+    "a dilated gamma does not pull back to 2 lifts": lambda mp: _verify_spoiled(
+        mp, _dilated_cover(), chain_map="pull_chain", spoil_map=_doubled_on_gamma),
+    "top basis has the wrong size": lambda mp: _verify_spoiled(
+        mp, _dilated_cover(), lambda b: {"beta": ()}),
+    "mid basis has the wrong size": lambda mp: _verify_spoiled(
+        mp, _free_cover(), lambda b: {"alpha": b.alpha + b.alpha[:1]}),
+}
+
+
+def test_every_verify_check_has_a_spoiling():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(jacprym.SymmetricBasis.verify)))
+    messages = {node.exc.args[0].value for node in ast.walk(tree)
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "AssertionError"}
+    assert messages == set(VERIFY_CHECKS) | {"top or mid basis is not unimodular"}
+
+
+@pytest.mark.parametrize("message", VERIFY_CHECKS)
+def test_a_spoiled_basis_raises_its_check(monkeypatch, message):
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        VERIFY_CHECKS[message](monkeypatch)

@@ -161,6 +161,9 @@ def test_harmonic_from_edges_refuses_a_spec_that_is_not_harmonic():
         harmonic_from_edges(3, [(0, 1, k0, 1), (1, 2, k1, 2)], path, vmap)
     with pytest.raises(GraphError, match="edge 1 does not lie over target edge 0"):
         harmonic_from_edges(3, [(0, 1, k0, 1), (1, 2, k0, 1)], path, vmap)
+    # an edge is given tail first, as `random_harmonic_map` lists it
+    with pytest.raises(GraphError, match="edge 0 does not lie over target edge 0"):
+        harmonic_from_edges(3, [(1, 0, k0, 1), (1, 2, k1, 1)], path, vmap)
     with pytest.raises(GraphError, match="vertex 2 is isolated"):
         harmonic_from_edges(3, [(0, 1, k0, 1)], path, vmap)
 

@@ -1,5 +1,7 @@
 import ast
 import inspect
+import json
+import os
 import random
 import re
 from fractions import Fraction
@@ -16,8 +18,12 @@ from tropcover.graphs import (DoubleCover, Graph, GraphError,
                               validate_harmonic, vpoint)
 from tropcover.ngonal import bigonal, ngonal_construct, recillas, tetragonal_split, trigonal
 from tropcover.randgen import random_tower
+from tropcover.towerio import InvalidTowerFile, doc_to_file, graph_from_doc, level_from_doc
 
-from gallery import build_double_cover, harmonic_from_edges, identity_harmonic
+import test_load_boundary as boundary
+from gallery import (bigonal_output_reference, bigonal_reference, build_double_cover,
+                     harmonic_from_edges, identity_harmonic, random_tetragonal_curve,
+                     trigonal_reference)
 from oracles import (betti_number, contract_edge, towers_isomorphic_mid_first,
                      validate_harmonic_by_rescan)
 
@@ -105,6 +111,7 @@ class TestGenusAndComponents:
         assert graphs._bfs_components(g, keys={keys[0]}) == [[0, 1], [2]]
         assert graphs._bfs_components(g, vertices={1, 2}) == [[1, 2]]
         assert graphs._bfs_components(g) == [[0, 1, 2]]
+        assert g._components is None  # only `_components` keeps them
 
 
 class TestSpanningTree:
@@ -323,6 +330,114 @@ def round_trip_pairs(seeds):
             yield from ((t, b), (b, t), (bigonal(b).tower, t), (t, t))
         t = random_tower(seed, n=3, pi_free=True).tower
         yield from ((recillas(trigonal(t).quartic).tower, t), (t, t))
+
+
+def accepted_morphisms():
+    """Every level, composite and double cover of `round_trip_pairs(range(20))`
+    and of the gallery towers; the gallery's quartic covers; and on free
+    trigonal towers the section covers with their orientation quotients,
+    the quartics, their tetragonal splits and the Recillas sextics."""
+    towers = [t for pair in round_trip_pairs(range(20)) for t in pair]
+    towers += [ref().tower for ref in (trigonal_reference, bigonal_reference,
+                                       bigonal_output_reference)]
+    covers = [random_tetragonal_curve(seed).cover for seed in range(5)]
+    for seed in range(8):
+        t = random_tower(seed, n=3, pi_free=True, tree_size=(4, 9)).tower
+        cons = ngonal_construct(t, 3)
+        quartic = trigonal(t).quartic
+        rng = random.Random(seed)
+        sheets = build_double_cover(
+            quartic.source, bits={h: rng.randrange(2) for h in quartic.source.half_edges})
+        split = tetragonal_split(Tower(sheets, quartic))
+        towers += [recillas(quartic).tower, Tower(sheets, quartic), *split.towers]
+        covers += [cons.cover_to_base, cons.orientation, cons.to_orientation, quartic,
+                   split.construction.cover_to_base]
+    found = {}
+    for f in covers + [f for t in towers for f in (t.f, t.pi, t.composed())]:
+        found.setdefault(id(f), f)
+    return list(found.values())
+
+
+def degree_sums(f) -> set:
+    """The sums of the local degrees over each target point, found by one
+    pass over the source maps, not through the fiber index."""
+    sums = dict.fromkeys(f.target.points(), 0)
+    for v, w in f.vmap.items():
+        sums[vpoint(w)] += f.vertex_degree[v]
+    for h, k in f.hmap.items():
+        sums[graphs.hpoint(k)] += f.half_edge_degree[h]
+    return set(sums.values())
+
+
+class TestImpliedChecks:
+    # what the checks of `validate_harmonic` and `DoubleCover.from_harmonic`
+    # imply without a check of their own: one global degree over a
+    # connected target, and a sheet involution commuting with root and partner
+
+    def test_an_accepted_morphism_has_one_degree_sum_over_a_connected_target(self):
+        morphisms = accepted_morphisms()
+        assert len(morphisms) > 400
+        for f in morphisms:
+            assert validate_harmonic(f) == []
+            if graphs.is_connected(f.target):
+                assert degree_sums(f) == {f.global_degree()}
+        for f in morphisms[::7]:
+            for m in harmonicity_mutants(f, random.Random(1)):
+                if not validate_harmonic(m) and graphs.is_connected(m.target):
+                    assert len(degree_sums(m)) == 1
+
+    def test_a_double_cover_involution_is_the_sheet_swap(self):
+        covers = [f for f in accepted_morphisms() if isinstance(f, DoubleCover)]
+        assert len(covers) > 150 and any(c.dilated_vertices for c in covers)
+        for c in covers:
+            s, vinv, hinv = c.source, c.vertex_invol, c.half_edge_invol
+            assert all(vinv[vinv[v]] == v for v in s.vertices)
+            for h in s.half_edges:
+                assert hinv[hinv[h]] == h
+                assert vinv[s.root[h]] == s.root[hinv[h]]
+                assert hinv[s.partner[h]] == s.partner[hinv[h]]
+            for ids, fiber, inv, dilated in (
+                    (c.target.vertices, c.fiber_vertices, vinv, c.dilated_vertices),
+                    (c.target.half_edges, c.fiber_half_edges, hinv,
+                     {h for h in c.target.half_edges if c.target.edge_key(h) in c.dilated_edge_keys})):
+                for x in ids:
+                    fib = fiber(x)
+                    if x in dilated:
+                        assert len(fib) == 1 and inv[fib[0]] == fib[0]
+                    else:
+                        assert len(fib) == 2 and inv[fib[0]] == fib[1] != fib[0]
+
+    def test_issue_lists_match_the_rescan_on_spoiled_files(self):
+        # the rescan oracle has a global-degree rule; the package has none
+        docs = [make() for make, _, _ in boundary.REFUSED.values()]
+        rng = random.Random(52)
+        for name in ("trigonal_tower.json", "bigonal_tower.json"):
+            with open(os.path.join(boundary.DATA, name), encoding="utf-8") as fh:
+                source = fh.read()
+            docs.append(json.loads(source))
+            for _ in range(150):
+                doc = json.loads(source)
+                boundary.mutate(doc, rng)
+                docs.append(doc)
+        codes = set()
+        for doc in docs:
+            try:
+                doc_to_file(doc)
+            except InvalidTowerFile:
+                pass  # parsed, then refused for its issues
+            except ValueError:
+                continue  # malformed: it has no levels to check
+            target, levels = graph_from_doc(doc["base"]), []
+            for level_doc in doc.get("levels", []):
+                levels.append(level_from_doc(level_doc, target))
+                target = levels[-1].source
+            for f in levels:
+                if validate_graph(f.source) or validate_graph(f.target):
+                    continue
+                issues = validate_harmonic(f)
+                assert issues == validate_harmonic_by_rescan(f)
+                codes.update(i.code for i in issues)
+        assert {"local-harmonicity", "degree-positive", "root-commute"} <= codes
 
 
 def isolated_tower(mid_degrees, top_over):

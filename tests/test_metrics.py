@@ -41,10 +41,10 @@ def test_free_cover_copies_lengths():
 def test_trigonal_reference_lengths():
     ref = trigonal_reference((1, 1, 1, 1, 1))
     mid, top = tower_metrics(ref.tower, ref.base_metric)
-    degrees = {ref.tower.f.deg_edge(k) for k in mid.graph.edge_keys()}
+    degrees = {ref.tower.f.deg_h(k) for k in mid.graph.edge_keys()}
     assert degrees == {1, 2}
     for k in mid.graph.edge_keys():
-        assert mid.length[k] == Fraction(1, ref.tower.f.deg_edge(k))
+        assert mid.length[k] == Fraction(1, ref.tower.f.deg_h(k))
     # the free double cover just copies these upstairs
     for k in top.graph.edge_keys():
         down = mid.graph.edge_key(ref.tower.pi.h(k))
@@ -124,4 +124,4 @@ def test_induced_lengths_are_the_target_lengths_over_the_degrees(n, pi_free):
             assert sorted(up.length) == list(f.source.edge_keys())
             for k, val in up.length.items():
                 assert type(val) is Fraction
-                assert val == Fraction(down.length[f.target.edge_key(f.h(k))]) / f.deg_edge(k)
+                assert val == Fraction(down.length[f.target.edge_key(f.h(k))]) / f.deg_h(k)
